@@ -8,6 +8,15 @@ strong Dirichlet equation or the relaxed (state-constraint) form.
 Every assembled system is certified monotone by finite-difference
 perturbation probes: the residual at a node is nondecreasing in the node's
 own value and nonincreasing in every other node's value.
+
+Each residual row depends only on its node and the node's graph neighbours
+on the grid.  Assembly therefore builds one distance-2 colouring of that
+dependency pattern: no row depends on two nodes of the same colour.  So
+perturbing every node of one colour at once still changes each row through
+exactly one input, and a handful of vectorized residual() calls recover a
+whole finite-difference Jacobian (Curtis, Powell & Reid 1974) or a whole
+monotonicity probe.  The scalar residual_node path serves the nodewise
+local solves.
 """
 
 from __future__ import annotations
@@ -237,16 +246,18 @@ class ResidualSystem:
                 st.boundary_mode = boundary_modes[v.id]
             self._vertices.append(st)
         self._vertex_by_gid = {st.gid: st for st in self._vertices}
+        self._edge_by_id = {es.eid: es for es in self._edges}
 
-        # dependency structure (symmetric for this stencil family)
-        neigh = [set() for _ in range(grid.total_nodes)]
-        for es in self._edges:
-            ids = es.ids
-            for k in range(1, len(ids) - 1):
-                neigh[ids[k]].update((int(ids[k - 1]), int(ids[k + 1])))
-        for st in self._vertices:
-            neigh[st.gid].update(int(g) for g in st.nbr_gids)
-        self._neighbors = [tuple(sorted(s)) for s in neigh]
+        # dependency pattern in column order: pattern_rows[k] depends on
+        # u[pattern_cols[k]]; colour_groups[c] holds the nodes of colour c
+        # and the pattern entries of their columns
+        self._indptr, self.pattern_rows, self.pattern_cols = _dependency_pattern(grid)
+        self.colours = _distance2_colouring(grid, self._indptr, self.pattern_rows)
+        entry_colours = self.colours[self.pattern_cols]
+        self.colour_groups = [
+            (np.flatnonzero(self.colours == c), np.flatnonzero(entry_colours == c))
+            for c in range(int(self.colours.max()) + 1)
+        ]
 
     # -- residual evaluation ------------------------------------------------
 
@@ -300,7 +311,7 @@ class ResidualSystem:
         if self.grid.node_kind(gid) != EDGE_NODE:
             raise NodeNotInterior(f"node {gid} is a vertex node")
         eid, k = self.grid._edge_node[gid]
-        es = next(s for s in self._edges if s.eid == eid)
+        es = self._edge_by_id[eid]
         lam = self.problem.lam
         um, uc, up = u[es.ids[k - 1]], u[gid], u[es.ids[k + 1]]
         pm = (uc - um) / es.h
@@ -338,11 +349,11 @@ class ResidualSystem:
     # -- structure ----------------------------------------------------------
 
     def neighbors(self, gid: int):
-        return self._neighbors[gid]
+        return tuple(self.pattern_rows[self._indptr[gid] + 1:self._indptr[gid + 1]].tolist())
 
     def dependents(self, gid: int):
         """Nodes whose residual depends on u[gid] (incl. gid itself)."""
-        return (gid,) + self._neighbors[gid]
+        return tuple(self.pattern_rows[self._indptr[gid]:self._indptr[gid + 1]].tolist())
 
     def node_classification(self, gid: int) -> str:
         st = self._vertex_by_gid.get(gid)
@@ -356,25 +367,29 @@ class ResidualSystem:
                          tol: float = 1e-9, rng=None, scale: float = 2.0):
         """Perturbation probe of the monotone-scheme property.
 
-        Returns None when no witness is found, else a dict describing the
-        violating (sample, node, direction).
+        Each sample raises u by step at every node of one colour at a time,
+        so every row sees one perturbed input per residual() call.  Returns
+        None when no witness is found, else a dict describing the violating
+        (sample, node, row, direction): the first one in node order, then in
+        the order of dependents(node).
         """
         rng = np.random.default_rng(0) if rng is None else rng
-        n = self.grid.total_nodes
+        rows, cols = self.pattern_rows, self.pattern_cols
+        own = rows == cols
+        delta = np.empty(len(rows))
         for s in range(n_samples):
-            u = rng.uniform(-scale, scale, size=n)
-            for j in range(n):
-                base = {i: self.residual_node(i, u) for i in self.dependents(j)}
-                u[j] += step
-                for i, r0 in base.items():
-                    r1 = self.residual_node(i, u)
-                    if i == j and r1 - r0 < -tol:
-                        return {"sample": s, "node": j, "row": i,
-                                "direction": "own", "delta": r1 - r0}
-                    if i != j and r1 - r0 > tol:
-                        return {"sample": s, "node": j, "row": i,
-                                "direction": "cross", "delta": r1 - r0}
-                u[j] -= step
+            u = rng.uniform(-scale, scale, size=self.grid.total_nodes)
+            r0 = self.residual(u)
+            for nodes, entries in self.colour_groups:
+                up = u.copy()
+                up[nodes] += step
+                delta[entries] = (self.residual(up) - r0)[rows[entries]]
+            bad = np.where(own, delta < -tol, delta > tol)
+            if bad.any():
+                k = int(np.argmax(bad))
+                return {"sample": s, "node": int(cols[k]), "row": int(rows[k]),
+                        "direction": "own" if own[k] else "cross",
+                        "delta": float(delta[k])}
         return None
 
     def own_slope(self, gid: int, u: np.ndarray, step: float = 1e-6) -> float:
@@ -382,6 +397,52 @@ class ResidualSystem:
         u2 = u.copy()
         u2[gid] += step
         return (self.residual_node(gid, u2) - r0) / step
+
+
+def _dependency_pattern(grid: Grid):
+    """(indptr, rows, cols) of the residual's dependency pattern.
+
+    A row depends on its own node and on the nodes one grid cell away, a
+    symmetric relation.  Entries are in column order and, within column j,
+    list j first and then its neighbours in increasing order: the order of
+    dependents(j).
+    """
+    n = grid.total_nodes
+    tails = np.concatenate([ids[:-1] for ids in grid.node_ids.values()])
+    heads = np.concatenate([ids[1:] for ids in grid.node_ids.values()])
+    diag = np.arange(n)
+    rows = np.concatenate([diag, tails, heads])
+    cols = np.concatenate([diag, heads, tails])
+    order = np.lexsort((rows, rows != cols, cols))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    return indptr, rows[order], cols[order]
+
+
+def _distance2_colouring(grid: Grid, indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Node colours such that no row depends on two nodes of one colour.
+
+    Edge nodes at least three cells from both ends take the colour k mod 3
+    of their local index k, which already separates any two of them within
+    two cells.  Only the vertices and the edge nodes within two cells of a
+    vertex are coloured greedily, each with the smallest colour unused
+    within two cells.
+    """
+    colours = np.full(grid.total_nodes, -1)
+    greedy = [np.arange(len(grid.network.vertices))]
+    for ids in grid.node_ids.values():
+        m = len(ids)
+        k = np.arange(3, m - 3)
+        colours[ids[k]] = k % 3
+        greedy += [ids[1:min(3, m - 1)], ids[max(3, m - 3):m - 1]]
+    for j in np.concatenate(greedy):
+        near = rows[indptr[j]:indptr[j + 1]]
+        used = set(colours[np.concatenate(
+            [rows[indptr[i]:indptr[i + 1]] for i in near])].tolist())
+        c = 0
+        while c in used:
+            c += 1
+        colours[j] = c
+    return colours
 
 
 def resolve_theta(problem: NetworkProblem, theta) -> dict:

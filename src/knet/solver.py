@@ -4,7 +4,9 @@ Three methods share the same interface: nodewise Gauss-Seidel sweeps (each
 node solved to its unique local root by bracketed root finding), a damped
 semismooth Newton iteration with a finite-difference sparse Jacobian, and a
 hybrid that warms up with sweeps before switching to Newton and falls back
-to sweeps when Newton stalls.
+to sweeps when Newton stalls.  The Jacobian is built from the system's
+distance-2 colouring: two vectorized residual() calls per colour give every
+column at once.
 
 Barriers are network-wide super- and subsolutions of the discrete scheme,
 found by doubling the two constants of a tent-shaped profile until the
@@ -165,31 +167,35 @@ def sweep_solve(system: ResidualSystem, config: SolveConfig,
 # Semismooth Newton
 
 
-def _fd_jacobian(system: ResidualSystem, u: np.ndarray, r: np.ndarray,
-                 step: float):
-    """Central-difference sparse Jacobian.
+def _fd_jacobian(system: ResidualSystem, u: np.ndarray, step: float):
+    """Central-difference sparse Jacobian, one pair of residual() calls per
+    colour of the system's distance-2 colouring.
+
+    All nodes of one colour are moved by +-step together, on copies of u.
+    No row depends on two nodes of one colour, so each row sees exactly one
+    perturbed input and its quotient is the entry of that input's column.
+    Each quotient divides by the difference of the perturbed values as
+    represented in floating point, which near the smallest steps differs
+    from 2*step by about 1e-3 relative.
 
     Central differencing matters: at kinks of the numerical Hamiltonian a
     one-sided difference is not an element of the generalized Jacobian (it
     turns |p| into a sum of both neighbors), while the central quotient
     picks the midpoint slope and keeps the linearization monotone.
     """
-    rows, cols, vals = [], [], []
-    for j in range(system.grid.total_nodes):
-        deps = system.dependents(j)
-        u[j] += step
-        plus = [system.residual_node(i, u) for i in deps]
-        u[j] -= 2.0 * step
-        minus = [system.residual_node(i, u) for i in deps]
-        u[j] += step
-        for i, rp, rm in zip(deps, plus, minus):
-            d = (rp - rm) / (2.0 * step)
-            if d != 0.0:
-                rows.append(i)
-                cols.append(j)
-                vals.append(d)
+    rows, cols = system.pattern_rows, system.pattern_cols
+    hi, lo = u + step, u - step
+    taken = hi - lo
+    vals = np.empty(len(rows))
+    for nodes, entries in system.colour_groups:
+        plus, minus = u.copy(), u.copy()
+        plus[nodes] = hi[nodes]
+        minus[nodes] = lo[nodes]
+        diff = system.residual(plus) - system.residual(minus)
+        vals[entries] = diff[rows[entries]] / taken[cols[entries]]
+    keep = vals != 0.0
     n = system.grid.total_nodes
-    return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+    return coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsc()
 
 
 def newton_solve(system: ResidualSystem, config: SolveConfig,
@@ -207,7 +213,7 @@ def newton_solve(system: ResidualSystem, config: SolveConfig,
         # step small against the residual times the mesh size
         h = min(system.grid.spacing.values())
         step = float(np.clip(0.1 * h * norm, 1e-13, config.newton_fd_step))
-        jac = _fd_jacobian(system, u, r, step)
+        jac = _fd_jacobian(system, u, step)
         with np.errstate(all="ignore"):
             try:
                 du = spsolve(jac, -r)

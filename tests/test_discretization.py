@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from knet.catalog import entry_by_name
+from knet.catalog import all_entries, entry_by_name, random_problem
 from knet.discretization import (
     Grid,
     GridFunction,
@@ -199,6 +199,28 @@ def test_probe_passes_with_matching_dissipation(system_cached):
     assert system.certify_monotone(n_samples=5) is None
 
 
+def _sequential_probe(system, n_samples, step=1e-6, tol=1e-9, scale=2.0):
+    """Node-by-node reference scan through the scalar residual_node: the
+    first violation in node order, then in the order of dependents(node)."""
+    rng = np.random.default_rng(0)
+    n = system.grid.total_nodes
+    for s in range(n_samples):
+        u = rng.uniform(-scale, scale, size=n)
+        for j in range(n):
+            base = {i: system.residual_node(i, u) for i in system.dependents(j)}
+            up = u.copy()
+            up[j] += step
+            for i, r0 in base.items():
+                delta = system.residual_node(i, up) - r0
+                if i == j and delta < -tol:
+                    return {"sample": s, "node": j, "row": i,
+                            "direction": "own", "delta": delta}
+                if i != j and delta > tol:
+                    return {"sample": s, "node": j, "row": i,
+                            "direction": "cross", "delta": delta}
+    return None
+
+
 def test_probe_fails_with_insufficient_dissipation():
     """theta below the p-Lipschitz constant of |p| breaks monotonicity and
     the assembly probe must catch it with a witness."""
@@ -206,8 +228,42 @@ def test_probe_fails_with_insufficient_dissipation():
     grid = Grid(entry.problem.network, 21)
     with pytest.raises(MonotonicityProbeFailed) as exc:
         assemble(entry.problem, grid, theta=0.5, probe_samples=10)
-    assert exc.value.node is not None
-    assert exc.value.direction in ("own", "cross")
+    assert exc.value.node == 0
+    assert exc.value.direction == "cross"
+    system = assemble(entry.problem, grid, theta=0.5, probe_samples=0)
+    witness = system.certify_monotone(n_samples=10)
+    reference = _sequential_probe(system, n_samples=10)
+    assert {k: witness[k] for k in ("sample", "node", "row", "direction")} == {
+        "sample": 0, "node": 0, "row": 23, "direction": "cross"}
+    assert witness == pytest.approx(reference, rel=1e-6)
+
+
+def _assert_distance2_colouring(system):
+    colours = system.colours
+    for row in range(system.grid.total_nodes):
+        deps = system.dependents(row)  # by symmetry, the nodes the row reads
+        assert len(set(colours[list(deps)].tolist())) == len(deps), row
+    for c, (nodes, entries) in enumerate(system.colour_groups):
+        np.testing.assert_array_equal(nodes, np.flatnonzero(colours == c))
+        assert np.all(colours[system.pattern_cols[entries]] == c)
+
+
+def test_colouring_separates_every_row_catalog():
+    """No row depends on two nodes of one colour, on every catalog grid
+    (graph5_constant has a cycle), from n = 3 up past the periodic bulk."""
+    for entry in all_entries():
+        for n in (3, 4, 5, 6, 7, 8, 13):
+            grid = Grid(entry.problem.network, n)
+            _assert_distance2_colouring(assemble(entry.problem, grid, probe_samples=0))
+
+
+def test_colouring_separates_every_row_random_networks():
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        problem = random_problem(rng)
+        sizes = {e.id: int(rng.integers(3, 12)) for e in problem.network.edges}
+        grid = Grid(problem.network, sizes)
+        _assert_distance2_colouring(assemble(problem, grid, probe_samples=0))
 
 
 def test_properness_own_slope(system_cached):

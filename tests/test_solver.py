@@ -3,11 +3,13 @@ the vanishing-viscosity continuation."""
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
 from knet.catalog import all_entries, entry_by_name
 from knet.discretization import Grid, GridFunction, assemble
 from knet.solver import (
     SolveConfig,
+    _fd_jacobian,
     build_barriers,
     multistart_solve,
     newton_solve,
@@ -83,6 +85,61 @@ def test_sweep_stays_inside_barriers(system_cached):
     res = sweep_solve(system, cfg, mid)
     assert np.all(res.u.values >= bars.lower.values - 1e-9)
     assert np.all(res.u.values <= bars.upper.values + 1e-9)
+
+
+def _reference_jacobian(system, u, step):
+    """Column-by-column central differences through the scalar
+    residual_node: one column per node, perturbed on a copy of u."""
+    u = u.copy()
+    rows, cols, vals = [], [], []
+    for j in range(system.grid.total_nodes):
+        deps = system.dependents(j)
+        u[j] += step
+        plus = [system.residual_node(i, u) for i in deps]
+        u[j] -= 2.0 * step
+        minus = [system.residual_node(i, u) for i in deps]
+        u[j] += step
+        for i, rp, rm in zip(deps, plus, minus):
+            d = (rp - rm) / (2.0 * step)
+            if d != 0.0:
+                rows.append(i)
+                cols.append(j)
+                vals.append(d)
+    n = system.grid.total_nodes
+    return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+
+
+@pytest.mark.parametrize("nodes", [3, 4, 11, 41])
+def test_coloured_jacobian_matches_columnwise(nodes):
+    """The coloured Jacobian equals the column-by-column one to FD
+    accuracy; n = 3 has one interior node touching two vertices."""
+    rng = np.random.default_rng(5)
+    for entry in all_entries():
+        system = assemble(entry.problem, Grid(entry.problem.network, nodes))
+        u = rng.uniform(-1.0, 1.0, system.grid.total_nodes)
+        jac = _fd_jacobian(system, u, 1e-7)
+        ref = _reference_jacobian(system, u, 1e-7)
+        scale = abs(ref).max()
+        assert abs(jac - ref).max() <= 1e-7 * scale, (entry.name, nodes)
+
+
+def test_jacobian_leaves_iterate_untouched(system_cached):
+    system = system_cached("star3_mixed", 21)
+    u = np.random.default_rng(2).uniform(-1.0, 1.0, system.grid.total_nodes)
+    before = u.copy()
+    _fd_jacobian(system, u, 1e-7)
+    assert np.array_equal(u, before)
+
+
+def test_jacobian_divides_by_step_taken(system_cached):
+    """At the 1e-13 step floor the representable u +- step differ from the
+    nominal 2*step by about 1e-3 relative; on a linear system the quotient
+    over the step actually taken is still exact."""
+    system = system_cached("star2_linear", 11)
+    u = np.full(system.grid.total_nodes, 1.3)
+    exact = _fd_jacobian(system, u, 1e-3).toarray()
+    tiny = _fd_jacobian(system, u, 1e-13).toarray()
+    assert np.max(np.abs(tiny - exact)) <= 1e-6 * np.max(np.abs(exact))
 
 
 def test_newton_fast_on_linear_problem(system_cached):
