@@ -19,20 +19,8 @@ import time
 import numpy as np
 
 from knet.catalog import all_entries, entry_by_name
-from knet.discretization import Grid, GridFunction
-from knet.errors import ProblemNotLinear
-from knet.oracle import direct_linear_solve, fine_grid_reference, sup_error
+from knet.oracle import reference_for, sup_error
 from knet.solver import solve_problem
-
-
-def reference_for(entry, nodes):
-    if entry.exact is not None:
-        grid = Grid(entry.problem.network, nodes)
-        return GridFunction.from_profile(grid, entry.exact), "exact"
-    try:
-        return direct_linear_solve(entry.problem, nodes).u, "direct-linear"
-    except ProblemNotLinear:
-        return fine_grid_reference(entry.problem, nodes, refine=4).u, "fine-grid"
 
 
 def study(entry, resolutions):
@@ -42,8 +30,8 @@ def study(entry, resolutions):
         t0 = time.perf_counter()
         res = solve_problem(entry.problem, n)
         wall = time.perf_counter() - t0
-        ref, ref_kind = reference_for(entry, n)
-        err = sup_error(res.u, ref)
+        ref = reference_for(entry.problem, n, entry.exact)
+        err = sup_error(res.u, ref.u)
         h = res.u.grid.h
         if prev is not None and err > 0 and prev[1] > 0:
             order = np.log(prev[1] / err) / np.log(prev[0] / h)
@@ -51,7 +39,7 @@ def study(entry, resolutions):
             order = float("nan")
         rows.append({
             "entry": entry.name, "nodes": n, "h": h, "error": err,
-            "order": order, "reference": ref_kind,
+            "order": order, "reference": ref.method,
             "converged": res.converged, "iterations": res.iterations,
             "wall_time": wall,
         })

@@ -33,7 +33,6 @@ class CatalogEntry:
     linear: bool = False
     degenerate: bool = False
     lipschitz_ok: bool = True
-    default_nodes: int = 41
     notes: str = ""
 
 

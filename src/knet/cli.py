@@ -25,9 +25,9 @@ from . import __version__
 from .analysis import diagnostics_report
 from .catalog import entry_by_name
 from .discretization import Grid, GridFunction, assemble
-from .errors import KnetError, ProblemNotLinear
+from .errors import KnetError
 from .network import Network, network_from_json
-from .oracle import direct_linear_solve, fine_grid_reference, richardson_order, sup_error
+from .oracle import reference_for, sup_error
 from .problem import NetworkProblem, problem_from_json, validate_problem
 from .solver import SolveConfig, solve_system, vanishing_viscosity
 
@@ -148,17 +148,25 @@ def _solver_config(solver: dict) -> SolveConfig:
     )
 
 
-def _theta(solver: dict):
-    t = solver.get("lf_theta", "auto")
-    return t if t == "auto" else float(t)
+def _scheme(solver: dict) -> dict:
+    """The scheme options of a solver section, as assemble() keywords."""
+    theta = solver.get("lf_theta", "auto")
+    return {"eps": float(solver.get("epsilon", 0.0)),
+            "junction_mode": solver.get("junction_mode", "kirchhoff"),
+            "boundary_mode": solver.get("boundary_mode", "auto"),
+            "theta": theta if theta == "auto" else float(theta)}
 
 
 def make_manifest(subcommand: str, cfg: dict, merged: dict, outputs,
                   stages, deterministic: bool) -> str:
+    if deterministic:
+        # leave out what differs between reruns: stage wall times here,
+        # the creation time below
+        stages = [{k: v for k, v in st.items() if k != "wall_time"}
+                  for st in stages]
     doc = {
         "tool_version": __version__,
         "subcommand": subcommand,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": cfg,
         "effective": merged,
         "deterministic": deterministic,
@@ -166,6 +174,8 @@ def make_manifest(subcommand: str, cfg: dict, merged: dict, outputs,
         "outputs": list(outputs),
         "stages": list(stages),
     }
+    if not deterministic:
+        doc["created"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -178,9 +188,9 @@ def cmd_solve(args) -> int:
         cfg = load_config(args.config)
         problem = problem_from_config(cfg)
         merged = merge_flags(cfg, args)
+        scheme = _scheme(merged["solver"])
     except (OSError, KeyError, ValueError, KnetError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
-    solver = merged["solver"]
     nodes = int(merged["grid"].get("nodes_per_edge", 41))
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
@@ -192,15 +202,11 @@ def cmd_solve(args) -> int:
 
     grid = Grid(problem.network, nodes)
     try:
-        system = assemble(problem, grid,
-                          eps=float(solver.get("epsilon", 0.0)),
-                          junction_mode=solver.get("junction_mode", "kirchhoff"),
-                          boundary_mode=solver.get("boundary_mode", "auto"),
-                          theta=_theta(solver))
+        system = assemble(problem, grid, **scheme)
     except KnetError as exc:
         return _fail(EXIT_BAD_INPUT, f"assembly failed: {exc}")
     t0 = time.perf_counter()
-    result = solve_system(system, _solver_config(solver))
+    result = solve_system(system, _solver_config(merged["solver"]))
     stages.append({"stage": "solve", "converged": result.converged,
                    "residual_norm": result.residual_norm,
                    "iterations": result.iterations, "method": result.method,
@@ -224,16 +230,14 @@ def cmd_oracle(args) -> int:
         cfg = load_config(args.config)
         problem = problem_from_config(cfg)
         merged = merge_flags(cfg, args)
+        scheme = _scheme(merged["solver"])
     except (OSError, KeyError, ValueError, KnetError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
     nodes = int(merged["grid"].get("nodes_per_edge", 41))
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
     try:
-        ref = direct_linear_solve(problem, nodes,
-                                  eps=float(merged["solver"].get("epsilon", 0.0)))
-    except ProblemNotLinear:
-        ref = fine_grid_reference(problem, nodes, refine=4)
+        ref = reference_for(problem, nodes, **scheme)
     except KnetError as exc:
         return _fail(EXIT_BAD_INPUT, f"oracle failed: {exc}")
     restricted = (ref.u if ref.method == "direct-linear"
@@ -261,19 +265,17 @@ def cmd_sweep_epsilon(args) -> int:
         cfg = load_config(args.config)
         problem = problem_from_config(cfg)
         merged = merge_flags(cfg, args)
+        scheme = _scheme(merged["solver"])
         schedule = parse_epsilon_schedule(args.epsilon_schedule)
     except (OSError, KeyError, ValueError, KnetError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
-    solver = merged["solver"]
+    del scheme["eps"]  # the schedule sets the viscosity
     nodes = int(merged["grid"].get("nodes_per_edge", 41))
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
     try:
-        sweep = vanishing_viscosity(
-            problem, nodes, schedule,
-            junction_mode=solver.get("junction_mode", "kirchhoff"),
-            boundary_mode=solver.get("boundary_mode", "auto"),
-            theta=_theta(solver), config=_solver_config(solver))
+        sweep = vanishing_viscosity(problem, nodes, schedule, **scheme,
+                                    config=_solver_config(merged["solver"]))
     except KnetError as exc:
         return _fail(EXIT_BAD_INPUT, f"sweep failed: {exc}")
 
@@ -306,35 +308,21 @@ def cmd_convergence_table(args) -> int:
         resolutions = [int(r) for r in args.resolutions.split(",")]
         if len(resolutions) < 3:
             raise ValueError("need at least 3 resolutions")
+        scheme = _scheme(merged["solver"])
     except (OSError, KeyError, ValueError, KnetError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
-    solver = merged["solver"]
+    config = _solver_config(merged["solver"])
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
-
-    entry = entry_by_name(cfg["catalog"]) if "catalog" in cfg else None
-
-    def reference_for(nodes):
-        if entry is not None and entry.exact is not None:
-            grid = Grid(problem.network, nodes)
-            return GridFunction.from_profile(
-                grid, lambda eid, t: entry.exact(eid, t))
-        try:
-            return direct_linear_solve(problem, nodes).u
-        except ProblemNotLinear:
-            return fine_grid_reference(problem, nodes, refine=4).u
+    exact = entry_by_name(cfg["catalog"]).exact if "catalog" in cfg else None
 
     def one(nodes):
         grid = Grid(problem.network, nodes)
-        system = assemble(problem, grid,
-                          eps=float(solver.get("epsilon", 0.0)),
-                          junction_mode=solver.get("junction_mode", "kirchhoff"),
-                          boundary_mode=solver.get("boundary_mode", "auto"),
-                          theta=_theta(solver))
+        system = assemble(problem, grid, **scheme)
         t0 = time.perf_counter()
-        res = solve_system(system, _solver_config(solver))
+        res = solve_system(system, config)
         wall = time.perf_counter() - t0
-        err = sup_error(res.u, reference_for(nodes))
+        err = sup_error(res.u, reference_for(problem, nodes, exact, **scheme).u)
         return grid.h, err, res.iterations, wall, res.converged
 
     workers = 1 if args.deterministic else min(max_workers(), len(resolutions))
@@ -374,15 +362,11 @@ def cmd_verify(args) -> int:
         u = read_solution_csv(args.solution, problem.network)
         if not u.is_valid():
             raise ValueError("solution CSV has missing or non-finite values")
+        scheme = _scheme(cfg.get("solver", {}))
     except (OSError, KeyError, ValueError, KnetError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
-    solver = cfg.get("solver", {})
     try:
-        system = assemble(problem, u.grid,
-                          eps=float(solver.get("epsilon", 0.0)),
-                          junction_mode=solver.get("junction_mode", "kirchhoff"),
-                          boundary_mode=solver.get("boundary_mode", "auto"),
-                          theta=_theta(solver))
+        system = assemble(problem, u.grid, **scheme)
     except KnetError:
         system = None
     report = diagnostics_report(problem, u, system=system,
@@ -444,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solution", required=True)
     p.add_argument("--problem", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_verify)
     return parser
 

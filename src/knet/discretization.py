@@ -15,8 +15,12 @@ dependency pattern: no row depends on two nodes of the same colour.  So
 perturbing every node of one colour at once still changes each row through
 exactly one input, and a handful of vectorized residual() calls recover a
 whole finite-difference Jacobian (Curtis, Powell & Reid 1974) or a whole
-monotonicity probe.  The scalar residual_node path serves the nodewise
-local solves.
+monotonicity probe.
+
+One row formula, ResidualSystem._edge_rows, writes the Lax-Friedrichs
+interior rows: residual() applies it to whole edges and residual_node to a
+single node, the path of the nodewise local solves, so both give the same
+bits.
 """
 
 from __future__ import annotations
@@ -69,10 +73,8 @@ class Grid:
         self.h = max(self.spacing.values())
 
         # reverse lookup: global id -> (edge id, local index) for edge nodes
-        self._edge_node = {}
-        for eid, ids in self.node_ids.items():
-            for k in range(1, len(ids) - 1):
-                self._edge_node[int(ids[k])] = (eid, k)
+        self._edge_node = {gid: (eid, k) for eid, ids in self.node_ids.items()
+                           for k, gid in enumerate(ids[1:-1].tolist(), 1)}
 
     def vertex_gid(self, vid: int) -> int:
         return self.vertex_index[vid]
@@ -200,7 +202,6 @@ class ResidualSystem:
         self.eps = float(eps)
         self.junction_mode = junction_mode
         self.thetas = thetas
-        lam = problem.lam
 
         self._edges = []
         for e in problem.network.edges:
@@ -307,18 +308,22 @@ class ResidualSystem:
         eq = lam * uv + self._state_constraint_value(st, 0, float(d[0]))
         return float(max(uv - st.h_dirichlet, eq))
 
+    def _edge_rows(self, es: _EdgeStencil, um, uc, up, x, a):
+        """Lax-Friedrichs rows lam*u - a*u_xx + H^LF(x, p-, p+) of edge es,
+        on scalars (one node) or on aligned slices (a whole edge): um, uc, up
+        are the left, centre and right values, x and a the centre's
+        coordinate and a + eps."""
+        h = es.h
+        hh = lax_friedrichs(es.ham, x, (uc - um) / h, (up - uc) / h, es.theta)
+        return self.problem.lam * uc - a * ((up - 2.0 * uc + um) / h ** 2) + hh
+
     def interior_residual(self, u: np.ndarray, gid: int) -> float:
         if self.grid.node_kind(gid) != EDGE_NODE:
             raise NodeNotInterior(f"node {gid} is a vertex node")
         eid, k = self.grid._edge_node[gid]
         es = self._edge_by_id[eid]
-        lam = self.problem.lam
-        um, uc, up = u[es.ids[k - 1]], u[gid], u[es.ids[k + 1]]
-        pm = (uc - um) / es.h
-        pp = (up - uc) / es.h
-        second = (up - 2.0 * uc + um) / es.h ** 2
-        hh = lax_friedrichs(es.ham, es.x[k], pm, pp, es.theta)
-        return float(lam * uc - es.a_plus_eps[k - 1] * second + hh)
+        return float(self._edge_rows(es, u[es.ids[k - 1]], u[gid], u[es.ids[k + 1]],
+                                     es.x[k], es.a_plus_eps[k - 1]))
 
     def residual_node(self, gid: int, u: np.ndarray) -> float:
         st = self._vertex_by_gid.get(gid)
@@ -330,15 +335,11 @@ class ResidualSystem:
         """Full residual vector; vectorized along edges."""
         if isinstance(u, GridFunction):
             u = u.values
-        lam = self.problem.lam
         out = np.empty(self.grid.total_nodes)
         for es in self._edges:
             ue = u[es.ids]
-            pm = (ue[1:-1] - ue[:-2]) / es.h
-            pp = (ue[2:] - ue[1:-1]) / es.h
-            second = (ue[2:] - 2.0 * ue[1:-1] + ue[:-2]) / es.h ** 2
-            hh = lax_friedrichs(es.ham, es.x[1:-1], pm, pp, es.theta)
-            out[es.ids[1:-1]] = lam * ue[1:-1] - es.a_plus_eps * second + hh
+            out[es.ids[1:-1]] = self._edge_rows(es, ue[:-2], ue[1:-1], ue[2:],
+                                                es.x[1:-1], es.a_plus_eps)
         for st in self._vertices:
             out[st.gid] = self._vertex_residual(st, u)
         return out

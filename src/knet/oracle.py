@@ -138,6 +138,23 @@ def fine_grid_reference(problem: NetworkProblem, nodes_per_edge,
                               "residual_norm": res.residual_norm})
 
 
+def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
+                  eps: float = 0.0, **scheme) -> ReferenceSolution:
+    """The best available reference for the scheme with viscosity eps and
+    options scheme (junction_mode, boundary_mode, theta): the exact profile
+    exact(edge id, t) when eps = 0, else the direct linear solve, else a
+    4x-refined run of the scheme itself."""
+    if exact is not None and eps == 0.0:
+        grid = Grid(problem.network, nodes_per_edge)
+        return ReferenceSolution(GridFunction.from_profile(grid, exact),
+                                 "exact", {})
+    try:
+        return direct_linear_solve(problem, nodes_per_edge, eps=eps)
+    except ProblemNotLinear:
+        return fine_grid_reference(problem, nodes_per_edge, refine=4,
+                                   eps=eps, **scheme)
+
+
 def sup_error(candidate: GridFunction, reference: GridFunction) -> float:
     """Max nodal difference, interpolating the reference along each edge."""
     out = 0.0

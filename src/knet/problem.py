@@ -34,7 +34,6 @@ class Hamiltonian:
     fn: Callable
     c_h: float
     coercive: bool = False
-    convex: Optional[bool] = None
     lipschitz_p: Optional[float] = None
     name: str = "custom"
     # analytic one-sided envelopes, filled in for built-ins
@@ -93,7 +92,7 @@ def eikonal(speed: float = 1.0, rhs: float = 1.0, c_h: Optional[float] = None) -
         return speed * max(q, 0.0) - rhs
 
     return Hamiltonian(
-        fn, c_h=ch, coercive=True, convex=True, lipschitz_p=speed,
+        fn, c_h=ch, coercive=True, lipschitz_p=speed,
         name=f"eikonal({speed},{rhs})", _min_below=below, _min_above=above,
     )
 
@@ -118,7 +117,7 @@ def advection(b: float = 0.0, f=0.0, c_h: Optional[float] = None) -> Hamiltonian
         return b * q + float(f_fn(x))
 
     ham = Hamiltonian(
-        fn, c_h=ch, coercive=False, convex=True, lipschitz_p=lip_p,
+        fn, c_h=ch, coercive=False, lipschitz_p=lip_p,
         name=f"advection({b})", _min_below=below, _min_above=above,
     )
     ham.affine = (b, f_fn)  # enables the direct linear oracle
@@ -188,8 +187,6 @@ class KirchhoffCondition:
     arity: int
     fn: Callable  # (r, p: array of length arity) -> float
     family: str = "custom"
-    existence_coercive: bool = False  # F -> -inf as some p_i0 -> +inf
-    i0: Optional[int] = None
     # lower bound on F(r, p - c*1) - F(r, p) per unit c, > 0 for built-ins
     quantitative_slope: float = 0.0
     params: dict = field(default_factory=dict)
@@ -246,7 +243,7 @@ def make_kirchhoff(family: str, arity: int, B: float = 0.0, alpha0: float = 0.0,
         raise ValueError(f"unknown family {family!r}")
 
     return KirchhoffCondition(
-        arity, impl, family=family, existence_coercive=True, i0=0,
+        arity, impl, family=family,
         quantitative_slope=qslope, params=params,
     )
 
@@ -293,10 +290,6 @@ class NetworkProblem:
             for inc in self.network.incidence[vid]
             if self.a_at_vertex(vid, inc.edge.id) == 0.0
         )
-
-
-def degenerate_set(problem: NetworkProblem, vid: int):
-    return problem.degenerate_set(vid)
 
 
 # ---------------------------------------------------------------------------

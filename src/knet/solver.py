@@ -28,15 +28,16 @@ from .errors import BarrierConstructionFailed, LocalRootBracketFailed, SingularL
 from .problem import NetworkProblem
 
 
+MAX_NEWTON = 60  # Newton iterations per newton_solve
+WARMUP_SWEEPS = 5  # Gauss-Seidel sweeps before the hybrid switches to Newton
+NEWTON_FD_STEP = 1e-7  # largest finite-difference step of the Jacobian
+
+
 @dataclass
 class SolveConfig:
     method: str = "hybrid"
     tol: float = 1e-10
     max_sweeps: int = 2000
-    max_newton: int = 60
-    warmup_sweeps: int = 5
-    newton_fd_step: float = 1e-7
-    bracket_width: float = 1.0
 
 
 def _threshold(tol: float, u: np.ndarray) -> float:
@@ -67,9 +68,6 @@ class Barriers:
     upper: GridFunction
     offset: float  # the A constant
     slope: float  # the B constant
-
-    def bracket(self, gid: int):
-        return float(self.lower.values[gid]), float(self.upper.values[gid])
 
 
 def _tent_values(grid: Grid, slope: float, r: float = 0.25) -> np.ndarray:
@@ -154,7 +152,7 @@ def sweep_solve(system: ResidualSystem, config: SolveConfig,
         # alternate the sweep direction to move information both ways
         for j in (order if it % 2 else order[::-1]):
             if abs(system.residual_node(j, u)) > skip_below:
-                solve_node(system, int(j), u, width=config.bracket_width)
+                solve_node(system, int(j), u)
         norm = system.residual_norm(u)
         if norm <= _threshold(config.tol, u):
             break
@@ -205,14 +203,14 @@ def newton_solve(system: ResidualSystem, config: SolveConfig,
     norm = float(np.max(np.abs(r)))
     it = 0
     message = ""
-    for it in range(1, config.max_newton + 1):
+    for it in range(1, MAX_NEWTON + 1):
         if norm <= _threshold(config.tol, u):
             it -= 1
             break
         # near kinks the linearization error is O(step/h), so polish with a
         # step small against the residual times the mesh size
         h = min(system.grid.spacing.values())
-        step = float(np.clip(0.1 * h * norm, 1e-13, config.newton_fd_step))
+        step = float(np.clip(0.1 * h * norm, 1e-13, NEWTON_FD_STEP))
         jac = _fd_jacobian(system, u, step)
         with np.errstate(all="ignore"):
             try:
@@ -256,7 +254,7 @@ def solve_system(system: ResidualSystem, config: Optional[SolveConfig] = None,
         raise ValueError(f"unknown method {config.method!r}")
 
     from dataclasses import replace
-    warm = replace(config, max_sweeps=config.warmup_sweeps)
+    warm = replace(config, max_sweeps=WARMUP_SWEEPS)
     res = sweep_solve(system, warm, u0)
     if res.converged:
         return SolveResult(res.u, True, res.residual_norm, res.iterations,

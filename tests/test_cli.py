@@ -19,6 +19,7 @@ from knet.cli import (
 )
 from knet.catalog import entry_by_name
 from knet.discretization import Grid, GridFunction
+from knet.oracle import fine_grid_reference
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -117,6 +118,14 @@ def test_unknown_catalog_exits_3(tmp_path):
                  "--output-dir", str(tmp_path)]) == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("sub", ["solve", "oracle", "sweep-epsilon",
+                                 "convergence-table"])
+def test_bad_scheme_option_exits_3(tmp_path, sub):
+    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal"})
+    assert main([sub, "--config", cfg, "--output-dir", str(tmp_path),
+                 "--lf-theta", "wide"]) == EXIT_BAD_INPUT
+
+
 def test_bad_usage_exits_3(capsys):
     assert main(["solve"]) == EXIT_BAD_INPUT  # missing --config
     assert main(["frobnicate"]) == EXIT_BAD_INPUT
@@ -127,13 +136,16 @@ def test_deterministic_reruns_byte_identical(tmp_path):
     cfg = _write_config(tmp_path, {"catalog": "star3_eikonal",
                                    "grid": {"nodes_per_edge": 21}})
     outputs = []
-    for sub in ("a", "b"):
+    for sub in ("a", "b", "a"):
         outdir = tmp_path / sub
         code = main(["solve", "--config", cfg, "--output-dir", str(outdir),
                      "--deterministic"])
         assert code == EXIT_OK
-        outputs.append((outdir / "solution.csv").read_bytes())
-    assert outputs[0] == outputs[1]
+        outputs.append(((outdir / "solution.csv").read_bytes(),
+                        (outdir / "manifest.json").read_bytes()))
+    assert outputs[0][0] == outputs[1][0]
+    # the rerun into the same directory reproduces the manifest too
+    assert outputs[0] == outputs[2]
 
 
 def test_oracle_direct_linear(tmp_path):
@@ -156,6 +168,25 @@ def test_oracle_falls_back_to_fine_grid(tmp_path):
     # restricted back onto the requested grid
     rows = list(csv.DictReader((outdir / "oracle.csv").open()))
     assert len(rows) == 3 * 11
+
+
+def test_oracle_reference_uses_run_epsilon(tmp_path):
+    problem = entry_by_name("star3_eikonal").problem
+    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal",
+                                   "grid": {"nodes_per_edge": 11}})
+    profiles = {}
+    for eps in ("0", "0.5"):
+        outdir = tmp_path / eps
+        assert main(["oracle", "--config", cfg, "--output-dir", str(outdir),
+                     "--epsilon", eps]) == EXIT_OK
+        profiles[eps] = read_solution_csv(str(outdir / "oracle.csv"),
+                                          problem.network)
+    ref = fine_grid_reference(problem, 11, eps=0.5).u
+    got = profiles["0.5"]
+    for e in problem.network.edges:
+        expected = ref.grid.interpolate(ref.values, e.id, got.grid.coords[e.id])
+        np.testing.assert_allclose(got.on_edge(e.id), expected, rtol=0, atol=1e-12)
+    assert np.max(np.abs(got.values - profiles["0"].values)) > 0.05
 
 
 def test_sweep_epsilon(tmp_path):
@@ -193,6 +224,18 @@ def test_convergence_table(tmp_path):
     assert hs == sorted(hs, reverse=True)
     errs = [float(r["sup_error"]) for r in rows]
     assert errs[0] > errs[-1]
+
+
+def test_convergence_table_reference_uses_run_epsilon(tmp_path):
+    cfg = _write_config(tmp_path, {"catalog": "star2_linear"})
+    outdir = tmp_path / "out"
+    code = main(["convergence-table", "--config", cfg,
+                 "--output-dir", str(outdir), "--resolutions", "11,21,41",
+                 "--epsilon", "0.5", "--deterministic"])
+    assert code == EXIT_OK
+    rows = list(csv.DictReader((outdir / "convergence.csv").open()))
+    orders = [float(r["observed_order"]) for r in rows[1:]]
+    assert min(orders) >= 1.9, orders
 
 
 def test_convergence_table_needs_three_resolutions(tmp_path):

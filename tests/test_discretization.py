@@ -129,6 +129,18 @@ def test_interior_residual_linear_profile(system_cached):
         system.interior_residual(u.values, grid.vertex_gid(0))
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+@pytest.mark.parametrize("nodes", [3, 4, 11, 41])
+def test_residual_and_residual_node_agree_bitwise(catalog, nodes, eps):
+    rng = np.random.default_rng(nodes)
+    for name, entry in catalog.items():
+        grid = Grid(entry.problem.network, nodes)
+        system = assemble(entry.problem, grid, eps=eps, probe_samples=0)
+        u = rng.uniform(-2.0, 2.0, size=grid.total_nodes)
+        nodewise = [system.residual_node(j, u) for j in range(grid.total_nodes)]
+        assert np.array_equal(system.residual(u), nodewise), name
+
+
 def test_junction_residual_direct(system_cached):
     """Inward slopes of 1 on all three degenerate edges against the
     classical coupling give F = -3."""

@@ -1,0 +1,37 @@
+"""Smoke runs of the experiment scripts at minimal sizes."""
+
+import csv
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_convergence_study_reports_reference_kind(tmp_path, capsys):
+    study = _load("convergence_study")
+    out = tmp_path / "rows.csv"
+    assert study.main(["--entries", "star3_constant,star3_linear,star3_mixed",
+                       "--resolutions", "5,9,17", "--csv", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 9
+    assert {r["entry"]: r["reference"] for r in rows} == {
+        "star3_constant": "exact", "star3_linear": "direct-linear",
+        "star3_mixed": "fine-grid"}
+    printed = capsys.readouterr().out
+    assert "star3_constant  (exact reference)" in printed
+    assert "star3_linear  (direct-linear reference)" in printed
+
+
+def test_viscosity_sweep_demo_runs(capsys):
+    demo = _load("viscosity_sweep_demo")
+    assert demo.main(["--nodes", "5", "--schedule", "g:1:0.5:2"]) == 0
+    printed = capsys.readouterr().out
+    assert "star3_eikonal  (nodes/edge = 5" in printed
+    assert "star3_eikonal_loss  (nodes/edge = 5" in printed
