@@ -16,34 +16,30 @@ import csv
 import sys
 import time
 
-import numpy as np
-
 from knet.catalog import all_entries, entry_by_name
-from knet.oracle import reference_for, sup_error
-from knet.solver import solve_problem
+from knet.oracle import observed_orders, reference_for, sup_error
+from knet.solver import SolveConfig, solve_problem
 
 
 def study(entry, resolutions):
-    rows = []
-    prev = None
+    config = SolveConfig()
+    rows, solutions = [], []
     for n in resolutions:
         t0 = time.perf_counter()
-        res = solve_problem(entry.problem, n)
+        res = solve_problem(entry.problem, n, config=config)
         wall = time.perf_counter() - t0
         ref = reference_for(entry.problem, n, entry.exact)
-        err = sup_error(res.u, ref.u)
-        h = res.u.grid.h
-        if prev is not None and err > 0 and prev[1] > 0:
-            order = np.log(prev[1] / err) / np.log(prev[0] / h)
-        else:
-            order = float("nan")
         rows.append({
-            "entry": entry.name, "nodes": n, "h": h, "error": err,
-            "order": order, "reference": ref.method,
-            "converged": res.converged, "iterations": res.iterations,
-            "wall_time": wall,
+            "entry": entry.name, "nodes": n, "h": res.u.grid.h,
+            "error": sup_error(res.u, ref.u), "order": None,
+            "reference": ref.method, "converged": res.converged,
+            "iterations": res.iterations, "wall_time": wall,
         })
-        prev = (h, err)
+        solutions.append(res.u.values)
+    orders = observed_orders([r["h"] for r in rows], [r["error"] for r in rows],
+                             solutions, config.tol)
+    for row, order in zip(rows, orders):
+        row["order"] = order
     return rows
 
 

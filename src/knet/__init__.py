@@ -30,6 +30,7 @@ from .oracle import (
     ReferenceSolution,
     direct_linear_solve,
     fine_grid_reference,
+    observed_orders,
     reference_for,
     richardson_order,
     self_convergence_order,

@@ -27,7 +27,7 @@ from .catalog import entry_by_name
 from .discretization import Grid, GridFunction, assemble
 from .errors import KnetError
 from .network import Network, network_from_json
-from .oracle import reference_for, sup_error
+from .oracle import observed_orders, reference_for, sup_error
 from .problem import NetworkProblem, problem_from_json, validate_problem
 from .solver import SolveConfig, solve_system, vanishing_viscosity
 
@@ -322,8 +322,9 @@ def cmd_convergence_table(args) -> int:
         t0 = time.perf_counter()
         res = solve_system(system, config)
         wall = time.perf_counter() - t0
-        err = sup_error(res.u, reference_for(problem, nodes, exact, **scheme).u)
-        return grid.h, err, res.iterations, wall, res.converged
+        ref = reference_for(problem, nodes, exact, **scheme)
+        return (grid.h, sup_error(res.u, ref.u), res.iterations, wall,
+                res.converged, res.u.values, ref.method)
 
     workers = 1 if args.deterministic else min(max_workers(), len(resolutions))
     if workers > 1:
@@ -332,25 +333,21 @@ def cmd_convergence_table(args) -> int:
     else:
         rows = [one(n) for n in resolutions]
 
+    hs, errs, its, walls, convs, solutions, methods = zip(*rows)
+    orders = observed_orders(hs, errs, solutions, config.tol)
     buf = io.StringIO()
     buf.write(CSV_SCHEMAS["convergence"] + "\n")
-    prev = None
-    for (h, err, its, wall, _conv) in rows:
-        if prev is not None and err > 0 and prev[1] > 0:
-            order = np.log(prev[1] / err) / np.log(prev[0] / h)
-        else:
-            order = float("nan")
-        buf.write(f"{h:.17g},{err:.17g},{order:.6g},{its},{wall:.6g}\n")
-        prev = (h, err)
+    for h, err, order, it, wall in zip(hs, errs, orders, its, walls):
+        buf.write(f"{h:.17g},{err:.17g},{order:.6g},{it},{wall:.6g}\n")
     table_path = os.path.join(outdir, "convergence.csv")
     _atomic_write(table_path, buf.getvalue())
     man_path = os.path.join(outdir, "manifest.json")
     stages = [{"stage": "convergence", "resolutions": resolutions,
-               "all_converged": all(r[4] for r in rows)}]
+               "references": list(methods), "all_converged": all(convs)}]
     _atomic_write(man_path, make_manifest("convergence-table", cfg, merged,
                                           [table_path, man_path], stages,
                                           args.deterministic))
-    if not all(r[4] for r in rows):
+    if not all(convs):
         return _fail(EXIT_NO_CONVERGENCE, "a resolution did not converge")
     return EXIT_OK
 

@@ -20,7 +20,11 @@ monotonicity probe.
 One row formula, ResidualSystem._edge_rows, writes the Lax-Friedrichs
 interior rows: residual() applies it to whole edges and residual_node to a
 single node, the path of the nodewise local solves, so both give the same
-bits.
+bits.  The flux evaluates H at the central slope (u+ - u-)/(2h), which does
+not contain the node's own value, so every edge row is affine in it with
+slope lam + 2(a+eps)/h^2 + theta/h.  Assembly reads that slope, own_coeff,
+off the same row formula, and the Gauss-Seidel sweeps solve each edge node
+with one exact Newton step.
 """
 
 from __future__ import annotations
@@ -248,6 +252,15 @@ class ResidualSystem:
             self._vertices.append(st)
         self._vertex_by_gid = {st.gid: st for st in self._vertices}
         self._edge_by_id = {es.eid: es for es in self._edges}
+
+        # own_coeff[j]: slope of an edge row, affine in its own value u[j],
+        # read off the row formula as row(u[j] = 1) - row(u[j] = 0); 0 at
+        # vertex rows, which are not affine in general
+        self.own_coeff = np.zeros(grid.total_nodes)
+        for es in self._edges:
+            x, a = es.x[1:-1], es.a_plus_eps
+            self.own_coeff[es.ids[1:-1]] = (self._edge_rows(es, 0.0, 1.0, 0.0, x, a)
+                                            - self._edge_rows(es, 0.0, 0.0, 0.0, x, a))
 
         # dependency pattern in column order: pattern_rows[k] depends on
         # u[pattern_cols[k]]; colour_groups[c] holds the nodes of colour c

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
-from .discretization import Grid, GridFunction
+from .discretization import Grid, GridFunction, resolve_boundary_modes
 from .errors import NonPositiveError, ProblemNotLinear, SingularSystem
 from .network import INTERIOR
 from .problem import NetworkProblem
@@ -143,16 +143,26 @@ def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
     """The best available reference for the scheme with viscosity eps and
     options scheme (junction_mode, boundary_mode, theta): the exact profile
     exact(edge id, t) when eps = 0, else the direct linear solve, else a
-    4x-refined run of the scheme itself."""
-    if exact is not None and eps == 0.0:
+    4x-refined run of the scheme itself.
+
+    The exact profiles and the direct solve are solutions of the Kirchhoff
+    problem with the default ("auto") boundary modes, so any other junction
+    or boundary mode always takes the fine-grid reference."""
+    default_modes = (
+        scheme.get("junction_mode", "kirchhoff") == "kirchhoff"
+        and resolve_boundary_modes(problem, scheme.get("boundary_mode", "auto"), eps)
+        == resolve_boundary_modes(problem, "auto", eps))
+    if default_modes and exact is not None and eps == 0.0:
         grid = Grid(problem.network, nodes_per_edge)
         return ReferenceSolution(GridFunction.from_profile(grid, exact),
                                  "exact", {})
-    try:
-        return direct_linear_solve(problem, nodes_per_edge, eps=eps)
-    except ProblemNotLinear:
-        return fine_grid_reference(problem, nodes_per_edge, refine=4,
-                                   eps=eps, **scheme)
+    if default_modes:
+        try:
+            return direct_linear_solve(problem, nodes_per_edge, eps=eps)
+        except ProblemNotLinear:
+            pass
+    return fine_grid_reference(problem, nodes_per_edge, refine=4,
+                               eps=eps, **scheme)
 
 
 def sup_error(candidate: GridFunction, reference: GridFunction) -> float:
@@ -175,6 +185,22 @@ def richardson_order(errors, ratio: float = 2.0) -> float:
     rates = [math.log(errors[i] / errors[i + 1]) / math.log(ratio)
              for i in range(len(errors) - 1)]
     return float(np.mean(rates))
+
+
+def observed_orders(hs, errors, solutions, tol: float) -> list:
+    """Order log(e_prev / e) / log(h_prev / h) of each grid against the
+    previous one; nan for the first grid.  The order is also nan where
+    either error is at most 100 * tol * max(1, |u|), u being the node values
+    of that grid's solution: an error that small is the solver's stopping
+    tolerance, not discretization error."""
+    floors = [100.0 * tol * max(1.0, float(np.max(np.abs(u)))) for u in solutions]
+    out = [float("nan")]
+    for i in range(1, len(errors)):
+        if errors[i - 1] <= floors[i - 1] or errors[i] <= floors[i]:
+            out.append(float("nan"))
+        else:
+            out.append(math.log(errors[i - 1] / errors[i]) / math.log(hs[i - 1] / hs[i]))
+    return out
 
 
 def self_convergence_order(coarse: GridFunction, mid: GridFunction,

@@ -1,7 +1,9 @@
 """Nonlinear solvers for the assembled residual systems.
 
 Three methods share the same interface: nodewise Gauss-Seidel sweeps (each
-node solved to its unique local root by bracketed root finding), a damped
+node solved to its unique local root: one exact Newton step on an edge
+node, whose row is affine in its own value with slope own_coeff, and
+bracketed root finding on a vertex node), a damped
 semismooth Newton iteration with a finite-difference sparse Jacobian, and a
 hybrid that warms up with sweeps before switching to Newton and falls back
 to sweeps when Newton stalls.  The Jacobian is built from the system's
@@ -117,7 +119,11 @@ def build_barriers(system: ResidualSystem, initial: float = 1.0,
 def solve_node(system: ResidualSystem, gid: int, u: np.ndarray,
                width: float = 1.0, max_doublings: int = 80) -> float:
     """Root of the node residual in its own value; the residual is strictly
-    increasing there, so sign-change bracketing by doubling always works."""
+    increasing there, so sign-change bracketing by doubling always works.
+
+    sweep_solve needs it only at vertex nodes, whose couplings, ghost
+    corrections, minmax clauses and state constraints are not affine; an
+    edge row is, and takes the closed-form step with own_coeff instead."""
     def f(v):
         u[gid] = v
         return system.residual_node(gid, u)
@@ -147,12 +153,17 @@ def sweep_solve(system: ResidualSystem, config: SolveConfig,
     skip_below = 0.05 * config.tol
     norm = system.residual_norm(u)
     it = 0
-    order = np.arange(system.grid.total_nodes)
+    order = list(range(system.grid.total_nodes))
+    own = system.own_coeff.tolist()
     for it in range(1, config.max_sweeps + 1):
         # alternate the sweep direction to move information both ways
-        for j in (order if it % 2 else order[::-1]):
-            if abs(system.residual_node(j, u)) > skip_below:
-                solve_node(system, int(j), u)
+        for j in (order if it % 2 else reversed(order)):
+            r = system.residual_node(j, u)
+            if abs(r) > skip_below:
+                if own[j]:
+                    u[j] -= r / own[j]  # exact root of an affine edge row
+                else:
+                    solve_node(system, j, u)
         norm = system.residual_norm(u)
         if norm <= _threshold(config.tol, u):
             break

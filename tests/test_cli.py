@@ -238,6 +238,43 @@ def test_convergence_table_reference_uses_run_epsilon(tmp_path):
     assert min(orders) >= 1.9, orders
 
 
+def test_convergence_table_relaxed_boundary_uses_matching_reference(tmp_path):
+    """Relaxed boundary rows solve another problem than the strong-Dirichlet
+    exact profile, so the table must measure them against the scheme's own
+    fine-grid reference."""
+    cfg = _write_config(tmp_path, {"catalog": "star2_linear"})
+    outdir = tmp_path / "out"
+    code = main(["convergence-table", "--config", cfg,
+                 "--output-dir", str(outdir), "--resolutions", "11,21,41",
+                 "--boundary-mode", "relaxed", "--deterministic"])
+    assert code == EXIT_OK
+    rows = list(csv.DictReader((outdir / "convergence.csv").open()))
+    assert max(float(r["sup_error"]) for r in rows) <= 1e-8
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["stages"][0]["references"] == ["fine-grid"] * 3
+
+
+def test_convergence_table_records_reference_per_row(tmp_path):
+    cfg = _write_config(tmp_path, {"catalog": "star3_linear"})
+    outdir = tmp_path / "out"
+    assert main(["convergence-table", "--config", cfg,
+                 "--output-dir", str(outdir), "--resolutions", "11,21,41",
+                 "--deterministic"]) == EXIT_OK
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["stages"][0]["references"] == ["direct-linear"] * 3
+
+
+def test_convergence_table_no_order_at_solver_tolerance(tmp_path):
+    """star3_constant is solved exactly by the scheme: its errors are
+    round-off and stopping tolerance, which carry no order."""
+    cfg = _write_config(tmp_path, {"catalog": "star3_constant"})
+    outdir = tmp_path / "out"
+    assert main(["convergence-table", "--config", cfg,
+                 "--output-dir", str(outdir), "--resolutions", "5,9,17"]) == EXIT_OK
+    rows = list(csv.DictReader((outdir / "convergence.csv").open()))
+    assert all(np.isnan(float(r["observed_order"])) for r in rows)
+
+
 def test_convergence_table_needs_three_resolutions(tmp_path):
     cfg = _write_config(tmp_path, {"catalog": "star2_linear"})
     code = main(["convergence-table", "--config", cfg,

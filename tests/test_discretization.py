@@ -141,6 +141,24 @@ def test_residual_and_residual_node_agree_bitwise(catalog, nodes, eps):
         assert np.array_equal(system.residual(u), nodewise), name
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+@pytest.mark.parametrize("nodes", [3, 11, 41])
+def test_own_coeff_is_the_own_slope(catalog, nodes, eps):
+    """own_coeff, derived from the one row formula, is the slope of every
+    edge row in its own value, and 0 at every vertex node."""
+    rng = np.random.default_rng(nodes)
+    for name, entry in catalog.items():
+        grid = Grid(entry.problem.network, nodes)
+        system = assemble(entry.problem, grid, eps=eps, probe_samples=0)
+        u = rng.uniform(-1.0, 1.0, size=grid.total_nodes)
+        for gid in range(grid.total_nodes):
+            if grid.node_kind(gid) == "vertex":
+                assert system.own_coeff[gid] == 0.0, (name, gid)
+            else:
+                assert system.own_coeff[gid] == pytest.approx(
+                    system.own_slope(gid, u), rel=1e-6), (name, gid)
+
+
 def test_junction_residual_direct(system_cached):
     """Inward slopes of 1 on all three degenerate edges against the
     classical coupling give F = -3."""

@@ -12,6 +12,8 @@ from knet.network import build_network, star_junction
 from knet.oracle import (
     direct_linear_solve,
     fine_grid_reference,
+    observed_orders,
+    reference_for,
     richardson_order,
     self_convergence_order,
     sup_error,
@@ -113,3 +115,29 @@ def test_self_convergence_order(catalog):
     grids = {n: direct_linear_solve(entry.problem, n).u for n in (41, 81, 161)}
     order = self_convergence_order(grids[41], grids[81], grids[161])
     assert order >= 1.8
+
+
+def test_reference_for_matches_scheme_modes(catalog):
+    """The exact profile and the direct solve are Kirchhoff, default
+    boundary mode references; other modes take the fine-grid reference."""
+    linear = catalog["star2_linear"]
+    assert reference_for(linear.problem, 11, linear.exact).method == "exact"
+    assert reference_for(linear.problem, 11).method == "direct-linear"
+    # "strong" is what "auto" resolves to on these elliptic ends
+    assert reference_for(linear.problem, 11, linear.exact,
+                         boundary_mode="strong").method == "exact"
+    for scheme in ({"boundary_mode": "relaxed"}, {"junction_mode": "minmax"}):
+        assert reference_for(linear.problem, 11, linear.exact,
+                             **scheme).method == "fine-grid", scheme
+        assert reference_for(linear.problem, 11, **scheme).method == "fine-grid"
+
+
+def test_observed_orders_floor():
+    hs = [0.1, 0.05, 0.025]
+    ones = [np.array([0.5, -1.0])] * 3
+    assert observed_orders(hs, [4e-4, 1e-4, 2.5e-5], ones, 1e-10)[1:] == \
+        pytest.approx([2.0, 2.0])
+    # 1e-8 = 100 * tol * max(1, |u|) is the floor; with |u| = 3 it is 3e-8
+    assert math.isnan(observed_orders(hs, [4e-4, 1e-4, 1e-8], ones, 1e-10)[2])
+    orders = observed_orders(hs, [4e-4, 2e-8, 1e-6], [np.array([-3.0])] * 3, 1e-10)
+    assert math.isnan(orders[0]) and math.isnan(orders[1]) and math.isnan(orders[2])

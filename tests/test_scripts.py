@@ -24,6 +24,8 @@ def test_convergence_study_reports_reference_kind(tmp_path, capsys):
     assert {r["entry"]: r["reference"] for r in rows} == {
         "star3_constant": "exact", "star3_linear": "direct-linear",
         "star3_mixed": "fine-grid"}
+    # star3_constant's errors are at the solver tolerance: no order
+    assert all(r["order"] == "nan" for r in rows if r["entry"] == "star3_constant")
     printed = capsys.readouterr().out
     assert "star3_constant  (exact reference)" in printed
     assert "star3_linear  (direct-linear reference)" in printed

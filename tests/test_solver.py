@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 
+from knet import solver
 from knet.catalog import all_entries, entry_by_name
 from knet.discretization import Grid, GridFunction, assemble
 from knet.solver import (
@@ -72,6 +73,73 @@ def test_solve_node_finds_local_root(system_cached):
     for gid in (0, 5, system.grid.total_nodes - 1):
         solve_node(system, gid, u)
         assert abs(system.residual_node(gid, u)) <= 1e-12
+
+
+def test_closed_form_update_finds_local_root(system_cached):
+    """One step u[j] -= r / own_coeff[j] solves an edge row exactly: the row
+    is affine in its own value."""
+    system = system_cached("star3_eikonal", 11)
+    grid = system.grid
+    rng = np.random.default_rng(1)
+    u = rng.uniform(-0.5, 0.5, grid.total_nodes)
+    for gid in range(len(grid.network.vertices), grid.total_nodes):
+        u[gid] -= system.residual_node(gid, u) / system.own_coeff[gid]
+        scale = max(1.0, float(np.max(np.abs(u))))
+        assert abs(system.residual_node(gid, u)) <= 1e-12 * scale, gid
+
+
+def _reference_sweeps(system, sweeps, tol):
+    """The Gauss-Seidel sweeps of sweep_solve from zero, with the bracketed
+    root finder solve_node at every node instead of the closed-form edge
+    update."""
+    u = np.zeros(system.grid.total_nodes)
+    order = list(range(system.grid.total_nodes))
+    for it in range(1, sweeps + 1):
+        for j in (order if it % 2 else order[::-1]):
+            if abs(system.residual_node(j, u)) > 0.05 * tol:
+                solve_node(system, j, u)
+        if system.residual_norm(u) <= tol * max(1.0, float(np.max(np.abs(u)))):
+            break
+    return u
+
+
+def test_sweep_matches_solve_node_sweeps(catalog):
+    config = SolveConfig(method="sweep", max_sweeps=5)
+    for name, entry in catalog.items():
+        system = assemble(entry.problem, Grid(entry.problem.network, 21))
+        res = sweep_solve(system, config)
+        ref = _reference_sweeps(system, config.max_sweeps, config.tol)
+        assert np.max(np.abs(res.u.values - ref)) <= 1e-10, name
+
+
+def test_sweep_solves_edge_nodes_without_root_finding(monkeypatch):
+    """One sweep evaluates each node's residual once; only vertex nodes go
+    through the root finder solve_node."""
+    entry = entry_by_name("star3_eikonal")
+    system = assemble(entry.problem, Grid(entry.problem.network, 41))
+    loop_calls, solved, inside = [0], [], []
+    residual_node = system.residual_node
+    solve_node_ = solver.solve_node
+
+    def counting_residual_node(gid, u):
+        if not inside:
+            loop_calls[0] += 1
+        return residual_node(gid, u)
+
+    def recording_solve_node(system, gid, u, **kwargs):
+        solved.append(gid)
+        inside.append(gid)
+        try:
+            return solve_node_(system, gid, u, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(system, "residual_node", counting_residual_node)
+    monkeypatch.setattr(solver, "solve_node", recording_solve_node)
+    start = GridFunction.full(system.grid, 0.5)  # no vertex row holds here
+    sweep_solve(system, SolveConfig(method="sweep", max_sweeps=1), start)
+    assert loop_calls[0] == system.grid.total_nodes
+    assert solved and all(system.grid.node_kind(j) == "vertex" for j in solved)
 
 
 def test_sweep_stays_inside_barriers(system_cached):
