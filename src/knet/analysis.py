@@ -6,6 +6,10 @@ checks, interior Lipschitz constants away from the boundary, and
 boundary-condition loss reports.  Probe verdicts are necessary-condition
 checks (the probe family samples quadratics plus affine offsets, not all
 test functions) and are reported as such.
+
+Geodesic distances from grid nodes, to a probe's touching point or to the
+boundary, come from Grid.distances_to, one array per point; nothing here
+builds a network point per node.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .discretization import Grid, GridFunction, ResidualSystem
 from .errors import EmptyInteriorSet, NoActiveProbe, VertexNotInterior, WindowTooLarge
-from .network import BOUNDARY, INTERIOR, Network, NetworkPoint
+from .network import INTERIOR, Network, NetworkPoint
 from .problem import NetworkProblem
 
 
@@ -48,10 +52,6 @@ class ProbeFunction:
 
     def __call__(self, p: NetworkPoint) -> float:
         r = self.rho(p)
-        return self.L * (r - self.K * r * r)
-
-    def value_at_distance(self, r) -> float:
-        r = np.asarray(r, dtype=float)
         return self.L * (r - self.K * r * r)
 
     def derivative_magnitude(self, r: float) -> float:
@@ -185,14 +185,6 @@ class ProbeVerdict:
                  "not an equivalence")
 
 
-def _node_points(grid: Grid):
-    out = []
-    for gid in range(grid.total_nodes):
-        eid, t = grid.node_location(gid)
-        out.append((gid, grid.network.point(eid, t)))
-    return out
-
-
 def _vertex_clause(problem, u, grid, vid, slope, side):
     """Junction or boundary clause of the relaxed solution definition with
     uniform inward test slope `slope` at the vertex."""
@@ -224,7 +216,8 @@ def probe_viscosity(problem: NetworkProblem, u: GridFunction,
     quadratic probe; a probe is active when the point is a discrete local
     max (sub) or min (super) of u minus the shifted probe on its ball.
 
-    Raises NoActiveProbe when nothing in the grid touches at the point.
+    Raises NoActiveProbe when nothing in the grid touches at the point, and
+    ValueError when the point lies inside an edge but on no grid node.
     """
     if side not in ("sub", "super"):
         raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
@@ -234,15 +227,25 @@ def probe_viscosity(problem: NetworkProblem, u: GridFunction,
     tol = 5.0 * grid.h if tol is None else float(tol)
     point = net.point(point.edge_id, point.t)
     vid = net.point_vertex(point)
-    gid = (grid.vertex_gid(vid) if vid is not None
-           else next(g for g, p in _node_points(grid) if p == point))
+    rhos = grid.distances_to(point)
+    if vid is not None:
+        gid = grid.vertex_gid(vid)
+    else:
+        at_point = np.flatnonzero(rhos == 0.0)
+        if at_point.size == 0:
+            raise ValueError(f"{point} is not a grid node")
+        gid = int(at_point[0])
+        # signed offsets of the nodes node_location puts on the point's edge
+        edge = net.edge(point.edge_id)
+        offsets = np.full(grid.total_nodes, np.nan)
+        offsets[grid.node_ids[edge.id]] = grid.coords[edge.id] - point.t
+        for end in (edge.tail, edge.head):
+            if net.vertex_point(end).edge_id != edge.id:
+                offsets[grid.vertex_gid(end)] = np.nan
     u0 = float(u.values[gid])
+    dus = u.values - u0
     lam = problem.lam
     sgn = 1.0 if side == "sub" else -1.0
-
-    nodes = _node_points(grid)
-    rhos = np.array([net.geodesic_distance(p, point) for _, p in nodes])
-    dus = u.values[[g for g, _ in nodes]] - u0
 
     active = 0
     worst = -math.inf
@@ -269,15 +272,9 @@ def probe_viscosity(problem: NetworkProblem, u: GridFunction,
             continue
 
         # edge-interior point: signed coordinate along the edge
-        eid = point.edge_id
-        on_edge = np.array([p.edge_id == eid for _, p in nodes])[ball]
-        signed = np.where(
-            on_edge,
-            np.array([p.t - point.t for _, p in nodes])[ball],
-            np.nan,
-        )
-        ham = problem.hamiltonians[eid]
-        a_x = float(problem.diffusions[eid].a(point.t))
+        signed = offsets[ball]
+        ham = problem.hamiltonians[point.edge_id]
+        a_x = float(problem.diffusions[point.edge_id].a(point.t))
         for p_slope in np.linspace(-L, L, 5):
             # phi(z) - u0 = sgn*(p*d - L K d^2) with d the signed offset;
             # off-edge nodes use the worst-case quadratic bound in rho

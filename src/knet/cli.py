@@ -17,14 +17,13 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .analysis import diagnostics_report
 from .catalog import entry_by_name
-from .discretization import Grid, GridFunction, assemble
+from .discretization import Grid, GridFunction, assemble, resolve_scheme
 from .errors import KnetError
 from .network import Network, network_from_json
 from .oracle import observed_orders, reference_for, sup_error
@@ -59,16 +58,6 @@ def _atomic_write(path: str, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def max_workers() -> int:
-    cap = os.environ.get("KNET_THREADS")
-    if cap:
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def parse_epsilon_schedule(spec: str):
@@ -148,13 +137,17 @@ def _solver_config(solver: dict) -> SolveConfig:
     )
 
 
-def _scheme(solver: dict) -> dict:
-    """The scheme options of a solver section, as assemble() keywords."""
+def _scheme(solver: dict, problem: NetworkProblem, schedule=()) -> dict:
+    """A solver section's scheme options as assemble() keywords, checked
+    against the problem at its epsilon and every epsilon of a schedule."""
     theta = solver.get("lf_theta", "auto")
-    return {"eps": float(solver.get("epsilon", 0.0)),
-            "junction_mode": solver.get("junction_mode", "kirchhoff"),
-            "boundary_mode": solver.get("boundary_mode", "auto"),
-            "theta": theta if theta == "auto" else float(theta)}
+    scheme = {"eps": float(solver.get("epsilon", 0.0)),
+              "junction_mode": solver.get("junction_mode", "kirchhoff"),
+              "boundary_mode": solver.get("boundary_mode", "auto"),
+              "theta": theta if theta == "auto" else float(theta)}
+    for eps in (scheme["eps"], *schedule):
+        resolve_scheme(problem, **dict(scheme, eps=eps))
+    return scheme
 
 
 def make_manifest(subcommand: str, cfg: dict, merged: dict, outputs,
@@ -188,7 +181,7 @@ def cmd_solve(args) -> int:
         cfg = load_config(args.config)
         problem = problem_from_config(cfg)
         merged = merge_flags(cfg, args)
-        scheme = _scheme(merged["solver"])
+        scheme = _scheme(merged["solver"], problem)
     except (OSError, KeyError, ValueError, KnetError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
     nodes = int(merged["grid"].get("nodes_per_edge", 41))
@@ -230,7 +223,7 @@ def cmd_oracle(args) -> int:
         cfg = load_config(args.config)
         problem = problem_from_config(cfg)
         merged = merge_flags(cfg, args)
-        scheme = _scheme(merged["solver"])
+        scheme = _scheme(merged["solver"], problem)
     except (OSError, KeyError, ValueError, KnetError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
     nodes = int(merged["grid"].get("nodes_per_edge", 41))
@@ -265,8 +258,8 @@ def cmd_sweep_epsilon(args) -> int:
         cfg = load_config(args.config)
         problem = problem_from_config(cfg)
         merged = merge_flags(cfg, args)
-        scheme = _scheme(merged["solver"])
         schedule = parse_epsilon_schedule(args.epsilon_schedule)
+        scheme = _scheme(merged["solver"], problem, schedule)
     except (OSError, KeyError, ValueError, KnetError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
     del scheme["eps"]  # the schedule sets the viscosity
@@ -308,7 +301,7 @@ def cmd_convergence_table(args) -> int:
         resolutions = [int(r) for r in args.resolutions.split(",")]
         if len(resolutions) < 3:
             raise ValueError("need at least 3 resolutions")
-        scheme = _scheme(merged["solver"])
+        scheme = _scheme(merged["solver"], problem)
     except (OSError, KeyError, ValueError, KnetError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
     config = _solver_config(merged["solver"])
@@ -326,14 +319,7 @@ def cmd_convergence_table(args) -> int:
         return (grid.h, sup_error(res.u, ref.u), res.iterations, wall,
                 res.converged, res.u.values, ref.method)
 
-    workers = 1 if args.deterministic else min(max_workers(), len(resolutions))
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            rows = list(pool.map(one, resolutions))
-    else:
-        rows = [one(n) for n in resolutions]
-
-    hs, errs, its, walls, convs, solutions, methods = zip(*rows)
+    hs, errs, its, walls, convs, solutions, methods = zip(*map(one, resolutions))
     orders = observed_orders(hs, errs, solutions, config.tol)
     buf = io.StringIO()
     buf.write(CSV_SCHEMAS["convergence"] + "\n")
@@ -359,7 +345,7 @@ def cmd_verify(args) -> int:
         u = read_solution_csv(args.solution, problem.network)
         if not u.is_valid():
             raise ValueError("solution CSV has missing or non-finite values")
-        scheme = _scheme(cfg.get("solver", {}))
+        scheme = _scheme(cfg.get("solver", {}), problem)
     except (OSError, KeyError, ValueError, KnetError, json.JSONDecodeError) as exc:
         return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
     try:

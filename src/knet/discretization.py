@@ -34,8 +34,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import MonotonicityProbeFailed, NodeNotInterior, VertexNotBoundary, VertexNotInterior
-from .network import BOUNDARY, INTERIOR, Network
+from .errors import MonotonicityProbeFailed, NodeNotInterior, VertexNotInterior
+from .network import INTERIOR, Network, NetworkPoint
 from .problem import NetworkProblem
 
 VERTEX_NODE = "vertex"
@@ -46,7 +46,8 @@ class Grid:
     """Uniform per-edge lattices with shared vertex nodes.
 
     Global node layout: one node per vertex (in network vertex order), then
-    the strictly interior nodes of each edge in edge order.
+    the strictly interior nodes of each edge in edge order.  Every
+    node-to-point geodesic distance comes from distances_to.
     """
 
     def __init__(self, network: Network, nodes_per_edge: Union[int, dict]):
@@ -95,22 +96,33 @@ class Grid:
         eid, k = self._edge_node[gid]
         return eid, float(self.coords[eid][k])
 
-    def edge_values(self, values: np.ndarray, eid: int) -> np.ndarray:
-        return values[self.node_ids[eid]]
+    def distances_to(self, point: NetworkPoint) -> np.ndarray:
+        """Geodesic distance from every node to one network point, equal bit
+        for bit to network.geodesic_distance: the same sums ta + d(va, vb) +
+        tb and |s - t| on the point's own edge, one edge at a time.  Edges go
+        in decreasing id order, so a vertex keeps the value of its lowest-id
+        edge, where node_location puts it."""
+        net = self.network
+        q = net.point(point.edge_id, point.t)
+        eq = net.edge(q.edge_id)
+        dv = net._vertex_distances()
+        ends = ((self.vertex_index[eq.tail], q.t),
+                (self.vertex_index[eq.head], eq.length - q.t))
+        out = np.empty(self.total_nodes)
+        for e in sorted(net.edges, key=lambda e: -e.id):
+            t = self.coords[e.id]
+            best = np.abs(t - q.t) if e.id == eq.id else np.full(len(t), np.inf)
+            for va, ta in ((e.tail, t), (e.head, e.length - t)):
+                for vb, tb in ends:
+                    best = np.minimum(best, ta + dv[self.vertex_index[va], vb] + tb)
+            out[self.node_ids[e.id]] = best
+        return out
 
     def boundary_distances(self) -> np.ndarray:
         """Per-node geodesic distance to the nearest boundary vertex."""
         net = self.network
-        bnd = [v.id for v in net.boundary_vertices]
-        out = np.full(self.total_nodes, np.inf)
-        for v in net.vertices:
-            out[self.vertex_gid(v.id)] = min(net.vertex_distance(v.id, w) for w in bnd)
-        for e in net.edges:
-            t = self.coords[e.id][1:-1]
-            via_tail = t + min(net.vertex_distance(e.tail, w) for w in bnd)
-            via_head = (e.length - t) + min(net.vertex_distance(e.head, w) for w in bnd)
-            out[self.node_ids[e.id][1:-1]] = np.minimum(via_tail, via_head)
-        return out
+        return np.minimum.reduce([self.distances_to(net.vertex_point(v.id))
+                                  for v in net.boundary_vertices])
 
     def interpolate(self, values: np.ndarray, eid: int, t) -> np.ndarray:
         """Linear interpolation of a node vector along one edge."""
@@ -154,7 +166,7 @@ class GridFunction:
         return bool(np.all(np.isfinite(self.values)))
 
     def on_edge(self, eid: int) -> np.ndarray:
-        return self.grid.edge_values(self.values, eid)
+        return self.values[self.grid.node_ids[eid]]
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())
@@ -298,12 +310,6 @@ class ResidualSystem:
         st = self._vertex_by_gid[self.grid.vertex_gid(vid)]
         if st.kind != INTERIOR:
             raise VertexNotInterior(f"vertex {vid} is not interior")
-        return self._vertex_residual(st, u)
-
-    def boundary_residual(self, u: np.ndarray, vid: int) -> float:
-        st = self._vertex_by_gid[self.grid.vertex_gid(vid)]
-        if st.kind != BOUNDARY:
-            raise VertexNotBoundary(f"vertex {vid} is not boundary")
         return self._vertex_residual(st, u)
 
     def _vertex_residual(self, st: _VertexStencil, u: np.ndarray) -> float:
@@ -469,24 +475,35 @@ def resolve_theta(problem: NetworkProblem, theta) -> dict:
 
 
 def resolve_boundary_modes(problem: NetworkProblem, mode, eps: float) -> dict:
+    """Mode per boundary vertex; "auto" is "relaxed" where a + eps = 0 and H
+    is coercive.  "relaxed" where a + eps > 0 is rejected: the diffusion
+    keeps the datum there, but the relaxed row, without it, would not."""
     out = {}
     for v in problem.network.boundary_vertices:
-        if isinstance(mode, dict):
-            m = mode.get(v.id, "auto")
-        else:
-            m = mode
+        m = mode.get(v.id, "auto") if isinstance(mode, dict) else mode
+        eid = problem.network.incidence[v.id][0].edge.id
+        a = problem.a_at_vertex(v.id, eid) + eps
         if m == "auto":
-            eid = problem.network.incidence[v.id][0].edge.id
-            if problem.a_at_vertex(v.id, eid) + eps > 0.0:
-                m = "strong"
-            elif problem.hamiltonians[eid].coercive:
-                m = "relaxed"
-            else:
-                m = "strong"
+            m = "strong" if a > 0.0 or not problem.hamiltonians[eid].coercive else "relaxed"
         if m not in ("strong", "relaxed"):
             raise ValueError(f"unknown boundary mode {m!r}")
+        if m == "relaxed" and a > 0.0:
+            raise ValueError(f"relaxed boundary mode at vertex {v.id}: edge {eid} "
+                             f"has a + eps = {a:g} > 0 there")
         out[v.id] = m
     return out
+
+
+def resolve_scheme(problem: NetworkProblem, eps: float = 0.0,
+                   junction_mode: str = "kirchhoff", boundary_mode="auto",
+                   theta="auto"):
+    """assemble()'s scheme options, checked against the problem, as (theta
+    per edge, mode per boundary vertex); raises ValueError on a bad one."""
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    if junction_mode not in ("kirchhoff", "minmax"):
+        raise ValueError(f"unknown junction mode {junction_mode!r}")
+    return resolve_theta(problem, theta), resolve_boundary_modes(problem, boundary_mode, eps)
 
 
 def assemble(problem: NetworkProblem, grid: Grid, eps: float = 0.0,
@@ -498,12 +515,7 @@ def assemble(problem: NetworkProblem, grid: Grid, eps: float = 0.0,
     fails; pass probe_samples=0 to skip (used by deliberate counterexample
     tests).
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if junction_mode not in ("kirchhoff", "minmax"):
-        raise ValueError(f"unknown junction mode {junction_mode!r}")
-    thetas = resolve_theta(problem, theta)
-    modes = resolve_boundary_modes(problem, boundary_mode, eps)
+    thetas, modes = resolve_scheme(problem, eps, junction_mode, boundary_mode, theta)
     system = ResidualSystem(problem, grid, eps, junction_mode, modes, thetas)
     if probe_samples > 0:
         witness = system.certify_monotone(n_samples=probe_samples, rng=rng)

@@ -35,10 +35,6 @@ class VertexNotInterior(KnetError):
     pass
 
 
-class VertexNotBoundary(KnetError):
-    pass
-
-
 # -- problem data ------------------------------------------------------------
 
 class InvalidCoefficientSign(KnetError):

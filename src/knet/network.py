@@ -75,6 +75,7 @@ class Network:
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         self._vmap = {v.id: v for v in self.vertices}
+        self._vidx = {v.id: i for i, v in enumerate(self.vertices)}
         self._emap = {e.id: e for e in self.edges}
         inc = {v.id: [] for v in self.vertices}
         for e in self.edges:
@@ -147,10 +148,9 @@ class Network:
     def _vertex_distances(self) -> np.ndarray:
         if self._vertex_dist is None:
             n = len(self.vertices)
-            idx = {v.id: i for i, v in enumerate(self.vertices)}
             rows, cols, vals = [], [], []
             for e in self.edges:
-                i, j = idx[e.tail], idx[e.head]
+                i, j = self._vidx[e.tail], self._vidx[e.head]
                 rows += [i, j]
                 cols += [j, i]
                 vals += [e.length, e.length]
@@ -159,8 +159,7 @@ class Network:
         return self._vertex_dist
 
     def vertex_distance(self, va: int, vb: int) -> float:
-        idx = {v.id: i for i, v in enumerate(self.vertices)}
-        return float(self._vertex_distances()[idx[va], idx[vb]])
+        return float(self._vertex_distances()[self._vidx[va], self._vidx[vb]])
 
     def geodesic_distance(self, p: NetworkPoint, q: NetworkPoint) -> float:
         if p.edge_id not in self._emap or q.edge_id not in self._emap:
@@ -174,7 +173,7 @@ class Network:
             best = abs(p.t - q.t)
         ep, eq = self.edge(p.edge_id), self.edge(q.edge_id)
         dv = self._vertex_distances()
-        idx = {v.id: i for i, v in enumerate(self.vertices)}
+        idx = self._vidx
         for va, ta in ((ep.tail, p.t), (ep.head, ep.length - p.t)):
             for vb, tb in ((eq.tail, q.t), (eq.head, eq.length - q.t)):
                 best = min(best, ta + dv[idx[va], idx[vb]] + tb)

@@ -24,7 +24,7 @@ from knet.errors import (
     VertexNotInterior,
     WindowTooLarge,
 )
-from knet.network import build_network, star_junction
+from knet.network import Network, build_network, star_junction
 from knet.problem import NetworkProblem, constant_diffusion, eikonal
 
 
@@ -195,6 +195,35 @@ def test_probe_no_active_on_steep_spike():
     u.values[grid.node_ids[0][1]] = 10.0
     with pytest.raises(NoActiveProbe):
         probe_viscosity(problem, u, problem.network.vertex_point(0), side="sub")
+
+
+def test_probe_at_edge_point_off_the_grid_raises():
+    problem = entry_by_name("star3_eikonal").problem
+    u = GridFunction.zeros(Grid(problem.network, 11))
+    with pytest.raises(ValueError, match="0.123"):
+        probe_viscosity(problem, u, problem.network.point(0, 0.123))
+
+
+def test_diagnostics_builds_no_geometry_per_node(monkeypatch):
+    """Node distances come from Grid.distances_to: the diagnostics make no
+    Network.geodesic_distance calls and a number of Network.point calls
+    that does not grow with the grid."""
+    entry = entry_by_name("graph5_constant")
+    calls = {"geodesic_distance": 0, "point": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _orig=getattr(Network, name)):
+            calls[_name] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(Network, name, counted)
+    counts = []
+    for n in (11, 41):
+        grid = Grid(entry.problem.network, n)
+        diagnostics_report(entry.problem, GridFunction.from_profile(grid, entry.exact))
+        counts.append(dict(calls))
+        calls.update(geodesic_distance=0, point=0)
+    assert counts[0] == counts[1]
+    assert counts[1]["geodesic_distance"] == 0
+    assert counts[1]["point"] > 0  # the counter sees the calls there are
 
 
 # ---------------------------------------------------------------------------

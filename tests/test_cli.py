@@ -126,6 +126,36 @@ def test_bad_scheme_option_exits_3(tmp_path, sub):
                  "--lf-theta", "wide"]) == EXIT_BAD_INPUT
 
 
+BAD_SCHEME_SECTIONS = [
+    ("star3_eikonal", {"boundary_mode": "bogus"}, "unknown boundary mode"),
+    ("star3_eikonal", {"junction_mode": "bogus"}, "unknown junction mode"),
+    ("star3_eikonal", {"epsilon": -1}, "eps must be nonnegative"),
+    ("star2_linear", {"boundary_mode": "relaxed"}, "relaxed boundary mode"),
+]
+
+
+@pytest.mark.parametrize("sub", ["solve", "oracle", "sweep-epsilon",
+                                 "convergence-table", "verify"])
+def test_bad_solver_section_exits_3(tmp_path, capsys, sub):
+    """Scheme options from a config's solver section are checked on the
+    input path: exit 3 with the reason, no traceback."""
+    for name, solver, message in BAD_SCHEME_SECTIONS:
+        cfg = _write_config(tmp_path, {"catalog": name, "solver": solver})
+        if sub == "verify":
+            sol = tmp_path / "solution.csv"
+            grid = Grid(entry_by_name(name).problem.network, 5)
+            sol.write_text(solution_csv_text(GridFunction.zeros(grid)))
+            argv = ["verify", "--solution", str(sol), "--problem", cfg,
+                    "--report", str(tmp_path / "report.json")]
+        else:
+            argv = [sub, "--config", cfg, "--output-dir", str(tmp_path / "out"),
+                    "--nodes-per-edge", "5"]
+            if sub == "convergence-table":
+                argv += ["--resolutions", "5,9,17"]
+        assert main(argv) == EXIT_BAD_INPUT, (sub, solver)
+        assert message in capsys.readouterr().err, (sub, solver)
+
+
 def test_bad_usage_exits_3(capsys):
     assert main(["solve"]) == EXIT_BAD_INPUT  # missing --config
     assert main(["frobnicate"]) == EXIT_BAD_INPUT
@@ -239,19 +269,24 @@ def test_convergence_table_reference_uses_run_epsilon(tmp_path):
 
 
 def test_convergence_table_relaxed_boundary_uses_matching_reference(tmp_path):
-    """Relaxed boundary rows solve another problem than the strong-Dirichlet
-    exact profile, so the table must measure them against the scheme's own
-    fine-grid reference."""
-    cfg = _write_config(tmp_path, {"catalog": "star2_linear"})
+    """On star3_eikonal_loss "auto" resolves to relaxed boundary rows, so
+    strong rows solve another problem than the exact profile: the table must
+    measure them against the scheme's own fine-grid reference.  An explicit
+    relaxed boundary where the diffusion keeps the datum is bad input."""
+    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal_loss"})
     outdir = tmp_path / "out"
     code = main(["convergence-table", "--config", cfg,
                  "--output-dir", str(outdir), "--resolutions", "11,21,41",
-                 "--boundary-mode", "relaxed", "--deterministic"])
+                 "--boundary-mode", "strong", "--deterministic"])
     assert code == EXIT_OK
     rows = list(csv.DictReader((outdir / "convergence.csv").open()))
     assert max(float(r["sup_error"]) for r in rows) <= 1e-8
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["stages"][0]["references"] == ["fine-grid"] * 3
+    cfg = _write_config(tmp_path, {"catalog": "star2_linear"})
+    assert main(["convergence-table", "--config", cfg,
+                 "--output-dir", str(outdir), "--resolutions", "11,21,41",
+                 "--boundary-mode", "relaxed"]) == EXIT_BAD_INPUT
 
 
 def test_convergence_table_records_reference_per_row(tmp_path):

@@ -66,6 +66,54 @@ def test_boundary_distances():
     assert dist[gid] == pytest.approx(0.75)
 
 
+def _distance_networks():
+    """Every catalog network and twelve random_problem draws."""
+    nets = [(e.name, e.problem.network) for e in all_entries()]
+    nets += [(f"random-{s}", random_problem(np.random.default_rng(s)).network)
+             for s in range(12)]
+    return nets
+
+
+@pytest.mark.parametrize("n", [3, 5, 17])
+def test_distances_to_matches_geodesic_distance_bitwise(n):
+    """distances_to is the per-node geodesic distance, bit for bit, to
+    every vertex and to three points inside every edge."""
+    for name, net in _distance_networks():
+        grid = Grid(net, n)
+        nodes = [net.point(*grid.node_location(j)) for j in range(grid.total_nodes)]
+        targets = [net.vertex_point(v.id) for v in net.vertices]
+        targets += [net.point(e.id, f * e.length)
+                    for e in net.edges for f in (0.1, 0.5, 0.77)]
+        for q in targets:
+            expected = np.array([net.geodesic_distance(p, q) for p in nodes])
+            assert grid.distances_to(q).tobytes() == expected.tobytes(), (name, q)
+
+
+def _boundary_distances_per_vertex(grid):
+    """The per-vertex formula boundary_distances replaced: nearest boundary
+    vertex through either end of each edge."""
+    net = grid.network
+    bnd = [v.id for v in net.boundary_vertices]
+    out = np.full(grid.total_nodes, np.inf)
+    for v in net.vertices:
+        out[grid.vertex_gid(v.id)] = min(net.vertex_distance(v.id, w) for w in bnd)
+    for e in net.edges:
+        t = grid.coords[e.id][1:-1]
+        via_tail = t + min(net.vertex_distance(e.tail, w) for w in bnd)
+        via_head = (e.length - t) + min(net.vertex_distance(e.head, w) for w in bnd)
+        out[grid.node_ids[e.id][1:-1]] = np.minimum(via_tail, via_head)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5, 17])
+def test_boundary_distances_match_per_vertex_formula(n):
+    for name, net in _distance_networks():
+        grid = Grid(net, n)
+        np.testing.assert_array_max_ulp(grid.boundary_distances(),
+                                        _boundary_distances_per_vertex(grid),
+                                        maxulp=2)
+
+
 def test_gridfunction_from_profile_canonical_vertex():
     """Vertex values come from the lowest incident edge id when the
     profile disagrees across edges."""
