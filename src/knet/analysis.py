@@ -185,28 +185,25 @@ class ProbeVerdict:
                  "not an equivalence")
 
 
-def _vertex_clause(problem, u, grid, vid, slope, side):
-    """Junction or boundary clause of the relaxed solution definition with
-    uniform inward test slope `slope` at the vertex."""
+def _vertex_clause(problem, vid, uv):
+    """Junction or boundary clause of the relaxed solution definition at
+    vertex vid with value uv, as a function of (uniform inward test slope,
+    side).  The degenerate incident edges are found once, not per probe."""
     lam = problem.lam
-    uv = float(u.values[grid.vertex_gid(vid)])
     net = problem.network
     incs = net.incidence[vid]
-    if net.vertex(vid).kind == INTERIOR:
-        fval = problem.kirchhoff[vid](uv, np.full(len(incs), slope))
-        edge_vals = [
-            lam * uv + float(problem.hamiltonians[inc.edge.id](
-                inc.vertex_param, inc.sign * slope))
-            for inc in incs
-            if problem.a_at_vertex(vid, inc.edge.id) == 0.0
-        ]
-        vals = edge_vals + [fval]
+    interior = net.vertex(vid).kind == INTERIOR
+    # a boundary vertex has one incident edge; a junction, its degenerate ones
+    edges = [(problem.hamiltonians[inc.edge.id], inc.vertex_param, inc.sign)
+             for inc in incs
+             if not interior or problem.a_at_vertex(vid, inc.edge.id) == 0.0]
+
+    def clause(slope, side):
+        vals = [lam * uv + float(ham(x, sign * slope)) for ham, x, sign in edges]
+        vals.append(problem.kirchhoff[vid](uv, np.full(len(incs), slope)) if interior
+                    else uv - problem.dirichlet[vid])
         return min(vals) if side == "sub" else max(vals)
-    inc = incs[0]
-    e_val = lam * uv + float(problem.hamiltonians[inc.edge.id](
-        inc.vertex_param, inc.sign * slope))
-    gap = uv - problem.dirichlet[vid]
-    return min(e_val, gap) if side == "sub" else max(e_val, gap)
+    return clause
 
 
 def probe_viscosity(problem: NetworkProblem, u: GridFunction,
@@ -244,6 +241,8 @@ def probe_viscosity(problem: NetworkProblem, u: GridFunction,
                 offsets[grid.vertex_gid(end)] = np.nan
     u0 = float(u.values[gid])
     dus = u.values - u0
+    if vid is not None:
+        vertex_clause = _vertex_clause(problem, vid, u0)
     lam = problem.lam
     sgn = 1.0 if side == "sub" else -1.0
 
@@ -264,7 +263,7 @@ def probe_viscosity(problem: NetworkProblem, u: GridFunction,
                 continue
             if side == "super" and np.any(du < -psi - 1e-12):
                 continue
-            clause = _vertex_clause(problem, u, grid, vid, sgn * L, side)
+            clause = vertex_clause(sgn * L, side)
             margin = clause if side == "sub" else -clause
             active += 1
             if margin > worst:

@@ -113,18 +113,19 @@ def problem_from_config(cfg: dict) -> NetworkProblem:
     return problem_from_json(cfg["problem"], network)
 
 
+SOLVER_OPTIONS = ("epsilon", "junction_mode", "boundary_mode", "lf_theta", "tol",
+                  "max_sweeps", "method")
+
+
 def merge_flags(cfg: dict, args) -> dict:
     grid = dict(cfg.get("grid", {}))
     solver = dict(cfg.get("solver", {}))
     if getattr(args, "nodes_per_edge", None) is not None:
         grid["nodes_per_edge"] = args.nodes_per_edge
-    for name in ("epsilon", "junction_mode", "boundary_mode", "tol",
-                 "max_sweeps", "method"):
+    for name in SOLVER_OPTIONS:
         v = getattr(args, name, None)
         if v is not None:
             solver[name] = v
-    if getattr(args, "lf_theta", None) is not None:
-        solver["lf_theta"] = args.lf_theta
     return {"grid": grid, "solver": solver,
             "analysis": dict(cfg.get("analysis", {}))}
 
@@ -139,7 +140,11 @@ def _solver_config(solver: dict) -> SolveConfig:
 
 def _scheme(solver: dict, problem: NetworkProblem, schedule=()) -> dict:
     """A solver section's scheme options as assemble() keywords, checked
-    against the problem at its epsilon and every epsilon of a schedule."""
+    against the problem at its epsilon and every epsilon of a schedule;
+    a key outside SOLVER_OPTIONS is rejected."""
+    unknown = sorted(set(solver) - set(SOLVER_OPTIONS))
+    if unknown:
+        raise ValueError("unknown solver option " + ", ".join(map(repr, unknown)))
     theta = solver.get("lf_theta", "auto")
     scheme = {"eps": float(solver.get("epsilon", 0.0)),
               "junction_mode": solver.get("junction_mode", "kirchhoff"),

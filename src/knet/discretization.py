@@ -17,14 +17,18 @@ exactly one input, and a handful of vectorized residual() calls recover a
 whole finite-difference Jacobian (Curtis, Powell & Reid 1974) or a whole
 monotonicity probe.
 
-One row formula, ResidualSystem._edge_rows, writes the Lax-Friedrichs
-interior rows: residual() applies it to whole edges and residual_node to a
-single node, the path of the nodewise local solves, so both give the same
-bits.  The flux evaluates H at the central slope (u+ - u-)/(2h), which does
-not contain the node's own value, so every edge row is affine in it with
-slope lam + 2(a+eps)/h^2 + theta/h.  Assembly reads that slope, own_coeff,
-off the same row formula, and the Gauss-Seidel sweeps solve each edge node
-with one exact Newton step.
+The interior edge nodes, which the grid numbers V..N-1 edge after edge,
+share one flat table: left and right neighbour gids, x, a + eps, h, h^2
+and theta per node, and one (slice, Hamiltonian) pair per edge.  One row
+formula, ResidualSystem._edge_rows, writes the Lax-Friedrichs rows from
+it: residual() fills every edge row in one call, with one H call per edge,
+and residual_node reads table entry gid - V for a single node, the path of
+the nodewise local solves, so both give the same bits.  The flux evaluates
+H at the central slope (u+ - u-)/(2h), which does not contain the node's
+own value, so every edge row is affine in it with slope
+lam + 2(a+eps)/h^2 + theta/h.  Assembly reads that slope, own_coeff, off
+the same row formula in one call, and the Gauss-Seidel sweeps solve each
+edge node with one exact Newton step.
 """
 
 from __future__ import annotations
@@ -77,10 +81,6 @@ class Grid:
         self.total_nodes = next_id
         self.h = max(self.spacing.values())
 
-        # reverse lookup: global id -> (edge id, local index) for edge nodes
-        self._edge_node = {gid: (eid, k) for eid, ids in self.node_ids.items()
-                           for k, gid in enumerate(ids[1:-1].tolist(), 1)}
-
     def vertex_gid(self, vid: int) -> int:
         return self.vertex_index[vid]
 
@@ -93,8 +93,9 @@ class Grid:
             vid = self.network.vertices[gid].id
             p = self.network.vertex_point(vid)
             return p.edge_id, p.t
-        eid, k = self._edge_node[gid]
-        return eid, float(self.coords[eid][k])
+        eid, ids = next((eid, ids) for eid, ids in self.node_ids.items()
+                        if ids[1] <= gid <= ids[-2])
+        return eid, float(self.coords[eid][gid - ids[1] + 1])
 
     def distances_to(self, point: NetworkPoint) -> np.ndarray:
         """Geodesic distance from every node to one network point, equal bit
@@ -178,19 +179,7 @@ def lax_friedrichs(ham, x, p_minus, p_plus, theta):
 
 
 @dataclass
-class _EdgeStencil:
-    eid: int
-    ids: np.ndarray
-    x: np.ndarray
-    h: float
-    a_plus_eps: np.ndarray  # at interior nodes
-    theta: float
-    ham: object
-
-
-@dataclass
 class _VertexStencil:
-    vid: int
     gid: int
     kind: str
     # per incident edge, in coupling component order:
@@ -199,13 +188,12 @@ class _VertexStencil:
     signs: np.ndarray  # +1 when the vertex sits at t = 0
     x_at_v: np.ndarray
     a_plus_eps: np.ndarray
-    thetas: np.ndarray
     hams: tuple
     correct_2nd: np.ndarray  # ghost-corrected inward slope per edge
     degenerate: np.ndarray
-    coupling: object = None  # interior: KirchhoffCondition
-    h_dirichlet: float = 0.0  # boundary: Dirichlet datum
-    boundary_mode: str = "strong"
+    coupling: object  # interior: KirchhoffCondition, else None
+    h_dirichlet: float  # boundary: Dirichlet datum, else 0
+    boundary_mode: str  # boundary: "strong" or "relaxed", else "strong"
 
 
 class ResidualSystem:
@@ -217,22 +205,33 @@ class ResidualSystem:
         self.grid = grid
         self.eps = float(eps)
         self.junction_mode = junction_mode
-        self.thetas = thetas
 
-        self._edges = []
-        for e in problem.network.edges:
-            x = grid.coords[e.id]
-            a = np.asarray(problem.diffusions[e.id].a(x[1:-1]), dtype=float)
-            self._edges.append(_EdgeStencil(
-                e.id, grid.node_ids[e.id], x, grid.spacing[e.id],
-                a + self.eps, thetas[e.id], problem.hamiltonians[e.id],
-            ))
+        # one table over the interior edge nodes, entry k = gid - V in the
+        # grid's edge order: neighbour gids, x, a + eps, h, h**2 and theta;
+        # per edge, its slice of the table and its Hamiltonian.  h**2 is
+        # stored so that one-node and whole-table rows divide by the same bits
+        edges = problem.network.edges
+        node_ids = [grid.node_ids[e.id] for e in edges]
+        xs = [grid.coords[e.id][1:-1] for e in edges]
+        counts = [len(x) for x in xs]
+        spacings = [grid.spacing[e.id] for e in edges]
+        self._left = np.concatenate([i[:-2] for i in node_ids])
+        self._right = np.concatenate([i[2:] for i in node_ids])
+        self._x = np.concatenate(xs)
+        self._a = np.concatenate([np.asarray(problem.diffusions[e.id].a(x), dtype=float)
+                                  for e, x in zip(edges, xs)]) + self.eps
+        self._h = np.repeat(spacings, counts)
+        self._hsq = np.repeat([h ** 2 for h in spacings], counts)
+        self._theta = np.repeat([thetas[e.id] for e in edges], counts)
+        ends = np.cumsum([0] + counts).tolist()
+        self._hams = [(slice(lo, hi), problem.hamiltonians[e.id])
+                      for e, lo, hi in zip(edges, ends, ends[1:])]
+        self._node_hams = [ham for s, ham in self._hams for _ in range(s.stop - s.start)]
 
         self._vertices = []
         for v in problem.network.vertices:
             incs = problem.network.incidence[v.id]
-            nbr, hs, signs, xv, av, th, cors, degs = [], [], [], [], [], [], [], []
-            hams = []
+            nbr, hs, signs, xv, av, hams, cors, degs = ([] for _ in range(8))
             for inc in incs:
                 eid = inc.edge.id
                 ids = grid.node_ids[eid]
@@ -243,36 +242,27 @@ class ResidualSystem:
                 xv.append(inc.vertex_param)
                 a_v = problem.a_at_vertex(v.id, eid) + self.eps
                 av.append(a_v)
-                theta = thetas[eid]
-                th.append(theta)
                 hams.append(problem.hamiltonians[eid])
                 degs.append(a_v == 0.0)
                 # second-order ghost correction only where it keeps the
                 # stencil monotone: a + eps must dominate theta*h/2
-                cors.append(a_v > 0.0 and a_v >= 0.5 * theta * h_e)
-            st = _VertexStencil(
-                v.id, grid.vertex_gid(v.id), v.kind,
+                cors.append(a_v > 0.0 and a_v >= 0.5 * thetas[eid] * h_e)
+            self._vertices.append(_VertexStencil(
+                grid.vertex_gid(v.id), v.kind,
                 np.array(nbr), np.array(hs), np.array(signs), np.array(xv),
-                np.array(av), np.array(th), tuple(hams),
+                np.array(av), tuple(hams),
                 np.array(cors, dtype=bool), np.array(degs, dtype=bool),
-            )
-            if v.kind == INTERIOR:
-                st.coupling = problem.kirchhoff[v.id]
-            else:
-                st.h_dirichlet = problem.dirichlet[v.id]
-                st.boundary_mode = boundary_modes[v.id]
-            self._vertices.append(st)
-        self._vertex_by_gid = {st.gid: st for st in self._vertices}
-        self._edge_by_id = {es.eid: es for es in self._edges}
+                problem.kirchhoff.get(v.id), problem.dirichlet.get(v.id, 0.0),
+                boundary_modes.get(v.id, "strong"),
+            ))
 
         # own_coeff[j]: slope of an edge row, affine in its own value u[j],
         # read off the row formula as row(u[j] = 1) - row(u[j] = 0); 0 at
         # vertex rows, which are not affine in general
         self.own_coeff = np.zeros(grid.total_nodes)
-        for es in self._edges:
-            x, a = es.x[1:-1], es.a_plus_eps
-            self.own_coeff[es.ids[1:-1]] = (self._edge_rows(es, 0.0, 1.0, 0.0, x, a)
-                                            - self._edge_rows(es, 0.0, 0.0, 0.0, x, a))
+        self.own_coeff[len(self._vertices):] = (
+            self._edge_rows(slice(None), 0.0, 1.0, 0.0, self._table_ham)
+            - self._edge_rows(slice(None), 0.0, 0.0, 0.0, self._table_ham))
 
         # dependency pattern in column order: pattern_rows[k] depends on
         # u[pattern_cols[k]]; colour_groups[c] holds the nodes of colour c
@@ -307,7 +297,7 @@ class ResidualSystem:
         return float(ham.min_above(st.x_at_v[i], -d_i))
 
     def junction_residual(self, u: np.ndarray, vid: int) -> float:
-        st = self._vertex_by_gid[self.grid.vertex_gid(vid)]
+        st = self._vertices[self.grid.vertex_gid(vid)]
         if st.kind != INTERIOR:
             raise VertexNotInterior(f"vertex {vid} is not interior")
         return self._vertex_residual(st, u)
@@ -327,38 +317,41 @@ class ResidualSystem:
         eq = lam * uv + self._state_constraint_value(st, 0, float(d[0]))
         return float(max(uv - st.h_dirichlet, eq))
 
-    def _edge_rows(self, es: _EdgeStencil, um, uc, up, x, a):
-        """Lax-Friedrichs rows lam*u - a*u_xx + H^LF(x, p-, p+) of edge es,
-        on scalars (one node) or on aligned slices (a whole edge): um, uc, up
-        are the left, centre and right values, x and a the centre's
-        coordinate and a + eps."""
-        h = es.h
-        hh = lax_friedrichs(es.ham, x, (uc - um) / h, (up - uc) / h, es.theta)
-        return self.problem.lam * uc - a * ((up - 2.0 * uc + um) / h ** 2) + hh
+    def _table_ham(self, x, p):
+        """Each edge's Hamiltonian on its slice of the whole table."""
+        out = np.empty(len(p))
+        for s, ham in self._hams:
+            out[s] = ham(x[s], p[s])
+        return out
+
+    def _edge_rows(self, k, um, uc, up, ham):
+        """Lax-Friedrichs rows lam*u - (a+eps)*u_xx + H^LF(x, p-, p+) at table
+        entry k, a flat index (one node) or a slice: um, uc, up are the left,
+        centre and right values, ham the Hamiltonian of those entries."""
+        h = self._h[k]
+        hh = lax_friedrichs(ham, self._x[k], (uc - um) / h, (up - uc) / h, self._theta[k])
+        return self.problem.lam * uc - self._a[k] * ((up - 2.0 * uc + um) / self._hsq[k]) + hh
 
     def interior_residual(self, u: np.ndarray, gid: int) -> float:
-        if self.grid.node_kind(gid) != EDGE_NODE:
+        k = gid - len(self._vertices)
+        if k < 0:
             raise NodeNotInterior(f"node {gid} is a vertex node")
-        eid, k = self.grid._edge_node[gid]
-        es = self._edge_by_id[eid]
-        return float(self._edge_rows(es, u[es.ids[k - 1]], u[gid], u[es.ids[k + 1]],
-                                     es.x[k], es.a_plus_eps[k - 1]))
+        return float(self._edge_rows(k, u[self._left[k]], u[gid], u[self._right[k]],
+                                     self._node_hams[k]))
 
     def residual_node(self, gid: int, u: np.ndarray) -> float:
-        st = self._vertex_by_gid.get(gid)
-        if st is not None:
-            return self._vertex_residual(st, u)
+        if gid < len(self._vertices):
+            return self._vertex_residual(self._vertices[gid], u)
         return self.interior_residual(u, gid)
 
     def residual(self, u) -> np.ndarray:
-        """Full residual vector; vectorized along edges."""
+        """Full residual vector: every edge row in one table call."""
         if isinstance(u, GridFunction):
             u = u.values
+        nv = len(self._vertices)
         out = np.empty(self.grid.total_nodes)
-        for es in self._edges:
-            ue = u[es.ids]
-            out[es.ids[1:-1]] = self._edge_rows(es, ue[:-2], ue[1:-1], ue[2:],
-                                                es.x[1:-1], es.a_plus_eps)
+        out[nv:] = self._edge_rows(slice(None), u[self._left], u[nv:], u[self._right],
+                                   self._table_ham)
         for st in self._vertices:
             out[st.gid] = self._vertex_residual(st, u)
         return out
@@ -376,9 +369,9 @@ class ResidualSystem:
         return tuple(self.pattern_rows[self._indptr[gid]:self._indptr[gid + 1]].tolist())
 
     def node_classification(self, gid: int) -> str:
-        st = self._vertex_by_gid.get(gid)
-        if st is None:
+        if gid >= len(self._vertices):
             return "interior"
+        st = self._vertices[gid]
         if st.kind == INTERIOR:
             return "junction"
         return f"boundary-{st.boundary_mode}"

@@ -347,59 +347,53 @@ def validate_problem(problem: NetworkProblem, lattice_resolution: int = 16,
         D = problem.diffusions[e.id]
         xs = np.linspace(0.0, e.length, lattice_resolution)
         ps = np.linspace(-p_range, p_range, 2 * lattice_resolution + 1)
+        dx = np.abs(xs[:, None] - xs[None, :])
+        dp = np.abs(ps[:, None] - ps[None, :])
         loc = f"edge {e.id}"
+        # hs[i, m] = H(xs[i], ps[m]); each check reports its first violation
+        # in a fixed scan order: p, then (x, y) for the x-check; x, then
+        # (p, q) for the p-check; x, then p for coercivity
+        hs = np.array([np.asarray(H(x, ps), dtype=float) for x in xs])
 
-        # Lipschitz in x: |H(x,p)-H(y,p)| <= C(1+|p|)|x-y|
+        # Lipschitz in x: |H(x,p)-H(y,p)| <= C(1+|p|)|x-y|, axes (p, x, y)
+        dv = np.abs(hs.T[:, :, None] - hs.T[:, None, :])
+        bound = (H.c_h * (1.0 + np.abs(ps)))[:, None, None] * dx + slack
+        bad = np.argwhere(dv > bound)
         witness = None
-        for p in ps:
-            vals = np.array([float(H(x, p)) for x in xs])
-            dx = np.abs(xs[:, None] - xs[None, :])
-            dv = np.abs(vals[:, None] - vals[None, :])
-            bound = H.c_h * (1.0 + abs(p)) * dx + slack
-            bad = np.argwhere(dv > bound)
-            if bad.size:
-                i, j = bad[0]
-                witness = {"x": float(xs[i]), "y": float(xs[j]), "p": float(p),
-                           "gap": float(dv[i, j] - bound[i, j])}
-                break
+        if bad.size:
+            m, i, j = bad[0]
+            witness = {"x": float(xs[i]), "y": float(xs[j]), "p": float(ps[m]),
+                       "gap": float(dv[m, i, j] - bound[m, i, j])}
         entries.append(CheckEntry("hamiltonian_lipschitz_x", loc, witness is None, witness))
 
-        # Lipschitz in p: |H(x,p)-H(x,q)| <= C|p-q|
+        # Lipschitz in p: |H(x,p)-H(x,q)| <= C|p-q|, axes (x, p, q)
+        dv = np.abs(hs[:, :, None] - hs[:, None, :])
+        bad = np.argwhere(dv > H.c_h * dp + slack)
         witness = None
-        for x in xs:
-            vals = np.asarray(H(x, ps), dtype=float)
-            dp = np.abs(ps[:, None] - ps[None, :])
-            dv = np.abs(vals[:, None] - vals[None, :])
-            bad = np.argwhere(dv > H.c_h * dp + slack)
-            if bad.size:
-                i, j = bad[0]
-                witness = {"x": float(x), "p": float(ps[i]), "q": float(ps[j]),
-                           "gap": float(dv[i, j] - H.c_h * dp[i, j])}
-                break
+        if bad.size:
+            k, i, j = bad[0]
+            witness = {"x": float(xs[k]), "p": float(ps[i]), "q": float(ps[j]),
+                       "gap": float(dv[k, i, j] - H.c_h * dp[i, j])}
         entries.append(CheckEntry("hamiltonian_lipschitz_p", loc, witness is None, witness))
 
         # coercivity: H(x,p) >= C^-1 |p| - C when declared
         if H.coercive:
+            lower = np.abs(ps) / H.c_h - H.c_h
+            bad = np.argwhere(hs < lower - slack)
             witness = None
-            for x in xs:
-                vals = np.asarray(H(x, ps), dtype=float)
-                lower = np.abs(ps) / H.c_h - H.c_h
-                bad = np.argwhere(vals < lower - slack)
-                if bad.size:
-                    i = bad[0][0]
-                    witness = {"x": float(x), "p": float(ps[i]),
-                               "gap": float(lower[i] - vals[i])}
-                    break
+            if bad.size:
+                k, i = bad[0]
+                witness = {"x": float(xs[k]), "p": float(ps[i]),
+                           "gap": float(lower[i] - hs[k, i])}
             entries.append(CheckEntry("hamiltonian_coercive", loc, witness is None, witness))
 
         # diffusion: a >= 0 and sigma Lipschitz
-        sig = np.array([float(D.sigma(x)) for x in xs])
+        sig = np.asarray(D.sigma(xs), dtype=float)
         witness = None
         if np.any(sig < -slack):
             i = int(np.argmin(sig))
             witness = {"x": float(xs[i]), "sigma": float(sig[i])}
         else:
-            dx = np.abs(xs[:, None] - xs[None, :])
             ds = np.abs(sig[:, None] - sig[None, :])
             bad = np.argwhere(ds > D.c_a * dx + slack)
             if bad.size:

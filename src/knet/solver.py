@@ -43,8 +43,10 @@ class SolveConfig:
 
 
 def _threshold(tol: float, u: np.ndarray) -> float:
-    """Convergence threshold relative to the solution scale: the residual
-    floor of the second difference grows like |u| eps / h^2."""
+    """Convergence threshold tol * max(1, max|u|), relative to the solution
+    scale only.  It has no h-dependent round-off floor: the floor of the
+    second difference, about eps_mach * a * |u| / h^2, can exceed it on fine
+    grids (ROADMAP item 2)."""
     return tol * max(1.0, float(np.max(np.abs(u))))
 
 
@@ -57,7 +59,6 @@ class SolveResult:
     method: str
     eps: float
     message: str = ""
-    bracket_violations: int = 0
 
 
 # ---------------------------------------------------------------------------

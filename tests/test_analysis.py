@@ -163,6 +163,30 @@ def test_probe_constant_solution_passes(catalog):
         assert "necessary-condition" in verdict.note
 
 
+def test_probe_reads_vertex_constants_once(monkeypatch, catalog):
+    """A vertex probe reads the vertex's constants once per call: the number
+    of a_at_vertex calls does not depend on the number of active probes."""
+    problem = catalog["star3_constant"].problem
+    grid = Grid(problem.network, 21)
+    u = GridFunction.full(grid, 1.0)
+    calls = []
+    original = NetworkProblem.a_at_vertex
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+    monkeypatch.setattr(NetworkProblem, "a_at_vertex", counted)
+    seen = {}
+    for label, probes in (("one", default_probe_grid()[:1]), ("all", default_probe_grid())):
+        calls.clear()
+        active = [probe_viscosity(problem, u, problem.network.vertex_point(0),
+                                  probes=probes, side=side).n_active
+                  for side in ("sub", "super")]
+        seen[label] = (active, len(calls))
+    assert seen["one"][0] == [1, 1] and min(seen["all"][0]) > 1
+    assert seen["one"][1] == seen["all"][1] > 0
+
+
 def test_probe_interior_kink():
     """A tent profile with sub-characteristic slope is a viscosity
     subsolution of the eikonal equation; the probes at its kink must agree."""

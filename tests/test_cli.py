@@ -131,6 +131,8 @@ BAD_SCHEME_SECTIONS = [
     ("star3_eikonal", {"junction_mode": "bogus"}, "unknown junction mode"),
     ("star3_eikonal", {"epsilon": -1}, "eps must be nonnegative"),
     ("star2_linear", {"boundary_mode": "relaxed"}, "relaxed boundary mode"),
+    ("star3_eikonal", {"junction": "minmax", "max_sweep": 3},
+     "unknown solver option 'junction', 'max_sweep'"),
 ]
 
 

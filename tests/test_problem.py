@@ -11,6 +11,7 @@ from knet.catalog import all_entries
 from knet.errors import InvalidCoefficientSign, VertexNotInterior
 from knet.network import star_junction
 from knet.problem import (
+    Diffusion,
     Hamiltonian,
     NetworkProblem,
     advection,
@@ -224,6 +225,99 @@ def test_validate_flags_wrong_lipschitz_constant():
     witness = next(e for e in report.failures()
                    if e.name == "hamiltonian_lipschitz_p").witness
     assert witness is not None and witness["gap"] > 0
+
+
+def _reference_edge_checks(H, D, length, resolution=16, p_range=8.0):
+    """The edge checks as sequential scans, one H call per sample point or
+    per x: the reference for validate_problem's first witnesses."""
+    slack = 1e-9
+    xs = np.linspace(0.0, length, resolution)
+    ps = np.linspace(-p_range, p_range, 2 * resolution + 1)
+    out = {}
+    witness = None
+    for p in ps:
+        vals = np.array([float(H(x, p)) for x in xs])
+        dx = np.abs(xs[:, None] - xs[None, :])
+        dv = np.abs(vals[:, None] - vals[None, :])
+        bound = H.c_h * (1.0 + abs(p)) * dx + slack
+        bad = np.argwhere(dv > bound)
+        if bad.size:
+            i, j = bad[0]
+            witness = {"x": float(xs[i]), "y": float(xs[j]), "p": float(p),
+                       "gap": float(dv[i, j] - bound[i, j])}
+            break
+    out["hamiltonian_lipschitz_x"] = witness
+    witness = None
+    for x in xs:
+        vals = np.asarray(H(x, ps), dtype=float)
+        dp = np.abs(ps[:, None] - ps[None, :])
+        dv = np.abs(vals[:, None] - vals[None, :])
+        bad = np.argwhere(dv > H.c_h * dp + slack)
+        if bad.size:
+            i, j = bad[0]
+            witness = {"x": float(x), "p": float(ps[i]), "q": float(ps[j]),
+                       "gap": float(dv[i, j] - H.c_h * dp[i, j])}
+            break
+    out["hamiltonian_lipschitz_p"] = witness
+    if H.coercive:
+        witness = None
+        for x in xs:
+            vals = np.asarray(H(x, ps), dtype=float)
+            lower = np.abs(ps) / H.c_h - H.c_h
+            bad = np.argwhere(vals < lower - slack)
+            if bad.size:
+                i = bad[0][0]
+                witness = {"x": float(x), "p": float(ps[i]),
+                           "gap": float(lower[i] - vals[i])}
+                break
+        out["hamiltonian_coercive"] = witness
+    sig = np.array([float(D.sigma(x)) for x in xs])
+    witness = None
+    if np.any(sig < -slack):
+        i = int(np.argmin(sig))
+        witness = {"x": float(xs[i]), "sigma": float(sig[i])}
+    else:
+        dx = np.abs(xs[:, None] - xs[None, :])
+        ds = np.abs(sig[:, None] - sig[None, :])
+        bad = np.argwhere(ds > D.c_a * dx + slack)
+        if bad.size:
+            i, j = bad[0]
+            witness = {"x": float(xs[i]), "y": float(xs[j]),
+                       "gap": float(ds[i, j] - D.c_a * dx[i, j])}
+    out["diffusion_sigma_lipschitz"] = witness
+    return out
+
+
+def test_validate_first_witnesses_match_sequential_scans():
+    """The tabulated edge checks report the first violation of the old
+    per-sample scans, bit for bit, on Hamiltonians and diffusions that
+    violate every edge check."""
+    net = star_junction(3, lengths=[1.0, 0.7, 1.3])
+    hams = [
+        Hamiltonian(lambda x, p: 3.0 * np.abs(p) * (1 + x) - 1.0, c_h=2.0, coercive=True),
+        Hamiltonian(lambda x, p: np.sin(7 * x) * (1 + np.abs(p)) + p, c_h=1.5),
+        Hamiltonian(lambda x, p: 0.2 * np.abs(p) + x ** 2, c_h=1.2, coercive=True),
+        eikonal(1.0, 1.0, c_h=0.6),
+    ]
+    diffs = [
+        Diffusion(lambda x: 3.0 * np.sin(4 * np.asarray(x, dtype=float)), c_a=1.0),
+        Diffusion(lambda x: np.asarray(x, dtype=float) - 0.5, c_a=1.0),
+        polynomial_diffusion([0.0, 0.0, 4.0], c_a=0.5),
+    ]
+    failed = set()
+    for k in range(len(hams)):
+        h = {e: hams[(k + e) % len(hams)] for e in range(3)}
+        d = {e: diffs[(k + e) % len(diffs)] for e in range(3)}
+        problem = NetworkProblem(net, 1.0, h, d, {0: make_kirchhoff("classical", 3)},
+                                 {1: 0.0, 2: 1.0, 3: 0.5})
+        report = validate_problem(problem)
+        for e in net.edges:
+            got = {c.name: c.witness for c in report.entries
+                   if c.location == f"edge {e.id}"}
+            assert got == _reference_edge_checks(h[e.id], d[e.id], e.length), (k, e.id)
+            failed |= {name for name, w in got.items() if w is not None}
+    assert failed == {"hamiltonian_lipschitz_x", "hamiltonian_lipschitz_p",
+                      "hamiltonian_coercive", "diffusion_sigma_lipschitz"}
 
 
 def test_validate_flags_noncoercive_degenerate_edge():
