@@ -208,6 +208,7 @@ def cmd_solve(args) -> int:
     stages.append({"stage": "solve", "converged": result.converged,
                    "residual_norm": result.residual_norm,
                    "iterations": result.iterations, "method": result.method,
+                   "message": result.message,
                    "wall_time": time.perf_counter() - t0})
 
     sol_path = os.path.join(outdir, "solution.csv")
@@ -219,7 +220,7 @@ def cmd_solve(args) -> int:
                                           args.deterministic))
     if not result.converged:
         return _fail(EXIT_NO_CONVERGENCE,
-                     f"solver did not converge: residual {result.residual_norm:g}")
+                     f"solver did not converge: {result.message}")
     return EXIT_OK
 
 
@@ -322,9 +323,11 @@ def cmd_convergence_table(args) -> int:
         wall = time.perf_counter() - t0
         ref = reference_for(problem, nodes, exact, **scheme)
         return (grid.h, sup_error(res.u, ref.u), res.iterations, wall,
-                res.converged, res.u.values, ref.method)
+                res.converged, res.u.values, ref.method,
+                ref.meta.get("converged", True))
 
-    hs, errs, its, walls, convs, solutions, methods = zip(*map(one, resolutions))
+    (hs, errs, its, walls, convs, solutions, methods,
+     ref_convs) = zip(*map(one, resolutions))
     orders = observed_orders(hs, errs, solutions, config.tol)
     buf = io.StringIO()
     buf.write(CSV_SCHEMAS["convergence"] + "\n")
@@ -333,13 +336,19 @@ def cmd_convergence_table(args) -> int:
     table_path = os.path.join(outdir, "convergence.csv")
     _atomic_write(table_path, buf.getvalue())
     man_path = os.path.join(outdir, "manifest.json")
+    # a fine-grid reference is itself a solve; an unconverged one makes its
+    # row's error meaningless, as an unconverged run does
     stages = [{"stage": "convergence", "resolutions": resolutions,
-               "references": list(methods), "all_converged": all(convs)}]
+               "references": list(methods),
+               "references_converged": list(ref_convs),
+               "all_converged": all(convs) and all(ref_convs)}]
     _atomic_write(man_path, make_manifest("convergence-table", cfg, merged,
                                           [table_path, man_path], stages,
                                           args.deterministic))
     if not all(convs):
         return _fail(EXIT_NO_CONVERGENCE, "a resolution did not converge")
+    if not all(ref_convs):
+        return _fail(EXIT_NO_CONVERGENCE, "a fine-grid reference did not converge")
     return EXIT_OK
 
 

@@ -27,8 +27,9 @@ the nodewise local solves, so both give the same bits.  The flux evaluates
 H at the central slope (u+ - u-)/(2h), which does not contain the node's
 own value, so every edge row is affine in it with slope
 lam + 2(a+eps)/h^2 + theta/h.  Assembly reads that slope, own_coeff, off
-the same row formula in one call, and the Gauss-Seidel sweeps solve each
-edge node with one exact Newton step.
+the same row formula in one call.  A row reads only its node and the two
+next to it, so relax_edge_class gives every other node along each edge its
+exact Newton step at once, and the sweeps run Python only at vertices.
 """
 
 from __future__ import annotations
@@ -264,6 +265,12 @@ class ResidualSystem:
             self._edge_rows(slice(None), 0.0, 1.0, 0.0, self._table_ham)
             - self._edge_rows(slice(None), 0.0, 0.0, 0.0, self._table_ham))
 
+        # the two sweep classes: each edge's 1st, 3rd, ... interior node, then
+        # its 2nd, 4th, ...; no row reads two nodes of one class.  With an odd
+        # number of nodes per edge, class 0 holds both nodes next to vertices
+        pos = np.concatenate([np.arange(c) for c in counts])
+        self._sweep_classes = [np.flatnonzero(pos % 2 == p) for p in (0, 1)]
+
         # dependency pattern in column order: pattern_rows[k] depends on
         # u[pattern_cols[k]]; colour_groups[c] holds the nodes of colour c
         # and the pattern entries of their columns
@@ -343,6 +350,19 @@ class ResidualSystem:
         if gid < len(self._vertices):
             return self._vertex_residual(self._vertices[gid], u)
         return self.interior_residual(u, gid)
+
+    def relax_edge_class(self, c: int, u: np.ndarray, skip_below: float) -> None:
+        """Exact step u[j] -= r_j / own_coeff[j], in place, at every node j of
+        sweep class c whose |r_j| exceeds skip_below.  No row of the class
+        reads another of its nodes, so this equals, bit for bit, the nodewise
+        Gauss-Seidel pass over the class in any order."""
+        nv = len(self._vertices)
+        k = self._sweep_classes[c]
+        r = self._edge_rows(slice(None), u[self._left], u[nv:], u[self._right],
+                            self._table_ham)[k]
+        move = np.abs(r) > skip_below
+        gids = k[move] + nv
+        u[gids] -= r[move] / self.own_coeff[gids]
 
     def residual(self, u) -> np.ndarray:
         """Full residual vector: every edge row in one table call."""

@@ -1,14 +1,14 @@
 """Nonlinear solvers for the assembled residual systems.
 
-Three methods share the same interface: nodewise Gauss-Seidel sweeps (each
-node solved to its unique local root: one exact Newton step on an edge
-node, whose row is affine in its own value with slope own_coeff, and
-bracketed root finding on a vertex node), a damped
-semismooth Newton iteration with a finite-difference sparse Jacobian, and a
-hybrid that warms up with sweeps before switching to Newton and falls back
-to sweeps when Newton stalls.  The Jacobian is built from the system's
-distance-2 colouring: two vectorized residual() calls per colour give every
-column at once.
+Three methods share the same interface: two-colour Gauss-Seidel sweeps
+(each node solved to its unique local root: bracketed root finding at a
+vertex node, one exact Newton step at an edge node, whose row is affine in
+its own value with slope own_coeff, for every other node along each edge at
+once), a damped semismooth Newton iteration with a finite-difference sparse
+Jacobian, and a hybrid that warms up with sweeps before switching to Newton
+and falls back to sweeps when Newton stalls, saying why.  The Jacobian is
+built from the system's distance-2 colouring: two vectorized residual()
+calls per colour give every column at once.
 
 Barriers are network-wide super- and subsolutions of the discrete scheme,
 found by doubling the two constants of a tent-shaped profile until the
@@ -148,29 +148,42 @@ def solve_node(system: ResidualSystem, gid: int, u: np.ndarray,
     return float(root)
 
 
+def _relax_vertices(system: ResidualSystem, gids, u: np.ndarray,
+                    skip_below: float) -> None:
+    for j in gids:
+        if abs(system.residual_node(j, u)) > skip_below:
+            solve_node(system, j, u)
+
+
 def sweep_solve(system: ResidualSystem, config: SolveConfig,
                 u0: Optional[GridFunction] = None) -> SolveResult:
+    """Odd sweeps solve the vertex nodes in gid order, then edge class 0,
+    then class 1; even sweeps the reverse.  The discrete solution is unique
+    (comparison principle), so the order changes the iterates, not the limit."""
     u = (GridFunction.zeros(system.grid) if u0 is None else u0.copy()).values
     skip_below = 0.05 * config.tol
+    vertices = range(len(system.grid.network.vertices))
     norm = system.residual_norm(u)
     it = 0
-    order = list(range(system.grid.total_nodes))
-    own = system.own_coeff.tolist()
     for it in range(1, config.max_sweeps + 1):
-        # alternate the sweep direction to move information both ways
-        for j in (order if it % 2 else reversed(order)):
-            r = system.residual_node(j, u)
-            if abs(r) > skip_below:
-                if own[j]:
-                    u[j] -= r / own[j]  # exact root of an affine edge row
-                else:
-                    solve_node(system, j, u)
+        if it % 2:
+            _relax_vertices(system, vertices, u, skip_below)
+            system.relax_edge_class(0, u, skip_below)
+            system.relax_edge_class(1, u, skip_below)
+        else:
+            system.relax_edge_class(1, u, skip_below)
+            system.relax_edge_class(0, u, skip_below)
+            _relax_vertices(system, reversed(vertices), u, skip_below)
         norm = system.residual_norm(u)
         if norm <= _threshold(config.tol, u):
             break
-    gf = GridFunction(system.grid, u)
-    return SolveResult(gf, norm <= _threshold(config.tol, u), norm, it,
-                       "sweep", system.eps)
+    threshold = _threshold(config.tol, u)
+    converged = norm <= threshold
+    message = "" if converged else (
+        f"reached max_sweeps={config.max_sweeps} at residual {norm:.3g} "
+        f"> threshold {threshold:.3g}")
+    return SolveResult(GridFunction(system.grid, u), converged, norm, it,
+                       "sweep", system.eps, message)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +257,12 @@ def newton_solve(system: ResidualSystem, config: SolveConfig,
                 break
             t *= 0.5
         if not accepted:
-            message = f"line search stalled at iteration {it}"
+            message = f"line search stalled at iteration {it} at residual {norm:.3g}"
             break
-    gf = GridFunction(system.grid, u)
-    return SolveResult(gf, norm <= _threshold(config.tol, u), norm, it,
+    converged = norm <= _threshold(config.tol, u)
+    if not converged and not message:
+        message = f"reached MAX_NEWTON={MAX_NEWTON} iterations at residual {norm:.3g}"
+    return SolveResult(GridFunction(system.grid, u), converged, norm, it,
                        "newton", system.eps, message)
 
 
@@ -273,17 +288,21 @@ def solve_system(system: ResidualSystem, config: Optional[SolveConfig] = None,
                            "hybrid", system.eps)
     try:
         nres = newton_solve(system, config, res.u)
-    except SingularLinearization:
-        nres = None
+        cause = nres.message
+    except SingularLinearization as exc:
+        nres, cause = None, f"hit a singular linearization ({exc})"
     if nres is not None and nres.converged:
         return SolveResult(nres.u, True, nres.residual_norm,
                            res.iterations + nres.iterations, "hybrid",
                            system.eps)
     fallback = sweep_solve(system, config, nres.u if nres else res.u)
     total = res.iterations + (nres.iterations if nres else 0) + fallback.iterations
+    message = f"newton {cause}; fell back to sweeps"
+    if fallback.message:
+        message += f", which {fallback.message}"
     return SolveResult(fallback.u, fallback.converged,
                        fallback.residual_norm, total, "hybrid", system.eps,
-                       fallback.message or "newton fell back to sweeps")
+                       message)
 
 
 def solve_problem(problem: NetworkProblem, nodes_per_edge, eps: float = 0.0,

@@ -8,8 +8,10 @@ import os
 import numpy as np
 import pytest
 
+from knet import solver
 from knet.cli import (
     EXIT_BAD_INPUT,
+    EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
     main,
@@ -19,7 +21,7 @@ from knet.cli import (
 )
 from knet.catalog import entry_by_name
 from knet.discretization import Grid, GridFunction
-from knet.oracle import fine_grid_reference
+from knet.oracle import ReferenceSolution, fine_grid_reference
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -102,6 +104,18 @@ def test_solve_flag_overrides(tmp_path):
     assert manifest["effective"]["solver"]["method"] == "sweep"
     rows = list(csv.DictReader((outdir / "solution.csv").open()))
     assert len(rows) == 3 * 7
+
+
+def test_solve_manifest_records_why_newton_fell_back(tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_NEWTON", 2)
+    cfg = _write_config(tmp_path, {"catalog": "star3_mixed",
+                                   "grid": {"nodes_per_edge": 41}})
+    outdir = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--output-dir", str(outdir)]) == EXIT_OK
+    stage = json.loads((outdir / "manifest.json").read_text())["stages"][1]
+    assert stage["stage"] == "solve" and stage["converged"]
+    assert stage["message"].startswith("newton reached MAX_NEWTON=2 iterations")
+    assert stage["message"].endswith("; fell back to sweeps")
 
 
 def test_malformed_json_exits_3(tmp_path, capsys):
@@ -310,6 +324,32 @@ def test_convergence_table_no_order_at_solver_tolerance(tmp_path):
                  "--output-dir", str(outdir), "--resolutions", "5,9,17"]) == EXIT_OK
     rows = list(csv.DictReader((outdir / "convergence.csv").open()))
     assert all(np.isnan(float(r["observed_order"])) for r in rows)
+
+
+def test_convergence_table_counts_unconverged_reference(tmp_path, monkeypatch):
+    """A fine-grid reference that stopped short of the tolerance (as the
+    n = 1281 reference of star3_linear under minmax does) fails the table:
+    exit 1 and all_converged false, with each reference's state listed."""
+    import knet.cli
+
+    real = knet.cli.reference_for
+
+    def last_unconverged(problem, nodes, *args, **kwargs):
+        ref = real(problem, nodes, *args, **kwargs)
+        if nodes == 41:
+            ref = ReferenceSolution(ref.u, "fine-grid",
+                                    {"converged": False, "residual_norm": 1.82e-10})
+        return ref
+
+    monkeypatch.setattr(knet.cli, "reference_for", last_unconverged)
+    cfg = _write_config(tmp_path, {"catalog": "star2_linear"})
+    outdir = tmp_path / "out"
+    assert main(["convergence-table", "--config", cfg,
+                 "--output-dir", str(outdir), "--resolutions", "11,21,41",
+                 "--deterministic"]) == EXIT_NO_CONVERGENCE
+    stage = json.loads((outdir / "manifest.json").read_text())["stages"][0]
+    assert stage["references_converged"] == [True, True, False]
+    assert stage["all_converged"] is False
 
 
 def test_convergence_table_needs_three_resolutions(tmp_path):

@@ -8,6 +8,7 @@ from scipy.sparse import coo_matrix
 from knet import solver
 from knet.catalog import all_entries, entry_by_name
 from knet.discretization import Grid, GridFunction, assemble
+from knet.errors import SingularLinearization
 from knet.solver import (
     SolveConfig,
     _fd_jacobian,
@@ -15,6 +16,7 @@ from knet.solver import (
     multistart_solve,
     newton_solve,
     solve_node,
+    solve_problem,
     solve_system,
     sweep_solve,
     vanishing_viscosity,
@@ -88,16 +90,34 @@ def test_closed_form_update_finds_local_root(system_cached):
         assert abs(system.residual_node(gid, u)) <= 1e-12 * scale, gid
 
 
-def _reference_sweeps(system, sweeps, tol):
-    """The Gauss-Seidel sweeps of sweep_solve from zero, with the bracketed
-    root finder solve_node at every node instead of the closed-form edge
-    update."""
+def _coloured_order(grid):
+    """Node order of an odd sweep of sweep_solve: the vertex nodes in gid
+    order, then each edge's first, third, ... interior node, then its second,
+    fourth, ... one.  Even sweeps visit the reverse order."""
+    classes = ([], [])
+    for ids in grid.node_ids.values():
+        for k in range(1, len(ids) - 1):
+            classes[(k - 1) % 2].append(int(ids[k]))
+    return list(range(len(grid.network.vertices))) + classes[0] + classes[1]
+
+
+def _solve_edge_node_closed_form(system, gid, u):
+    if system.grid.node_kind(gid) == "vertex":
+        solve_node(system, gid, u)
+    else:
+        u[gid] -= system.residual_node(gid, u) / system.own_coeff[gid]
+
+
+def _reference_sweeps(system, sweeps, tol, local_solve=solve_node):
+    """The Gauss-Seidel sweeps of sweep_solve from zero, one node at a time
+    in the coloured order, with local_solve(system, gid, u) at every node
+    whose residual exceeds the skip threshold."""
     u = np.zeros(system.grid.total_nodes)
-    order = list(range(system.grid.total_nodes))
+    order = _coloured_order(system.grid)
     for it in range(1, sweeps + 1):
         for j in (order if it % 2 else order[::-1]):
             if abs(system.residual_node(j, u)) > 0.05 * tol:
-                solve_node(system, j, u)
+                local_solve(system, j, u)
         if system.residual_norm(u) <= tol * max(1.0, float(np.max(np.abs(u)))):
             break
     return u
@@ -112,18 +132,33 @@ def test_sweep_matches_solve_node_sweeps(catalog):
         assert np.max(np.abs(res.u.values - ref)) <= 1e-10, name
 
 
+@pytest.mark.parametrize("nodes", [3, 4, 21])
+def test_coloured_sweep_equals_nodewise_closed_form_sweeps(catalog, nodes):
+    """Updating a whole sweep class at once gives the same bits as the
+    closed-form step taken node by node in the same order: no edge row
+    reads another node of its own class."""
+    config = SolveConfig(method="sweep", max_sweeps=5)
+    for name, entry in catalog.items():
+        system = assemble(entry.problem, Grid(entry.problem.network, nodes))
+        res = sweep_solve(system, config)
+        ref = _reference_sweeps(system, config.max_sweeps, config.tol,
+                                _solve_edge_node_closed_form)
+        assert res.u.values.tobytes() == ref.tobytes(), (name, nodes)
+
+
 def test_sweep_solves_edge_nodes_without_root_finding(monkeypatch):
-    """One sweep evaluates each node's residual once; only vertex nodes go
-    through the root finder solve_node."""
+    """Outside the root finder solve_node, one sweep evaluates residual_node
+    only at the vertex nodes, once each; only vertex nodes go through
+    solve_node, and the edge nodes still move."""
     entry = entry_by_name("star3_eikonal")
     system = assemble(entry.problem, Grid(entry.problem.network, 41))
-    loop_calls, solved, inside = [0], [], []
+    loop_calls, solved, inside = [], [], []
     residual_node = system.residual_node
     solve_node_ = solver.solve_node
 
     def counting_residual_node(gid, u):
         if not inside:
-            loop_calls[0] += 1
+            loop_calls.append(gid)
         return residual_node(gid, u)
 
     def recording_solve_node(system, gid, u, **kwargs):
@@ -137,9 +172,13 @@ def test_sweep_solves_edge_nodes_without_root_finding(monkeypatch):
     monkeypatch.setattr(system, "residual_node", counting_residual_node)
     monkeypatch.setattr(solver, "solve_node", recording_solve_node)
     start = GridFunction.full(system.grid, 0.5)  # no vertex row holds here
-    sweep_solve(system, SolveConfig(method="sweep", max_sweeps=1), start)
-    assert loop_calls[0] == system.grid.total_nodes
+    vertices = list(range(len(system.grid.network.vertices)))
+    for sweeps in (1, 2):
+        loop_calls.clear()
+        res = sweep_solve(system, SolveConfig(method="sweep", max_sweeps=sweeps), start)
+        assert sorted(loop_calls) == sorted(vertices * sweeps)
     assert solved and all(system.grid.node_kind(j) == "vertex" for j in solved)
+    assert np.all(res.u.values[len(vertices):] != 0.5)
 
 
 def test_sweep_stays_inside_barriers(system_cached):
@@ -228,6 +267,30 @@ def test_methods_agree(system_cached):
         results[method] = r.u.values
     for method in ("newton", "hybrid"):
         assert np.max(np.abs(results[method] - results["sweep"])) <= 1e-8
+
+
+def test_hybrid_fallback_names_singular_linearization(monkeypatch, system_cached):
+    def singular(*args, **kwargs):
+        raise SingularLinearization("non-finite Newton direction")
+
+    monkeypatch.setattr(solver, "newton_solve", singular)
+    res = solve_system(system_cached("star3_eikonal", 11))
+    assert res.converged
+    assert res.message == ("newton hit a singular linearization (non-finite "
+                           "Newton direction); fell back to sweeps")
+
+
+def test_star3_linear_1281_stall_stops_with_diagnosis():
+    """At n = 1281 the round-off floor of the second difference lies above
+    the 1e-10 threshold: the default solve cannot converge, so it must stop
+    at the sweep cap quickly and say so."""
+    res = solve_problem(entry_by_name("star3_linear").problem, 1281)
+    assert not res.converged
+    threshold = solver._threshold(SolveConfig().tol, res.u.values)
+    assert res.residual_norm > threshold
+    assert res.message.endswith(
+        f"; fell back to sweeps, which reached max_sweeps=2000 at residual "
+        f"{res.residual_norm:.3g} > threshold {threshold:.3g}")
 
 
 def test_junction_modes_agree_at_solution(catalog):
