@@ -3,7 +3,8 @@
 
 For each entry, solve on a ladder of grids and report sup errors against
 the best available reference (exact profile, direct linear solve, or a
-4x-refined run of the same scheme) together with observed orders.
+4x-refined run of the same scheme) together with observed orders.  Exits 1
+when a run or a fine-grid reference did not converge, and marks its row.
 
 Usage:
     python3 scripts/convergence_study.py
@@ -14,33 +15,14 @@ Usage:
 import argparse
 import csv
 import sys
-import time
 
 from knet.catalog import all_entries, entry_by_name
-from knet.oracle import observed_orders, reference_for, sup_error
-from knet.solver import SolveConfig, solve_problem
+from knet.oracle import convergence_table
 
 
 def study(entry, resolutions):
-    config = SolveConfig()
-    rows, solutions = [], []
-    for n in resolutions:
-        t0 = time.perf_counter()
-        res = solve_problem(entry.problem, n, config=config)
-        wall = time.perf_counter() - t0
-        ref = reference_for(entry.problem, n, entry.exact)
-        rows.append({
-            "entry": entry.name, "nodes": n, "h": res.u.grid.h,
-            "error": sup_error(res.u, ref.u), "order": None,
-            "reference": ref.method, "converged": res.converged,
-            "iterations": res.iterations, "wall_time": wall,
-        })
-        solutions.append(res.u.values)
-    orders = observed_orders([r["h"] for r in rows], [r["error"] for r in rows],
-                             solutions, config.tol)
-    for row, order in zip(rows, orders):
-        row["order"] = order
-    return rows
+    return [{"entry": entry.name, **row}
+            for row in convergence_table(entry.problem, resolutions, entry.exact)]
 
 
 def main(argv=None):
@@ -68,7 +50,8 @@ def main(argv=None):
             print(f"  {r['nodes']:>6} {r['h']:>10.4g} {r['error']:>12.4e} "
                   f"{r['order']:>7.3f} {r['iterations']:>6} "
                   f"{r['wall_time']:>7.2f}s"
-                  + ("" if r["converged"] else "  NOT CONVERGED"))
+                  + ("" if r["converged"] else "  NOT CONVERGED")
+                  + ("" if r["reference_converged"] else "  REFERENCE NOT CONVERGED"))
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -77,7 +60,7 @@ def main(argv=None):
             writer.writerows(all_rows)
         print(f"\nwrote {len(all_rows)} rows to {args.csv}")
 
-    return 0 if all(r["converged"] for r in all_rows) else 1
+    return 0 if all(r["converged"] and r["reference_converged"] for r in all_rows) else 1
 
 
 if __name__ == "__main__":

@@ -23,10 +23,10 @@ import numpy as np
 from . import __version__
 from .analysis import diagnostics_report
 from .catalog import entry_by_name
-from .discretization import Grid, GridFunction, assemble, resolve_scheme
+from .discretization import Grid, GridFunction, assemble, check_scheme
 from .errors import KnetError
 from .network import Network, network_from_json
-from .oracle import observed_orders, reference_for, sup_error
+from .oracle import convergence_table, reference_for
 from .problem import NetworkProblem, problem_from_json, validate_problem
 from .solver import SolveConfig, solve_system, vanishing_viscosity
 
@@ -45,6 +45,10 @@ CSV_SCHEMAS = {
 def _fail(code: int, message: str) -> int:
     print(f"code:{code} {message}", file=sys.stderr)
     return code
+
+
+class _BadInput(Exception):
+    """Malformed input; main() turns it into exit 3."""
 
 
 def _atomic_write(path: str, text: str):
@@ -113,8 +117,7 @@ def problem_from_config(cfg: dict) -> NetworkProblem:
     return problem_from_json(cfg["problem"], network)
 
 
-SOLVER_OPTIONS = ("epsilon", "junction_mode", "boundary_mode", "lf_theta", "tol",
-                  "max_sweeps", "method")
+SOLVER_OPTIONS = ("epsilon", "junction_mode", "tol", "max_sweeps", "method")
 
 
 def merge_flags(cfg: dict, args) -> dict:
@@ -138,21 +141,33 @@ def _solver_config(solver: dict) -> SolveConfig:
     )
 
 
-def _scheme(solver: dict, problem: NetworkProblem, schedule=()) -> dict:
-    """A solver section's scheme options as assemble() keywords, checked
-    against the problem at its epsilon and every epsilon of a schedule;
-    a key outside SOLVER_OPTIONS is rejected."""
+def _scheme(solver: dict) -> dict:
+    """A solver section's scheme options as checked assemble() keywords; a
+    key outside SOLVER_OPTIONS is rejected."""
     unknown = sorted(set(solver) - set(SOLVER_OPTIONS))
     if unknown:
         raise ValueError("unknown solver option " + ", ".join(map(repr, unknown)))
-    theta = solver.get("lf_theta", "auto")
     scheme = {"eps": float(solver.get("epsilon", 0.0)),
-              "junction_mode": solver.get("junction_mode", "kirchhoff"),
-              "boundary_mode": solver.get("boundary_mode", "auto"),
-              "theta": theta if theta == "auto" else float(theta)}
-    for eps in (scheme["eps"], *schedule):
-        resolve_scheme(problem, **dict(scheme, eps=eps))
+              "junction_mode": solver.get("junction_mode", "kirchhoff")}
+    check_scheme(**scheme)
     return scheme
+
+
+INPUT_ERRORS = (OSError, KeyError, ValueError, KnetError, json.JSONDecodeError)
+
+
+def _inputs(args, *parsers):
+    """A subcommand's config, problem, merged options and scheme keywords,
+    followed by parse(args) for each of parsers, all read before anything
+    is computed.  Malformed input raises _BadInput."""
+    try:
+        cfg = load_config(args.config)
+        problem = problem_from_config(cfg)
+        merged = merge_flags(cfg, args)
+        extra = [parse(args) for parse in parsers]
+        return (cfg, problem, merged, _scheme(merged["solver"]), *extra)
+    except INPUT_ERRORS as exc:
+        raise _BadInput(exc) from exc
 
 
 def make_manifest(subcommand: str, cfg: dict, merged: dict, outputs,
@@ -182,13 +197,7 @@ def make_manifest(subcommand: str, cfg: dict, merged: dict, outputs,
 
 
 def cmd_solve(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        problem = problem_from_config(cfg)
-        merged = merge_flags(cfg, args)
-        scheme = _scheme(merged["solver"], problem)
-    except (OSError, KeyError, ValueError, KnetError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
+    cfg, problem, merged, scheme = _inputs(args)
     nodes = int(merged["grid"].get("nodes_per_edge", 41))
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
@@ -225,13 +234,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        problem = problem_from_config(cfg)
-        merged = merge_flags(cfg, args)
-        scheme = _scheme(merged["solver"], problem)
-    except (OSError, KeyError, ValueError, KnetError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
+    cfg, problem, merged, scheme = _inputs(args)
     nodes = int(merged["grid"].get("nodes_per_edge", 41))
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
@@ -260,20 +263,15 @@ def _restrict(fine: GridFunction, coarse: Grid) -> GridFunction:
 
 
 def cmd_sweep_epsilon(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        problem = problem_from_config(cfg)
-        merged = merge_flags(cfg, args)
-        schedule = parse_epsilon_schedule(args.epsilon_schedule)
-        scheme = _scheme(merged["solver"], problem, schedule)
-    except (OSError, KeyError, ValueError, KnetError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
-    del scheme["eps"]  # the schedule sets the viscosity
+    cfg, problem, merged, scheme, schedule = _inputs(
+        args, lambda a: parse_epsilon_schedule(a.epsilon_schedule))
     nodes = int(merged["grid"].get("nodes_per_edge", 41))
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
     try:
-        sweep = vanishing_viscosity(problem, nodes, schedule, **scheme,
+        # the schedule sets the viscosity
+        sweep = vanishing_viscosity(problem, nodes, schedule,
+                                    junction_mode=scheme["junction_mode"],
                                     config=_solver_config(merged["solver"]))
     except KnetError as exc:
         return _fail(EXIT_BAD_INPUT, f"sweep failed: {exc}")
@@ -299,48 +297,33 @@ def cmd_sweep_epsilon(args) -> int:
     return EXIT_OK
 
 
+def _resolutions(args):
+    resolutions = [int(r) for r in args.resolutions.split(",")]
+    if len(resolutions) < 3:
+        raise ValueError("need at least 3 resolutions")
+    return resolutions
+
+
 def cmd_convergence_table(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        problem = problem_from_config(cfg)
-        merged = merge_flags(cfg, args)
-        resolutions = [int(r) for r in args.resolutions.split(",")]
-        if len(resolutions) < 3:
-            raise ValueError("need at least 3 resolutions")
-        scheme = _scheme(merged["solver"], problem)
-    except (OSError, KeyError, ValueError, KnetError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
-    config = _solver_config(merged["solver"])
+    cfg, problem, merged, scheme, resolutions = _inputs(args, _resolutions)
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
     exact = entry_by_name(cfg["catalog"]).exact if "catalog" in cfg else None
-
-    def one(nodes):
-        grid = Grid(problem.network, nodes)
-        system = assemble(problem, grid, **scheme)
-        t0 = time.perf_counter()
-        res = solve_system(system, config)
-        wall = time.perf_counter() - t0
-        ref = reference_for(problem, nodes, exact, **scheme)
-        return (grid.h, sup_error(res.u, ref.u), res.iterations, wall,
-                res.converged, res.u.values, ref.method,
-                ref.meta.get("converged", True))
-
-    (hs, errs, its, walls, convs, solutions, methods,
-     ref_convs) = zip(*map(one, resolutions))
-    orders = observed_orders(hs, errs, solutions, config.tol)
+    rows = convergence_table(problem, resolutions, exact,
+                             _solver_config(merged["solver"]), **scheme)
     buf = io.StringIO()
     buf.write(CSV_SCHEMAS["convergence"] + "\n")
-    for h, err, order, it, wall in zip(hs, errs, orders, its, walls):
-        buf.write(f"{h:.17g},{err:.17g},{order:.6g},{it},{wall:.6g}\n")
+    for r in rows:
+        buf.write(f"{r['h']:.17g},{r['error']:.17g},{r['order']:.6g},"
+                  f"{r['iterations']},{r['wall_time']:.6g}\n")
     table_path = os.path.join(outdir, "convergence.csv")
     _atomic_write(table_path, buf.getvalue())
     man_path = os.path.join(outdir, "manifest.json")
-    # a fine-grid reference is itself a solve; an unconverged one makes its
-    # row's error meaningless, as an unconverged run does
+    convs = [r["converged"] for r in rows]
+    ref_convs = [r["reference_converged"] for r in rows]
     stages = [{"stage": "convergence", "resolutions": resolutions,
-               "references": list(methods),
-               "references_converged": list(ref_convs),
+               "references": [r["reference"] for r in rows],
+               "references_converged": ref_convs,
                "all_converged": all(convs) and all(ref_convs)}]
     _atomic_write(man_path, make_manifest("convergence-table", cfg, merged,
                                           [table_path, man_path], stages,
@@ -359,8 +342,8 @@ def cmd_verify(args) -> int:
         u = read_solution_csv(args.solution, problem.network)
         if not u.is_valid():
             raise ValueError("solution CSV has missing or non-finite values")
-        scheme = _scheme(cfg.get("solver", {}), problem)
-    except (OSError, KeyError, ValueError, KnetError, json.JSONDecodeError) as exc:
+        scheme = _scheme(cfg.get("solver", {}))
+    except INPUT_ERRORS as exc:
         return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
     try:
         system = assemble(problem, u.grid, **scheme)
@@ -385,8 +368,6 @@ def _add_common(p):
     p.add_argument("--nodes-per-edge", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--junction-mode", choices=["kirchhoff", "minmax"], default=None)
-    p.add_argument("--boundary-mode", choices=["auto", "strong", "relaxed"], default=None)
-    p.add_argument("--lf-theta", default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-sweeps", type=int, default=None)
     p.add_argument("--method", choices=["sweep", "newton", "hybrid"], default=None)
@@ -438,7 +419,10 @@ def main(argv=None) -> int:
         if exc.code not in (0, None):
             return EXIT_BAD_INPUT
         raise
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _BadInput as exc:
+        return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
 
 
 if __name__ == "__main__":

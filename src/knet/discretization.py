@@ -2,8 +2,10 @@
 
 Interior nodes carry the Lax-Friedrichs discretization of
 lam*u - (a+eps)*u_xx + H(x, u_x); interior vertices carry the coupling
-F(u_v, inward divided differences); boundary vertices carry either the
-strong Dirichlet equation or the relaxed (state-constraint) form.
+F(u_v, inward divided differences); boundary vertices carry the relaxed
+(state-constraint) form of the Dirichlet condition where a + eps = 0 and H
+is coercive, else the strong equation u_v = g.  The problem fixes the
+Lax-Friedrichs dissipation too: theta on each edge is its H's lipschitz_p.
 
 Every assembled system is certified monotone by finite-difference
 perturbation probes: the residual at a node is nondecreasing in the node's
@@ -201,16 +203,17 @@ class ResidualSystem:
     """Assembled monotone discrete operator; immutable after assembly."""
 
     def __init__(self, problem: NetworkProblem, grid: Grid, eps: float,
-                 junction_mode: str, boundary_modes: dict, thetas: dict):
+                 junction_mode: str):
         self.problem = problem
         self.grid = grid
         self.eps = float(eps)
         self.junction_mode = junction_mode
 
         # one table over the interior edge nodes, entry k = gid - V in the
-        # grid's edge order: neighbour gids, x, a + eps, h, h**2 and theta;
-        # per edge, its slice of the table and its Hamiltonian.  h**2 is
-        # stored so that one-node and whole-table rows divide by the same bits
+        # grid's edge order: neighbour gids, x, a + eps, h, h**2 and theta
+        # (the edge's lipschitz_p); per edge, its slice of the table and its
+        # Hamiltonian.  h**2 is stored so that one-node and whole-table rows
+        # divide by the same bits
         edges = problem.network.edges
         node_ids = [grid.node_ids[e.id] for e in edges]
         xs = [grid.coords[e.id][1:-1] for e in edges]
@@ -223,12 +226,14 @@ class ResidualSystem:
                                   for e, x in zip(edges, xs)]) + self.eps
         self._h = np.repeat(spacings, counts)
         self._hsq = np.repeat([h ** 2 for h in spacings], counts)
-        self._theta = np.repeat([thetas[e.id] for e in edges], counts)
+        self._theta = np.repeat([float(problem.hamiltonians[e.id].lipschitz_p)
+                                 for e in edges], counts)
         ends = np.cumsum([0] + counts).tolist()
         self._hams = [(slice(lo, hi), problem.hamiltonians[e.id])
                       for e, lo, hi in zip(edges, ends, ends[1:])]
         self._node_hams = [ham for s, ham in self._hams for _ in range(s.stop - s.start)]
 
+        boundary_modes = resolve_boundary_modes(problem, self.eps)
         self._vertices = []
         for v in problem.network.vertices:
             incs = problem.network.incidence[v.id]
@@ -247,7 +252,7 @@ class ResidualSystem:
                 degs.append(a_v == 0.0)
                 # second-order ghost correction only where it keeps the
                 # stencil monotone: a + eps must dominate theta*h/2
-                cors.append(a_v > 0.0 and a_v >= 0.5 * thetas[eid] * h_e)
+                cors.append(a_v > 0.0 and a_v >= 0.5 * hams[-1].lipschitz_p * h_e)
             self._vertices.append(_VertexStencil(
                 grid.vertex_gid(v.id), v.kind,
                 np.array(nbr), np.array(hs), np.array(signs), np.array(xv),
@@ -478,58 +483,39 @@ def _distance2_colouring(grid: Grid, indptr: np.ndarray, rows: np.ndarray) -> np
     return colours
 
 
-def resolve_theta(problem: NetworkProblem, theta) -> dict:
-    if theta == "auto" or theta is None:
-        return {e.id: float(problem.hamiltonians[e.id].lipschitz_p)
-                for e in problem.network.edges}
-    if isinstance(theta, dict):
-        return {int(k): float(v) for k, v in theta.items()}
-    return {e.id: float(theta) for e in problem.network.edges}
-
-
-def resolve_boundary_modes(problem: NetworkProblem, mode, eps: float) -> dict:
-    """Mode per boundary vertex; "auto" is "relaxed" where a + eps = 0 and H
-    is coercive.  "relaxed" where a + eps > 0 is rejected: the diffusion
-    keeps the datum there, but the relaxed row, without it, would not."""
+def resolve_boundary_modes(problem: NetworkProblem, eps: float) -> dict:
+    """Row form per boundary vertex: "relaxed" (the Dirichlet datum in the
+    viscosity sense, max(u - g, lam*u + state constraint)) where a + eps = 0
+    and H is coercive, else "strong" (u = g).  Where a + eps > 0 the
+    diffusion keeps the datum, so only the strong row is right there."""
     out = {}
     for v in problem.network.boundary_vertices:
-        m = mode.get(v.id, "auto") if isinstance(mode, dict) else mode
         eid = problem.network.incidence[v.id][0].edge.id
         a = problem.a_at_vertex(v.id, eid) + eps
-        if m == "auto":
-            m = "strong" if a > 0.0 or not problem.hamiltonians[eid].coercive else "relaxed"
-        if m not in ("strong", "relaxed"):
-            raise ValueError(f"unknown boundary mode {m!r}")
-        if m == "relaxed" and a > 0.0:
-            raise ValueError(f"relaxed boundary mode at vertex {v.id}: edge {eid} "
-                             f"has a + eps = {a:g} > 0 there")
-        out[v.id] = m
+        out[v.id] = "strong" if a > 0.0 or not problem.hamiltonians[eid].coercive else "relaxed"
     return out
 
 
-def resolve_scheme(problem: NetworkProblem, eps: float = 0.0,
-                   junction_mode: str = "kirchhoff", boundary_mode="auto",
-                   theta="auto"):
-    """assemble()'s scheme options, checked against the problem, as (theta
-    per edge, mode per boundary vertex); raises ValueError on a bad one."""
+def check_scheme(eps: float = 0.0, junction_mode: str = "kirchhoff") -> None:
+    """Raise ValueError on a scheme option assemble() cannot take."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if junction_mode not in ("kirchhoff", "minmax"):
         raise ValueError(f"unknown junction mode {junction_mode!r}")
-    return resolve_theta(problem, theta), resolve_boundary_modes(problem, boundary_mode, eps)
 
 
 def assemble(problem: NetworkProblem, grid: Grid, eps: float = 0.0,
-             junction_mode: str = "kirchhoff", boundary_mode="auto",
-             theta="auto", probe_samples: int = 3, rng=None) -> ResidualSystem:
+             junction_mode: str = "kirchhoff", probe_samples: int = 3,
+             rng=None) -> ResidualSystem:
     """Build the residual system and certify the monotone-scheme property.
+    The problem fixes theta and the boundary rows (see the module docstring).
 
     Raises MonotonicityProbeFailed with the witness node when certification
     fails; pass probe_samples=0 to skip (used by deliberate counterexample
     tests).
     """
-    thetas, modes = resolve_scheme(problem, eps, junction_mode, boundary_mode, theta)
-    system = ResidualSystem(problem, grid, eps, junction_mode, modes, thetas)
+    check_scheme(eps, junction_mode)
+    system = ResidualSystem(problem, grid, eps, junction_mode)
     if probe_samples > 0:
         witness = system.certify_monotone(n_samples=probe_samples, rng=rng)
         if witness is not None:

@@ -7,12 +7,15 @@ shares no code path with the monotone residual systems, so agreement
 between the two is meaningful evidence.
 
 Nonlinear problems are verified against fine-grid references of the main
-scheme and against observed convergence orders.
+scheme and against observed convergence orders.  convergence_table is the
+one solve, reference, error and order loop behind `knet convergence-table`
+and scripts/convergence_study.py.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,10 +23,10 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
-from .discretization import Grid, GridFunction, resolve_boundary_modes
+from .discretization import Grid, GridFunction, assemble
 from .errors import NonPositiveError, ProblemNotLinear, SingularSystem
-from .network import INTERIOR
 from .problem import NetworkProblem
+from .solver import SolveConfig, solve_problem, solve_system
 
 
 @dataclass
@@ -126,8 +129,6 @@ def direct_linear_solve(problem: NetworkProblem, nodes_per_edge,
 def fine_grid_reference(problem: NetworkProblem, nodes_per_edge,
                         refine: int = 4, **solve_kwargs) -> ReferenceSolution:
     """Reference from the main monotone scheme on a refine-times finer grid."""
-    from .solver import solve_problem
-
     if isinstance(nodes_per_edge, dict):
         fine = {k: (n - 1) * refine + 1 for k, n in nodes_per_edge.items()}
     else:
@@ -139,30 +140,61 @@ def fine_grid_reference(problem: NetworkProblem, nodes_per_edge,
 
 
 def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
-                  eps: float = 0.0, **scheme) -> ReferenceSolution:
+                  eps: float = 0.0, junction_mode: str = "kirchhoff") -> ReferenceSolution:
     """The best available reference for the scheme with viscosity eps and
-    options scheme (junction_mode, boundary_mode, theta): the exact profile
-    exact(edge id, t) when eps = 0, else the direct linear solve, else a
-    4x-refined run of the scheme itself.
+    junction mode junction_mode: the exact profile exact(edge id, t) when
+    eps = 0, else the direct linear solve, else a 4x-refined run of the
+    scheme itself.
 
     The exact profiles and the direct solve are solutions of the Kirchhoff
-    problem with the default ("auto") boundary modes, so any other junction
-    or boundary mode always takes the fine-grid reference."""
-    default_modes = (
-        scheme.get("junction_mode", "kirchhoff") == "kirchhoff"
-        and resolve_boundary_modes(problem, scheme.get("boundary_mode", "auto"), eps)
-        == resolve_boundary_modes(problem, "auto", eps))
-    if default_modes and exact is not None and eps == 0.0:
-        grid = Grid(problem.network, nodes_per_edge)
-        return ReferenceSolution(GridFunction.from_profile(grid, exact),
-                                 "exact", {})
-    if default_modes:
+    problem, so the "minmax" junction always takes the fine-grid reference.
+    Their boundary data hold as the scheme's boundary rows impose them:
+    relaxed where a + eps = 0 and H is coercive (an exact profile that
+    detaches there), strong elsewhere, which is every boundary vertex of a
+    linear problem, since an affine H is not coercive."""
+    if junction_mode == "kirchhoff":
+        if exact is not None and eps == 0.0:
+            grid = Grid(problem.network, nodes_per_edge)
+            return ReferenceSolution(GridFunction.from_profile(grid, exact),
+                                     "exact", {})
         try:
             return direct_linear_solve(problem, nodes_per_edge, eps=eps)
         except ProblemNotLinear:
             pass
     return fine_grid_reference(problem, nodes_per_edge, refine=4,
-                               eps=eps, **scheme)
+                               eps=eps, junction_mode=junction_mode)
+
+
+def convergence_table(problem: NetworkProblem, resolutions, exact=None,
+                      config: Optional[SolveConfig] = None, eps: float = 0.0,
+                      junction_mode: str = "kirchhoff") -> list:
+    """Solve the scheme at each resolution and measure it against
+    reference_for at that resolution.  One dict per resolution: nodes, h,
+    the sup error, observed_orders' order, iterations, the wall time of the
+    solve, whether it converged, the reference's method and whether the
+    reference converged.  A fine-grid reference is itself a solve: one that
+    stopped short of the tolerance makes its row's error meaningless, as an
+    unconverged run does."""
+    config = config or SolveConfig()
+    rows, solutions = [], []
+    for nodes in resolutions:
+        grid = Grid(problem.network, nodes)
+        system = assemble(problem, grid, eps=eps, junction_mode=junction_mode)
+        t0 = time.perf_counter()
+        res = solve_system(system, config)
+        wall = time.perf_counter() - t0
+        ref = reference_for(problem, nodes, exact, eps=eps, junction_mode=junction_mode)
+        rows.append({"nodes": nodes, "h": grid.h, "error": sup_error(res.u, ref.u),
+                     "order": math.nan, "iterations": res.iterations,
+                     "wall_time": wall, "converged": res.converged,
+                     "reference": ref.method,
+                     "reference_converged": ref.meta.get("converged", True)})
+        solutions.append(res.u.values)
+    orders = observed_orders([r["h"] for r in rows], [r["error"] for r in rows],
+                             solutions, config.tol)
+    for row, order in zip(rows, orders):
+        row["order"] = order
+    return rows
 
 
 def sup_error(candidate: GridFunction, reference: GridFunction) -> float:

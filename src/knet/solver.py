@@ -306,15 +306,12 @@ def solve_system(system: ResidualSystem, config: Optional[SolveConfig] = None,
 
 
 def solve_problem(problem: NetworkProblem, nodes_per_edge, eps: float = 0.0,
-                  junction_mode: str = "kirchhoff", boundary_mode="auto",
-                  theta="auto", config: Optional[SolveConfig] = None,
-                  u0: Optional[GridFunction] = None,
-                  probe_samples: int = 3) -> SolveResult:
+                  junction_mode: str = "kirchhoff",
+                  config: Optional[SolveConfig] = None,
+                  u0: Optional[GridFunction] = None) -> SolveResult:
     """Assemble on a fresh grid, certify monotonicity, and solve."""
     grid = Grid(problem.network, nodes_per_edge)
-    system = assemble(problem, grid, eps=eps, junction_mode=junction_mode,
-                      boundary_mode=boundary_mode, theta=theta,
-                      probe_samples=probe_samples)
+    system = assemble(problem, grid, eps=eps, junction_mode=junction_mode)
     return solve_system(system, config, u0)
 
 
@@ -358,8 +355,8 @@ class ViscositySweep:
 
 
 def vanishing_viscosity(problem: NetworkProblem, nodes_per_edge, schedule,
-                        junction_mode: str = "kirchhoff", boundary_mode="auto",
-                        theta="auto", config: Optional[SolveConfig] = None,
+                        junction_mode: str = "kirchhoff",
+                        config: Optional[SolveConfig] = None,
                         deltas=None) -> ViscositySweep:
     """Solve along a decreasing viscosity schedule with warm starts and
     report sup-differences to the zero-viscosity solution, both globally
@@ -370,16 +367,14 @@ def vanishing_viscosity(problem: NetworkProblem, nodes_per_edge, schedule,
         deltas = tuple(f * m for f in (0.05, 0.1, 0.2))
     dist = grid.boundary_distances()
 
-    base_sys = assemble(problem, grid, eps=0.0, junction_mode=junction_mode,
-                        boundary_mode=boundary_mode, theta=theta)
+    base_sys = assemble(problem, grid, eps=0.0, junction_mode=junction_mode)
     base = solve_system(base_sys, config)
 
     steps = []
     warm = base.u
     prev = None
     for eps in sorted(set(float(e) for e in schedule), reverse=True):
-        system = assemble(problem, grid, eps=eps, junction_mode=junction_mode,
-                          boundary_mode=boundary_mode, theta=theta)
+        system = assemble(problem, grid, eps=eps, junction_mode=junction_mode)
         res = solve_system(system, config, warm)
         warm = res.u
         diff = np.abs(res.u.values - base.u.values)

@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, CSV round trips, manifests, and
 deterministic reruns."""
 
+import argparse
 import csv
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from knet.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
+    SOLVER_OPTIONS,
+    _add_common,
     main,
     parse_epsilon_schedule,
     read_solution_csv,
@@ -134,17 +139,22 @@ def test_unknown_catalog_exits_3(tmp_path):
 
 @pytest.mark.parametrize("sub", ["solve", "oracle", "sweep-epsilon",
                                  "convergence-table"])
-def test_bad_scheme_option_exits_3(tmp_path, sub):
+def test_bad_scheme_option_exits_3(tmp_path, capsys, sub):
+    """The problem sets theta and the boundary rows: their former flags are
+    unknown arguments."""
     cfg = _write_config(tmp_path, {"catalog": "star3_eikonal"})
-    assert main([sub, "--config", cfg, "--output-dir", str(tmp_path),
-                 "--lf-theta", "wide"]) == EXIT_BAD_INPUT
+    for flag, value in (("--lf-theta", "1.0"), ("--boundary-mode", "strong")):
+        assert main([sub, "--config", cfg, "--output-dir", str(tmp_path),
+                     flag, value]) == EXIT_BAD_INPUT, flag
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 BAD_SCHEME_SECTIONS = [
-    ("star3_eikonal", {"boundary_mode": "bogus"}, "unknown boundary mode"),
+    ("star3_eikonal", {"boundary_mode": "bogus"}, "unknown solver option 'boundary_mode'"),
     ("star3_eikonal", {"junction_mode": "bogus"}, "unknown junction mode"),
     ("star3_eikonal", {"epsilon": -1}, "eps must be nonnegative"),
-    ("star2_linear", {"boundary_mode": "relaxed"}, "relaxed boundary mode"),
+    ("star2_linear", {"boundary_mode": "relaxed"}, "unknown solver option 'boundary_mode'"),
+    ("star3_eikonal", {"lf_theta": 1.0}, "unknown solver option 'lf_theta'"),
     ("star3_eikonal", {"junction": "minmax", "max_sweep": 3},
      "unknown solver option 'junction', 'max_sweep'"),
 ]
@@ -170,6 +180,20 @@ def test_bad_solver_section_exits_3(tmp_path, capsys, sub):
                 argv += ["--resolutions", "5,9,17"]
         assert main(argv) == EXIT_BAD_INPUT, (sub, solver)
         assert message in capsys.readouterr().err, (sub, solver)
+
+
+def test_readme_lists_the_parser_flags_and_solver_keys():
+    """README's common flags are _add_common's, and its solver keys are
+    SOLVER_OPTIONS."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    flags = re.search(r"Common flags of every subcommand but `verify`:(.*?)\n\n",
+                      readme, re.S).group(1)
+    parser = argparse.ArgumentParser()
+    _add_common(parser)
+    assert set(re.findall(r"`(--[a-z-]+)", flags)) == {
+        s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")}
+    keys = re.search(r"`solver` section accepts the keys (.*?);", readme, re.S).group(1)
+    assert set(re.findall(r"`([a-z_]+)`", keys)) == set(SOLVER_OPTIONS)
 
 
 def test_bad_usage_exits_3(capsys):
@@ -285,24 +309,19 @@ def test_convergence_table_reference_uses_run_epsilon(tmp_path):
 
 
 def test_convergence_table_relaxed_boundary_uses_matching_reference(tmp_path):
-    """On star3_eikonal_loss "auto" resolves to relaxed boundary rows, so
-    strong rows solve another problem than the exact profile: the table must
-    measure them against the scheme's own fine-grid reference.  An explicit
-    relaxed boundary where the diffusion keeps the datum is bad input."""
+    """The degenerate coercive ends of star3_eikonal_loss take relaxed
+    boundary rows, under which the scheme reproduces the exact profile that
+    detaches from the data: the table measures it against that profile."""
     cfg = _write_config(tmp_path, {"catalog": "star3_eikonal_loss"})
     outdir = tmp_path / "out"
     code = main(["convergence-table", "--config", cfg,
                  "--output-dir", str(outdir), "--resolutions", "11,21,41",
-                 "--boundary-mode", "strong", "--deterministic"])
+                 "--deterministic"])
     assert code == EXIT_OK
     rows = list(csv.DictReader((outdir / "convergence.csv").open()))
     assert max(float(r["sup_error"]) for r in rows) <= 1e-8
     manifest = json.loads((outdir / "manifest.json").read_text())
-    assert manifest["stages"][0]["references"] == ["fine-grid"] * 3
-    cfg = _write_config(tmp_path, {"catalog": "star2_linear"})
-    assert main(["convergence-table", "--config", cfg,
-                 "--output-dir", str(outdir), "--resolutions", "11,21,41",
-                 "--boundary-mode", "relaxed"]) == EXIT_BAD_INPUT
+    assert manifest["stages"][0]["references"] == ["exact"] * 3
 
 
 def test_convergence_table_records_reference_per_row(tmp_path):
@@ -330,9 +349,9 @@ def test_convergence_table_counts_unconverged_reference(tmp_path, monkeypatch):
     """A fine-grid reference that stopped short of the tolerance (as the
     n = 1281 reference of star3_linear under minmax does) fails the table:
     exit 1 and all_converged false, with each reference's state listed."""
-    import knet.cli
+    import knet.oracle
 
-    real = knet.cli.reference_for
+    real = knet.oracle.reference_for
 
     def last_unconverged(problem, nodes, *args, **kwargs):
         ref = real(problem, nodes, *args, **kwargs)
@@ -341,7 +360,7 @@ def test_convergence_table_counts_unconverged_reference(tmp_path, monkeypatch):
                                     {"converged": False, "residual_norm": 1.82e-10})
         return ref
 
-    monkeypatch.setattr(knet.cli, "reference_for", last_unconverged)
+    monkeypatch.setattr(knet.oracle, "reference_for", last_unconverged)
     cfg = _write_config(tmp_path, {"catalog": "star2_linear"})
     outdir = tmp_path / "out"
     assert main(["convergence-table", "--config", cfg,

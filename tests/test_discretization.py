@@ -1,5 +1,7 @@
 """Grids, grid functions, and the monotone residual systems."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from knet.discretization import (
     assemble,
     lax_friedrichs,
     resolve_boundary_modes,
-    resolve_theta,
 )
 from knet.errors import MonotonicityProbeFailed, NodeNotInterior
 from knet.network import star_junction
@@ -301,14 +302,18 @@ def _sequential_probe(system, n_samples, step=1e-6, tol=1e-9, scale=2.0):
 
 def test_probe_fails_with_insufficient_dissipation():
     """theta below the p-Lipschitz constant of |p| breaks monotonicity and
-    the assembly probe must catch it with a witness."""
+    the assembly probe must catch it with a witness.  theta is each edge's
+    lipschitz_p, so a Hamiltonian that understates it gets too little."""
     entry = entry_by_name("star3_eikonal")
-    grid = Grid(entry.problem.network, 21)
+    problem = dataclasses.replace(entry.problem, hamiltonians={
+        eid: dataclasses.replace(ham, lipschitz_p=0.5)
+        for eid, ham in entry.problem.hamiltonians.items()})
+    grid = Grid(problem.network, 21)
     with pytest.raises(MonotonicityProbeFailed) as exc:
-        assemble(entry.problem, grid, theta=0.5, probe_samples=10)
+        assemble(problem, grid, probe_samples=10)
     assert exc.value.node == 0
     assert exc.value.direction == "cross"
-    system = assemble(entry.problem, grid, theta=0.5, probe_samples=0)
+    system = assemble(problem, grid, probe_samples=0)
     witness = system.certify_monotone(n_samples=10)
     reference = _sequential_probe(system, n_samples=10)
     assert {k: witness[k] for k in ("sample", "node", "row", "direction")} == {
@@ -385,21 +390,23 @@ def test_node_classification_and_dependents(system_cached):
 def test_resolve_boundary_modes():
     degen = entry_by_name("star3_eikonal").problem
     elliptic = entry_by_name("star2_linear").problem
-    assert set(resolve_boundary_modes(degen, "auto", 0.0).values()) == {"relaxed"}
-    assert set(resolve_boundary_modes(degen, "auto", 0.1).values()) == {"strong"}
-    assert set(resolve_boundary_modes(elliptic, "auto", 0.0).values()) == {"strong"}
-    assert set(resolve_boundary_modes(degen, "strong", 0.0).values()) == {"strong"}
-    with pytest.raises(ValueError):
-        resolve_boundary_modes(degen, "bogus", 0.0)
+    assert set(resolve_boundary_modes(degen, 0.0).values()) == {"relaxed"}
+    assert set(resolve_boundary_modes(degen, 0.1).values()) == {"strong"}
+    assert set(resolve_boundary_modes(elliptic, 0.0).values()) == {"strong"}
 
 
 def test_resolve_theta():
+    """theta on each edge is its Hamiltonian's lipschitz_p, read off the
+    edge rows' own slope lam + 2(a + eps)/h^2 + theta/h."""
     problem = entry_by_name("star3_mixed").problem
-    auto = resolve_theta(problem, "auto")
-    assert auto[0] == pytest.approx(1.0)  # eikonal edge
-    assert auto[1] == pytest.approx(0.0)  # drift-free linear edge
-    assert resolve_theta(problem, 2.0)[2] == pytest.approx(2.0)
-    assert resolve_theta(problem, {0: 1.5, 1: 0.0, 2: 0.0})[0] == pytest.approx(1.5)
+    grid = Grid(problem.network, 11)
+    system = assemble(problem, grid)
+    # edge id -> (a, theta): the eikonal edge, then two drift-free linear ones
+    for eid, (a, theta) in {0: (0.0, 1.0), 1: (1.0, 0.0), 2: (0.5, 0.0)}.items():
+        h = grid.spacing[eid]
+        np.testing.assert_allclose(system.own_coeff[grid.node_ids[eid][1:-1]],
+                                   problem.lam + 2.0 * a / h ** 2 + theta / h,
+                                   rtol=1e-12)
 
 
 def test_assemble_rejects_bad_arguments():

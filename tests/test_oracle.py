@@ -118,27 +118,18 @@ def test_self_convergence_order(catalog):
 
 
 def test_reference_for_matches_scheme_modes(catalog):
-    """The exact profile and the direct solve are Kirchhoff, default
-    boundary mode references; other modes take the fine-grid reference."""
+    """The exact profile and the direct solve are Kirchhoff references; the
+    minmax junction takes the fine-grid reference."""
     linear = catalog["star2_linear"]
     assert reference_for(linear.problem, 11, linear.exact).method == "exact"
     assert reference_for(linear.problem, 11).method == "direct-linear"
-    # "strong" is what "auto" resolves to on these elliptic ends
-    assert reference_for(linear.problem, 11, linear.exact,
-                         boundary_mode="strong").method == "exact"
     assert reference_for(linear.problem, 11, linear.exact,
                          junction_mode="minmax").method == "fine-grid"
     assert reference_for(linear.problem, 11, junction_mode="minmax").method == "fine-grid"
-    # "auto" resolves to relaxed on the degenerate coercive ends of
-    # star3_eikonal_loss, so strong rows need the fine-grid reference
+    # the boundary rows are relaxed on the degenerate coercive ends of
+    # star3_eikonal_loss, as its exact profile is
     loss = catalog["star3_eikonal_loss"]
     assert reference_for(loss.problem, 11, loss.exact).method == "exact"
-    assert reference_for(loss.problem, 11, loss.exact,
-                         boundary_mode="strong").method == "fine-grid"
-    # diffusion keeps the datum at the ends of star2_linear: relaxed rows
-    # there would drop it, so the mode is rejected
-    with pytest.raises(ValueError, match="relaxed boundary mode"):
-        reference_for(linear.problem, 11, linear.exact, boundary_mode="relaxed")
 
 
 def test_observed_orders_floor():

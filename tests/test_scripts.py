@@ -4,6 +4,8 @@ import csv
 import importlib.util
 from pathlib import Path
 
+from knet.oracle import ReferenceSolution
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -29,6 +31,32 @@ def test_convergence_study_reports_reference_kind(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "star3_constant  (exact reference)" in printed
     assert "star3_linear  (direct-linear reference)" in printed
+
+
+def test_convergence_study_counts_unconverged_reference(tmp_path, capsys, monkeypatch):
+    """A fine-grid reference that stopped short of the tolerance fails the
+    study, as it fails knet convergence-table: exit 1 and a marked row."""
+    import knet.oracle
+
+    real = knet.oracle.reference_for
+
+    def last_unconverged(problem, nodes, *args, **kwargs):
+        ref = real(problem, nodes, *args, **kwargs)
+        if nodes == 17:
+            ref = ReferenceSolution(ref.u, "fine-grid",
+                                    {"converged": False, "residual_norm": 1.82e-10})
+        return ref
+
+    monkeypatch.setattr(knet.oracle, "reference_for", last_unconverged)
+    study = _load("convergence_study")
+    out = tmp_path / "rows.csv"
+    assert study.main(["--entries", "star3_mixed", "--resolutions", "5,9,17",
+                       "--csv", str(out)]) == 1
+    rows = list(csv.DictReader(out.open()))
+    assert [r["reference_converged"] for r in rows] == ["True", "True", "False"]
+    assert all(r["converged"] == "True" for r in rows)
+    lines = capsys.readouterr().out.splitlines()
+    assert sum("REFERENCE NOT CONVERGED" in line for line in lines) == 1
 
 
 def test_viscosity_sweep_demo_runs(capsys):
