@@ -186,17 +186,22 @@ def star3_mixed() -> CatalogEntry:
     return CatalogEntry("star3_mixed", problem, degenerate=True)
 
 
+# each function is named after the entry it returns
+_ENTRIES = {make.__name__: make for make in (
+    star3_constant, graph5_constant, star3_eikonal, star3_eikonal_loss,
+    star3_loss_elliptic, star2_linear, star3_linear, star3_mixed)}
+
+
 def all_entries():
-    return [star3_constant(), graph5_constant(), star3_eikonal(),
-            star3_eikonal_loss(), star3_loss_elliptic(), star2_linear(),
-            star3_linear(), star3_mixed()]
+    return [make() for make in _ENTRIES.values()]
 
 
 def entry_by_name(name: str) -> CatalogEntry:
-    for e in all_entries():
-        if e.name == name:
-            return e
-    raise KeyError(f"no catalog entry named {name!r}")
+    """Build the one entry called name."""
+    make = _ENTRIES.get(name) if isinstance(name, str) else None
+    if make is None:
+        raise KeyError(f"no catalog entry named {name!r}")
+    return make()
 
 
 def random_problem(rng: np.random.Generator) -> NetworkProblem:

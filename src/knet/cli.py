@@ -153,19 +153,24 @@ def _scheme(solver: dict) -> dict:
     return scheme
 
 
-INPUT_ERRORS = (OSError, KeyError, ValueError, KnetError, json.JSONDecodeError)
+INPUT_ERRORS = (OSError, KeyError, TypeError, ValueError, KnetError,
+                json.JSONDecodeError)
 
 
 def _inputs(args, *parsers):
-    """A subcommand's config, problem, merged options and scheme keywords,
-    followed by parse(args) for each of parsers, all read before anything
-    is computed.  Malformed input raises _BadInput."""
+    """A subcommand's config, problem, merged options, scheme keywords,
+    SolveConfig and nodes per edge, followed by parse(args) for each of
+    parsers, all read and converted before anything is computed.  Malformed
+    input raises _BadInput."""
     try:
         cfg = load_config(args.config)
         problem = problem_from_config(cfg)
         merged = merge_flags(cfg, args)
+        scheme = _scheme(merged["solver"])
+        config = _solver_config(merged["solver"])
+        nodes = int(merged["grid"].get("nodes_per_edge", 41))
         extra = [parse(args) for parse in parsers]
-        return (cfg, problem, merged, _scheme(merged["solver"]), *extra)
+        return (cfg, problem, merged, scheme, config, nodes, *extra)
     except INPUT_ERRORS as exc:
         raise _BadInput(exc) from exc
 
@@ -197,8 +202,7 @@ def make_manifest(subcommand: str, cfg: dict, merged: dict, outputs,
 
 
 def cmd_solve(args) -> int:
-    cfg, problem, merged, scheme = _inputs(args)
-    nodes = int(merged["grid"].get("nodes_per_edge", 41))
+    cfg, problem, merged, scheme, config, nodes = _inputs(args)
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
     stages = []
@@ -213,7 +217,7 @@ def cmd_solve(args) -> int:
     except KnetError as exc:
         return _fail(EXIT_BAD_INPUT, f"assembly failed: {exc}")
     t0 = time.perf_counter()
-    result = solve_system(system, _solver_config(merged["solver"]))
+    result = solve_system(system, config)
     stages.append({"stage": "solve", "converged": result.converged,
                    "residual_norm": result.residual_norm,
                    "iterations": result.iterations, "method": result.method,
@@ -234,8 +238,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg, problem, merged, scheme = _inputs(args)
-    nodes = int(merged["grid"].get("nodes_per_edge", 41))
+    cfg, problem, merged, scheme, _, nodes = _inputs(args)
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
     try:
@@ -263,16 +266,15 @@ def _restrict(fine: GridFunction, coarse: Grid) -> GridFunction:
 
 
 def cmd_sweep_epsilon(args) -> int:
-    cfg, problem, merged, scheme, schedule = _inputs(
+    cfg, problem, merged, scheme, config, nodes, schedule = _inputs(
         args, lambda a: parse_epsilon_schedule(a.epsilon_schedule))
-    nodes = int(merged["grid"].get("nodes_per_edge", 41))
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
     try:
         # the schedule sets the viscosity
         sweep = vanishing_viscosity(problem, nodes, schedule,
                                     junction_mode=scheme["junction_mode"],
-                                    config=_solver_config(merged["solver"]))
+                                    config=config)
     except KnetError as exc:
         return _fail(EXIT_BAD_INPUT, f"sweep failed: {exc}")
 
@@ -305,12 +307,11 @@ def _resolutions(args):
 
 
 def cmd_convergence_table(args) -> int:
-    cfg, problem, merged, scheme, resolutions = _inputs(args, _resolutions)
+    cfg, problem, merged, scheme, config, _, resolutions = _inputs(args, _resolutions)
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
     exact = entry_by_name(cfg["catalog"]).exact if "catalog" in cfg else None
-    rows = convergence_table(problem, resolutions, exact,
-                             _solver_config(merged["solver"]), **scheme)
+    rows = convergence_table(problem, resolutions, exact, config, **scheme)
     buf = io.StringIO()
     buf.write(CSV_SCHEMAS["convergence"] + "\n")
     for r in rows:

@@ -12,12 +12,15 @@ perturbation probes: the residual at a node is nondecreasing in the node's
 own value and nonincreasing in every other node's value.
 
 Each residual row depends only on its node and the node's graph neighbours
-on the grid.  Assembly therefore builds one distance-2 colouring of that
-dependency pattern: no row depends on two nodes of the same colour.  So
-perturbing every node of one colour at once still changes each row through
-exactly one input, and a handful of vectorized residual() calls recover a
-whole finite-difference Jacobian (Curtis, Powell & Reid 1974) or a whole
-monotonicity probe.
+on the grid, so the dependency pattern and its distance-2 colouring (no row
+depends on two nodes of the same colour) depend on the grid alone.  The
+Grid builds them once, on first use, as Grid.pattern, and every system
+assembled on it, such as each step of a viscosity schedule, shares that
+copy.  Perturbing every node of one colour at once still changes each row
+through exactly one input, so a handful of vectorized residual() calls
+recover a whole finite-difference Jacobian (Curtis, Powell & Reid 1974),
+which Grid.pattern's csc_order puts straight into compressed columns, or a
+whole monotonicity probe.
 
 The interior edge nodes, which the grid numbers V..N-1 edge after edge,
 share one flat table: left and right neighbour gids, x, a + eps, h, h^2
@@ -37,7 +40,8 @@ exact Newton step at once, and the sweeps run Python only at vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import cached_property
+from typing import Union
 
 import numpy as np
 
@@ -132,6 +136,34 @@ class Grid:
         """Linear interpolation of a node vector along one edge."""
         return np.interp(np.asarray(t, dtype=float), self.coords[eid],
                          values[self.node_ids[eid]])
+
+    @cached_property
+    def pattern(self) -> "DependencyPattern":
+        """The residual's dependency pattern and its distance-2 colouring,
+        built on first use and shared by every system on this grid."""
+        indptr, rows, cols = _dependency_pattern(self)
+        colours = _distance2_colouring(self, indptr, rows)
+        entry_colours = colours[cols]
+        groups = [(np.flatnonzero(colours == c), np.flatnonzero(entry_colours == c))
+                  for c in range(int(colours.max()) + 1)]
+        return DependencyPattern(indptr, rows, cols, colours, groups,
+                                 np.lexsort((rows, cols)))
+
+
+@dataclass(frozen=True)
+class DependencyPattern:
+    """Row rows[k] depends on u[cols[k]]; entries in column order, column j
+    at indptr[j]:indptr[j+1], listing j first, then its neighbours in
+    increasing order.  colour_groups[c] holds the nodes of colour c and the
+    entries of their columns; csc_order sorts the entries by column, then
+    row, the canonical order of compressed sparse columns."""
+
+    indptr: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    colours: np.ndarray
+    colour_groups: list
+    csc_order: np.ndarray
 
 
 class GridFunction:
@@ -276,16 +308,7 @@ class ResidualSystem:
         pos = np.concatenate([np.arange(c) for c in counts])
         self._sweep_classes = [np.flatnonzero(pos % 2 == p) for p in (0, 1)]
 
-        # dependency pattern in column order: pattern_rows[k] depends on
-        # u[pattern_cols[k]]; colour_groups[c] holds the nodes of colour c
-        # and the pattern entries of their columns
-        self._indptr, self.pattern_rows, self.pattern_cols = _dependency_pattern(grid)
-        self.colours = _distance2_colouring(grid, self._indptr, self.pattern_rows)
-        entry_colours = self.colours[self.pattern_cols]
-        self.colour_groups = [
-            (np.flatnonzero(self.colours == c), np.flatnonzero(entry_colours == c))
-            for c in range(int(self.colours.max()) + 1)
-        ]
+        self.pattern = grid.pattern
 
     # -- residual evaluation ------------------------------------------------
 
@@ -317,6 +340,8 @@ class ResidualSystem:
     def _vertex_residual(self, st: _VertexStencil, u: np.ndarray) -> float:
         lam = self.problem.lam
         uv = float(u[st.gid])
+        if st.kind != INTERIOR and st.boundary_mode == "strong":
+            return uv - st.h_dirichlet
         d = self.inward_slopes(st, u)
         if st.kind == INTERIOR:
             res = st.coupling(uv, d)
@@ -324,8 +349,6 @@ class ResidualSystem:
                 for i in np.nonzero(st.degenerate)[0]:
                     res = max(res, lam * uv + self._state_constraint_value(st, int(i), float(d[i])))
             return float(res)
-        if st.boundary_mode == "strong":
-            return uv - st.h_dirichlet
         eq = lam * uv + self._state_constraint_value(st, 0, float(d[0]))
         return float(max(uv - st.h_dirichlet, eq))
 
@@ -387,11 +410,13 @@ class ResidualSystem:
     # -- structure ----------------------------------------------------------
 
     def neighbors(self, gid: int):
-        return tuple(self.pattern_rows[self._indptr[gid] + 1:self._indptr[gid + 1]].tolist())
+        p = self.pattern
+        return tuple(p.rows[p.indptr[gid] + 1:p.indptr[gid + 1]].tolist())
 
     def dependents(self, gid: int):
         """Nodes whose residual depends on u[gid] (incl. gid itself)."""
-        return tuple(self.pattern_rows[self._indptr[gid]:self._indptr[gid + 1]].tolist())
+        p = self.pattern
+        return tuple(p.rows[p.indptr[gid]:p.indptr[gid + 1]].tolist())
 
     def node_classification(self, gid: int) -> str:
         if gid >= len(self._vertices):
@@ -412,13 +437,13 @@ class ResidualSystem:
         the order of dependents(node).
         """
         rng = np.random.default_rng(0) if rng is None else rng
-        rows, cols = self.pattern_rows, self.pattern_cols
+        rows, cols = self.pattern.rows, self.pattern.cols
         own = rows == cols
         delta = np.empty(len(rows))
         for s in range(n_samples):
             u = rng.uniform(-scale, scale, size=self.grid.total_nodes)
             r0 = self.residual(u)
-            for nodes, entries in self.colour_groups:
+            for nodes, entries in self.pattern.colour_groups:
                 up = u.copy()
                 up[nodes] += step
                 delta[entries] = (self.residual(up) - r0)[rows[entries]]

@@ -127,20 +127,26 @@ def direct_linear_solve(problem: NetworkProblem, nodes_per_edge,
 
 
 def fine_grid_reference(problem: NetworkProblem, nodes_per_edge,
-                        refine: int = 4, **solve_kwargs) -> ReferenceSolution:
-    """Reference from the main monotone scheme on a refine-times finer grid."""
+                        refine: int = 4, solved=None,
+                        **solve_kwargs) -> ReferenceSolution:
+    """Reference from the main monotone scheme on a refine-times finer grid.
+    solved maps node counts to results of solve_problem(problem, count,
+    **solve_kwargs) already at hand; the fine grid's, if there, is reused."""
     if isinstance(nodes_per_edge, dict):
         fine = {k: (n - 1) * refine + 1 for k, n in nodes_per_edge.items()}
     else:
         fine = (int(nodes_per_edge) - 1) * refine + 1
-    res = solve_problem(problem, fine, **solve_kwargs)
+    res = solved.get(fine) if solved and isinstance(fine, int) else None
+    if res is None:
+        res = solve_problem(problem, fine, **solve_kwargs)
     return ReferenceSolution(res.u, "fine-grid",
                              {"refine": refine, "converged": res.converged,
                               "residual_norm": res.residual_norm})
 
 
 def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
-                  eps: float = 0.0, junction_mode: str = "kirchhoff") -> ReferenceSolution:
+                  eps: float = 0.0, junction_mode: str = "kirchhoff",
+                  solved=None) -> ReferenceSolution:
     """The best available reference for the scheme with viscosity eps and
     junction mode junction_mode: the exact profile exact(edge id, t) when
     eps = 0, else the direct linear solve, else a 4x-refined run of the
@@ -151,7 +157,9 @@ def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
     Their boundary data hold as the scheme's boundary rows impose them:
     relaxed where a + eps = 0 and H is coercive (an exact profile that
     detaches there), strong elsewhere, which is every boundary vertex of a
-    linear problem, since an affine H is not coercive."""
+    linear problem, since an affine H is not coercive.  solved passes on
+    to fine_grid_reference: default-config solves of this scheme by node
+    count."""
     if junction_mode == "kirchhoff":
         if exact is not None and eps == 0.0:
             grid = Grid(problem.network, nodes_per_edge)
@@ -161,7 +169,7 @@ def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
             return direct_linear_solve(problem, nodes_per_edge, eps=eps)
         except ProblemNotLinear:
             pass
-    return fine_grid_reference(problem, nodes_per_edge, refine=4,
+    return fine_grid_reference(problem, nodes_per_edge, refine=4, solved=solved,
                                eps=eps, junction_mode=junction_mode)
 
 
@@ -174,17 +182,23 @@ def convergence_table(problem: NetworkProblem, resolutions, exact=None,
     solve, whether it converged, the reference's method and whether the
     reference converged.  A fine-grid reference is itself a solve: one that
     stopped short of the tolerance makes its row's error meaningless, as an
-    unconverged run does."""
+    unconverged run does.  A fine-grid reference on the grid of another
+    resolution is that resolution's solve when config is the default, the
+    one fine_grid_reference would make."""
     config = config or SolveConfig()
-    rows, solutions = [], []
+    runs = []
     for nodes in resolutions:
-        grid = Grid(problem.network, nodes)
-        system = assemble(problem, grid, eps=eps, junction_mode=junction_mode)
+        system = assemble(problem, Grid(problem.network, nodes), eps=eps,
+                          junction_mode=junction_mode)
         t0 = time.perf_counter()
         res = solve_system(system, config)
-        wall = time.perf_counter() - t0
-        ref = reference_for(problem, nodes, exact, eps=eps, junction_mode=junction_mode)
-        rows.append({"nodes": nodes, "h": grid.h, "error": sup_error(res.u, ref.u),
+        runs.append((nodes, res, time.perf_counter() - t0))
+    solved = {nodes: res for nodes, res, _ in runs} if config == SolveConfig() else None
+    rows, solutions = [], []
+    for nodes, res, wall in runs:
+        ref = reference_for(problem, nodes, exact, eps=eps, junction_mode=junction_mode,
+                            solved=solved)
+        rows.append({"nodes": nodes, "h": res.u.grid.h, "error": sup_error(res.u, ref.u),
                      "order": math.nan, "iterations": res.iterations,
                      "wall_time": wall, "converged": res.converged,
                      "reference": ref.method,

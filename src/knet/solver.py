@@ -7,8 +7,14 @@ its own value with slope own_coeff, for every other node along each edge at
 once), a damped semismooth Newton iteration with a finite-difference sparse
 Jacobian, and a hybrid that warms up with sweeps before switching to Newton
 and falls back to sweeps when Newton stalls, saying why.  The Jacobian is
-built from the system's distance-2 colouring: two vectorized residual()
-calls per colour give every column at once.
+built from the grid's distance-2 colouring: two vectorized residual()
+calls per colour give every column at once, written straight into
+compressed sparse columns.
+
+The vanishing-viscosity continuation is a predictor-corrector: each eps
+step starts Newton from the previous step's solution and runs the hybrid
+only when that corrector fails.  The steps share their grid, and with it
+the dependency pattern and colouring, built once.
 
 Barriers are network-wide super- and subsolutions of the discrete scheme,
 found by doubling the two constants of a tent-shaped profile until the
@@ -17,12 +23,12 @@ residual signs certify them directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.sparse import coo_matrix
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spsolve
 
 from .discretization import Grid, GridFunction, ResidualSystem, assemble
@@ -206,19 +212,25 @@ def _fd_jacobian(system: ResidualSystem, u: np.ndarray, step: float):
     turns |p| into a sum of both neighbors), while the central quotient
     picks the midpoint slope and keeps the linearization monotone.
     """
-    rows, cols = system.pattern_rows, system.pattern_cols
+    pattern = system.pattern
+    rows, cols = pattern.rows, pattern.cols
     hi, lo = u + step, u - step
     taken = hi - lo
     vals = np.empty(len(rows))
-    for nodes, entries in system.colour_groups:
+    for nodes, entries in pattern.colour_groups:
         plus, minus = u.copy(), u.copy()
         plus[nodes] = hi[nodes]
         minus[nodes] = lo[nodes]
         diff = system.residual(plus) - system.residual(minus)
         vals[entries] = diff[rows[entries]] / taken[cols[entries]]
+    # csc_order keeps every column's entries together, so the column
+    # pointers of the nonzeros are the kept counts at pattern.indptr
+    vals = vals[pattern.csc_order]
     keep = vals != 0.0
+    kept = np.concatenate([[0], np.cumsum(keep)])
     n = system.grid.total_nodes
-    return coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsc()
+    return csc_matrix((vals[keep], rows[pattern.csc_order][keep], kept[pattern.indptr]),
+                      shape=(n, n))
 
 
 def newton_solve(system: ResidualSystem, config: SolveConfig,
@@ -280,7 +292,6 @@ def solve_system(system: ResidualSystem, config: Optional[SolveConfig] = None,
     if config.method != "hybrid":
         raise ValueError(f"unknown method {config.method!r}")
 
-    from dataclasses import replace
     warm = replace(config, max_sweeps=WARMUP_SWEEPS)
     res = sweep_solve(system, warm, u0)
     if res.converged:
@@ -354,13 +365,45 @@ class ViscositySweep:
         return rows
 
 
+def continuation_step(system: ResidualSystem, config: SolveConfig,
+                      warm: GridFunction) -> SolveResult:
+    """One step of a continuation in eps, as predictor-corrector (Allgower
+    & Georg, Numerical Continuation Methods, 1990): the previous step's
+    solution predicts this one, and Newton corrects it.  Sweeping first, as
+    the hybrid does, buys nothing this close to the solution.  Only when the
+    corrector does not converge or hits a singular linearization does the
+    full hybrid run, from the same prediction.  The message says which path
+    ran and why.  A "sweep" or "newton" config is solved as configured.
+
+    The rule lives here, not in solve_system: from a constant start, as
+    multistart_solve's, Newton first is slower than the hybrid."""
+    if config.method != "hybrid":
+        return solve_system(system, config, warm)
+    try:
+        res = newton_solve(system, config, warm)
+        cause = res.message
+    except SingularLinearization as exc:
+        res, cause = None, f"hit a singular linearization ({exc})"
+    if res is not None and res.converged:
+        return replace(res, method="hybrid",
+                       message="newton corrector from the previous step")
+    hybrid = solve_system(system, config, warm)
+    message = f"newton corrector {cause}; ran the hybrid from the previous step"
+    if hybrid.message:
+        message += f": {hybrid.message}"
+    return replace(hybrid, iterations=hybrid.iterations + (res.iterations if res else 0),
+                   message=message)
+
+
 def vanishing_viscosity(problem: NetworkProblem, nodes_per_edge, schedule,
                         junction_mode: str = "kirchhoff",
                         config: Optional[SolveConfig] = None,
                         deltas=None) -> ViscositySweep:
-    """Solve along a decreasing viscosity schedule with warm starts and
-    report sup-differences to the zero-viscosity solution, both globally
-    and away from the boundary."""
+    """Solve along a decreasing viscosity schedule, each step a
+    continuation_step from the one before, and report sup-differences to
+    the zero-viscosity solution, both globally and away from the boundary.
+    The eps = 0 base is a cold solve_system."""
+    config = config or SolveConfig()
     grid = Grid(problem.network, nodes_per_edge)
     if deltas is None:
         m = problem.network.min_edge_length
@@ -375,7 +418,7 @@ def vanishing_viscosity(problem: NetworkProblem, nodes_per_edge, schedule,
     prev = None
     for eps in sorted(set(float(e) for e in schedule), reverse=True):
         system = assemble(problem, grid, eps=eps, junction_mode=junction_mode)
-        res = solve_system(system, config, warm)
+        res = continuation_step(system, config, warm)
         warm = res.u
         diff = np.abs(res.u.values - base.u.values)
         interior, cauchy = {}, {}

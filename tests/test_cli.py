@@ -182,6 +182,28 @@ def test_bad_solver_section_exits_3(tmp_path, capsys, sub):
         assert message in capsys.readouterr().err, (sub, solver)
 
 
+BAD_NUMBERS = [
+    ({"solver": {"tol": "abc"}}, "could not convert string to float: 'abc'"),
+    ({"solver": {"max_sweeps": "many"}}, "invalid literal for int()"),
+    ({"grid": {"nodes_per_edge": "x"}}, "invalid literal for int()"),
+    ({"grid": {"nodes_per_edge": None}}, "int() argument must be"),
+]
+
+
+@pytest.mark.parametrize("sub", ["solve", "oracle", "sweep-epsilon",
+                                 "convergence-table"])
+def test_bad_number_in_config_exits_3(tmp_path, capsys, sub):
+    """tol, max_sweeps and nodes_per_edge are converted on the input path:
+    a value that is not a number exits 3 with the reason, no traceback."""
+    for section, message in BAD_NUMBERS:
+        cfg = _write_config(tmp_path, {"catalog": "star3_eikonal", **section})
+        argv = [sub, "--config", cfg, "--output-dir", str(tmp_path / "out")]
+        if sub == "convergence-table":
+            argv += ["--resolutions", "5,9,17"]
+        assert main(argv) == EXIT_BAD_INPUT, (sub, section)
+        assert message in capsys.readouterr().err, (sub, section)
+
+
 def test_readme_lists_the_parser_flags_and_solver_keys():
     """README's common flags are _add_common's, and its solver keys are
     SOLVER_OPTIONS."""
@@ -272,6 +294,25 @@ def test_sweep_epsilon(tmp_path):
     assert eps == sorted(eps, reverse=True)
     assert all(r["converged"] == "1" for r in rows)
     assert (outdir / "solution_eps0.csv").exists()
+
+
+@pytest.mark.parametrize("name,nodes", [("star3_eikonal", 81), ("star3_mixed", 41)])
+def test_sweep_epsilon_sweeps_only_for_the_base(tmp_path, monkeypatch, name, nodes):
+    """Each viscosity step is a Newton corrector from the step before: the
+    only Gauss-Seidel sweeps are the eps = 0 base solve's warm-up."""
+    calls = []
+    real = solver.sweep_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "sweep_solve", counting)
+    cfg = _write_config(tmp_path, {"catalog": name})
+    code = main(["sweep-epsilon", "--config", cfg, "--output-dir", str(tmp_path / "out"),
+                 "--nodes-per-edge", str(nodes), "--epsilon-schedule", "g:1:0.5:9"])
+    assert code == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_sweep_epsilon_bad_schedule(tmp_path):

@@ -17,6 +17,7 @@ from knet.errors import MonotonicityProbeFailed, NodeNotInterior
 from knet.network import star_junction
 from knet.oracle import richardson_order
 from knet.problem import (
+    Hamiltonian,
     NetworkProblem,
     advection,
     constant_diffusion,
@@ -322,13 +323,18 @@ def test_probe_fails_with_insufficient_dissipation():
 
 
 def _assert_distance2_colouring(system):
-    colours = system.colours
+    pattern = system.pattern
+    colours = pattern.colours
     for row in range(system.grid.total_nodes):
         deps = system.dependents(row)  # by symmetry, the nodes the row reads
         assert len(set(colours[list(deps)].tolist())) == len(deps), row
-    for c, (nodes, entries) in enumerate(system.colour_groups):
+    for c, (nodes, entries) in enumerate(pattern.colour_groups):
         np.testing.assert_array_equal(nodes, np.flatnonzero(colours == c))
-        assert np.all(colours[system.pattern_cols[entries]] == c)
+        assert np.all(colours[pattern.cols[entries]] == c)
+    # csc_order: by column, then strictly increasing rows within a column
+    rows, cols = pattern.rows[pattern.csc_order], pattern.cols[pattern.csc_order]
+    np.testing.assert_array_equal(cols, np.sort(pattern.cols))
+    assert np.all((np.diff(cols) > 0) | (np.diff(rows) > 0))
 
 
 def test_colouring_separates_every_row_catalog():
@@ -416,3 +422,25 @@ def test_assemble_rejects_bad_arguments():
         assemble(entry.problem, grid, eps=-0.1)
     with pytest.raises(ValueError):
         assemble(entry.problem, grid, junction_mode="bogus")
+
+
+def test_strong_boundary_row_evaluates_no_hamiltonian(monkeypatch, system_cached):
+    """A strong boundary row is u - g: it reads no slope, so no H call (the
+    ghost-corrected slope on an elliptic edge would make one)."""
+    system = system_cached("star3_linear", 11)
+    calls = []
+    real = Hamiltonian.__call__
+
+    def counting(self, x, p):
+        calls.append(1)
+        return real(self, x, p)
+
+    monkeypatch.setattr(Hamiltonian, "__call__", counting)
+    u = np.random.default_rng(4).uniform(-1.0, 1.0, system.grid.total_nodes)
+    strong = [v.id for v in system.problem.network.boundary_vertices]
+    for vid in strong:
+        gid = system.grid.vertex_gid(vid)
+        assert system.node_classification(gid) == "boundary-strong"
+        assert system.residual_node(gid, u) == u[gid] - system.problem.dirichlet[vid]
+    assert calls == []
+

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from knet import oracle, solver
 from knet.catalog import entry_by_name
 from knet.discretization import Grid, GridFunction
 from knet.errors import NonPositiveError, ProblemNotLinear
 from knet.network import build_network, star_junction
 from knet.oracle import (
+    convergence_table,
     direct_linear_solve,
     fine_grid_reference,
     observed_orders,
@@ -141,3 +143,25 @@ def test_observed_orders_floor():
     assert math.isnan(observed_orders(hs, [4e-4, 1e-4, 1e-8], ones, 1e-10)[2])
     orders = observed_orders(hs, [4e-4, 2e-8, 1e-6], [np.array([-3.0])] * 3, 1e-10)
     assert math.isnan(orders[0]) and math.isnan(orders[1]) and math.isnan(orders[2])
+
+
+def test_convergence_table_reuses_row_solve_as_reference(monkeypatch):
+    """On 6, 11, 21 the 4x-refined reference of n = 6 is the n = 21 row's
+    own solve (same grid, eps, junction mode and default config): five
+    solves, not six, and the same error as a separate reference solve."""
+    problem = entry_by_name("star3_mixed").problem
+    calls = []
+    real = solver.solve_system
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_system", counting)
+    monkeypatch.setattr(oracle, "solve_system", counting)
+    rows = convergence_table(problem, [6, 11, 21])
+    assert len(calls) == 5
+    monkeypatch.undo()
+    coarse = solver.solve_problem(problem, 6).u
+    assert rows[0]["error"] == sup_error(coarse, fine_grid_reference(problem, 6).u)
+    assert [r["reference"] for r in rows] == ["fine-grid"] * 3

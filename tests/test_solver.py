@@ -13,6 +13,7 @@ from knet.solver import (
     SolveConfig,
     _fd_jacobian,
     build_barriers,
+    continuation_step,
     multistart_solve,
     newton_solve,
     solve_node,
@@ -336,6 +337,54 @@ def test_vanishing_viscosity_structure():
     rows = sweep.table()
     assert len(rows) == len(schedule)
     assert all("eps" in row and "sup_full" in row for row in rows)
+
+
+def test_continuation_step_is_a_newton_corrector(system_cached, solve_cached):
+    system = system_cached("star3_eikonal", 21, eps=0.25)
+    res = continuation_step(system, SolveConfig(), solve_cached("star3_eikonal", 21).u)
+    assert res.converged and res.method == "hybrid"
+    assert res.message == "newton corrector from the previous step"
+
+
+@pytest.mark.parametrize("failure", ["singular", "max_newton"])
+def test_continuation_step_falls_back_to_hybrid(monkeypatch, system_cached,
+                                                solve_cached, failure):
+    """A corrector that fails hands the step to the full hybrid from the
+    same prediction, which converges; the message names the cause."""
+    system = system_cached("star3_eikonal", 21, eps=0.25)
+    warm = solve_cached("star3_eikonal", 21).u
+    if failure == "singular":
+        def singular(*args, **kwargs):
+            raise SingularLinearization("non-finite Newton direction")
+
+        monkeypatch.setattr(solver, "newton_solve", singular)
+        cause = "hit a singular linearization (non-finite Newton direction)"
+    else:
+        monkeypatch.setattr(solver, "MAX_NEWTON", 0)
+        cause = "reached MAX_NEWTON=0 iterations at residual "
+    res = continuation_step(system, SolveConfig(), warm)
+    hybrid = solve_system(system, SolveConfig(), warm)
+    assert res.converged and res.method == "hybrid"
+    assert res.message.startswith("newton corrector " + cause)
+    assert res.message.endswith("; ran the hybrid from the previous step: "
+                                + hybrid.message)
+    assert hybrid.message.startswith("newton " + cause)
+    np.testing.assert_array_equal(res.u.values, hybrid.u.values)
+
+
+def test_viscosity_schedule_colours_its_grid_once(monkeypatch):
+    """The base and every step are assembled on one grid, which builds its
+    dependency pattern and colouring once."""
+    import knet.discretization as disc
+
+    calls = []
+    real = disc._distance2_colouring
+    monkeypatch.setattr(disc, "_distance2_colouring",
+                        lambda *a: calls.append(1) or real(*a))
+    sweep = vanishing_viscosity(entry_by_name("star3_mixed").problem, 11,
+                                [0.5 ** k for k in range(4)])
+    assert all(s.result.converged for s in sweep.steps)
+    assert len(calls) == 1
 
 
 def test_warm_start_reuses_profile(system_cached, solve_cached):
