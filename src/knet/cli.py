@@ -157,6 +157,14 @@ INPUT_ERRORS = (OSError, KeyError, TypeError, ValueError, KnetError,
                 json.JSONDecodeError)
 
 
+def _node_count(value) -> int:
+    """A nodes-per-edge count as an int; a Grid needs at least 3."""
+    n = int(value)
+    if n < 3:
+        raise ValueError(f"need at least 3 nodes per edge, got {n}")
+    return n
+
+
 def _inputs(args, *parsers):
     """A subcommand's config, problem, merged options, scheme keywords,
     SolveConfig and nodes per edge, followed by parse(args) for each of
@@ -168,7 +176,7 @@ def _inputs(args, *parsers):
         merged = merge_flags(cfg, args)
         scheme = _scheme(merged["solver"])
         config = _solver_config(merged["solver"])
-        nodes = int(merged["grid"].get("nodes_per_edge", 41))
+        nodes = _node_count(merged["grid"].get("nodes_per_edge", 41))
         extra = [parse(args) for parse in parsers]
         return (cfg, problem, merged, scheme, config, nodes, *extra)
     except INPUT_ERRORS as exc:
@@ -300,7 +308,7 @@ def cmd_sweep_epsilon(args) -> int:
 
 
 def _resolutions(args):
-    resolutions = [int(r) for r in args.resolutions.split(",")]
+    resolutions = [_node_count(r) for r in args.resolutions.split(",")]
     if len(resolutions) < 3:
         raise ValueError("need at least 3 resolutions")
     return resolutions

@@ -12,15 +12,16 @@ perturbation probes: the residual at a node is nondecreasing in the node's
 own value and nonincreasing in every other node's value.
 
 Each residual row depends only on its node and the node's graph neighbours
-on the grid, so the dependency pattern and its distance-2 colouring (no row
-depends on two nodes of the same colour) depend on the grid alone.  The
-Grid builds them once, on first use, as Grid.pattern, and every system
-assembled on it, such as each step of a viscosity schedule, shares that
-copy.  Perturbing every node of one colour at once still changes each row
-through exactly one input, so a handful of vectorized residual() calls
-recover a whole finite-difference Jacobian (Curtis, Powell & Reid 1974),
-which Grid.pattern's csc_order puts straight into compressed columns, or a
-whole monotonicity probe.
+on the grid, so the dependency pattern, the positions of each row's entries
+in it and its distance-2 colouring (no row depends on two nodes of the same
+colour) depend on the grid alone.  The Grid builds them once, on first use,
+as Grid.pattern, and every system assembled on it, such as each step of a
+viscosity schedule, shares that copy.  The colouring serves the
+monotonicity probe only: perturbing every node of one colour at once still
+changes each row through exactly one input, so a handful of vectorized
+residual() calls probe every entry (Curtis, Powell & Reid 1974).  The
+Jacobian is read off the stencil instead (jacobian_entries), and
+Grid.pattern's csc_order puts it straight into compressed columns.
 
 The interior edge nodes, which the grid numbers V..N-1 edge after edge,
 share one flat table: left and right neighbour gids, x, a + eps, h, h^2
@@ -32,9 +33,11 @@ the nodewise local solves, so both give the same bits.  The flux evaluates
 H at the central slope (u+ - u-)/(2h), which does not contain the node's
 own value, so every edge row is affine in it with slope
 lam + 2(a+eps)/h^2 + theta/h.  Assembly reads that slope, own_coeff, off
-the same row formula in one call.  A row reads only its node and the two
-next to it, so relax_edge_class gives every other node along each edge its
-exact Newton step at once, and the sweeps run Python only at vertices.
+the same row formula in one call, and with H switched off the row's two
+neighbour coefficients; the Jacobian adds H's central quotient to them.
+A row reads only its node and the two next to it, so relax_edge_class
+gives every other node along each edge its exact Newton step at once, and
+the sweeps run Python only at vertices.
 """
 
 from __future__ import annotations
@@ -87,6 +90,9 @@ class Grid:
             self.spacing[e.id] = e.length / (n - 1)
         self.total_nodes = next_id
         self.h = max(self.spacing.values())
+        # the two neighbours of every interior edge node, in gid order
+        self.left_gids = np.concatenate([ids[:-2] for ids in self.node_ids.values()])
+        self.right_gids = np.concatenate([ids[2:] for ids in self.node_ids.values()])
 
     def vertex_gid(self, vid: int) -> int:
         return self.vertex_index[vid]
@@ -146,8 +152,20 @@ class Grid:
         entry_colours = colours[cols]
         groups = [(np.flatnonzero(colours == c), np.flatnonzero(entry_colours == c))
                   for c in range(int(colours.max()) + 1)]
-        return DependencyPattern(indptr, rows, cols, colours, groups,
-                                 np.lexsort((rows, cols)))
+        csc_order = np.lexsort((rows, cols))
+        # position of entry (row r, column c): its key c*n + r is sorted in
+        # csc_order
+        n, nv = self.total_nodes, len(self.network.vertices)
+        keys = (cols * n + rows)[csc_order]
+        edge = np.arange(nv, n)
+        edge_entries = np.stack([csc_order[np.searchsorted(keys, c * n + edge)]
+                                 for c in (edge, self.left_gids, self.right_gids)])
+        at_vertex = np.flatnonzero(rows < nv)
+        at_vertex = at_vertex[np.argsort(rows[at_vertex], kind="stable")]
+        vertex_entries = np.split(at_vertex, np.cumsum(
+            np.bincount(rows[at_vertex], minlength=nv))[:-1])
+        return DependencyPattern(indptr, rows, cols, colours, groups, csc_order,
+                                 edge_entries, vertex_entries)
 
 
 @dataclass(frozen=True)
@@ -156,7 +174,12 @@ class DependencyPattern:
     at indptr[j]:indptr[j+1], listing j first, then its neighbours in
     increasing order.  colour_groups[c] holds the nodes of colour c and the
     entries of their columns; csc_order sorts the entries by column, then
-    row, the canonical order of compressed sparse columns."""
+    row, the canonical order of compressed sparse columns.
+
+    Each row's own entries: edge_entries[:, k] are the positions of the
+    entries (j, j), (j, left) and (j, right) of interior edge node
+    j = V + k, and vertex_entries[v] those of vertex row v, in column order,
+    so its own entry (v, v) first."""
 
     indptr: np.ndarray
     rows: np.ndarray
@@ -164,6 +187,8 @@ class DependencyPattern:
     colours: np.ndarray
     colour_groups: list
     csc_order: np.ndarray
+    edge_entries: np.ndarray
+    vertex_entries: list
 
 
 class GridFunction:
@@ -230,6 +255,11 @@ class _VertexStencil:
     h_dirichlet: float  # boundary: Dirichlet datum, else 0
     boundary_mode: str  # boundary: "strong" or "relaxed", else "strong"
 
+    @property
+    def strong(self) -> bool:
+        """A boundary row u_v - g."""
+        return self.kind != INTERIOR and self.boundary_mode == "strong"
+
 
 class ResidualSystem:
     """Assembled monotone discrete operator; immutable after assembly."""
@@ -247,12 +277,10 @@ class ResidualSystem:
         # Hamiltonian.  h**2 is stored so that one-node and whole-table rows
         # divide by the same bits
         edges = problem.network.edges
-        node_ids = [grid.node_ids[e.id] for e in edges]
         xs = [grid.coords[e.id][1:-1] for e in edges]
         counts = [len(x) for x in xs]
         spacings = [grid.spacing[e.id] for e in edges]
-        self._left = np.concatenate([i[:-2] for i in node_ids])
-        self._right = np.concatenate([i[2:] for i in node_ids])
+        self._left, self._right = grid.left_gids, grid.right_gids
         self._x = np.concatenate(xs)
         self._a = np.concatenate([np.asarray(problem.diffusions[e.id].a(x), dtype=float)
                                   for e, x in zip(edges, xs)]) + self.eps
@@ -296,11 +324,16 @@ class ResidualSystem:
 
         # own_coeff[j]: slope of an edge row, affine in its own value u[j],
         # read off the row formula as row(u[j] = 1) - row(u[j] = 0); 0 at
-        # vertex rows, which are not affine in general
+        # vertex rows, which are not affine in general.  The row is affine in
+        # its neighbours too, but for H at the central slope: with H switched
+        # off, the same formula gives their coefficients
         self.own_coeff = np.zeros(grid.total_nodes)
         self.own_coeff[len(self._vertices):] = (
             self._edge_rows(slice(None), 0.0, 1.0, 0.0, self._table_ham)
             - self._edge_rows(slice(None), 0.0, 0.0, 0.0, self._table_ham))
+        no_ham = lambda x, p: 0.0 * p
+        self._left_coeff = self._edge_rows(slice(None), 1.0, 0.0, 0.0, no_ham)
+        self._right_coeff = self._edge_rows(slice(None), 0.0, 0.0, 1.0, no_ham)
 
         # the two sweep classes: each edge's 1st, 3rd, ... interior node, then
         # its 2nd, 4th, ...; no row reads two nodes of one class.  With an odd
@@ -340,7 +373,7 @@ class ResidualSystem:
     def _vertex_residual(self, st: _VertexStencil, u: np.ndarray) -> float:
         lam = self.problem.lam
         uv = float(u[st.gid])
-        if st.kind != INTERIOR and st.boundary_mode == "strong":
+        if st.strong:
             return uv - st.h_dirichlet
         d = self.inward_slopes(st, u)
         if st.kind == INTERIOR:
@@ -406,6 +439,47 @@ class ResidualSystem:
 
     def residual_norm(self, u) -> float:
         return float(np.max(np.abs(self.residual(u))))
+
+    def jacobian_entries(self, u: np.ndarray, step: float) -> np.ndarray:
+        """Jacobian of residual() at u, in the order of the pattern's entries.
+
+        An edge row is affine in its three inputs but for H at the central
+        slope pc: own_coeff and the two neighbour coefficients plus or minus
+        q/(2h), where q is the central quotient of H between pc +- step/(2h),
+        one table call each.  A vertex row takes central differences over
+        its own inputs, each moved by +-step on a copy of u; a strong
+        boundary row has the exact entry 1.  Every quotient divides by the
+        difference of its perturbed values as represented in floating point,
+        which near the smallest steps differs from the nominal one by about
+        1e-3 relative.
+        """
+        p = self.pattern
+        nv = len(self._vertices)
+        vals = np.zeros(len(p.rows))
+        h, uc = self._h, u[nv:]
+        pc = 0.5 * ((uc - u[self._left]) / h + (u[self._right] - uc) / h)
+        dp = step / (2.0 * h)
+        hi, lo = pc + dp, pc - dp
+        q = (self._table_ham(self._x, hi) - self._table_ham(self._x, lo)) / (hi - lo)
+        dq = q / (2.0 * h)
+        own, left, right = p.edge_entries
+        vals[own] = self.own_coeff[nv:]
+        vals[left] = self._left_coeff - dq
+        vals[right] = self._right_coeff + dq
+        w = u.copy()
+        for st, entries in zip(self._vertices, p.vertex_entries):
+            if st.strong:
+                vals[entries[0]] = 1.0
+                continue
+            for k, j in zip(entries.tolist(), p.cols[entries].tolist()):
+                hi, lo = u[j] + step, u[j] - step
+                w[j] = hi
+                r_hi = self._vertex_residual(st, w)
+                w[j] = lo
+                r_lo = self._vertex_residual(st, w)
+                w[j] = u[j]
+                vals[k] = (r_hi - r_lo) / (hi - lo)
+        return vals
 
     # -- structure ----------------------------------------------------------
 

@@ -4,17 +4,19 @@ Three methods share the same interface: two-colour Gauss-Seidel sweeps
 (each node solved to its unique local root: bracketed root finding at a
 vertex node, one exact Newton step at an edge node, whose row is affine in
 its own value with slope own_coeff, for every other node along each edge at
-once), a damped semismooth Newton iteration with a finite-difference sparse
-Jacobian, and a hybrid that warms up with sweeps before switching to Newton
-and falls back to sweeps when Newton stalls, saying why.  The Jacobian is
-built from the grid's distance-2 colouring: two vectorized residual()
-calls per colour give every column at once, written straight into
-compressed sparse columns.
+once), a damped semismooth Newton iteration with a sparse Jacobian, and a
+hybrid that warms up with sweeps before switching to Newton and falls back
+to sweeps when Newton stalls, saying why.  The Jacobian is read off the
+stencil, with no residual() call: an edge row's coefficients are exact but
+for one central quotient of H in the central slope, from two table calls
+per Jacobian, and only the vertex rows take central differences, over
+their own inputs.  The entries go straight into compressed sparse columns
+at positions the grid computes once.
 
 The vanishing-viscosity continuation is a predictor-corrector: each eps
 step starts Newton from the previous step's solution and runs the hybrid
 only when that corrector fails.  The steps share their grid, and with it
-the dependency pattern and colouring, built once.
+the dependency pattern, built once.
 
 Barriers are network-wide super- and subsolutions of the discrete scheme,
 found by doubling the two constants of a tent-shaped profile until the
@@ -197,15 +199,10 @@ def sweep_solve(system: ResidualSystem, config: SolveConfig,
 
 
 def _fd_jacobian(system: ResidualSystem, u: np.ndarray, step: float):
-    """Central-difference sparse Jacobian, one pair of residual() calls per
-    colour of the system's distance-2 colouring.
-
-    All nodes of one colour are moved by +-step together, on copies of u.
-    No row depends on two nodes of one colour, so each row sees exactly one
-    perturbed input and its quotient is the entry of that input's column.
-    Each quotient divides by the difference of the perturbed values as
-    represented in floating point, which near the smallest steps differs
-    from 2*step by about 1e-3 relative.
+    """Sparse Jacobian of the residual at u, read off the stencil by
+    system.jacobian_entries (exact edge coefficients but for H's central
+    quotient, central differences at vertex rows; no residual() call) and
+    written straight into compressed sparse columns.
 
     Central differencing matters: at kinks of the numerical Hamiltonian a
     one-sided difference is not an element of the generalized Jacobian (it
@@ -213,24 +210,14 @@ def _fd_jacobian(system: ResidualSystem, u: np.ndarray, step: float):
     picks the midpoint slope and keeps the linearization monotone.
     """
     pattern = system.pattern
-    rows, cols = pattern.rows, pattern.cols
-    hi, lo = u + step, u - step
-    taken = hi - lo
-    vals = np.empty(len(rows))
-    for nodes, entries in pattern.colour_groups:
-        plus, minus = u.copy(), u.copy()
-        plus[nodes] = hi[nodes]
-        minus[nodes] = lo[nodes]
-        diff = system.residual(plus) - system.residual(minus)
-        vals[entries] = diff[rows[entries]] / taken[cols[entries]]
     # csc_order keeps every column's entries together, so the column
     # pointers of the nonzeros are the kept counts at pattern.indptr
-    vals = vals[pattern.csc_order]
+    vals = system.jacobian_entries(u, step)[pattern.csc_order]
     keep = vals != 0.0
     kept = np.concatenate([[0], np.cumsum(keep)])
     n = system.grid.total_nodes
-    return csc_matrix((vals[keep], rows[pattern.csc_order][keep], kept[pattern.indptr]),
-                      shape=(n, n))
+    return csc_matrix((vals[keep], pattern.rows[pattern.csc_order][keep],
+                       kept[pattern.indptr]), shape=(n, n))
 
 
 def newton_solve(system: ResidualSystem, config: SolveConfig,
@@ -240,13 +227,13 @@ def newton_solve(system: ResidualSystem, config: SolveConfig,
     norm = float(np.max(np.abs(r)))
     it = 0
     message = ""
+    h = min(system.grid.spacing.values())
     for it in range(1, MAX_NEWTON + 1):
         if norm <= _threshold(config.tol, u):
             it -= 1
             break
         # near kinks the linearization error is O(step/h), so polish with a
         # step small against the residual times the mesh size
-        h = min(system.grid.spacing.values())
         step = float(np.clip(0.1 * h * norm, 1e-13, NEWTON_FD_STEP))
         jac = _fd_jacobian(system, u, step)
         with np.errstate(all="ignore"):
@@ -259,12 +246,12 @@ def newton_solve(system: ResidualSystem, config: SolveConfig,
         t = 1.0
         accepted = False
         for _ in range(40):
-            r_try = system.residual(u + t * du)
+            trial = u + t * du
+            r_try = system.residual(trial)
             n_try = float(np.max(np.abs(r_try)))
-            if (n_try <= _threshold(config.tol, u + t * du)
+            if (n_try <= _threshold(config.tol, trial)
                     or n_try < norm * (1.0 - 1e-4 * t)):
-                u = u + t * du
-                r, norm = r_try, n_try
+                u, r, norm = trial, r_try, n_try
                 accepted = True
                 break
             t *= 0.5

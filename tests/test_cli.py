@@ -204,6 +204,24 @@ def test_bad_number_in_config_exits_3(tmp_path, capsys, sub):
         assert message in capsys.readouterr().err, (sub, section)
 
 
+@pytest.mark.parametrize("sub", ["solve", "oracle", "sweep-epsilon",
+                                 "convergence-table"])
+def test_too_few_nodes_exits_3(tmp_path, capsys, sub):
+    """A node count below 3, from a flag, a config or a resolution list, is
+    rejected on the input path: exit 3 with the reason, no traceback."""
+    plain = _write_config(tmp_path, {"catalog": "star3_eikonal"}, "plain.json")
+    two = _write_config(tmp_path, {"catalog": "star3_eikonal",
+                                   "grid": {"nodes_per_edge": 2}}, "two.json")
+    resolutions = ["--resolutions", "5,9,17"] if sub == "convergence-table" else []
+    cases = [[plain, "--nodes-per-edge", "2", *resolutions], [two, *resolutions]]
+    if sub == "convergence-table":
+        cases.append([plain, "--resolutions", "2,3,5"])
+    for case in cases:
+        argv = [sub, "--config", *case, "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_BAD_INPUT, argv
+        assert "need at least 3 nodes per edge, got 2" in capsys.readouterr().err, argv
+
+
 def test_readme_lists_the_parser_flags_and_solver_keys():
     """README's common flags are _add_common's, and its solver keys are
     SOLVER_OPTIONS."""

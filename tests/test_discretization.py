@@ -355,6 +355,33 @@ def test_colouring_separates_every_row_random_networks():
         _assert_distance2_colouring(assemble(problem, grid, probe_samples=0))
 
 
+def _assert_row_entries(grid):
+    """edge_entries and vertex_entries point at each row's own entries of
+    the pattern, every entry exactly once; a vertex row's own entry first."""
+    pattern = grid.pattern
+    nv = len(grid.network.vertices)
+    for ids in grid.node_ids.values():
+        for i in range(1, len(ids) - 1):
+            k = pattern.edge_entries[:, ids[i] - nv]
+            assert np.all(pattern.rows[k] == ids[i])
+            assert pattern.cols[k].tolist() == [ids[i], ids[i - 1], ids[i + 1]]
+    for v, entries in enumerate(pattern.vertex_entries):
+        assert np.all(pattern.rows[entries] == v) and pattern.cols[entries[0]] == v
+    every = np.concatenate([pattern.edge_entries.ravel(), *pattern.vertex_entries])
+    np.testing.assert_array_equal(np.sort(every), np.arange(len(pattern.rows)))
+
+
+def test_row_entries_catalog_and_random_networks():
+    for entry in all_entries():
+        for n in (3, 4, 13):
+            _assert_row_entries(Grid(entry.problem.network, n))
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        network = random_problem(rng).network
+        _assert_row_entries(Grid(network, {e.id: int(rng.integers(3, 12))
+                                           for e in network.edges}))
+
+
 def test_properness_own_slope(system_cached):
     """The residual is strictly increasing in the node's own value, with
     slope at least lam at interior nodes."""

@@ -250,6 +250,41 @@ def test_jacobian_divides_by_step_taken(system_cached):
     assert np.max(np.abs(tiny - exact)) <= 1e-6 * np.max(np.abs(exact))
 
 
+def test_jacobian_calls_no_residual(monkeypatch):
+    """The Jacobian is read off the stencil: edge rows from two table calls
+    of H, vertex rows from their own residuals, never a whole residual()."""
+    entry = entry_by_name("star3_mixed")
+    system = assemble(entry.problem, Grid(entry.problem.network, 21))
+    calls = []
+    real = system.residual
+    monkeypatch.setattr(system, "residual", lambda u: calls.append(1) or real(u))
+    u = np.random.default_rng(4).uniform(-1.0, 1.0, system.grid.total_nodes)
+    _fd_jacobian(system, u, 1e-7)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["star2_linear", "star3_linear"])
+@pytest.mark.parametrize("nodes", [41, 161])
+def test_jacobian_exact_on_linear_problems(system_cached, name, nodes):
+    """On a linear system the Jacobian is the matrix whose column j is
+    residual(e_j) - residual(0), to round-off in the vertex rows."""
+    system = system_cached(name, nodes)
+    n = system.grid.total_nodes
+    r0 = system.residual(np.zeros(n))
+    exact = np.stack([system.residual(e) - r0 for e in np.eye(n)], axis=1)
+    u = np.random.default_rng(6).uniform(-1.0, 1.0, n)
+    jac = _fd_jacobian(system, u, solver.NEWTON_FD_STEP).toarray()
+    assert np.max(np.abs(jac - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+
+def test_newton_one_step_on_linear_problem(system_cached):
+    """With the exact Jacobian of a linear system, one full Newton step
+    from zero lands within tolerance."""
+    res = newton_solve(system_cached("star3_linear", 161), SolveConfig(method="newton"))
+    assert res.converged
+    assert res.iterations == 1
+
+
 def test_newton_fast_on_linear_problem(system_cached):
     system = system_cached("star3_linear", 41)
     res = newton_solve(system, SolveConfig(method="newton"))
