@@ -25,15 +25,25 @@ def study(entry, resolutions):
             for row in convergence_table(entry.problem, resolutions, entry.exact)]
 
 
+def node_counts(spec):
+    """Comma-separated nodes per edge, each at least 3, none repeated."""
+    counts = [int(r) for r in spec.split(",")]
+    if min(counts) < 3:
+        raise argparse.ArgumentTypeError(f"need at least 3 nodes per edge in {spec!r}")
+    if len(set(counts)) < len(counts):
+        raise argparse.ArgumentTypeError(f"repeated resolution in {spec!r}")
+    return counts
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--entries", default=None,
                     help="comma-separated catalog names (default: all)")
-    ap.add_argument("--resolutions", default="21,41,81,161")
+    ap.add_argument("--resolutions", type=node_counts, default="21,41,81,161")
     ap.add_argument("--csv", default=None, help="also write rows to this CSV")
     args = ap.parse_args(argv)
 
-    resolutions = [int(r) for r in args.resolutions.split(",")]
+    resolutions = args.resolutions
     if args.entries:
         entries = [entry_by_name(n) for n in args.entries.split(",")]
     else:

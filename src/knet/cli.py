@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -254,7 +255,7 @@ def cmd_oracle(args) -> int:
     except KnetError as exc:
         return _fail(EXIT_BAD_INPUT, f"oracle failed: {exc}")
     restricted = (ref.u if ref.method == "direct-linear"
-                  else _restrict(ref.u, Grid(problem.network, nodes)))
+                  else ref.u.on_grid(Grid(problem.network, nodes)))
     sol_path = os.path.join(outdir, "oracle.csv")
     _atomic_write(sol_path, solution_csv_text(restricted))
     man_path = os.path.join(outdir, "manifest.json")
@@ -263,14 +264,6 @@ def cmd_oracle(args) -> int:
                                           [sol_path, man_path], stages,
                                           args.deterministic))
     return EXIT_OK
-
-
-def _restrict(fine: GridFunction, coarse: Grid) -> GridFunction:
-    values = np.empty(coarse.total_nodes)
-    for e in coarse.network.edges:
-        values[coarse.node_ids[e.id]] = fine.grid.interpolate(
-            fine.values, e.id, coarse.coords[e.id])
-    return GridFunction(coarse, values)
 
 
 def cmd_sweep_epsilon(args) -> int:
@@ -308,9 +301,13 @@ def cmd_sweep_epsilon(args) -> int:
 
 
 def _resolutions(args):
+    """The --resolutions node counts, at least 3 of them, none repeated;
+    any order."""
     resolutions = [_node_count(r) for r in args.resolutions.split(",")]
     if len(resolutions) < 3:
         raise ValueError("need at least 3 resolutions")
+    if len(set(resolutions)) < len(resolutions):
+        raise ValueError(f"repeated resolution in {args.resolutions!r}")
     return resolutions
 
 
@@ -419,10 +416,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first main() call and kept for
+    the process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage; remap to the malformed-input code
         if exc.code not in (0, None):

@@ -232,6 +232,17 @@ class GridFunction:
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())
 
+    def on_grid(self, grid: Grid) -> "GridFunction":
+        """These values on another grid of the same network, interpolated
+        linearly along each edge.  Vertex values carry over exactly: every
+        grid puts its vertex nodes at the edge ends 0 and length, where
+        np.interp returns the end value itself."""
+        values = np.empty(grid.total_nodes)
+        for e in grid.network.edges:
+            values[grid.node_ids[e.id]] = self.grid.interpolate(
+                self.values, e.id, grid.coords[e.id])
+        return GridFunction(grid, values)
+
 
 def lax_friedrichs(ham, x, p_minus, p_plus, theta):
     """Monotone numerical Hamiltonian for any theta >= Lip_p(H)."""

@@ -9,7 +9,11 @@ between the two is meaningful evidence.
 Nonlinear problems are verified against fine-grid references of the main
 scheme and against observed convergence orders.  convergence_table is the
 one solve, reference, error and order loop behind `knet convergence-table`
-and scripts/convergence_study.py.
+and scripts/convergence_study.py.  It solves its resolutions and their
+fine-grid references as one coarse-to-fine chain: each grid starts from
+the solution on the grid below it, prolonged by GridFunction.on_grid, and
+solver.continuation_step corrects it.  Every grid is still assembled, and
+so certified monotone, by assemble.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from scipy.sparse.linalg import spsolve
 from .discretization import Grid, GridFunction, assemble
 from .errors import NonPositiveError, ProblemNotLinear, SingularSystem
 from .problem import NetworkProblem
-from .solver import SolveConfig, solve_problem, solve_system
+from .solver import SolveConfig, continuation_step, solve_problem, solve_system
 
 
 @dataclass
@@ -127,18 +131,33 @@ def direct_linear_solve(problem: NetworkProblem, nodes_per_edge,
 
 
 def fine_grid_reference(problem: NetworkProblem, nodes_per_edge,
-                        refine: int = 4, solved=None,
-                        **solve_kwargs) -> ReferenceSolution:
+                        refine: int = 4, solved=None, eps: float = 0.0,
+                        junction_mode: str = "kirchhoff") -> ReferenceSolution:
     """Reference from the main monotone scheme on a refine-times finer grid.
-    solved maps node counts to results of solve_problem(problem, count,
-    **solve_kwargs) already at hand; the fine grid's, if there, is reused."""
+
+    solved maps node counts to default-config solutions of this scheme
+    (eps, junction_mode) already at hand.  The fine grid's own, if there,
+    is the reference.  Else the finest one below the fine count, prolonged
+    onto the fine grid by GridFunction.on_grid, starts a continuation_step
+    there, and the result joins solved, so that the next reference starts
+    from it.  With nothing coarser at hand, the fine grid is solved cold.
+    The discrete solution is unique, so the start changes the cost, not
+    the answer beyond the solver's tolerance."""
     if isinstance(nodes_per_edge, dict):
         fine = {k: (n - 1) * refine + 1 for k, n in nodes_per_edge.items()}
     else:
         fine = (int(nodes_per_edge) - 1) * refine + 1
-    res = solved.get(fine) if solved and isinstance(fine, int) else None
-    if res is None:
-        res = solve_problem(problem, fine, **solve_kwargs)
+    chain = solved is not None and isinstance(fine, int)
+    res = solved.get(fine) if chain else None
+    coarser = [n for n in solved if n < fine] if chain else []
+    if res is None and coarser:
+        system = assemble(problem, Grid(problem.network, fine), eps=eps,
+                          junction_mode=junction_mode)
+        res = continuation_step(system, SolveConfig(),
+                                solved[max(coarser)].u.on_grid(system.grid))
+        solved[fine] = res
+    elif res is None:
+        res = solve_problem(problem, fine, eps=eps, junction_mode=junction_mode)
     return ReferenceSolution(res.u, "fine-grid",
                              {"refine": refine, "converged": res.converged,
                               "residual_norm": res.residual_norm})
@@ -177,35 +196,53 @@ def convergence_table(problem: NetworkProblem, resolutions, exact=None,
                       config: Optional[SolveConfig] = None, eps: float = 0.0,
                       junction_mode: str = "kirchhoff") -> list:
     """Solve the scheme at each resolution and measure it against
-    reference_for at that resolution.  One dict per resolution: nodes, h,
-    the sup error, observed_orders' order, iterations, the wall time of the
-    solve, whether it converged, the reference's method and whether the
-    reference converged.  A fine-grid reference is itself a solve: one that
-    stopped short of the tolerance makes its row's error meaningless, as an
-    unconverged run does.  A fine-grid reference on the grid of another
-    resolution is that resolution's solve when config is the default, the
-    one fine_grid_reference would make."""
+    reference_for at that resolution.  One dict per resolution, in the
+    order given: nodes, h, the sup error, observed_orders' order,
+    iterations, the wall time of the solve, whether it converged, the
+    reference's method and whether the reference converged.  A fine-grid
+    reference is itself a solve: one that stopped short of the tolerance
+    makes its row's error meaningless, as an unconverged run does.
+
+    The resolutions are solved coarse to fine, as nested iteration
+    (Brandt, Math. Comp. 31, 1977): the coarsest cold with solve_system,
+    each finer one by a continuation_step from the previous solution
+    prolonged onto its grid.  From that start Newton's count does not grow
+    with the mesh (Allgower, Bohmer, Potra & Rheinboldt, SIAM J. Numer.
+    Anal. 23, 1986), so iterations and wall time measure that corrector.
+    The references are taken coarse to fine too.  Under the default config
+    a fine-grid reference continues the same chain: the solve at another
+    resolution where the grids coincide, else a continuation_step from the
+    finest solution below it (fine_grid_reference).  Under any other
+    config each reference is solved cold.  A repeated node count raises
+    ValueError: the order between equal h is undefined."""
     config = config or SolveConfig()
-    runs = []
-    for nodes in resolutions:
+    ascending = sorted(resolutions)
+    if len(set(ascending)) < len(ascending):
+        raise ValueError(f"repeated resolution in {list(resolutions)}")
+    runs, warm = {}, None
+    for nodes in ascending:
         system = assemble(problem, Grid(problem.network, nodes), eps=eps,
                           junction_mode=junction_mode)
         t0 = time.perf_counter()
-        res = solve_system(system, config)
-        runs.append((nodes, res, time.perf_counter() - t0))
-    solved = {nodes: res for nodes, res, _ in runs} if config == SolveConfig() else None
-    rows, solutions = [], []
-    for nodes, res, wall in runs:
-        ref = reference_for(problem, nodes, exact, eps=eps, junction_mode=junction_mode,
-                            solved=solved)
+        res = (solve_system(system, config) if warm is None else
+               continuation_step(system, config, warm.on_grid(system.grid)))
+        runs[nodes] = (res, time.perf_counter() - t0)
+        warm = res.u
+    solved = ({nodes: res for nodes, (res, _) in runs.items()}
+              if config == SolveConfig() else None)
+    refs = {nodes: reference_for(problem, nodes, exact, eps=eps,
+                                 junction_mode=junction_mode, solved=solved)
+            for nodes in ascending}
+    rows = []
+    for nodes in resolutions:
+        (res, wall), ref = runs[nodes], refs[nodes]
         rows.append({"nodes": nodes, "h": res.u.grid.h, "error": sup_error(res.u, ref.u),
                      "order": math.nan, "iterations": res.iterations,
                      "wall_time": wall, "converged": res.converged,
                      "reference": ref.method,
                      "reference_converged": ref.meta.get("converged", True)})
-        solutions.append(res.u.values)
     orders = observed_orders([r["h"] for r in rows], [r["error"] for r in rows],
-                             solutions, config.tol)
+                             [runs[r["nodes"]][0].u.values for r in rows], config.tol)
     for row, order in zip(rows, orders):
         row["order"] = order
     return rows
@@ -213,12 +250,8 @@ def convergence_table(problem: NetworkProblem, resolutions, exact=None,
 
 def sup_error(candidate: GridFunction, reference: GridFunction) -> float:
     """Max nodal difference, interpolating the reference along each edge."""
-    out = 0.0
-    for e in candidate.grid.network.edges:
-        vals = reference.grid.interpolate(reference.values, e.id,
-                                          candidate.grid.coords[e.id])
-        out = max(out, float(np.max(np.abs(candidate.on_edge(e.id) - vals))))
-    return out
+    return float(np.max(np.abs(candidate.values
+                               - reference.on_grid(candidate.grid).values)))
 
 
 def richardson_order(errors, ratio: float = 2.0) -> float:

@@ -13,10 +13,12 @@ per Jacobian, and only the vertex rows take central differences, over
 their own inputs.  The entries go straight into compressed sparse columns
 at positions the grid computes once.
 
-The vanishing-viscosity continuation is a predictor-corrector: each eps
-step starts Newton from the previous step's solution and runs the hybrid
-only when that corrector fails.  The steps share their grid, and with it
-the dependency pattern, built once.
+Continuation, in the viscosity eps or in the grid, is one
+predictor-corrector, continuation_step: Newton starts from a prediction,
+the previous eps step's solution or a coarser grid's prolonged, and the
+hybrid runs only when that corrector fails.  The eps steps share their
+grid, and with it the dependency pattern, built once; the grid steps are
+oracle.convergence_table's resolutions and references.
 
 Barriers are network-wide super- and subsolutions of the discrete scheme,
 found by doubling the two constants of a tent-shaped profile until the
@@ -354,16 +356,21 @@ class ViscositySweep:
 
 def continuation_step(system: ResidualSystem, config: SolveConfig,
                       warm: GridFunction) -> SolveResult:
-    """One step of a continuation in eps, as predictor-corrector (Allgower
-    & Georg, Numerical Continuation Methods, 1990): the previous step's
-    solution predicts this one, and Newton corrects it.  Sweeping first, as
-    the hybrid does, buys nothing this close to the solution.  Only when the
+    """One step of a continuation, in eps or in n, as predictor-corrector
+    (Allgower & Georg, Numerical Continuation Methods, 1990): warm, the
+    previous eps step's solution on the same grid or a coarser grid's
+    solution prolonged onto this one (nested iteration, Brandt 1977),
+    predicts this solution, and Newton corrects it.  Sweeping first, as the
+    hybrid does, buys nothing this close to the solution.  Only when the
     corrector does not converge or hits a singular linearization does the
     full hybrid run, from the same prediction.  The message says which path
-    ran and why.  A "sweep" or "newton" config is solved as configured.
+    ran and why.  A "sweep" or "newton" config is solved as configured,
+    from warm.
 
     The rule lives here, not in solve_system: from a constant start, as
-    multistart_solve's, Newton first is slower than the hybrid."""
+    multistart_solve's, Newton first is slower than the hybrid, and so is a
+    single solve sequenced up from a coarse grid at the sizes measured
+    (ROADMAP item 5)."""
     if config.method != "hybrid":
         return solve_system(system, config, warm)
     try:

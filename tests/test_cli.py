@@ -437,6 +437,48 @@ def test_convergence_table_needs_three_resolutions(tmp_path):
     assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("resolutions", ["21,21,41", "21,41,41"])
+def test_convergence_table_repeated_resolution_exits_3(tmp_path, capsys, resolutions):
+    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal"})
+    code = main(["convergence-table", "--config", cfg,
+                 "--output-dir", str(tmp_path / "out"), "--resolutions", resolutions])
+    assert code == EXIT_BAD_INPUT
+    assert "repeated resolution" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_convergence_table_unsorted_resolutions(tmp_path):
+    cfg = _write_config(tmp_path, {"catalog": "star2_linear"})
+    outdir = tmp_path / "out"
+    assert main(["convergence-table", "--config", cfg, "--output-dir", str(outdir),
+                 "--resolutions", "41,21,81", "--deterministic"]) == EXIT_OK
+    rows = list(csv.DictReader((outdir / "convergence.csv").open()))
+    assert [float(r["h"]) for r in rows] == [0.025, 0.05, 0.0125]
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    """main() builds the argparse parser on first use and reuses it."""
+    from knet import cli
+
+    cli._parser.cache_clear()
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cfg = _write_config(tmp_path, {"catalog": "star3_constant",
+                                   "grid": {"nodes_per_edge": 5}})
+    for k in range(3):
+        assert main(["solve", "--config", cfg,
+                     "--output-dir", str(tmp_path / f"out{k}")]) == EXIT_OK
+    assert main(["solve", "--config", cfg, "--tol", "x"]) == EXIT_BAD_INPUT
+    assert len(builds) == 1
+    cli._parser.cache_clear()
+
+
 def test_verify_clean_solution(tmp_path):
     cfg = _write_config(tmp_path, {"catalog": "star3_eikonal",
                                    "grid": {"nodes_per_edge": 21}})

@@ -143,6 +143,37 @@ def test_interpolate():
     assert grid.interpolate(u.values, 0, 0.35) == pytest.approx(0.7)
 
 
+def test_on_grid_reproduces_linear_profiles():
+    """Each edge's linear profile survives a transfer between any two grids,
+    mixed counts included; the vertex values carry over exactly."""
+    net = star_junction(3, lengths=[1.0, 0.7, 2.3])
+    slopes = {0: 2.0, 1: -1.5, 2: 0.25}
+
+    def profile(eid, t):
+        return 0.5 + slopes[eid] * np.asarray(t)
+
+    coarse = GridFunction.from_profile(Grid(net, 7), profile)
+    for target in (Grid(net, 37), Grid(net, {0: 5, 1: 13, 2: 22}), Grid(net, 4)):
+        moved = coarse.on_grid(target)
+        assert moved.grid is target
+        np.testing.assert_allclose(moved.values,
+                                   GridFunction.from_profile(target, profile).values,
+                                   rtol=0, atol=1e-14)
+        nv = len(net.vertices)
+        assert np.array_equal(moved.values[:nv], coarse.values[:nv])
+
+
+@pytest.mark.parametrize("coarse_n, fine_n", [(6, 11), (11, 41), (21, 81)])
+def test_on_grid_round_trip_on_nested_grids(catalog, coarse_n, fine_n):
+    """Coarse -> fine -> coarse returns the coarse values bit for bit when
+    every coarse node is a fine node."""
+    net = catalog["graph5_constant"].problem.network
+    coarse = Grid(net, coarse_n)
+    u = GridFunction(coarse, np.random.default_rng(coarse_n).normal(size=coarse.total_nodes))
+    back = u.on_grid(Grid(net, fine_n)).on_grid(coarse)
+    assert np.array_equal(back.values, u.values)
+
+
 # ---------------------------------------------------------------------------
 # Numerical Hamiltonian
 

@@ -145,11 +145,60 @@ def test_observed_orders_floor():
     assert math.isnan(orders[0]) and math.isnan(orders[1]) and math.isnan(orders[2])
 
 
+def _within_tolerance(a, b, tol=1e-10):
+    return float(np.max(np.abs(a - b))) <= tol * max(1.0, float(np.max(np.abs(b))))
+
+
 def test_convergence_table_reuses_row_solve_as_reference(monkeypatch):
     """On 6, 11, 21 the 4x-refined reference of n = 6 is the n = 21 row's
     own solve (same grid, eps, junction mode and default config): five
-    solves, not six, and the same error as a separate reference solve."""
+    grids assembled and solved, not six, and that row's solution is the
+    reference bit for bit.  The error agrees with a cold reference solve to
+    the solver's tolerance."""
     problem = entry_by_name("star3_mixed").problem
+    assembled, refs, row_solutions = [], {}, {}
+    real_assemble, real_reference = oracle.assemble, oracle.fine_grid_reference
+    real_cold, real_warm = oracle.solve_system, oracle.continuation_step
+
+    def counting_assemble(problem, grid, *args, **kwargs):
+        assembled.append(grid.nodes_per_edge[0])
+        return real_assemble(problem, grid, *args, **kwargs)
+
+    def recording_reference(problem, nodes, *args, **kwargs):
+        refs[nodes] = real_reference(problem, nodes, *args, **kwargs)
+        return refs[nodes]
+
+    def recording(real):
+        def solve(system, *args, **kwargs):
+            res = real(system, *args, **kwargs)
+            row_solutions.setdefault(system.grid.nodes_per_edge[0], res.u)
+            return res
+        return solve
+
+    monkeypatch.setattr(oracle, "assemble", counting_assemble)
+    monkeypatch.setattr(solver, "assemble", counting_assemble)
+    monkeypatch.setattr(oracle, "fine_grid_reference", recording_reference)
+    monkeypatch.setattr(oracle, "solve_system", recording(real_cold))
+    monkeypatch.setattr(oracle, "continuation_step", recording(real_warm))
+    rows = convergence_table(problem, [6, 11, 21])
+    monkeypatch.undo()
+    assert sorted(assembled) == [6, 11, 21, 41, 81]
+    assert refs[6].u is row_solutions[21]
+    coarse = solver.solve_problem(problem, 6).u
+    assert rows[0]["error"] == sup_error(coarse, row_solutions[21])
+    cold = sup_error(coarse, fine_grid_reference(problem, 6).u)
+    assert abs(rows[0]["error"] - cold) <= 1e-10 * max(1.0, float(np.max(np.abs(coarse.values))))
+    assert [r["reference"] for r in rows] == ["fine-grid"] * 3
+
+
+@pytest.mark.parametrize("name, resolutions, cold_iterations", [
+    ("star3_eikonal", [21, 41, 81], 12), ("star3_mixed", [6, 11, 21], 7)])
+def test_convergence_table_rows_after_the_first_are_corrector_steps(
+        monkeypatch, name, resolutions, cold_iterations):
+    """Every row after the first starts from the coarser row's solution,
+    prolonged, and Newton corrects it in a few steps, where a cold solve
+    takes cold_iterations.  One cold solve_system per table: the first row."""
+    entry = entry_by_name(name)
     calls = []
     real = solver.solve_system
 
@@ -159,9 +208,56 @@ def test_convergence_table_reuses_row_solve_as_reference(monkeypatch):
 
     monkeypatch.setattr(solver, "solve_system", counting)
     monkeypatch.setattr(oracle, "solve_system", counting)
-    rows = convergence_table(problem, [6, 11, 21])
-    assert len(calls) == 5
+    rows = convergence_table(entry.problem, resolutions, entry.exact)
     monkeypatch.undo()
-    coarse = solver.solve_problem(problem, 6).u
-    assert rows[0]["error"] == sup_error(coarse, fine_grid_reference(problem, 6).u)
-    assert [r["reference"] for r in rows] == ["fine-grid"] * 3
+    assert len(calls) == 1
+    assert all(r["converged"] and r["reference_converged"] for r in rows)
+    assert max(r["iterations"] for r in rows[1:]) <= 3
+    assert solver.solve_problem(entry.problem, resolutions[-1]).iterations >= cold_iterations
+
+
+@pytest.mark.parametrize("name, resolutions, mode", [
+    ("star3_mixed", [6, 11, 21], "kirchhoff"),
+    ("star3_eikonal", [11, 21, 41], "minmax")])
+def test_convergence_table_warm_references_match_cold(monkeypatch, name, resolutions, mode):
+    """A reference continued from a coarser solution agrees with a cold
+    fine_grid_reference to the solver's tolerance."""
+    entry = entry_by_name(name)
+    refs = {}
+    real = oracle.fine_grid_reference
+
+    def recording(problem, nodes, *args, **kwargs):
+        refs[nodes] = real(problem, nodes, *args, **kwargs)
+        return refs[nodes]
+
+    monkeypatch.setattr(oracle, "fine_grid_reference", recording)
+    convergence_table(entry.problem, resolutions, entry.exact, junction_mode=mode)
+    monkeypatch.undo()
+    assert sorted(refs) == resolutions
+    for nodes, ref in refs.items():
+        cold = fine_grid_reference(entry.problem, nodes, junction_mode=mode)
+        assert ref.grid.total_nodes == cold.grid.total_nodes
+        assert ref.meta["converged"] and cold.meta["converged"]
+        assert _within_tolerance(ref.u.values, cold.u.values), nodes
+
+
+def test_convergence_table_keeps_the_given_order():
+    """Unsorted resolutions are solved coarse to fine all the same and
+    reported in the order given."""
+    problem = entry_by_name("star3_mixed").problem
+    rows = {tuple(res): convergence_table(problem, res)
+            for res in ([6, 11, 21], [11, 6, 21])}
+    assert [r["nodes"] for r in rows[(11, 6, 21)]] == [11, 6, 21]
+    by_nodes = {r["nodes"]: r for r in rows[(6, 11, 21)]}
+    for row in rows[(11, 6, 21)]:
+        ref = by_nodes[row["nodes"]]
+        assert row["h"] == ref["h"]
+        assert abs(row["error"] - ref["error"]) <= 1e-10
+        assert row["converged"] and row["reference_converged"]
+
+
+@pytest.mark.parametrize("resolutions", [[21, 21, 41], [21, 41, 41], [11, 6, 11]])
+def test_convergence_table_rejects_repeated_resolution(resolutions):
+    """Two rows with one h have no order between them."""
+    with pytest.raises(ValueError, match="repeated resolution"):
+        convergence_table(entry_by_name("star3_mixed").problem, resolutions)

@@ -4,6 +4,8 @@ import csv
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from knet.oracle import ReferenceSolution
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -57,6 +59,17 @@ def test_convergence_study_counts_unconverged_reference(tmp_path, capsys, monkey
     assert all(r["converged"] == "True" for r in rows)
     lines = capsys.readouterr().out.splitlines()
     assert sum("REFERENCE NOT CONVERGED" in line for line in lines) == 1
+
+
+@pytest.mark.parametrize("resolutions", ["2,3,5", "21,21,41", "21,41,41"])
+def test_convergence_study_rejects_bad_resolutions(capsys, resolutions):
+    """Counts below 3 and repeated counts are usage errors: exit 2 with the
+    reason, before anything is solved."""
+    study = _load("convergence_study")
+    with pytest.raises(SystemExit) as exc:
+        study.main(["--entries", "star3_mixed", "--resolutions", resolutions])
+    assert exc.value.code == 2
+    assert "--resolutions" in capsys.readouterr().err
 
 
 def test_viscosity_sweep_demo_runs(capsys):
