@@ -14,9 +14,11 @@ Usage:
 
 import argparse
 import csv
+import io
 import sys
 
 from knet.catalog import all_entries, entry_by_name
+from knet.cli import _atomic_write
 from knet.oracle import convergence_table
 
 
@@ -64,10 +66,12 @@ def main(argv=None):
                   + ("" if r["reference_converged"] else "  REFERENCE NOT CONVERGED"))
 
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(all_rows[0]))
-            writer.writeheader()
-            writer.writerows(all_rows)
+        # the CLI's writer: a reader sees the old file or the whole new one
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(all_rows[0]))
+        writer.writeheader()
+        writer.writerows(all_rows)
+        _atomic_write(args.csv, buf.getvalue())
         print(f"\nwrote {len(all_rows)} rows to {args.csv}")
 
     return 0 if all(r["converged"] and r["reference_converged"] for r in all_rows) else 1

@@ -10,7 +10,6 @@ non-convergence, 2 verification FAIL, 3 malformed input.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -53,11 +52,32 @@ class _BadInput(Exception):
 
 
 def _atomic_write(path: str, text: str):
+    """Write text (UTF-8) to path by atomic replacement.
+
+    The bytes go to a temp file in the same directory, which os.replace
+    then renames over path: a reader sees the complete old file or the
+    complete new one, never a partial file.  A write that fails leaves the
+    old file and no temp file.  Nothing is fsynced, so nothing is promised
+    about what survives a power loss.
+
+    The temp file is preallocated to its final length before the write.
+    ext4 (auto_da_alloc) flushes a file's delayed-allocation blocks to disk
+    when it is renamed over an existing file, which costs tens of ms per
+    rewrite; preallocated blocks are not delayed, so the rename flushes
+    nothing.  Preallocation is only a hint: it is skipped where
+    os.posix_fallocate is missing or fails.
+    """
+    data = text.encode()
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-knet-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            if data and hasattr(os, "posix_fallocate"):
+                try:
+                    os.posix_fallocate(fd, 0, len(data))
+                except OSError:
+                    pass
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -88,17 +108,44 @@ def solution_csv_text(u: GridFunction) -> str:
 
 
 def read_solution_csv(path: str, network: Network) -> GridFunction:
+    """A solution CSV (schema CSV_SCHEMAS["solution"]) as a GridFunction on
+    the grid its rows describe: an edge's row count is its node count.
+    Every network edge needs rows and no other edge may appear; an edge's
+    t column, sorted, must be its grid coordinates to 1e-12 x the edge
+    length.  Otherwise ValueError, naming the edge."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        body = fh.read()
+    if header != CSV_SCHEMAS["solution"]:
+        raise ValueError(f"solution CSV header is {header!r}, "
+                         f"expected {CSV_SCHEMAS['solution']!r}")
+    if not body.strip():
+        raise ValueError("solution CSV has no rows")
+    data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+    if data.shape[1] != 3:
+        raise ValueError(f"solution CSV rows have {data.shape[1]} columns, "
+                         "expected 3")
+    eids = data[:, 0]
+    unknown = set(eids.tolist()) - {e.id for e in network.edges}
+    if unknown:
+        raise ValueError(f"solution CSV has rows for edge {min(unknown):g}, "
+                         "which is not in the network")
     per_edge = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            per_edge.setdefault(int(row["edge_id"]), []).append(
-                (float(row["t"]), float(row["u"])))
+    for e in network.edges:
+        rows = data[eids == e.id]
+        if len(rows) == 0:
+            raise ValueError(f"solution CSV has no rows for edge {e.id}")
+        per_edge[e.id] = rows[np.argsort(rows[:, 1])]
     grid = Grid(network, {eid: len(rows) for eid, rows in per_edge.items()})
     values = np.full(grid.total_nodes, np.nan)
-    for eid, rows in per_edge.items():
-        rows.sort()
-        values[grid.node_ids[eid]] = [v for _, v in rows]
+    for e in network.edges:
+        rows = per_edge[e.id]
+        err = np.max(np.abs(rows[:, 1] - grid.coords[e.id]), initial=0.0)
+        if not err <= 1e-12 * e.length:
+            raise ValueError(f"solution CSV edge {e.id}: t column is not the "
+                             f"uniform grid of {len(rows)} nodes on [0, "
+                             f"{e.length:g}] (off by {err:.3g})")
+        values[grid.node_ids[e.id]] = rows[:, 2]
     return GridFunction(grid, values)
 
 
@@ -214,17 +261,22 @@ def cmd_solve(args) -> int:
     cfg, problem, merged, scheme, config, nodes = _inputs(args)
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
+    # stages[0] and [1] are validate and solve; later stages are appended
     stages = []
 
+    t0 = time.perf_counter()
     report = validate_problem(problem)
     stages.append({"stage": "validate", "ok": report.ok,
-                   "failures": [e.name for e in report.failures()]})
+                   "failures": [e.name for e in report.failures()],
+                   "wall_time": time.perf_counter() - t0})
 
+    t0 = time.perf_counter()
     grid = Grid(problem.network, nodes)
     try:
         system = assemble(problem, grid, **scheme)
     except KnetError as exc:
         return _fail(EXIT_BAD_INPUT, f"assembly failed: {exc}")
+    assemble_stage = {"stage": "assemble", "wall_time": time.perf_counter() - t0}
     t0 = time.perf_counter()
     result = solve_system(system, config)
     stages.append({"stage": "solve", "converged": result.converged,
@@ -232,9 +284,12 @@ def cmd_solve(args) -> int:
                    "iterations": result.iterations, "method": result.method,
                    "message": result.message,
                    "wall_time": time.perf_counter() - t0})
+    stages.append(assemble_stage)
 
     sol_path = os.path.join(outdir, "solution.csv")
+    t0 = time.perf_counter()
     _atomic_write(sol_path, solution_csv_text(result.u))
+    stages.append({"stage": "write", "wall_time": time.perf_counter() - t0})
     outputs = [sol_path]
     man_path = os.path.join(outdir, "manifest.json")
     _atomic_write(man_path, make_manifest("solve", cfg, merged,

@@ -19,6 +19,7 @@ from knet.cli import (
     EXIT_VERIFY_FAIL,
     SOLVER_OPTIONS,
     _add_common,
+    _atomic_write,
     main,
     parse_epsilon_schedule,
     read_solution_csv,
@@ -530,3 +531,192 @@ def test_verify_rejects_nonfinite_solution(tmp_path):
     code = main(["verify", "--solution", str(bad_path), "--problem", cfg,
                  "--report", str(tmp_path / "r.json")])
     assert code == EXIT_BAD_INPUT
+
+
+# ---------------------------------------------------------------------------
+# Malformed solution CSVs
+
+
+def _edit_duplicate_row(lines):
+    return lines[:5] + [lines[5]] + lines[5:]
+
+
+def _edit_shift_t(lines):
+    eid, t, u = lines[3].split(",")
+    lines[3] = f"{eid},{float(t) + 1e-3!r},{u}"
+    return lines
+
+
+MALFORMED_SOLUTIONS = [
+    # rows 1-11 are edge 0 of star3_constant at 11 nodes per edge
+    ("duplicated row", _edit_duplicate_row, "edge 0: t column is not the uniform grid"),
+    ("changed t", _edit_shift_t, "edge 0: t column is not the uniform grid"),
+    ("missing edge", lambda lines: [l for l in lines if not l.startswith("1,")],
+     "no rows for edge 1"),
+    ("unknown edge", lambda lines: lines + ["7,0,1"], "rows for edge 7, which is not"),
+    ("two rows on an edge", lambda lines: lines[:1] + lines[10:],
+     "edge 0: need at least 3 nodes, got 2"),
+    ("four columns", lambda lines: [l + ",0" for l in lines], "header is"),
+    ("header only", lambda lines: lines[:1], "solution CSV has no rows"),
+    ("empty file", lambda lines: [], "header is ''"),
+]
+
+
+@pytest.mark.parametrize("case, edit, message", MALFORMED_SOLUTIONS,
+                         ids=[c[0] for c in MALFORMED_SOLUTIONS])
+def test_verify_rejects_malformed_solution(tmp_path, capsys, case, edit, message):
+    """A solution CSV that does not describe a grid of the network exits 3
+    with a message naming the edge, before any diagnostic runs."""
+    cfg = _write_config(tmp_path, {"catalog": "star3_constant"})
+    grid = Grid(entry_by_name("star3_constant").problem.network, 11)
+    lines = solution_csv_text(GridFunction.full(grid, 1.0)).splitlines()
+    bad_path = tmp_path / "bad.csv"
+    bad_path.write_text("".join(line + "\n" for line in edit(lines)))
+    report = tmp_path / "r.json"
+    code = main(["verify", "--solution", str(bad_path), "--problem", cfg,
+                 "--report", str(report)])
+    assert code == EXIT_BAD_INPUT
+    assert message in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_read_solution_csv_rows_in_any_order(tmp_path):
+    """Rows may come in any order; the values land on their nodes bit for
+    bit."""
+    entry = entry_by_name("graph5_constant")
+    grid = Grid(entry.problem.network, 9)
+    u = GridFunction.from_profile(grid, lambda eid, t: np.sin(eid + 3 * np.asarray(t)))
+    header, *rows = solution_csv_text(u).splitlines()
+    path = tmp_path / "solution.csv"
+    path.write_text("\n".join([header] + rows[::-1]) + "\n")
+    back = read_solution_csv(str(path), entry.problem.network)
+    assert back.grid.nodes_per_edge == grid.nodes_per_edge
+    assert np.array_equal(back.values, u.values)
+
+
+# ---------------------------------------------------------------------------
+# Stage wall times in the solve manifest
+
+
+def test_solve_manifest_times_every_stage(tmp_path):
+    """validate and solve keep stages[0] and [1]; assemble and write follow.
+    Every stage has a wall time; --deterministic strips them all."""
+    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal",
+                                   "grid": {"nodes_per_edge": 21}})
+    for deterministic in (False, True):
+        outdir = tmp_path / f"out{deterministic}"
+        assert main(["solve", "--config", cfg, "--output-dir", str(outdir)]
+                    + ["--deterministic"] * deterministic) == EXIT_OK
+        stages = json.loads((outdir / "manifest.json").read_text())["stages"]
+        assert [s["stage"] for s in stages] == ["validate", "solve", "assemble", "write"]
+        times = [s.get("wall_time") for s in stages]
+        if deterministic:
+            assert times == [None] * 4
+        else:
+            assert all(t >= 0.0 for t in times)
+
+
+# ---------------------------------------------------------------------------
+# Atomic output writes
+
+
+def _leftovers(directory):
+    return sorted(p.name for p in Path(directory).iterdir()
+                  if p.name.startswith(".tmp-knet-"))
+
+
+def test_rerun_replaces_outputs_and_leaves_no_temp(tmp_path):
+    """A rerun into an existing output directory replaces every output with
+    the new bytes and leaves no temp file."""
+    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal"})
+    outdir = tmp_path / "out"
+    for nodes in ("21", "11"):
+        assert main(["solve", "--config", cfg, "--output-dir", str(outdir),
+                     "--nodes-per-edge", nodes]) == EXIT_OK
+    rows = list(csv.DictReader((outdir / "solution.csv").open()))
+    assert len(rows) == 3 * 11
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["effective"]["grid"]["nodes_per_edge"] == 11
+    assert _leftovers(outdir) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_fallocate"),
+                    reason="the platform has no posix_fallocate")
+def test_atomic_write_preallocates_the_encoded_length(tmp_path, monkeypatch):
+    """The temp file is preallocated to the byte length of the encoded text
+    (not its character count), and the file holds exactly those bytes."""
+    calls = []
+    real = os.posix_fallocate
+
+    def spy(fd, offset, length):
+        calls.append((offset, length))
+        return real(fd, offset, length)
+
+    monkeypatch.setattr(os, "posix_fallocate", spy)
+    path = tmp_path / "out.txt"
+    path.write_text("old contents, longer than the new ones\n")
+    text = "θ = 1, λ = 2\n"
+    _atomic_write(str(path), text)
+    assert calls == [(0, len(text.encode()))]
+    assert path.read_bytes() == text.encode()
+    assert _leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"),
+                                   KeyboardInterrupt()],
+                         ids=["oserror", "interrupt"])
+def test_atomic_write_failure_keeps_old_file(tmp_path, monkeypatch, error):
+    """A write that raises halfway leaves the previous file byte-identical
+    and removes the temp file."""
+    path = tmp_path / "solution.csv"
+    old = b"edge_id,t,u\n0,0,1\n"
+    path.write_bytes(old)
+    real_fdopen = os.fdopen
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise error
+
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: HalfWriter(real_fdopen(fd, mode)))
+    with pytest.raises(type(error)):
+        _atomic_write(str(path), "edge_id,t,u\n" + "0,0.5,2\n" * 100)
+    assert path.read_bytes() == old
+    assert _leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize("fallocate", ["missing", "raises"])
+def test_atomic_write_without_preallocation(tmp_path, monkeypatch, fallocate):
+    """Preallocation is only a hint: without os.posix_fallocate, or when it
+    fails, the write still gives the same bytes."""
+    if fallocate == "missing":
+        monkeypatch.delattr(os, "posix_fallocate", raising=False)
+    else:
+        def unsupported(fd, offset, length):
+            raise OSError(95, "Operation not supported")
+        monkeypatch.setattr(os, "posix_fallocate", unsupported)
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    text = "edge_id,t,u\n" + "1,0.25,3\n" * 50
+    _atomic_write(str(path), text)
+    assert path.read_bytes() == text.encode()
+    assert _leftovers(tmp_path) == []
+
+
+def test_atomic_write_empty_text(tmp_path):
+    """Empty text gives an empty file, new or replacing an existing one."""
+    path = tmp_path / "empty.txt"
+    for _ in range(2):
+        _atomic_write(str(path), "")
+        assert path.read_bytes() == b""
+    assert _leftovers(tmp_path) == []

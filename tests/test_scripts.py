@@ -61,6 +61,30 @@ def test_convergence_study_counts_unconverged_reference(tmp_path, capsys, monkey
     assert sum("REFERENCE NOT CONVERGED" in line for line in lines) == 1
 
 
+def test_convergence_study_csv_goes_through_the_cli_writer(tmp_path, monkeypatch):
+    """--csv replaces its file atomically through knet.cli._atomic_write,
+    as every CLI output does: a rerun over an existing file leaves the new
+    rows and no temp file."""
+    import knet.cli
+
+    written = []
+    real = knet.cli._atomic_write
+
+    def spy(path, text):
+        written.append(path)
+        return real(path, text)
+
+    monkeypatch.setattr(knet.cli, "_atomic_write", spy)
+    study = _load("convergence_study")
+    out = tmp_path / "rows.csv"
+    out.write_text("stale\n")
+    assert study.main(["--entries", "star3_constant", "--resolutions", "5,9,17",
+                       "--csv", str(out)]) == 0
+    assert written == [str(out)]
+    assert [r["nodes"] for r in csv.DictReader(out.open())] == ["5", "9", "17"]
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+
 @pytest.mark.parametrize("resolutions", ["2,3,5", "21,21,41", "21,41,41"])
 def test_convergence_study_rejects_bad_resolutions(capsys, resolutions):
     """Counts below 3 and repeated counts are usage errors: exit 2 with the
