@@ -10,12 +10,14 @@ non-convergence, 2 verification FAIL, 3 malformed input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import json
 import os
+import secrets
+import stat
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -38,7 +40,7 @@ EXIT_BAD_INPUT = 3
 CSV_SCHEMAS = {
     "solution": "edge_id,t,u",
     "sweep": "eps,sup_full,sup_interior,converged",
-    "convergence": "h,sup_error,observed_order,iterations,wall_time",
+    "convergence": "h,sup_error,observed_order,iterations",
 }
 
 
@@ -60,6 +62,9 @@ def _atomic_write(path: str, text: str):
     old file and no temp file.  Nothing is fsynced, so nothing is promised
     about what survives a power loss.
 
+    The temp file gets the mode open(path, "w") would give a new path,
+    0666 less the umask, or the mode of the file it replaces.
+
     The temp file is preallocated to its final length before the write.
     ext4 (auto_da_alloc) flushes a file's delayed-allocation blocks to disk
     when it is renamed over an existing file, which costs tens of ms per
@@ -69,8 +74,11 @@ def _atomic_write(path: str, text: str):
     """
     data = text.encode()
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-knet-")
+    tmp = os.path.join(d, f".tmp-knet-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        with contextlib.suppress(FileNotFoundError):
+            os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
         with os.fdopen(fd, "wb") as fh:
             if data and hasattr(os, "posix_fallocate"):
                 try:
@@ -112,7 +120,8 @@ def read_solution_csv(path: str, network: Network) -> GridFunction:
     the grid its rows describe: an edge's row count is its node count.
     Every network edge needs rows and no other edge may appear; an edge's
     t column, sorted, must be its grid coordinates to 1e-12 x the edge
-    length.  Otherwise ValueError, naming the edge."""
+    length, and edges must agree at a shared vertex.  Otherwise ValueError,
+    naming the edges and any vertex."""
     with open(path) as fh:
         header = fh.readline().strip()
         body = fh.read()
@@ -138,6 +147,7 @@ def read_solution_csv(path: str, network: Network) -> GridFunction:
         per_edge[e.id] = rows[np.argsort(rows[:, 1])]
     grid = Grid(network, {eid: len(rows) for eid, rows in per_edge.items()})
     values = np.full(grid.total_nodes, np.nan)
+    at_vertex = {}  # vertex id -> (edge id, value) of the first end row read
     for e in network.edges:
         rows = per_edge[e.id]
         err = np.max(np.abs(rows[:, 1] - grid.coords[e.id]), initial=0.0)
@@ -146,6 +156,11 @@ def read_solution_csv(path: str, network: Network) -> GridFunction:
                              f"uniform grid of {len(rows)} nodes on [0, "
                              f"{e.length:g}] (off by {err:.3g})")
         values[grid.node_ids[e.id]] = rows[:, 2]
+        for vid, u in ((e.tail, rows[0, 2]), (e.head, rows[-1, 2])):
+            eid, first = at_vertex.setdefault(vid, (e.id, u))
+            if first != u and not (np.isnan(first) and np.isnan(u)):
+                raise ValueError(f"solution CSV edges {eid} and {e.id} disagree "
+                                 f"at vertex {vid}: u = {first:.17g} and {u:.17g}")
     return GridFunction(grid, values)
 
 
@@ -231,9 +246,11 @@ def _inputs(args, *parsers):
         raise _BadInput(exc) from exc
 
 
-def make_manifest(subcommand: str, cfg: dict, merged: dict, outputs,
-                  stages, deterministic: bool) -> str:
-    if deterministic:
+def write_manifest(args, subcommand: str, cfg: dict, merged: dict, outputs,
+                   stages) -> None:
+    """Write args.output_dir/manifest.json, which lists outputs and itself."""
+    path = os.path.join(args.output_dir, "manifest.json")
+    if args.deterministic:
         # leave out what differs between reruns: stage wall times here,
         # the creation time below
         stages = [{k: v for k, v in st.items() if k != "wall_time"}
@@ -243,14 +260,14 @@ def make_manifest(subcommand: str, cfg: dict, merged: dict, outputs,
         "subcommand": subcommand,
         "config": cfg,
         "effective": merged,
-        "deterministic": deterministic,
+        "deterministic": args.deterministic,
         "csv_schemas": CSV_SCHEMAS,
-        "outputs": list(outputs),
+        "outputs": list(outputs) + [path],
         "stages": list(stages),
     }
-    if not deterministic:
+    if not args.deterministic:
         doc["created"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +307,7 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     _atomic_write(sol_path, solution_csv_text(result.u))
     stages.append({"stage": "write", "wall_time": time.perf_counter() - t0})
-    outputs = [sol_path]
-    man_path = os.path.join(outdir, "manifest.json")
-    _atomic_write(man_path, make_manifest("solve", cfg, merged,
-                                          outputs + [man_path], stages,
-                                          args.deterministic))
+    write_manifest(args, "solve", cfg, merged, [sol_path], stages)
     if not result.converged:
         return _fail(EXIT_NO_CONVERGENCE,
                      f"solver did not converge: {result.message}")
@@ -313,11 +326,8 @@ def cmd_oracle(args) -> int:
                   else ref.u.on_grid(Grid(problem.network, nodes)))
     sol_path = os.path.join(outdir, "oracle.csv")
     _atomic_write(sol_path, solution_csv_text(restricted))
-    man_path = os.path.join(outdir, "manifest.json")
-    stages = [{"stage": "oracle", "method": ref.method, "meta": ref.meta}]
-    _atomic_write(man_path, make_manifest("oracle", cfg, merged,
-                                          [sol_path, man_path], stages,
-                                          args.deterministic))
+    write_manifest(args, "oracle", cfg, merged, [sol_path],
+                   [{"stage": "oracle", "method": ref.method, "meta": ref.meta}])
     return EXIT_OK
 
 
@@ -344,12 +354,9 @@ def cmd_sweep_epsilon(args) -> int:
     _atomic_write(table_path, buf.getvalue())
     base_path = os.path.join(outdir, "solution_eps0.csv")
     _atomic_write(base_path, solution_csv_text(sweep.base.u))
-    man_path = os.path.join(outdir, "manifest.json")
     stages = [{"stage": "sweep", "delta": delta,
                "all_converged": all(s.result.converged for s in sweep.steps)}]
-    _atomic_write(man_path, make_manifest("sweep-epsilon", cfg, merged,
-                                          [table_path, base_path, man_path],
-                                          stages, args.deterministic))
+    write_manifest(args, "sweep-epsilon", cfg, merged, [table_path, base_path], stages)
     if not (sweep.base.converged and all(s.result.converged for s in sweep.steps)):
         return _fail(EXIT_NO_CONVERGENCE, "a viscosity step did not converge")
     return EXIT_OK
@@ -376,19 +383,17 @@ def cmd_convergence_table(args) -> int:
     buf.write(CSV_SCHEMAS["convergence"] + "\n")
     for r in rows:
         buf.write(f"{r['h']:.17g},{r['error']:.17g},{r['order']:.6g},"
-                  f"{r['iterations']},{r['wall_time']:.6g}\n")
+                  f"{r['iterations']}\n")
     table_path = os.path.join(outdir, "convergence.csv")
     _atomic_write(table_path, buf.getvalue())
-    man_path = os.path.join(outdir, "manifest.json")
     convs = [r["converged"] for r in rows]
     ref_convs = [r["reference_converged"] for r in rows]
     stages = [{"stage": "convergence", "resolutions": resolutions,
                "references": [r["reference"] for r in rows],
                "references_converged": ref_convs,
-               "all_converged": all(convs) and all(ref_convs)}]
-    _atomic_write(man_path, make_manifest("convergence-table", cfg, merged,
-                                          [table_path, man_path], stages,
-                                          args.deterministic))
+               "all_converged": all(convs) and all(ref_convs),
+               "wall_time": [r["wall_time"] for r in rows]}]
+    write_manifest(args, "convergence-table", cfg, merged, [table_path], stages)
     if not all(convs):
         return _fail(EXIT_NO_CONVERGENCE, "a resolution did not converge")
     if not all(ref_convs):

@@ -11,9 +11,9 @@ scheme and against observed convergence orders.  convergence_table is the
 one solve, reference, error and order loop behind `knet convergence-table`
 and scripts/convergence_study.py.  It solves its resolutions and their
 fine-grid references as one coarse-to-fine chain: each grid starts from
-the solution on the grid below it, prolonged by GridFunction.on_grid, and
-solver.continuation_step corrects it.  Every grid is still assembled, and
-so certified monotone, by assemble.
+the solution on the grid below it, prolonged by GridFunction.on_grid and
+passed to solver.solve_system as its start.  Every grid is still
+assembled, and so certified monotone, by assemble.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from scipy.sparse.linalg import spsolve
 from .discretization import Grid, GridFunction, assemble
 from .errors import NonPositiveError, ProblemNotLinear, SingularSystem
 from .problem import NetworkProblem
-from .solver import SolveConfig, continuation_step, solve_problem, solve_system
+from .solver import SolveConfig, solve_system
 
 
 @dataclass
@@ -137,27 +137,25 @@ def fine_grid_reference(problem: NetworkProblem, nodes_per_edge,
 
     solved maps node counts to default-config solutions of this scheme
     (eps, junction_mode) already at hand.  The fine grid's own, if there,
-    is the reference.  Else the finest one below the fine count, prolonged
-    onto the fine grid by GridFunction.on_grid, starts a continuation_step
-    there, and the result joins solved, so that the next reference starts
-    from it.  With nothing coarser at hand, the fine grid is solved cold.
-    The discrete solution is unique, so the start changes the cost, not
-    the answer beyond the solver's tolerance."""
+    is the reference.  Else the fine grid is solved from the finest one
+    below it, prolonged (with no start given if there is none), and the
+    result joins solved, so that the next reference starts from it.  The
+    discrete solution is unique, so the start changes the cost, not the
+    answer beyond the solver's tolerance."""
     if isinstance(nodes_per_edge, dict):
         fine = {k: (n - 1) * refine + 1 for k, n in nodes_per_edge.items()}
     else:
         fine = (int(nodes_per_edge) - 1) * refine + 1
     chain = solved is not None and isinstance(fine, int)
     res = solved.get(fine) if chain else None
-    coarser = [n for n in solved if n < fine] if chain else []
-    if res is None and coarser:
-        system = assemble(problem, Grid(problem.network, fine), eps=eps,
-                          junction_mode=junction_mode)
-        res = continuation_step(system, SolveConfig(),
-                                solved[max(coarser)].u.on_grid(system.grid))
-        solved[fine] = res
-    elif res is None:
-        res = solve_problem(problem, fine, eps=eps, junction_mode=junction_mode)
+    if res is None:
+        grid = Grid(problem.network, fine)
+        coarser = [n for n in solved if n < fine] if chain else []
+        start = solved[max(coarser)].u.on_grid(grid) if coarser else None
+        res = solve_system(assemble(problem, grid, eps=eps, junction_mode=junction_mode),
+                           SolveConfig(), start)
+        if chain:
+            solved[fine] = res
     return ReferenceSolution(res.u, "fine-grid",
                              {"refine": refine, "converged": res.converged,
                               "residual_norm": res.residual_norm})
@@ -203,18 +201,13 @@ def convergence_table(problem: NetworkProblem, resolutions, exact=None,
     reference is itself a solve: one that stopped short of the tolerance
     makes its row's error meaningless, as an unconverged run does.
 
-    The resolutions are solved coarse to fine, as nested iteration
-    (Brandt, Math. Comp. 31, 1977): the coarsest cold with solve_system,
-    each finer one by a continuation_step from the previous solution
-    prolonged onto its grid.  From that start Newton's count does not grow
-    with the mesh (Allgower, Bohmer, Potra & Rheinboldt, SIAM J. Numer.
-    Anal. 23, 1986), so iterations and wall time measure that corrector.
-    The references are taken coarse to fine too.  Under the default config
-    a fine-grid reference continues the same chain: the solve at another
-    resolution where the grids coincide, else a continuation_step from the
-    finest solution below it (fine_grid_reference).  Under any other
-    config each reference is solved cold.  A repeated node count raises
-    ValueError: the order between equal h is undefined."""
+    The resolutions are solved coarse to fine (nested iteration, Brandt,
+    Math. Comp. 31, 1977): the coarsest with no start given, each finer one
+    from the previous solution prolonged, so iterations and wall time
+    measure Newton's correction of that start.  Under the default config
+    the fine-grid references continue the chain (fine_grid_reference);
+    under any other config each is solved with no start given.  A repeated
+    node count raises ValueError: the order between equal h is undefined."""
     config = config or SolveConfig()
     ascending = sorted(resolutions)
     if len(set(ascending)) < len(ascending):
@@ -224,8 +217,8 @@ def convergence_table(problem: NetworkProblem, resolutions, exact=None,
         system = assemble(problem, Grid(problem.network, nodes), eps=eps,
                           junction_mode=junction_mode)
         t0 = time.perf_counter()
-        res = (solve_system(system, config) if warm is None else
-               continuation_step(system, config, warm.on_grid(system.grid)))
+        res = solve_system(system, config,
+                           None if warm is None else warm.on_grid(system.grid))
         runs[nodes] = (res, time.perf_counter() - t0)
         warm = res.u
     solved = ({nodes: res for nodes, (res, _) in runs.items()}

@@ -5,20 +5,20 @@ Three methods share the same interface: two-colour Gauss-Seidel sweeps
 vertex node, one exact Newton step at an edge node, whose row is affine in
 its own value with slope own_coeff, for every other node along each edge at
 once), a damped semismooth Newton iteration with a sparse Jacobian, and a
-hybrid that warms up with sweeps before switching to Newton and falls back
-to sweeps when Newton stalls, saying why.  The Jacobian is read off the
-stencil, with no residual() call: an edge row's coefficients are exact but
-for one central quotient of H in the central slope, from two table calls
-per Jacobian, and only the vertex rows take central differences, over
-their own inputs.  The entries go straight into compressed sparse columns
-at positions the grid computes once.
+hybrid.  The Jacobian is read off the stencil, with no residual() call: an
+edge row's coefficients are exact but for one central quotient of H in the
+central slope, from two table calls per Jacobian, and only the vertex rows
+take central differences, over their own inputs.  The entries go straight
+into compressed sparse columns at positions the grid computes once.
 
-Continuation, in the viscosity eps or in the grid, is one
-predictor-corrector, continuation_step: Newton starts from a prediction,
-the previous eps step's solution or a coarser grid's prolonged, and the
-hybrid runs only when that corrector fails.  The eps steps share their
-grid, and with it the dependency pattern, built once; the grid steps are
-oracle.convergence_table's resolutions and references.
+The hybrid is one predictor-corrector: Newton corrects the start given
+(a previous viscosity step, a coarser rung of a ladder), else the same
+system solved on the grid with half as many cells per edge and prolonged,
+nested down to a coarsest level that starts from zero (Brandt, Math. Comp.
+31, 1977).  From such a start Newton's count does not grow with the mesh
+(Allgower, Bohmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986).
+The discrete solution is unique, so the start changes the cost, not the
+answer.  Only where Newton fails does the sweep-warmed hybrid run.
 
 Barriers are network-wide super- and subsolutions of the discrete scheme,
 found by doubling the two constants of a tent-shaped profile until the
@@ -41,7 +41,8 @@ from .problem import NetworkProblem
 
 
 MAX_NEWTON = 60  # Newton iterations per newton_solve
-WARMUP_SWEEPS = 5  # Gauss-Seidel sweeps before the hybrid switches to Newton
+WARMUP_SWEEPS = 5  # Gauss-Seidel sweeps before the fallback's Newton
+MIN_LEVEL_NODES = 21  # fewest nodes per edge on a coarse level of the hybrid
 NEWTON_FD_STEP = 1e-7  # largest finite-difference step of the Jacobian
 
 
@@ -271,8 +272,60 @@ def newton_solve(system: ResidualSystem, config: SolveConfig,
 # Hybrid driver
 
 
+def _newton(system: ResidualSystem, config: SolveConfig, u0) -> SolveResult:
+    """newton_solve, with a singular linearization returned as unconverged."""
+    try:
+        return newton_solve(system, config, u0)
+    except SingularLinearization as exc:
+        u = GridFunction.zeros(system.grid) if u0 is None else u0
+        return SolveResult(u, False, np.inf, 0, "newton", system.eps,
+                           f"hit a singular linearization ({exc})")
+
+
+def _sweep_warmed(system: ResidualSystem, config: SolveConfig, u0) -> SolveResult:
+    """WARMUP_SWEEPS sweeps, Newton, then sweeps up to max_sweeps; the
+    message names Newton's stopping cause when the last sweeps ran."""
+    warm = sweep_solve(system, replace(config, max_sweeps=WARMUP_SWEEPS), u0)
+    if warm.converged:
+        return warm
+    res = _newton(system, config, warm.u)
+    if not res.converged:
+        last = sweep_solve(system, config, res.u)
+        res = replace(last, iterations=res.iterations + last.iterations,
+                      message=f"newton {res.message}; fell back to sweeps"
+                      + (f", which {last.message}" if last.message else ""))
+    return replace(res, iterations=warm.iterations + res.iterations)
+
+
+def _nested(system: ResidualSystem, config: SolveConfig, u0):
+    """Newton from u0, else from this system solved the same way on the
+    grid with half as many cells per edge and prolonged, else (where an
+    edge would keep fewer than MIN_LEVEL_NODES) from zero; the sweep-warmed
+    hybrid from that start if Newton fails.  Returns the result, counting
+    every level's iterations, and each level's Newton count and fallback,
+    coarsest first.  A coarse level only predicts, so it is not probed."""
+    counts, notes, spent = [], [], 0
+    coarse = {eid: (n - 1) // 2 + 1 for eid, n in system.grid.nodes_per_edge.items()}
+    if u0 is None and min(coarse.values()) >= MIN_LEVEL_NODES:
+        cres, counts, notes = _nested(assemble(
+            system.problem, Grid(system.problem.network, coarse), eps=system.eps,
+            junction_mode=system.junction_mode, probe_samples=0), config, None)
+        u0, spent = cres.u.on_grid(system.grid), cres.iterations
+    name = "n=" + "/".join(map(str, sorted(set(system.grid.nodes_per_edge.values()))))
+    res = _newton(system, config, u0)
+    counts.append(f"{res.iterations} at {name}")
+    if not res.converged:
+        spent, fallback = spent + res.iterations, _sweep_warmed(system, config, u0)
+        notes.append(f"; at {name} newton {res.message}; ran the sweep-warmed "
+                     "hybrid" + (f": {fallback.message}" if fallback.message else ""))
+        res = fallback
+    return replace(res, iterations=spent + res.iterations), counts, notes
+
+
 def solve_system(system: ResidualSystem, config: Optional[SolveConfig] = None,
                  u0: Optional[GridFunction] = None) -> SolveResult:
+    """Solve by config.method from u0.  The hybrid's message names its start
+    (given, coarser grid or zero), each level's Newton count and fallback."""
     config = config or SolveConfig()
     if config.method == "sweep":
         return sweep_solve(system, config, u0)
@@ -280,29 +333,10 @@ def solve_system(system: ResidualSystem, config: Optional[SolveConfig] = None,
         return newton_solve(system, config, u0)
     if config.method != "hybrid":
         raise ValueError(f"unknown method {config.method!r}")
-
-    warm = replace(config, max_sweeps=WARMUP_SWEEPS)
-    res = sweep_solve(system, warm, u0)
-    if res.converged:
-        return SolveResult(res.u, True, res.residual_norm, res.iterations,
-                           "hybrid", system.eps)
-    try:
-        nres = newton_solve(system, config, res.u)
-        cause = nres.message
-    except SingularLinearization as exc:
-        nres, cause = None, f"hit a singular linearization ({exc})"
-    if nres is not None and nres.converged:
-        return SolveResult(nres.u, True, nres.residual_norm,
-                           res.iterations + nres.iterations, "hybrid",
-                           system.eps)
-    fallback = sweep_solve(system, config, nres.u if nres else res.u)
-    total = res.iterations + (nres.iterations if nres else 0) + fallback.iterations
-    message = f"newton {cause}; fell back to sweeps"
-    if fallback.message:
-        message += f", which {fallback.message}"
-    return SolveResult(fallback.u, fallback.converged,
-                       fallback.residual_norm, total, "hybrid", system.eps,
-                       message)
+    res, counts, notes = _nested(system, config, u0)
+    start = "given" if u0 is not None else "coarser grid" if len(counts) > 1 else "zero"
+    return replace(res, method="hybrid", message=f"start: {start}; newton iterations "
+                   f"per level: {', '.join(counts)}" + "".join(notes))
 
 
 def solve_problem(problem: NetworkProblem, nodes_per_edge, eps: float = 0.0,
@@ -317,11 +351,13 @@ def solve_problem(problem: NetworkProblem, nodes_per_edge, eps: float = 0.0,
 
 def multistart_solve(system: ResidualSystem, config: Optional[SolveConfig] = None,
                      offsets=(-10.0, -1.0, 0.0, 1.0, 10.0)):
-    """Solve from several constant initial guesses; used to probe uniqueness."""
-    out = []
-    for c in offsets:
-        out.append(solve_system(system, config, GridFunction.full(system.grid, c)))
-    return out
+    """Solve from several constant initial guesses; used to probe uniqueness
+    (acceptance criterion 3).  Each constant is a start on the target grid,
+    corrected there, not a coarse-grid start nested upward: nesting would
+    separate the starts on the coarsest grid only, and the criterion asks
+    whether the target system's solution depends on the start."""
+    return [solve_system(system, config, GridFunction.full(system.grid, c))
+            for c in offsets]
 
 
 # ---------------------------------------------------------------------------
@@ -354,49 +390,14 @@ class ViscositySweep:
         return rows
 
 
-def continuation_step(system: ResidualSystem, config: SolveConfig,
-                      warm: GridFunction) -> SolveResult:
-    """One step of a continuation, in eps or in n, as predictor-corrector
-    (Allgower & Georg, Numerical Continuation Methods, 1990): warm, the
-    previous eps step's solution on the same grid or a coarser grid's
-    solution prolonged onto this one (nested iteration, Brandt 1977),
-    predicts this solution, and Newton corrects it.  Sweeping first, as the
-    hybrid does, buys nothing this close to the solution.  Only when the
-    corrector does not converge or hits a singular linearization does the
-    full hybrid run, from the same prediction.  The message says which path
-    ran and why.  A "sweep" or "newton" config is solved as configured,
-    from warm.
-
-    The rule lives here, not in solve_system: from a constant start, as
-    multistart_solve's, Newton first is slower than the hybrid, and so is a
-    single solve sequenced up from a coarse grid at the sizes measured
-    (ROADMAP item 5)."""
-    if config.method != "hybrid":
-        return solve_system(system, config, warm)
-    try:
-        res = newton_solve(system, config, warm)
-        cause = res.message
-    except SingularLinearization as exc:
-        res, cause = None, f"hit a singular linearization ({exc})"
-    if res is not None and res.converged:
-        return replace(res, method="hybrid",
-                       message="newton corrector from the previous step")
-    hybrid = solve_system(system, config, warm)
-    message = f"newton corrector {cause}; ran the hybrid from the previous step"
-    if hybrid.message:
-        message += f": {hybrid.message}"
-    return replace(hybrid, iterations=hybrid.iterations + (res.iterations if res else 0),
-                   message=message)
-
-
 def vanishing_viscosity(problem: NetworkProblem, nodes_per_edge, schedule,
                         junction_mode: str = "kirchhoff",
                         config: Optional[SolveConfig] = None,
                         deltas=None) -> ViscositySweep:
-    """Solve along a decreasing viscosity schedule, each step a
-    continuation_step from the one before, and report sup-differences to
-    the zero-viscosity solution, both globally and away from the boundary.
-    The eps = 0 base is a cold solve_system."""
+    """Solve along a decreasing viscosity schedule, each step from the
+    solution of the one before, and report sup-differences to the
+    zero-viscosity solution, both globally and away from the boundary.
+    The eps = 0 base is solved with no start given."""
     config = config or SolveConfig()
     grid = Grid(problem.network, nodes_per_edge)
     if deltas is None:
@@ -412,7 +413,7 @@ def vanishing_viscosity(problem: NetworkProblem, nodes_per_edge, schedule,
     prev = None
     for eps in sorted(set(float(e) for e in schedule), reverse=True):
         system = assemble(problem, grid, eps=eps, junction_mode=junction_mode)
-        res = continuation_step(system, config, warm)
+        res = solve_system(system, config, warm)
         warm = res.u
         diff = np.abs(res.u.values - base.u.values)
         interior, cauchy = {}, {}

@@ -113,6 +113,8 @@ def test_solve_flag_overrides(tmp_path):
 
 
 def test_solve_manifest_records_why_newton_fell_back(tmp_path, monkeypatch):
+    """n=41 is solved from n=21, where Newton from zero stops at MAX_NEWTON=2
+    and the sweep-warmed hybrid takes over; the manifest says so."""
     monkeypatch.setattr(solver, "MAX_NEWTON", 2)
     cfg = _write_config(tmp_path, {"catalog": "star3_mixed",
                                    "grid": {"nodes_per_edge": 41}})
@@ -120,8 +122,10 @@ def test_solve_manifest_records_why_newton_fell_back(tmp_path, monkeypatch):
     assert main(["solve", "--config", cfg, "--output-dir", str(outdir)]) == EXIT_OK
     stage = json.loads((outdir / "manifest.json").read_text())["stages"][1]
     assert stage["stage"] == "solve" and stage["converged"]
-    assert stage["message"].startswith("newton reached MAX_NEWTON=2 iterations")
-    assert stage["message"].endswith("; fell back to sweeps")
+    assert stage["message"].startswith(
+        "start: coarser grid; newton iterations per level: "
+        "2 at n=21, 1 at n=41; at n=21 newton reached MAX_NEWTON=2 iterations")
+    assert stage["message"].endswith("; ran the sweep-warmed hybrid")
 
 
 def test_malformed_json_exits_3(tmp_path, capsys):
@@ -259,6 +263,54 @@ def test_deterministic_reruns_byte_identical(tmp_path):
     assert outputs[0] == outputs[2]
 
 
+DETERMINISTIC_RUNS = [
+    ("solve", ["--nodes-per-edge", "21"]),
+    ("oracle", ["--nodes-per-edge", "21"]),
+    ("sweep-epsilon", ["--nodes-per-edge", "11", "--epsilon-schedule", "g:1:0.5:3"]),
+    ("convergence-table", ["--resolutions", "11,21,41"]),
+]
+
+
+def test_every_subcommand_reruns_byte_identical(tmp_path):
+    """Every --deterministic run, rerun into the same directory, writes the
+    same bytes to every output (the manifests list the output paths); so
+    does verify, which has no times."""
+    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal"})
+    out = tmp_path / "out"
+    runs = []
+    for _ in range(2):
+        for sub, extra in DETERMINISTIC_RUNS:
+            assert main([sub, "--config", cfg, "--output-dir", str(out / sub),
+                         "--deterministic"] + extra) == EXIT_OK, sub
+        assert main(["verify", "--solution", str(out / "solve" / "solution.csv"),
+                     "--problem", cfg, "--report", str(out / "report.json")]) == EXIT_OK
+        runs.append({str(p.relative_to(out)): p.read_bytes()
+                     for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(runs[0]) == 10
+    assert runs[0].keys() == runs[1].keys()
+    for name in runs[0]:
+        assert runs[0][name] == runs[1][name], name
+
+
+def test_convergence_table_times_rows_in_the_manifest(tmp_path):
+    """The table has no time column; each row's solve time is in the
+    manifest's convergence stage, which --deterministic strips."""
+    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal"})
+    for deterministic in (False, True):
+        outdir = tmp_path / f"out{deterministic}"
+        assert main(["convergence-table", "--config", cfg, "--output-dir", str(outdir),
+                     "--resolutions", "11,21,41"]
+                    + ["--deterministic"] * deterministic) == EXIT_OK
+        header = (outdir / "convergence.csv").read_text().splitlines()[0]
+        assert header == "h,sup_error,observed_order,iterations"
+        stage = json.loads((outdir / "manifest.json").read_text())["stages"][0]
+        if deterministic:
+            assert "wall_time" not in stage
+        else:
+            assert len(stage["wall_time"]) == 3
+            assert all(t >= 0.0 for t in stage["wall_time"])
+
+
 def test_oracle_direct_linear(tmp_path):
     cfg = _write_config(tmp_path, {"catalog": "star3_linear",
                                    "grid": {"nodes_per_edge": 21}})
@@ -317,8 +369,9 @@ def test_sweep_epsilon(tmp_path):
 
 @pytest.mark.parametrize("name,nodes", [("star3_eikonal", 81), ("star3_mixed", 41)])
 def test_sweep_epsilon_sweeps_only_for_the_base(tmp_path, monkeypatch, name, nodes):
-    """Each viscosity step is a Newton corrector from the step before: the
-    only Gauss-Seidel sweeps are the eps = 0 base solve's warm-up."""
+    """Each viscosity step is a Newton corrector from the step before, and
+    the eps = 0 base is Newton from its coarser grids: no Gauss-Seidel sweep
+    runs at all, the base's former warm-up included."""
     calls = []
     real = solver.sweep_solve
 
@@ -331,7 +384,7 @@ def test_sweep_epsilon_sweeps_only_for_the_base(tmp_path, monkeypatch, name, nod
     code = main(["sweep-epsilon", "--config", cfg, "--output-dir", str(tmp_path / "out"),
                  "--nodes-per-edge", str(nodes), "--epsilon-schedule", "g:1:0.5:9"])
     assert code == EXIT_OK
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_sweep_epsilon_bad_schedule(tmp_path):
@@ -580,6 +633,27 @@ def test_verify_rejects_malformed_solution(tmp_path, capsys, case, edit, message
     assert not report.exists()
 
 
+def test_verify_rejects_disagreeing_vertex_values(tmp_path, capsys):
+    """Each edge's end row gives the shared vertex a value; edges that
+    disagree are malformed input (exit 3), not a value picked by the order
+    the edges are read in."""
+    cfg = _write_config(tmp_path, {"catalog": "star3_constant",
+                                   "grid": {"nodes_per_edge": 5}})
+    outdir = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--output-dir", str(outdir)]) == EXIT_OK
+    lines = (outdir / "solution.csv").read_text().splitlines()
+    assert lines[1].startswith("0,0,")  # edge 0 at t = 0: vertex 0
+    lines[1] = "0,0,9"
+    bad_path = tmp_path / "bad.csv"
+    bad_path.write_text("\n".join(lines) + "\n")
+    report = tmp_path / "r.json"
+    code = main(["verify", "--solution", str(bad_path), "--problem", cfg,
+                 "--report", str(report)])
+    assert code == EXIT_BAD_INPUT
+    assert "edges 0 and 1 disagree at vertex 0: u = 9 and " in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_read_solution_csv_rows_in_any_order(tmp_path):
     """Rows may come in any order; the values land on their nodes bit for
     bit."""
@@ -710,6 +784,30 @@ def test_atomic_write_without_preallocation(tmp_path, monkeypatch, fallocate):
     text = "edge_id,t,u\n" + "1,0.25,3\n" * 50
     _atomic_write(str(path), text)
     assert path.read_bytes() == text.encode()
+    assert _leftovers(tmp_path) == []
+
+
+def test_atomic_write_new_file_mode_follows_umask(tmp_path):
+    """A new output gets the mode open(path, "w") would give it: 0666 less
+    the umask."""
+    old = os.umask(0o022)
+    try:
+        _atomic_write(str(tmp_path / "a.csv"), "x\n")
+        os.umask(0o077)
+        _atomic_write(str(tmp_path / "b.csv"), "x\n")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "a.csv").stat().st_mode & 0o777 == 0o644
+    assert (tmp_path / "b.csv").stat().st_mode & 0o777 == 0o600
+
+
+def test_atomic_write_keeps_the_replaced_file_mode(tmp_path):
+    path = tmp_path / "solution.csv"
+    path.write_text("old\n")
+    path.chmod(0o640)
+    _atomic_write(str(path), "new\n")
+    assert path.read_text() == "new\n"
+    assert path.stat().st_mode & 0o777 == 0o640
     assert _leftovers(tmp_path) == []
 
 

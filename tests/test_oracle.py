@@ -158,7 +158,7 @@ def test_convergence_table_reuses_row_solve_as_reference(monkeypatch):
     problem = entry_by_name("star3_mixed").problem
     assembled, refs, row_solutions = [], {}, {}
     real_assemble, real_reference = oracle.assemble, oracle.fine_grid_reference
-    real_cold, real_warm = oracle.solve_system, oracle.continuation_step
+    real_solve = oracle.solve_system
 
     def counting_assemble(problem, grid, *args, **kwargs):
         assembled.append(grid.nodes_per_edge[0])
@@ -178,8 +178,7 @@ def test_convergence_table_reuses_row_solve_as_reference(monkeypatch):
     monkeypatch.setattr(oracle, "assemble", counting_assemble)
     monkeypatch.setattr(solver, "assemble", counting_assemble)
     monkeypatch.setattr(oracle, "fine_grid_reference", recording_reference)
-    monkeypatch.setattr(oracle, "solve_system", recording(real_cold))
-    monkeypatch.setattr(oracle, "continuation_step", recording(real_warm))
+    monkeypatch.setattr(oracle, "solve_system", recording(real_solve))
     rows = convergence_table(problem, [6, 11, 21])
     monkeypatch.undo()
     assert sorted(assembled) == [6, 11, 21, 41, 81]
@@ -192,25 +191,26 @@ def test_convergence_table_reuses_row_solve_as_reference(monkeypatch):
 
 
 @pytest.mark.parametrize("name, resolutions, cold_iterations", [
-    ("star3_eikonal", [21, 41, 81], 12), ("star3_mixed", [6, 11, 21], 7)])
+    ("star3_eikonal", [21, 41, 81], 6), ("star3_mixed", [6, 11, 21], 5)])
 def test_convergence_table_rows_after_the_first_are_corrector_steps(
         monkeypatch, name, resolutions, cold_iterations):
     """Every row after the first starts from the coarser row's solution,
-    prolonged, and Newton corrects it in a few steps, where a cold solve
-    takes cold_iterations.  One cold solve_system per table: the first row."""
+    prolonged, and Newton corrects it in a few steps, where a solve with no
+    start given takes cold_iterations (every level below it included).  One
+    solve_system with no start per table: the first row."""
     entry = entry_by_name(name)
-    calls = []
+    starts = []
     real = solver.solve_system
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def recording(system, config=None, u0=None):
+        starts.append(u0)
+        return real(system, config, u0)
 
-    monkeypatch.setattr(solver, "solve_system", counting)
-    monkeypatch.setattr(oracle, "solve_system", counting)
+    monkeypatch.setattr(solver, "solve_system", recording)
+    monkeypatch.setattr(oracle, "solve_system", recording)
     rows = convergence_table(entry.problem, resolutions, entry.exact)
     monkeypatch.undo()
-    assert len(calls) == 1
+    assert [u0 is None for u0 in starts] == [True] + [False] * (len(starts) - 1)
     assert all(r["converged"] and r["reference_converged"] for r in rows)
     assert max(r["iterations"] for r in rows[1:]) <= 3
     assert solver.solve_problem(entry.problem, resolutions[-1]).iterations >= cold_iterations

@@ -1,19 +1,21 @@
 """Nonlinear solvers: nodewise sweeps, semismooth Newton, barriers, and
 the vanishing-viscosity continuation."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 
 from knet import solver
-from knet.catalog import all_entries, entry_by_name
+from knet.catalog import all_entries, entry_by_name, random_problem
 from knet.discretization import Grid, GridFunction, assemble
 from knet.errors import SingularLinearization
+from knet.problem import validate_problem
 from knet.solver import (
     SolveConfig,
     _fd_jacobian,
     build_barriers,
-    continuation_step,
     multistart_solve,
     newton_solve,
     solve_node,
@@ -312,8 +314,10 @@ def test_hybrid_fallback_names_singular_linearization(monkeypatch, system_cached
     monkeypatch.setattr(solver, "newton_solve", singular)
     res = solve_system(system_cached("star3_eikonal", 11))
     assert res.converged
-    assert res.message == ("newton hit a singular linearization (non-finite "
-                           "Newton direction); fell back to sweeps")
+    cause = "newton hit a singular linearization (non-finite Newton direction)"
+    assert res.message == ("start: zero; newton iterations per level: 0 at "
+                           f"n=11; at n=11 {cause}; ran the sweep-warmed "
+                           f"hybrid: {cause}; fell back to sweeps")
 
 
 def test_star3_linear_1281_stall_stops_with_diagnosis():
@@ -347,6 +351,73 @@ def test_multistart_unique_root(system_cached):
     assert float(np.max(stack.max(axis=0) - stack.min(axis=0))) <= 1e-9
 
 
+# ---------------------------------------------------------------------------
+# Nested iteration: with no start given, the hybrid starts from the
+# next-coarser grid's solution, prolonged
+
+
+@pytest.mark.parametrize("seed", [7, 8, 43])
+def test_valid_draws_converge_at_161(seed):
+    """Valid draws on which a hybrid started by sweeps on the target grid
+    stopped unconverged."""
+    problem = random_problem(np.random.default_rng(seed))
+    assert validate_problem(problem).ok
+    res = solve_problem(problem, 161)
+    assert res.converged, res.message
+    assert res.message.startswith("start: coarser grid; ")
+
+
+def test_graph5_constant_minmax_converges_at_1281():
+    res = solve_problem(entry_by_name("graph5_constant").problem, 1281,
+                        junction_mode="minmax")
+    assert res.converged, res.message
+    np.testing.assert_allclose(res.u.values, 1.0, atol=1e-9)
+
+
+def test_multistart_converges_from_every_offset_at_161(system_cached):
+    """Each constant start, +10 included, is corrected by Newton on the
+    target grid, with the sweep-warmed hybrid only as its fallback."""
+    runs = multistart_solve(system_cached("star3_mixed", 161))
+    assert all(r.converged for r in runs), [r.message for r in runs]
+    assert all(r.message.startswith("start: given; ") for r in runs)
+    stack = np.stack([r.u.values for r in runs])
+    assert float(np.max(stack.max(axis=0) - stack.min(axis=0))) <= 1e-9
+
+
+def test_cold_solve_neither_sweeps_nor_probes(monkeypatch, system_cached):
+    """star3_mixed at n=641 is solved from n=21 up by Newton alone, and the
+    coarse levels, which only predict, are assembled without the probe."""
+    system = system_cached("star3_mixed", 641)
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "sweep_solve", counting("sweep", solver.sweep_solve))
+    monkeypatch.setattr(type(system), "certify_monotone",
+                        counting("certify", type(system).certify_monotone))
+    res = solve_system(system)
+    assert res.converged and calls == []
+    assert res.message.startswith("start: coarser grid; ")
+
+
+@pytest.mark.parametrize("nodes, levels", [
+    (161, "n=21, n=41, n=81, n=161"), (41, "n=21, n=41"), (40, "n=40"),
+    ({0: 81, 1: 42, 2: 161}, "n=21/41/81, n=42/81/161"),
+    ({0: 81, 1: 40, 2: 161}, "n=40/81/161")])
+def test_levels_halve_each_edge_down_to_21(nodes, levels):
+    """Each coarser level has (n - 1) // 2 + 1 nodes per edge, per edge for
+    dict counts, while every edge keeps MIN_LEVEL_NODES."""
+    network = entry_by_name("star3_mixed").problem.network
+    res = solve_system(assemble(entry_by_name("star3_mixed").problem, Grid(network, nodes)))
+    assert res.converged
+    counts = res.message.split("; ")[1].removeprefix("newton iterations per level: ")
+    assert re.sub(r"\d+ at ", "", counts) == levels
+
+
 def test_unknown_method_rejected(system_cached):
     with pytest.raises(ValueError):
         solve_system(system_cached("star3_constant", 5),
@@ -374,18 +445,24 @@ def test_vanishing_viscosity_structure():
     assert all("eps" in row and "sup_full" in row for row in rows)
 
 
-def test_continuation_step_is_a_newton_corrector(system_cached, solve_cached):
+def test_continuation_step_is_a_newton_corrector(monkeypatch, system_cached,
+                                                 solve_cached):
+    """A continuation step, solve_system from the previous step's solution,
+    is Newton from that start alone: no sweep, no coarser grid."""
+    monkeypatch.setattr(solver, "sweep_solve", None)
+    monkeypatch.setattr(solver, "assemble", None)
     system = system_cached("star3_eikonal", 21, eps=0.25)
-    res = continuation_step(system, SolveConfig(), solve_cached("star3_eikonal", 21).u)
+    res = solve_system(system, SolveConfig(), solve_cached("star3_eikonal", 21).u)
     assert res.converged and res.method == "hybrid"
-    assert res.message == "newton corrector from the previous step"
+    assert res.message == ("start: given; newton iterations per level: "
+                           f"{res.iterations} at n=21")
 
 
 @pytest.mark.parametrize("failure", ["singular", "max_newton"])
 def test_continuation_step_falls_back_to_hybrid(monkeypatch, system_cached,
                                                 solve_cached, failure):
-    """A corrector that fails hands the step to the full hybrid from the
-    same prediction, which converges; the message names the cause."""
+    """A corrector that fails hands the step to the sweep-warmed hybrid from
+    the same prediction, which converges; the message names the cause."""
     system = system_cached("star3_eikonal", 21, eps=0.25)
     warm = solve_cached("star3_eikonal", 21).u
     if failure == "singular":
@@ -397,12 +474,12 @@ def test_continuation_step_falls_back_to_hybrid(monkeypatch, system_cached,
     else:
         monkeypatch.setattr(solver, "MAX_NEWTON", 0)
         cause = "reached MAX_NEWTON=0 iterations at residual "
-    res = continuation_step(system, SolveConfig(), warm)
-    hybrid = solve_system(system, SolveConfig(), warm)
+    res = solve_system(system, SolveConfig(), warm)
+    hybrid = solver._sweep_warmed(system, SolveConfig(), warm)
     assert res.converged and res.method == "hybrid"
-    assert res.message.startswith("newton corrector " + cause)
-    assert res.message.endswith("; ran the hybrid from the previous step: "
-                                + hybrid.message)
+    assert res.message.startswith("start: given; newton iterations per level: ")
+    assert " at n=21; at n=21 newton " + cause in res.message
+    assert res.message.endswith("; ran the sweep-warmed hybrid: " + hybrid.message)
     assert hybrid.message.startswith("newton " + cause)
     np.testing.assert_array_equal(res.u.values, hybrid.u.values)
 
