@@ -145,7 +145,7 @@ def check_degenerate_edge_inequalities(problem: NetworkProblem, u: GridFunction,
         xv = inc.vertex_param
         lo, hi = slopes.lower[eid], slopes.upper[eid]
         ps = np.linspace(lo, hi, n_samples)
-        vals = np.array([lam * uv + float(ham(xv, inc.sign * p)) for p in ps])
+        vals = lam * uv + ham(xv, inc.sign * ps)
         sub_margin = float(np.max(vals))
         witness = None
         if sub_margin > tol:
@@ -213,6 +213,10 @@ def probe_viscosity(problem: NetworkProblem, u: GridFunction,
     quadratic probe; a probe is active when the point is a discrete local
     max (sub) or min (super) of u minus the shifted probe on its ball.
 
+    One array pass over (node, probe, slope): a vertex point has one test
+    slope per probe, sgn*L, an edge point five in [-L, L].  The worst
+    margin is the first maximum in the order probe, then slope.
+
     Raises NoActiveProbe when nothing in the grid touches at the point, and
     ValueError when the point lies inside an edge but on no grid node.
     """
@@ -220,7 +224,7 @@ def probe_viscosity(problem: NetworkProblem, u: GridFunction,
         raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
     grid = u.grid
     net = problem.network
-    probes = default_probe_grid() if probes is None else probes
+    probes = default_probe_grid() if probes is None else list(probes)
     tol = 5.0 * grid.h if tol is None else float(tol)
     point = net.point(point.edge_id, point.t)
     vid = net.point_vertex(point)
@@ -240,60 +244,47 @@ def probe_viscosity(problem: NetworkProblem, u: GridFunction,
             if net.vertex_point(end).edge_id != edge.id:
                 offsets[grid.vertex_gid(end)] = np.nan
     u0 = float(u.values[gid])
-    dus = u.values - u0
-    if vid is not None:
-        vertex_clause = _vertex_clause(problem, vid, u0)
-    lam = problem.lam
     sgn = 1.0 if side == "sub" else -1.0
 
-    active = 0
-    worst = -math.inf
-    worst_probe = {}
-    for (L, K) in probes:
-        ball = (rhos > 0) & (rhos <= 1.0 / (4.0 * K))
-        if not ball.any():
-            continue
-        r = rhos[ball]
-        du = dus[ball]
-
-        if vid is not None:
-            psi = L * (r - K * r * r)
-            # touching from above (sub): u - u0 <= psi on the ball
-            if side == "sub" and np.any(du > psi + 1e-12):
-                continue
-            if side == "super" and np.any(du < -psi - 1e-12):
-                continue
-            clause = vertex_clause(sgn * L, side)
-            margin = clause if side == "sub" else -clause
-            active += 1
-            if margin > worst:
-                worst, worst_probe = margin, {"L": L, "K": K, "slope": sgn * L}
-            continue
-
-        # edge-interior point: signed coordinate along the edge
-        signed = offsets[ball]
-        ham = problem.hamiltonians[point.edge_id]
-        a_x = float(problem.diffusions[point.edge_id].a(point.t))
-        for p_slope in np.linspace(-L, L, 5):
-            # phi(z) - u0 = sgn*(p*d - L K d^2) with d the signed offset;
-            # off-edge nodes use the worst-case quadratic bound in rho
-            phi = np.where(np.isnan(signed),
-                           L * r - L * K * r * r,
-                           sgn * (p_slope * signed - L * K * signed ** 2))
-            if side == "sub" and np.any(du > phi + 1e-12):
-                continue
-            if side == "super" and np.any(du < phi - 1e-12):
-                continue
-            clause = (lam * u0 - a_x * sgn * (-2.0 * L * K)
-                      + float(ham(point.t, sgn * p_slope)))
-            margin = clause if side == "sub" else -clause
-            active += 1
-            if margin > worst:
-                worst, worst_probe = margin, {"L": L, "K": K, "slope": p_slope}
-
-    if active == 0:
+    # node arrays run over (node, probe, slope), the rest over (probe,
+    # slope); the nodes are those inside the largest ball
+    L, K = np.asarray(probes, dtype=float).reshape(-1, 2).T[..., None]
+    radius = 1.0 / (4.0 * K)
+    near = (rhos > 0) & (rhos <= radius.max(initial=0.0))
+    r = rhos[near][:, None, None]
+    du = (u.values[near] - u0)[:, None, None]
+    ball = r <= radius
+    if vid is not None:
+        slopes = sgn * L
+        phi = sgn * (L * (r - K * r * r))
+    else:
+        slopes = np.linspace(-L[:, 0], L[:, 0], 5, axis=1)
+        signed = offsets[near][:, None, None]
+        # phi(z) - u0 = sgn*(p*d - L K d^2) with d the signed offset;
+        # off-edge nodes use the worst-case quadratic bound in rho
+        phi = np.where(np.isnan(signed), L * r - L * K * r * r,
+                       sgn * (slopes * signed - L * K * signed ** 2))
+    # touching from above (sub) means u - u0 <= phi on the ball
+    outside = du > phi + 1e-12 if side == "sub" else du < phi - 1e-12
+    active = ball.any(axis=0) & ~(ball & outside).any(axis=0)
+    if not active.any():
         raise NoActiveProbe(f"no probe touches u at {point} from side {side!r}")
-    return ProbeVerdict(point, side, active, worst, tol, worst_probe,
+
+    if vid is not None:
+        # the vertex clause depends on the slope alone
+        vertex_clause = _vertex_clause(problem, vid, u0)
+        clause = np.full(slopes.shape, np.nan)
+        for slope in np.unique(slopes[active]):
+            clause[slopes == slope] = vertex_clause(slope, side)
+    else:
+        a_x = float(problem.diffusions[point.edge_id].a(point.t))
+        clause = (problem.lam * u0 - a_x * sgn * (-2.0 * L * K)
+                  + problem.hamiltonians[point.edge_id](point.t, sgn * slopes))
+    margin = np.where(active, sgn * clause, -math.inf)
+    i, j = np.unravel_index(np.argmax(margin), margin.shape)
+    worst = float(margin[i, j])
+    worst_probe = {"L": probes[i][0], "K": probes[i][1], "slope": float(slopes[i, j])}
+    return ProbeVerdict(point, side, int(active.sum()), worst, tol, worst_probe,
                         worst <= tol)
 
 
@@ -402,6 +393,13 @@ class DiagnosticsReport:
         }
 
 
+def _check(name, location, margin, tolerance, passed, witness=None):
+    """One diagnostics record; passed is None where no probe touched."""
+    verdict = "NO-ACTIVE-PROBE" if passed is None else "PASS" if passed else "FAIL"
+    return {"name": name, "location": location, "margin": margin,
+            "tolerance": tolerance, "verdict": verdict, "witness": witness}
+
+
 def diagnostics_report(problem: NetworkProblem, u: GridFunction,
                        system: Optional[ResidualSystem] = None,
                        window: int = 3, tol: Optional[float] = None,
@@ -423,50 +421,33 @@ def diagnostics_report(problem: NetworkProblem, u: GridFunction,
 
         if system is not None:
             fres = system.junction_residual(u.values, v.id)
-            checks.append({
-                "name": "kirchhoff_node_equation", "location": loc,
-                "margin": abs(fres), "tolerance": 1e-8,
-                "verdict": "PASS" if abs(fres) <= 1e-8 else "FAIL",
-                "witness": {"residual": fres},
-            })
+            checks.append(_check("kirchhoff_node_equation", loc, abs(fres), 1e-8,
+                                 abs(fres) <= 1e-8, {"residual": fres}))
 
         for verdict in check_degenerate_edge_inequalities(problem, u, v.id,
                                                           sl, tol):
-            checks.append({
-                "name": "degenerate_edge_inequality",
-                "location": f"vertex {v.id}, edge {verdict.edge}",
-                "margin": verdict.sub_margin, "tolerance": tol,
-                "verdict": "PASS" if verdict.passed else "FAIL",
-                "witness": verdict.witness,
-            })
+            checks.append(_check("degenerate_edge_inequality",
+                                 f"{loc}, edge {verdict.edge}", verdict.sub_margin,
+                                 tol, verdict.passed, verdict.witness))
 
         for side in ("sub", "super"):
+            name = f"viscosity_probe_{side}"
             try:
                 pv = probe_viscosity(problem, u,
                                      problem.network.vertex_point(v.id),
                                      side=side, tol=tol)
-                checks.append({
-                    "name": f"viscosity_probe_{side}", "location": loc,
-                    "margin": pv.worst_margin, "tolerance": pv.tolerance,
-                    "verdict": "PASS" if pv.passed else "FAIL",
-                    "witness": pv.worst_probe,
-                })
+                checks.append(_check(name, loc, pv.worst_margin, pv.tolerance,
+                                     pv.passed, pv.worst_probe))
             except NoActiveProbe:
-                checks.append({
-                    "name": f"viscosity_probe_{side}", "location": loc,
-                    "margin": None, "tolerance": tol,
-                    "verdict": "NO-ACTIVE-PROBE", "witness": None,
-                })
+                checks.append(_check(name, loc, None, tol, None))
 
     boundary = boundary_loss_report(problem, u, tol)
     for b in boundary:
-        checks.append({
-            "name": "boundary_condition", "location": f"vertex {b.vertex}",
-            "margin": -b.gap, "tolerance": tol,
-            "verdict": "FAIL" if b.status == "overshoot-error" else "PASS",
-            "witness": {"status": b.status,
-                        "state_constraint_residual": b.state_constraint_residual},
-        })
+        checks.append(_check(
+            "boundary_condition", f"vertex {b.vertex}", -b.gap, tol,
+            b.status != "overshoot-error",
+            {"status": b.status,
+             "state_constraint_residual": b.state_constraint_residual}))
 
     if deltas is None:
         deltas = (0.1 * problem.network.min_edge_length,)

@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spsolve
 
@@ -136,6 +135,7 @@ def solve_node(system: ResidualSystem, gid: int, u: np.ndarray,
     sweep_solve needs it only at vertex nodes, whose couplings, ghost
     corrections, minmax clauses and state constraints are not affine; an
     edge row is, and takes the closed-form step with own_coeff instead."""
+    from scipy.optimize import brentq  # lazy: importing it slows every knet start
     def f(v):
         u[gid] = v
         return system.residual_node(gid, u)

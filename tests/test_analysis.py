@@ -2,6 +2,7 @@
 quadratic probe checks, Lipschitz constants, and boundary loss reports."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from knet.errors import (
     VertexNotInterior,
     WindowTooLarge,
 )
-from knet.network import Network, build_network, star_junction
+from knet.network import INTERIOR, Network, build_network, star_junction
 from knet.problem import NetworkProblem, constant_diffusion, eikonal
+from knet.solver import SolveConfig, sweep_solve
 
 
 def _single_edge_problem():
@@ -185,6 +187,67 @@ def test_probe_reads_vertex_constants_once(monkeypatch, catalog):
         seen[label] = (active, len(calls))
     assert seen["one"][0] == [1, 1] and min(seen["all"][0]) > 1
     assert seen["one"][1] == seen["all"][1] > 0
+
+
+def _reference_vertex_probe(problem, u, vid, side):
+    """probe_viscosity at a vertex written as a loop over the default probes:
+    ProbeFunction gives each ball and test function, and the relaxed clause
+    is evaluated per active probe.  None when no probe touches."""
+    net, grid = problem.network, u.grid
+    center = net.vertex_point(vid)
+    nodes = [net.point(*grid.node_location(g)) for g in range(grid.total_nodes)]
+    rho = [ProbeFunction(net, center, 1.0, 1.0).rho(p) for p in nodes]
+    u0 = float(u.values[grid.vertex_gid(vid)])
+    sgn = 1.0 if side == "sub" else -1.0
+    incs = net.incidence[vid]
+    interior = net.vertex(vid).kind == INTERIOR
+    active, worst, worst_probe = 0, -math.inf, {}
+    for L, K in default_probe_grid():
+        probe = ProbeFunction(net, center, L, K)
+        ball = [g for g in range(grid.total_nodes) if 0.0 < rho[g] <= probe.radius]
+        if not ball:
+            continue
+        du = [float(u.values[g]) - u0 for g in ball]
+        phi = [sgn * probe(nodes[g]) for g in ball]
+        if side == "sub" and any(d > f + 1e-12 for d, f in zip(du, phi)):
+            continue
+        if side == "super" and any(d < f - 1e-12 for d, f in zip(du, phi)):
+            continue
+        slope = sgn * L
+        vals = [problem.lam * u0 + float(problem.hamiltonians[i.edge.id](
+                    i.vertex_param, i.sign * slope))
+                for i in incs
+                if not interior or problem.a_at_vertex(vid, i.edge.id) == 0.0]
+        vals.append(problem.kirchhoff[vid](u0, np.full(len(incs), slope))
+                    if interior else u0 - problem.dirichlet[vid])
+        margin = min(vals) if side == "sub" else -max(vals)
+        active += 1
+        if margin > worst:
+            worst, worst_probe = margin, {"L": L, "K": K, "slope": slope}
+    return (active, worst, worst_probe) if active else None
+
+
+@pytest.mark.parametrize("name", ["star3_mixed", "graph5_constant",
+                                  "star3_loss_elliptic"])
+def test_probe_matches_per_probe_reference(name, system_cached, solve_cached):
+    """The one-pass probe agrees exactly with the per-probe reference at
+    every vertex, both sides, on a converged solution and a 3-sweep iterate."""
+    problem = entry_by_name(name).problem
+    inputs = [solve_cached(name, 21).u,
+              sweep_solve(system_cached(name, 21), SolveConfig(max_sweeps=3)).u]
+    for u in inputs:
+        tol = 5.0 * u.grid.h
+        for v in problem.network.vertices:
+            for side in ("sub", "super"):
+                ref = _reference_vertex_probe(problem, u, v.id, side)
+                point = problem.network.vertex_point(v.id)
+                if ref is None:
+                    with pytest.raises(NoActiveProbe):
+                        probe_viscosity(problem, u, point, side=side)
+                    continue
+                pv = probe_viscosity(problem, u, point, side=side)
+                assert (pv.n_active, pv.worst_margin, pv.worst_probe) == ref
+                assert pv.passed == (ref[1] <= tol)
 
 
 def test_probe_interior_kink():

@@ -6,6 +6,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -531,6 +533,19 @@ def test_main_builds_the_parser_once(tmp_path, monkeypatch):
     assert main(["solve", "--config", cfg, "--tol", "x"]) == EXIT_BAD_INPUT
     assert len(builds) == 1
     cli._parser.cache_clear()
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    """scipy.optimize serves only the Gauss-Seidel vertex solve, so a fresh
+    process that imports the CLI does not load it."""
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, knet.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_verify_clean_solution(tmp_path):

@@ -384,6 +384,16 @@ def test_multistart_converges_from_every_offset_at_161(system_cached):
     assert float(np.max(stack.max(axis=0) - stack.min(axis=0))) <= 1e-9
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "under the relaxed junction condition Newton from u = +10 reaches "
+    "MAX_NEWTON at residual 0.615 and the sweep fallback exhausts max_sweeps"))
+def test_minmax_multistart_converges_from_every_offset_at_161(system_cached):
+    """The same starts as above under junction_mode="minmax", which the
+    relaxed Kirchhoff condition of the paper asks for."""
+    runs = multistart_solve(system_cached("star3_mixed", 161, junction_mode="minmax"))
+    assert all(r.converged for r in runs), [r.message for r in runs]
+
+
 def test_cold_solve_neither_sweeps_nor_probes(monkeypatch, system_cached):
     """star3_mixed at n=641 is solved from n=21 up by Newton alone, and the
     coarse levels, which only predict, are assembled without the probe."""
