@@ -420,7 +420,7 @@ def diagnostics_report(problem: NetworkProblem, u: GridFunction,
         loc = f"vertex {v.id}"
 
         if system is not None:
-            fres = system.junction_residual(u.values, v.id)
+            fres = system.residual_node(grid.vertex_gid(v.id), u.values)
             checks.append(_check("kirchhoff_node_equation", loc, abs(fres), 1e-8,
                                  abs(fres) <= 1e-8, {"residual": fres}))
 

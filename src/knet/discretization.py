@@ -1,10 +1,19 @@
 """Per-edge grids and the monotone nodewise residual system.
 
 Interior nodes carry the Lax-Friedrichs discretization of
-lam*u - (a+eps)*u_xx + H(x, u_x); interior vertices carry the coupling
-F(u_v, inward divided differences); boundary vertices carry the relaxed
-(state-constraint) form of the Dirichlet condition where a + eps = 0 and H
-is coercive, else the strong equation u_v = g.  The problem fixes the
+lam*u - (a+eps)*u_xx + H(x, u_x).  Every vertex row is one formula,
+
+    max(base, lam*u_v + SC_i(d_i) for i in relaxed),
+
+with d the inward divided differences, base the coupling F(u_v, d) at an
+interior vertex and u_v - g at a boundary vertex, and SC_i(d_i) the state
+constraint of edge i, min of H over the one-sided slopes below d_i.  One
+rule, resolve_relaxed_edges, fixes the relaxed edges at assembly: a
+boundary vertex's edge where a + eps = 0 and H is coercive (the Dirichlet
+datum in the viscosity sense), and under junction_mode "minmax" a
+junction's edges with a + eps = 0 (Kirchhoff or the degenerate edge
+equation); none elsewhere.  A boundary row with no relaxed edge is the
+strong equation u_v = g and reads no slope.  The problem fixes the
 Lax-Friedrichs dissipation too: theta on each edge is its H's lipschitz_p.
 
 Every assembled system is certified monotone by finite-difference
@@ -48,7 +57,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import MonotonicityProbeFailed, NodeNotInterior, VertexNotInterior
+from .errors import MonotonicityProbeFailed
 from .network import INTERIOR, Network, NetworkPoint
 from .problem import NetworkProblem
 
@@ -252,7 +261,6 @@ def lax_friedrichs(ham, x, p_minus, p_plus, theta):
 @dataclass
 class _VertexStencil:
     gid: int
-    kind: str
     # per incident edge, in coupling component order:
     nbr_gids: np.ndarray
     hs: np.ndarray
@@ -261,15 +269,14 @@ class _VertexStencil:
     a_plus_eps: np.ndarray
     hams: tuple
     correct_2nd: np.ndarray  # ghost-corrected inward slope per edge
-    degenerate: np.ndarray
     coupling: object  # interior: KirchhoffCondition, else None
     h_dirichlet: float  # boundary: Dirichlet datum, else 0
-    boundary_mode: str  # boundary: "strong" or "relaxed", else "strong"
+    relaxed: tuple  # edges whose state-constraint clause the row takes
 
     @property
     def strong(self) -> bool:
-        """A boundary row u_v - g."""
-        return self.kind != INTERIOR and self.boundary_mode == "strong"
+        """A boundary row u_v - g, which reads no slope."""
+        return self.coupling is None and not self.relaxed
 
 
 class ResidualSystem:
@@ -304,11 +311,11 @@ class ResidualSystem:
                       for e, lo, hi in zip(edges, ends, ends[1:])]
         self._node_hams = [ham for s, ham in self._hams for _ in range(s.stop - s.start)]
 
-        boundary_modes = resolve_boundary_modes(problem, self.eps)
+        relaxed = resolve_relaxed_edges(problem, self.eps, junction_mode)
         self._vertices = []
         for v in problem.network.vertices:
             incs = problem.network.incidence[v.id]
-            nbr, hs, signs, xv, av, hams, cors, degs = ([] for _ in range(8))
+            nbr, hs, signs, xv, av, hams, cors = ([] for _ in range(7))
             for inc in incs:
                 eid = inc.edge.id
                 ids = grid.node_ids[eid]
@@ -320,17 +327,15 @@ class ResidualSystem:
                 a_v = problem.a_at_vertex(v.id, eid) + self.eps
                 av.append(a_v)
                 hams.append(problem.hamiltonians[eid])
-                degs.append(a_v == 0.0)
                 # second-order ghost correction only where it keeps the
                 # stencil monotone: a + eps must dominate theta*h/2
                 cors.append(a_v > 0.0 and a_v >= 0.5 * hams[-1].lipschitz_p * h_e)
             self._vertices.append(_VertexStencil(
-                grid.vertex_gid(v.id), v.kind,
+                grid.vertex_gid(v.id),
                 np.array(nbr), np.array(hs), np.array(signs), np.array(xv),
-                np.array(av), tuple(hams),
-                np.array(cors, dtype=bool), np.array(degs, dtype=bool),
+                np.array(av), tuple(hams), np.array(cors, dtype=bool),
                 problem.kirchhoff.get(v.id), problem.dirichlet.get(v.id, 0.0),
-                boundary_modes.get(v.id, "strong"),
+                relaxed[v.id],
             ))
 
         # own_coeff[j]: slope of an edge row, affine in its own value u[j],
@@ -375,26 +380,18 @@ class ResidualSystem:
             return float(ham.min_below(st.x_at_v[i], d_i))
         return float(ham.min_above(st.x_at_v[i], -d_i))
 
-    def junction_residual(self, u: np.ndarray, vid: int) -> float:
-        st = self._vertices[self.grid.vertex_gid(vid)]
-        if st.kind != INTERIOR:
-            raise VertexNotInterior(f"vertex {vid} is not interior")
-        return self._vertex_residual(st, u)
-
     def _vertex_residual(self, st: _VertexStencil, u: np.ndarray) -> float:
-        lam = self.problem.lam
+        """max(base, lam*u_v + state constraint on edge i for i in relaxed),
+        base the coupling F(u_v, d) at a junction, u_v - g at a boundary."""
         uv = float(u[st.gid])
         if st.strong:
             return uv - st.h_dirichlet
         d = self.inward_slopes(st, u)
-        if st.kind == INTERIOR:
-            res = st.coupling(uv, d)
-            if self.junction_mode == "minmax":
-                for i in np.nonzero(st.degenerate)[0]:
-                    res = max(res, lam * uv + self._state_constraint_value(st, int(i), float(d[i])))
-            return float(res)
-        eq = lam * uv + self._state_constraint_value(st, 0, float(d[0]))
-        return float(max(uv - st.h_dirichlet, eq))
+        res = uv - st.h_dirichlet if st.coupling is None else st.coupling(uv, d)
+        for i in st.relaxed:
+            res = max(res, self.problem.lam * uv
+                      + self._state_constraint_value(st, i, float(d[i])))
+        return float(res)
 
     def _table_ham(self, x, p):
         """Each edge's Hamiltonian on its slice of the whole table."""
@@ -411,17 +408,12 @@ class ResidualSystem:
         hh = lax_friedrichs(ham, self._x[k], (uc - um) / h, (up - uc) / h, self._theta[k])
         return self.problem.lam * uc - self._a[k] * ((up - 2.0 * uc + um) / self._hsq[k]) + hh
 
-    def interior_residual(self, u: np.ndarray, gid: int) -> float:
+    def residual_node(self, gid: int, u: np.ndarray) -> float:
         k = gid - len(self._vertices)
         if k < 0:
-            raise NodeNotInterior(f"node {gid} is a vertex node")
+            return self._vertex_residual(self._vertices[gid], u)
         return float(self._edge_rows(k, u[self._left[k]], u[gid], u[self._right[k]],
                                      self._node_hams[k]))
-
-    def residual_node(self, gid: int, u: np.ndarray) -> float:
-        if gid < len(self._vertices):
-            return self._vertex_residual(self._vertices[gid], u)
-        return self.interior_residual(u, gid)
 
     def relax_edge_class(self, c: int, u: np.ndarray, skip_below: float) -> None:
         """Exact step u[j] -= r_j / own_coeff[j], in place, at every node j of
@@ -494,10 +486,6 @@ class ResidualSystem:
 
     # -- structure ----------------------------------------------------------
 
-    def neighbors(self, gid: int):
-        p = self.pattern
-        return tuple(p.rows[p.indptr[gid] + 1:p.indptr[gid + 1]].tolist())
-
     def dependents(self, gid: int):
         """Nodes whose residual depends on u[gid] (incl. gid itself)."""
         p = self.pattern
@@ -507,9 +495,9 @@ class ResidualSystem:
         if gid >= len(self._vertices):
             return "interior"
         st = self._vertices[gid]
-        if st.kind == INTERIOR:
+        if st.coupling is not None:
             return "junction"
-        return f"boundary-{st.boundary_mode}"
+        return "boundary-relaxed" if st.relaxed else "boundary-strong"
 
     def certify_monotone(self, n_samples: int = 3, step: float = 1e-6,
                          tol: float = 1e-9, rng=None, scale: float = 2.0):
@@ -539,12 +527,6 @@ class ResidualSystem:
                         "direction": "own" if own[k] else "cross",
                         "delta": float(delta[k])}
         return None
-
-    def own_slope(self, gid: int, u: np.ndarray, step: float = 1e-6) -> float:
-        r0 = self.residual_node(gid, u)
-        u2 = u.copy()
-        u2[gid] += step
-        return (self.residual_node(gid, u2) - r0) / step
 
 
 def _dependency_pattern(grid: Grid):
@@ -593,16 +575,22 @@ def _distance2_colouring(grid: Grid, indptr: np.ndarray, rows: np.ndarray) -> np
     return colours
 
 
-def resolve_boundary_modes(problem: NetworkProblem, eps: float) -> dict:
-    """Row form per boundary vertex: "relaxed" (the Dirichlet datum in the
-    viscosity sense, max(u - g, lam*u + state constraint)) where a + eps = 0
-    and H is coercive, else "strong" (u = g).  Where a + eps > 0 the
-    diffusion keeps the datum, so only the strong row is right there."""
+def resolve_relaxed_edges(problem: NetworkProblem, eps: float,
+                          junction_mode: str = "kirchhoff") -> dict:
+    """Per vertex id, the incident edges (positions in its incidence list)
+    whose state-constraint clause its row takes: a boundary vertex's edge
+    where a + eps = 0 and H is coercive (the Dirichlet datum in the
+    viscosity sense), and under "minmax" a junction's edges with
+    a + eps = 0 (Kirchhoff or the edge equation).  Else none: where
+    a + eps > 0 the diffusion keeps the datum, so only u = g is right."""
     out = {}
-    for v in problem.network.boundary_vertices:
-        eid = problem.network.incidence[v.id][0].edge.id
-        a = problem.a_at_vertex(v.id, eid) + eps
-        out[v.id] = "strong" if a > 0.0 or not problem.hamiltonians[eid].coercive else "relaxed"
+    for v in problem.network.vertices:
+        incs = problem.network.incidence[v.id]
+        flat = [problem.a_at_vertex(v.id, inc.edge.id) + eps == 0.0 for inc in incs]
+        if v.kind == INTERIOR:
+            out[v.id] = tuple(i for i, f in enumerate(flat) if f and junction_mode == "minmax")
+        else:
+            out[v.id] = (0,) if flat[0] and problem.hamiltonians[incs[0].edge.id].coercive else ()
     return out
 
 

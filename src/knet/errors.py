@@ -27,10 +27,6 @@ class PointsOnDifferentNetworks(KnetError):
     pass
 
 
-class EdgeNotIncident(KnetError):
-    pass
-
-
 class VertexNotInterior(KnetError):
     pass
 
@@ -42,10 +38,6 @@ class InvalidCoefficientSign(KnetError):
 
 
 # -- discretization ----------------------------------------------------------
-
-class NodeNotInterior(KnetError):
-    pass
-
 
 class MonotonicityProbeFailed(KnetError):
     """Carries the witness node and perturbation direction."""

@@ -20,7 +20,6 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from .errors import (
     DisconnectedGraph,
     DuplicateEdge,
-    EdgeNotIncident,
     IsolatedVertex,
     NonPositiveLength,
     PointsOnDifferentNetworks,
@@ -111,11 +110,6 @@ class Network:
     def min_edge_length(self) -> float:
         return min(e.length for e in self.edges)
 
-    def is_star(self) -> bool:
-        return len(self.interior_vertices) == 1 and all(
-            self.degree(v.id) == 1 for v in self.boundary_vertices
-        )
-
     # -- points -------------------------------------------------------------
 
     def point(self, edge_id: int, t: float) -> NetworkPoint:
@@ -178,15 +172,6 @@ class Network:
             for vb, tb in ((eq.tail, q.t), (eq.head, eq.length - q.t)):
                 best = min(best, ta + dv[idx[va], idx[vb]] + tb)
         return float(best)
-
-    def inward_coordinate(self, vid: int, edge_id: int, t: float) -> float:
-        """Distance from vertex vid along the incident edge edge_id."""
-        e = self.edge(edge_id)
-        if vid == e.tail:
-            return float(t)
-        if vid == e.head:
-            return float(e.length - t)
-        raise EdgeNotIncident(f"edge {edge_id} not incident to vertex {vid}")
 
 
 def build_network(vertex_specs, edge_specs) -> Network:

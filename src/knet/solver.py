@@ -18,7 +18,9 @@ nested down to a coarsest level that starts from zero (Brandt, Math. Comp.
 31, 1977).  From such a start Newton's count does not grow with the mesh
 (Allgower, Bohmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986).
 The discrete solution is unique, so the start changes the cost, not the
-answer.  Only where Newton fails does the sweep-warmed hybrid run.
+answer.  A coarse level only predicts: whatever Newton reaches there
+starts the next level.  Only where Newton fails on the target grid does the
+sweep-warmed hybrid run, once, from the target grid's start.
 
 Barriers are network-wide super- and subsolutions of the discrete scheme,
 found by doubling the two constants of a tent-shaped profile until the
@@ -56,7 +58,7 @@ def _threshold(tol: float, u: np.ndarray) -> float:
     """Convergence threshold tol * max(1, max|u|), relative to the solution
     scale only.  It has no h-dependent round-off floor: the floor of the
     second difference, about eps_mach * a * |u| / h^2, can exceed it on fine
-    grids (ROADMAP item 2)."""
+    grids."""
     return tol * max(1.0, float(np.max(np.abs(u))))
 
 
@@ -297,35 +299,35 @@ def _sweep_warmed(system: ResidualSystem, config: SolveConfig, u0) -> SolveResul
     return replace(res, iterations=warm.iterations + res.iterations)
 
 
+def _level_name(grid: Grid) -> str:
+    return "n=" + "/".join(map(str, sorted(set(grid.nodes_per_edge.values()))))
+
+
 def _nested(system: ResidualSystem, config: SolveConfig, u0):
     """Newton from u0, else from this system solved the same way on the
     grid with half as many cells per edge and prolonged, else (where an
-    edge would keep fewer than MIN_LEVEL_NODES) from zero; the sweep-warmed
-    hybrid from that start if Newton fails.  Returns the result, counting
-    every level's iterations, and each level's Newton count and fallback,
-    coarsest first.  A coarse level only predicts, so it is not probed."""
-    counts, notes, spent = [], [], 0
+    edge would keep fewer than MIN_LEVEL_NODES) from zero.  Returns Newton's
+    result, counting every level's iterations, its start, and each level's
+    Newton count, coarsest first.  A coarse level only predicts, so it is
+    not probed and falls back nowhere: its Newton result is the start."""
+    counts, spent = [], 0
     coarse = {eid: (n - 1) // 2 + 1 for eid, n in system.grid.nodes_per_edge.items()}
     if u0 is None and min(coarse.values()) >= MIN_LEVEL_NODES:
-        cres, counts, notes = _nested(assemble(
+        cres, _, counts = _nested(assemble(
             system.problem, Grid(system.problem.network, coarse), eps=system.eps,
             junction_mode=system.junction_mode, probe_samples=0), config, None)
         u0, spent = cres.u.on_grid(system.grid), cres.iterations
-    name = "n=" + "/".join(map(str, sorted(set(system.grid.nodes_per_edge.values()))))
     res = _newton(system, config, u0)
-    counts.append(f"{res.iterations} at {name}")
-    if not res.converged:
-        spent, fallback = spent + res.iterations, _sweep_warmed(system, config, u0)
-        notes.append(f"; at {name} newton {res.message}; ran the sweep-warmed "
-                     "hybrid" + (f": {fallback.message}" if fallback.message else ""))
-        res = fallback
-    return replace(res, iterations=spent + res.iterations), counts, notes
+    counts.append(f"{res.iterations} at {_level_name(system.grid)}")
+    return replace(res, iterations=spent + res.iterations), u0, counts
 
 
 def solve_system(system: ResidualSystem, config: Optional[SolveConfig] = None,
                  u0: Optional[GridFunction] = None) -> SolveResult:
     """Solve by config.method from u0.  The hybrid's message names its start
-    (given, coarser grid or zero), each level's Newton count and fallback."""
+    (given, coarser grid or zero), each level's Newton count and, where
+    Newton fails on this grid, the sweep-warmed hybrid run there from the
+    same start."""
     config = config or SolveConfig()
     if config.method == "sweep":
         return sweep_solve(system, config, u0)
@@ -333,10 +335,17 @@ def solve_system(system: ResidualSystem, config: Optional[SolveConfig] = None,
         return newton_solve(system, config, u0)
     if config.method != "hybrid":
         raise ValueError(f"unknown method {config.method!r}")
-    res, counts, notes = _nested(system, config, u0)
-    start = "given" if u0 is not None else "coarser grid" if len(counts) > 1 else "zero"
-    return replace(res, method="hybrid", message=f"start: {start}; newton iterations "
-                   f"per level: {', '.join(counts)}" + "".join(notes))
+    res, start, counts = _nested(system, config, u0)
+    note = ""
+    if not res.converged:
+        fallback = _sweep_warmed(system, config, start)
+        note = (f"; at {_level_name(system.grid)} newton {res.message}; ran the "
+                "sweep-warmed hybrid"
+                + (f": {fallback.message}" if fallback.message else ""))
+        res = replace(fallback, iterations=res.iterations + fallback.iterations)
+    kind = "given" if u0 is not None else "coarser grid" if len(counts) > 1 else "zero"
+    return replace(res, method="hybrid", message=f"start: {kind}; newton iterations "
+                   f"per level: {', '.join(counts)}" + note)
 
 
 def solve_problem(problem: NetworkProblem, nodes_per_edge, eps: float = 0.0,

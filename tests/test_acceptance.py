@@ -201,7 +201,7 @@ def test_criterion_8_junction_inequalities(system_cached, solve_cached):
         u = res.u
         tol = 5.0 * u.grid.h
         for v in entry.problem.network.interior_vertices:
-            f_res = abs(system.junction_residual(u.values, v.id))
+            f_res = abs(system.residual_node(u.grid.vertex_gid(v.id), u.values))
             worst_f = max(worst_f, f_res)
             ok = ok and f_res <= 1e-8
             slopes = estimate_junction_slopes(u, v.id, window=3)

@@ -116,7 +116,8 @@ def test_solve_flag_overrides(tmp_path):
 
 def test_solve_manifest_records_why_newton_fell_back(tmp_path, monkeypatch):
     """n=41 is solved from n=21, where Newton from zero stops at MAX_NEWTON=2
-    and the sweep-warmed hybrid takes over; the manifest says so."""
+    and only predicts; Newton on n=41 stops there too, and the sweep-warmed
+    hybrid takes over on that grid; the manifest says so."""
     monkeypatch.setattr(solver, "MAX_NEWTON", 2)
     cfg = _write_config(tmp_path, {"catalog": "star3_mixed",
                                    "grid": {"nodes_per_edge": 41}})
@@ -126,7 +127,7 @@ def test_solve_manifest_records_why_newton_fell_back(tmp_path, monkeypatch):
     assert stage["stage"] == "solve" and stage["converged"]
     assert stage["message"].startswith(
         "start: coarser grid; newton iterations per level: "
-        "2 at n=21, 1 at n=41; at n=21 newton reached MAX_NEWTON=2 iterations")
+        "2 at n=21, 2 at n=41; at n=41 newton reached MAX_NEWTON=2 iterations")
     assert stage["message"].endswith("; ran the sweep-warmed hybrid")
 
 

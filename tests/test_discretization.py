@@ -11,9 +11,9 @@ from knet.discretization import (
     GridFunction,
     assemble,
     lax_friedrichs,
-    resolve_boundary_modes,
+    resolve_relaxed_edges,
 )
-from knet.errors import MonotonicityProbeFailed, NodeNotInterior
+from knet.errors import MonotonicityProbeFailed
 from knet.network import star_junction
 from knet.oracle import richardson_order
 from knet.problem import (
@@ -205,9 +205,7 @@ def test_interior_residual_linear_profile(system_cached):
     u = GridFunction.from_profile(grid, lambda eid, t: 0.7 * np.asarray(t))
     gid = grid.node_ids[0][5]
     expect = 1.0 * u.values[gid] + 0.7 - 1.0
-    assert system.interior_residual(u.values, gid) == pytest.approx(expect)
-    with pytest.raises(NodeNotInterior):
-        system.interior_residual(u.values, grid.vertex_gid(0))
+    assert system.residual_node(gid, u.values) == pytest.approx(expect)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.3])
@@ -220,6 +218,61 @@ def test_residual_and_residual_node_agree_bitwise(catalog, nodes, eps):
         u = rng.uniform(-2.0, 2.0, size=grid.total_nodes)
         nodewise = [system.residual_node(j, u) for j in range(grid.total_nodes)]
         assert np.array_equal(system.residual(u), nodewise), name
+
+
+def _reference_vertex_row(system, gid, u, mode):
+    """A vertex row in four hand-split branches, as the scheme once wrote
+    it: a strong boundary row u - g where a + eps > 0 or H is not coercive,
+    else max(u - g, lam*u + state constraint); a junction's coupling F(u, d),
+    under "minmax" maxed with lam*u + state constraint on every edge with
+    a + eps = 0.  Only the inward slopes d come from the system."""
+    problem, eps = system.problem, system.eps
+    v = problem.network.vertices[gid]
+    incs = problem.network.incidence[v.id]
+    lam, uv = problem.lam, float(u[gid])
+
+    def clause(i, d_i):
+        ham, x = problem.hamiltonians[incs[i].edge.id], incs[i].vertex_param
+        sc = ham.min_below(x, d_i) if incs[i].at_tail else ham.min_above(x, -d_i)
+        return lam * uv + float(sc)
+
+    if v.kind == "interior":
+        d = system.inward_slopes(system._vertices[gid], u)
+        res = problem.kirchhoff[v.id](uv, d)
+        if mode == "minmax":
+            for i, inc in enumerate(incs):
+                if problem.a_at_vertex(v.id, inc.edge.id) + eps == 0.0:
+                    res = max(res, clause(i, float(d[i])))
+        return float(res)
+    g = problem.dirichlet.get(v.id, 0.0)
+    eid = incs[0].edge.id
+    if problem.a_at_vertex(v.id, eid) + eps > 0.0 or not problem.hamiltonians[eid].coercive:
+        return uv - g
+    d = system.inward_slopes(system._vertices[gid], u)
+    return float(max(uv - g, clause(0, float(d[0]))))
+
+
+@pytest.fixture(scope="module")
+def catalog_and_draws():
+    return ([e.problem for e in all_entries()]
+            + [random_problem(np.random.default_rng(s)) for s in range(12)])
+
+
+@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+@pytest.mark.parametrize("nodes", [3, 4, 11, 41])
+def test_vertex_rows_match_four_branch_reference(catalog_and_draws, nodes, eps, mode):
+    """The one vertex formula, with its relaxed edges fixed at assembly,
+    gives the four-branch rows bit for bit on every catalog entry and
+    random draw."""
+    rng = np.random.default_rng(nodes)
+    for k, problem in enumerate(catalog_and_draws):
+        grid = Grid(problem.network, nodes)
+        system = assemble(problem, grid, eps=eps, junction_mode=mode, probe_samples=0)
+        u = rng.uniform(-2.0, 2.0, size=grid.total_nodes)
+        r = system.residual(u)
+        for gid in range(len(problem.network.vertices)):
+            assert r[gid] == _reference_vertex_row(system, gid, u, mode), (k, gid)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.3])
@@ -235,9 +288,11 @@ def test_own_coeff_is_the_own_slope(catalog, nodes, eps):
         for gid in range(grid.total_nodes):
             if grid.node_kind(gid) == "vertex":
                 assert system.own_coeff[gid] == 0.0, (name, gid)
-            else:
-                assert system.own_coeff[gid] == pytest.approx(
-                    system.own_slope(gid, u), rel=1e-6), (name, gid)
+                continue
+            bumped = u.copy()
+            bumped[gid] += 1e-6
+            slope = (system.residual_node(gid, bumped) - system.residual_node(gid, u)) / 1e-6
+            assert system.own_coeff[gid] == pytest.approx(slope, rel=1e-6), (name, gid)
 
 
 def test_junction_residual_direct(system_cached):
@@ -248,7 +303,7 @@ def test_junction_residual_direct(system_cached):
     u = np.zeros(grid.total_nodes)
     for eid in range(3):
         u[grid.node_ids[eid][1]] = 0.1  # h = 0.1, so slope 1 inward
-    assert system.junction_residual(u, 0) == pytest.approx(-3.0)
+    assert system.residual_node(grid.vertex_gid(0), u) == pytest.approx(-3.0)
 
 
 def test_epsilon_adds_uniform_diffusion(catalog):
@@ -258,8 +313,8 @@ def test_epsilon_adds_uniform_diffusion(catalog):
     s5 = assemble(entry.problem, grid, eps=0.5)
     u = GridFunction.from_profile(grid, lambda eid, t: np.asarray(t) ** 2)
     gid = grid.node_ids[0][5]
-    r0 = s0.interior_residual(u.values, gid)
-    r5 = s5.interior_residual(u.values, gid)
+    r0 = s0.residual_node(gid, u.values)
+    r5 = s5.residual_node(gid, u.values)
     # second difference of t^2 is exactly 2
     assert r0 - r5 == pytest.approx(0.5 * 2.0, abs=1e-10)
 
@@ -296,7 +351,7 @@ def test_interior_consistency_order():
                 gid = grid.node_ids[0][k]
                 t = grid.coords[0][k]
                 exact = phi(t) - a * d2phi(t) + h_exact(t, dphi(t))
-                worst = max(worst, abs(system.interior_residual(u.values, gid) - exact))
+                worst = max(worst, abs(system.residual_node(gid, u.values) - exact))
             errs.append(worst)
         assert richardson_order(errs) >= min_order, (ham.name, errs)
 
@@ -421,7 +476,9 @@ def test_properness_own_slope(system_cached):
     u = rng.uniform(-1.0, 1.0, system.grid.total_nodes)
     lam = system.problem.lam
     for gid in range(system.grid.total_nodes):
-        slope = system.own_slope(gid, u)
+        bumped = u.copy()
+        bumped[gid] += 1e-6
+        slope = (system.residual_node(gid, bumped) - system.residual_node(gid, u)) / 1e-6
         assert slope > 0.0, gid
         if system.node_classification(gid) == "interior":
             assert slope >= lam - 1e-6
@@ -433,8 +490,11 @@ def test_affine_junction_own_slope(system_cached):
     system = system_cached("star3_linear", 21)
     grid = system.grid
     cond = system.problem.kirchhoff[0]
+    gid = grid.vertex_gid(0)
     u = GridFunction.zeros(grid).values
-    slope = system.own_slope(grid.vertex_gid(0), u)
+    bumped = u.copy()
+    bumped[gid] += 1e-6
+    slope = (system.residual_node(gid, bumped) - system.residual_node(gid, u)) / 1e-6
     assert slope >= sum(cond.params["alphas"]) / grid.h - 1e-6
 
 
@@ -446,17 +506,24 @@ def test_node_classification_and_dependents(system_cached):
     assert system.node_classification(grid.node_ids[0][3]) == "interior"
     # dependency structure is symmetric for this stencil family
     for gid in range(grid.total_nodes):
-        for nbr in system.neighbors(gid):
-            assert gid in system.neighbors(nbr)
+        for nbr in system.dependents(gid):
+            assert gid in system.dependents(nbr)
     assert grid.vertex_gid(0) in system.dependents(grid.node_ids[0][1])
 
 
-def test_resolve_boundary_modes():
+def test_resolve_relaxed_edges():
+    """A boundary row is relaxed on its edge where a + eps = 0 and H is
+    coercive, else strong; a junction takes its degenerate edges' clauses
+    under "minmax" only."""
     degen = entry_by_name("star3_eikonal").problem
     elliptic = entry_by_name("star2_linear").problem
-    assert set(resolve_boundary_modes(degen, 0.0).values()) == {"relaxed"}
-    assert set(resolve_boundary_modes(degen, 0.1).values()) == {"strong"}
-    assert set(resolve_boundary_modes(elliptic, 0.0).values()) == {"strong"}
+    mixed = entry_by_name("star3_mixed").problem
+    boundary = {1: (0,), 2: (0,), 3: (0,)}
+    assert resolve_relaxed_edges(degen, 0.0) == {0: (), **boundary}
+    assert resolve_relaxed_edges(degen, 0.0, "minmax") == {0: (0, 1, 2), **boundary}
+    assert set(resolve_relaxed_edges(degen, 0.1, "minmax").values()) == {()}
+    assert set(resolve_relaxed_edges(elliptic, 0.0, "minmax").values()) == {()}
+    assert resolve_relaxed_edges(mixed, 0.0, "minmax")[0] == mixed.degenerate_set(0)
 
 
 def test_resolve_theta():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from knet.errors import (
     DisconnectedGraph,
     DuplicateEdge,
-    EdgeNotIncident,
     IsolatedVertex,
     NonPositiveLength,
     PointsOnDifferentNetworks,
@@ -30,7 +29,6 @@ def graph5():
 
 
 def test_star_structure(star3):
-    assert star3.is_star()
     assert [v.id for v in star3.interior_vertices] == [0]
     assert sorted(v.id for v in star3.boundary_vertices) == [1, 2, 3]
     assert star3.degree(0) == 3
@@ -38,7 +36,6 @@ def test_star_structure(star3):
 
 
 def test_graph5_structure(graph5):
-    assert not graph5.is_star()
     assert sorted(v.id for v in graph5.interior_vertices) == [1, 2, 3]
     assert sorted(v.id for v in graph5.boundary_vertices) == [0, 4]
 
@@ -70,13 +67,6 @@ def test_vertex_point_canonical(star3):
         assert p.edge_id == 0 and p.t == 0.0
     assert star3.point_vertex(star3.vertex_point(0)) == 0
     assert star3.point_vertex(star3.point(1, 0.3)) is None
-
-
-def test_inward_coordinate(star3):
-    assert star3.inward_coordinate(0, 1, 0.3) == pytest.approx(0.3)
-    assert star3.inward_coordinate(2, 1, 0.3) == pytest.approx(0.7)
-    with pytest.raises(EdgeNotIncident):
-        star3.inward_coordinate(1, 1, 0.3)
 
 
 @settings(max_examples=50, deadline=None)

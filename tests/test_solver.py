@@ -414,6 +414,25 @@ def test_cold_solve_neither_sweeps_nor_probes(monkeypatch, system_cached):
     assert res.message.startswith("start: coarser grid; ")
 
 
+def test_coarse_levels_only_predict(monkeypatch):
+    """With MAX_NEWTON=2 Newton fails on both levels of star3_mixed at
+    n=41; the n=21 result still only starts n=41, and the sweeps run on
+    the n=41 grid alone."""
+    monkeypatch.setattr(solver, "MAX_NEWTON", 2)
+    swept = []
+
+    def recording(system, config, u0=None):
+        swept.append(system.grid.nodes_per_edge[0])
+        return sweep_solve(system, config, u0)
+
+    monkeypatch.setattr(solver, "sweep_solve", recording)
+    res = solve_problem(entry_by_name("star3_mixed").problem, 41)
+    assert res.converged
+    assert res.message.startswith("start: coarser grid; newton iterations per "
+                                  "level: 2 at n=21, 2 at n=41; at n=41 newton ")
+    assert swept and set(swept) == {41}
+
+
 @pytest.mark.parametrize("nodes, levels", [
     (161, "n=21, n=41, n=81, n=161"), (41, "n=21, n=41"), (40, "n=40"),
     ({0: 81, 1: 42, 2: 161}, "n=21/41/81, n=42/81/161"),
