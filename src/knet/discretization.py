@@ -18,19 +18,19 @@ Lax-Friedrichs dissipation too: theta on each edge is its H's lipschitz_p.
 
 Every assembled system is certified monotone by finite-difference
 perturbation probes: the residual at a node is nondecreasing in the node's
-own value and nonincreasing in every other node's value.
+own value and nonincreasing in every other node's value.  The probe moves
+each row's own inputs, one at a time, and evaluates the rows directly: all
+edge rows of every sample and perturbation in one stacked table call, and
+each vertex row in one call of the vertex formula, which takes a batch of
+input sets (ResidualSystem._vertex_rows).
 
 Each residual row depends only on its node and the node's graph neighbours
-on the grid, so the dependency pattern, the positions of each row's entries
-in it and its distance-2 colouring (no row depends on two nodes of the same
-colour) depend on the grid alone.  The Grid builds them once, on first use,
-as Grid.pattern, and every system assembled on it, such as each step of a
-viscosity schedule, shares that copy.  The colouring serves the
-monotonicity probe only: perturbing every node of one colour at once still
-changes each row through exactly one input, so a handful of vectorized
-residual() calls probe every entry (Curtis, Powell & Reid 1974).  The
-Jacobian is read off the stencil instead (jacobian_entries), and
-Grid.pattern's csc_order puts it straight into compressed columns.
+on the grid, so the dependency pattern and the positions of each row's
+entries in it depend on the grid alone.  The Grid builds them once, on
+first use, as Grid.pattern, and every system assembled on it, such as each
+step of a viscosity schedule, shares that copy.  The Jacobian is read off
+the stencil (jacobian_entries), and Grid.pattern's csc_order puts it
+straight into compressed columns.
 
 The interior edge nodes, which the grid numbers V..N-1 edge after edge,
 share one flat table: left and right neighbour gids, x, a + eps, h, h^2
@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import MonotonicityProbeFailed
 from .network import INTERIOR, Network, NetworkPoint
-from .problem import NetworkProblem
+from .problem import NetworkProblem, larger
 
 VERTEX_NODE = "vertex"
 EDGE_NODE = "edge"
@@ -102,6 +102,11 @@ class Grid:
         # the two neighbours of every interior edge node, in gid order
         self.left_gids = np.concatenate([ids[:-2] for ids in self.node_ids.values()])
         self.right_gids = np.concatenate([ids[2:] for ids in self.node_ids.values()])
+        # each vertex row's inputs: the vertex, then the next node along each
+        # incident edge, in incidence order
+        self.vertex_inputs = [np.array([self.vertex_index[v.id]] + [
+            self.node_ids[inc.edge.id][1 if inc.at_tail else -2]
+            for inc in network.incidence[v.id]]) for v in network.vertices]
 
     def vertex_gid(self, vid: int) -> int:
         return self.vertex_index[vid]
@@ -154,47 +159,42 @@ class Grid:
 
     @cached_property
     def pattern(self) -> "DependencyPattern":
-        """The residual's dependency pattern and its distance-2 colouring,
-        built on first use and shared by every system on this grid."""
+        """The residual's dependency pattern, built on first use and shared
+        by every system on this grid."""
         indptr, rows, cols = _dependency_pattern(self)
-        colours = _distance2_colouring(self, indptr, rows)
-        entry_colours = colours[cols]
-        groups = [(np.flatnonzero(colours == c), np.flatnonzero(entry_colours == c))
-                  for c in range(int(colours.max()) + 1)]
         csc_order = np.lexsort((rows, cols))
         # position of entry (row r, column c): its key c*n + r is sorted in
         # csc_order
         n, nv = self.total_nodes, len(self.network.vertices)
         keys = (cols * n + rows)[csc_order]
+
+        def entries(row, col):
+            return csc_order[np.searchsorted(keys, col * n + row)]
+
         edge = np.arange(nv, n)
-        edge_entries = np.stack([csc_order[np.searchsorted(keys, c * n + edge)]
+        edge_entries = np.stack([entries(edge, c)
                                  for c in (edge, self.left_gids, self.right_gids)])
-        at_vertex = np.flatnonzero(rows < nv)
-        at_vertex = at_vertex[np.argsort(rows[at_vertex], kind="stable")]
-        vertex_entries = np.split(at_vertex, np.cumsum(
-            np.bincount(rows[at_vertex], minlength=nv))[:-1])
-        return DependencyPattern(indptr, rows, cols, colours, groups, csc_order,
-                                 edge_entries, vertex_entries)
+        vertex_entries = [entries(v, c) for v, c in enumerate(self.vertex_inputs)]
+        return DependencyPattern(indptr, rows, cols, csc_order, edge_entries,
+                                 vertex_entries)
 
 
 @dataclass(frozen=True)
 class DependencyPattern:
     """Row rows[k] depends on u[cols[k]]; entries in column order, column j
     at indptr[j]:indptr[j+1], listing j first, then its neighbours in
-    increasing order.  colour_groups[c] holds the nodes of colour c and the
-    entries of their columns; csc_order sorts the entries by column, then
-    row, the canonical order of compressed sparse columns.
+    increasing order.  csc_order sorts the entries by column, then row, the
+    canonical order of compressed sparse columns.
 
     Each row's own entries: edge_entries[:, k] are the positions of the
     entries (j, j), (j, left) and (j, right) of interior edge node
-    j = V + k, and vertex_entries[v] those of vertex row v, in column order,
-    so its own entry (v, v) first."""
+    j = V + k, and vertex_entries[v] those of vertex row v in the order of
+    its inputs, Grid.vertex_inputs[v]: its own entry (v, v) first, then one
+    per incident edge in incidence order."""
 
     indptr: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    colours: np.ndarray
-    colour_groups: list
     csc_order: np.ndarray
     edge_entries: np.ndarray
     vertex_entries: list
@@ -268,7 +268,7 @@ class _VertexStencil:
     x_at_v: np.ndarray
     a_plus_eps: np.ndarray
     hams: tuple
-    correct_2nd: np.ndarray  # ghost-corrected inward slope per edge
+    correct_2nd: tuple  # edges whose inward slope is ghost-corrected
     coupling: object  # interior: KirchhoffCondition, else None
     h_dirichlet: float  # boundary: Dirichlet datum, else 0
     relaxed: tuple  # edges whose state-constraint clause the row takes
@@ -313,13 +313,11 @@ class ResidualSystem:
 
         relaxed = resolve_relaxed_edges(problem, self.eps, junction_mode)
         self._vertices = []
-        for v in problem.network.vertices:
+        for v, inputs in zip(problem.network.vertices, grid.vertex_inputs):
             incs = problem.network.incidence[v.id]
-            nbr, hs, signs, xv, av, hams, cors = ([] for _ in range(7))
+            hs, signs, xv, av, hams, cors = ([] for _ in range(6))
             for inc in incs:
                 eid = inc.edge.id
-                ids = grid.node_ids[eid]
-                nbr.append(int(ids[1] if inc.at_tail else ids[-2]))
                 h_e = grid.spacing[eid]
                 hs.append(h_e)
                 signs.append(1.0 if inc.at_tail else -1.0)
@@ -332,8 +330,8 @@ class ResidualSystem:
                 cors.append(a_v > 0.0 and a_v >= 0.5 * hams[-1].lipschitz_p * h_e)
             self._vertices.append(_VertexStencil(
                 grid.vertex_gid(v.id),
-                np.array(nbr), np.array(hs), np.array(signs), np.array(xv),
-                np.array(av), tuple(hams), np.array(cors, dtype=bool),
+                inputs[1:], np.array(hs), np.array(signs), np.array(xv),
+                np.array(av), tuple(hams), tuple(np.flatnonzero(cors).tolist()),
                 problem.kirchhoff.get(v.id), problem.dirichlet.get(v.id, 0.0),
                 relaxed[v.id],
             ))
@@ -361,43 +359,35 @@ class ResidualSystem:
 
     # -- residual evaluation ------------------------------------------------
 
-    def inward_slopes(self, st: _VertexStencil, u: np.ndarray) -> np.ndarray:
-        """Discrete inward derivatives at a vertex, ghost-corrected on
-        uniformly elliptic edges."""
-        lam = self.problem.lam
-        uv = u[st.gid]
-        d = (u[st.nbr_gids] - uv) / st.hs
-        if st.correct_2nd.any():
-            for i in np.nonzero(st.correct_2nd)[0]:
-                hval = float(st.hams[i](st.x_at_v[i], st.signs[i] * d[i]))
-                d[i] -= 0.5 * st.hs[i] * (lam * uv + hval) / st.a_plus_eps[i]
-        return d
-
-    def _state_constraint_value(self, st: _VertexStencil, i: int, d_i: float) -> float:
-        """min over admissible one-sided slopes s <= d_i of H(x_v, oriented s)."""
-        ham = st.hams[i]
-        if st.signs[i] > 0:
-            return float(ham.min_below(st.x_at_v[i], d_i))
-        return float(ham.min_above(st.x_at_v[i], -d_i))
-
-    def _vertex_residual(self, st: _VertexStencil, u: np.ndarray) -> float:
-        """max(base, lam*u_v + state constraint on edge i for i in relaxed),
-        base the coupling F(u_v, d) at a junction, u_v - g at a boundary."""
-        uv = float(u[st.gid])
+    def _vertex_rows(self, st: _VertexStencil, uv, nbr):
+        """The vertex row max(base, lam*u_v + SC_i(d_i) for i in relaxed) on
+        a batch of input sets: uv, the vertex values (a float, or shape (K,)),
+        and nbr, the next node along each incident edge (uv's shape +
+        (degree,)).  d: inward divided differences, ghost-corrected on
+        uniformly elliptic edges; base: the coupling F(u_v, d) at a junction,
+        u_v - g at a boundary; SC_i(d_i): min of H(x_v, oriented s) over
+        one-sided slopes s <= d_i.  Returns one residual per input set."""
         if st.strong:
             return uv - st.h_dirichlet
-        d = self.inward_slopes(st, u)
+        lam = self.problem.lam
+        d = (nbr - uv[..., None]) / st.hs
+        slopes = d.T  # slopes[i]: the slope(s) along edge i, a view of d
+        for i in st.correct_2nd:
+            hval = st.hams[i](st.x_at_v[i], st.signs[i] * slopes[i])
+            slopes[i] -= 0.5 * st.hs[i] * (lam * uv + hval) / st.a_plus_eps[i]
         res = uv - st.h_dirichlet if st.coupling is None else st.coupling(uv, d)
         for i in st.relaxed:
-            res = max(res, self.problem.lam * uv
-                      + self._state_constraint_value(st, i, float(d[i])))
-        return float(res)
+            env = st.hams[i].min_below if st.signs[i] > 0 else st.hams[i].min_above
+            clause = lam * uv + env(st.x_at_v[i], st.signs[i] * slopes[i])
+            res = larger(res, clause)
+        return res
 
     def _table_ham(self, x, p):
-        """Each edge's Hamiltonian on its slice of the whole table."""
-        out = np.empty(len(p))
+        """Each edge's Hamiltonian on its slice of the whole table; p may
+        stack several tables, (..., table length)."""
+        out = np.empty(np.shape(p))
         for s, ham in self._hams:
-            out[s] = ham(x[s], p[s])
+            out[..., s] = ham(x[s], p[..., s])
         return out
 
     def _edge_rows(self, k, um, uc, up, ham):
@@ -411,7 +401,8 @@ class ResidualSystem:
     def residual_node(self, gid: int, u: np.ndarray) -> float:
         k = gid - len(self._vertices)
         if k < 0:
-            return self._vertex_residual(self._vertices[gid], u)
+            st = self._vertices[gid]
+            return float(self._vertex_rows(st, u[gid], u[st.nbr_gids]))
         return float(self._edge_rows(k, u[self._left[k]], u[gid], u[self._right[k]],
                                      self._node_hams[k]))
 
@@ -437,7 +428,7 @@ class ResidualSystem:
         out[nv:] = self._edge_rows(slice(None), u[self._left], u[nv:], u[self._right],
                                    self._table_ham)
         for st in self._vertices:
-            out[st.gid] = self._vertex_residual(st, u)
+            out[st.gid] = self._vertex_rows(st, u[st.gid], u[st.nbr_gids])
         return out
 
     def residual_norm(self, u) -> float:
@@ -450,11 +441,11 @@ class ResidualSystem:
         slope pc: own_coeff and the two neighbour coefficients plus or minus
         q/(2h), where q is the central quotient of H between pc +- step/(2h),
         one table call each.  A vertex row takes central differences over
-        its own inputs, each moved by +-step on a copy of u; a strong
-        boundary row has the exact entry 1.  Every quotient divides by the
-        difference of its perturbed values as represented in floating point,
-        which near the smallest steps differs from the nominal one by about
-        1e-3 relative.
+        its own inputs, each moved by +-step, in one call of the vertex
+        formula; a strong boundary row has the exact entry 1.  Every
+        quotient divides by the difference of its perturbed values as
+        represented in floating point, which near the smallest steps differs
+        from the nominal one by about 1e-3 relative.
         """
         p = self.pattern
         nv = len(self._vertices)
@@ -469,19 +460,19 @@ class ResidualSystem:
         vals[own] = self.own_coeff[nv:]
         vals[left] = self._left_coeff - dq
         vals[right] = self._right_coeff + dq
-        w = u.copy()
         for st, entries in zip(self._vertices, p.vertex_entries):
             if st.strong:
                 vals[entries[0]] = 1.0
                 continue
-            for k, j in zip(entries.tolist(), p.cols[entries].tolist()):
-                hi, lo = u[j] + step, u[j] - step
-                w[j] = hi
-                r_hi = self._vertex_residual(st, w)
-                w[j] = lo
-                r_lo = self._vertex_residual(st, w)
-                w[j] = u[j]
-                vals[k] = (r_hi - r_lo) / (hi - lo)
+            # input sets 0..m-1 move input i up by step, m..2m-1 down
+            x = u[p.cols[entries]]
+            m = len(x)
+            hi, lo = x + step, x - step
+            w = np.tile(x, (2 * m, 1))
+            w[np.arange(m), np.arange(m)] = hi
+            w[np.arange(m, 2 * m), np.arange(m)] = lo
+            r = self._vertex_rows(st, w[:, 0], w[:, 1:])
+            vals[entries] = (r[:m] - r[m:]) / (hi - lo)
         return vals
 
     # -- structure ----------------------------------------------------------
@@ -503,30 +494,48 @@ class ResidualSystem:
                          tol: float = 1e-9, rng=None, scale: float = 2.0):
         """Perturbation probe of the monotone-scheme property.
 
-        Each sample raises u by step at every node of one colour at a time,
-        so every row sees one perturbed input per residual() call.  Returns
-        None when no witness is found, else a dict describing the violating
+        Draws every sample up front, so the caller's rng advances by
+        n_samples draws of u even when sample 0 fails.  Each sample raises
+        every input of every row by step, one input at a time, and compares
+        the row with its unperturbed value: the edge rows of all samples and
+        perturbations in one stacked table call, each vertex row in one call
+        of the vertex formula.  A strong boundary row u_v - g rises with its
+        own value and reads nothing else, so it is not probed.  Returns None
+        when no witness is found, else a dict describing the violating
         (sample, node, row, direction): the first one in node order, then in
         the order of dependents(node).
         """
         rng = np.random.default_rng(0) if rng is None else rng
-        rows, cols = self.pattern.rows, self.pattern.cols
-        own = rows == cols
-        delta = np.empty(len(rows))
-        for s in range(n_samples):
-            u = rng.uniform(-scale, scale, size=self.grid.total_nodes)
-            r0 = self.residual(u)
-            for nodes, entries in self.pattern.colour_groups:
-                up = u.copy()
-                up[nodes] += step
-                delta[entries] = (self.residual(up) - r0)[rows[entries]]
-            bad = np.where(own, delta < -tol, delta > tol)
-            if bad.any():
-                k = int(np.argmax(bad))
-                return {"sample": s, "node": int(cols[k]), "row": int(rows[k]),
-                        "direction": "own" if own[k] else "cross",
-                        "delta": float(delta[k])}
-        return None
+        p, nv = self.pattern, len(self._vertices)
+        u = rng.uniform(-scale, scale, size=(n_samples, self.grid.total_nodes))
+        delta = np.zeros((n_samples, len(p.rows)))
+        # edge rows: unperturbed, then own, left and right input + step
+        um, uc, up = u[:, self._left], u[:, nv:], u[:, self._right]
+        r = self._edge_rows(slice(None), np.concatenate([um, um, um + step, um]),
+                            np.concatenate([uc, uc + step, uc, uc]),
+                            np.concatenate([up, up, up, up + step]),
+                            self._table_ham).reshape(4, *uc.shape)
+        delta[:, p.edge_entries] = (r[1:] - r[0]).transpose(1, 0, 2)
+        for st, entries in zip(self._vertices, p.vertex_entries):
+            if st.strong:
+                continue
+            # input set 0 unperturbed, set 1 + i with input i + step
+            x = u[:, p.cols[entries]]
+            m = x.shape[1]
+            w = np.repeat(x[:, None, :], m + 1, axis=1)
+            w[:, np.arange(1, m + 1), np.arange(m)] += step
+            w = w.reshape(-1, m)
+            r = self._vertex_rows(st, w[:, 0], w[:, 1:]).reshape(n_samples, m + 1)
+            delta[:, entries] = r[:, 1:] - r[:, :1]
+        own = p.rows == p.cols
+        bad = np.where(own, delta < -tol, delta > tol)
+        if not bad.any():
+            return None
+        s = int(np.argmax(bad.any(axis=1)))
+        k = int(np.argmax(bad[s]))
+        return {"sample": s, "node": int(p.cols[k]), "row": int(p.rows[k]),
+                "direction": "own" if own[k] else "cross",
+                "delta": float(delta[s, k])}
 
 
 def _dependency_pattern(grid: Grid):
@@ -546,33 +555,6 @@ def _dependency_pattern(grid: Grid):
     order = np.lexsort((rows, rows != cols, cols))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
     return indptr, rows[order], cols[order]
-
-
-def _distance2_colouring(grid: Grid, indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Node colours such that no row depends on two nodes of one colour.
-
-    Edge nodes at least three cells from both ends take the colour k mod 3
-    of their local index k, which already separates any two of them within
-    two cells.  Only the vertices and the edge nodes within two cells of a
-    vertex are coloured greedily, each with the smallest colour unused
-    within two cells.
-    """
-    colours = np.full(grid.total_nodes, -1)
-    greedy = [np.arange(len(grid.network.vertices))]
-    for ids in grid.node_ids.values():
-        m = len(ids)
-        k = np.arange(3, m - 3)
-        colours[ids[k]] = k % 3
-        greedy += [ids[1:min(3, m - 1)], ids[max(3, m - 3):m - 1]]
-    for j in np.concatenate(greedy):
-        near = rows[indptr[j]:indptr[j + 1]]
-        used = set(colours[np.concatenate(
-            [rows[indptr[i]:indptr[i + 1]] for i in near])].tolist())
-        c = 0
-        while c in used:
-            c += 1
-        colours[j] = c
-    return colours
 
 
 def resolve_relaxed_edges(problem: NetworkProblem, eps: float,

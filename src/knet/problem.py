@@ -18,6 +18,12 @@ from .errors import InvalidCoefficientSign, VertexNotInterior
 from .network import BOUNDARY, INTERIOR, Network
 
 
+def larger(a, b):
+    """Python's max(a, b), elementwise when a is an array: b where b > a,
+    else a.  Floats take the builtin, ten times cheaper than np.where."""
+    return np.where(b > a, b, a) if isinstance(a, np.ndarray) else max(a, b)
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonians
 
@@ -52,7 +58,8 @@ class Hamiltonian:
     # -- coercivity envelopes ----------------------------------------------
     # min_below(x, q) = min over p <= q of H(x, p); min_above symmetric.
     # Used by state-constraint residuals; exact for built-ins, sampled
-    # (monotone by construction) otherwise.
+    # (monotone by construction) otherwise.  q may be an array of slopes,
+    # one envelope value each.
 
     def min_below(self, x, q):
         if self._min_below is not None:
@@ -64,16 +71,17 @@ class Hamiltonian:
             return self._min_above(x, q)
         return self._sampled_envelope(x, q, below=False)
 
-    def _sampled_envelope(self, x, q, below: bool) -> float:
-        hq = float(self.fn(x, q))
+    def _sampled_envelope(self, x, q, below: bool):
+        q = np.asarray(q, dtype=float)
+        hq = np.asarray(self.fn(x, q), dtype=float)
         # any competitor p with C^-1|p| - C > hq cannot improve on H(q)
-        span = self.c_h * (self.c_h + max(hq, 0.0)) + 1.0
+        span = self.c_h * (self.c_h + np.maximum(hq, 0.0)) + 1.0
         if below:
-            lo, hi = min(q - 1e-9, -span), q
+            lo, hi = np.minimum(q - 1e-9, -span), q
         else:
-            lo, hi = q, max(q + 1e-9, span)
-        ps = np.linspace(lo, hi, 257)
-        return min(hq, float(np.min(self.fn(x, ps))))
+            lo, hi = q, np.maximum(q + 1e-9, span)
+        ps = np.linspace(lo, hi, 257, axis=-1)
+        return np.minimum(hq, np.min(self.fn(x, ps), axis=-1))
 
 
 def eikonal(speed: float = 1.0, rhs: float = 1.0, c_h: Optional[float] = None) -> Hamiltonian:
@@ -86,10 +94,10 @@ def eikonal(speed: float = 1.0, rhs: float = 1.0, c_h: Optional[float] = None) -
         return speed * np.abs(p) - rhs
 
     def below(x, q):
-        return speed * max(-q, 0.0) - rhs
+        return speed * larger(-q, 0.0) - rhs
 
     def above(x, q):
-        return speed * max(q, 0.0) - rhs
+        return speed * larger(q, 0.0) - rhs
 
     return Hamiltonian(
         fn, c_h=ch, coercive=True, lipschitz_p=speed,
@@ -108,12 +116,12 @@ def advection(b: float = 0.0, f=0.0, c_h: Optional[float] = None) -> Hamiltonian
 
     def below(x, q):
         if b >= 0:
-            return -math.inf if b > 0 else float(f_fn(x))
+            return np.full(np.shape(q), -math.inf if b > 0 else float(f_fn(x)))[()]
         return b * q + float(f_fn(x))
 
     def above(x, q):
         if b <= 0:
-            return -math.inf if b < 0 else float(f_fn(x))
+            return np.full(np.shape(q), -math.inf if b < 0 else float(f_fn(x)))[()]
         return b * q + float(f_fn(x))
 
     ham = Hamiltonian(
@@ -182,10 +190,12 @@ def polynomial_diffusion(coefficients: Sequence[float], c_a: float = 1.0) -> Dif
 
 @dataclass
 class KirchhoffCondition:
-    """Coupling F(r, p) at an interior vertex, p = inward derivatives."""
+    """Coupling F(r, p) at an interior vertex, p = inward derivatives.  A
+    call takes a batch, r (K,) and p (K, arity) to the K values, so fn must
+    reduce p over its last axis; a float r with p (arity,) gives a float."""
 
     arity: int
-    fn: Callable  # (r, p: array of length arity) -> float
+    fn: Callable  # (r, p: array (..., arity)) -> one value per row of p
     family: str = "custom"
     # lower bound on F(r, p - c*1) - F(r, p) per unit c, > 0 for built-ins
     quantitative_slope: float = 0.0
@@ -193,9 +203,14 @@ class KirchhoffCondition:
 
     def __call__(self, r, p):
         p = np.asarray(p, dtype=float)
-        if p.shape != (self.arity,):
+        if p.shape[-1:] != (self.arity,):
             raise ValueError(f"expected {self.arity} inward slopes, got {p.shape}")
-        return float(self.fn(float(r), p))
+        if p.ndim == 1:
+            return float(self.fn(float(r), p))
+        out = self.fn(r, p)
+        if np.shape(out) != p.shape[:-1]:
+            raise ValueError(f"coupling gave shape {np.shape(out)} for slopes {p.shape}")
+        return out
 
 
 def make_kirchhoff(family: str, arity: int, B: float = 0.0, alpha0: float = 0.0,
@@ -205,7 +220,8 @@ def make_kirchhoff(family: str, arity: int, B: float = 0.0, alpha0: float = 0.0,
     classical:  sum_i(-p_i) - B
     affine:     alpha0*r + sum_i alpha_i*(-p_i) - B
     pm-split:   alpha0*r + sum_i [alpha_i*(-p_i)^+ + beta_i*(-p_i)^-] - B
-    custom:     user fn(r, p)
+    custom:     user fn(r, p); like the built-ins, which sum over the last
+                axis of p, it must take a batch (see KirchhoffCondition)
     """
     if family == "custom":
         if fn is None:
@@ -223,19 +239,19 @@ def make_kirchhoff(family: str, arity: int, B: float = 0.0, alpha0: float = 0.0,
 
     if family == "classical":
         def impl(r, p):
-            return float(np.sum(-p) - B)
+            return np.sum(-p, axis=-1) - B
         qslope = float(arity)
         params = {"B": B}
     elif family == "affine":
         def impl(r, p):
-            return float(alpha0 * r + np.sum(alphas * (-p)) - B)
+            return alpha0 * r + np.sum(alphas * (-p), axis=-1) - B
         qslope = float(np.min(alphas))
         params = {"B": B, "alpha0": alpha0, "alphas": alphas.tolist()}
     elif family == "pm-split":
         def impl(r, p):
             s = -p
-            return float(alpha0 * r + np.sum(alphas * np.maximum(s, 0.0)
-                                             + betas * np.minimum(s, 0.0)) - B)
+            return alpha0 * r + np.sum(alphas * np.maximum(s, 0.0)
+                                       + betas * np.minimum(s, 0.0), axis=-1) - B
         qslope = float(min(np.min(alphas), np.min(betas)))
         params = {"B": B, "alpha0": alpha0, "alphas": alphas.tolist(),
                   "betas": betas.tolist()}
@@ -408,32 +424,34 @@ def validate_problem(problem: NetworkProblem, lattice_resolution: int = 16,
         loc = f"vertex {v.id}"
         n = F.arity
 
-        # joint monotonicity: r >= s, p <= q componentwise => F(r,p) >= F(s,q)
+        # joint monotonicity: r >= s, p <= q componentwise => F(r,p) >= F(s,q),
+        # 64 samples in one batch.  Row k holds the 2 + 2n uniforms sample k
+        # takes in turn, mapped as rng.uniform maps them (s, r - s, q, q - p)
+        state = rng.bit_generator.state
+        draws = rng.random((64, 2 + 2 * n))
+        s = -p_range + 2.0 * p_range * draws[:, 0]
+        r = s + p_range * draws[:, 1]
+        q = -p_range + 2.0 * p_range * draws[:, 2:2 + n]
+        p = q - p_range * draws[:, 2 + n:]
+        frp, fsq = F(r, p), F(s, q)
+        lower = frp < fsq - slack
+        # strictness when some p_j < q_j
+        bad = lower | (np.any(p < q, axis=1) & (frp <= fsq))
         witness = None
-        for _ in range(64):
-            s = rng.uniform(-p_range, p_range)
-            r = s + rng.uniform(0.0, p_range)
-            q = rng.uniform(-p_range, p_range, size=n)
-            p = q - rng.uniform(0.0, p_range, size=n)
-            if F(r, p) < F(s, q) - slack:
-                witness = {"r": r, "s": s, "p": p.tolist(), "q": q.tolist()}
-                break
-            # strictness when some p_j < q_j
-            if np.any(p < q) and F(r, p) <= F(s, q):
-                witness = {"r": r, "s": s, "p": p.tolist(), "q": q.tolist(),
-                           "strict": False}
-                break
+        if bad.any():
+            k = int(np.argmax(bad))
+            witness = {"r": float(r[k]), "s": float(s[k]), "p": p[k].tolist(),
+                       "q": q[k].tolist(), **({} if lower[k] else {"strict": False})}
+            # the generator ends where a sample-by-sample scan stops
+            rng.bit_generator.state = state
+            rng.random((k + 1, 2 + 2 * n))
         entries.append(CheckEntry("kirchhoff_monotone", loc, witness is None, witness))
 
         # coercivity: F -> +inf as any p_i -> -inf (large-argument probes)
-        witness = None
-        base = np.zeros(n)
-        for i in range(n):
-            probe = base.copy()
-            probe[i] = -1e6
-            if F(0.0, probe) < 1e3:
-                witness = {"component": i, "value": F(0.0, probe)}
-                break
+        values = F(np.zeros(n), np.diag(np.full(n, -1e6)))
+        weak = np.flatnonzero(values < 1e3)
+        witness = ({"component": int(weak[0]), "value": float(values[weak[0]])}
+                   if weak.size else None)
         entries.append(CheckEntry("kirchhoff_coercive", loc, witness is None, witness))
 
     # steady assumption: degenerate incident edges need coercive Hamiltonians

@@ -220,12 +220,31 @@ def test_residual_and_residual_node_agree_bitwise(catalog, nodes, eps):
         assert np.array_equal(system.residual(u), nodewise), name
 
 
+def _reference_inward_slopes(system, gid, u):
+    """The inward divided differences at a vertex, ghost-corrected where
+    a + eps > 0 dominates theta*h/2, one edge at a time in floats."""
+    problem, grid = system.problem, system.grid
+    v = problem.network.vertices[gid]
+    uv, d = float(u[gid]), []
+    for inc in problem.network.incidence[v.id]:
+        eid = inc.edge.id
+        ham, h = problem.hamiltonians[eid], grid.spacing[eid]
+        ids = grid.node_ids[eid]
+        d_i = (float(u[ids[1] if inc.at_tail else ids[-2]]) - uv) / h
+        a = problem.a_at_vertex(v.id, eid) + system.eps
+        if a > 0.0 and a >= 0.5 * ham.lipschitz_p * h:
+            sign = 1.0 if inc.at_tail else -1.0
+            d_i -= 0.5 * h * (problem.lam * uv + float(ham(inc.vertex_param, sign * d_i))) / a
+        d.append(d_i)
+    return np.array(d)
+
+
 def _reference_vertex_row(system, gid, u, mode):
     """A vertex row in four hand-split branches, as the scheme once wrote
     it: a strong boundary row u - g where a + eps > 0 or H is not coercive,
     else max(u - g, lam*u + state constraint); a junction's coupling F(u, d),
     under "minmax" maxed with lam*u + state constraint on every edge with
-    a + eps = 0.  Only the inward slopes d come from the system."""
+    a + eps = 0."""
     problem, eps = system.problem, system.eps
     v = problem.network.vertices[gid]
     incs = problem.network.incidence[v.id]
@@ -237,7 +256,7 @@ def _reference_vertex_row(system, gid, u, mode):
         return lam * uv + float(sc)
 
     if v.kind == "interior":
-        d = system.inward_slopes(system._vertices[gid], u)
+        d = _reference_inward_slopes(system, gid, u)
         res = problem.kirchhoff[v.id](uv, d)
         if mode == "minmax":
             for i, inc in enumerate(incs):
@@ -248,7 +267,7 @@ def _reference_vertex_row(system, gid, u, mode):
     eid = incs[0].edge.id
     if problem.a_at_vertex(v.id, eid) + eps > 0.0 or not problem.hamiltonians[eid].coercive:
         return uv - g
-    d = system.inward_slopes(system._vertices[gid], u)
+    d = _reference_inward_slopes(system, gid, u)
     return float(max(uv - g, clause(0, float(d[0]))))
 
 
@@ -387,14 +406,37 @@ def _sequential_probe(system, n_samples, step=1e-6, tol=1e-9, scale=2.0):
     return None
 
 
+def _lowered_dissipation(name):
+    """A catalog entry whose Hamiltonians understate lipschitz_p, so theta
+    is too small for a monotone scheme."""
+    problem = entry_by_name(name).problem
+    return dataclasses.replace(problem, hamiltonians={
+        eid: dataclasses.replace(ham, lipschitz_p=0.5)
+        for eid, ham in problem.hamiltonians.items()})
+
+
+def _with_coupling(name, fn):
+    """A catalog entry with the custom coupling fn at every junction."""
+    problem = entry_by_name(name).problem
+    return dataclasses.replace(problem, kirchhoff={
+        vid: make_kirchhoff("custom", cond.arity, fn=fn)
+        for vid, cond in problem.kirchhoff.items()})
+
+
+def _with_envelopes(name, env):
+    """A catalog entry whose Hamiltonians declare env as both one-sided
+    envelopes, as used by the relaxed boundary rows."""
+    problem = entry_by_name(name).problem
+    return dataclasses.replace(problem, hamiltonians={
+        eid: dataclasses.replace(ham, _min_below=env, _min_above=env)
+        for eid, ham in problem.hamiltonians.items()})
+
+
 def test_probe_fails_with_insufficient_dissipation():
     """theta below the p-Lipschitz constant of |p| breaks monotonicity and
     the assembly probe must catch it with a witness.  theta is each edge's
     lipschitz_p, so a Hamiltonian that understates it gets too little."""
-    entry = entry_by_name("star3_eikonal")
-    problem = dataclasses.replace(entry.problem, hamiltonians={
-        eid: dataclasses.replace(ham, lipschitz_p=0.5)
-        for eid, ham in entry.problem.hamiltonians.items()})
+    problem = _lowered_dissipation("star3_eikonal")
     grid = Grid(problem.network, 21)
     with pytest.raises(MonotonicityProbeFailed) as exc:
         assemble(problem, grid, probe_samples=10)
@@ -402,48 +444,40 @@ def test_probe_fails_with_insufficient_dissipation():
     assert exc.value.direction == "cross"
     system = assemble(problem, grid, probe_samples=0)
     witness = system.certify_monotone(n_samples=10)
-    reference = _sequential_probe(system, n_samples=10)
     assert {k: witness[k] for k in ("sample", "node", "row", "direction")} == {
         "sample": 0, "node": 0, "row": 23, "direction": "cross"}
-    assert witness == pytest.approx(reference, rel=1e-6)
 
 
-def _assert_distance2_colouring(system):
-    pattern = system.pattern
-    colours = pattern.colours
-    for row in range(system.grid.total_nodes):
-        deps = system.dependents(row)  # by symmetry, the nodes the row reads
-        assert len(set(colours[list(deps)].tolist())) == len(deps), row
-    for c, (nodes, entries) in enumerate(pattern.colour_groups):
-        np.testing.assert_array_equal(nodes, np.flatnonzero(colours == c))
-        assert np.all(colours[pattern.cols[entries]] == c)
-    # csc_order: by column, then strictly increasing rows within a column
-    rows, cols = pattern.rows[pattern.csc_order], pattern.cols[pattern.csc_order]
-    np.testing.assert_array_equal(cols, np.sort(pattern.cols))
-    assert np.all((np.diff(cols) > 0) | (np.diff(rows) > 0))
-
-
-def test_colouring_separates_every_row_catalog():
-    """No row depends on two nodes of one colour, on every catalog grid
-    (graph5_constant has a cycle), from n = 3 up past the periodic bulk."""
-    for entry in all_entries():
-        for n in (3, 4, 5, 6, 7, 8, 13):
-            grid = Grid(entry.problem.network, n)
-            _assert_distance2_colouring(assemble(entry.problem, grid, probe_samples=0))
-
-
-def test_colouring_separates_every_row_random_networks():
-    rng = np.random.default_rng(11)
-    for _ in range(12):
-        problem = random_problem(rng)
-        sizes = {e.id: int(rng.integers(3, 12)) for e in problem.network.edges}
-        grid = Grid(problem.network, sizes)
-        _assert_distance2_colouring(assemble(problem, grid, probe_samples=0))
+@pytest.mark.parametrize("problem, nodes, expect", [
+    # an edge row whose theta is too small
+    (_lowered_dissipation("star3_eikonal"), 21,
+     {"sample": 0, "node": 0, "row": 23, "direction": "cross"}),
+    # a coupling increasing in the inward slopes: a vertex row's witness
+    (_with_coupling("graph5_constant", lambda r, p: np.sum(p, axis=-1)), 11,
+     {"sample": 0, "node": 1, "row": 1, "direction": "own"}),
+    # a wrong envelope, not monotone in the slope: a relaxed boundary row's
+    (_with_envelopes("star3_eikonal", lambda x, q: 3.0 * np.abs(q)), 11,
+     {"sample": 0, "node": 1, "row": 1, "direction": "own"}),
+    # falls steeply in the vertex value above 1, which the junction's
+    # value first exceeds in sample 3
+    (_with_coupling("star3_eikonal", lambda r, p: np.where(r > 1.0, -100.0 * r, r)
+                    - np.sum(p, axis=-1)), 11,
+     {"sample": 3, "node": 0, "row": 0, "direction": "own"}),
+], ids=["edge-row", "junction-row", "relaxed-row", "later-sample"])
+def test_probe_witness_equals_sequential_probe(problem, nodes, expect):
+    """The batched probe returns the node-by-node reference scan's witness
+    exactly, delta included: the first violating sample, then node order,
+    then the order of dependents(node)."""
+    system = assemble(problem, Grid(problem.network, nodes), probe_samples=0)
+    witness = system.certify_monotone(n_samples=10)
+    assert witness == _sequential_probe(system, n_samples=10)
+    assert {k: witness[k] for k in expect} == expect
 
 
 def _assert_row_entries(grid):
     """edge_entries and vertex_entries point at each row's own entries of
-    the pattern, every entry exactly once; a vertex row's own entry first."""
+    the pattern, every entry exactly once; a vertex row's in the order of
+    its inputs.  csc_order sorts by column, then strictly increasing row."""
     pattern = grid.pattern
     nv = len(grid.network.vertices)
     for ids in grid.node_ids.values():
@@ -452,20 +486,61 @@ def _assert_row_entries(grid):
             assert np.all(pattern.rows[k] == ids[i])
             assert pattern.cols[k].tolist() == [ids[i], ids[i - 1], ids[i + 1]]
     for v, entries in enumerate(pattern.vertex_entries):
-        assert np.all(pattern.rows[entries] == v) and pattern.cols[entries[0]] == v
+        assert np.all(pattern.rows[entries] == v)
+        np.testing.assert_array_equal(pattern.cols[entries], grid.vertex_inputs[v])
+        assert grid.vertex_inputs[v][0] == v
     every = np.concatenate([pattern.edge_entries.ravel(), *pattern.vertex_entries])
     np.testing.assert_array_equal(np.sort(every), np.arange(len(pattern.rows)))
+    rows, cols = pattern.rows[pattern.csc_order], pattern.cols[pattern.csc_order]
+    np.testing.assert_array_equal(cols, np.sort(pattern.cols))
+    assert np.all((np.diff(cols) > 0) | (np.diff(rows) > 0))
 
 
 def test_row_entries_catalog_and_random_networks():
+    """On every catalog grid (graph5_constant has a cycle) from n = 3 up,
+    and on random networks with mixed resolutions."""
     for entry in all_entries():
-        for n in (3, 4, 13):
+        for n in (3, 4, 5, 6, 7, 8, 13):
             _assert_row_entries(Grid(entry.problem.network, n))
     rng = np.random.default_rng(11)
     for _ in range(12):
         network = random_problem(rng).network
         _assert_row_entries(Grid(network, {e.id: int(rng.integers(3, 12))
                                            for e in network.edges}))
+
+
+def _reference_vertex_jacobian(system, gid, u, step):
+    """Central differences of one vertex row, one input at a time through
+    residual_node, in the order of the row's pattern entries."""
+    out, w = [], u.copy()
+    for j in system.grid.vertex_inputs[gid].tolist():
+        hi, lo = u[j] + step, u[j] - step
+        w[j] = hi
+        r_hi = system.residual_node(gid, w)
+        w[j] = lo
+        r_lo = system.residual_node(gid, w)
+        w[j] = u[j]
+        out.append((r_hi - r_lo) / (hi - lo))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
+def test_jacobian_vertex_entries_match_per_entry_loop(catalog_and_draws, mode):
+    """Each vertex row's batched central differences equal, bit for bit,
+    the per-entry loop through residual_node; a strong row's entries are 1
+    and 0."""
+    rng = np.random.default_rng(17)
+    for k, problem in enumerate(catalog_and_draws):
+        grid = Grid(problem.network, 11)
+        system = assemble(problem, grid, junction_mode=mode, probe_samples=0)
+        u = rng.uniform(-2.0, 2.0, size=grid.total_nodes)
+        vals = system.jacobian_entries(u, 1e-7)
+        for v, entries in enumerate(grid.pattern.vertex_entries):
+            if system.node_classification(v) == "boundary-strong":
+                assert vals[entries].tolist() == [1.0] + [0.0] * (len(entries) - 1)
+                continue
+            ref = _reference_vertex_jacobian(system, v, u, 1e-7)
+            assert np.array_equal(vals[entries], ref), (k, v)
 
 
 def test_properness_own_slope(system_cached):

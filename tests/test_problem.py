@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knet.catalog import all_entries
+from knet.catalog import all_entries, entry_by_name
 from knet.errors import InvalidCoefficientSign, VertexNotInterior
 from knet.network import star_junction
 from knet.problem import (
@@ -67,6 +67,29 @@ def test_kirchhoff_arity_check():
     F = make_kirchhoff("classical", 3)
     with pytest.raises(ValueError):
         F(0.0, (1.0, 1.0))
+    with pytest.raises(ValueError):
+        F(np.zeros(2), np.zeros((2, 2)))
+    # a custom fn that sums over the whole batch instead of each row
+    G = make_kirchhoff("custom", 3, fn=lambda r, p: -np.sum(p))
+    assert G(0.0, (1.0, 1.0, 1.0)) == -3.0
+    with pytest.raises(ValueError):
+        G(np.zeros(2), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("family", ["classical", "affine", "pm-split"])
+@pytest.mark.parametrize("arity", [1, 2, 3, 9])
+def test_kirchhoff_batch_equals_single_calls(family, arity):
+    """A batch of K input sets gives, bit for bit, the K single values."""
+    rng = np.random.default_rng(arity)
+    F = make_kirchhoff(family, arity, B=0.3, alpha0=0.7,
+                       alphas=rng.uniform(0.3, 2.0, arity),
+                       betas=rng.uniform(0.3, 2.0, arity))
+    r = rng.uniform(-5.0, 5.0, 40)
+    p = rng.uniform(-5.0, 5.0, (40, arity)) * 10.0 ** rng.uniform(-3, 3, (40, arity))
+    batch = F(r, p)
+    assert batch.shape == (40,)
+    assert isinstance(F(r[0], p[0]), float)
+    assert batch.tolist() == [F(rk, pk) for rk, pk in zip(r, p)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -135,6 +158,25 @@ def test_sampled_envelope_matches_analytic():
         assert H.min_below(0.0, q) == pytest.approx(ref.min_below(0.0, q), abs=0.02)
         assert H.min_above(0.0, q) == pytest.approx(ref.min_above(0.0, q), abs=0.02)
         assert H.min_below(0.0, q) >= ref.min_below(0.0, q) - 1e-12  # never below
+
+
+@pytest.mark.parametrize("H", [
+    eikonal(2.0, 1.0), eikonal(0.7, -0.4), advection(2.0, -0.5), advection(-1.0, 0.25),
+    advection(0.0, 0.3), advection(0.0, lambda x: np.sin(x)),
+    Hamiltonian(lambda x, p: np.abs(p) * (1 + x) - 0.5, c_h=2.0, coercive=True),
+    Hamiltonian(lambda x, p: np.sin(3 * x) + 0.3 * p ** 2 - p, c_h=3.0),
+], ids=lambda H: H.name if H.name != "custom" else "sampled")
+def test_envelopes_take_arrays(H):
+    """min_below and min_above on an array of slopes equal their values at
+    each slope alone, element by element."""
+    q = np.concatenate([np.linspace(-6.0, 6.0, 25), [-0.0, 1e-12, -40.0]])
+    for x in (0.0, 0.35):
+        for env in (H.min_below, H.min_above):
+            batch = env(x, q)
+            assert np.shape(batch) == q.shape
+            single = [env(x, float(qk)) for qk in q]
+            assert all(isinstance(v, float) for v in single)
+            assert batch.tolist() == single, (x, env.__name__)
 
 
 def test_hamiltonian_requires_positive_structure_constant():
@@ -318,6 +360,62 @@ def test_validate_first_witnesses_match_sequential_scans():
             failed |= {name for name, w in got.items() if w is not None}
     assert failed == {"hamiltonian_lipschitz_x", "hamiltonian_lipschitz_p",
                       "hamiltonian_coercive", "diffusion_sigma_lipschitz"}
+
+
+def _reference_coupling_checks(problem, p_range=8.0, slack=1e-9):
+    """The coupling checks as sample-by-sample scans, one generator
+    draw at a time: the reference for validate_problem's vertex entries."""
+    rng = np.random.default_rng(0)
+    out = {}
+    for v in problem.network.interior_vertices:
+        F, n, witness = problem.kirchhoff[v.id], problem.kirchhoff[v.id].arity, None
+        for _ in range(64):
+            s = rng.uniform(-p_range, p_range)
+            r = s + rng.uniform(0.0, p_range)
+            q = rng.uniform(-p_range, p_range, size=n)
+            p = q - rng.uniform(0.0, p_range, size=n)
+            if F(r, p) < F(s, q) - slack:
+                witness = {"r": r, "s": s, "p": p.tolist(), "q": q.tolist()}
+                break
+            if np.any(p < q) and F(r, p) <= F(s, q):
+                witness = {"r": r, "s": s, "p": p.tolist(), "q": q.tolist(),
+                           "strict": False}
+                break
+        out[("kirchhoff_monotone", v.id)] = witness
+        witness = None
+        for i in range(n):
+            probe = np.zeros(n)
+            probe[i] = -1e6
+            if F(0.0, probe) < 1e3:
+                witness = {"component": i, "value": F(0.0, probe)}
+                break
+        out[("kirchhoff_coercive", v.id)] = witness
+    return out
+
+
+def test_validate_coupling_witnesses_match_sample_loop():
+    """The coupling checks, drawn and evaluated in one batch per vertex,
+    report the sample-by-sample scan's first witnesses, and a failing
+    vertex leaves the generator where the scan stops: on graph5 every
+    junction fails, at a later sample, with and without strictness."""
+    problem = entry_by_name("graph5_constant").problem
+    fns = [
+        lambda r, p: np.where(r < 9.0, r - np.sum(p, axis=-1), -100.0),
+        lambda r, p: np.where(r > 3.0, 0.0 * r, r - np.sum(p, axis=-1)),
+        lambda r, p: 0.0 * r,
+    ]
+    for shift in range(3):
+        kirch = {vid: make_kirchhoff("custom", cond.arity, fn=fns[(k + shift) % 3])
+                 for k, (vid, cond) in enumerate(problem.kirchhoff.items())}
+        custom = NetworkProblem(problem.network, problem.lam, problem.hamiltonians,
+                                problem.diffusions, kirch, problem.dirichlet)
+        got = {(e.name, int(e.location.split()[1])): e.witness
+               for e in validate_problem(custom).entries if e.name.startswith("kirchhoff")}
+        reference = _reference_coupling_checks(custom)
+        assert got == reference, shift
+        assert all(reference[("kirchhoff_monotone", vid)] for vid in kirch)
+        assert {reference[("kirchhoff_monotone", vid)].get("strict") for vid in kirch} == {
+            None, False}
 
 
 def test_validate_flags_noncoercive_degenerate_edge():

@@ -513,14 +513,14 @@ def test_continuation_step_falls_back_to_hybrid(monkeypatch, system_cached,
     np.testing.assert_array_equal(res.u.values, hybrid.u.values)
 
 
-def test_viscosity_schedule_colours_its_grid_once(monkeypatch):
+def test_viscosity_schedule_builds_its_pattern_once(monkeypatch):
     """The base and every step are assembled on one grid, which builds its
-    dependency pattern and colouring once."""
+    dependency pattern once."""
     import knet.discretization as disc
 
     calls = []
-    real = disc._distance2_colouring
-    monkeypatch.setattr(disc, "_distance2_colouring",
+    real = disc._dependency_pattern
+    monkeypatch.setattr(disc, "_dependency_pattern",
                         lambda *a: calls.append(1) or real(*a))
     sweep = vanishing_viscosity(entry_by_name("star3_mixed").problem, 11,
                                 [0.5 ** k for k in range(4)])
