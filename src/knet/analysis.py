@@ -15,7 +15,7 @@ builds a network point per node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,6 +24,10 @@ from .discretization import Grid, GridFunction, ResidualSystem
 from .errors import EmptyInteriorSet, NoActiveProbe, VertexNotInterior, WindowTooLarge
 from .network import INTERIOR, Network, NetworkPoint
 from .problem import NetworkProblem
+
+TOL_PER_H = 5.0  # verdict tolerance per unit of the grid's h
+EDGE_INEQUALITY_SAMPLES = 17  # slopes sampled per degenerate edge
+LIPSCHITZ_DELTA = 0.1  # diagnostics' boundary distance per min edge length
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +82,6 @@ class JunctionSlopes:
     window: int
     residual: dict  # edge id -> spread of the window's divided differences
 
-    def spread(self, eid: int) -> float:
-        return self.upper[eid] - self.lower[eid]
-
 
 def estimate_junction_slopes(u: GridFunction, vid: int,
                              window: int = 3) -> JunctionSlopes:
@@ -122,7 +123,6 @@ def estimate_junction_slopes(u: GridFunction, vid: int,
 class EdgeInequalityVerdict:
     edge: int
     sub_margin: float  # max of lam*u_v + H over sampled closed interval
-    super_margin: float  # min over the open interval, +inf when empty
     tolerance: float
     passed: bool
     witness: Optional[dict] = None
@@ -130,10 +130,11 @@ class EdgeInequalityVerdict:
 
 def check_degenerate_edge_inequalities(problem: NetworkProblem, u: GridFunction,
                                        vid: int, slopes: JunctionSlopes,
-                                       tol: float, n_samples: int = 17):
-    """Subsolution inequality lam*u_v + H_i(v, p) <= tol for sampled p in
-    [p_low, p_bar], and the supersolution inequality >= -tol on the open
-    interval, on each incident edge with vanishing diffusion."""
+                                       tol: float):
+    """Subsolution inequality lam*u_v + H_i(v, p) <= tol for
+    EDGE_INEQUALITY_SAMPLES sampled p in [p_low, p_bar], and the
+    supersolution inequality >= -tol on the open interval, on each incident
+    edge with vanishing diffusion."""
     uv = float(u.values[u.grid.vertex_gid(vid)])
     lam = problem.lam
     verdicts = []
@@ -144,17 +145,13 @@ def check_degenerate_edge_inequalities(problem: NetworkProblem, u: GridFunction,
         ham = problem.hamiltonians[eid]
         xv = inc.vertex_param
         lo, hi = slopes.lower[eid], slopes.upper[eid]
-        ps = np.linspace(lo, hi, n_samples)
+        ps = np.linspace(lo, hi, EDGE_INEQUALITY_SAMPLES)
         vals = lam * uv + ham(xv, inc.sign * ps)
         sub_margin = float(np.max(vals))
         witness = None
         if sub_margin > tol:
             witness = {"p": float(ps[int(np.argmax(vals))]), "side": "sub"}
-        if 1e-12 < hi - lo:
-            inner = vals[1:-1]
-            super_margin = float(np.min(inner)) if inner.size else math.inf
-        else:
-            super_margin = math.inf
+        super_margin = float(np.min(vals[1:-1])) if 1e-12 < hi - lo else math.inf
         # the supersolution inequality concerns the one-sided slopes of the
         # exact solution; the window only pins those down when its spread is
         # small, so a wide window makes the super side inconclusive
@@ -163,8 +160,7 @@ def check_degenerate_edge_inequalities(problem: NetworkProblem, u: GridFunction,
         if not ok and witness is None:
             witness = {"p": float(ps[1 + int(np.argmin(vals[1:-1]))]),
                        "side": "super"}
-        verdicts.append(EdgeInequalityVerdict(eid, sub_margin, super_margin,
-                                              tol, ok, witness))
+        verdicts.append(EdgeInequalityVerdict(eid, sub_margin, tol, ok, witness))
     return verdicts
 
 
@@ -207,11 +203,12 @@ def _vertex_clause(problem, vid, uv):
 
 
 def probe_viscosity(problem: NetworkProblem, u: GridFunction,
-                    point: NetworkPoint, probes=None, side: str = "sub",
-                    tol: Optional[float] = None) -> ProbeVerdict:
+                    point: NetworkPoint, probes=None,
+                    side: str = "sub") -> ProbeVerdict:
     """Check the relaxed-solution clause at a point against every active
     quadratic probe; a probe is active when the point is a discrete local
-    max (sub) or min (super) of u minus the shifted probe on its ball.
+    max (sub) or min (super) of u minus the shifted probe on its ball.  The
+    verdict passes when the worst margin is at most TOL_PER_H * h.
 
     One array pass over (node, probe, slope): a vertex point has one test
     slope per probe, sgn*L, an edge point five in [-L, L].  The worst
@@ -225,7 +222,7 @@ def probe_viscosity(problem: NetworkProblem, u: GridFunction,
     grid = u.grid
     net = problem.network
     probes = default_probe_grid() if probes is None else list(probes)
-    tol = 5.0 * grid.h if tol is None else float(tol)
+    tol = TOL_PER_H * grid.h
     point = net.point(point.edge_id, point.t)
     vid = net.point_vertex(point)
     rhos = grid.distances_to(point)
@@ -402,12 +399,12 @@ def _check(name, location, margin, tolerance, passed, witness=None):
 
 def diagnostics_report(problem: NetworkProblem, u: GridFunction,
                        system: Optional[ResidualSystem] = None,
-                       window: int = 3, tol: Optional[float] = None,
-                       deltas=None) -> DiagnosticsReport:
-    """Full diagnostic pass over a computed solution."""
+                       window: int = 3) -> DiagnosticsReport:
+    """Full diagnostic pass over a computed solution, with tolerance
+    TOL_PER_H * h and the Lipschitz constant at distance LIPSCHITZ_DELTA *
+    min edge length from the boundary."""
     grid = u.grid
-    h = grid.h
-    tol = 5.0 * h if tol is None else float(tol)
+    tol = TOL_PER_H * grid.h
     checks = []
     slopes = {}
 
@@ -434,8 +431,7 @@ def diagnostics_report(problem: NetworkProblem, u: GridFunction,
             name = f"viscosity_probe_{side}"
             try:
                 pv = probe_viscosity(problem, u,
-                                     problem.network.vertex_point(v.id),
-                                     side=side, tol=tol)
+                                     problem.network.vertex_point(v.id), side=side)
                 checks.append(_check(name, loc, pv.worst_margin, pv.tolerance,
                                      pv.passed, pv.worst_probe))
             except NoActiveProbe:
@@ -449,12 +445,9 @@ def diagnostics_report(problem: NetworkProblem, u: GridFunction,
             {"status": b.status,
              "state_constraint_residual": b.state_constraint_residual}))
 
-    if deltas is None:
-        deltas = (0.1 * problem.network.min_edge_length,)
-    lip = {}
-    for d in deltas:
-        try:
-            lip[float(d)] = lipschitz_on_interior(u, d)
-        except EmptyInteriorSet:
-            pass
+    delta = LIPSCHITZ_DELTA * problem.network.min_edge_length
+    try:
+        lip = {delta: lipschitz_on_interior(u, delta)}
+    except EmptyInteriorSet:
+        lip = {}
     return DiagnosticsReport(checks, slopes, boundary, lip)

@@ -2,14 +2,15 @@
 suite and the verification criteria.
 
 Each entry records what is known about its solution: an exact profile when
-one exists, linearity (enables the direct oracle), degeneracy, and whether
-the interior Lipschitz bound applies.
+one exists, degeneracy, and whether the interior Lipschitz bound applies.
+Whether the direct linear oracle applies is read off the problem itself
+(oracle.reference_for).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,10 +31,8 @@ class CatalogEntry:
     name: str
     problem: NetworkProblem
     exact: Optional[Callable] = None  # (edge id, t array) -> values
-    linear: bool = False
     degenerate: bool = False
     lipschitz_ok: bool = True
-    notes: str = ""
 
 
 def _zero_diffusions(net: Network):
@@ -57,8 +56,7 @@ def star3_constant() -> CatalogEntry:
     )
     return CatalogEntry("star3_constant", problem,
                         exact=lambda eid, t: np.ones_like(np.asarray(t, dtype=float)),
-                        degenerate=True,
-                        notes="constant compatibility case")
+                        degenerate=True)
 
 
 def graph5_constant() -> CatalogEntry:
@@ -78,8 +76,7 @@ def graph5_constant() -> CatalogEntry:
     )
     return CatalogEntry("graph5_constant", problem,
                         exact=lambda eid, t: np.ones_like(np.asarray(t, dtype=float)),
-                        degenerate=True,
-                        notes="constant compatibility on a non-star graph")
+                        degenerate=True)
 
 
 def star3_eikonal() -> CatalogEntry:
@@ -93,8 +90,7 @@ def star3_eikonal() -> CatalogEntry:
         kirchhoff={0: make_kirchhoff("classical", 3, B=0.0)},
         dirichlet={1: 0.0, 2: 0.0, 3: 0.0},
     )
-    return CatalogEntry("star3_eikonal", problem, degenerate=True,
-                        notes="boundary data attained, interior layer-free")
+    return CatalogEntry("star3_eikonal", problem, degenerate=True)
 
 
 def star3_eikonal_loss() -> CatalogEntry:
@@ -111,8 +107,7 @@ def star3_eikonal_loss() -> CatalogEntry:
     )
     return CatalogEntry("star3_eikonal_loss", problem,
                         exact=lambda eid, t: np.ones_like(np.asarray(t, dtype=float)),
-                        degenerate=True,
-                        notes="boundary-condition loss, state constraint active")
+                        degenerate=True)
 
 
 def star3_loss_elliptic() -> CatalogEntry:
@@ -125,8 +120,7 @@ def star3_loss_elliptic() -> CatalogEntry:
         kirchhoff={0: make_kirchhoff("classical", 3, B=0.0)},
         dirichlet={1: 5.0, 2: 5.0, 3: 5.0},
     )
-    return CatalogEntry("star3_loss_elliptic", problem,
-                        notes="positive diffusion restores attainment")
+    return CatalogEntry("star3_loss_elliptic", problem)
 
 
 def star2_linear() -> CatalogEntry:
@@ -147,8 +141,7 @@ def star2_linear() -> CatalogEntry:
         s = (1.0 - t) if eid == 0 else (1.0 + t)
         return np.sinh(s) / s2
 
-    return CatalogEntry("star2_linear", problem, exact=exact, linear=True,
-                        notes="closed-form oracle")
+    return CatalogEntry("star2_linear", problem, exact=exact)
 
 
 def star3_linear() -> CatalogEntry:
@@ -163,7 +156,7 @@ def star3_linear() -> CatalogEntry:
                                      alphas=(1.0, 1.3, 0.7))},
         dirichlet={1: 0.0, 2: 0.5, 3: 1.0},
     )
-    return CatalogEntry("star3_linear", problem, linear=True)
+    return CatalogEntry("star3_linear", problem)
 
 
 def star3_mixed() -> CatalogEntry:

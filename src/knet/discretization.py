@@ -37,11 +37,13 @@ share one flat table: left and right neighbour gids, x, a + eps, h, h^2
 and theta per node, and one (slice, Hamiltonian) pair per edge.  One row
 formula, ResidualSystem._edge_rows, writes the Lax-Friedrichs rows from
 it: residual() fills every edge row in one call, with one H call per edge,
-and residual_node reads table entry gid - V for a single node, the path of
-the nodewise local solves, so both give the same bits.  The flux evaluates
-H at the central slope (u+ - u-)/(2h), which does not contain the node's
-own value, so every edge row is affine in it with slope
-lam + 2(a+eps)/h^2 + theta/h.  Assembly reads that slope, own_coeff, off
+and residual_node reads table entry gid - V for a single node, so both
+give the same bits.  No solver reads that edge branch (sweeps step edge
+nodes through relax_edge_class); it is the one-node reference the tests
+compare the table against.  The flux evaluates H at the central slope
+(u+ - u-)/(2h), which does not contain the node's own value, so every
+edge row is affine in it with slope lam + 2(a+eps)/h^2 + theta/h.
+Assembly reads that slope, own_coeff, off
 the same row formula in one call, and with H switched off the row's two
 neighbour coefficients; the Jacobian adds H's central quotient to them.
 A row reads only its node and the two next to it, so relax_edge_class
@@ -63,6 +65,9 @@ from .problem import NetworkProblem, larger
 
 VERTEX_NODE = "vertex"
 EDGE_NODE = "edge"
+PROBE_STEP = 1e-6  # certify_monotone's perturbation of one input
+PROBE_TOL = 1e-9  # largest change of the wrong sign it forgives
+PROBE_SCALE = 2.0  # its samples of u are uniform on [-PROBE_SCALE, PROBE_SCALE]
 
 
 class Grid:
@@ -490,14 +495,14 @@ class ResidualSystem:
             return "junction"
         return "boundary-relaxed" if st.relaxed else "boundary-strong"
 
-    def certify_monotone(self, n_samples: int = 3, step: float = 1e-6,
-                         tol: float = 1e-9, rng=None, scale: float = 2.0):
+    def certify_monotone(self, n_samples: int = 3, rng=None):
         """Perturbation probe of the monotone-scheme property.
 
         Draws every sample up front, so the caller's rng advances by
         n_samples draws of u even when sample 0 fails.  Each sample raises
-        every input of every row by step, one input at a time, and compares
-        the row with its unperturbed value: the edge rows of all samples and
+        every input of every row by PROBE_STEP, one input at a time, and
+        compares the row with its unperturbed value, forgiving a change of
+        the wrong sign up to PROBE_TOL: the edge rows of all samples and
         perturbations in one stacked table call, each vertex row in one call
         of the vertex formula.  A strong boundary row u_v - g rises with its
         own value and reads nothing else, so it is not probed.  Returns None
@@ -507,9 +512,11 @@ class ResidualSystem:
         """
         rng = np.random.default_rng(0) if rng is None else rng
         p, nv = self.pattern, len(self._vertices)
-        u = rng.uniform(-scale, scale, size=(n_samples, self.grid.total_nodes))
+        u = rng.uniform(-PROBE_SCALE, PROBE_SCALE,
+                        size=(n_samples, self.grid.total_nodes))
         delta = np.zeros((n_samples, len(p.rows)))
         # edge rows: unperturbed, then own, left and right input + step
+        step = PROBE_STEP
         um, uc, up = u[:, self._left], u[:, nv:], u[:, self._right]
         r = self._edge_rows(slice(None), np.concatenate([um, um, um + step, um]),
                             np.concatenate([uc, uc + step, uc, uc]),
@@ -528,7 +535,7 @@ class ResidualSystem:
             r = self._vertex_rows(st, w[:, 0], w[:, 1:]).reshape(n_samples, m + 1)
             delta[:, entries] = r[:, 1:] - r[:, :1]
         own = p.rows == p.cols
-        bad = np.where(own, delta < -tol, delta > tol)
+        bad = np.where(own, delta < -PROBE_TOL, delta > PROBE_TOL)
         if not bad.any():
             return None
         s = int(np.argmax(bad.any(axis=1)))
@@ -585,8 +592,8 @@ def check_scheme(eps: float = 0.0, junction_mode: str = "kirchhoff") -> None:
 
 
 def assemble(problem: NetworkProblem, grid: Grid, eps: float = 0.0,
-             junction_mode: str = "kirchhoff", probe_samples: int = 3,
-             rng=None) -> ResidualSystem:
+             junction_mode: str = "kirchhoff",
+             probe_samples: int = 3) -> ResidualSystem:
     """Build the residual system and certify the monotone-scheme property.
     The problem fixes theta and the boundary rows (see the module docstring).
 
@@ -597,7 +604,7 @@ def assemble(problem: NetworkProblem, grid: Grid, eps: float = 0.0,
     check_scheme(eps, junction_mode)
     system = ResidualSystem(problem, grid, eps, junction_mode)
     if probe_samples > 0:
-        witness = system.certify_monotone(n_samples=probe_samples, rng=rng)
+        witness = system.certify_monotone(n_samples=probe_samples)
         if witness is not None:
             raise MonotonicityProbeFailed(
                 f"monotone-scheme probe failed: {witness}",

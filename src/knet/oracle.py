@@ -27,10 +27,12 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
-from .discretization import Grid, GridFunction, assemble
+from .discretization import Grid, GridFunction, assemble, resolve_relaxed_edges
 from .errors import NonPositiveError, ProblemNotLinear, SingularSystem
 from .problem import NetworkProblem
 from .solver import SolveConfig, solve_system
+
+REFINE = 4  # a fine-grid reference has REFINE cells per cell of its grid
 
 
 @dataclass
@@ -45,8 +47,7 @@ class ReferenceSolution:
 
 
 def _affine_data(problem: NetworkProblem, eid: int):
-    ham = problem.hamiltonians[eid]
-    affine = getattr(ham, "affine", None)
+    affine = problem.hamiltonians[eid].affine
     if affine is None:
         raise ProblemNotLinear(f"edge {eid}: Hamiltonian is not affine in p")
     return affine  # (b, f_fn)
@@ -131,9 +132,9 @@ def direct_linear_solve(problem: NetworkProblem, nodes_per_edge,
 
 
 def fine_grid_reference(problem: NetworkProblem, nodes_per_edge,
-                        refine: int = 4, solved=None, eps: float = 0.0,
+                        solved=None, eps: float = 0.0,
                         junction_mode: str = "kirchhoff") -> ReferenceSolution:
-    """Reference from the main monotone scheme on a refine-times finer grid.
+    """Reference from the main monotone scheme on a REFINE-times finer grid.
 
     solved maps node counts to default-config solutions of this scheme
     (eps, junction_mode) already at hand.  The fine grid's own, if there,
@@ -143,9 +144,9 @@ def fine_grid_reference(problem: NetworkProblem, nodes_per_edge,
     discrete solution is unique, so the start changes the cost, not the
     answer beyond the solver's tolerance."""
     if isinstance(nodes_per_edge, dict):
-        fine = {k: (n - 1) * refine + 1 for k, n in nodes_per_edge.items()}
+        fine = {k: (n - 1) * REFINE + 1 for k, n in nodes_per_edge.items()}
     else:
-        fine = (int(nodes_per_edge) - 1) * refine + 1
+        fine = (int(nodes_per_edge) - 1) * REFINE + 1
     chain = solved is not None and isinstance(fine, int)
     res = solved.get(fine) if chain else None
     if res is None:
@@ -157,7 +158,7 @@ def fine_grid_reference(problem: NetworkProblem, nodes_per_edge,
         if chain:
             solved[fine] = res
     return ReferenceSolution(res.u, "fine-grid",
-                             {"refine": refine, "converged": res.converged,
+                             {"refine": REFINE, "converged": res.converged,
                               "residual_norm": res.residual_norm})
 
 
@@ -166,18 +167,20 @@ def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
                   solved=None) -> ReferenceSolution:
     """The best available reference for the scheme with viscosity eps and
     junction mode junction_mode: the exact profile exact(edge id, t) when
-    eps = 0, else the direct linear solve, else a 4x-refined run of the
-    scheme itself.
+    eps = 0, else the direct linear solve, else a REFINE-times refined run
+    of the scheme itself.
 
     The exact profiles and the direct solve are solutions of the Kirchhoff
-    problem, so the "minmax" junction always takes the fine-grid reference.
-    Their boundary data hold as the scheme's boundary rows impose them:
-    relaxed where a + eps = 0 and H is coercive (an exact profile that
-    detaches there), strong elsewhere, which is every boundary vertex of a
-    linear problem, since an affine H is not coercive.  solved passes on
-    to fine_grid_reference: default-config solves of this scheme by node
-    count."""
-    if junction_mode == "kirchhoff":
+    problem.  They serve wherever resolve_relaxed_edges relaxes no junction
+    edge, where both junction modes give the same rows; a junction it
+    relaxes takes the fine-grid reference.  Their boundary data hold as the
+    scheme's boundary rows impose them: relaxed where a + eps = 0 and H is
+    coercive (an exact profile that detaches there), strong elsewhere,
+    which is every boundary vertex of a linear problem, since an affine H
+    is not coercive.  solved passes on to fine_grid_reference:
+    default-config solves of this scheme by node count."""
+    relaxed = resolve_relaxed_edges(problem, eps, junction_mode)
+    if not any(relaxed[v.id] for v in problem.network.interior_vertices):
         if exact is not None and eps == 0.0:
             grid = Grid(problem.network, nodes_per_edge)
             return ReferenceSolution(GridFunction.from_profile(grid, exact),
@@ -186,8 +189,8 @@ def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
             return direct_linear_solve(problem, nodes_per_edge, eps=eps)
         except ProblemNotLinear:
             pass
-    return fine_grid_reference(problem, nodes_per_edge, refine=4, solved=solved,
-                               eps=eps, junction_mode=junction_mode)
+    return fine_grid_reference(problem, nodes_per_edge, solved=solved, eps=eps,
+                               junction_mode=junction_mode)
 
 
 def convergence_table(problem: NetworkProblem, resolutions, exact=None,

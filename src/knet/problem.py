@@ -17,6 +17,9 @@ import numpy as np
 from .errors import InvalidCoefficientSign, VertexNotInterior
 from .network import BOUNDARY, INTERIOR, Network
 
+LATTICE_RESOLUTION = 16  # validate_problem's x-samples per edge
+P_RANGE = 8.0  # validate_problem samples slopes on [-P_RANGE, P_RANGE]
+
 
 def larger(a, b):
     """Python's max(a, b), elementwise when a is an array: b where b > a,
@@ -42,6 +45,7 @@ class Hamiltonian:
     coercive: bool = False
     lipschitz_p: Optional[float] = None
     name: str = "custom"
+    affine: Optional[tuple] = None  # (b, f_fn) when H = b*p + f_fn(x)
     # analytic one-sided envelopes, filled in for built-ins
     _min_below: Optional[Callable] = None
     _min_above: Optional[Callable] = None
@@ -124,12 +128,10 @@ def advection(b: float = 0.0, f=0.0, c_h: Optional[float] = None) -> Hamiltonian
             return np.full(np.shape(q), -math.inf if b < 0 else float(f_fn(x)))[()]
         return b * q + float(f_fn(x))
 
-    ham = Hamiltonian(
-        fn, c_h=ch, coercive=False, lipschitz_p=lip_p,
-        name=f"advection({b})", _min_below=below, _min_above=above,
+    return Hamiltonian(
+        fn, c_h=ch, coercive=False, lipschitz_p=lip_p, name=f"advection({b})",
+        affine=(b, f_fn), _min_below=below, _min_above=above,
     )
-    ham.affine = (b, f_fn)  # enables the direct linear oracle
-    return ham
 
 
 # ---------------------------------------------------------------------------
@@ -346,23 +348,21 @@ class ValidationReport:
         }
 
 
-def validate_problem(problem: NetworkProblem, lattice_resolution: int = 16,
-                     p_range: float = 8.0) -> ValidationReport:
+def validate_problem(problem: NetworkProblem) -> ValidationReport:
     """Sampled check of the standing assumptions; advisory, never raises.
 
     Each entry covers one assumption on one edge or vertex; failures carry
-    the violating sample.  lattice_resolution is the number of x-samples per
-    edge (at least 8); slopes are sampled on [-p_range, p_range].
+    the violating sample.  Each edge takes LATTICE_RESOLUTION x-samples;
+    slopes are sampled on [-P_RANGE, P_RANGE].
     """
-    lattice_resolution = max(8, int(lattice_resolution))
     entries = []
     slack = 1e-9
 
     for e in problem.network.edges:
         H = problem.hamiltonians[e.id]
         D = problem.diffusions[e.id]
-        xs = np.linspace(0.0, e.length, lattice_resolution)
-        ps = np.linspace(-p_range, p_range, 2 * lattice_resolution + 1)
+        xs = np.linspace(0.0, e.length, LATTICE_RESOLUTION)
+        ps = np.linspace(-P_RANGE, P_RANGE, 2 * LATTICE_RESOLUTION + 1)
         dx = np.abs(xs[:, None] - xs[None, :])
         dp = np.abs(ps[:, None] - ps[None, :])
         loc = f"edge {e.id}"
@@ -429,10 +429,10 @@ def validate_problem(problem: NetworkProblem, lattice_resolution: int = 16,
         # takes in turn, mapped as rng.uniform maps them (s, r - s, q, q - p)
         state = rng.bit_generator.state
         draws = rng.random((64, 2 + 2 * n))
-        s = -p_range + 2.0 * p_range * draws[:, 0]
-        r = s + p_range * draws[:, 1]
-        q = -p_range + 2.0 * p_range * draws[:, 2:2 + n]
-        p = q - p_range * draws[:, 2 + n:]
+        s = -P_RANGE + 2.0 * P_RANGE * draws[:, 0]
+        r = s + P_RANGE * draws[:, 1]
+        q = -P_RANGE + 2.0 * P_RANGE * draws[:, 2:2 + n]
+        p = q - P_RANGE * draws[:, 2 + n:]
         frp, fsq = F(r, p), F(s, q)
         lower = frp < fsq - slack
         # strictness when some p_j < q_j

@@ -45,6 +45,14 @@ MAX_NEWTON = 60  # Newton iterations per newton_solve
 WARMUP_SWEEPS = 5  # Gauss-Seidel sweeps before the fallback's Newton
 MIN_LEVEL_NODES = 21  # fewest nodes per edge on a coarse level of the hybrid
 NEWTON_FD_STEP = 1e-7  # largest finite-difference step of the Jacobian
+BRACKET_WIDTH = 1.0  # solve_node's first bracket half-width
+MAX_DOUBLINGS = 80  # bracket doublings per side in solve_node
+TENT_ROUNDING = 0.25  # rounding radius of the barrier's tent profile
+BARRIER_INITIAL = 1.0  # first barrier constant A and slope B
+BARRIER_GROWTH = 4.0  # factor between barrier trial constants
+BARRIER_ROUNDS = 12  # trial slopes B; each tries BARRIER_ROUNDS + 4 constants A
+BARRIER_SLACK = 1e-9  # residual sign tolerance per unit of max(1, A, B)
+MULTISTART_OFFSETS = (-10.0, -1.0, 0.0, 1.0, 10.0)  # acceptance criterion 3
 
 
 @dataclass
@@ -85,9 +93,11 @@ class Barriers:
     slope: float  # the B constant
 
 
-def _tent_values(grid: Grid, slope: float, r: float = 0.25) -> np.ndarray:
+def _tent_values(grid: Grid, slope: float) -> np.ndarray:
     """Smooth tent profile per edge, zero at vertices, inward endpoint
-    slope close to -slope, bounded curvature."""
+    slope close to -slope, curvature bounded through TENT_ROUNDING."""
+    r = TENT_ROUNDING
+
     def prof(eid, x):
         length = grid.network.edge(eid).length
         s = 2.0 * np.asarray(x, dtype=float) / length - 1.0
@@ -97,31 +107,30 @@ def _tent_values(grid: Grid, slope: float, r: float = 0.25) -> np.ndarray:
     return GridFunction.from_profile(grid, prof).values
 
 
-def build_barriers(system: ResidualSystem, initial: float = 1.0,
-                   growth: float = 4.0, max_rounds: int = 12,
-                   slack: float = 1e-9) -> Barriers:
+def build_barriers(system: ResidualSystem) -> Barriers:
     """Super/subsolution pair certified by the residual signs themselves.
 
     The upper barrier is A + Theta with Theta a tent profile of endpoint
     slope -B on every edge, so every vertex sees strongly negative inward
-    slopes; the lower barrier is its negative.  A and B are doubled until
-    residual(upper) >= 0 and residual(lower) <= 0 at every node.
+    slopes; the lower barrier is its negative.  A and B grow from
+    BARRIER_INITIAL by BARRIER_GROWTH until residual(upper) >= 0 and
+    residual(lower) <= 0 at every node, to within BARRIER_SLACK.
     """
     grid = system.grid
-    for i in range(max_rounds):
-        b = initial * growth ** i
+    for i in range(BARRIER_ROUNDS):
+        b = BARRIER_INITIAL * BARRIER_GROWTH ** i
         theta = _tent_values(grid, b)
-        for j in range(max_rounds + 4):
-            a = initial * growth ** j
+        for j in range(BARRIER_ROUNDS + 4):
+            a = BARRIER_INITIAL * BARRIER_GROWTH ** j
             upper = a + theta
             lower = -upper
-            tol = slack * max(1.0, a, b)
+            tol = BARRIER_SLACK * max(1.0, a, b)
             if (np.all(system.residual(upper) >= -tol)
                     and np.all(system.residual(lower) <= tol)):
                 return Barriers(GridFunction(grid, lower),
                                 GridFunction(grid, upper), a, b)
     raise BarrierConstructionFailed(
-        f"no certified barrier after {max_rounds} doubling rounds"
+        f"no certified barrier after {BARRIER_ROUNDS} doubling rounds"
     )
 
 
@@ -129,10 +138,10 @@ def build_barriers(system: ResidualSystem, initial: float = 1.0,
 # Gauss-Seidel sweeps
 
 
-def solve_node(system: ResidualSystem, gid: int, u: np.ndarray,
-               width: float = 1.0, max_doublings: int = 80) -> float:
+def solve_node(system: ResidualSystem, gid: int, u: np.ndarray) -> float:
     """Root of the node residual in its own value; the residual is strictly
-    increasing there, so sign-change bracketing by doubling always works.
+    increasing there, so sign-change bracketing by doubling (from
+    BRACKET_WIDTH, at most MAX_DOUBLINGS times per side) always works.
 
     sweep_solve needs it only at vertex nodes, whose couplings, ghost
     corrections, minmax clauses and state constraints are not affine; an
@@ -143,14 +152,14 @@ def solve_node(system: ResidualSystem, gid: int, u: np.ndarray,
         return system.residual_node(gid, u)
 
     center = float(u[gid])
-    lo, hi = center - width, center + width
-    for _ in range(max_doublings):
+    lo, hi = center - BRACKET_WIDTH, center + BRACKET_WIDTH
+    for _ in range(MAX_DOUBLINGS):
         if f(lo) <= 0.0:
             break
         lo = center - 2.0 * (center - lo)
     else:
         raise LocalRootBracketFailed(f"node {gid}: no sign change below")
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         if f(hi) >= 0.0:
             break
         hi = center + 2.0 * (hi - center)
@@ -358,15 +367,14 @@ def solve_problem(problem: NetworkProblem, nodes_per_edge, eps: float = 0.0,
     return solve_system(system, config, u0)
 
 
-def multistart_solve(system: ResidualSystem, config: Optional[SolveConfig] = None,
-                     offsets=(-10.0, -1.0, 0.0, 1.0, 10.0)):
-    """Solve from several constant initial guesses; used to probe uniqueness
-    (acceptance criterion 3).  Each constant is a start on the target grid,
+def multistart_solve(system: ResidualSystem, config: Optional[SolveConfig] = None):
+    """Solve from each constant of MULTISTART_OFFSETS; used to probe
+    uniqueness (acceptance criterion 3).  Each constant is a start on the target grid,
     corrected there, not a coarse-grid start nested upward: nesting would
     separate the starts on the coarsest grid only, and the criterion asks
     whether the target system's solution depends on the start."""
     return [solve_system(system, config, GridFunction.full(system.grid, c))
-            for c in offsets]
+            for c in MULTISTART_OFFSETS]
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +395,6 @@ class ViscositySweep:
     base: SolveResult  # the eps = 0 solution on the same grid
     steps: list
     deltas: tuple
-
-    def table(self):
-        rows = []
-        for s in self.steps:
-            row = {"eps": s.eps, "sup_full": s.sup_diff_full,
-                   "converged": s.result.converged}
-            for d, v in s.sup_diff_interior.items():
-                row[f"sup_delta_{d:.6g}"] = v
-            rows.append(row)
-        return rows
 
 
 def vanishing_viscosity(problem: NetworkProblem, nodes_per_edge, schedule,

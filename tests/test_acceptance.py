@@ -125,7 +125,7 @@ def test_criterion_5_eikonal_first_order(solve_cached):
     entry = entry_by_name("star3_eikonal")
     errs = []
     for n in (41, 81, 161):
-        ref = fine_grid_reference(entry.problem, n, refine=4)
+        ref = fine_grid_reference(entry.problem, n)
         assert ref.meta["converged"]
         errs.append(sup_error(solve_cached("star3_eikonal", n).u, ref.u))
     order = richardson_order(errs)

@@ -74,7 +74,7 @@ def test_slopes_affine_profile():
     for eid in range(3):
         assert sl.upper[eid] == pytest.approx(-1.0)
         assert sl.lower[eid] == pytest.approx(-1.0)
-        assert sl.spread(eid) == pytest.approx(0.0)
+        assert sl.residual[eid] == pytest.approx(0.0)
 
 
 def test_slopes_constant_profile():

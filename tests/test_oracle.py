@@ -1,5 +1,6 @@
 """Independent reference solutions and order estimation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -82,8 +83,18 @@ def test_direct_solve_rejects_nonlinear(catalog):
         direct_linear_solve(catalog["star2_linear"].problem, 3)
 
 
+def test_direct_solve_survives_dataclass_replace(catalog):
+    """A Hamiltonian's affine data is a field, so dataclasses.replace keeps
+    it and the direct oracle still applies."""
+    problem = catalog["star3_linear"].problem
+    doubled = dataclasses.replace(problem, hamiltonians={
+        eid: dataclasses.replace(ham, c_h=2.0 * ham.c_h)
+        for eid, ham in problem.hamiltonians.items()})
+    assert reference_for(doubled, 11).method == "direct-linear"
+
+
 def test_fine_grid_reference(catalog):
-    ref = fine_grid_reference(catalog["star3_constant"].problem, 11, refine=4)
+    ref = fine_grid_reference(catalog["star3_constant"].problem, 11)
     assert ref.method == "fine-grid"
     assert ref.meta["refine"] == 4
     assert ref.meta["converged"]
@@ -120,14 +131,17 @@ def test_self_convergence_order(catalog):
 
 
 def test_reference_for_matches_scheme_modes(catalog):
-    """The exact profile and the direct solve are Kirchhoff references; the
-    minmax junction takes the fine-grid reference."""
+    """The exact profile and the direct solve are Kirchhoff references.  A
+    junction minmax relaxes (an edge with a + eps = 0) takes the fine-grid
+    reference; where minmax relaxes no junction edge its rows are the
+    Kirchhoff rows, so the Kirchhoff references serve."""
     linear = catalog["star2_linear"]
-    assert reference_for(linear.problem, 11, linear.exact).method == "exact"
-    assert reference_for(linear.problem, 11).method == "direct-linear"
-    assert reference_for(linear.problem, 11, linear.exact,
-                         junction_mode="minmax").method == "fine-grid"
-    assert reference_for(linear.problem, 11, junction_mode="minmax").method == "fine-grid"
+    for mode in ("kirchhoff", "minmax"):
+        assert reference_for(linear.problem, 11, linear.exact,
+                             junction_mode=mode).method == "exact"
+        assert reference_for(linear.problem, 11, junction_mode=mode).method == "direct-linear"
+    mixed = catalog["star3_mixed"]
+    assert reference_for(mixed.problem, 11, junction_mode="minmax").method == "fine-grid"
     # the boundary rows are relaxed on the degenerate coercive ends of
     # star3_eikonal_loss, as its exact profile is
     loss = catalog["star3_eikonal_loss"]

@@ -394,6 +394,23 @@ def test_minmax_multistart_converges_from_every_offset_at_161(system_cached):
     assert all(r.converged for r in runs), [r.message for r in runs]
 
 
+def test_fallback_rescues_converge(system_cached):
+    """Solves that Newton alone fails on the target grid and the
+    sweep-warmed hybrid rescues: from +10 under minmax, graph5_constant by
+    one Newton step and star3_eikonal by three after the warm-up sweeps;
+    star3_loss_elliptic, cold at n = 641, by the final sweeps.  Only
+    convergence is checked, not which stage rescues, so a solver that
+    needs no fallback passes too."""
+    cases = [("graph5_constant", 161, "minmax", 10.0),
+             ("star3_eikonal", 161, "minmax", 10.0),
+             ("star3_loss_elliptic", 641, "kirchhoff", None)]
+    for name, nodes, mode, start in cases:
+        system = system_cached(name, nodes, junction_mode=mode)
+        u0 = None if start is None else GridFunction.full(system.grid, start)
+        res = solve_system(system, SolveConfig(), u0)
+        assert res.converged, (name, nodes, mode, start, res.message)
+
+
 def test_cold_solve_neither_sweeps_nor_probes(monkeypatch, system_cached):
     """star3_mixed at n=641 is solved from n=21 up by Newton alone, and the
     coarse levels, which only predict, are assembled without the probe."""
@@ -459,7 +476,7 @@ def test_vanishing_viscosity_structure():
     sweep = vanishing_viscosity(entry.problem, 11, schedule)
     assert sweep.base.converged and sweep.base.eps == 0.0
     eps_seen = [s.eps for s in sweep.steps]
-    assert eps_seen == sorted(eps_seen, reverse=True)
+    assert eps_seen == sorted(schedule, reverse=True)
     assert len(sweep.deltas) == 3
     for s in sweep.steps:
         assert s.result.converged
@@ -469,9 +486,6 @@ def test_vanishing_viscosity_structure():
     assert not sweep.steps[0].cauchy_interior
     for s in sweep.steps[1:]:
         assert set(s.cauchy_interior) == set(sweep.deltas)
-    rows = sweep.table()
-    assert len(rows) == len(schedule)
-    assert all("eps" in row and "sup_full" in row for row in rows)
 
 
 def test_continuation_step_is_a_newton_corrector(monkeypatch, system_cached,
