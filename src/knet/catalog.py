@@ -32,7 +32,6 @@ class CatalogEntry:
     problem: NetworkProblem
     exact: Optional[Callable] = None  # (edge id, t array) -> values
     degenerate: bool = False
-    lipschitz_ok: bool = True
 
 
 def _zero_diffusions(net: Network):

@@ -25,12 +25,12 @@ import numpy as np
 from . import __version__
 from .analysis import diagnostics_report
 from .catalog import entry_by_name
-from .discretization import Grid, GridFunction, assemble, check_scheme
+from .discretization import JUNCTION_MODES, Grid, GridFunction, assemble, check_scheme
 from .errors import KnetError
 from .network import Network, network_from_json
 from .oracle import convergence_table, reference_for
 from .problem import NetworkProblem, problem_from_json, validate_problem
-from .solver import SolveConfig, solve_system, vanishing_viscosity
+from .solver import METHODS, SolveConfig, solve_system, vanishing_viscosity
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 1
@@ -180,38 +180,37 @@ def problem_from_config(cfg: dict) -> NetworkProblem:
     return problem_from_json(cfg["problem"], network)
 
 
-SOLVER_OPTIONS = ("epsilon", "junction_mode", "tol", "max_sweeps", "method")
-
-
-def merge_flags(cfg: dict, args) -> dict:
-    grid = dict(cfg.get("grid", {}))
-    solver = dict(cfg.get("solver", {}))
-    if getattr(args, "nodes_per_edge", None) is not None:
-        grid["nodes_per_edge"] = args.nodes_per_edge
-    for name in SOLVER_OPTIONS:
-        v = getattr(args, name, None)
-        if v is not None:
-            solver[name] = v
-    return {"grid": grid, "solver": solver,
-            "analysis": dict(cfg.get("analysis", {}))}
+# The keys of a config's grid and solver sections, each with the add_argument
+# keywords of its flag.  A subcommand has the flags of the keys it reads.
+FLAGS = {
+    "nodes_per_edge": {"type": int},
+    "epsilon": {"type": float},
+    "junction_mode": {"choices": JUNCTION_MODES},
+    "tol": {"type": float},
+    "max_sweeps": {"type": int},
+    "method": {"choices": METHODS},
+}
+SOLVER_OPTIONS = tuple(FLAGS)[1:]  # the solver section's keys: all but the grid's
 
 
 def _solver_config(solver: dict) -> SolveConfig:
-    return SolveConfig(
-        method=solver.get("method", "hybrid"),
-        tol=float(solver.get("tol", 1e-10)),
-        max_sweeps=int(solver.get("max_sweeps", 2000)),
-    )
+    """A solver section's solve options as a SolveConfig; an option the
+    section leaves out keeps SolveConfig's default."""
+    return SolveConfig(**{k: conv(solver[k]) for k, conv in
+                          (("tol", float), ("max_sweeps", int), ("method", str))
+                          if k in solver})
 
 
 def _scheme(solver: dict) -> dict:
     """A solver section's scheme options as checked assemble() keywords; a
-    key outside SOLVER_OPTIONS is rejected."""
+    key outside SOLVER_OPTIONS is rejected, and an option the section
+    leaves out keeps assemble()'s default."""
     unknown = sorted(set(solver) - set(SOLVER_OPTIONS))
     if unknown:
         raise ValueError("unknown solver option " + ", ".join(map(repr, unknown)))
-    scheme = {"eps": float(solver.get("epsilon", 0.0)),
-              "junction_mode": solver.get("junction_mode", "kirchhoff")}
+    scheme = {kw: conv(solver[k]) for k, kw, conv in
+              (("epsilon", "eps", float), ("junction_mode", "junction_mode", str))
+              if k in solver}
     check_scheme(**scheme)
     return scheme
 
@@ -229,26 +228,38 @@ def _node_count(value) -> int:
 
 
 def _inputs(args, *parsers):
-    """A subcommand's config, problem, merged options, scheme keywords,
-    SolveConfig and nodes per edge, followed by parse(args) for each of
-    parsers, all read and converted before anything is computed.  Malformed
-    input raises _BadInput."""
+    """A subcommand's config, problem, the options it reads (those it has
+    flags for, from the flag or else the config) with their scheme keywords
+    and SolveConfig, and nodes per edge, then parse(args) for each of
+    parsers, all checked before the output directory is made.  One config
+    may serve several subcommands, so its grid and solver sections, each
+    flag set over its key, are checked whole.  Malformed input raises
+    _BadInput."""
     try:
         cfg = load_config(args.config)
         problem = problem_from_config(cfg)
-        merged = merge_flags(cfg, args)
-        scheme = _scheme(merged["solver"])
-        config = _solver_config(merged["solver"])
+        merged = {"grid": dict(cfg.get("grid", {})), "solver": dict(cfg.get("solver", {}))}
+        for name in FLAGS:
+            value = getattr(args, name, None)
+            if value is not None:
+                merged["grid" if name == "nodes_per_edge" else "solver"][name] = value
+        _scheme(merged["solver"])
+        _solver_config(merged["solver"])
         nodes = _node_count(merged["grid"].get("nodes_per_edge", 41))
+        read = {name: {k: v for k, v in opts.items() if k in FLAGS and hasattr(args, k)}
+                for name, opts in merged.items()}
+        scheme, config = _scheme(read["solver"]), _solver_config(read["solver"])
         extra = [parse(args) for parse in parsers]
-        return (cfg, problem, merged, scheme, config, nodes, *extra)
     except INPUT_ERRORS as exc:
         raise _BadInput(exc) from exc
+    os.makedirs(args.output_dir, exist_ok=True)
+    return (cfg, problem, read, scheme, config, nodes, *extra)
 
 
-def write_manifest(args, subcommand: str, cfg: dict, merged: dict, outputs,
+def write_manifest(args, subcommand: str, cfg: dict, read: dict, outputs,
                    stages) -> None:
-    """Write args.output_dir/manifest.json, which lists outputs and itself."""
+    """Write args.output_dir/manifest.json: outputs and itself, and as
+    effective the options the run read."""
     path = os.path.join(args.output_dir, "manifest.json")
     if args.deterministic:
         # leave out what differs between reruns: stage wall times here,
@@ -259,7 +270,7 @@ def write_manifest(args, subcommand: str, cfg: dict, merged: dict, outputs,
         "tool_version": __version__,
         "subcommand": subcommand,
         "config": cfg,
-        "effective": merged,
+        "effective": read,
         "deterministic": args.deterministic,
         "csv_schemas": CSV_SCHEMAS,
         "outputs": list(outputs) + [path],
@@ -275,9 +286,7 @@ def write_manifest(args, subcommand: str, cfg: dict, merged: dict, outputs,
 
 
 def cmd_solve(args) -> int:
-    cfg, problem, merged, scheme, config, nodes = _inputs(args)
-    outdir = args.output_dir
-    os.makedirs(outdir, exist_ok=True)
+    cfg, problem, read, scheme, config, nodes = _inputs(args)
     # stages[0] and [1] are validate and solve; later stages are appended
     stages = []
 
@@ -303,11 +312,11 @@ def cmd_solve(args) -> int:
                    "wall_time": time.perf_counter() - t0})
     stages.append(assemble_stage)
 
-    sol_path = os.path.join(outdir, "solution.csv")
+    sol_path = os.path.join(args.output_dir, "solution.csv")
     t0 = time.perf_counter()
     _atomic_write(sol_path, solution_csv_text(result.u))
     stages.append({"stage": "write", "wall_time": time.perf_counter() - t0})
-    write_manifest(args, "solve", cfg, merged, [sol_path], stages)
+    write_manifest(args, "solve", cfg, read, [sol_path], stages)
     if not result.converged:
         return _fail(EXIT_NO_CONVERGENCE,
                      f"solver did not converge: {result.message}")
@@ -315,32 +324,26 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg, problem, merged, scheme, _, nodes = _inputs(args)
-    outdir = args.output_dir
-    os.makedirs(outdir, exist_ok=True)
+    cfg, problem, read, scheme, _, nodes = _inputs(args)
     try:
         ref = reference_for(problem, nodes, **scheme)
     except KnetError as exc:
         return _fail(EXIT_BAD_INPUT, f"oracle failed: {exc}")
     restricted = (ref.u if ref.method == "direct-linear"
                   else ref.u.on_grid(Grid(problem.network, nodes)))
-    sol_path = os.path.join(outdir, "oracle.csv")
+    sol_path = os.path.join(args.output_dir, "oracle.csv")
     _atomic_write(sol_path, solution_csv_text(restricted))
-    write_manifest(args, "oracle", cfg, merged, [sol_path],
+    write_manifest(args, "oracle", cfg, read, [sol_path],
                    [{"stage": "oracle", "method": ref.method, "meta": ref.meta}])
     return EXIT_OK
 
 
 def cmd_sweep_epsilon(args) -> int:
-    cfg, problem, merged, scheme, config, nodes, schedule = _inputs(
+    cfg, problem, read, scheme, config, nodes, schedule = _inputs(
         args, lambda a: parse_epsilon_schedule(a.epsilon_schedule))
-    outdir = args.output_dir
-    os.makedirs(outdir, exist_ok=True)
+    read["solver"]["epsilon_schedule"] = schedule
     try:
-        # the schedule sets the viscosity
-        sweep = vanishing_viscosity(problem, nodes, schedule,
-                                    junction_mode=scheme["junction_mode"],
-                                    config=config)
+        sweep = vanishing_viscosity(problem, nodes, schedule, config=config, **scheme)
     except KnetError as exc:
         return _fail(EXIT_BAD_INPUT, f"sweep failed: {exc}")
 
@@ -350,13 +353,13 @@ def cmd_sweep_epsilon(args) -> int:
     for s in sweep.steps:
         buf.write(f"{s.eps:.17g},{s.sup_diff_full:.17g},"
                   f"{s.sup_diff_interior[delta]:.17g},{int(s.result.converged)}\n")
-    table_path = os.path.join(outdir, "sweep.csv")
+    table_path = os.path.join(args.output_dir, "sweep.csv")
     _atomic_write(table_path, buf.getvalue())
-    base_path = os.path.join(outdir, "solution_eps0.csv")
+    base_path = os.path.join(args.output_dir, "solution_eps0.csv")
     _atomic_write(base_path, solution_csv_text(sweep.base.u))
     stages = [{"stage": "sweep", "delta": delta,
                "all_converged": all(s.result.converged for s in sweep.steps)}]
-    write_manifest(args, "sweep-epsilon", cfg, merged, [table_path, base_path], stages)
+    write_manifest(args, "sweep-epsilon", cfg, read, [table_path, base_path], stages)
     if not (sweep.base.converged and all(s.result.converged for s in sweep.steps)):
         return _fail(EXIT_NO_CONVERGENCE, "a viscosity step did not converge")
     return EXIT_OK
@@ -374,9 +377,8 @@ def _resolutions(args):
 
 
 def cmd_convergence_table(args) -> int:
-    cfg, problem, merged, scheme, config, _, resolutions = _inputs(args, _resolutions)
-    outdir = args.output_dir
-    os.makedirs(outdir, exist_ok=True)
+    cfg, problem, read, scheme, config, _, resolutions = _inputs(args, _resolutions)
+    read["grid"]["resolutions"] = resolutions
     exact = entry_by_name(cfg["catalog"]).exact if "catalog" in cfg else None
     rows = convergence_table(problem, resolutions, exact, config, **scheme)
     buf = io.StringIO()
@@ -384,7 +386,7 @@ def cmd_convergence_table(args) -> int:
     for r in rows:
         buf.write(f"{r['h']:.17g},{r['error']:.17g},{r['order']:.6g},"
                   f"{r['iterations']}\n")
-    table_path = os.path.join(outdir, "convergence.csv")
+    table_path = os.path.join(args.output_dir, "convergence.csv")
     _atomic_write(table_path, buf.getvalue())
     convs = [r["converged"] for r in rows]
     ref_convs = [r["reference_converged"] for r in rows]
@@ -393,7 +395,7 @@ def cmd_convergence_table(args) -> int:
                "references_converged": ref_convs,
                "all_converged": all(convs) and all(ref_convs),
                "wall_time": [r["wall_time"] for r in rows]}]
-    write_manifest(args, "convergence-table", cfg, merged, [table_path], stages)
+    write_manifest(args, "convergence-table", cfg, read, [table_path], stages)
     if not all(convs):
         return _fail(EXIT_NO_CONVERGENCE, "a resolution did not converge")
     if not all(ref_convs):
@@ -425,16 +427,18 @@ def cmd_verify(args) -> int:
 # Argument parsing
 
 
-def _add_common(p):
+def _add_run(sub, name: str, func, summary: str, *options):
+    """A subcommand with --config, --output-dir, the flag of each of options
+    (the FLAGS keys it reads) and --deterministic.  No flag is abbreviated:
+    --epsilon must not stand for --epsilon-schedule."""
+    p = sub.add_parser(name, help=summary, allow_abbrev=False)
+    p.set_defaults(func=func)
     p.add_argument("--config", required=True)
     p.add_argument("--output-dir", default=".")
-    p.add_argument("--nodes-per-edge", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--junction-mode", choices=["kirchhoff", "minmax"], default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-sweeps", type=int, default=None)
-    p.add_argument("--method", choices=["sweep", "newton", "hybrid"], default=None)
+    for option in options:
+        p.add_argument("--" + option.replace("_", "-"), default=None, **FLAGS[option])
     p.add_argument("--deterministic", action="store_true")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,26 +450,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("solve", help="solve a problem and write the profile CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("oracle", help="independent reference solve, same CSV schema")
-    _add_common(p)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("sweep-epsilon", help="vanishing-viscosity continuation")
-    _add_common(p)
+    _add_run(sub, "solve", cmd_solve, "solve a problem and write the profile CSV",
+             *FLAGS)
+    # the fine-grid reference solves with SolveConfig(): no solve option
+    _add_run(sub, "oracle", cmd_oracle, "independent reference solve, same CSV schema",
+             "nodes_per_edge", "epsilon", "junction_mode")
+    # the schedule sets the viscosity
+    p = _add_run(sub, "sweep-epsilon", cmd_sweep_epsilon, "vanishing-viscosity continuation",
+                 "nodes_per_edge", "junction_mode", "tol", "max_sweeps", "method")
     p.add_argument("--epsilon-schedule", default="g:1:0.5:9",
                    help="g:start:ratio:count")
-    p.set_defaults(func=cmd_sweep_epsilon)
-
-    p = sub.add_parser("convergence-table", help="errors and orders across resolutions")
-    _add_common(p)
+    # the resolutions set the grids
+    p = _add_run(sub, "convergence-table", cmd_convergence_table,
+                 "errors and orders across resolutions", *SOLVER_OPTIONS)
     p.add_argument("--resolutions", default="21,41,81")
-    p.set_defaults(func=cmd_convergence_table)
 
-    p = sub.add_parser("verify", help="diagnostics report on a solution CSV")
+    p = sub.add_parser("verify", help="diagnostics report on a solution CSV",
+                       allow_abbrev=False)
     p.add_argument("--solution", required=True)
     p.add_argument("--problem", required=True)
     p.add_argument("--report", required=True)

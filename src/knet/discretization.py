@@ -68,6 +68,7 @@ EDGE_NODE = "edge"
 PROBE_STEP = 1e-6  # certify_monotone's perturbation of one input
 PROBE_TOL = 1e-9  # largest change of the wrong sign it forgives
 PROBE_SCALE = 2.0  # its samples of u are uniform on [-PROBE_SCALE, PROBE_SCALE]
+JUNCTION_MODES = ("kirchhoff", "minmax")  # assemble's junction modes; the first is the default
 
 
 class Grid:
@@ -565,7 +566,7 @@ def _dependency_pattern(grid: Grid):
 
 
 def resolve_relaxed_edges(problem: NetworkProblem, eps: float,
-                          junction_mode: str = "kirchhoff") -> dict:
+                          junction_mode: str = JUNCTION_MODES[0]) -> dict:
     """Per vertex id, the incident edges (positions in its incidence list)
     whose state-constraint clause its row takes: a boundary vertex's edge
     where a + eps = 0 and H is coercive (the Dirichlet datum in the
@@ -583,16 +584,16 @@ def resolve_relaxed_edges(problem: NetworkProblem, eps: float,
     return out
 
 
-def check_scheme(eps: float = 0.0, junction_mode: str = "kirchhoff") -> None:
+def check_scheme(eps: float = 0.0, junction_mode: str = JUNCTION_MODES[0]) -> None:
     """Raise ValueError on a scheme option assemble() cannot take."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if junction_mode not in ("kirchhoff", "minmax"):
+    if junction_mode not in JUNCTION_MODES:
         raise ValueError(f"unknown junction mode {junction_mode!r}")
 
 
 def assemble(problem: NetworkProblem, grid: Grid, eps: float = 0.0,
-             junction_mode: str = "kirchhoff",
+             junction_mode: str = JUNCTION_MODES[0],
              probe_samples: int = 3) -> ResidualSystem:
     """Build the residual system and certify the monotone-scheme property.
     The problem fixes theta and the boundary rows (see the module docstring).

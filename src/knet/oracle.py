@@ -27,7 +27,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
-from .discretization import Grid, GridFunction, assemble, resolve_relaxed_edges
+from .discretization import (JUNCTION_MODES, Grid, GridFunction, assemble,
+                             resolve_relaxed_edges)
 from .errors import NonPositiveError, ProblemNotLinear, SingularSystem
 from .problem import NetworkProblem
 from .solver import SolveConfig, solve_system
@@ -133,7 +134,7 @@ def direct_linear_solve(problem: NetworkProblem, nodes_per_edge,
 
 def fine_grid_reference(problem: NetworkProblem, nodes_per_edge,
                         solved=None, eps: float = 0.0,
-                        junction_mode: str = "kirchhoff") -> ReferenceSolution:
+                        junction_mode: str = JUNCTION_MODES[0]) -> ReferenceSolution:
     """Reference from the main monotone scheme on a REFINE-times finer grid.
 
     solved maps node counts to default-config solutions of this scheme
@@ -163,7 +164,7 @@ def fine_grid_reference(problem: NetworkProblem, nodes_per_edge,
 
 
 def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
-                  eps: float = 0.0, junction_mode: str = "kirchhoff",
+                  eps: float = 0.0, junction_mode: str = JUNCTION_MODES[0],
                   solved=None) -> ReferenceSolution:
     """The best available reference for the scheme with viscosity eps and
     junction mode junction_mode: the exact profile exact(edge id, t) when
@@ -195,7 +196,7 @@ def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
 
 def convergence_table(problem: NetworkProblem, resolutions, exact=None,
                       config: Optional[SolveConfig] = None, eps: float = 0.0,
-                      junction_mode: str = "kirchhoff") -> list:
+                      junction_mode: str = JUNCTION_MODES[0]) -> list:
     """Solve the scheme at each resolution and measure it against
     reference_for at that resolution.  One dict per resolution, in the
     order given: nodes, h, the sup error, observed_orders' order,

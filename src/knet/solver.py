@@ -36,7 +36,7 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spsolve
 
-from .discretization import Grid, GridFunction, ResidualSystem, assemble
+from .discretization import JUNCTION_MODES, Grid, GridFunction, ResidualSystem, assemble
 from .errors import BarrierConstructionFailed, LocalRootBracketFailed, SingularLinearization
 from .problem import NetworkProblem
 
@@ -53,6 +53,7 @@ BARRIER_GROWTH = 4.0  # factor between barrier trial constants
 BARRIER_ROUNDS = 12  # trial slopes B; each tries BARRIER_ROUNDS + 4 constants A
 BARRIER_SLACK = 1e-9  # residual sign tolerance per unit of max(1, A, B)
 MULTISTART_OFFSETS = (-10.0, -1.0, 0.0, 1.0, 10.0)  # acceptance criterion 3
+METHODS = ("sweep", "newton", "hybrid")  # solve_system's methods
 
 
 @dataclass
@@ -60,6 +61,10 @@ class SolveConfig:
     method: str = "hybrid"
     tol: float = 1e-10
     max_sweeps: int = 2000
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
 
 
 def _threshold(tol: float, u: np.ndarray) -> float:
@@ -295,16 +300,20 @@ def _newton(system: ResidualSystem, config: SolveConfig, u0) -> SolveResult:
 
 def _sweep_warmed(system: ResidualSystem, config: SolveConfig, u0) -> SolveResult:
     """WARMUP_SWEEPS sweeps, Newton, then sweeps up to max_sweeps; the
-    message names Newton's stopping cause when the last sweeps ran."""
+    message names Newton's stopping cause when the last sweeps ran.  Their
+    iterate is returned unless Newton's has the lower residual."""
     warm = sweep_solve(system, replace(config, max_sweeps=WARMUP_SWEEPS), u0)
     if warm.converged:
         return warm
     res = _newton(system, config, warm.u)
     if not res.converged:
         last = sweep_solve(system, config, res.u)
-        res = replace(last, iterations=res.iterations + last.iterations,
+        kept = last.residual_norm > res.residual_norm  # sweeps can raise the residual
+        res = replace(res if kept else last, iterations=res.iterations + last.iterations,
                       message=f"newton {res.message}; fell back to sweeps"
-                      + (f", which {last.message}" if last.message else ""))
+                      + (f", which {last.message}" if last.message else "")
+                      + (f"; kept newton's iterate, at residual {res.residual_norm:.3g}"
+                         if kept else ""))
     return replace(res, iterations=warm.iterations + res.iterations)
 
 
@@ -342,8 +351,6 @@ def solve_system(system: ResidualSystem, config: Optional[SolveConfig] = None,
         return sweep_solve(system, config, u0)
     if config.method == "newton":
         return newton_solve(system, config, u0)
-    if config.method != "hybrid":
-        raise ValueError(f"unknown method {config.method!r}")
     res, start, counts = _nested(system, config, u0)
     note = ""
     if not res.converged:
@@ -358,7 +365,7 @@ def solve_system(system: ResidualSystem, config: Optional[SolveConfig] = None,
 
 
 def solve_problem(problem: NetworkProblem, nodes_per_edge, eps: float = 0.0,
-                  junction_mode: str = "kirchhoff",
+                  junction_mode: str = JUNCTION_MODES[0],
                   config: Optional[SolveConfig] = None,
                   u0: Optional[GridFunction] = None) -> SolveResult:
     """Assemble on a fresh grid, certify monotonicity, and solve."""
@@ -387,7 +394,6 @@ class ViscosityStep:
     result: SolveResult
     sup_diff_full: float
     sup_diff_interior: dict  # delta -> sup over nodes at distance >= delta
-    cauchy_interior: dict = None  # delta -> sup vs the previous step
 
 
 @dataclass
@@ -398,7 +404,7 @@ class ViscositySweep:
 
 
 def vanishing_viscosity(problem: NetworkProblem, nodes_per_edge, schedule,
-                        junction_mode: str = "kirchhoff",
+                        junction_mode: str = JUNCTION_MODES[0],
                         config: Optional[SolveConfig] = None,
                         deltas=None) -> ViscositySweep:
     """Solve along a decreasing viscosity schedule, each step from the
@@ -417,20 +423,12 @@ def vanishing_viscosity(problem: NetworkProblem, nodes_per_edge, schedule,
 
     steps = []
     warm = base.u
-    prev = None
     for eps in sorted(set(float(e) for e in schedule), reverse=True):
         system = assemble(problem, grid, eps=eps, junction_mode=junction_mode)
         res = solve_system(system, config, warm)
         warm = res.u
         diff = np.abs(res.u.values - base.u.values)
-        interior, cauchy = {}, {}
-        for d in deltas:
-            mask = dist >= d - 1e-12
-            interior[float(d)] = float(np.max(diff[mask])) if mask.any() else 0.0
-            if prev is not None and mask.any():
-                cauchy[float(d)] = float(np.max(
-                    np.abs(res.u.values - prev.values)[mask]))
-        steps.append(ViscosityStep(eps, res, float(np.max(diff)), interior,
-                                   cauchy))
-        prev = res.u
+        interior = {float(d): float(np.max(diff[dist >= d - 1e-12], initial=0.0))
+                    for d in deltas}
+        steps.append(ViscosityStep(eps, res, float(np.max(diff)), interior))
     return ViscositySweep(base, steps, tuple(float(d) for d in deltas))

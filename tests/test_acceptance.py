@@ -219,8 +219,6 @@ def test_criterion_9_lipschitz_stability(solve_cached):
     ok = True
     details = []
     for entry in all_entries():
-        if not entry.lipschitz_ok:
-            continue
         delta = 0.1 * entry.problem.network.min_edge_length
         # the elliptic loss entry has a boundary layer and needs finer grids
         # before the constant settles

@@ -149,6 +149,22 @@ def test_edge_inequalities_flag_corrupted_bump(catalog, solve_cached):
                for v in verdicts)
 
 
+def test_edge_inequalities_flag_solution_shifted_down(catalog, solve_cached):
+    """A converged solution lowered by 0.5 keeps its junction slopes, whose
+    narrow window on star3_mixed's degenerate edge binds the supersolution
+    side: lam * u_v + H < -tol there, a witness on the super side."""
+    u = solve_cached("star3_mixed", 41).u.copy()
+    u.values -= 0.5
+    sl = estimate_junction_slopes(u, 0, window=3)
+    tol = 5 * u.grid.h
+    [verdict] = check_degenerate_edge_inequalities(
+        catalog["star3_mixed"].problem, u, 0, sl, tol)
+    assert 1e-12 < sl.upper[0] - sl.lower[0] <= tol
+    assert verdict.sub_margin <= tol and not verdict.passed
+    assert verdict.witness["side"] == "super"
+    assert sl.lower[0] < verdict.witness["p"] < sl.upper[0]
+
+
 # ---------------------------------------------------------------------------
 # Viscosity probes
 
@@ -266,6 +282,21 @@ def test_probe_interior_kink():
     assert verdict.worst_margin <= 0.0
 
 
+def test_probe_at_edge_point_on_every_edge_of_a_star():
+    """Edge points on the star's edges 1 and 2, whose junction vertex sits
+    canonically on edge 0: a tent with its kink at every edge midpoint gets
+    the same verdict there as on edge 0."""
+    problem = entry_by_name("star3_eikonal").problem
+    grid = Grid(problem.network, 41)
+    u = GridFunction.from_profile(
+        grid, lambda eid, t: 0.9 * np.minimum(np.asarray(t), 1.0 - np.asarray(t)))
+    verdicts = [probe_viscosity(problem, u, problem.network.point(e.id, 0.5))
+                for e in problem.network.edges]
+    assert all(v.n_active > 0 and v.passed for v in verdicts)
+    assert {(v.n_active, v.worst_margin) for v in verdicts} == {
+        (verdicts[0].n_active, verdicts[0].worst_margin)}
+
+
 def test_probe_rejects_bad_side(catalog):
     problem = catalog["star3_constant"].problem
     u = GridFunction.full(Grid(problem.network, 11), 1.0)
@@ -282,6 +313,22 @@ def test_probe_no_active_on_steep_spike():
     u.values[grid.node_ids[0][1]] = 10.0
     with pytest.raises(NoActiveProbe):
         probe_viscosity(problem, u, problem.network.vertex_point(0), side="sub")
+
+
+def test_diagnostics_records_no_active_probe(solve_cached):
+    """A solution with a spike next to the junction steeper than every probe
+    slope leaves no sub-side probe touching there: the report records
+    NO-ACTIVE-PROBE with no margin, which is not a PASS."""
+    problem = entry_by_name("star3_eikonal").problem
+    u = solve_cached("star3_eikonal", 41).u.copy()
+    u.values[u.grid.node_ids[0][1]] += 100.0
+    report = diagnostics_report(problem, u)
+    [record] = [c for c in report.checks if c["name"] == "viscosity_probe_sub"]
+    assert record == {"name": "viscosity_probe_sub", "location": "vertex 0",
+                      "margin": None, "tolerance": 5 * u.grid.h,
+                      "verdict": "NO-ACTIVE-PROBE", "witness": None}
+    assert not report.ok
+    json.dumps(report.to_dict())
 
 
 def test_probe_at_edge_point_off_the_grid_raises():

@@ -20,8 +20,8 @@ from knet.cli import (
     EXIT_OK,
     EXIT_VERIFY_FAIL,
     SOLVER_OPTIONS,
-    _add_common,
     _atomic_write,
+    build_parser,
     main,
     parse_epsilon_schedule,
     read_solution_csv,
@@ -182,10 +182,9 @@ def test_bad_solver_section_exits_3(tmp_path, capsys, sub):
             argv = ["verify", "--solution", str(sol), "--problem", cfg,
                     "--report", str(tmp_path / "report.json")]
         else:
-            argv = [sub, "--config", cfg, "--output-dir", str(tmp_path / "out"),
-                    "--nodes-per-edge", "5"]
-            if sub == "convergence-table":
-                argv += ["--resolutions", "5,9,17"]
+            argv = [sub, "--config", cfg, "--output-dir", str(tmp_path / "out")]
+            argv += (["--resolutions", "5,9,17"] if sub == "convergence-table"
+                     else ["--nodes-per-edge", "5"])
         assert main(argv) == EXIT_BAD_INPUT, (sub, solver)
         assert message in capsys.readouterr().err, (sub, solver)
 
@@ -216,32 +215,146 @@ def test_bad_number_in_config_exits_3(tmp_path, capsys, sub):
                                  "convergence-table"])
 def test_too_few_nodes_exits_3(tmp_path, capsys, sub):
     """A node count below 3, from a flag, a config or a resolution list, is
-    rejected on the input path: exit 3 with the reason, no traceback."""
+    rejected on the input path: exit 3 with the reason, no traceback.
+    convergence-table has no --nodes-per-edge, which its resolutions
+    replace: the flag is an unrecognized argument there."""
     plain = _write_config(tmp_path, {"catalog": "star3_eikonal"}, "plain.json")
     two = _write_config(tmp_path, {"catalog": "star3_eikonal",
                                    "grid": {"nodes_per_edge": 2}}, "two.json")
     resolutions = ["--resolutions", "5,9,17"] if sub == "convergence-table" else []
-    cases = [[plain, "--nodes-per-edge", "2", *resolutions], [two, *resolutions]]
+    message = "need at least 3 nodes per edge, got 2"
+    cases = [([plain, "--nodes-per-edge", "2", *resolutions],
+              "unrecognized arguments: --nodes-per-edge 2"
+              if sub == "convergence-table" else message),
+             ([two, *resolutions], message)]
     if sub == "convergence-table":
-        cases.append([plain, "--resolutions", "2,3,5"])
-    for case in cases:
+        cases.append(([plain, "--resolutions", "2,3,5"], message))
+    for case, expected in cases:
         argv = [sub, "--config", *case, "--output-dir", str(tmp_path / "out")]
         assert main(argv) == EXIT_BAD_INPUT, argv
-        assert "need at least 3 nodes per edge, got 2" in capsys.readouterr().err, argv
+        assert expected in capsys.readouterr().err, argv
+
+
+def _subparsers():
+    """Subcommand name -> its argparse parser."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _flags(parser):
+    return {s for a in parser._actions for s in a.option_strings
+            if s not in ("-h", "--help")}
 
 
 def test_readme_lists_the_parser_flags_and_solver_keys():
-    """README's common flags are _add_common's, and its solver keys are
-    SOLVER_OPTIONS."""
+    """README lists each subcommand's flags, which are its parser's, and
+    its solver keys are SOLVER_OPTIONS."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    flags = re.search(r"Common flags of every subcommand but `verify`:(.*?)\n\n",
-                      readme, re.S).group(1)
-    parser = argparse.ArgumentParser()
-    _add_common(parser)
-    assert set(re.findall(r"`(--[a-z-]+)", flags)) == {
-        s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")}
+    listed = dict(re.findall(r"^- `([a-z-]+)`: (.*?)(?=^- |\n\n)",
+                             re.search(r"accepts only the flags it reads:\n\n(.*?\n\n)",
+                                       readme, re.S).group(1), re.S | re.M))
+    subparsers = _subparsers()
+    assert listed.keys() == subparsers.keys()
+    for name, parser in subparsers.items():
+        assert set(re.findall(r"`(--[a-z-]+)", listed[name])) == _flags(parser), name
     keys = re.search(r"`solver` section accepts the keys (.*?);", readme, re.S).group(1)
     assert set(re.findall(r"`([a-z_]+)`", keys)) == set(SOLVER_OPTIONS)
+
+
+# flag -> (its non-default value on the command line, the value the library
+# receives and the manifest's effective lists)
+NON_DEFAULT_FLAGS = {
+    "--nodes-per-edge": ("7", 7),
+    "--epsilon": ("0.5", 0.5),
+    "--junction-mode": ("minmax", "minmax"),
+    "--tol": ("1e-9", 1e-9),
+    "--max-sweeps": ("30", 30),
+    "--method": ("newton", "newton"),
+    "--epsilon-schedule": ("g:1:0.5:2", [1.0, 0.5]),
+    "--resolutions": ("5,9,17", [5, 9, 17]),
+}
+
+
+def _received(calls):
+    """Every argument value of the recorded calls, a SolveConfig as its
+    fields and a Grid as its node counts."""
+    out = []
+    for args, kwargs in calls:
+        for v in (*args, *kwargs.values()):
+            if isinstance(v, solver.SolveConfig):
+                out += [v.tol, v.max_sweeps, v.method]
+            elif isinstance(v, Grid):
+                out += sorted(set(v.nodes_per_edge.values()))
+            else:
+                out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("sub", ["solve", "oracle", "sweep-epsilon",
+                                 "convergence-table"])
+def test_no_flag_is_inert(tmp_path, monkeypatch, sub):
+    """Every flag of a subcommand, set to a non-default value, reaches a
+    library call and is listed under the manifest's effective; the run
+    flags land in the manifest's own fields."""
+    from knet import cli
+
+    calls = []
+    for name in ("assemble", "solve_system", "reference_for",
+                 "vanishing_viscosity", "convergence_table"):
+        def recording(*args, _real=getattr(cli, name), **kwargs):
+            calls.append((args, kwargs))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, recording)
+    doc = {"catalog": "star3_eikonal", "solver": {"tol": 1e-8}}
+    cfg = _write_config(tmp_path, doc)
+    outdir = tmp_path / "out"
+    flags = _flags(_subparsers()[sub]) - {"--config", "--output-dir", "--deterministic"}
+    argv = [sub, "--config", cfg, "--output-dir", str(outdir), "--deterministic"]
+    for flag in sorted(flags):
+        argv += [flag, NON_DEFAULT_FLAGS[flag][0]]
+    assert main(argv) == EXIT_OK
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    effective = {**manifest["effective"]["grid"], **manifest["effective"]["solver"]}
+    assert len(effective) == len(flags)
+    received = _received(calls)
+    for flag in flags:
+        value = NON_DEFAULT_FLAGS[flag][1]
+        assert value in received, flag
+        assert effective[flag[2:].replace("-", "_")] == value, flag
+    assert manifest["config"] == doc and manifest["deterministic"] is True
+    assert all(p.startswith(str(outdir)) for p in manifest["outputs"])
+
+
+def test_flags_a_subcommand_does_not_read_exit_3(tmp_path, capsys):
+    """oracle reads no solve option, sweep-epsilon's schedule sets the
+    viscosity and convergence-table's resolutions set the grids: those
+    flags are unrecognized arguments there."""
+    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal"})
+    subparsers = _subparsers()
+    dropped = {sub: _flags(subparsers["solve"]) - _flags(subparsers[sub])
+               for sub in ("oracle", "sweep-epsilon", "convergence-table")}
+    assert dropped == {"oracle": {"--tol", "--max-sweeps", "--method"},
+                       "sweep-epsilon": {"--epsilon"},
+                       "convergence-table": {"--nodes-per-edge"}}
+    for sub, flags in dropped.items():
+        for flag in flags:
+            assert main([sub, "--config", cfg, "--output-dir", str(tmp_path / "out"),
+                         flag, NON_DEFAULT_FLAGS[flag][0]]) == EXIT_BAD_INPUT
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sub", ["solve", "oracle", "sweep-epsilon",
+                                 "convergence-table"])
+def test_unknown_method_in_config_exits_3(tmp_path, capsys, sub):
+    """A method the solver does not have is malformed input for every
+    subcommand, as the rest of the solver section is."""
+    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal",
+                                   "solver": {"method": "bogus"}})
+    argv = [sub, "--config", cfg, "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_BAD_INPUT
+    assert "unknown method 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_usage_exits_3(capsys):

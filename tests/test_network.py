@@ -1,5 +1,7 @@
 """Metric network construction, geodesics, and validation."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +126,18 @@ def test_network_from_json_roundtrip():
     assert len(net.edges) == 2
     assert net.edge(0).length == 1.5
     assert [v.id for v in net.interior_vertices] == [1]
+
+
+def test_network_from_json_reads_a_string_and_a_path(tmp_path):
+    doc = {"vertices": [0, 1, 2],
+           "edges": [{"id": 0, "from": 0, "to": 1, "length": 1.5},
+                     {"id": 1, "from": 1, "to": 2, "length": 0.5}]}
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(doc))
+    for source in (json.dumps(doc), str(path)):
+        net = network_from_json(source)
+        assert [(e.id, e.tail, e.head, e.length) for e in net.edges] == [
+            (0, 0, 1, 1.5), (1, 1, 2, 0.5)]
 
 
 def test_point_parameter_range(star3):

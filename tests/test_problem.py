@@ -462,3 +462,18 @@ def test_problem_from_json():
     assert problem.kirchhoff[0].family == "affine"
     assert problem.dirichlet[2] == 1.0
     assert problem.a_at_vertex(0, 1) == pytest.approx(0.0)
+
+
+def test_problem_from_json_polynomial_diffusion():
+    net = star_junction(2)
+    spec = {"hamiltonian": {"type": "eikonal"},
+            "diffusion": {"type": "polynomial", "coefficients": [-0.25, 1.0],
+                          "C_a": 2.0}}
+    doc = {"lambda": 1.0, "edges": {"0": spec, "1": spec},
+           "kirchhoff": {"0": {"family": "classical"}},
+           "dirichlet": {"1": 0.0, "2": 0.0}}
+    diffusion = problem_from_json(doc, net).diffusions[0]
+    x = np.linspace(0.0, 1.0, 9)
+    np.testing.assert_array_equal(diffusion.a(x),
+                                  polynomial_diffusion([-0.25, 1.0]).a(x))
+    assert diffusion.c_a == 2.0

@@ -333,6 +333,31 @@ def test_star3_linear_1281_stall_stops_with_diagnosis():
         f"{res.residual_norm:.3g} > threshold {threshold:.3g}")
 
 
+def test_fallback_keeps_newtons_iterate_when_sweeps_end_higher(monkeypatch, system_cached):
+    """star3_loss_elliptic at n = 641 from u = -1: Newton stalls near 6e-10
+    both before and after the warm-up sweeps, and 20 sweeps from its iterate
+    end near 1e-7.  The fallback returns the lower of the two and says so."""
+    newton_norms = []
+    real = solver._newton
+
+    def recording(*args):
+        res = real(*args)
+        newton_norms.append(res.residual_norm)
+        return res
+
+    monkeypatch.setattr(solver, "_newton", recording)
+    system = system_cached("star3_loss_elliptic", 641)
+    res = solve_system(system, SolveConfig(max_sweeps=20),
+                       GridFunction.full(system.grid, -1.0))
+    assert not res.converged and len(newton_norms) == 2
+    assert res.residual_norm == newton_norms[1]
+    assert res.residual_norm == system.residual_norm(res.u.values)
+    swept, kept = re.search(r"fell back to sweeps, which reached max_sweeps=20 at "
+                            r"residual (\S+) > threshold \S+; kept newton's iterate, "
+                            r"at residual (\S+)$", res.message).groups()
+    assert float(kept) == float(f"{res.residual_norm:.3g}") < float(swept)
+
+
 def test_junction_modes_agree_at_solution(catalog):
     """The minmax junction form and the coupling-equation form coincide on
     the catalog (the envelope clauses are inactive at F = 0)."""
@@ -482,10 +507,6 @@ def test_vanishing_viscosity_structure():
         assert s.result.converged
         assert set(s.sup_diff_interior) == set(sweep.deltas)
         assert s.sup_diff_full >= max(s.sup_diff_interior.values()) - 1e-15
-    # Cauchy differences recorded from the second step on
-    assert not sweep.steps[0].cauchy_interior
-    for s in sweep.steps[1:]:
-        assert set(s.cauchy_interior) == set(sweep.deltas)
 
 
 def test_continuation_step_is_a_newton_corrector(monkeypatch, system_cached,
