@@ -233,13 +233,10 @@ def probe_viscosity(problem: NetworkProblem, u: GridFunction,
         if at_point.size == 0:
             raise ValueError(f"{point} is not a grid node")
         gid = int(at_point[0])
-        # signed offsets of the nodes node_location puts on the point's edge
-        edge = net.edge(point.edge_id)
+        # signed offsets of the nodes of the point's edge, both end vertices
+        # included; NaN marks every other node as off the edge
         offsets = np.full(grid.total_nodes, np.nan)
-        offsets[grid.node_ids[edge.id]] = grid.coords[edge.id] - point.t
-        for end in (edge.tail, edge.head):
-            if net.vertex_point(end).edge_id != edge.id:
-                offsets[grid.vertex_gid(end)] = np.nan
+        offsets[grid.node_ids[point.edge_id]] = grid.coords[point.edge_id] - point.t
     u0 = float(u.values[gid])
     sgn = 1.0 if side == "sub" else -1.0
 

@@ -410,12 +410,17 @@ def cmd_verify(args) -> int:
         u = read_solution_csv(args.solution, problem.network)
         if not u.is_valid():
             raise ValueError("solution CSV has missing or non-finite values")
+        # checked whole, as by every run subcommand; verify reads the scheme
         scheme = _scheme(cfg.get("solver", {}))
+        _solver_config(cfg.get("solver", {}))
+        _node_count(cfg.get("grid", {}).get("nodes_per_edge", 41))
+        window = int(cfg.get("analysis", {}).get("window", 3))
+        if window < 2:
+            raise ValueError(f"analysis window must be at least 2, got {window}")
     except INPUT_ERRORS as exc:
         return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
     system = assemble(problem, u.grid, probe_samples=0, **scheme)
-    report = diagnostics_report(problem, u, system=system,
-                                window=int(cfg.get("analysis", {}).get("window", 3)))
+    report = diagnostics_report(problem, u, system=system, window=window)
     _atomic_write(args.report,
                   json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     if not report.ok:

@@ -24,13 +24,14 @@ edge rows of every sample and perturbation in one stacked table call, and
 each vertex row in one call of the vertex formula, which takes a batch of
 input sets (ResidualSystem._vertex_rows).
 
-Each residual row depends only on its node and the node's graph neighbours
-on the grid, so the dependency pattern and the positions of each row's
-entries in it depend on the grid alone.  The Grid builds them once, on
-first use, as Grid.pattern, and every system assembled on it, such as each
-step of a viscosity schedule, shares that copy.  The Jacobian is read off
-the stencil (jacobian_entries), and Grid.pattern's csc_order puts it
-straight into compressed columns.
+Each residual row reads only the inputs its stencil names, and the grid
+lists them once, as Grid.rows and Grid.cols in stencil order: three blocks
+over the interior edge nodes (the node, its left and its right neighbour),
+then each vertex row's Grid.vertex_inputs, own entry first.  The Jacobian
+(jacobian_entries) and the probe write their values in that order, one
+contiguous block per row.  Grid.csc, the permutation to compressed sparse
+columns, is built on first use and shared by every system on the grid,
+such as each step of a viscosity schedule.
 
 The interior edge nodes, which the grid numbers V..N-1 edge after edge,
 share one flat table: left and right neighbour gids, x, a + eps, h, h^2
@@ -113,6 +114,14 @@ class Grid:
         self.vertex_inputs = [np.array([self.vertex_index[v.id]] + [
             self.node_ids[inc.edge.id][1 if inc.at_tail else -2]
             for inc in network.incidence[v.id]]) for v in network.vertices]
+        # every (row, input) pair of the residual, in stencil order: row j's
+        # own, left and right entries over the interior edge nodes, block
+        # by block, then each vertex row's inputs
+        edge = np.arange(len(network.vertices), next_id)
+        self.rows = np.concatenate([edge, edge, edge] + [
+            np.full(len(c), v) for v, c in enumerate(self.vertex_inputs)])
+        self.cols = np.concatenate([edge, self.left_gids, self.right_gids,
+                                    *self.vertex_inputs])
 
     def vertex_gid(self, vid: int) -> int:
         return self.vertex_index[vid]
@@ -164,46 +173,15 @@ class Grid:
                          values[self.node_ids[eid]])
 
     @cached_property
-    def pattern(self) -> "DependencyPattern":
-        """The residual's dependency pattern, built on first use and shared
-        by every system on this grid."""
-        indptr, rows, cols = _dependency_pattern(self)
-        csc_order = np.lexsort((rows, cols))
-        # position of entry (row r, column c): its key c*n + r is sorted in
-        # csc_order
-        n, nv = self.total_nodes, len(self.network.vertices)
-        keys = (cols * n + rows)[csc_order]
-
-        def entries(row, col):
-            return csc_order[np.searchsorted(keys, col * n + row)]
-
-        edge = np.arange(nv, n)
-        edge_entries = np.stack([entries(edge, c)
-                                 for c in (edge, self.left_gids, self.right_gids)])
-        vertex_entries = [entries(v, c) for v, c in enumerate(self.vertex_inputs)]
-        return DependencyPattern(indptr, rows, cols, csc_order, edge_entries,
-                                 vertex_entries)
-
-
-@dataclass(frozen=True)
-class DependencyPattern:
-    """Row rows[k] depends on u[cols[k]]; entries in column order, column j
-    at indptr[j]:indptr[j+1], listing j first, then its neighbours in
-    increasing order.  csc_order sorts the entries by column, then row, the
-    canonical order of compressed sparse columns.
-
-    Each row's own entries: edge_entries[:, k] are the positions of the
-    entries (j, j), (j, left) and (j, right) of interior edge node
-    j = V + k, and vertex_entries[v] those of vertex row v in the order of
-    its inputs, Grid.vertex_inputs[v]: its own entry (v, v) first, then one
-    per incident edge in incidence order."""
-
-    indptr: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    csc_order: np.ndarray
-    edge_entries: np.ndarray
-    vertex_entries: list
+    def csc(self):
+        """(order, indptr): order sorts the entries by column, then row, the
+        canonical order of compressed sparse columns, and column j holds
+        sorted entries indptr[j]:indptr[j + 1].  Built on first use and
+        shared by every system on this grid."""
+        order = np.lexsort((self.rows, self.cols))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(self.cols,
+                                                            minlength=self.total_nodes))])
+        return order, indptr
 
 
 class GridFunction:
@@ -266,9 +244,7 @@ def lax_friedrichs(ham, x, p_minus, p_plus, theta):
 
 @dataclass
 class _VertexStencil:
-    gid: int
     # per incident edge, in coupling component order:
-    nbr_gids: np.ndarray
     hs: np.ndarray
     signs: np.ndarray  # +1 when the vertex sits at t = 0
     x_at_v: np.ndarray
@@ -319,7 +295,7 @@ class ResidualSystem:
 
         relaxed = resolve_relaxed_edges(problem, self.eps, junction_mode)
         self._vertices = []
-        for v, inputs in zip(problem.network.vertices, grid.vertex_inputs):
+        for v in problem.network.vertices:
             incs = problem.network.incidence[v.id]
             hs, signs, xv, av, hams, cors = ([] for _ in range(6))
             for inc in incs:
@@ -335,8 +311,7 @@ class ResidualSystem:
                 # stencil monotone: a + eps must dominate theta*h/2
                 cors.append(a_v > 0.0 and a_v >= 0.5 * hams[-1].lipschitz_p * h_e)
             self._vertices.append(_VertexStencil(
-                grid.vertex_gid(v.id),
-                inputs[1:], np.array(hs), np.array(signs), np.array(xv),
+                np.array(hs), np.array(signs), np.array(xv),
                 np.array(av), tuple(hams), tuple(np.flatnonzero(cors).tolist()),
                 problem.kirchhoff.get(v.id), problem.dirichlet.get(v.id, 0.0),
                 relaxed[v.id],
@@ -360,8 +335,6 @@ class ResidualSystem:
         # number of nodes per edge, class 0 holds both nodes next to vertices
         pos = np.concatenate([np.arange(c) for c in counts])
         self._sweep_classes = [np.flatnonzero(pos % 2 == p) for p in (0, 1)]
-
-        self.pattern = grid.pattern
 
     # -- residual evaluation ------------------------------------------------
 
@@ -404,11 +377,18 @@ class ResidualSystem:
         hh = lax_friedrichs(ham, self._x[k], (uc - um) / h, (up - uc) / h, self._theta[k])
         return self.problem.lam * uc - self._a[k] * ((up - 2.0 * uc + um) / self._hsq[k]) + hh
 
+    def _vertex_moved(self, st: _VertexStencil, x, moves):
+        """The vertex row at x + each row of moves: x holds the row's inputs,
+        Grid.vertex_inputs' order, in its last axis, and moves is (K, number
+        of inputs).  Returns x's leading shape + (K,)."""
+        w = (x[..., None, :] + moves).reshape(-1, moves.shape[1])
+        return self._vertex_rows(st, w[:, 0], w[:, 1:]).reshape(*x.shape[:-1], len(moves))
+
     def residual_node(self, gid: int, u: np.ndarray) -> float:
         k = gid - len(self._vertices)
         if k < 0:
-            st = self._vertices[gid]
-            return float(self._vertex_rows(st, u[gid], u[st.nbr_gids]))
+            x = u[self.grid.vertex_inputs[gid]]
+            return float(self._vertex_rows(self._vertices[gid], x[0], x[1:]))
         return float(self._edge_rows(k, u[self._left[k]], u[gid], u[self._right[k]],
                                      self._node_hams[k]))
 
@@ -433,60 +413,55 @@ class ResidualSystem:
         out = np.empty(self.grid.total_nodes)
         out[nv:] = self._edge_rows(slice(None), u[self._left], u[nv:], u[self._right],
                                    self._table_ham)
-        for st in self._vertices:
-            out[st.gid] = self._vertex_rows(st, u[st.gid], u[st.nbr_gids])
+        for v, (st, inputs) in enumerate(zip(self._vertices, self.grid.vertex_inputs)):
+            x = u[inputs]
+            out[v] = self._vertex_rows(st, x[0], x[1:])
         return out
 
     def residual_norm(self, u) -> float:
         return float(np.max(np.abs(self.residual(u))))
 
     def jacobian_entries(self, u: np.ndarray, step: float) -> np.ndarray:
-        """Jacobian of residual() at u, in the order of the pattern's entries.
+        """Jacobian of residual() at u, one value per entry of Grid.rows and
+        Grid.cols, in their stencil order.
 
         An edge row is affine in its three inputs but for H at the central
         slope pc: own_coeff and the two neighbour coefficients plus or minus
         q/(2h), where q is the central quotient of H between pc +- step/(2h),
         one table call each.  A vertex row takes central differences over
         its own inputs, each moved by +-step, in one call of the vertex
-        formula; a strong boundary row has the exact entry 1.  Every
-        quotient divides by the difference of its perturbed values as
+        formula; a strong boundary row has the exact entries 1, 0, ....
+        Every quotient divides by the difference of its perturbed values as
         represented in floating point, which near the smallest steps differs
         from the nominal one by about 1e-3 relative.
         """
-        p = self.pattern
         nv = len(self._vertices)
-        vals = np.zeros(len(p.rows))
         h, uc = self._h, u[nv:]
         pc = 0.5 * ((uc - u[self._left]) / h + (u[self._right] - uc) / h)
         dp = step / (2.0 * h)
         hi, lo = pc + dp, pc - dp
         q = (self._table_ham(self._x, hi) - self._table_ham(self._x, lo)) / (hi - lo)
         dq = q / (2.0 * h)
-        own, left, right = p.edge_entries
-        vals[own] = self.own_coeff[nv:]
-        vals[left] = self._left_coeff - dq
-        vals[right] = self._right_coeff + dq
-        for st, entries in zip(self._vertices, p.vertex_entries):
+        blocks = [self.own_coeff[nv:], self._left_coeff - dq, self._right_coeff + dq]
+        for st, inputs in zip(self._vertices, self.grid.vertex_inputs):
+            m = len(inputs)
             if st.strong:
-                vals[entries[0]] = 1.0
+                blocks.append(np.eye(1, m)[0])
                 continue
             # input sets 0..m-1 move input i up by step, m..2m-1 down
-            x = u[p.cols[entries]]
-            m = len(x)
-            hi, lo = x + step, x - step
-            w = np.tile(x, (2 * m, 1))
-            w[np.arange(m), np.arange(m)] = hi
-            w[np.arange(m, 2 * m), np.arange(m)] = lo
-            r = self._vertex_rows(st, w[:, 0], w[:, 1:])
-            vals[entries] = (r[:m] - r[m:]) / (hi - lo)
-        return vals
+            x, eye = u[inputs], np.eye(m)
+            r = self._vertex_moved(st, x, np.concatenate([step * eye, -step * eye]))
+            blocks.append((r[:m] - r[m:]) / ((x + step) - (x - step)))
+        return np.concatenate(blocks)
 
     # -- structure ----------------------------------------------------------
 
     def dependents(self, gid: int):
-        """Nodes whose residual depends on u[gid] (incl. gid itself)."""
-        p = self.pattern
-        return tuple(p.rows[p.indptr[gid]:p.indptr[gid + 1]].tolist())
+        """Nodes whose residual depends on u[gid]: gid, then the others in
+        increasing order."""
+        order, indptr = self.grid.csc
+        rows = self.grid.rows[order[indptr[gid]:indptr[gid + 1]]].tolist()
+        return (gid, *(r for r in rows if r != gid))
 
     def node_classification(self, gid: int) -> str:
         if gid >= len(self._vertices):
@@ -512,10 +487,9 @@ class ResidualSystem:
         the order of dependents(node).
         """
         rng = np.random.default_rng(0) if rng is None else rng
-        p, nv = self.pattern, len(self._vertices)
+        nv = len(self._vertices)
         u = rng.uniform(-PROBE_SCALE, PROBE_SCALE,
                         size=(n_samples, self.grid.total_nodes))
-        delta = np.zeros((n_samples, len(p.rows)))
         # edge rows: unperturbed, then own, left and right input + step
         step = PROBE_STEP
         um, uc, up = u[:, self._left], u[:, nv:], u[:, self._right]
@@ -523,46 +497,27 @@ class ResidualSystem:
                             np.concatenate([uc, uc + step, uc, uc]),
                             np.concatenate([up, up, up, up + step]),
                             self._table_ham).reshape(4, *uc.shape)
-        delta[:, p.edge_entries] = (r[1:] - r[0]).transpose(1, 0, 2)
-        for st, entries in zip(self._vertices, p.vertex_entries):
+        deltas = [(r[1:] - r[0]).transpose(1, 0, 2).reshape(n_samples, -1)]
+        for st, inputs in zip(self._vertices, self.grid.vertex_inputs):
+            m = len(inputs)
             if st.strong:
+                deltas.append(np.zeros((n_samples, m)))
                 continue
             # input set 0 unperturbed, set 1 + i with input i + step
-            x = u[:, p.cols[entries]]
-            m = x.shape[1]
-            w = np.repeat(x[:, None, :], m + 1, axis=1)
-            w[:, np.arange(1, m + 1), np.arange(m)] += step
-            w = w.reshape(-1, m)
-            r = self._vertex_rows(st, w[:, 0], w[:, 1:]).reshape(n_samples, m + 1)
-            delta[:, entries] = r[:, 1:] - r[:, :1]
-        own = p.rows == p.cols
+            r = self._vertex_moved(st, u[:, inputs], np.vstack([np.zeros(m), step * np.eye(m)]))
+            deltas.append(r[:, 1:] - r[:, :1])
+        delta = np.concatenate(deltas, axis=1)
+        rows, cols = self.grid.rows, self.grid.cols
+        own = rows == cols
         bad = np.where(own, delta < -PROBE_TOL, delta > PROBE_TOL)
         if not bad.any():
             return None
         s = int(np.argmax(bad.any(axis=1)))
-        k = int(np.argmax(bad[s]))
-        return {"sample": s, "node": int(p.cols[k]), "row": int(p.rows[k]),
+        k = np.flatnonzero(bad[s])
+        k = int(k[np.lexsort((rows[k], ~own[k], cols[k]))[0]])
+        return {"sample": s, "node": int(cols[k]), "row": int(rows[k]),
                 "direction": "own" if own[k] else "cross",
                 "delta": float(delta[s, k])}
-
-
-def _dependency_pattern(grid: Grid):
-    """(indptr, rows, cols) of the residual's dependency pattern.
-
-    A row depends on its own node and on the nodes one grid cell away, a
-    symmetric relation.  Entries are in column order and, within column j,
-    list j first and then its neighbours in increasing order: the order of
-    dependents(j).
-    """
-    n = grid.total_nodes
-    tails = np.concatenate([ids[:-1] for ids in grid.node_ids.values()])
-    heads = np.concatenate([ids[1:] for ids in grid.node_ids.values()])
-    diag = np.arange(n)
-    rows = np.concatenate([diag, tails, heads])
-    cols = np.concatenate([diag, heads, tails])
-    order = np.lexsort((rows, rows != cols, cols))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-    return indptr, rows[order], cols[order]
 
 
 def resolve_relaxed_edges(problem: NetworkProblem, eps: float,

@@ -9,7 +9,8 @@ hybrid.  The Jacobian is read off the stencil, with no residual() call: an
 edge row's coefficients are exact but for one central quotient of H in the
 central slope, from two table calls per Jacobian, and only the vertex rows
 take central differences, over their own inputs.  The entries go straight
-into compressed sparse columns at positions the grid computes once.
+into compressed sparse columns through one permutation the grid computes
+once.
 
 The hybrid is one predictor-corrector: Newton corrects the start given
 (a previous viscosity step, a coarser rung of a ladder), else the same
@@ -82,7 +83,6 @@ class SolveResult:
     residual_norm: float
     iterations: int
     method: str
-    eps: float
     message: str = ""
 
 
@@ -210,7 +210,7 @@ def sweep_solve(system: ResidualSystem, config: SolveConfig,
         f"reached max_sweeps={config.max_sweeps} at residual {norm:.3g} "
         f"> threshold {threshold:.3g}")
     return SolveResult(GridFunction(system.grid, u), converged, norm, it,
-                       "sweep", system.eps, message)
+                       "sweep", message)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +228,15 @@ def _fd_jacobian(system: ResidualSystem, u: np.ndarray, step: float):
     turns |p| into a sum of both neighbors), while the central quotient
     picks the midpoint slope and keeps the linearization monotone.
     """
-    pattern = system.pattern
-    # csc_order keeps every column's entries together, so the column
-    # pointers of the nonzeros are the kept counts at pattern.indptr
-    vals = system.jacobian_entries(u, step)[pattern.csc_order]
+    grid = system.grid
+    order, indptr = grid.csc
+    # order keeps every column's entries together, so the column pointers
+    # of the nonzeros are the kept counts at indptr
+    vals = system.jacobian_entries(u, step)[order]
     keep = vals != 0.0
     kept = np.concatenate([[0], np.cumsum(keep)])
-    n = system.grid.total_nodes
-    return csc_matrix((vals[keep], pattern.rows[pattern.csc_order][keep],
-                       kept[pattern.indptr]), shape=(n, n))
+    return csc_matrix((vals[keep], grid.rows[order][keep], kept[indptr]),
+                      shape=(grid.total_nodes,) * 2)
 
 
 def newton_solve(system: ResidualSystem, config: SolveConfig,
@@ -281,7 +281,7 @@ def newton_solve(system: ResidualSystem, config: SolveConfig,
     if not converged and not message:
         message = f"reached MAX_NEWTON={MAX_NEWTON} iterations at residual {norm:.3g}"
     return SolveResult(GridFunction(system.grid, u), converged, norm, it,
-                       "newton", system.eps, message)
+                       "newton", message)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,7 @@ def _newton(system: ResidualSystem, config: SolveConfig, u0) -> SolveResult:
         return newton_solve(system, config, u0)
     except SingularLinearization as exc:
         u = GridFunction.zeros(system.grid) if u0 is None else u0
-        return SolveResult(u, False, np.inf, 0, "newton", system.eps,
+        return SolveResult(u, False, np.inf, 0, "newton",
                            f"hit a singular linearization ({exc})")
 
 

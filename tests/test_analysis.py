@@ -297,6 +297,20 @@ def test_probe_at_edge_point_on_every_edge_of_a_star():
         (verdicts[0].n_active, verdicts[0].worst_margin)}
 
 
+def test_probe_next_to_a_junction_agrees_on_mirror_image_edges():
+    """The star's edges are mirror images and u = t/2 on each, so the sub
+    probe at the first interior node gets one verdict on all three: the
+    junction lies on each edge, at its signed offset, even though it sits
+    canonically on edge 0 only."""
+    problem = entry_by_name("star3_eikonal").problem
+    grid = Grid(problem.network, 41)
+    u = GridFunction.from_profile(grid, lambda eid, t: 0.5 * np.asarray(t))
+    for e in problem.network.edges:
+        point = problem.network.point(e.id, grid.coords[e.id][1])
+        with pytest.raises(NoActiveProbe):
+            probe_viscosity(problem, u, point)
+
+
 def test_probe_rejects_bad_side(catalog):
     problem = catalog["star3_constant"].problem
     u = GridFunction.full(Grid(problem.network, 11), 1.0)

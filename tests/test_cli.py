@@ -168,6 +168,16 @@ BAD_SCHEME_SECTIONS = [
 ]
 
 
+def _verify_argv(tmp_path, cfg, name="star3_eikonal"):
+    """verify of a zero solution on the network of catalog entry name, at
+    5 nodes per edge, against the config cfg."""
+    sol = tmp_path / "solution.csv"
+    grid = Grid(entry_by_name(name).problem.network, 5)
+    sol.write_text(solution_csv_text(GridFunction.zeros(grid)))
+    return ["verify", "--solution", str(sol), "--problem", cfg,
+            "--report", str(tmp_path / "report.json")]
+
+
 @pytest.mark.parametrize("sub", ["solve", "oracle", "sweep-epsilon",
                                  "convergence-table", "verify"])
 def test_bad_solver_section_exits_3(tmp_path, capsys, sub):
@@ -176,11 +186,7 @@ def test_bad_solver_section_exits_3(tmp_path, capsys, sub):
     for name, solver, message in BAD_SCHEME_SECTIONS:
         cfg = _write_config(tmp_path, {"catalog": name, "solver": solver})
         if sub == "verify":
-            sol = tmp_path / "solution.csv"
-            grid = Grid(entry_by_name(name).problem.network, 5)
-            sol.write_text(solution_csv_text(GridFunction.zeros(grid)))
-            argv = ["verify", "--solution", str(sol), "--problem", cfg,
-                    "--report", str(tmp_path / "report.json")]
+            argv = _verify_argv(tmp_path, cfg, name)
         else:
             argv = [sub, "--config", cfg, "--output-dir", str(tmp_path / "out")]
             argv += (["--resolutions", "5,9,17"] if sub == "convergence-table"
@@ -198,13 +204,16 @@ BAD_NUMBERS = [
 
 
 @pytest.mark.parametrize("sub", ["solve", "oracle", "sweep-epsilon",
-                                 "convergence-table"])
+                                 "convergence-table", "verify"])
 def test_bad_number_in_config_exits_3(tmp_path, capsys, sub):
     """tol, max_sweeps and nodes_per_edge are converted on the input path:
     a value that is not a number exits 3 with the reason, no traceback."""
     for section, message in BAD_NUMBERS:
         cfg = _write_config(tmp_path, {"catalog": "star3_eikonal", **section})
-        argv = [sub, "--config", cfg, "--output-dir", str(tmp_path / "out")]
+        if sub == "verify":
+            argv = _verify_argv(tmp_path, cfg)
+        else:
+            argv = [sub, "--config", cfg, "--output-dir", str(tmp_path / "out")]
         if sub == "convergence-table":
             argv += ["--resolutions", "5,9,17"]
         assert main(argv) == EXIT_BAD_INPUT, (sub, section)
@@ -345,16 +354,34 @@ def test_flags_a_subcommand_does_not_read_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sub", ["solve", "oracle", "sweep-epsilon",
-                                 "convergence-table"])
+                                 "convergence-table", "verify"])
 def test_unknown_method_in_config_exits_3(tmp_path, capsys, sub):
     """A method the solver does not have is malformed input for every
     subcommand, as the rest of the solver section is."""
     cfg = _write_config(tmp_path, {"catalog": "star3_eikonal",
                                    "solver": {"method": "bogus"}})
-    argv = [sub, "--config", cfg, "--output-dir", str(tmp_path / "out")]
+    argv = (_verify_argv(tmp_path, cfg) if sub == "verify"
+            else [sub, "--config", cfg, "--output-dir", str(tmp_path / "out")])
     assert main(argv) == EXIT_BAD_INPUT
     assert "unknown method 'bogus'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"grid": {"nodes_per_edge": 2}}, "need at least 3 nodes per edge, got 2"),
+    ({"analysis": {"window": "abc"}}, "invalid literal for int()"),
+    ({"analysis": {"window": 0}}, "analysis window must be at least 2, got 0"),
+], ids=["two-nodes", "window-abc", "window-0"])
+def test_verify_rejects_what_the_run_subcommands_reject(tmp_path, capsys, section,
+                                                        message):
+    """verify checks a config's grid section as every run subcommand does,
+    and its analysis window as an int of at least 2: exit 3 with the
+    reason, no traceback and no report."""
+    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal", **section})
+    assert main(_verify_argv(tmp_path, cfg)) == EXIT_BAD_INPUT
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_bad_usage_exits_3(capsys):

@@ -474,26 +474,38 @@ def test_probe_witness_equals_sequential_probe(problem, nodes, expect):
     assert {k: witness[k] for k in expect} == expect
 
 
-def _assert_row_entries(grid):
-    """edge_entries and vertex_entries point at each row's own entries of
-    the pattern, every entry exactly once; a vertex row's in the order of
-    its inputs.  csc_order sorts by column, then strictly increasing row."""
-    pattern = grid.pattern
-    nv = len(grid.network.vertices)
+def _assert_stencil_layout(grid):
+    """rows and cols list each row's inputs once, in stencil order: three
+    blocks over the interior edge nodes (own, left, right), then each vertex
+    row's vertex_inputs, own entry first.  No (row, col) pair repeats, and
+    csc's order sorts by column, then row, with column j at
+    indptr[j]:indptr[j + 1]."""
+    nv, n = len(grid.network.vertices), grid.total_nodes
+    edge = np.arange(nv, n)
+    rows, cols = grid.rows, grid.cols
+    ne = n - nv
+    for b in range(3):
+        np.testing.assert_array_equal(rows[b * ne:(b + 1) * ne], edge)
     for ids in grid.node_ids.values():
         for i in range(1, len(ids) - 1):
-            k = pattern.edge_entries[:, ids[i] - nv]
-            assert np.all(pattern.rows[k] == ids[i])
-            assert pattern.cols[k].tolist() == [ids[i], ids[i - 1], ids[i + 1]]
-    for v, entries in enumerate(pattern.vertex_entries):
-        assert np.all(pattern.rows[entries] == v)
-        np.testing.assert_array_equal(pattern.cols[entries], grid.vertex_inputs[v])
-        assert grid.vertex_inputs[v][0] == v
-    every = np.concatenate([pattern.edge_entries.ravel(), *pattern.vertex_entries])
-    np.testing.assert_array_equal(np.sort(every), np.arange(len(pattern.rows)))
-    rows, cols = pattern.rows[pattern.csc_order], pattern.cols[pattern.csc_order]
-    np.testing.assert_array_equal(cols, np.sort(pattern.cols))
-    assert np.all((np.diff(cols) > 0) | (np.diff(rows) > 0))
+            k = ids[i] - nv + ne * np.arange(3)
+            assert cols[k].tolist() == [ids[i], ids[i - 1], ids[i + 1]]
+    start = 3 * ne
+    for v, inputs in enumerate(grid.vertex_inputs):
+        assert inputs[0] == v
+        block = slice(start, start + len(inputs))
+        assert np.all(rows[block] == v)
+        np.testing.assert_array_equal(cols[block], inputs)
+        start += len(inputs)
+    assert start == len(rows) == len(cols)
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+    order, indptr = grid.csc
+    np.testing.assert_array_equal(np.sort(order), np.arange(len(rows)))
+    r, c = rows[order], cols[order]
+    assert np.all((np.diff(c) > 0) | ((np.diff(c) == 0) & (np.diff(r) > 0)))
+    for j in range(n):
+        assert np.all(c[indptr[j]:indptr[j + 1]] == j)
+    assert indptr[0] == 0 and indptr[-1] == len(rows)
 
 
 def test_row_entries_catalog_and_random_networks():
@@ -501,17 +513,17 @@ def test_row_entries_catalog_and_random_networks():
     and on random networks with mixed resolutions."""
     for entry in all_entries():
         for n in (3, 4, 5, 6, 7, 8, 13):
-            _assert_row_entries(Grid(entry.problem.network, n))
+            _assert_stencil_layout(Grid(entry.problem.network, n))
     rng = np.random.default_rng(11)
     for _ in range(12):
         network = random_problem(rng).network
-        _assert_row_entries(Grid(network, {e.id: int(rng.integers(3, 12))
-                                           for e in network.edges}))
+        _assert_stencil_layout(Grid(network, {e.id: int(rng.integers(3, 12))
+                                              for e in network.edges}))
 
 
 def _reference_vertex_jacobian(system, gid, u, step):
     """Central differences of one vertex row, one input at a time through
-    residual_node, in the order of the row's pattern entries."""
+    residual_node, in the order of the row's inputs."""
     out, w = [], u.copy()
     for j in system.grid.vertex_inputs[gid].tolist():
         hi, lo = u[j] + step, u[j] - step
@@ -535,7 +547,8 @@ def test_jacobian_vertex_entries_match_per_entry_loop(catalog_and_draws, mode):
         system = assemble(problem, grid, junction_mode=mode, probe_samples=0)
         u = rng.uniform(-2.0, 2.0, size=grid.total_nodes)
         vals = system.jacobian_entries(u, 1e-7)
-        for v, entries in enumerate(grid.pattern.vertex_entries):
+        for v in range(len(grid.vertex_inputs)):
+            entries = np.flatnonzero(grid.rows == v)  # vertex v's block
             if system.node_classification(v) == "boundary-strong":
                 assert vals[entries].tolist() == [1.0] + [0.0] * (len(entries) - 1)
                 continue

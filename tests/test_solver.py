@@ -1,6 +1,7 @@
 """Nonlinear solvers: nodewise sweeps, semismooth Newton, barriers, and
 the vanishing-viscosity continuation."""
 
+import functools
 import re
 
 import numpy as np
@@ -239,6 +240,33 @@ def test_jacobian_leaves_iterate_untouched(system_cached):
     before = u.copy()
     _fd_jacobian(system, u, 1e-7)
     assert np.array_equal(u, before)
+
+
+@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
+@pytest.mark.parametrize("nodes", [3, 4, 11])
+def test_jacobian_is_canonical_csc(nodes, mode):
+    """spsolve's bits depend on the stored order: the Jacobian comes in
+    canonical compressed columns (row indices strictly increasing in each
+    column, so no duplicate, and no stored zero), and it is the matrix of
+    jacobian_entries at the grid's (rows, cols)."""
+    rng = np.random.default_rng(8)
+    problems = ([e.problem for e in all_entries()]
+                + [random_problem(np.random.default_rng(s)) for s in range(6)])
+    for k, problem in enumerate(problems):
+        grid = Grid(problem.network, nodes)
+        system = assemble(problem, grid, junction_mode=mode, probe_samples=0)
+        u = rng.uniform(-2.0, 2.0, grid.total_nodes)
+        jac = _fd_jacobian(system, u, 1e-7)
+        for j in range(grid.total_nodes):
+            assert np.all(np.diff(jac.indices[jac.indptr[j]:jac.indptr[j + 1]]) > 0)
+        assert np.all(jac.data != 0.0)
+        ref = coo_matrix((system.jacobian_entries(u, 1e-7), (grid.rows, grid.cols)),
+                         shape=jac.shape).tocsc()
+        ref.eliminate_zeros()
+        ref.sort_indices()
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(jac, name), getattr(ref, name),
+                                          err_msg=f"{k} {name}")
 
 
 def test_jacobian_divides_by_step_taken(system_cached):
@@ -499,7 +527,7 @@ def test_vanishing_viscosity_structure():
     entry = entry_by_name("star3_eikonal")
     schedule = [0.5 ** k for k in range(4)]
     sweep = vanishing_viscosity(entry.problem, 11, schedule)
-    assert sweep.base.converged and sweep.base.eps == 0.0
+    assert sweep.base.converged
     eps_seen = [s.eps for s in sweep.steps]
     assert eps_seen == sorted(schedule, reverse=True)
     assert len(sweep.deltas) == 3
@@ -548,19 +576,25 @@ def test_continuation_step_falls_back_to_hybrid(monkeypatch, system_cached,
     np.testing.assert_array_equal(res.u.values, hybrid.u.values)
 
 
-def test_viscosity_schedule_builds_its_pattern_once(monkeypatch):
+def test_viscosity_schedule_builds_its_csc_permutation_once(monkeypatch):
     """The base and every step are assembled on one grid, which builds its
-    dependency pattern once."""
+    permutation to compressed sparse columns once, for every Jacobian of
+    every step."""
     import knet.discretization as disc
 
     calls = []
-    real = disc._dependency_pattern
-    monkeypatch.setattr(disc, "_dependency_pattern",
-                        lambda *a: calls.append(1) or real(*a))
+    real = disc.Grid.csc.func
+    counted = functools.cached_property(lambda grid: calls.append(1) or real(grid))
+    counted.__set_name__(disc.Grid, "csc")
+    monkeypatch.setattr(disc.Grid, "csc", counted)
+    jacobians = []
+    real_jacobian = solver._fd_jacobian
+    monkeypatch.setattr(solver, "_fd_jacobian",
+                        lambda *a: jacobians.append(1) or real_jacobian(*a))
     sweep = vanishing_viscosity(entry_by_name("star3_mixed").problem, 11,
                                 [0.5 ** k for k in range(4)])
     assert all(s.result.converged for s in sweep.steps)
-    assert len(calls) == 1
+    assert len(jacobians) > len(sweep.steps) and len(calls) == 1
 
 
 def test_warm_start_reuses_profile(system_cached, solve_cached):
