@@ -394,12 +394,19 @@ def _check(name, location, margin, tolerance, passed, witness=None):
             "tolerance": tolerance, "verdict": verdict, "witness": witness}
 
 
+def check_window(window: int) -> None:
+    """Raise ValueError on a window diagnostics_report cannot take."""
+    if window < 2:
+        raise ValueError(f"analysis window must be at least 2, got {window}")
+
+
 def diagnostics_report(problem: NetworkProblem, u: GridFunction,
                        system: Optional[ResidualSystem] = None,
                        window: int = 3) -> DiagnosticsReport:
     """Full diagnostic pass over a computed solution, with tolerance
     TOL_PER_H * h and the Lipschitz constant at distance LIPSCHITZ_DELTA *
-    min edge length from the boundary."""
+    min edge length from the boundary; a window below 2 raises ValueError."""
+    check_window(window)
     grid = u.grid
     tol = TOL_PER_H * grid.h
     checks = []

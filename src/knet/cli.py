@@ -23,13 +23,14 @@ import time
 import numpy as np
 
 from . import __version__
-from .analysis import diagnostics_report
+from .analysis import check_window, diagnostics_report
 from .catalog import entry_by_name
-from .discretization import JUNCTION_MODES, Grid, GridFunction, assemble, check_scheme
+from .discretization import (JUNCTION_MODES, Grid, GridFunction, assemble, check_nodes,
+                             check_scheme)
 from .errors import KnetError
 from .network import Network, network_from_json
 from .oracle import convergence_table, reference_for
-from .problem import NetworkProblem, problem_from_json, validate_problem
+from .problem import problem_from_json, validate_problem
 from .solver import METHODS, SolveConfig, solve_system, vanishing_viscosity
 
 EXIT_OK = 0
@@ -168,98 +169,80 @@ def read_solution_csv(path: str, network: Network) -> GridFunction:
 # Config loading
 
 
-def load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def integer(value) -> int:
+    """value as an int, if integral: int() alone truncates 41.9 to 41.  A
+    flag's bad value reads "invalid integer value" by this name."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value}")
+    return int(value)
 
 
-def problem_from_config(cfg: dict) -> NetworkProblem:
-    if "catalog" in cfg:
-        return entry_by_name(cfg["catalog"]).problem
-    network = network_from_json(cfg["network"])
-    return problem_from_json(cfg["problem"], network)
+# Every key a config may hold: each section's, with the conversion of its
+# value, which a grid or solver key's flag takes too, and the top level's.
+SECTIONS = {"grid": {"nodes_per_edge": integer},
+            "solver": {"epsilon": float, "junction_mode": str, "tol": float,
+                       "max_sweeps": integer, "method": str},
+            "analysis": {"window": integer}}
+TOP_LEVEL = ("catalog", "network", "problem", *SECTIONS)
+CHOICES = {"junction_mode": JUNCTION_MODES, "method": METHODS}
 
 
-# The keys of a config's grid and solver sections, each with the add_argument
-# keywords of its flag.  A subcommand has the flags of the keys it reads.
-FLAGS = {
-    "nodes_per_edge": {"type": int},
-    "epsilon": {"type": float},
-    "junction_mode": {"choices": JUNCTION_MODES},
-    "tol": {"type": float},
-    "max_sweeps": {"type": int},
-    "method": {"choices": METHODS},
-}
-SOLVER_OPTIONS = tuple(FLAGS)[1:]  # the solver section's keys: all but the grid's
-
-
-def _solver_config(solver: dict) -> SolveConfig:
-    """A solver section's solve options as a SolveConfig; an option the
-    section leaves out keeps SolveConfig's default."""
-    return SolveConfig(**{k: conv(solver[k]) for k, conv in
-                          (("tol", float), ("max_sweeps", int), ("method", str))
-                          if k in solver})
-
-
-def _scheme(solver: dict) -> dict:
-    """A solver section's scheme options as checked assemble() keywords; a
-    key outside SOLVER_OPTIONS is rejected, and an option the section
-    leaves out keeps assemble()'s default."""
-    unknown = sorted(set(solver) - set(SOLVER_OPTIONS))
+def _check_keys(doc, keys, what: str) -> None:
+    """Raise ValueError naming each key of doc outside keys."""
+    unknown = sorted(set(doc) - set(keys))
     if unknown:
-        raise ValueError("unknown solver option " + ", ".join(map(repr, unknown)))
-    scheme = {kw: conv(solver[k]) for k, kw, conv in
-              (("epsilon", "eps", float), ("junction_mode", "junction_mode", str))
-              if k in solver}
-    check_scheme(**scheme)
-    return scheme
+        raise ValueError(f"unknown {what} " + ", ".join(map(repr, unknown)))
 
 
-INPUT_ERRORS = (OSError, KeyError, TypeError, ValueError, KnetError,
-                json.JSONDecodeError)
+def _options(solver: dict):
+    """A solver section's scheme options as assemble() keywords and its solve
+    options as a SolveConfig; one it leaves out keeps the library default."""
+    return ({kw: solver[k] for k, kw in (("epsilon", "eps"), ("junction_mode", "junction_mode"))
+             if k in solver},
+            SolveConfig(**{k: solver[k] for k in ("tol", "max_sweeps", "method") if k in solver}))
 
 
-def _node_count(value) -> int:
-    """A nodes-per-edge count as an int; a Grid needs at least 3."""
-    n = int(value)
-    if n < 3:
-        raise ValueError(f"need at least 3 nodes per edge, got {n}")
-    return n
+INPUT_ERRORS = (OSError, KeyError, TypeError, ValueError, KnetError)  # JSON errors are ValueErrors
 
 
 def _inputs(args, *parsers):
-    """A subcommand's config, problem, the options it reads (those it has
-    flags for, from the flag or else the config) with their scheme keywords
-    and SolveConfig, and nodes per edge, then parse(args) for each of
-    parsers, all checked before the output directory is made.  One config
-    may serve several subcommands, so its grid and solver sections, each
-    flag set over its key, are checked whole.  Malformed input raises
-    _BadInput."""
+    """The config at args.config, read in one pass with each flag set over
+    its key: its problem, the options the subcommand reads (its parser's) as
+    _options, nodes per edge, then parse(args) for each of parsers.  One
+    config may serve every subcommand, so each value in it is checked, by
+    what reads it, before any output directory is made; raises _BadInput."""
     try:
-        cfg = load_config(args.config)
-        problem = problem_from_config(cfg)
-        merged = {"grid": dict(cfg.get("grid", {})), "solver": dict(cfg.get("solver", {}))}
-        for name in FLAGS:
-            value = getattr(args, name, None)
-            if value is not None:
-                merged["grid" if name == "nodes_per_edge" else "solver"][name] = value
-        _scheme(merged["solver"])
-        _solver_config(merged["solver"])
-        nodes = _node_count(merged["grid"].get("nodes_per_edge", 41))
-        read = {name: {k: v for k, v in opts.items() if k in FLAGS and hasattr(args, k)}
-                for name, opts in merged.items()}
-        scheme, config = _scheme(read["solver"]), _solver_config(read["solver"])
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+        _check_keys(cfg, TOP_LEVEL, "config key")
+        problem = (entry_by_name(cfg["catalog"]).problem if "catalog" in cfg else
+                   problem_from_json(cfg["problem"], network_from_json(cfg["network"])))
+        whole = {}
+        for name, convert in SECTIONS.items():
+            section = dict(cfg.get(name, {}))
+            _check_keys(section, convert, f"{name} option")
+            whole[name] = {k: convert[k](v) for k, v in section.items()}
+            whole[name].update((k, getattr(args, k)) for k in convert
+                               if getattr(args, k, None) is not None)
+        check_scheme(**_options(whole["solver"])[0])  # SolveConfig checks the rest
+        nodes = whole["grid"].get("nodes_per_edge", 41)
+        check_nodes(nodes)
+        if "window" in whole["analysis"]:
+            check_window(whole["analysis"]["window"])
+        read = {name: {k: v for k, v in opts.items() if hasattr(args, k)}
+                for name, opts in whole.items()}
         extra = [parse(args) for parse in parsers]
     except INPUT_ERRORS as exc:
         raise _BadInput(exc) from exc
-    os.makedirs(args.output_dir, exist_ok=True)
-    return (cfg, problem, read, scheme, config, nodes, *extra)
+    if hasattr(args, "output_dir"):
+        os.makedirs(args.output_dir, exist_ok=True)
+    return (cfg, problem, read, *_options(read["solver"]), nodes, *extra)
 
 
 def write_manifest(args, subcommand: str, cfg: dict, read: dict, outputs,
                    stages) -> None:
     """Write args.output_dir/manifest.json: outputs and itself, and as
-    effective the options the run read."""
+    effective the grid and solver options the run read."""
     path = os.path.join(args.output_dir, "manifest.json")
     if args.deterministic:
         # leave out what differs between reruns: stage wall times here,
@@ -270,7 +253,7 @@ def write_manifest(args, subcommand: str, cfg: dict, read: dict, outputs,
         "tool_version": __version__,
         "subcommand": subcommand,
         "config": cfg,
-        "effective": read,
+        "effective": {name: read[name] for name in ("grid", "solver")},
         "deterministic": args.deterministic,
         "csv_schemas": CSV_SCHEMAS,
         "outputs": list(outputs) + [path],
@@ -368,7 +351,9 @@ def cmd_sweep_epsilon(args) -> int:
 def _resolutions(args):
     """The --resolutions node counts, at least 3 of them, none repeated;
     any order."""
-    resolutions = [_node_count(r) for r in args.resolutions.split(",")]
+    resolutions = [int(r) for r in args.resolutions.split(",")]
+    for r in resolutions:
+        check_nodes(r)
     if len(resolutions) < 3:
         raise ValueError("need at least 3 resolutions")
     if len(set(resolutions)) < len(resolutions):
@@ -404,23 +389,15 @@ def cmd_convergence_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _, problem, read, scheme, _, _ = _inputs(args)
     try:
-        cfg = load_config(args.problem)
-        problem = problem_from_config(cfg)
         u = read_solution_csv(args.solution, problem.network)
         if not u.is_valid():
             raise ValueError("solution CSV has missing or non-finite values")
-        # checked whole, as by every run subcommand; verify reads the scheme
-        scheme = _scheme(cfg.get("solver", {}))
-        _solver_config(cfg.get("solver", {}))
-        _node_count(cfg.get("grid", {}).get("nodes_per_edge", 41))
-        window = int(cfg.get("analysis", {}).get("window", 3))
-        if window < 2:
-            raise ValueError(f"analysis window must be at least 2, got {window}")
     except INPUT_ERRORS as exc:
         return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
     system = assemble(problem, u.grid, probe_samples=0, **scheme)
-    report = diagnostics_report(problem, u, system=system, window=window)
+    report = diagnostics_report(problem, u, system=system, **read["analysis"])
     _atomic_write(args.report,
                   json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     if not report.ok:
@@ -434,14 +411,16 @@ def cmd_verify(args) -> int:
 
 def _add_run(sub, name: str, func, summary: str, *options):
     """A subcommand with --config, --output-dir, the flag of each of options
-    (the FLAGS keys it reads) and --deterministic.  No flag is abbreviated:
-    --epsilon must not stand for --epsilon-schedule."""
+    (the grid and solver keys it reads) and --deterministic.  No flag is
+    abbreviated: --epsilon must not stand for --epsilon-schedule."""
     p = sub.add_parser(name, help=summary, allow_abbrev=False)
     p.set_defaults(func=func)
     p.add_argument("--config", required=True)
     p.add_argument("--output-dir", default=".")
+    convert = {**SECTIONS["grid"], **SECTIONS["solver"]}
     for option in options:
-        p.add_argument("--" + option.replace("_", "-"), default=None, **FLAGS[option])
+        p.add_argument("--" + option.replace("_", "-"), default=None,
+                       type=convert[option], choices=CHOICES.get(option))
     p.add_argument("--deterministic", action="store_true")
     return p
 
@@ -456,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     _add_run(sub, "solve", cmd_solve, "solve a problem and write the profile CSV",
-             *FLAGS)
+             *SECTIONS["grid"], *SECTIONS["solver"])
     # the fine-grid reference solves with SolveConfig(): no solve option
     _add_run(sub, "oracle", cmd_oracle, "independent reference solve, same CSV schema",
              "nodes_per_edge", "epsilon", "junction_mode")
@@ -467,15 +446,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="g:start:ratio:count")
     # the resolutions set the grids
     p = _add_run(sub, "convergence-table", cmd_convergence_table,
-                 "errors and orders across resolutions", *SOLVER_OPTIONS)
+                 "errors and orders across resolutions", *SECTIONS["solver"])
     p.add_argument("--resolutions", default="21,41,81")
 
     p = sub.add_parser("verify", help="diagnostics report on a solution CSV",
                        allow_abbrev=False)
     p.add_argument("--solution", required=True)
-    p.add_argument("--problem", required=True)
+    p.add_argument("--problem", required=True, dest="config")
     p.add_argument("--report", required=True)
-    p.set_defaults(func=cmd_verify)
+    # verify reads the scheme and the analysis window from the config alone
+    p.set_defaults(func=cmd_verify, epsilon=None, junction_mode=None, window=None)
     return parser
 
 

@@ -54,6 +54,7 @@ the sweeps run Python only at vertices.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -72,6 +73,13 @@ PROBE_SCALE = 2.0  # its samples of u are uniform on [-PROBE_SCALE, PROBE_SCALE]
 JUNCTION_MODES = ("kirchhoff", "minmax")  # assemble's junction modes; the first is the default
 
 
+def check_nodes(n, edge=None) -> None:
+    """Raise ValueError unless n, a Grid's nodes on edge, is an integer >= 3."""
+    if not (isinstance(n, numbers.Integral) and n >= 3):
+        raise ValueError(f"need at least 3 nodes per edge, got {n}" if edge is None
+                         else f"edge {edge}: need at least 3 nodes, got {n}")
+
+
 class Grid:
     """Uniform per-edge lattices with shared vertex nodes.
 
@@ -83,10 +91,10 @@ class Grid:
     def __init__(self, network: Network, nodes_per_edge: Union[int, dict]):
         self.network = network
         self.nodes_per_edge = {}
+        per_edge = isinstance(nodes_per_edge, dict)
         for e in network.edges:
-            n = nodes_per_edge[e.id] if isinstance(nodes_per_edge, dict) else nodes_per_edge
-            if n < 3:
-                raise ValueError(f"edge {e.id}: need at least 3 nodes, got {n}")
+            n = nodes_per_edge[e.id] if per_edge else nodes_per_edge
+            check_nodes(n, e.id if per_edge else None)
             self.nodes_per_edge[e.id] = int(n)
 
         self.vertex_index = {v.id: i for i, v in enumerate(network.vertices)}
@@ -456,13 +464,6 @@ class ResidualSystem:
 
     # -- structure ----------------------------------------------------------
 
-    def dependents(self, gid: int):
-        """Nodes whose residual depends on u[gid]: gid, then the others in
-        increasing order."""
-        order, indptr = self.grid.csc
-        rows = self.grid.rows[order[indptr[gid]:indptr[gid + 1]]].tolist()
-        return (gid, *(r for r in rows if r != gid))
-
     def node_classification(self, gid: int) -> str:
         if gid >= len(self._vertices):
             return "interior"
@@ -474,17 +475,16 @@ class ResidualSystem:
     def certify_monotone(self, n_samples: int = 3, rng=None):
         """Perturbation probe of the monotone-scheme property.
 
-        Draws every sample up front, so the caller's rng advances by
-        n_samples draws of u even when sample 0 fails.  Each sample raises
-        every input of every row by PROBE_STEP, one input at a time, and
-        compares the row with its unperturbed value, forgiving a change of
-        the wrong sign up to PROBE_TOL: the edge rows of all samples and
-        perturbations in one stacked table call, each vertex row in one call
-        of the vertex formula.  A strong boundary row u_v - g rises with its
-        own value and reads nothing else, so it is not probed.  Returns None
-        when no witness is found, else a dict describing the violating
-        (sample, node, row, direction): the first one in node order, then in
-        the order of dependents(node).
+        Draws every sample up front, so the caller's rng advances by n_samples
+        draws of u even when sample 0 fails.  Each sample raises every input of
+        every row by PROBE_STEP, one input at a time, and compares the row with
+        its unperturbed value, forgiving a finite change of the wrong sign up to
+        PROBE_TOL: the edge rows of all samples and perturbations in one stacked
+        table call, each vertex row in one call of the vertex formula.  A strong
+        boundary row u_v - g rises with its own value and reads nothing else, so
+        it is not probed.  Returns None when no witness is found, else a dict
+        describing the violating (sample, node, row, direction): the first in
+        node order, then the row's own entry, then by row.
         """
         rng = np.random.default_rng(0) if rng is None else rng
         nv = len(self._vertices)
@@ -509,7 +509,7 @@ class ResidualSystem:
         delta = np.concatenate(deltas, axis=1)
         rows, cols = self.grid.rows, self.grid.cols
         own = rows == cols
-        bad = np.where(own, delta < -PROBE_TOL, delta > PROBE_TOL)
+        bad = np.where(own, delta < -PROBE_TOL, delta > PROBE_TOL) | ~np.isfinite(delta)
         if not bad.any():
             return None
         s = int(np.argmax(bad.any(axis=1)))
@@ -541,8 +541,8 @@ def resolve_relaxed_edges(problem: NetworkProblem, eps: float,
 
 def check_scheme(eps: float = 0.0, junction_mode: str = JUNCTION_MODES[0]) -> None:
     """Raise ValueError on a scheme option assemble() cannot take."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be nonnegative and finite, got {eps}")
     if junction_mode not in JUNCTION_MODES:
         raise ValueError(f"unknown junction mode {junction_mode!r}")
 

@@ -30,6 +30,7 @@ residual signs certify them directly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -59,6 +60,13 @@ METHODS = ("sweep", "newton", "hybrid")  # solve_system's methods
 
 @dataclass
 class SolveConfig:
+    """solve_system's options: method in METHODS, tol finite and > 0,
+    max_sweeps an integer >= 1, else ValueError.  A CLI config's `solver`
+    section sets them and `epsilon` (finite, >= 0) and `junction_mode`,
+    `grid` sets `nodes_per_edge`, `analysis` `window`; the CLI exits 3 on a
+    fractional integer or an unknown key, top-level keys being `catalog`,
+    `network`, `problem` and the sections."""
+
     method: str = "hybrid"
     tol: float = 1e-10
     max_sweeps: int = 2000
@@ -66,6 +74,10 @@ class SolveConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        if not (isinstance(self.max_sweeps, numbers.Integral) and self.max_sweeps >= 1):
+            raise ValueError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps}")
 
 
 def _threshold(tol: float, u: np.ndarray) -> float:

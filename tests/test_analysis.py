@@ -440,6 +440,16 @@ def test_diagnostics_report_clean(catalog, system_cached, solve_cached):
     json.dumps(report.to_dict())  # must be serializable as emitted
 
 
+@pytest.mark.parametrize("window", [1, 0])
+def test_diagnostics_report_rejects_a_window_below_2(window):
+    """A window too wide for a coarse grid falls back to 2; one below 2 is
+    an error, not a run with window 2."""
+    entry = entry_by_name("star3_eikonal")
+    u = GridFunction.zeros(Grid(entry.problem.network, 41))
+    with pytest.raises(ValueError, match=f"analysis window must be at least 2, got {window}"):
+        diagnostics_report(entry.problem, u, window=window)
+
+
 def test_diagnostics_report_flags_corruption(catalog, system_cached, solve_cached):
     u = solve_cached("star3_eikonal", 41).u.copy()
     u.values[u.grid.vertex_gid(0)] += 0.5

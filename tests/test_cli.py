@@ -19,7 +19,8 @@ from knet.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
-    SOLVER_OPTIONS,
+    SECTIONS,
+    TOP_LEVEL,
     _atomic_write,
     build_parser,
     main,
@@ -257,7 +258,8 @@ def _flags(parser):
 
 def test_readme_lists_the_parser_flags_and_solver_keys():
     """README lists each subcommand's flags, which are its parser's, and
-    its solver keys are SOLVER_OPTIONS."""
+    the config keys of the top level and of each section, which are the
+    CLI's key table."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     listed = dict(re.findall(r"^- `([a-z-]+)`: (.*?)(?=^- |\n\n)",
                              re.search(r"accepts only the flags it reads:\n\n(.*?\n\n)",
@@ -266,8 +268,12 @@ def test_readme_lists_the_parser_flags_and_solver_keys():
     assert listed.keys() == subparsers.keys()
     for name, parser in subparsers.items():
         assert set(re.findall(r"`(--[a-z-]+)", listed[name])) == _flags(parser), name
-    keys = re.search(r"`solver` section accepts the keys (.*?);", readme, re.S).group(1)
-    assert set(re.findall(r"`([a-z_]+)`", keys)) == set(SOLVER_OPTIONS)
+    tables = {"top level": TOP_LEVEL, **{f"`{name}` section": keys
+                                         for name, keys in SECTIONS.items()}}
+    prose = " ".join(readme.split())
+    for where, table in tables.items():
+        keys = re.search(rf"{where} accepts the keys? (.*?)[;.]", prose).group(1)
+        assert re.findall(r"`([a-z_]+)`", keys) == list(table), where
 
 
 # flag -> (its non-default value on the command line, the value the library
@@ -382,6 +388,51 @@ def test_verify_rejects_what_the_run_subcommands_reject(tmp_path, capsys, sectio
     assert main(_verify_argv(tmp_path, cfg)) == EXIT_BAD_INPUT
     assert message in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+# a flag case runs under every subcommand with the flag, a config case
+# under all five
+OUT_OF_RANGE_FLAGS = [
+    (["--tol", "-1"], "tol must be finite and > 0, got -1.0"),
+    (["--tol", "nan"], "tol must be finite and > 0, got nan"),
+    (["--epsilon", "nan"], "eps must be nonnegative and finite, got nan"),
+    (["--epsilon", "inf"], "eps must be nonnegative and finite, got inf"),
+    (["--max-sweeps", "0"], "max_sweeps must be an integer >= 1, got 0"),
+]
+BAD_CONFIG_VALUES = [
+    ({"grid": {"nodes_per_edge": 41.9}}, "expected an integer, got 41.9"),
+    ({"solver": {"max_sweeps": 2.5}}, "expected an integer, got 2.5"),
+    ({"analysis": {"window": 2.5}}, "expected an integer, got 2.5"),
+    ({"grid": {"nodes_per_edg": 81}}, "unknown grid option 'nodes_per_edg'"),
+    ({"solvr": {"method": "newton"}}, "unknown config key 'solvr'"),
+]
+
+
+@pytest.mark.parametrize("sub", ["solve", "oracle", "sweep-epsilon",
+                                 "convergence-table", "verify"])
+def test_out_of_range_or_unknown_input_exits_3(tmp_path, capsys, sub):
+    """A tol that is not finite and > 0, an epsilon that is not finite, a
+    max_sweeps below 1, a fractional value of an integer key and a key
+    unknown to its section or to the top level each exit 3 with the reason
+    before anything runs: no output directory, no report."""
+    plain = _write_config(tmp_path, {"catalog": "star3_eikonal"}, "plain.json")
+    flags = _flags(_subparsers()[sub])
+    cases = [([plain, *flag], message) for flag, message in OUT_OF_RANGE_FLAGS
+             if flag[0] in flags]
+    cases += [([_write_config(tmp_path, {"catalog": "star3_eikonal", **section}, f"{k}.json")],
+               message) for k, (section, message) in enumerate(BAD_CONFIG_VALUES)]
+    assert len(cases) == {"oracle": 7, "sweep-epsilon": 8, "verify": 5}.get(sub, 10)
+    for case, message in cases:
+        if sub == "verify":
+            argv = _verify_argv(tmp_path, *case)
+        else:
+            argv = [sub, "--config", *case, "--output-dir", str(tmp_path / "out")]
+            if sub == "convergence-table":
+                argv += ["--resolutions", "5,9,17"]
+        assert main(argv) == EXIT_BAD_INPUT, argv
+        assert message in capsys.readouterr().err, argv
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "report.json").exists()
 
 
 def test_bad_usage_exits_3(capsys):

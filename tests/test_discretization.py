@@ -384,15 +384,23 @@ def test_probe_passes_with_matching_dissipation(system_cached):
     assert system.certify_monotone(n_samples=5) is None
 
 
+def _dependents(grid, gid):
+    """The rows that read u[gid], from Grid.rows through Grid.csc: gid,
+    then the others in increasing order."""
+    order, indptr = grid.csc
+    rows = grid.rows[order[indptr[gid]:indptr[gid + 1]]].tolist()
+    return (gid, *(r for r in rows if r != gid))
+
+
 def _sequential_probe(system, n_samples, step=1e-6, tol=1e-9, scale=2.0):
     """Node-by-node reference scan through the scalar residual_node: the
-    first violation in node order, then in the order of dependents(node)."""
+    first violation in node order, then in the order of _dependents(node)."""
     rng = np.random.default_rng(0)
     n = system.grid.total_nodes
     for s in range(n_samples):
         u = rng.uniform(-scale, scale, size=n)
         for j in range(n):
-            base = {i: system.residual_node(i, u) for i in system.dependents(j)}
+            base = {i: system.residual_node(i, u) for i in _dependents(system.grid, j)}
             up = u.copy()
             up[j] += step
             for i, r0 in base.items():
@@ -404,6 +412,22 @@ def _sequential_probe(system, n_samples, step=1e-6, tol=1e-9, scale=2.0):
                     return {"sample": s, "node": j, "row": i,
                             "direction": "cross", "delta": delta}
     return None
+
+
+def test_probe_counts_a_nan_change_as_a_violation():
+    """A coupling that is NaN where the junction value exceeds 1, as it
+    first does in sample 3, changes the junction row by NaN, which passes
+    both sign tests: the probe must still name the junction."""
+    problem = _with_coupling("star3_eikonal", lambda r, p: np.where(r > 1.0, np.nan, r)
+                             - np.sum(p, axis=-1))
+    grid = Grid(problem.network, 11)
+    with pytest.raises(MonotonicityProbeFailed) as exc:
+        assemble(problem, grid, probe_samples=10)
+    assert exc.value.node == grid.vertex_gid(0)
+    witness = assemble(problem, grid, probe_samples=0).certify_monotone(n_samples=10)
+    assert {k: witness[k] for k in ("sample", "node", "row", "direction")} == {
+        "sample": 3, "node": 0, "row": 0, "direction": "own"}
+    assert np.isnan(witness["delta"])
 
 
 def _lowered_dissipation(name):
@@ -467,7 +491,7 @@ def test_probe_fails_with_insufficient_dissipation():
 def test_probe_witness_equals_sequential_probe(problem, nodes, expect):
     """The batched probe returns the node-by-node reference scan's witness
     exactly, delta included: the first violating sample, then node order,
-    then the order of dependents(node)."""
+    then the order of _dependents(node)."""
     system = assemble(problem, Grid(problem.network, nodes), probe_samples=0)
     witness = system.certify_monotone(n_samples=10)
     assert witness == _sequential_probe(system, n_samples=10)
@@ -594,9 +618,9 @@ def test_node_classification_and_dependents(system_cached):
     assert system.node_classification(grid.node_ids[0][3]) == "interior"
     # dependency structure is symmetric for this stencil family
     for gid in range(grid.total_nodes):
-        for nbr in system.dependents(gid):
-            assert gid in system.dependents(nbr)
-    assert grid.vertex_gid(0) in system.dependents(grid.node_ids[0][1])
+        for nbr in _dependents(grid, gid):
+            assert gid in _dependents(grid, nbr)
+    assert grid.vertex_gid(0) in _dependents(grid, grid.node_ids[0][1])
 
 
 def test_resolve_relaxed_edges():

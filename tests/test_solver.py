@@ -27,6 +27,26 @@ from knet.solver import (
 )
 
 
+@pytest.mark.parametrize("make", [
+    lambda net: SolveConfig(tol=-1),
+    lambda net: SolveConfig(tol=float("nan")),
+    lambda net: SolveConfig(tol=float("inf")),
+    lambda net: SolveConfig(max_sweeps=0),
+    lambda net: SolveConfig(max_sweeps=2.5),
+    lambda net: assemble(entry_by_name("star3_eikonal").problem, Grid(net, 5), eps=float("nan")),
+    lambda net: assemble(entry_by_name("star3_eikonal").problem, Grid(net, 5), eps=float("inf")),
+    lambda net: Grid(net, 41.9),
+    lambda net: Grid(net, {0: 41, 1: 41.9, 2: 41}),
+], ids=["tol-negative", "tol-nan", "tol-inf", "max-sweeps-0", "max-sweeps-2.5",
+        "eps-nan", "eps-inf", "nodes-41.9", "edge-nodes-41.9"])
+def test_out_of_range_options_raise(make):
+    """Each option's range is checked by the object that reads it: a tol
+    that is not finite and > 0, a max_sweeps that is not an integer >= 1, an
+    eps that is not finite and a node count that is not an integer."""
+    with pytest.raises(ValueError):
+        make(entry_by_name("star3_eikonal").problem.network)
+
+
 def _certified_sub(system, u, slack):
     return bool(np.all(system.residual(u) <= slack))
 
@@ -204,7 +224,7 @@ def _reference_jacobian(system, u, step):
     u = u.copy()
     rows, cols, vals = [], [], []
     for j in range(system.grid.total_nodes):
-        deps = system.dependents(j)
+        deps = system.grid.rows[system.grid.cols == j].tolist()
         u[j] += step
         plus = [system.residual_node(i, u) for i in deps]
         u[j] -= 2.0 * step
