@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import check_window, diagnostics_report
-from .catalog import entry_by_name
+from .catalog import CatalogEntry, entry_by_name
 from .discretization import (JUNCTION_MODES, Grid, GridFunction, assemble, check_nodes,
                              check_scheme)
 from .errors import KnetError
@@ -207,20 +207,24 @@ INPUT_ERRORS = (OSError, KeyError, TypeError, ValueError, KnetError)  # JSON err
 
 def _inputs(args, *parsers):
     """The config at args.config, read in one pass with each flag set over
-    its key: its problem, the options the subcommand reads (its parser's) as
-    _options, nodes per edge, then parse(args) for each of parsers.  One
-    config may serve every subcommand, so each value in it is checked, by
-    what reads it, before any output directory is made; raises _BadInput."""
+    its key: its problem, its catalog entry's exact solution (or None), the
+    options the subcommand reads (its parser's) as _options, nodes per edge,
+    then parse(args) for each of parsers.  One config may serve every
+    subcommand, so each value is checked, by what reads it (a boolean by no
+    key), before any output directory is made; raises _BadInput."""
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
         _check_keys(cfg, TOP_LEVEL, "config key")
-        problem = (entry_by_name(cfg["catalog"]).problem if "catalog" in cfg else
-                   problem_from_json(cfg["problem"], network_from_json(cfg["network"])))
+        entry = (entry_by_name(cfg["catalog"]) if "catalog" in cfg else CatalogEntry(
+            "config", problem_from_json(cfg["problem"], network_from_json(cfg["network"]))))
         whole = {}
         for name, convert in SECTIONS.items():
             section = dict(cfg.get(name, {}))
             _check_keys(section, convert, f"{name} option")
+            for k, v in section.items():
+                if isinstance(v, bool):  # int(True) is 1, float(True) 1.0
+                    raise ValueError(f"{name} option {k!r} is a boolean, {v}")
             whole[name] = {k: convert[k](v) for k, v in section.items()}
             whole[name].update((k, getattr(args, k)) for k in convert
                                if getattr(args, k, None) is not None)
@@ -236,7 +240,7 @@ def _inputs(args, *parsers):
         raise _BadInput(exc) from exc
     if hasattr(args, "output_dir"):
         os.makedirs(args.output_dir, exist_ok=True)
-    return (cfg, problem, read, *_options(read["solver"]), nodes, *extra)
+    return (cfg, entry.problem, entry.exact, read, *_options(read["solver"]), nodes, *extra)
 
 
 def write_manifest(args, subcommand: str, cfg: dict, read: dict, outputs,
@@ -269,7 +273,7 @@ def write_manifest(args, subcommand: str, cfg: dict, read: dict, outputs,
 
 
 def cmd_solve(args) -> int:
-    cfg, problem, read, scheme, config, nodes = _inputs(args)
+    cfg, problem, _, read, scheme, config, nodes = _inputs(args)
     # stages[0] and [1] are validate and solve; later stages are appended
     stages = []
 
@@ -307,7 +311,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg, problem, read, scheme, _, nodes = _inputs(args)
+    cfg, problem, _, read, scheme, _, nodes = _inputs(args)
     try:
         ref = reference_for(problem, nodes, **scheme)
     except KnetError as exc:
@@ -322,7 +326,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep_epsilon(args) -> int:
-    cfg, problem, read, scheme, config, nodes, schedule = _inputs(
+    cfg, problem, _, read, scheme, config, nodes, schedule = _inputs(
         args, lambda a: parse_epsilon_schedule(a.epsilon_schedule))
     read["solver"]["epsilon_schedule"] = schedule
     try:
@@ -362,9 +366,8 @@ def _resolutions(args):
 
 
 def cmd_convergence_table(args) -> int:
-    cfg, problem, read, scheme, config, _, resolutions = _inputs(args, _resolutions)
+    cfg, problem, exact, read, scheme, config, _, resolutions = _inputs(args, _resolutions)
     read["grid"]["resolutions"] = resolutions
-    exact = entry_by_name(cfg["catalog"]).exact if "catalog" in cfg else None
     rows = convergence_table(problem, resolutions, exact, config, **scheme)
     buf = io.StringIO()
     buf.write(CSV_SCHEMAS["convergence"] + "\n")
@@ -389,7 +392,7 @@ def cmd_convergence_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _, problem, read, scheme, _, _ = _inputs(args)
+    _, problem, _, read, scheme, _, _ = _inputs(args)
     try:
         u = read_solution_csv(args.solution, problem.network)
         if not u.is_valid():

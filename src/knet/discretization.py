@@ -29,9 +29,9 @@ lists them once, as Grid.rows and Grid.cols in stencil order: three blocks
 over the interior edge nodes (the node, its left and its right neighbour),
 then each vertex row's Grid.vertex_inputs, own entry first.  The Jacobian
 (jacobian_entries) and the probe write their values in that order, one
-contiguous block per row.  Grid.csc, the permutation to compressed sparse
-columns, is built on first use and shared by every system on the grid,
-such as each step of a viscosity schedule.
+contiguous block per row.  Grid.border, shared by every system on the
+grid, places each entry in the solver's network form: a tridiagonal block
+over the edges' interior nodes, bordered by the vertex rows and columns.
 
 The interior edge nodes, which the grid numbers V..N-1 edge after edge,
 share one flat table: left and right neighbour gids, x, a + eps, h, h^2
@@ -156,7 +156,7 @@ class Grid:
         net = self.network
         q = net.point(point.edge_id, point.t)
         eq = net.edge(q.edge_id)
-        dv = net._vertex_distances()
+        dv = net.vertex_distances
         ends = ((self.vertex_index[eq.tail], q.t),
                 (self.vertex_index[eq.head], eq.length - q.t))
         out = np.empty(self.total_nodes)
@@ -181,15 +181,24 @@ class Grid:
                          values[self.node_ids[eid]])
 
     @cached_property
-    def csc(self):
-        """(order, indptr): order sorts the entries by column, then row, the
-        canonical order of compressed sparse columns, and column j holds
-        sorted entries indptr[j]:indptr[j + 1].  Built on first use and
-        shared by every system on this grid."""
-        order = np.lexsort((self.rows, self.cols))
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(self.cols,
-                                                            minlength=self.total_nodes))])
-        return order, indptr
+    def border(self):
+        """Where each stencil-order entry sits in the Jacobian's network form:
+        T, tridiagonal over the M interior edge nodes ("d"; "dl" below, "du"
+        above; zero between two edges' chains), the edge rows' vertex columns
+        B (M x V), the vertex rows' interior and vertex columns C and D.  Maps
+        each block to (shape, stencil positions, flat indices in the block);
+        built once, shared by every system on this grid."""
+        nv, r, c = len(self.network.vertices), self.rows, self.cols
+        m = self.total_nodes - nv
+        sub = max(m - 1, 1)  # LAPACK's dgtsv wrapper takes no empty diagonal
+        blocks = {"d": ((m,), (r >= nv) & (c == r), r - nv),
+                  "dl": ((sub,), (c >= nv) & (r == c + 1), c - nv),
+                  "du": ((sub,), (r >= nv) & (c == r + 1), r - nv),
+                  "B": ((m, nv), (r >= nv) & (c < nv), (r - nv) * nv + c),
+                  "C": ((nv, m), (r < nv) & (c >= nv), r * m + c - nv),
+                  "D": ((nv, nv), (r < nv) & (c < nv), r * nv + c)}
+        return {name: (shape, np.flatnonzero(at), flat[at])
+                for name, (shape, at, flat) in blocks.items()}
 
 
 class GridFunction:

@@ -10,12 +10,11 @@ positions are optional metadata.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import (
     DisconnectedGraph,
@@ -85,7 +84,6 @@ class Network:
             vid: tuple(sorted(lst, key=lambda i: i.edge.id))
             for vid, lst in inc.items()
         }
-        self._vertex_dist = None  # lazy all-pairs geodesic between vertices
 
     # -- lookups ------------------------------------------------------------
 
@@ -139,21 +137,21 @@ class Network:
 
     # -- geodesic distance --------------------------------------------------
 
-    def _vertex_distances(self) -> np.ndarray:
-        if self._vertex_dist is None:
-            n = len(self.vertices)
-            rows, cols, vals = [], [], []
-            for e in self.edges:
-                i, j = self._vidx[e.tail], self._vidx[e.head]
-                rows += [i, j]
-                cols += [j, i]
-                vals += [e.length, e.length]
-            g = csr_matrix((vals, (rows, cols)), shape=(n, n))
-            self._vertex_dist = dijkstra(g, directed=False)
-        return self._vertex_dist
+    @cached_property
+    def vertex_distances(self) -> np.ndarray:
+        """Geodesic distance between every two vertices, in vertex order, inf
+        across components: Floyd-Warshall, one numpy relaxation per vertex."""
+        d = np.full((len(self.vertices),) * 2, np.inf)
+        np.fill_diagonal(d, 0.0)
+        for e in self.edges:
+            d[self._vidx[e.tail], self._vidx[e.head]] = e.length
+            d[self._vidx[e.head], self._vidx[e.tail]] = e.length
+        for k in range(len(d)):
+            np.minimum(d, d[:, k, None] + d[k], out=d)
+        return d
 
     def vertex_distance(self, va: int, vb: int) -> float:
-        return float(self._vertex_distances()[self._vidx[va], self._vidx[vb]])
+        return float(self.vertex_distances[self._vidx[va], self._vidx[vb]])
 
     def geodesic_distance(self, p: NetworkPoint, q: NetworkPoint) -> float:
         if p.edge_id not in self._emap or q.edge_id not in self._emap:
@@ -166,7 +164,7 @@ class Network:
         if p.edge_id == q.edge_id:
             best = abs(p.t - q.t)
         ep, eq = self.edge(p.edge_id), self.edge(q.edge_id)
-        dv = self._vertex_distances()
+        dv = self.vertex_distances
         idx = self._vidx
         for va, ta in ((ep.tail, p.t), (ep.head, ep.length - p.t)):
             for vb, tb in ((eq.tail, q.t), (eq.head, eq.length - q.t)):
@@ -225,21 +223,16 @@ def build_network(vertex_specs, edge_specs) -> Network:
         if d == 0:
             raise IsolatedVertex(f"vertex {vid} has no incident edge")
 
-    # connectivity
-    n = len(vids)
-    idx = {vid: i for i, vid in enumerate(vids)}
-    rows = [idx[e.tail] for e in edges] + [idx[e.head] for e in edges]
-    cols = [idx[e.head] for e in edges] + [idx[e.tail] for e in edges]
-    g = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    ncomp, _ = connected_components(g, directed=False)
-    if ncomp != 1:
-        raise DisconnectedGraph(f"{ncomp} components")
-
     vertices = [
         Vertex(vid, INTERIOR if degree[vid] >= 2 else BOUNDARY, pos)
         for vid, pos in raw_vertices
     ]
-    return Network(vertices, edges)
+    network = Network(vertices, edges)
+    # the vertices of one component reach the same vertices
+    ncomp = len(np.unique(np.isfinite(network.vertex_distances), axis=0))
+    if ncomp != 1:
+        raise DisconnectedGraph(f"{ncomp} components")
+    return network
 
 
 def star_junction(n_edges: int, lengths=None) -> Network:

@@ -9,8 +9,8 @@ hybrid.  The Jacobian is read off the stencil, with no residual() call: an
 edge row's coefficients are exact but for one central quotient of H in the
 central slope, from two table calls per Jacobian, and only the vertex rows
 take central differences, over their own inputs.  The entries go straight
-into compressed sparse columns through one permutation the grid computes
-once.
+into Grid.border's network form, a tridiagonal edge block bordered by the
+vertex rows and columns: one LAPACK call and a V x V solve.
 
 The hybrid is one predictor-corrector: Newton corrects the start given
 (a previous viscosity step, a coarser rung of a ladder), else the same
@@ -35,8 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.linalg.lapack import dgtsv
 
 from .discretization import JUNCTION_MODES, Grid, GridFunction, ResidualSystem, assemble
 from .errors import BarrierConstructionFailed, LocalRootBracketFailed, SingularLinearization
@@ -229,26 +228,46 @@ def sweep_solve(system: ResidualSystem, config: SolveConfig,
 # Semismooth Newton
 
 
-def _fd_jacobian(system: ResidualSystem, u: np.ndarray, step: float):
-    """Sparse Jacobian of the residual at u, read off the stencil by
+def _fd_jacobian(system: ResidualSystem, u: np.ndarray, step: float) -> dict:
+    """Jacobian of the residual at u, read off the stencil by
     system.jacobian_entries (exact edge coefficients but for H's central
     quotient, central differences at vertex rows; no residual() call) and
-    written straight into compressed sparse columns.
+    written straight into spsolve's network form, Grid.border's blocks.
 
     Central differencing matters: at kinks of the numerical Hamiltonian a
     one-sided difference is not an element of the generalized Jacobian (it
     turns |p| into a sum of both neighbors), while the central quotient
     picks the midpoint slope and keeps the linearization monotone.
     """
-    grid = system.grid
-    order, indptr = grid.csc
-    # order keeps every column's entries together, so the column pointers
-    # of the nonzeros are the kept counts at indptr
-    vals = system.jacobian_entries(u, step)[order]
-    keep = vals != 0.0
-    kept = np.concatenate([[0], np.cumsum(keep)])
-    return csc_matrix((vals[keep], grid.rows[order][keep], kept[indptr]),
-                      shape=(grid.total_nodes,) * 2)
+    vals = system.jacobian_entries(u, step)
+    jac = {}
+    for name, (shape, at, flat) in system.grid.border.items():
+        jac[name] = np.zeros(shape)
+        jac[name].flat[flat] = vals[at]
+    return jac
+
+
+def spsolve(jac: dict, b: np.ndarray) -> np.ndarray:
+    """Solve J x = b for J in _fd_jacobian's network form: one LAPACK dgtsv
+    call solves T [y0 | X] = [b_int | B] over every edge chain, the Schur
+    complement (D - C X) x_v = b_v - C y0 the vertex unknowns, and
+    x_int = y0 - X x_v (Arioli & Benzi, IMA J. Numer. Anal. 38, 2018).  T is
+    nonsingular, every edge row strictly diagonally dominant: own_coeff
+    lam + 2(a+eps)/h^2 + theta/h > |left| + |right| = 2(a+eps)/h^2 + theta/h
+    when H's central quotient |q| <= theta, its Lipschitz bound.  A zero
+    pivot of T or a singular Schur complement raises SingularLinearization.
+    Named spsolve because perfbench's tracer times knet.solver.spsolve and
+    _fd_jacobian as its solver.linear_solve and solver.jacobian layers."""
+    nv = len(jac["D"])
+    *_, y, info = dgtsv(jac["dl"], jac["d"], jac["du"],
+                        np.column_stack([b[nv:], jac["B"]]), overwrite_b=True)
+    if info:
+        raise SingularLinearization(f"dgtsv: zero pivot {info} in the edge block")
+    try:
+        xv = np.linalg.solve(jac["D"] - jac["C"] @ y[:, 1:], b[:nv] - jac["C"] @ y[:, 0])
+    except np.linalg.LinAlgError as exc:
+        raise SingularLinearization(f"vertex Schur complement: {exc}") from exc
+    return np.concatenate([xv, y[:, 0] - y[:, 1:] @ xv])
 
 
 def newton_solve(system: ResidualSystem, config: SolveConfig,
@@ -266,12 +285,8 @@ def newton_solve(system: ResidualSystem, config: SolveConfig,
         # near kinks the linearization error is O(step/h), so polish with a
         # step small against the residual times the mesh size
         step = float(np.clip(0.1 * h * norm, 1e-13, NEWTON_FD_STEP))
-        jac = _fd_jacobian(system, u, step)
         with np.errstate(all="ignore"):
-            try:
-                du = spsolve(jac, -r)
-            except RuntimeError as exc:
-                raise SingularLinearization(str(exc)) from exc
+            du = spsolve(_fd_jacobian(system, u, step), -r)
         if not np.all(np.isfinite(du)):
             raise SingularLinearization("non-finite Newton direction")
         t = 1.0

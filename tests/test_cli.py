@@ -405,6 +405,11 @@ BAD_CONFIG_VALUES = [
     ({"analysis": {"window": 2.5}}, "expected an integer, got 2.5"),
     ({"grid": {"nodes_per_edg": 81}}, "unknown grid option 'nodes_per_edg'"),
     ({"solvr": {"method": "newton"}}, "unknown config key 'solvr'"),
+    # int() and float() take a JSON boolean as 1 or 0: "max_sweeps": true ran one sweep
+    ({"solver": {"max_sweeps": True}}, "solver option 'max_sweeps' is a boolean, True"),
+    ({"solver": {"tol": True}}, "solver option 'tol' is a boolean, True"),
+    ({"solver": {"epsilon": False}}, "solver option 'epsilon' is a boolean, False"),
+    ({"grid": {"nodes_per_edge": True}}, "grid option 'nodes_per_edge' is a boolean, True"),
 ]
 
 
@@ -412,16 +417,16 @@ BAD_CONFIG_VALUES = [
                                  "convergence-table", "verify"])
 def test_out_of_range_or_unknown_input_exits_3(tmp_path, capsys, sub):
     """A tol that is not finite and > 0, an epsilon that is not finite, a
-    max_sweeps below 1, a fractional value of an integer key and a key
-    unknown to its section or to the top level each exit 3 with the reason
-    before anything runs: no output directory, no report."""
+    max_sweeps below 1, a fractional value of an integer key, a boolean
+    value and a key unknown to its section or to the top level each exit 3
+    with the reason before anything runs: no output directory, no report."""
     plain = _write_config(tmp_path, {"catalog": "star3_eikonal"}, "plain.json")
     flags = _flags(_subparsers()[sub])
     cases = [([plain, *flag], message) for flag, message in OUT_OF_RANGE_FLAGS
              if flag[0] in flags]
     cases += [([_write_config(tmp_path, {"catalog": "star3_eikonal", **section}, f"{k}.json")],
                message) for k, (section, message) in enumerate(BAD_CONFIG_VALUES)]
-    assert len(cases) == {"oracle": 7, "sweep-epsilon": 8, "verify": 5}.get(sub, 10)
+    assert len(cases) == {"oracle": 11, "sweep-epsilon": 12, "verify": 9}.get(sub, 14)
     for case, message in cases:
         if sub == "verify":
             argv = _verify_argv(tmp_path, *case)
@@ -615,10 +620,16 @@ def test_convergence_table_reference_uses_run_epsilon(tmp_path):
     assert min(orders) >= 1.9, orders
 
 
-def test_convergence_table_relaxed_boundary_uses_matching_reference(tmp_path):
+def test_convergence_table_relaxed_boundary_uses_matching_reference(tmp_path, monkeypatch):
     """The degenerate coercive ends of star3_eikonal_loss take relaxed
     boundary rows, under which the scheme reproduces the exact profile that
-    detaches from the data: the table measures it against that profile."""
+    detaches from the data: the table measures it against that profile,
+    read off the one catalog entry the run builds."""
+    import knet.cli
+
+    built = []
+    monkeypatch.setattr(knet.cli, "entry_by_name",
+                        lambda name: built.append(name) or entry_by_name(name))
     cfg = _write_config(tmp_path, {"catalog": "star3_eikonal_loss"})
     outdir = tmp_path / "out"
     code = main(["convergence-table", "--config", cfg,
@@ -629,6 +640,7 @@ def test_convergence_table_relaxed_boundary_uses_matching_reference(tmp_path):
     assert max(float(r["sup_error"]) for r in rows) <= 1e-8
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["stages"][0]["references"] == ["exact"] * 3
+    assert built == ["star3_eikonal_loss"]
 
 
 def test_convergence_table_records_reference_per_row(tmp_path):

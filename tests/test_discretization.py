@@ -385,10 +385,9 @@ def test_probe_passes_with_matching_dissipation(system_cached):
 
 
 def _dependents(grid, gid):
-    """The rows that read u[gid], from Grid.rows through Grid.csc: gid,
-    then the others in increasing order."""
-    order, indptr = grid.csc
-    rows = grid.rows[order[indptr[gid]:indptr[gid + 1]]].tolist()
+    """The rows that read u[gid], from Grid.rows and Grid.cols: gid, then
+    the others in increasing order."""
+    rows = sorted(grid.rows[grid.cols == gid].tolist())
     return (gid, *(r for r in rows if r != gid))
 
 
@@ -502,8 +501,8 @@ def _assert_stencil_layout(grid):
     """rows and cols list each row's inputs once, in stencil order: three
     blocks over the interior edge nodes (own, left, right), then each vertex
     row's vertex_inputs, own entry first.  No (row, col) pair repeats, and
-    csc's order sorts by column, then row, with column j at
-    indptr[j]:indptr[j + 1]."""
+    border puts every entry in exactly one block of the network form, where
+    the blocks rebuild the matrix of the entries."""
     nv, n = len(grid.network.vertices), grid.total_nodes
     edge = np.arange(nv, n)
     rows, cols = grid.rows, grid.cols
@@ -523,13 +522,20 @@ def _assert_stencil_layout(grid):
         start += len(inputs)
     assert start == len(rows) == len(cols)
     assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
-    order, indptr = grid.csc
-    np.testing.assert_array_equal(np.sort(order), np.arange(len(rows)))
-    r, c = rows[order], cols[order]
-    assert np.all((np.diff(c) > 0) | ((np.diff(c) == 0) & (np.diff(r) > 0)))
-    for j in range(n):
-        assert np.all(c[indptr[j]:indptr[j + 1]] == j)
-    assert indptr[0] == 0 and indptr[-1] == len(rows)
+    # entry k has the value k + 1, so a misplaced or lost entry shows
+    vals = np.arange(1.0, len(rows) + 1.0)
+    dense = np.zeros((n, n))
+    dense[rows, cols] = vals
+    blocks = {}
+    for name, (shape, at, flat) in grid.border.items():
+        blocks[name] = np.zeros(shape)
+        blocks[name].flat[flat] = vals[at]
+    np.testing.assert_array_equal(np.sort(np.concatenate(
+        [at for _, at, _ in grid.border.values()])), np.arange(len(rows)))
+    tri = np.diag(blocks["d"]) + np.diag(blocks["dl"][:ne - 1], -1) + np.diag(
+        blocks["du"][:ne - 1], 1)
+    np.testing.assert_array_equal(np.block([[blocks["D"], blocks["C"]],
+                                            [blocks["B"], tri]]), dense)
 
 
 def test_row_entries_catalog_and_random_networks():

@@ -61,6 +61,34 @@ def test_geodesic_cycle_shortcut(graph5):
     assert graph5.vertex_distance(0, 4) == pytest.approx(1.0 + 1.2 + 0.9)
 
 
+def test_vertex_distances_by_hand_on_a_cycle(graph5):
+    """Floyd-Warshall over graph5's cycle 1-2-3: 0 to 3 goes 0-1-3 (2.2),
+    not 0-1-2-3 (2.5), and 2 to 4 takes the short edge 2-3."""
+    hand = [[0.0, 1.0, 1.8, 2.2, 3.1],
+            [1.0, 0.0, 0.8, 1.2, 2.1],
+            [1.8, 0.8, 0.0, 0.7, 1.6],
+            [2.2, 1.2, 0.7, 0.0, 0.9],
+            [3.1, 2.1, 1.6, 0.9, 0.0]]
+    np.testing.assert_allclose(graph5.vertex_distances, hand, rtol=1e-15, atol=0)
+
+
+def test_vertex_distances_match_dijkstra_on_random_networks():
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    from knet.catalog import random_problem
+
+    for s in range(30):
+        net = random_problem(np.random.default_rng(s)).network
+        n = len(net.vertices)
+        index = {v.id: i for i, v in enumerate(net.vertices)}
+        rows = [index[e.tail] for e in net.edges]
+        cols = [index[e.head] for e in net.edges]
+        graph = csr_matrix(([e.length for e in net.edges], (rows, cols)), shape=(n, n))
+        np.testing.assert_allclose(net.vertex_distances, dijkstra(graph, directed=False),
+                                   rtol=1e-14, atol=0, err_msg=str(s))
+
+
 def test_vertex_point_canonical(star3):
     # the junction sits at t=0 of every edge; the canonical point uses the
     # lowest incident edge id
@@ -112,6 +140,8 @@ def test_build_rejects_isolated_vertex():
 def test_build_rejects_disconnected_graph():
     with pytest.raises(DisconnectedGraph):
         build_network(range(4), [(0, 0, 1, 1.0), (1, 2, 3, 1.0)])
+    with pytest.raises(DisconnectedGraph, match="^3 components$"):
+        build_network(range(6), [(0, 0, 1, 1.0), (1, 2, 3, 1.0), (2, 4, 5, 1.0)])
 
 
 def test_network_from_json_roundtrip():

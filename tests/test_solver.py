@@ -6,7 +6,6 @@ import re
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_matrix
 
 from knet import solver
 from knet.catalog import all_entries, entry_by_name, random_problem
@@ -22,6 +21,7 @@ from knet.solver import (
     solve_node,
     solve_problem,
     solve_system,
+    spsolve,
     sweep_solve,
     vanishing_viscosity,
 )
@@ -232,12 +232,22 @@ def _reference_jacobian(system, u, step):
         u[j] += step
         for i, rp, rm in zip(deps, plus, minus):
             d = (rp - rm) / (2.0 * step)
-            if d != 0.0:
-                rows.append(i)
-                cols.append(j)
-                vals.append(d)
-    n = system.grid.total_nodes
-    return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+            rows.append(i)
+            cols.append(j)
+            vals.append(d)
+    return _dense(system.grid, rows, cols, vals)
+
+
+def _dense(grid, rows, cols, vals):
+    out = np.zeros((grid.total_nodes,) * 2)
+    out[rows, cols] = vals
+    return out
+
+
+def _dense_jacobian(system, u, step):
+    """The matrix of jacobian_entries at the grid's (rows, cols)."""
+    grid = system.grid
+    return _dense(grid, grid.rows, grid.cols, system.jacobian_entries(u, step))
 
 
 @pytest.mark.parametrize("nodes", [3, 4, 11, 41])
@@ -248,7 +258,7 @@ def test_coloured_jacobian_matches_columnwise(nodes):
     for entry in all_entries():
         system = assemble(entry.problem, Grid(entry.problem.network, nodes))
         u = rng.uniform(-1.0, 1.0, system.grid.total_nodes)
-        jac = _fd_jacobian(system, u, 1e-7)
+        jac = _dense_jacobian(system, u, 1e-7)
         ref = _reference_jacobian(system, u, 1e-7)
         scale = abs(ref).max()
         assert abs(jac - ref).max() <= 1e-7 * scale, (entry.name, nodes)
@@ -264,11 +274,11 @@ def test_jacobian_leaves_iterate_untouched(system_cached):
 
 @pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
 @pytest.mark.parametrize("nodes", [3, 4, 11])
-def test_jacobian_is_canonical_csc(nodes, mode):
-    """spsolve's bits depend on the stored order: the Jacobian comes in
-    canonical compressed columns (row indices strictly increasing in each
-    column, so no duplicate, and no stored zero), and it is the matrix of
-    jacobian_entries at the grid's (rows, cols)."""
+def test_network_solve_matches_dense_solve(nodes, mode):
+    """spsolve on _fd_jacobian's network form (a tridiagonal edge block
+    bordered by the vertex rows and columns) equals np.linalg.solve on the
+    dense matrix of jacobian_entries at the grid's (rows, cols); n = 3 has
+    one interior node between two vertices."""
     rng = np.random.default_rng(8)
     problems = ([e.problem for e in all_entries()]
                 + [random_problem(np.random.default_rng(s)) for s in range(6)])
@@ -276,17 +286,25 @@ def test_jacobian_is_canonical_csc(nodes, mode):
         grid = Grid(problem.network, nodes)
         system = assemble(problem, grid, junction_mode=mode, probe_samples=0)
         u = rng.uniform(-2.0, 2.0, grid.total_nodes)
-        jac = _fd_jacobian(system, u, 1e-7)
-        for j in range(grid.total_nodes):
-            assert np.all(np.diff(jac.indices[jac.indptr[j]:jac.indptr[j + 1]]) > 0)
-        assert np.all(jac.data != 0.0)
-        ref = coo_matrix((system.jacobian_entries(u, 1e-7), (grid.rows, grid.cols)),
-                         shape=jac.shape).tocsc()
-        ref.eliminate_zeros()
-        ref.sort_indices()
-        for name in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(jac, name), getattr(ref, name),
-                                          err_msg=f"{k} {name}")
+        b = rng.uniform(-1.0, 1.0, grid.total_nodes)
+        x = spsolve(_fd_jacobian(system, u, 1e-7), b)
+        ref = np.linalg.solve(_dense_jacobian(system, u, 1e-7), b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+
+
+@pytest.mark.parametrize("block", ["edge", "vertex"])
+def test_singular_network_jacobian_raises(system_cached, block):
+    """A zero pivot in the tridiagonal edge block (dgtsv's info != 0) or a
+    singular vertex Schur complement raises SingularLinearization."""
+    system = system_cached("star3_mixed", 11)
+    u = np.zeros(system.grid.total_nodes)
+    jac = _fd_jacobian(system, u, 1e-7)
+    if block == "edge":
+        jac["d"][0] = jac["du"][0] = 0.0
+    else:
+        jac["D"][:] = jac["C"][:] = 0.0
+    with pytest.raises(SingularLinearization):
+        spsolve(jac, np.ones(system.grid.total_nodes))
 
 
 def test_jacobian_divides_by_step_taken(system_cached):
@@ -295,8 +313,8 @@ def test_jacobian_divides_by_step_taken(system_cached):
     over the step actually taken is still exact."""
     system = system_cached("star2_linear", 11)
     u = np.full(system.grid.total_nodes, 1.3)
-    exact = _fd_jacobian(system, u, 1e-3).toarray()
-    tiny = _fd_jacobian(system, u, 1e-13).toarray()
+    exact = _dense_jacobian(system, u, 1e-3)
+    tiny = _dense_jacobian(system, u, 1e-13)
     assert np.max(np.abs(tiny - exact)) <= 1e-6 * np.max(np.abs(exact))
 
 
@@ -323,7 +341,7 @@ def test_jacobian_exact_on_linear_problems(system_cached, name, nodes):
     r0 = system.residual(np.zeros(n))
     exact = np.stack([system.residual(e) - r0 for e in np.eye(n)], axis=1)
     u = np.random.default_rng(6).uniform(-1.0, 1.0, n)
-    jac = _fd_jacobian(system, u, solver.NEWTON_FD_STEP).toarray()
+    jac = _dense_jacobian(system, u, solver.NEWTON_FD_STEP)
     assert np.max(np.abs(jac - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
@@ -382,9 +400,10 @@ def test_star3_linear_1281_stall_stops_with_diagnosis():
 
 
 def test_fallback_keeps_newtons_iterate_when_sweeps_end_higher(monkeypatch, system_cached):
-    """star3_loss_elliptic at n = 641 from u = -1: Newton stalls near 6e-10
-    both before and after the warm-up sweeps, and 20 sweeps from its iterate
-    end near 1e-7.  The fallback returns the lower of the two and says so."""
+    """star3_mixed at n = 641 from u = 0: Newton reaches MAX_NEWTON both
+    before and after the warm-up sweeps (near 0.35 after them), and 20
+    sweeps from its iterate end near 0.6.  The fallback returns the lower
+    of the two and says so."""
     newton_norms = []
     real = solver._newton
 
@@ -394,9 +413,9 @@ def test_fallback_keeps_newtons_iterate_when_sweeps_end_higher(monkeypatch, syst
         return res
 
     monkeypatch.setattr(solver, "_newton", recording)
-    system = system_cached("star3_loss_elliptic", 641)
+    system = system_cached("star3_mixed", 641)
     res = solve_system(system, SolveConfig(max_sweeps=20),
-                       GridFunction.full(system.grid, -1.0))
+                       GridFunction.zeros(system.grid))
     assert not res.converged and len(newton_norms) == 2
     assert res.residual_norm == newton_norms[1]
     assert res.residual_norm == system.residual_norm(res.u.values)
@@ -404,6 +423,17 @@ def test_fallback_keeps_newtons_iterate_when_sweeps_end_higher(monkeypatch, syst
                             r"residual (\S+) > threshold \S+; kept newton's iterate, "
                             r"at residual (\S+)$", res.message).groups()
     assert float(kept) == float(f"{res.residual_norm:.3g}") < float(swept)
+
+
+@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
+def test_loss_elliptic_converges_from_minus_one_at_641(system_cached, mode):
+    """star3_loss_elliptic at n = 641 from u = -1, a multistart start that
+    ended unconverged under both junction modes with the SuperLU Newton
+    step: the fallback's sweeps now converge from Newton's iterate."""
+    system = system_cached("star3_loss_elliptic", 641, junction_mode=mode)
+    res = solve_system(system, SolveConfig(max_sweeps=20),
+                       GridFunction.full(system.grid, -1.0))
+    assert res.converged, res.message
 
 
 def test_junction_modes_agree_at_solution(catalog):
@@ -596,17 +626,17 @@ def test_continuation_step_falls_back_to_hybrid(monkeypatch, system_cached,
     np.testing.assert_array_equal(res.u.values, hybrid.u.values)
 
 
-def test_viscosity_schedule_builds_its_csc_permutation_once(monkeypatch):
+def test_viscosity_schedule_builds_its_border_index_once(monkeypatch):
     """The base and every step are assembled on one grid, which builds its
-    permutation to compressed sparse columns once, for every Jacobian of
-    every step."""
+    border index, the layout of the network form, once, for every Jacobian
+    of every step."""
     import knet.discretization as disc
 
     calls = []
-    real = disc.Grid.csc.func
+    real = disc.Grid.border.func
     counted = functools.cached_property(lambda grid: calls.append(1) or real(grid))
-    counted.__set_name__(disc.Grid, "csc")
-    monkeypatch.setattr(disc.Grid, "csc", counted)
+    counted.__set_name__(disc.Grid, "border")
+    monkeypatch.setattr(disc.Grid, "border", counted)
     jacobians = []
     real_jacobian = solver._fd_jacobian
     monkeypatch.setattr(solver, "_fd_jacobian",
