@@ -19,7 +19,7 @@ import sys
 
 from knet.catalog import all_entries, entry_by_name
 from knet.cli import _atomic_write
-from knet.oracle import convergence_table
+from knet.oracle import check_resolutions, convergence_table
 
 
 def study(entry, resolutions):
@@ -28,13 +28,12 @@ def study(entry, resolutions):
 
 
 def node_counts(spec):
-    """Comma-separated nodes per edge, each at least 3, none repeated."""
+    """Comma-separated nodes per edge, as check_resolutions takes them."""
     counts = [int(r) for r in spec.split(",")]
-    if min(counts) < 3:
-        raise argparse.ArgumentTypeError(f"need at least 3 nodes per edge in {spec!r}")
-    if len(set(counts)) < len(counts):
-        raise argparse.ArgumentTypeError(f"repeated resolution in {spec!r}")
-    return counts
+    try:
+        return check_resolutions(counts)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def main(argv=None):

@@ -140,7 +140,7 @@ def check_degenerate_edge_inequalities(problem: NetworkProblem, u: GridFunction,
     verdicts = []
     for inc in problem.network.incidence[vid]:
         eid = inc.edge.id
-        if problem.a_at_vertex(vid, eid) != 0.0:
+        if problem.a_at_incidence(inc) != 0.0:
             continue
         ham = problem.hamiltonians[eid]
         xv = inc.vertex_param
@@ -192,7 +192,7 @@ def _vertex_clause(problem, vid, uv):
     # a boundary vertex has one incident edge; a junction, its degenerate ones
     edges = [(problem.hamiltonians[inc.edge.id], inc.vertex_param, inc.sign)
              for inc in incs
-             if not interior or problem.a_at_vertex(vid, inc.edge.id) == 0.0]
+             if not interior or problem.a_at_incidence(inc) == 0.0]
 
     def clause(slope, side):
         vals = [lam * uv + float(ham(x, sign * slope)) for ham, x, sign in edges]
@@ -347,7 +347,7 @@ def boundary_loss_report(problem: NetworkProblem, u: GridFunction,
         elif uv < hv - tol:
             status = "lost"
         else:
-            hyp_dir = (problem.a_at_vertex(v.id, eid) > 0.0 or ham.coercive)
+            hyp_dir = problem.a_at_incidence(inc) > 0.0 or ham.coercive
             status = "overshoot-error" if hyp_dir else "overshoot"
         out.append(BoundaryRecord(v.id, uv, hv, hv - uv, status, e_up))
     return out

@@ -29,7 +29,7 @@ from .discretization import (JUNCTION_MODES, Grid, GridFunction, assemble, check
                              check_scheme)
 from .errors import KnetError
 from .network import Network, network_from_json
-from .oracle import convergence_table, reference_for
+from .oracle import check_resolutions, convergence_table, reference_for
 from .problem import problem_from_json, validate_problem
 from .solver import METHODS, SolveConfig, solve_system, vanishing_viscosity
 
@@ -316,10 +316,8 @@ def cmd_oracle(args) -> int:
         ref = reference_for(problem, nodes, **scheme)
     except KnetError as exc:
         return _fail(EXIT_BAD_INPUT, f"oracle failed: {exc}")
-    restricted = (ref.u if ref.method == "direct-linear"
-                  else ref.u.on_grid(Grid(problem.network, nodes)))
     sol_path = os.path.join(args.output_dir, "oracle.csv")
-    _atomic_write(sol_path, solution_csv_text(restricted))
+    _atomic_write(sol_path, solution_csv_text(ref.u.on_grid(Grid(problem.network, nodes))))
     write_manifest(args, "oracle", cfg, read, [sol_path],
                    [{"stage": "oracle", "method": ref.method, "meta": ref.meta}])
     return EXIT_OK
@@ -352,21 +350,9 @@ def cmd_sweep_epsilon(args) -> int:
     return EXIT_OK
 
 
-def _resolutions(args):
-    """The --resolutions node counts, at least 3 of them, none repeated;
-    any order."""
-    resolutions = [int(r) for r in args.resolutions.split(",")]
-    for r in resolutions:
-        check_nodes(r)
-    if len(resolutions) < 3:
-        raise ValueError("need at least 3 resolutions")
-    if len(set(resolutions)) < len(resolutions):
-        raise ValueError(f"repeated resolution in {args.resolutions!r}")
-    return resolutions
-
-
 def cmd_convergence_table(args) -> int:
-    cfg, problem, exact, read, scheme, config, _, resolutions = _inputs(args, _resolutions)
+    cfg, problem, exact, read, scheme, config, _, resolutions = _inputs(
+        args, lambda a: check_resolutions([int(r) for r in a.resolutions.split(",")]))
     read["grid"]["resolutions"] = resolutions
     rows = convergence_table(problem, resolutions, exact, config, **scheme)
     buf = io.StringIO()

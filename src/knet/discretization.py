@@ -33,23 +33,22 @@ contiguous block per row.  Grid.border, shared by every system on the
 grid, places each entry in the solver's network form: a tridiagonal block
 over the edges' interior nodes, bordered by the vertex rows and columns.
 
-The interior edge nodes, which the grid numbers V..N-1 edge after edge,
-share one flat table: left and right neighbour gids, x, a + eps, h, h^2
-and theta per node, and one (slice, Hamiltonian) pair per edge.  One row
-formula, ResidualSystem._edge_rows, writes the Lax-Friedrichs rows from
-it: residual() fills every edge row in one call, with one H call per edge,
-and residual_node reads table entry gid - V for a single node, so both
-give the same bits.  No solver reads that edge branch (sweeps step edge
-nodes through relax_edge_class); it is the one-node reference the tests
-compare the table against.  The flux evaluates H at the central slope
-(u+ - u-)/(2h), which does not contain the node's own value, so every
-edge row is affine in it with slope lam + 2(a+eps)/h^2 + theta/h.
-Assembly reads that slope, own_coeff, off
-the same row formula in one call, and with H switched off the row's two
-neighbour coefficients; the Jacobian adds H's central quotient to them.
-A row reads only its node and the two next to it, so relax_edge_class
-gives every other node along each edge its exact Newton step at once, and
-the sweeps run Python only at vertices.
+The grid owns the scheme's geometry, built on first use and shared by
+every system on it: over the interior edge nodes, numbered V..N-1 edge
+after edge, the edge table (x, h, h^2 per node), each edge's slice of it
+and the two sweep classes; per vertex, each incidence's h, inward sign and
+edge coordinate.  A system adds what the problem and eps decide: a + eps
+and theta per node, each edge's H on its slice, and the vertex rows.  One
+row formula, ResidualSystem._edge_rows, writes every edge row in one call
+(one H call per edge) in residual(), and entry gid - V alone in
+residual_node, the one-node reference the tests compare against, with the
+same bits.  H is taken at the central slope (u+ - u-)/(2h), which omits
+the node's own value, so an edge row is affine in it with slope own_coeff
+= lam + 2(a+eps)/h^2 + theta/h, read off the row formula at assembly, as
+are its neighbour coefficients with H switched off; the Jacobian adds H's
+central quotient to them.  No row reads two nodes of one sweep class, so
+relax_edge_class steps every other node along each edge exactly at once,
+and the sweeps run Python only at vertices.
 """
 
 from __future__ import annotations
@@ -65,8 +64,6 @@ from .errors import MonotonicityProbeFailed
 from .network import INTERIOR, Network, NetworkPoint
 from .problem import NetworkProblem, larger
 
-VERTEX_NODE = "vertex"
-EDGE_NODE = "edge"
 PROBE_STEP = 1e-6  # certify_monotone's perturbation of one input
 PROBE_TOL = 1e-9  # largest change of the wrong sign it forgives
 PROBE_SCALE = 2.0  # its samples of u are uniform on [-PROBE_SCALE, PROBE_SCALE]
@@ -85,7 +82,8 @@ class Grid:
 
     Global node layout: one node per vertex (in network vertex order), then
     the strictly interior nodes of each edge in edge order.  Every
-    node-to-point geodesic distance comes from distances_to.
+    node-to-point geodesic distance comes from distances_to.  The cached
+    properties are the scheme's geometry, built once per grid.
     """
 
     def __init__(self, network: Network, nodes_per_edge: Union[int, dict]):
@@ -135,17 +133,16 @@ class Grid:
         return self.vertex_index[vid]
 
     def node_kind(self, gid: int) -> str:
-        return VERTEX_NODE if gid < len(self.network.vertices) else EDGE_NODE
+        return "vertex" if gid < len(self.network.vertices) else "edge"
 
     def node_location(self, gid: int):
         """(edge_id, t) of a global node; vertices use the canonical edge."""
-        if self.node_kind(gid) == VERTEX_NODE:
-            vid = self.network.vertices[gid].id
-            p = self.network.vertex_point(vid)
+        k = gid - len(self.network.vertices)
+        if k < 0:
+            p = self.network.vertex_point(self.network.vertices[gid].id)
             return p.edge_id, p.t
-        eid, ids = next((eid, ids) for eid, ids in self.node_ids.items()
-                        if ids[1] <= gid <= ids[-2])
-        return eid, float(self.coords[eid][gid - ids[1] + 1])
+        eid = next(eid for eid, s in self.edge_slices.items() if k < s.stop)
+        return eid, float(self.edge_table[0][k])
 
     def distances_to(self, point: NetworkPoint) -> np.ndarray:
         """Geodesic distance from every node to one network point, equal bit
@@ -179,6 +176,42 @@ class Grid:
         """Linear interpolation of a node vector along one edge."""
         return np.interp(np.asarray(t, dtype=float), self.coords[eid],
                          values[self.node_ids[eid]])
+
+    @cached_property
+    def incidence_geometry(self) -> list:
+        """Per vertex, in vertex order, three arrays over its incidences in
+        vertex_inputs' order: the edge's h, the inward sign (+1 where the
+        vertex sits at t = 0) and the vertex's edge coordinate."""
+        return [tuple(np.array(col) for col in zip(*[
+            (self.spacing[inc.edge.id], inc.sign, inc.vertex_param)
+            for inc in self.network.incidence[v.id]])) for v in self.network.vertices]
+
+    @cached_property
+    def edge_slices(self) -> dict:
+        """Each edge's interior nodes as a slice of the edge table, whose entry
+        k is node gid = V + k; edge order."""
+        nv = len(self.network.vertices)
+        return {eid: slice(int(ids[1]) - nv, int(ids[-2]) + 1 - nv)
+                for eid, ids in self.node_ids.items()}
+
+    @cached_property
+    def edge_table(self) -> tuple:
+        """x, h and h**2 at every interior edge node, entry k for node V + k;
+        h**2 is stored so that every row divides by the same bits."""
+        x, h, hsq = (np.empty(self.total_nodes - len(self.network.vertices)) for _ in range(3))
+        for eid, s in self.edge_slices.items():
+            x[s] = self.coords[eid][1:-1]
+            h[s] = self.spacing[eid]
+            hsq[s] = self.spacing[eid] ** 2
+        return x, h, hsq
+
+    @cached_property
+    def sweep_classes(self) -> list:
+        """The two sweep classes, as edge table entries: each edge's 1st, 3rd,
+        ... interior node, then its 2nd, 4th, ...  With an odd number of
+        nodes per edge, class 0 holds both nodes next to vertices."""
+        pos = np.concatenate([np.arange(s.stop - s.start) for s in self.edge_slices.values()])
+        return [np.flatnonzero(pos % 2 == p) for p in (0, 1)]
 
     @cached_property
     def border(self):
@@ -261,10 +294,7 @@ def lax_friedrichs(ham, x, p_minus, p_plus, theta):
 
 @dataclass
 class _VertexStencil:
-    # per incident edge, in coupling component order:
-    hs: np.ndarray
-    signs: np.ndarray  # +1 when the vertex sits at t = 0
-    x_at_v: np.ndarray
+    # per incident edge, in coupling component order, as incidence_geometry:
     a_plus_eps: np.ndarray
     hams: tuple
     correct_2nd: tuple  # edges whose inward slope is ghost-corrected
@@ -288,51 +318,28 @@ class ResidualSystem:
         self.eps = float(eps)
         self.junction_mode = junction_mode
 
-        # one table over the interior edge nodes, entry k = gid - V in the
-        # grid's edge order: neighbour gids, x, a + eps, h, h**2 and theta
-        # (the edge's lipschitz_p); per edge, its slice of the table and its
-        # Hamiltonian.  h**2 is stored so that one-node and whole-table rows
-        # divide by the same bits
-        edges = problem.network.edges
-        xs = [grid.coords[e.id][1:-1] for e in edges]
-        counts = [len(x) for x in xs]
-        spacings = [grid.spacing[e.id] for e in edges]
-        self._left, self._right = grid.left_gids, grid.right_gids
-        self._x = np.concatenate(xs)
-        self._a = np.concatenate([np.asarray(problem.diffusions[e.id].a(x), dtype=float)
-                                  for e, x in zip(edges, xs)]) + self.eps
-        self._h = np.repeat(spacings, counts)
-        self._hsq = np.repeat([h ** 2 for h in spacings], counts)
-        self._theta = np.repeat([float(problem.hamiltonians[e.id].lipschitz_p)
-                                 for e in edges], counts)
-        ends = np.cumsum([0] + counts).tolist()
-        self._hams = [(slice(lo, hi), problem.hamiltonians[e.id])
-                      for e, lo, hi in zip(edges, ends, ends[1:])]
-        self._node_hams = [ham for s, ham in self._hams for _ in range(s.stop - s.start)]
+        # over the grid's edge table: a + eps and theta (the edge's
+        # lipschitz_p) per node; per edge, its slice and its Hamiltonian
+        x = grid.edge_table[0]
+        self._a, self._theta, self._hams = np.empty_like(x), np.empty_like(x), []
+        for eid, s in grid.edge_slices.items():
+            self._a[s] = problem.diffusions[eid].a(x[s]) + self.eps
+            self._theta[s] = problem.hamiltonians[eid].lipschitz_p
+            self._hams.append((s, problem.hamiltonians[eid]))
 
         relaxed = resolve_relaxed_edges(problem, self.eps, junction_mode)
         self._vertices = []
-        for v in problem.network.vertices:
+        for v, (hs, _, _) in zip(problem.network.vertices, grid.incidence_geometry):
             incs = problem.network.incidence[v.id]
-            hs, signs, xv, av, hams, cors = ([] for _ in range(6))
-            for inc in incs:
-                eid = inc.edge.id
-                h_e = grid.spacing[eid]
-                hs.append(h_e)
-                signs.append(1.0 if inc.at_tail else -1.0)
-                xv.append(inc.vertex_param)
-                a_v = problem.a_at_vertex(v.id, eid) + self.eps
-                av.append(a_v)
-                hams.append(problem.hamiltonians[eid])
-                # second-order ghost correction only where it keeps the
-                # stencil monotone: a + eps must dominate theta*h/2
-                cors.append(a_v > 0.0 and a_v >= 0.5 * hams[-1].lipschitz_p * h_e)
+            av = [problem.a_at_incidence(inc) + self.eps for inc in incs]
+            hams = tuple(problem.hamiltonians[inc.edge.id] for inc in incs)
+            # second-order ghost correction only where it keeps the stencil
+            # monotone: a + eps must dominate theta*h/2
+            cors = tuple(i for i, (a_v, ham, h_e) in enumerate(zip(av, hams, hs))
+                         if a_v > 0.0 and a_v >= 0.5 * ham.lipschitz_p * h_e)
             self._vertices.append(_VertexStencil(
-                np.array(hs), np.array(signs), np.array(xv),
-                np.array(av), tuple(hams), tuple(np.flatnonzero(cors).tolist()),
-                problem.kirchhoff.get(v.id), problem.dirichlet.get(v.id, 0.0),
-                relaxed[v.id],
-            ))
+                np.array(av), hams, cors, problem.kirchhoff.get(v.id),
+                problem.dirichlet.get(v.id, 0.0), relaxed[v.id]))
 
         # own_coeff[j]: slope of an edge row, affine in its own value u[j],
         # read off the row formula as row(u[j] = 1) - row(u[j] = 0); 0 at
@@ -347,34 +354,30 @@ class ResidualSystem:
         self._left_coeff = self._edge_rows(slice(None), 1.0, 0.0, 0.0, no_ham)
         self._right_coeff = self._edge_rows(slice(None), 0.0, 0.0, 1.0, no_ham)
 
-        # the two sweep classes: each edge's 1st, 3rd, ... interior node, then
-        # its 2nd, 4th, ...; no row reads two nodes of one class.  With an odd
-        # number of nodes per edge, class 0 holds both nodes next to vertices
-        pos = np.concatenate([np.arange(c) for c in counts])
-        self._sweep_classes = [np.flatnonzero(pos % 2 == p) for p in (0, 1)]
-
     # -- residual evaluation ------------------------------------------------
 
-    def _vertex_rows(self, st: _VertexStencil, uv, nbr):
-        """The vertex row max(base, lam*u_v + SC_i(d_i) for i in relaxed) on
+    def _vertex_rows(self, v: int, uv, nbr):
+        """Vertex v's row max(base, lam*u_v + SC_i(d_i) for i in relaxed) on
         a batch of input sets: uv, the vertex values (a float, or shape (K,)),
         and nbr, the next node along each incident edge (uv's shape +
         (degree,)).  d: inward divided differences, ghost-corrected on
         uniformly elliptic edges; base: the coupling F(u_v, d) at a junction,
         u_v - g at a boundary; SC_i(d_i): min of H(x_v, oriented s) over
         one-sided slopes s <= d_i.  Returns one residual per input set."""
+        st = self._vertices[v]
         if st.strong:
             return uv - st.h_dirichlet
         lam = self.problem.lam
-        d = (nbr - uv[..., None]) / st.hs
+        hs, signs, x_at_v = self.grid.incidence_geometry[v]
+        d = (nbr - uv[..., None]) / hs
         slopes = d.T  # slopes[i]: the slope(s) along edge i, a view of d
         for i in st.correct_2nd:
-            hval = st.hams[i](st.x_at_v[i], st.signs[i] * slopes[i])
-            slopes[i] -= 0.5 * st.hs[i] * (lam * uv + hval) / st.a_plus_eps[i]
+            hval = st.hams[i](x_at_v[i], signs[i] * slopes[i])
+            slopes[i] -= 0.5 * hs[i] * (lam * uv + hval) / st.a_plus_eps[i]
         res = uv - st.h_dirichlet if st.coupling is None else st.coupling(uv, d)
         for i in st.relaxed:
-            env = st.hams[i].min_below if st.signs[i] > 0 else st.hams[i].min_above
-            clause = lam * uv + env(st.x_at_v[i], st.signs[i] * slopes[i])
+            env = st.hams[i].min_below if signs[i] > 0 else st.hams[i].min_above
+            clause = lam * uv + env(x_at_v[i], signs[i] * slopes[i])
             res = larger(res, clause)
         return res
 
@@ -390,33 +393,34 @@ class ResidualSystem:
         """Lax-Friedrichs rows lam*u - (a+eps)*u_xx + H^LF(x, p-, p+) at table
         entry k, a flat index (one node) or a slice: um, uc, up are the left,
         centre and right values, ham the Hamiltonian of those entries."""
-        h = self._h[k]
-        hh = lax_friedrichs(ham, self._x[k], (uc - um) / h, (up - uc) / h, self._theta[k])
-        return self.problem.lam * uc - self._a[k] * ((up - 2.0 * uc + um) / self._hsq[k]) + hh
+        x, h, hsq = (column[k] for column in self.grid.edge_table)
+        hh = lax_friedrichs(ham, x, (uc - um) / h, (up - uc) / h, self._theta[k])
+        return self.problem.lam * uc - self._a[k] * ((up - 2.0 * uc + um) / hsq) + hh
 
-    def _vertex_moved(self, st: _VertexStencil, x, moves):
-        """The vertex row at x + each row of moves: x holds the row's inputs,
+    def _vertex_moved(self, v: int, x, moves):
+        """Vertex v's row at x + each row of moves: x holds the row's inputs,
         Grid.vertex_inputs' order, in its last axis, and moves is (K, number
         of inputs).  Returns x's leading shape + (K,)."""
         w = (x[..., None, :] + moves).reshape(-1, moves.shape[1])
-        return self._vertex_rows(st, w[:, 0], w[:, 1:]).reshape(*x.shape[:-1], len(moves))
+        return self._vertex_rows(v, w[:, 0], w[:, 1:]).reshape(*x.shape[:-1], len(moves))
 
     def residual_node(self, gid: int, u: np.ndarray) -> float:
+        grid = self.grid
         k = gid - len(self._vertices)
         if k < 0:
-            x = u[self.grid.vertex_inputs[gid]]
-            return float(self._vertex_rows(self._vertices[gid], x[0], x[1:]))
-        return float(self._edge_rows(k, u[self._left[k]], u[gid], u[self._right[k]],
-                                     self._node_hams[k]))
+            x = u[grid.vertex_inputs[gid]]
+            return float(self._vertex_rows(gid, x[0], x[1:]))
+        ham = self.problem.hamiltonians[grid.node_location(gid)[0]]
+        return float(self._edge_rows(k, u[grid.left_gids[k]], u[gid], u[grid.right_gids[k]], ham))
 
     def relax_edge_class(self, c: int, u: np.ndarray, skip_below: float) -> None:
         """Exact step u[j] -= r_j / own_coeff[j], in place, at every node j of
         sweep class c whose |r_j| exceeds skip_below.  No row of the class
         reads another of its nodes, so this equals, bit for bit, the nodewise
         Gauss-Seidel pass over the class in any order."""
-        nv = len(self._vertices)
-        k = self._sweep_classes[c]
-        r = self._edge_rows(slice(None), u[self._left], u[nv:], u[self._right],
+        nv, grid = len(self._vertices), self.grid
+        k = grid.sweep_classes[c]
+        r = self._edge_rows(slice(None), u[grid.left_gids], u[nv:], u[grid.right_gids],
                             self._table_ham)[k]
         move = np.abs(r) > skip_below
         gids = k[move] + nv
@@ -426,13 +430,13 @@ class ResidualSystem:
         """Full residual vector: every edge row in one table call."""
         if isinstance(u, GridFunction):
             u = u.values
-        nv = len(self._vertices)
-        out = np.empty(self.grid.total_nodes)
-        out[nv:] = self._edge_rows(slice(None), u[self._left], u[nv:], u[self._right],
+        nv, grid = len(self._vertices), self.grid
+        out = np.empty(grid.total_nodes)
+        out[nv:] = self._edge_rows(slice(None), u[grid.left_gids], u[nv:], u[grid.right_gids],
                                    self._table_ham)
-        for v, (st, inputs) in enumerate(zip(self._vertices, self.grid.vertex_inputs)):
+        for v, inputs in enumerate(grid.vertex_inputs):
             x = u[inputs]
-            out[v] = self._vertex_rows(st, x[0], x[1:])
+            out[v] = self._vertex_rows(v, x[0], x[1:])
         return out
 
     def residual_norm(self, u) -> float:
@@ -452,22 +456,23 @@ class ResidualSystem:
         represented in floating point, which near the smallest steps differs
         from the nominal one by about 1e-3 relative.
         """
-        nv = len(self._vertices)
-        h, uc = self._h, u[nv:]
-        pc = 0.5 * ((uc - u[self._left]) / h + (u[self._right] - uc) / h)
+        nv, grid = len(self._vertices), self.grid
+        xs, h, _ = grid.edge_table
+        uc = u[nv:]
+        pc = 0.5 * ((uc - u[grid.left_gids]) / h + (u[grid.right_gids] - uc) / h)
         dp = step / (2.0 * h)
         hi, lo = pc + dp, pc - dp
-        q = (self._table_ham(self._x, hi) - self._table_ham(self._x, lo)) / (hi - lo)
+        q = (self._table_ham(xs, hi) - self._table_ham(xs, lo)) / (hi - lo)
         dq = q / (2.0 * h)
         blocks = [self.own_coeff[nv:], self._left_coeff - dq, self._right_coeff + dq]
-        for st, inputs in zip(self._vertices, self.grid.vertex_inputs):
+        for v, inputs in enumerate(grid.vertex_inputs):
             m = len(inputs)
-            if st.strong:
+            if self._vertices[v].strong:
                 blocks.append(np.eye(1, m)[0])
                 continue
             # input sets 0..m-1 move input i up by step, m..2m-1 down
             x, eye = u[inputs], np.eye(m)
-            r = self._vertex_moved(st, x, np.concatenate([step * eye, -step * eye]))
+            r = self._vertex_moved(v, x, np.concatenate([step * eye, -step * eye]))
             blocks.append((r[:m] - r[m:]) / ((x + step) - (x - step)))
         return np.concatenate(blocks)
 
@@ -496,27 +501,26 @@ class ResidualSystem:
         node order, then the row's own entry, then by row.
         """
         rng = np.random.default_rng(0) if rng is None else rng
-        nv = len(self._vertices)
-        u = rng.uniform(-PROBE_SCALE, PROBE_SCALE,
-                        size=(n_samples, self.grid.total_nodes))
+        nv, grid = len(self._vertices), self.grid
+        u = rng.uniform(-PROBE_SCALE, PROBE_SCALE, size=(n_samples, grid.total_nodes))
         # edge rows: unperturbed, then own, left and right input + step
         step = PROBE_STEP
-        um, uc, up = u[:, self._left], u[:, nv:], u[:, self._right]
+        um, uc, up = u[:, grid.left_gids], u[:, nv:], u[:, grid.right_gids]
         r = self._edge_rows(slice(None), np.concatenate([um, um, um + step, um]),
                             np.concatenate([uc, uc + step, uc, uc]),
                             np.concatenate([up, up, up, up + step]),
                             self._table_ham).reshape(4, *uc.shape)
         deltas = [(r[1:] - r[0]).transpose(1, 0, 2).reshape(n_samples, -1)]
-        for st, inputs in zip(self._vertices, self.grid.vertex_inputs):
+        for v, inputs in enumerate(grid.vertex_inputs):
             m = len(inputs)
-            if st.strong:
+            if self._vertices[v].strong:
                 deltas.append(np.zeros((n_samples, m)))
                 continue
             # input set 0 unperturbed, set 1 + i with input i + step
-            r = self._vertex_moved(st, u[:, inputs], np.vstack([np.zeros(m), step * np.eye(m)]))
+            r = self._vertex_moved(v, u[:, inputs], np.vstack([np.zeros(m), step * np.eye(m)]))
             deltas.append(r[:, 1:] - r[:, :1])
         delta = np.concatenate(deltas, axis=1)
-        rows, cols = self.grid.rows, self.grid.cols
+        rows, cols = grid.rows, grid.cols
         own = rows == cols
         bad = np.where(own, delta < -PROBE_TOL, delta > PROBE_TOL) | ~np.isfinite(delta)
         if not bad.any():
@@ -540,7 +544,7 @@ def resolve_relaxed_edges(problem: NetworkProblem, eps: float,
     out = {}
     for v in problem.network.vertices:
         incs = problem.network.incidence[v.id]
-        flat = [problem.a_at_vertex(v.id, inc.edge.id) + eps == 0.0 for inc in incs]
+        flat = [problem.a_at_incidence(inc) + eps == 0.0 for inc in incs]
         if v.kind == INTERIOR:
             out[v.id] = tuple(i for i, f in enumerate(flat) if f and junction_mode == "minmax")
         else:

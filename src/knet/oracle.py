@@ -27,7 +27,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
-from .discretization import (JUNCTION_MODES, Grid, GridFunction, assemble,
+from .discretization import (JUNCTION_MODES, Grid, GridFunction, assemble, check_nodes,
                              resolve_relaxed_edges)
 from .errors import NonPositiveError, ProblemNotLinear, SingularSystem
 from .problem import NetworkProblem
@@ -194,6 +194,19 @@ def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
                                junction_mode=junction_mode)
 
 
+def check_resolutions(resolutions) -> list:
+    """resolutions, node counts, as a list.  ValueError unless there are at
+    least 3, each one check_nodes takes, none repeated (no order lies
+    between equal h)."""
+    for nodes in resolutions:
+        check_nodes(nodes)
+    if len(resolutions) < 3:
+        raise ValueError(f"need at least 3 resolutions, got {list(resolutions)}")
+    if len(set(resolutions)) < len(resolutions):
+        raise ValueError(f"repeated resolution in {list(resolutions)}")
+    return list(resolutions)
+
+
 def convergence_table(problem: NetworkProblem, resolutions, exact=None,
                       config: Optional[SolveConfig] = None, eps: float = 0.0,
                       junction_mode: str = JUNCTION_MODES[0]) -> list:
@@ -210,12 +223,11 @@ def convergence_table(problem: NetworkProblem, resolutions, exact=None,
     from the previous solution prolonged, so iterations and wall time
     measure Newton's correction of that start.  Under the default config
     the fine-grid references continue the chain (fine_grid_reference);
-    under any other config each is solved with no start given.  A repeated
-    node count raises ValueError: the order between equal h is undefined."""
+    under any other config each is solved with no start given.  Resolutions
+    check_resolutions rejects raise ValueError."""
+    check_resolutions(resolutions)
     config = config or SolveConfig()
     ascending = sorted(resolutions)
-    if len(set(ascending)) < len(ascending):
-        raise ValueError(f"repeated resolution in {list(resolutions)}")
     runs, warm = {}, None
     for nodes in ascending:
         system = assemble(problem, Grid(problem.network, nodes), eps=eps,

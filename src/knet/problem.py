@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidCoefficientSign, VertexNotInterior
-from .network import BOUNDARY, INTERIOR, Network
+from .network import INTERIOR, Incidence, Network
 
 LATTICE_RESOLUTION = 16  # validate_problem's x-samples per edge
 P_RANGE = 8.0  # validate_problem samples slopes on [-P_RANGE, P_RANGE]
@@ -295,19 +295,16 @@ class NetworkProblem:
             if v.id not in self.dirichlet:
                 raise ValueError(f"missing Dirichlet datum at vertex {v.id}")
 
-    def a_at_vertex(self, vid: int, eid: int) -> float:
-        inc = next(i for i in self.network.incidence[vid] if i.edge.id == eid)
-        return float(self.diffusions[eid].a(inc.vertex_param))
+    def a_at_incidence(self, inc: Incidence) -> float:
+        """The diffusion of inc's edge at inc's vertex."""
+        return float(self.diffusions[inc.edge.id].a(inc.vertex_param))
 
     def degenerate_set(self, vid: int):
         """Incident edges whose diffusion vanishes at the vertex."""
         if self.network.vertex(vid).kind != INTERIOR:
             raise VertexNotInterior(f"vertex {vid} is not interior")
-        return tuple(
-            inc.edge.id
-            for inc in self.network.incidence[vid]
-            if self.a_at_vertex(vid, inc.edge.id) == 0.0
-        )
+        return tuple(inc.edge.id for inc in self.network.incidence[vid]
+                     if self.a_at_incidence(inc) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +463,7 @@ def validate_problem(problem: NetworkProblem) -> ValidationReport:
     # boundary assumption: a(v) > 0 or coercive Hamiltonian
     for v in problem.network.boundary_vertices:
         inc = problem.network.incidence[v.id][0]
-        ok = (problem.a_at_vertex(v.id, inc.edge.id) > 0.0
-              or problem.hamiltonians[inc.edge.id].coercive)
+        ok = problem.a_at_incidence(inc) > 0.0 or problem.hamiltonians[inc.edge.id].coercive
         entries.append(CheckEntry("boundary_elliptic_or_coercive",
                                   f"vertex {v.id}", ok,
                                   None if ok else {"edge": inc.edge.id}))

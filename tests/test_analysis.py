@@ -183,17 +183,17 @@ def test_probe_constant_solution_passes(catalog):
 
 def test_probe_reads_vertex_constants_once(monkeypatch, catalog):
     """A vertex probe reads the vertex's constants once per call: the number
-    of a_at_vertex calls does not depend on the number of active probes."""
+    of a_at_incidence calls does not depend on the number of active probes."""
     problem = catalog["star3_constant"].problem
     grid = Grid(problem.network, 21)
     u = GridFunction.full(grid, 1.0)
     calls = []
-    original = NetworkProblem.a_at_vertex
+    original = NetworkProblem.a_at_incidence
 
     def counted(self, *args):
         calls.append(args)
         return original(self, *args)
-    monkeypatch.setattr(NetworkProblem, "a_at_vertex", counted)
+    monkeypatch.setattr(NetworkProblem, "a_at_incidence", counted)
     seen = {}
     for label, probes in (("one", default_probe_grid()[:1]), ("all", default_probe_grid())):
         calls.clear()
@@ -233,7 +233,7 @@ def _reference_vertex_probe(problem, u, vid, side):
         vals = [problem.lam * u0 + float(problem.hamiltonians[i.edge.id](
                     i.vertex_param, i.sign * slope))
                 for i in incs
-                if not interior or problem.a_at_vertex(vid, i.edge.id) == 0.0]
+                if not interior or problem.a_at_incidence(i) == 0.0]
         vals.append(problem.kirchhoff[vid](u0, np.full(len(incs), slope))
                     if interior else u0 - problem.dirichlet[vid])
         margin = min(vals) if side == "sub" else -max(vals)

@@ -52,6 +52,35 @@ def test_grid_mixed_resolution():
     assert grid.h == pytest.approx(0.25)
 
 
+def test_grid_tables_equal_the_per_edge_lattices():
+    """On a grid with its own node count per edge, each edge's slice of the
+    edge table holds its interior coords, spacing and spacing**2 bit for
+    bit, node_location reads them, each vertex's incidence geometry holds
+    its edges' spacing, inward sign and end coordinate, and the two sweep
+    classes split every edge's interior nodes into alternate ones."""
+    net = entry_by_name("graph5_constant").problem.network
+    grid = Grid(net, {e.id: 3 + 2 * e.id + e.id % 2 for e in net.edges})
+    nv = len(net.vertices)
+    x, h, hsq = grid.edge_table
+    for eid, s in grid.edge_slices.items():
+        ids, t, step = grid.node_ids[eid], grid.coords[eid], grid.spacing[eid]
+        assert np.array_equal(np.arange(s.start, s.stop) + nv, ids[1:-1])
+        assert np.array_equal(x[s], t[1:-1])
+        assert np.array_equal(h[s], np.full(len(ids) - 2, step))
+        assert np.array_equal(hsq[s], np.full(len(ids) - 2, step ** 2))
+        assert [grid.node_location(g) for g in ids[1:-1]] == [(eid, ti) for ti in t[1:-1]]
+        classes = [np.intersect1d(c, np.arange(s.start, s.stop)) for c in grid.sweep_classes]
+        assert np.array_equal(classes[0], np.arange(s.start, s.stop, 2))
+        assert np.array_equal(classes[1], np.arange(s.start + 1, s.stop, 2))
+    assert sum(s.stop - s.start for s in grid.edge_slices.values()) == len(x)
+    for v, (hs, signs, x_at_v) in zip(net.vertices, grid.incidence_geometry):
+        incs = net.incidence[v.id]
+        assert np.array_equal(hs, [grid.spacing[i.edge.id] for i in incs])
+        assert np.array_equal(signs, [1.0 if i.at_tail else -1.0 for i in incs])
+        assert np.array_equal(x_at_v, [grid.coords[i.edge.id][0 if i.at_tail else -1]
+                                       for i in incs])
+
+
 def test_grid_rejects_too_few_nodes():
     with pytest.raises(ValueError):
         Grid(star_junction(2), 2)
@@ -231,7 +260,7 @@ def _reference_inward_slopes(system, gid, u):
         ham, h = problem.hamiltonians[eid], grid.spacing[eid]
         ids = grid.node_ids[eid]
         d_i = (float(u[ids[1] if inc.at_tail else ids[-2]]) - uv) / h
-        a = problem.a_at_vertex(v.id, eid) + system.eps
+        a = problem.a_at_incidence(inc) + system.eps
         if a > 0.0 and a >= 0.5 * ham.lipschitz_p * h:
             sign = 1.0 if inc.at_tail else -1.0
             d_i -= 0.5 * h * (problem.lam * uv + float(ham(inc.vertex_param, sign * d_i))) / a
@@ -260,12 +289,12 @@ def _reference_vertex_row(system, gid, u, mode):
         res = problem.kirchhoff[v.id](uv, d)
         if mode == "minmax":
             for i, inc in enumerate(incs):
-                if problem.a_at_vertex(v.id, inc.edge.id) + eps == 0.0:
+                if problem.a_at_incidence(inc) + eps == 0.0:
                     res = max(res, clause(i, float(d[i])))
         return float(res)
     g = problem.dirichlet.get(v.id, 0.0)
     eid = incs[0].edge.id
-    if problem.a_at_vertex(v.id, eid) + eps > 0.0 or not problem.hamiltonians[eid].coercive:
+    if problem.a_at_incidence(incs[0]) + eps > 0.0 or not problem.hamiltonians[eid].coercive:
         return uv - g
     d = _reference_inward_slopes(system, gid, u)
     return float(max(uv - g, clause(0, float(d[0]))))

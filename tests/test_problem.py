@@ -461,7 +461,7 @@ def test_problem_from_json():
     assert problem.hamiltonians[0].coercive
     assert problem.kirchhoff[0].family == "affine"
     assert problem.dirichlet[2] == 1.0
-    assert problem.a_at_vertex(0, 1) == pytest.approx(0.0)
+    assert problem.a_at_incidence(net.incidence[0][1]) == pytest.approx(0.0)
 
 
 def test_problem_from_json_polynomial_diffusion():

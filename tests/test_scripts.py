@@ -85,10 +85,11 @@ def test_convergence_study_csv_goes_through_the_cli_writer(tmp_path, monkeypatch
     assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
 
-@pytest.mark.parametrize("resolutions", ["2,3,5", "21,21,41", "21,41,41"])
+@pytest.mark.parametrize("resolutions", ["2,3,5", "21,21,41", "21,41,41", "11,21"])
 def test_convergence_study_rejects_bad_resolutions(capsys, resolutions):
-    """Counts below 3 and repeated counts are usage errors: exit 2 with the
-    reason, before anything is solved."""
+    """Counts below 3, repeated counts and fewer than 3 counts are usage
+    errors, as in knet convergence-table: exit 2 with the reason, before
+    anything is solved."""
     study = _load("convergence_study")
     with pytest.raises(SystemExit) as exc:
         study.main(["--entries", "star3_mixed", "--resolutions", resolutions])

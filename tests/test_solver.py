@@ -497,6 +497,20 @@ def test_minmax_multistart_converges_from_every_offset_at_161(system_cached):
     assert all(r.converged for r in runs), [r.message for r in runs]
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "Newton's line search stalls at residual 2.41e-10 > threshold 1e-10"))
+def test_graph5_newton_from_minus_one_converges_at_641(system_cached):
+    """Newton alone, from u = -1, on graph5_constant at n = 641 under
+    "minmax"; it converged in 17 iterations before the network-form linear
+    solve.  Every edge has a = 0, so the diffusion's round-off floor does
+    not explain the stall.  The cause is open, likely the edge rows'
+    Jacobian (the roadmap item on Newton's edge rows): H's central quotient
+    is no element of the generalized Jacobian near the kink of |p|."""
+    system = system_cached("graph5_constant", 641, junction_mode="minmax")
+    res = newton_solve(system, SolveConfig(), GridFunction.full(system.grid, -1.0))
+    assert res.converged, res.message
+
+
 def test_fallback_rescues_converge(system_cached):
     """Solves that Newton alone fails on the target grid and the
     sweep-warmed hybrid rescues: from +10 under minmax, graph5_constant by
@@ -626,25 +640,41 @@ def test_continuation_step_falls_back_to_hybrid(monkeypatch, system_cached,
     np.testing.assert_array_equal(res.u.values, hybrid.u.values)
 
 
+GRID_TABLES = ("border", "edge_slices", "edge_table", "sweep_classes", "incidence_geometry")
+
+
 def test_viscosity_schedule_builds_its_border_index_once(monkeypatch):
     """The base and every step are assembled on one grid, which builds its
     border index, the layout of the network form, once, for every Jacobian
-    of every step."""
+    of every step.  So it builds each of its geometry tables once, for
+    every system assembled on it, the sweep classes included."""
     import knet.discretization as disc
 
-    calls = []
-    real = disc.Grid.border.func
-    counted = functools.cached_property(lambda grid: calls.append(1) or real(grid))
-    counted.__set_name__(disc.Grid, "border")
-    monkeypatch.setattr(disc.Grid, "border", counted)
+    calls = {name: 0 for name in GRID_TABLES}
+
+    def count(name):
+        real = getattr(disc.Grid, name).func
+
+        def built(grid):
+            calls[name] += 1
+            return real(grid)
+        counted = functools.cached_property(built)
+        counted.__set_name__(disc.Grid, name)
+        monkeypatch.setattr(disc.Grid, name, counted)
+
+    for name in GRID_TABLES:
+        count(name)
     jacobians = []
     real_jacobian = solver._fd_jacobian
     monkeypatch.setattr(solver, "_fd_jacobian",
                         lambda *a: jacobians.append(1) or real_jacobian(*a))
-    sweep = vanishing_viscosity(entry_by_name("star3_mixed").problem, 11,
-                                [0.5 ** k for k in range(4)])
+    problem = entry_by_name("star3_mixed").problem
+    sweep = vanishing_viscosity(problem, 11, [0.5 ** k for k in range(4)])
     assert all(s.result.converged for s in sweep.steps)
-    assert len(jacobians) > len(sweep.steps) and len(calls) == 1
+    for eps in (0.0, 0.5):
+        sweep_solve(assemble(problem, sweep.base.u.grid, eps=eps), SolveConfig(max_sweeps=2))
+    assert len(jacobians) > len(sweep.steps)
+    assert calls == {name: 1 for name in GRID_TABLES}
 
 
 def test_warm_start_reuses_profile(system_cached, solve_cached):
