@@ -61,13 +61,14 @@ def main(argv=None):
             print(f"  {r['nodes']:>6} {r['h']:>10.4g} {r['error']:>12.4e} "
                   f"{r['order']:>7.3f} {r['iterations']:>6} "
                   f"{r['wall_time']:>7.2f}s"
-                  + ("" if r["converged"] else "  NOT CONVERGED")
+                  + ("" if r["converged"] else f"  NOT CONVERGED: {r['message']}")
                   + ("" if r["reference_converged"] else "  REFERENCE NOT CONVERGED"))
 
     if args.csv:
         # the CLI's writer: a reader sees the old file or the whole new one
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(all_rows[0]))
+        writer = csv.DictWriter(buf, fieldnames=[k for k in all_rows[0] if k != "message"],
+                                extrasaction="ignore")
         writer.writeheader()
         writer.writerows(all_rows)
         _atomic_write(args.csv, buf.getvalue())

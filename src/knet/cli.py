@@ -3,8 +3,11 @@
 Subcommands: solve, oracle, sweep-epsilon, convergence-table, verify.
 Configs are JSON (network / problem / grid / solver / analysis sections, or
 a catalog entry name); solution profiles and tables are CSV; every run
-writes a manifest listing its outputs.  Exit codes: 0 success, 1 solver
-non-convergence, 2 verification FAIL, 3 malformed input.
+writes a manifest listing its outputs.  main() alone turns an exception
+into an exit code: 0 success; 1 a solve that did not converge, with its
+outputs, its manifest and the solver's reason; 2 verify FAIL verdicts; 3
+bad input, a KnetError (failed certification too) or an OSError (an output
+that cannot be written).  No input ends in a traceback.
 """
 
 from __future__ import annotations
@@ -48,10 +51,6 @@ CSV_SCHEMAS = {
 def _fail(code: int, message: str) -> int:
     print(f"code:{code} {message}", file=sys.stderr)
     return code
-
-
-class _BadInput(Exception):
-    """Malformed input; main() turns it into exit 3."""
 
 
 def _atomic_write(path: str, text: str):
@@ -100,7 +99,7 @@ def parse_epsilon_schedule(spec: str):
     if len(parts) != 4 or parts[0] != "g":
         raise ValueError(f"bad schedule {spec!r}, expected g:start:ratio:count")
     start, ratio, count = float(parts[1]), float(parts[2]), int(parts[3])
-    if start <= 0 or not 0 < ratio < 1 or count < 1:
+    if not 0 < start < np.inf or not 0 < ratio < 1 or count < 1:
         raise ValueError(f"bad schedule parameters in {spec!r}")
     return [start * ratio ** k for k in range(count)]
 
@@ -121,8 +120,8 @@ def read_solution_csv(path: str, network: Network) -> GridFunction:
     the grid its rows describe: an edge's row count is its node count.
     Every network edge needs rows and no other edge may appear; an edge's
     t column, sorted, must be its grid coordinates to 1e-12 x the edge
-    length, and edges must agree at a shared vertex.  Otherwise ValueError,
-    naming the edges and any vertex."""
+    length, and edges must agree at a shared vertex; every number must be
+    finite.  Otherwise ValueError, naming the edges and any vertex."""
     with open(path) as fh:
         header = fh.readline().strip()
         body = fh.read()
@@ -135,6 +134,8 @@ def read_solution_csv(path: str, network: Network) -> GridFunction:
     if data.shape[1] != 3:
         raise ValueError(f"solution CSV rows have {data.shape[1]} columns, "
                          "expected 3")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("solution CSV has non-finite values")
     eids = data[:, 0]
     unknown = set(eids.tolist()) - {e.id for e in network.edges}
     if unknown:
@@ -159,7 +160,7 @@ def read_solution_csv(path: str, network: Network) -> GridFunction:
         values[grid.node_ids[e.id]] = rows[:, 2]
         for vid, u in ((e.tail, rows[0, 2]), (e.head, rows[-1, 2])):
             eid, first = at_vertex.setdefault(vid, (e.id, u))
-            if first != u and not (np.isnan(first) and np.isnan(u)):
+            if first != u:
                 raise ValueError(f"solution CSV edges {eid} and {e.id} disagree "
                                  f"at vertex {vid}: u = {first:.17g} and {u:.17g}")
     return GridFunction(grid, values)
@@ -167,6 +168,15 @@ def read_solution_csv(path: str, network: Network) -> GridFunction:
 
 # ---------------------------------------------------------------------------
 # Config loading
+
+
+def _finite(literal: str) -> float:
+    """A config number as a float; ValueError for NaN, Infinity or 1e400,
+    which Python's json reads although standard JSON has no such value."""
+    value = float(literal)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite number {literal} in the config")
+    return value
 
 
 def integer(value) -> int:
@@ -202,19 +212,17 @@ def _options(solver: dict):
             SolveConfig(**{k: solver[k] for k in ("tol", "max_sweeps", "method") if k in solver}))
 
 
-INPUT_ERRORS = (OSError, KeyError, TypeError, ValueError, KnetError)  # JSON errors are ValueErrors
-
-
 def _inputs(args, *parsers):
     """The config at args.config, read in one pass with each flag set over
     its key: its problem, its catalog entry's exact solution (or None), the
     options the subcommand reads (its parser's) as _options, nodes per edge,
-    then parse(args) for each of parsers.  One config may serve every
-    subcommand, so each value is checked, by what reads it (a boolean by no
-    key), before any output directory is made; raises _BadInput."""
+    then parse(args, problem) for each of parsers.  One config may serve
+    every subcommand, so each value is checked, by what reads it (a boolean
+    by no key), before the output directory (verify's: the report's) is
+    made; raises KnetError."""
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
         _check_keys(cfg, TOP_LEVEL, "config key")
         entry = (entry_by_name(cfg["catalog"]) if "catalog" in cfg else CatalogEntry(
             "config", problem_from_json(cfg["problem"], network_from_json(cfg["network"]))))
@@ -235,11 +243,11 @@ def _inputs(args, *parsers):
             check_window(whole["analysis"]["window"])
         read = {name: {k: v for k, v in opts.items() if hasattr(args, k)}
                 for name, opts in whole.items()}
-        extra = [parse(args) for parse in parsers]
-    except INPUT_ERRORS as exc:
-        raise _BadInput(exc) from exc
-    if hasattr(args, "output_dir"):
-        os.makedirs(args.output_dir, exist_ok=True)
+        extra = [parse(args, entry.problem) for parse in parsers]
+        os.makedirs(args.output_dir if hasattr(args, "output_dir")
+                    else os.path.dirname(os.path.abspath(args.report)), exist_ok=True)
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise KnetError(exc) from exc  # JSON: ValueError, or float() of a huge int
     return (cfg, entry.problem, entry.exact, read, *_options(read["solver"]), nodes, *extra)
 
 
@@ -284,11 +292,7 @@ def cmd_solve(args) -> int:
                    "wall_time": time.perf_counter() - t0})
 
     t0 = time.perf_counter()
-    grid = Grid(problem.network, nodes)
-    try:
-        system = assemble(problem, grid, **scheme)
-    except KnetError as exc:
-        return _fail(EXIT_BAD_INPUT, f"assembly failed: {exc}")
+    system = assemble(problem, Grid(problem.network, nodes), **scheme)
     assemble_stage = {"stage": "assemble", "wall_time": time.perf_counter() - t0}
     t0 = time.perf_counter()
     result = solve_system(system, config)
@@ -312,25 +316,21 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg, problem, _, read, scheme, _, nodes = _inputs(args)
-    try:
-        ref = reference_for(problem, nodes, **scheme)
-    except KnetError as exc:
-        return _fail(EXIT_BAD_INPUT, f"oracle failed: {exc}")
+    ref = reference_for(problem, nodes, **scheme)
     sol_path = os.path.join(args.output_dir, "oracle.csv")
     _atomic_write(sol_path, solution_csv_text(ref.u.on_grid(Grid(problem.network, nodes))))
     write_manifest(args, "oracle", cfg, read, [sol_path],
                    [{"stage": "oracle", "method": ref.method, "meta": ref.meta}])
+    if not ref.meta.get("converged", True):
+        return _fail(EXIT_NO_CONVERGENCE, "a fine-grid reference did not converge")
     return EXIT_OK
 
 
 def cmd_sweep_epsilon(args) -> int:
     cfg, problem, _, read, scheme, config, nodes, schedule = _inputs(
-        args, lambda a: parse_epsilon_schedule(a.epsilon_schedule))
+        args, lambda a, _: parse_epsilon_schedule(a.epsilon_schedule))
     read["solver"]["epsilon_schedule"] = schedule
-    try:
-        sweep = vanishing_viscosity(problem, nodes, schedule, config=config, **scheme)
-    except KnetError as exc:
-        return _fail(EXIT_BAD_INPUT, f"sweep failed: {exc}")
+    sweep = vanishing_viscosity(problem, nodes, schedule, config=config, **scheme)
 
     delta = sweep.deltas[1] if len(sweep.deltas) > 1 else sweep.deltas[0]
     buf = io.StringIO()
@@ -345,14 +345,16 @@ def cmd_sweep_epsilon(args) -> int:
     stages = [{"stage": "sweep", "delta": delta,
                "all_converged": all(s.result.converged for s in sweep.steps)}]
     write_manifest(args, "sweep-epsilon", cfg, read, [table_path, base_path], stages)
-    if not (sweep.base.converged and all(s.result.converged for s in sweep.steps)):
-        return _fail(EXIT_NO_CONVERGENCE, "a viscosity step did not converge")
+    for eps, res in [(0.0, sweep.base)] + [(s.eps, s.result) for s in sweep.steps]:
+        if not res.converged:
+            return _fail(EXIT_NO_CONVERGENCE,
+                         f"solver did not converge at eps={eps:g}: {res.message}")
     return EXIT_OK
 
 
 def cmd_convergence_table(args) -> int:
     cfg, problem, exact, read, scheme, config, _, resolutions = _inputs(
-        args, lambda a: check_resolutions([int(r) for r in a.resolutions.split(",")]))
+        args, lambda a, _: check_resolutions([int(r) for r in a.resolutions.split(",")]))
     read["grid"]["resolutions"] = resolutions
     rows = convergence_table(problem, resolutions, exact, config, **scheme)
     buf = io.StringIO()
@@ -362,29 +364,25 @@ def cmd_convergence_table(args) -> int:
                   f"{r['iterations']}\n")
     table_path = os.path.join(args.output_dir, "convergence.csv")
     _atomic_write(table_path, buf.getvalue())
-    convs = [r["converged"] for r in rows]
     ref_convs = [r["reference_converged"] for r in rows]
     stages = [{"stage": "convergence", "resolutions": resolutions,
                "references": [r["reference"] for r in rows],
                "references_converged": ref_convs,
-               "all_converged": all(convs) and all(ref_convs),
+               "all_converged": all(r["converged"] for r in rows) and all(ref_convs),
                "wall_time": [r["wall_time"] for r in rows]}]
     write_manifest(args, "convergence-table", cfg, read, [table_path], stages)
-    if not all(convs):
-        return _fail(EXIT_NO_CONVERGENCE, "a resolution did not converge")
+    for r in rows:
+        if not r["converged"]:
+            return _fail(EXIT_NO_CONVERGENCE,
+                         f"solver did not converge at n={r['nodes']}: {r['message']}")
     if not all(ref_convs):
         return _fail(EXIT_NO_CONVERGENCE, "a fine-grid reference did not converge")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    _, problem, _, read, scheme, _, _ = _inputs(args)
-    try:
-        u = read_solution_csv(args.solution, problem.network)
-        if not u.is_valid():
-            raise ValueError("solution CSV has missing or non-finite values")
-    except INPUT_ERRORS as exc:
-        return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
+    _, problem, _, read, scheme, _, _, u = _inputs(
+        args, lambda a, p: read_solution_csv(a.solution, p.network))
     system = assemble(problem, u.grid, probe_samples=0, **scheme)
     report = diagnostics_report(problem, u, system=system, **read["analysis"])
     _atomic_write(args.report,
@@ -465,7 +463,7 @@ def main(argv=None) -> int:
         raise
     try:
         return args.func(args)
-    except _BadInput as exc:
+    except (KnetError, OSError) as exc:
         return _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
 
 

@@ -266,9 +266,6 @@ class GridFunction:
                     vals[gid] = ev[pos]
         return cls(grid, vals)
 
-    def is_valid(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
-
     def on_edge(self, eid: int) -> np.ndarray:
         return self.values[self.grid.node_ids[eid]]
 

@@ -68,6 +68,10 @@ class ProblemNotLinear(KnetError):
     pass
 
 
+class GridTooCoarse(KnetError):
+    pass
+
+
 class SingularSystem(KnetError):
     pass
 

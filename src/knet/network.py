@@ -201,8 +201,8 @@ def build_network(vertex_specs, edge_specs) -> Network:
             )
         else:
             eid, a, b, length = int(spec[0]), int(spec[1]), int(spec[2]), float(spec[3])
-        if length <= 0:
-            raise NonPositiveLength(f"edge {eid} has length {length}")
+        if not 0 < length < np.inf:
+            raise NonPositiveLength(f"edge {eid} has length {length}, not finite and > 0")
         if a == b:
             raise DuplicateEdge(f"edge {eid} is a self-loop at vertex {a}")
         pair = (min(a, b), max(a, b))

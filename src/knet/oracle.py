@@ -29,7 +29,7 @@ from scipy.sparse.linalg import spsolve
 
 from .discretization import (JUNCTION_MODES, Grid, GridFunction, assemble, check_nodes,
                              resolve_relaxed_edges)
-from .errors import NonPositiveError, ProblemNotLinear, SingularSystem
+from .errors import GridTooCoarse, NonPositiveError, ProblemNotLinear, SingularSystem
 from .problem import NetworkProblem
 from .solver import SolveConfig, solve_system
 
@@ -60,7 +60,7 @@ def direct_linear_solve(problem: NetworkProblem, nodes_per_edge,
 
     Interior nodes use central second and first differences; vertex slopes
     use the second-order one-sided three-point formula, which needs at
-    least four nodes per edge.
+    least four nodes per edge: GridTooCoarse on fewer.
     """
     net = problem.network
     for v in net.interior_vertices:
@@ -72,7 +72,7 @@ def direct_linear_solve(problem: NetworkProblem, nodes_per_edge,
     grid = Grid(net, nodes_per_edge)
     for eid, n in grid.nodes_per_edge.items():
         if n < 4:
-            raise ValueError(f"edge {eid}: one-sided slopes need >= 4 nodes")
+            raise GridTooCoarse(f"edge {eid}: one-sided slopes need >= 4 nodes")
 
     lam = problem.lam
     n_tot = grid.total_nodes
@@ -168,8 +168,8 @@ def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
                   solved=None) -> ReferenceSolution:
     """The best available reference for the scheme with viscosity eps and
     junction mode junction_mode: the exact profile exact(edge id, t) when
-    eps = 0, else the direct linear solve, else a REFINE-times refined run
-    of the scheme itself.
+    eps = 0, else the direct linear solve where it applies, else a
+    REFINE-times refined run of the scheme itself.
 
     The exact profiles and the direct solve are solutions of the Kirchhoff
     problem.  They serve wherever resolve_relaxed_edges relaxes no junction
@@ -188,7 +188,7 @@ def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
                                      "exact", {})
         try:
             return direct_linear_solve(problem, nodes_per_edge, eps=eps)
-        except ProblemNotLinear:
+        except (ProblemNotLinear, GridTooCoarse):
             pass
     return fine_grid_reference(problem, nodes_per_edge, solved=solved, eps=eps,
                                junction_mode=junction_mode)
@@ -213,10 +213,10 @@ def convergence_table(problem: NetworkProblem, resolutions, exact=None,
     """Solve the scheme at each resolution and measure it against
     reference_for at that resolution.  One dict per resolution, in the
     order given: nodes, h, the sup error, observed_orders' order,
-    iterations, the wall time of the solve, whether it converged, the
-    reference's method and whether the reference converged.  A fine-grid
-    reference is itself a solve: one that stopped short of the tolerance
-    makes its row's error meaningless, as an unconverged run does.
+    iterations, the wall time of the solve, whether it converged and its
+    message, the reference's method and whether the reference converged.
+    A fine-grid reference is itself a solve: one that stopped short of the
+    tolerance makes its row's error meaningless, as an unconverged run does.
 
     The resolutions are solved coarse to fine (nested iteration, Brandt,
     Math. Comp. 31, 1977): the coarsest with no start given, each finer one
@@ -248,6 +248,7 @@ def convergence_table(problem: NetworkProblem, resolutions, exact=None,
         rows.append({"nodes": nodes, "h": res.u.grid.h, "error": sup_error(res.u, ref.u),
                      "order": math.nan, "iterations": res.iterations,
                      "wall_time": wall, "converged": res.converged,
+                     "message": res.message,
                      "reference": ref.method,
                      "reference_converged": ref.meta.get("converged", True)})
     orders = observed_orders([r["h"] for r in rows], [r["error"] for r in rows],

@@ -280,8 +280,8 @@ class NetworkProblem:
     dirichlet: dict  # boundary vertex id -> float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise InvalidCoefficientSign("lam must be positive")
+        if not 0 < self.lam < np.inf:
+            raise InvalidCoefficientSign(f"lam must be finite and positive, got {self.lam}")
         for v in self.network.interior_vertices:
             cond = self.kirchhoff.get(v.id)
             if cond is None:
@@ -292,8 +292,8 @@ class NetworkProblem:
                     f"{self.network.degree(v.id)} at vertex {v.id}"
                 )
         for v in self.network.boundary_vertices:
-            if v.id not in self.dirichlet:
-                raise ValueError(f"missing Dirichlet datum at vertex {v.id}")
+            if not np.isfinite(self.dirichlet.get(v.id, np.nan)):
+                raise ValueError(f"no finite Dirichlet datum at vertex {v.id}")
 
     def a_at_incidence(self, inc: Incidence) -> float:
         """The diffusion of inc's edge at inc's vertex."""

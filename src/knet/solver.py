@@ -60,11 +60,7 @@ METHODS = ("sweep", "newton", "hybrid")  # solve_system's methods
 @dataclass
 class SolveConfig:
     """solve_system's options: method in METHODS, tol finite and > 0,
-    max_sweeps an integer >= 1, else ValueError.  A CLI config's `solver`
-    section sets them and `epsilon` (finite, >= 0) and `junction_mode`,
-    `grid` sets `nodes_per_edge`, `analysis` `window`; the CLI exits 3 on a
-    fractional integer or an unknown key, top-level keys being `catalog`,
-    `network`, `problem` and the sections."""
+    max_sweeps an integer >= 1, else ValueError."""
 
     method: str = "hybrid"
     tol: float = 1e-10
@@ -157,7 +153,8 @@ def build_barriers(system: ResidualSystem) -> Barriers:
 def solve_node(system: ResidualSystem, gid: int, u: np.ndarray) -> float:
     """Root of the node residual in its own value; the residual is strictly
     increasing there, so sign-change bracketing by doubling (from
-    BRACKET_WIDTH, at most MAX_DOUBLINGS times per side) always works.
+    BRACKET_WIDTH, at most MAX_DOUBLINGS times per side) finds it, else
+    LocalRootBracketFailed, with u[gid] as it was.
 
     sweep_solve needs it only at vertex nodes, whose couplings, ghost
     corrections, minmax clauses and state constraints are not affine; an
@@ -174,12 +171,14 @@ def solve_node(system: ResidualSystem, gid: int, u: np.ndarray) -> float:
             break
         lo = center - 2.0 * (center - lo)
     else:
+        u[gid] = center
         raise LocalRootBracketFailed(f"node {gid}: no sign change below")
     for _ in range(MAX_DOUBLINGS):
         if f(hi) >= 0.0:
             break
         hi = center + 2.0 * (hi - center)
     else:
+        u[gid] = center
         raise LocalRootBracketFailed(f"node {gid}: no sign change above")
     root = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
     u[gid] = root
@@ -197,30 +196,33 @@ def sweep_solve(system: ResidualSystem, config: SolveConfig,
                 u0: Optional[GridFunction] = None) -> SolveResult:
     """Odd sweeps solve the vertex nodes in gid order, then edge class 0,
     then class 1; even sweeps the reverse.  The discrete solution is unique
-    (comparison principle), so the order changes the iterates, not the limit."""
+    (comparison principle), so the order changes the iterates, not the limit.
+    A vertex root solve_node cannot bracket ends the run unconverged."""
     u = (GridFunction.zeros(system.grid) if u0 is None else u0.copy()).values
     skip_below = 0.05 * config.tol
     vertices = range(len(system.grid.network.vertices))
     norm = system.residual_norm(u)
-    it = 0
+    it, message = 0, ""
     for it in range(1, config.max_sweeps + 1):
-        if it % 2:
-            _relax_vertices(system, vertices, u, skip_below)
-            system.relax_edge_class(0, u, skip_below)
-            system.relax_edge_class(1, u, skip_below)
-        else:
-            system.relax_edge_class(1, u, skip_below)
-            system.relax_edge_class(0, u, skip_below)
-            _relax_vertices(system, reversed(vertices), u, skip_below)
+        try:
+            if it % 2:
+                _relax_vertices(system, vertices, u, skip_below)
+                system.relax_edge_class(0, u, skip_below)
+                system.relax_edge_class(1, u, skip_below)
+            else:
+                system.relax_edge_class(1, u, skip_below)
+                system.relax_edge_class(0, u, skip_below)
+                _relax_vertices(system, reversed(vertices), u, skip_below)
+        except LocalRootBracketFailed as exc:
+            message = f"could not bracket a vertex root in sweep {it} ({exc})"
         norm = system.residual_norm(u)
-        if norm <= _threshold(config.tol, u):
+        if message or norm <= _threshold(config.tol, u):
             break
     threshold = _threshold(config.tol, u)
-    converged = norm <= threshold
-    message = "" if converged else (
-        f"reached max_sweeps={config.max_sweeps} at residual {norm:.3g} "
-        f"> threshold {threshold:.3g}")
-    return SolveResult(GridFunction(system.grid, u), converged, norm, it,
+    if not (message or norm <= threshold):
+        message = (f"reached max_sweeps={config.max_sweeps} at residual {norm:.3g} "
+                   f"> threshold {threshold:.3g}")
+    return SolveResult(GridFunction(system.grid, u), not message, norm, it,
                        "sweep", message)
 
 
@@ -272,6 +274,9 @@ def spsolve(jac: dict, b: np.ndarray) -> np.ndarray:
 
 def newton_solve(system: ResidualSystem, config: SolveConfig,
                  u0: Optional[GridFunction] = None) -> SolveResult:
+    """Damped Newton from u0 (else zero).  It stops unconverged at a stalled
+    line search, MAX_NEWTON iterations or a singular linearization (a step
+    not counted), returning its last accepted iterate and its residual."""
     u = (GridFunction.zeros(system.grid) if u0 is None else u0.copy()).values
     r = system.residual(u)
     norm = float(np.max(np.abs(r)))
@@ -285,12 +290,16 @@ def newton_solve(system: ResidualSystem, config: SolveConfig,
         # near kinks the linearization error is O(step/h), so polish with a
         # step small against the residual times the mesh size
         step = float(np.clip(0.1 * h * norm, 1e-13, NEWTON_FD_STEP))
-        with np.errstate(all="ignore"):
-            du = spsolve(_fd_jacobian(system, u, step), -r)
-        if not np.all(np.isfinite(du)):
-            raise SingularLinearization("non-finite Newton direction")
+        try:
+            with np.errstate(all="ignore"):
+                du = spsolve(_fd_jacobian(system, u, step), -r)
+            if not np.all(np.isfinite(du)):
+                raise SingularLinearization("non-finite Newton direction")
+        except SingularLinearization as exc:
+            it -= 1
+            message = f"hit a singular linearization ({exc})"
+            break
         t = 1.0
-        accepted = False
         for _ in range(40):
             trial = u + t * du
             r_try = system.residual(trial)
@@ -298,31 +307,19 @@ def newton_solve(system: ResidualSystem, config: SolveConfig,
             if (n_try <= _threshold(config.tol, trial)
                     or n_try < norm * (1.0 - 1e-4 * t)):
                 u, r, norm = trial, r_try, n_try
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             message = f"line search stalled at iteration {it} at residual {norm:.3g}"
             break
-    converged = norm <= _threshold(config.tol, u)
-    if not converged and not message:
+    if not (message or norm <= _threshold(config.tol, u)):
         message = f"reached MAX_NEWTON={MAX_NEWTON} iterations at residual {norm:.3g}"
-    return SolveResult(GridFunction(system.grid, u), converged, norm, it,
+    return SolveResult(GridFunction(system.grid, u), not message, norm, it,
                        "newton", message)
 
 
 # ---------------------------------------------------------------------------
 # Hybrid driver
-
-
-def _newton(system: ResidualSystem, config: SolveConfig, u0) -> SolveResult:
-    """newton_solve, with a singular linearization returned as unconverged."""
-    try:
-        return newton_solve(system, config, u0)
-    except SingularLinearization as exc:
-        u = GridFunction.zeros(system.grid) if u0 is None else u0
-        return SolveResult(u, False, np.inf, 0, "newton",
-                           f"hit a singular linearization ({exc})")
 
 
 def _sweep_warmed(system: ResidualSystem, config: SolveConfig, u0) -> SolveResult:
@@ -332,7 +329,7 @@ def _sweep_warmed(system: ResidualSystem, config: SolveConfig, u0) -> SolveResul
     warm = sweep_solve(system, replace(config, max_sweeps=WARMUP_SWEEPS), u0)
     if warm.converged:
         return warm
-    res = _newton(system, config, warm.u)
+    res = newton_solve(system, config, warm.u)
     if not res.converged:
         last = sweep_solve(system, config, res.u)
         kept = last.residual_norm > res.residual_norm  # sweeps can raise the residual
@@ -362,17 +359,18 @@ def _nested(system: ResidualSystem, config: SolveConfig, u0):
             system.problem, Grid(system.problem.network, coarse), eps=system.eps,
             junction_mode=system.junction_mode, probe_samples=0), config, None)
         u0, spent = cres.u.on_grid(system.grid), cres.iterations
-    res = _newton(system, config, u0)
+    res = newton_solve(system, config, u0)
     counts.append(f"{res.iterations} at {_level_name(system.grid)}")
     return replace(res, iterations=spent + res.iterations), u0, counts
 
 
 def solve_system(system: ResidualSystem, config: Optional[SolveConfig] = None,
                  u0: Optional[GridFunction] = None) -> SolveResult:
-    """Solve by config.method from u0.  The hybrid's message names its start
-    (given, coarser grid or zero), each level's Newton count and, where
-    Newton fails on this grid, the sweep-warmed hybrid run there from the
-    same start."""
+    """Solve by config.method from u0.  No solver exception escapes: a run
+    that fails is an unconverged result whose message says why it stopped.
+    The hybrid's message names its start (given, coarser grid or zero),
+    each level's Newton count and, where Newton fails on this grid, the
+    sweep-warmed hybrid run there from the same start."""
     config = config or SolveConfig()
     if config.method == "sweep":
         return sweep_solve(system, config, u0)

@@ -30,6 +30,7 @@ from knet.cli import (
 )
 from knet.catalog import entry_by_name
 from knet.discretization import Grid, GridFunction
+from knet.network import build_network
 from knet.oracle import ReferenceSolution, fine_grid_reference
 
 
@@ -446,6 +447,133 @@ def test_bad_usage_exits_3(capsys):
     capsys.readouterr()
 
 
+RUNS = ["solve", "oracle", "sweep-epsilon", "convergence-table"]
+
+
+def _run_argv(sub, cfg, outdir, nodes="5"):
+    """sub on config cfg into outdir, on small grids."""
+    return [sub, "--config", cfg, "--output-dir", str(outdir)] + (
+        ["--resolutions", "5,9,17"] if sub == "convergence-table"
+        else ["--nodes-per-edge", nodes])
+
+
+# the lambda of FULL_CONFIG, as Python's json reads it but standard JSON has not
+NON_FINITE_LITERALS = [("NaN", "non-finite number NaN in the config"),
+                       ("Infinity", "non-finite number Infinity in the config"),
+                       ("-Infinity", "non-finite number -Infinity in the config"),
+                       ("1e400", "non-finite number 1e400 in the config"),
+                       ("1" + "0" * 400, "int too large to convert to float")]
+
+
+@pytest.mark.parametrize("sub", RUNS + ["verify"])
+def test_non_finite_number_in_config_exits_3(tmp_path, capsys, sub):
+    """A number standard JSON has no value for is rejected as the config is
+    read, naming the literal: exit 3, no output directory, no report."""
+    text = json.dumps(FULL_CONFIG)
+    assert text.count('"lambda": 1.0') == 1
+    for literal, message in NON_FINITE_LITERALS:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text.replace('"lambda": 1.0', f'"lambda": {literal}'))
+        if sub == "verify":
+            sol = tmp_path / "solution.csv"
+            grid = Grid(build_network([0, 1, 2], FULL_CONFIG["network"]["edges"]), 5)
+            sol.write_text(solution_csv_text(GridFunction.zeros(grid)))
+            argv = ["verify", "--solution", str(sol), "--problem", str(cfg),
+                    "--report", str(tmp_path / "report.json")]
+        else:
+            argv = _run_argv(sub, str(cfg), tmp_path / "out")
+        assert main(argv) == EXIT_BAD_INPUT, (sub, literal)
+        assert f"code:3 bad input: {message}" in capsys.readouterr().err, (sub, literal)
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("sub", RUNS)
+def test_failed_certification_exits_3_under_every_run(tmp_path, capsys, monkeypatch, sub):
+    """One input, one outcome: a scheme that fails certification exits 3
+    with the same message under every subcommand that assembles it."""
+    from knet.discretization import ResidualSystem
+
+    monkeypatch.setattr(ResidualSystem, "certify_monotone",
+                        lambda self, n_samples=3, rng=None: {"node": 0, "direction": 1})
+    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal"})
+    assert main(_run_argv(sub, cfg, tmp_path / "out")) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == ("code:3 bad input: monotone-scheme probe failed: "
+                                       "{'node': 0, 'direction': 1}\n")
+
+
+def _nothing_computed(monkeypatch):
+    """Make any assembly or diagnostics report fail the test."""
+    from knet import cli
+    from knet.discretization import ResidualSystem
+
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the input pass ended")
+
+    monkeypatch.setattr(ResidualSystem, "__init__", computed)
+    monkeypatch.setattr(cli, "diagnostics_report", computed)
+
+
+@pytest.mark.parametrize("sub", RUNS)
+def test_output_dir_naming_a_file_exits_3(tmp_path, capsys, monkeypatch, sub):
+    """An --output-dir that is a file is bad input, found by the input pass
+    before anything is solved."""
+    _nothing_computed(monkeypatch)
+    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal"})
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(_run_argv(sub, cfg, taken)) == EXIT_BAD_INPUT
+    assert "code:3 bad input: [Errno 17] File exists" in capsys.readouterr().err
+
+
+def test_verify_makes_the_report_directory_in_the_input_pass(tmp_path, capsys,
+                                                             monkeypatch):
+    """verify makes a missing parent of --report as a run makes its output
+    directory; one it cannot make (under a file) exits 3 before any
+    diagnostic runs."""
+    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal"})
+    argv = _verify_argv(tmp_path, cfg)
+    report = tmp_path / "new" / "dir" / "report.json"
+    assert main(argv[:-1] + [str(report)]) == EXIT_OK
+    assert report.exists()
+    capsys.readouterr()
+    _nothing_computed(monkeypatch)
+    (tmp_path / "file").write_text("")
+    assert main(argv[:-1] + [str(tmp_path / "file" / "report.json")]) == EXIT_BAD_INPUT
+    assert "code:3 bad input: [Errno 17] File exists" in capsys.readouterr().err
+
+
+def test_report_naming_a_directory_exits_3(tmp_path, capsys):
+    """A --report that is a directory cannot be written: bad input, with
+    the reason, where it used to end in a traceback."""
+    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal"})
+    argv = _verify_argv(tmp_path, cfg)
+    (tmp_path / "taken").mkdir()
+    assert main(argv[:-1] + [str(tmp_path / "taken")]) == EXIT_BAD_INPUT
+    assert "code:3 bad input: [Errno 21] Is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub, where, outputs", [
+    ("solve", "", ["solution.csv"]),
+    ("sweep-epsilon", " at eps=0", ["sweep.csv", "solution_eps0.csv"]),
+    ("convergence-table", " at n=5", ["convergence.csv"]),
+])
+def test_unconverged_solve_exits_1_with_the_solvers_reason(tmp_path, capsys, sub, where,
+                                                           outputs):
+    """A solve that stops short of the tolerance exits 1, naming the
+    solver's reason, after writing its outputs and manifest."""
+    cfg = _write_config(tmp_path, {"catalog": "star3_mixed"})
+    outdir = tmp_path / "out"
+    argv = _run_argv(sub, cfg, outdir, nodes="11") + ["--method", "sweep",
+                                                      "--max-sweeps", "1"]
+    assert main(argv) == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err.startswith(
+        f"code:1 solver did not converge{where}: reached max_sweeps=1 at residual ")
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["outputs"] == [str(outdir / name) for name in outputs + ["manifest.json"]]
+    assert all(os.path.exists(path) for path in manifest["outputs"])
+
+
 def test_deterministic_reruns_byte_identical(tmp_path):
     cfg = _write_config(tmp_path, {"catalog": "star3_eikonal",
                                    "grid": {"nodes_per_edge": 21}})
@@ -530,6 +658,44 @@ def test_oracle_falls_back_to_fine_grid(tmp_path):
     # restricted back onto the requested grid
     rows = list(csv.DictReader((outdir / "oracle.csv").open()))
     assert len(rows) == 3 * 11
+
+
+def test_three_nodes_take_the_fine_grid_reference(tmp_path):
+    """The direct linear solve needs 4 nodes per edge; at 3 a linear
+    problem takes the fine-grid reference under oracle and
+    convergence-table alike."""
+    cfg = _write_config(tmp_path, {"catalog": "star3_linear",
+                                   "grid": {"nodes_per_edge": 3}})
+    assert main(["oracle", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == EXIT_OK
+    stage = json.loads((tmp_path / "o" / "manifest.json").read_text())["stages"][0]
+    assert stage["method"] == "fine-grid"
+    assert main(["convergence-table", "--config", cfg, "--output-dir", str(tmp_path / "t"),
+                 "--resolutions", "3,5,9"]) == EXIT_OK
+    stage = json.loads((tmp_path / "t" / "manifest.json").read_text())["stages"][0]
+    assert stage["references"] == ["fine-grid", "direct-linear", "direct-linear"]
+
+
+def test_oracle_unconverged_reference_exits_1(tmp_path, capsys, monkeypatch):
+    """A fine-grid reference that stopped short of the tolerance (as the
+    n = 1281 reference of star3_loss_elliptic does) fails oracle as it
+    fails convergence-table: exit 1, with the CSV and manifest written."""
+    from knet import cli
+
+    real = cli.reference_for
+
+    def unconverged(*args, **kwargs):
+        ref = real(*args, **kwargs)
+        return ReferenceSolution(ref.u, "fine-grid", {**ref.meta, "converged": False})
+
+    monkeypatch.setattr(cli, "reference_for", unconverged)
+    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal",
+                                   "grid": {"nodes_per_edge": 5}})
+    outdir = tmp_path / "out"
+    assert main(["oracle", "--config", cfg, "--output-dir", str(outdir)]) == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err == "code:1 a fine-grid reference did not converge\n"
+    stage = json.loads((outdir / "manifest.json").read_text())["stages"][0]
+    assert stage["meta"]["converged"] is False
+    assert (outdir / "oracle.csv").exists()
 
 
 def test_oracle_reference_uses_run_epsilon(tmp_path):

@@ -121,8 +121,11 @@ def test_geodesic_rejects_foreign_point(star3, graph5):
 
 
 def test_build_rejects_nonpositive_length():
-    with pytest.raises(NonPositiveLength):
-        build_network(range(2), [(0, 0, 1, 0.0)])
+    """Also a length that is not finite, which made a network of "2
+    components"."""
+    for length in (0.0, float("inf"), float("nan")):
+        with pytest.raises(NonPositiveLength, match="not finite and > 0"):
+            build_network(range(2), [(0, 0, 1, length)])
 
 
 def test_build_rejects_self_loop_and_parallel_edges():

@@ -9,7 +9,7 @@ import pytest
 from knet import oracle, solver
 from knet.catalog import entry_by_name
 from knet.discretization import Grid, GridFunction
-from knet.errors import NonPositiveError, ProblemNotLinear
+from knet.errors import GridTooCoarse, NonPositiveError, ProblemNotLinear
 from knet.network import build_network, star_junction
 from knet.oracle import (
     convergence_table,
@@ -79,7 +79,7 @@ def test_direct_solve_rejects_nonlinear(catalog):
         direct_linear_solve(catalog["star3_eikonal"].problem, 21)
     with pytest.raises(ProblemNotLinear):  # pm-split coupling is piecewise
         direct_linear_solve(catalog["star3_mixed"].problem, 21)
-    with pytest.raises(ValueError):  # one-sided slopes need 4 nodes
+    with pytest.raises(GridTooCoarse):  # one-sided slopes need 4 nodes
         direct_linear_solve(catalog["star2_linear"].problem, 3)
 
 

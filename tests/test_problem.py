@@ -228,10 +228,15 @@ def test_problem_construction_errors():
     with pytest.raises(ValueError):  # missing Dirichlet datum
         NetworkProblem(net, 1.0, hams, diffs,
                        {0: make_kirchhoff("classical", 3)}, {1: 0.0, 2: 0.0})
-    with pytest.raises(InvalidCoefficientSign):
-        NetworkProblem(net, 0.0, hams, diffs,
-                       {0: make_kirchhoff("classical", 3)},
-                       {1: 0.0, 2: 0.0, 3: 0.0})
+    for lam in (0.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidCoefficientSign, match="lam must be finite and positive"):
+            NetworkProblem(net, lam, hams, diffs,
+                           {0: make_kirchhoff("classical", 3)},
+                           {1: 0.0, 2: 0.0, 3: 0.0})
+    for g in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="no finite Dirichlet datum at vertex 3"):
+            NetworkProblem(net, 1.0, hams, diffs,
+                           {0: make_kirchhoff("classical", 3)}, {1: 0.0, 2: 0.0, 3: g})
 
 
 def test_degenerate_set(catalog):

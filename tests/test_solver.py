@@ -10,7 +10,7 @@ import pytest
 from knet import solver
 from knet.catalog import all_entries, entry_by_name, random_problem
 from knet.discretization import Grid, GridFunction, assemble
-from knet.errors import SingularLinearization
+from knet.errors import LocalRootBracketFailed, SingularLinearization
 from knet.problem import validate_problem
 from knet.solver import (
     SolveConfig,
@@ -377,13 +377,77 @@ def test_hybrid_fallback_names_singular_linearization(monkeypatch, system_cached
     def singular(*args, **kwargs):
         raise SingularLinearization("non-finite Newton direction")
 
-    monkeypatch.setattr(solver, "newton_solve", singular)
+    monkeypatch.setattr(solver, "spsolve", singular)
     res = solve_system(system_cached("star3_eikonal", 11))
     assert res.converged
     cause = "newton hit a singular linearization (non-finite Newton direction)"
     assert res.message == ("start: zero; newton iterations per level: 0 at "
                            f"n=11; at n=11 {cause}; ran the sweep-warmed "
                            f"hybrid: {cause}; fell back to sweeps")
+
+
+@pytest.mark.parametrize("method, causes", [
+    ("sweep", ["could not bracket a vertex root in sweep 1 (patched)"]),
+    ("newton", ["hit a singular linearization (patched)"]),
+    ("hybrid", ["hit a singular linearization (patched)",
+                "could not bracket a vertex root in sweep 1 (patched)"]),
+])
+def test_no_solver_exception_escapes_solve_system(monkeypatch, system_cached, method,
+                                                  causes):
+    """A singular linear step or an unbracketed vertex root ends the run
+    unconverged, its message naming the cause, under every method."""
+    def raising(error):
+        def primitive(*args, **kwargs):
+            raise error("patched")
+        return primitive
+
+    monkeypatch.setattr(solver, "spsolve", raising(SingularLinearization))
+    monkeypatch.setattr(solver, "solve_node", raising(LocalRootBracketFailed))
+    system = system_cached("star3_mixed", 11)
+    res = solve_system(system, SolveConfig(method=method))
+    assert not res.converged and res.method == method
+    assert all(cause in res.message for cause in causes), res.message
+    assert res.residual_norm == system.residual_norm(res.u.values)
+
+
+def test_singular_newton_step_keeps_the_last_iterate(monkeypatch, system_cached):
+    """Newton stopped by a singular second step returns its first step's
+    iterate with that iterate's residual, and counts one iteration."""
+    real, calls = solver.spsolve, []
+
+    def singular_second(jac, b):
+        calls.append(1)
+        if len(calls) == 2:
+            raise SingularLinearization("second step")
+        return real(jac, b)
+
+    monkeypatch.setattr(solver, "spsolve", singular_second)
+    system = system_cached("star3_mixed", 41)
+    res = newton_solve(system, SolveConfig())
+    assert not res.converged and res.iterations == 1
+    assert res.message == "hit a singular linearization (second step)"
+    assert res.residual_norm == system.residual_norm(res.u.values)
+    assert res.residual_norm < system.residual_norm(np.zeros(system.grid.total_nodes))
+
+
+def test_sweep_stops_where_a_vertex_root_is_not_bracketed(monkeypatch, system_cached):
+    """With two doublings the bracket around a vertex value 1e3 above its
+    neighbours reaches no sign change: the sweep stops unconverged, and
+    solve_node leaves the value as it found it."""
+    monkeypatch.setattr(solver, "MAX_DOUBLINGS", 2)
+    system = system_cached("star3_mixed", 11)
+    u0 = GridFunction.zeros(system.grid)
+    u0.values[0] = 1e3
+    u = u0.values.copy()
+    with pytest.raises(LocalRootBracketFailed):
+        solve_node(system, 0, u)
+    np.testing.assert_array_equal(u, u0.values)
+    res = sweep_solve(system, SolveConfig(), u0)
+    assert not res.converged and res.iterations == 1
+    assert res.message == ("could not bracket a vertex root in sweep 1 "
+                           "(node 0: no sign change below)")
+    assert res.residual_norm == system.residual_norm(res.u.values)
+    np.testing.assert_array_equal(res.u.values, u0.values)
 
 
 def test_star3_linear_1281_stall_stops_with_diagnosis():
@@ -405,14 +469,14 @@ def test_fallback_keeps_newtons_iterate_when_sweeps_end_higher(monkeypatch, syst
     sweeps from its iterate end near 0.6.  The fallback returns the lower
     of the two and says so."""
     newton_norms = []
-    real = solver._newton
+    real = solver.newton_solve
 
     def recording(*args):
         res = real(*args)
         newton_norms.append(res.residual_norm)
         return res
 
-    monkeypatch.setattr(solver, "_newton", recording)
+    monkeypatch.setattr(solver, "newton_solve", recording)
     system = system_cached("star3_mixed", 641)
     res = solve_system(system, SolveConfig(max_sweeps=20),
                        GridFunction.zeros(system.grid))
@@ -625,7 +689,7 @@ def test_continuation_step_falls_back_to_hybrid(monkeypatch, system_cached,
         def singular(*args, **kwargs):
             raise SingularLinearization("non-finite Newton direction")
 
-        monkeypatch.setattr(solver, "newton_solve", singular)
+        monkeypatch.setattr(solver, "spsolve", singular)
         cause = "hit a singular linearization (non-finite Newton direction)"
     else:
         monkeypatch.setattr(solver, "MAX_NEWTON", 0)
