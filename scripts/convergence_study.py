@@ -67,7 +67,8 @@ def main(argv=None):
     if args.csv:
         # the CLI's writer: a reader sees the old file or the whole new one
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=[k for k in all_rows[0] if k != "message"],
+        writer = csv.DictWriter(buf, fieldnames=[k for k in all_rows[0]
+                                            if not k.endswith("message")],
                                 extrasaction="ignore")
         writer.writeheader()
         writer.writerows(all_rows)

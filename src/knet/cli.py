@@ -32,7 +32,7 @@ from .discretization import (JUNCTION_MODES, Grid, GridFunction, assemble, check
                              check_scheme)
 from .errors import KnetError
 from .network import Network, network_from_json
-from .oracle import check_resolutions, convergence_table, reference_for
+from .oracle import REFINE, check_resolutions, convergence_table, reference_for
 from .problem import problem_from_json, validate_problem
 from .solver import METHODS, SolveConfig, solve_system, vanishing_viscosity
 
@@ -322,7 +322,8 @@ def cmd_oracle(args) -> int:
     write_manifest(args, "oracle", cfg, read, [sol_path],
                    [{"stage": "oracle", "method": ref.method, "meta": ref.meta}])
     if not ref.meta.get("converged", True):
-        return _fail(EXIT_NO_CONVERGENCE, "a fine-grid reference did not converge")
+        return _fail(EXIT_NO_CONVERGENCE, f"fine-grid reference at {ref.grid.level_name} "
+                     f"did not converge: {ref.meta.get('message', '')}")
     return EXIT_OK
 
 
@@ -375,8 +376,11 @@ def cmd_convergence_table(args) -> int:
         if not r["converged"]:
             return _fail(EXIT_NO_CONVERGENCE,
                          f"solver did not converge at n={r['nodes']}: {r['message']}")
-    if not all(ref_convs):
-        return _fail(EXIT_NO_CONVERGENCE, "a fine-grid reference did not converge")
+    for r in rows:
+        if not r["reference_converged"]:
+            return _fail(EXIT_NO_CONVERGENCE,
+                         f"fine-grid reference at n={(r['nodes'] - 1) * REFINE + 1} "
+                         f"did not converge: {r['reference_message']}")
     return EXIT_OK
 
 

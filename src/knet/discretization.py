@@ -16,13 +16,23 @@ equation); none elsewhere.  A boundary row with no relaxed edge is the
 strong equation u_v = g and reads no slope.  The problem fixes the
 Lax-Friedrichs dissipation too: theta on each edge is its H's lipschitz_p.
 
-Every assembled system is certified monotone by finite-difference
-perturbation probes: the residual at a node is nondecreasing in the node's
-own value and nonincreasing in every other node's value.  The probe moves
-each row's own inputs, one at a time, and evaluates the rows directly: all
-edge rows of every sample and perturbation in one stacked table call, and
-each vertex row in one call of the vertex formula, which takes a batch of
-input sets (ResidualSystem._vertex_rows).
+Every assembled system is certified monotone: the residual at a node is
+nondecreasing in the node's own value and nonincreasing in every other
+node's value.  The edge rows are certified by their stencil.  With q the
+slope of H at the central slope, an edge row's own slope lam +
+2(a+eps)/h^2 + theta/h is > 0, and its cross slopes -(a+eps)/h^2 +- q/(2h)
+- theta/(2h) are both <= 0 for every u exactly when |q| <= theta +
+2(a+eps)/h.  So the edge rows are monotone when each edge's Hamiltonian
+bounds |q| by a slope_bound <= theta, a + eps is finite and >= 0, and H is
+finite on the edge's nodes at p = 0 (ResidualSystem.stencil_certificate).
+A vertex row's coupling, ghost corrections and relaxed clauses change with
+eps, so the vertex rows are probed by finite differences: each row's own
+inputs move, one at a time, in one call of the vertex formula, which takes
+a batch of input sets (ResidualSystem._vertex_rows).  Where the stencil
+certifies nothing (a custom H, or a bound above theta) or a vertex row
+shows a violation, the witness is that of probe_monotone, which probes
+every row the same way, the edge rows of every sample and perturbation in
+one stacked table call.
 
 Each residual row reads only the inputs its stencil names, and the grid
 lists them once, as Grid.rows and Grid.cols in stencil order: three blocks
@@ -128,6 +138,11 @@ class Grid:
             np.full(len(c), v) for v, c in enumerate(self.vertex_inputs)])
         self.cols = np.concatenate([edge, self.left_gids, self.right_gids,
                                     *self.vertex_inputs])
+
+    @property
+    def level_name(self) -> str:
+        """The grid's node counts per edge, as "n=21" or "n=5/9"."""
+        return "n=" + "/".join(map(str, sorted(set(self.nodes_per_edge.values()))))
 
     def vertex_gid(self, vid: int) -> int:
         return self.vertex_index[vid]
@@ -483,8 +498,33 @@ class ResidualSystem:
             return "junction"
         return "boundary-relaxed" if st.relaxed else "boundary-strong"
 
+    def stencil_certificate(self) -> bool:
+        """Whether the stencil alone makes every edge row monotone (see the
+        module docstring): each edge's slope_bound is at most its theta, a +
+        eps >= 0, and own_coeff is finite.  own_coeff is read off the row
+        formula at central slope 0, so it is finite exactly when H is finite
+        at p = 0 on every edge node and so is the own slope lam +
+        2(a+eps)/h^2 + theta/h; no H is evaluated here."""
+        return (all(ham.slope_bound is not None and ham.slope_bound <= ham.lipschitz_p
+                    for _, ham in self._hams)
+                and bool(np.all(self._a >= 0.0)) and bool(np.isfinite(self.own_coeff).all()))
+
     def certify_monotone(self, n_samples: int = 3, rng=None):
-        """Perturbation probe of the monotone-scheme property.
+        """Certify the monotone-scheme property: the edge rows by
+        stencil_certificate, the vertex rows by probe_monotone's probe of
+        them alone, on the same n_samples draws of u.  Any violation that
+        probe finds, the full probe finds too, and where the stencil
+        certifies nothing or a vertex row violates, the result is
+        probe_monotone's witness on those draws: None when there is none.
+        The caller's rng advances by the n_samples draws either way."""
+        u = self._probe_draws(n_samples, rng)
+        if self.stencil_certificate() and not self._violations(
+                self._probe_deltas(u, edges=False)).any():
+            return None
+        return self._probe_witness(u)
+
+    def probe_monotone(self, n_samples: int = 3, rng=None):
+        """Perturbation probe of the monotone-scheme property on every row.
 
         Draws every sample up front, so the caller's rng advances by n_samples
         draws of u even when sample 0 fails.  Each sample raises every input of
@@ -497,17 +537,29 @@ class ResidualSystem:
         describing the violating (sample, node, row, direction): the first in
         node order, then the row's own entry, then by row.
         """
+        return self._probe_witness(self._probe_draws(n_samples, rng))
+
+    def _probe_draws(self, n_samples: int, rng):
+        """n_samples grid functions, uniform on [-PROBE_SCALE, PROBE_SCALE]:
+        rng's next draws, or with no rng default_rng(0)'s first."""
         rng = np.random.default_rng(0) if rng is None else rng
+        return rng.uniform(-PROBE_SCALE, PROBE_SCALE, size=(n_samples, self.grid.total_nodes))
+
+    def _probe_deltas(self, u, edges: bool = True) -> np.ndarray:
+        """Per sample of u, each row's change when one of its inputs rises by
+        PROBE_STEP, in stencil order: the edge rows' three blocks (left out
+        unless edges), then the vertex rows'."""
         nv, grid = len(self._vertices), self.grid
-        u = rng.uniform(-PROBE_SCALE, PROBE_SCALE, size=(n_samples, grid.total_nodes))
-        # edge rows: unperturbed, then own, left and right input + step
-        step = PROBE_STEP
-        um, uc, up = u[:, grid.left_gids], u[:, nv:], u[:, grid.right_gids]
-        r = self._edge_rows(slice(None), np.concatenate([um, um, um + step, um]),
-                            np.concatenate([uc, uc + step, uc, uc]),
-                            np.concatenate([up, up, up, up + step]),
-                            self._table_ham).reshape(4, *uc.shape)
-        deltas = [(r[1:] - r[0]).transpose(1, 0, 2).reshape(n_samples, -1)]
+        n_samples, step = len(u), PROBE_STEP
+        deltas = []
+        if edges:
+            # edge rows: unperturbed, then own, left and right input + step
+            um, uc, up = u[:, grid.left_gids], u[:, nv:], u[:, grid.right_gids]
+            r = self._edge_rows(slice(None), np.concatenate([um, um, um + step, um]),
+                                np.concatenate([uc, uc + step, uc, uc]),
+                                np.concatenate([up, up, up, up + step]),
+                                self._table_ham).reshape(4, *uc.shape)
+            deltas.append((r[1:] - r[0]).transpose(1, 0, 2).reshape(n_samples, -1))
         for v, inputs in enumerate(grid.vertex_inputs):
             m = len(inputs)
             if self._vertices[v].strong:
@@ -516,12 +568,22 @@ class ResidualSystem:
             # input set 0 unperturbed, set 1 + i with input i + step
             r = self._vertex_moved(v, u[:, inputs], np.vstack([np.zeros(m), step * np.eye(m)]))
             deltas.append(r[:, 1:] - r[:, :1])
-        delta = np.concatenate(deltas, axis=1)
-        rows, cols = grid.rows, grid.cols
-        own = rows == cols
-        bad = np.where(own, delta < -PROBE_TOL, delta > PROBE_TOL) | ~np.isfinite(delta)
+        return np.concatenate(deltas, axis=1)
+
+    def _violations(self, delta) -> np.ndarray:
+        """Where delta, the last entries of the stencil order, has the wrong
+        sign beyond PROBE_TOL or is not finite."""
+        own = (self.grid.rows == self.grid.cols)[-delta.shape[1]:]
+        return np.where(own, delta < -PROBE_TOL, delta > PROBE_TOL) | ~np.isfinite(delta)
+
+    def _probe_witness(self, u):
+        """probe_monotone's witness on the samples u, or None."""
+        delta = self._probe_deltas(u)
+        bad = self._violations(delta)
         if not bad.any():
             return None
+        rows, cols = self.grid.rows, self.grid.cols
+        own = rows == cols
         s = int(np.argmax(bad.any(axis=1)))
         k = np.flatnonzero(bad[s])
         k = int(k[np.lexsort((rows[k], ~own[k], cols[k]))[0]])

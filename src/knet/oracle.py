@@ -160,7 +160,7 @@ def fine_grid_reference(problem: NetworkProblem, nodes_per_edge,
             solved[fine] = res
     return ReferenceSolution(res.u, "fine-grid",
                              {"refine": REFINE, "converged": res.converged,
-                              "residual_norm": res.residual_norm})
+                              "residual_norm": res.residual_norm, "message": res.message})
 
 
 def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
@@ -214,7 +214,8 @@ def convergence_table(problem: NetworkProblem, resolutions, exact=None,
     reference_for at that resolution.  One dict per resolution, in the
     order given: nodes, h, the sup error, observed_orders' order,
     iterations, the wall time of the solve, whether it converged and its
-    message, the reference's method and whether the reference converged.
+    message, the reference's method, and whether the reference converged
+    and its solver's message ("" for an exact or direct reference).
     A fine-grid reference is itself a solve: one that stopped short of the
     tolerance makes its row's error meaningless, as an unconverged run does.
 
@@ -250,7 +251,8 @@ def convergence_table(problem: NetworkProblem, resolutions, exact=None,
                      "wall_time": wall, "converged": res.converged,
                      "message": res.message,
                      "reference": ref.method,
-                     "reference_converged": ref.meta.get("converged", True)})
+                     "reference_converged": ref.meta.get("converged", True),
+                     "reference_message": ref.meta.get("message", "")})
     orders = observed_orders([r["h"] for r in rows], [r["error"] for r in rows],
                              [runs[r["nodes"]][0].u.values for r in rows], config.tol)
     for row, order in zip(rows, orders):

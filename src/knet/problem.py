@@ -37,7 +37,12 @@ class Hamiltonian:
 
     fn must accept numpy arrays in either argument.  c_h is the declared
     structure constant (Lipschitz in x and p); lipschitz_p may be smaller
-    and drives the default numerical dissipation.
+    and drives the default numerical dissipation.  slope_bound is the
+    family's exact bound on |dH/dp| (speed for eikonal, |b| for advection),
+    while fn is still the function the family's factory built; it is None
+    for a custom H and for one whose fn was replaced.  Where it is at most
+    lipschitz_p, the edge rows are monotone by the stencil alone
+    (ResidualSystem.certify_monotone).
     """
 
     fn: Callable
@@ -49,6 +54,8 @@ class Hamiltonian:
     # analytic one-sided envelopes, filled in for built-ins
     _min_below: Optional[Callable] = None
     _min_above: Optional[Callable] = None
+    # (the factory's fn, sup |dH/dp| for that fn), filled in for built-ins
+    _fn_slope_bound: Optional[tuple] = None
 
     def __post_init__(self):
         if self.c_h <= 0:
@@ -58,6 +65,12 @@ class Hamiltonian:
 
     def __call__(self, x, p):
         return self.fn(x, p)
+
+    @property
+    def slope_bound(self) -> Optional[float]:
+        if self._fn_slope_bound is None or self._fn_slope_bound[0] is not self.fn:
+            return None
+        return self._fn_slope_bound[1]
 
     # -- coercivity envelopes ----------------------------------------------
     # min_below(x, q) = min over p <= q of H(x, p); min_above symmetric.
@@ -104,8 +117,8 @@ def eikonal(speed: float = 1.0, rhs: float = 1.0, c_h: Optional[float] = None) -
         return speed * larger(q, 0.0) - rhs
 
     return Hamiltonian(
-        fn, c_h=ch, coercive=True, lipschitz_p=speed,
-        name=f"eikonal({speed},{rhs})", _min_below=below, _min_above=above,
+        fn, c_h=ch, coercive=True, lipschitz_p=speed, name=f"eikonal({speed},{rhs})",
+        _min_below=below, _min_above=above, _fn_slope_bound=(fn, speed),
     )
 
 
@@ -130,7 +143,7 @@ def advection(b: float = 0.0, f=0.0, c_h: Optional[float] = None) -> Hamiltonian
 
     return Hamiltonian(
         fn, c_h=ch, coercive=False, lipschitz_p=lip_p, name=f"advection({b})",
-        affine=(b, f_fn), _min_below=below, _min_above=above,
+        affine=(b, f_fn), _min_below=below, _min_above=above, _fn_slope_bound=(fn, lip_p),
     )
 
 

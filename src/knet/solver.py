@@ -341,10 +341,6 @@ def _sweep_warmed(system: ResidualSystem, config: SolveConfig, u0) -> SolveResul
     return replace(res, iterations=warm.iterations + res.iterations)
 
 
-def _level_name(grid: Grid) -> str:
-    return "n=" + "/".join(map(str, sorted(set(grid.nodes_per_edge.values()))))
-
-
 def _nested(system: ResidualSystem, config: SolveConfig, u0):
     """Newton from u0, else from this system solved the same way on the
     grid with half as many cells per edge and prolonged, else (where an
@@ -360,7 +356,7 @@ def _nested(system: ResidualSystem, config: SolveConfig, u0):
             junction_mode=system.junction_mode, probe_samples=0), config, None)
         u0, spent = cres.u.on_grid(system.grid), cres.iterations
     res = newton_solve(system, config, u0)
-    counts.append(f"{res.iterations} at {_level_name(system.grid)}")
+    counts.append(f"{res.iterations} at {system.grid.level_name}")
     return replace(res, iterations=spent + res.iterations), u0, counts
 
 
@@ -380,7 +376,7 @@ def solve_system(system: ResidualSystem, config: Optional[SolveConfig] = None,
     note = ""
     if not res.converged:
         fallback = _sweep_warmed(system, config, start)
-        note = (f"; at {_level_name(system.grid)} newton {res.message}; ran the "
+        note = (f"; at {system.grid.level_name} newton {res.message}; ran the "
                 "sweep-warmed hybrid"
                 + (f": {fallback.message}" if fallback.message else ""))
         res = replace(fallback, iterations=res.iterations + fallback.iterations)

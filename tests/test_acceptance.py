@@ -242,8 +242,8 @@ def test_criterion_10_monotonicity_certification(system_cached):
     witness = None
     for entry in all_entries():
         system = system_cached(entry.name, 13)
-        w = system.certify_monotone(n_samples=100,
-                                    rng=np.random.default_rng(42))
+        w = system.probe_monotone(n_samples=100,
+                                  rng=np.random.default_rng(42))
         if w is not None:
             ok, witness = False, (entry.name, w)
             break

@@ -678,23 +678,27 @@ def test_three_nodes_take_the_fine_grid_reference(tmp_path):
 def test_oracle_unconverged_reference_exits_1(tmp_path, capsys, monkeypatch):
     """A fine-grid reference that stopped short of the tolerance (as the
     n = 1281 reference of star3_loss_elliptic does) fails oracle as it
-    fails convergence-table: exit 1, with the CSV and manifest written."""
+    fails convergence-table: exit 1, naming the reference's grid and the
+    solver's message, with the CSV and manifest written."""
     from knet import cli
 
     real = cli.reference_for
 
     def unconverged(*args, **kwargs):
         ref = real(*args, **kwargs)
-        return ReferenceSolution(ref.u, "fine-grid", {**ref.meta, "converged": False})
+        return ReferenceSolution(ref.u, "fine-grid", {**ref.meta, "converged": False,
+                                                      "message": "stopped at 1.45e-09"})
 
     monkeypatch.setattr(cli, "reference_for", unconverged)
     cfg = _write_config(tmp_path, {"catalog": "star3_eikonal",
                                    "grid": {"nodes_per_edge": 5}})
     outdir = tmp_path / "out"
     assert main(["oracle", "--config", cfg, "--output-dir", str(outdir)]) == EXIT_NO_CONVERGENCE
-    assert capsys.readouterr().err == "code:1 a fine-grid reference did not converge\n"
+    assert capsys.readouterr().err == ("code:1 fine-grid reference at n=17 did not converge: "
+                                       "stopped at 1.45e-09\n")
     stage = json.loads((outdir / "manifest.json").read_text())["stages"][0]
     assert stage["meta"]["converged"] is False
+    assert stage["meta"]["message"] == "stopped at 1.45e-09"
     assert (outdir / "oracle.csv").exists()
 
 
@@ -830,10 +834,11 @@ def test_convergence_table_no_order_at_solver_tolerance(tmp_path):
     assert all(np.isnan(float(r["observed_order"])) for r in rows)
 
 
-def test_convergence_table_counts_unconverged_reference(tmp_path, monkeypatch):
+def test_convergence_table_counts_unconverged_reference(tmp_path, capsys, monkeypatch):
     """A fine-grid reference that stopped short of the tolerance (as the
     n = 1281 reference of star3_linear under minmax does) fails the table:
-    exit 1 and all_converged false, with each reference's state listed."""
+    exit 1, naming the reference's grid and the solver's message, and
+    all_converged false, with each reference's state listed."""
     import knet.oracle
 
     real = knet.oracle.reference_for
@@ -842,7 +847,8 @@ def test_convergence_table_counts_unconverged_reference(tmp_path, monkeypatch):
         ref = real(problem, nodes, *args, **kwargs)
         if nodes == 41:
             ref = ReferenceSolution(ref.u, "fine-grid",
-                                    {"converged": False, "residual_norm": 1.82e-10})
+                                    {"converged": False, "residual_norm": 1.82e-10,
+                                     "message": "stopped at 1.82e-10"})
         return ref
 
     monkeypatch.setattr(knet.oracle, "reference_for", last_unconverged)
@@ -851,6 +857,8 @@ def test_convergence_table_counts_unconverged_reference(tmp_path, monkeypatch):
     assert main(["convergence-table", "--config", cfg,
                  "--output-dir", str(outdir), "--resolutions", "11,21,41",
                  "--deterministic"]) == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err == ("code:1 fine-grid reference at n=161 did not converge: "
+                                       "stopped at 1.82e-10\n")
     stage = json.loads((outdir / "manifest.json").read_text())["stages"][0]
     assert stage["references_converged"] == [True, True, False]
     assert stage["all_converged"] is False

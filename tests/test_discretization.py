@@ -17,6 +17,7 @@ from knet.errors import MonotonicityProbeFailed
 from knet.network import star_junction
 from knet.oracle import richardson_order
 from knet.problem import (
+    Diffusion,
     Hamiltonian,
     NetworkProblem,
     advection,
@@ -24,6 +25,7 @@ from knet.problem import (
     eikonal,
     make_kirchhoff,
 )
+from knet.solver import SolveConfig, solve_system
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +526,125 @@ def test_probe_witness_equals_sequential_probe(problem, nodes, expect):
     witness = system.certify_monotone(n_samples=10)
     assert witness == _sequential_probe(system, n_samples=10)
     assert {k: witness[k] for k in expect} == expect
+
+
+@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
+def test_certificate_agrees_with_full_probe_on_catalog(mode):
+    """Every catalog entry at eps in {0, 0.25, 1} and n in {5, 21, 81}: the
+    stencil certifies the edge rows, and certify_monotone and the full
+    probe both find no violation."""
+    for entry in all_entries():
+        for eps in (0.0, 0.25, 1.0):
+            for n in (5, 21, 81):
+                system = assemble(entry.problem, Grid(entry.problem.network, n), eps=eps,
+                                  junction_mode=mode, probe_samples=0)
+                case = (entry.name, eps, n)
+                assert system.stencil_certificate(), case
+                assert system.certify_monotone() is None, case
+                assert system.probe_monotone() is None, case
+
+
+def _count_edge_calls(monkeypatch, system):
+    """Count calls of the edge-row formula and of the edge table's H."""
+    calls = {"_edge_rows": 0, "_table_ham": 0}
+    for name in calls:
+        real = getattr(type(system), name)
+
+        def counted(self, *args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(type(system), name, counted)
+    return calls
+
+
+def test_certificate_evaluates_no_edge_row_of_a_builtin_h(monkeypatch):
+    """Built-in Hamiltonians declare their slope bound, so the edge rows are
+    certified from the stencil with no edge row or H evaluated; a custom
+    Hamiltonian declares none, so its system runs the full probe."""
+    problem = entry_by_name("star3_mixed").problem
+    system = assemble(problem, Grid(problem.network, 21), probe_samples=0)
+    calls = _count_edge_calls(monkeypatch, system)
+    assert system.certify_monotone() is None
+    assert calls == {"_edge_rows": 0, "_table_ham": 0}
+
+    custom = dataclasses.replace(problem, hamiltonians={
+        eid: Hamiltonian(ham.fn, c_h=ham.c_h, coercive=ham.coercive,
+                         lipschitz_p=ham.lipschitz_p, _min_below=ham._min_below,
+                         _min_above=ham._min_above)
+        for eid, ham in problem.hamiltonians.items()})
+    system = assemble(custom, Grid(problem.network, 21), probe_samples=0)
+    assert not system.stencil_certificate()
+    calls.update(_edge_rows=0, _table_ham=0)
+    assert system.certify_monotone() is None
+    assert calls == {"_edge_rows": 1, "_table_ham": 1}
+
+
+def _with_hamiltonians(name, ham):
+    """A catalog entry with the Hamiltonian ham on every edge."""
+    problem = entry_by_name(name).problem
+    return dataclasses.replace(problem, hamiltonians={eid: ham for eid in problem.hamiltonians})
+
+
+def test_replaced_fn_declares_no_slope_bound(monkeypatch):
+    """A family's slope bound holds for the fn its factory built: an H whose
+    fn was replaced declares none, so its system takes the full probe, which
+    finds the too-steep fn; a replaced lipschitz_p keeps the bound."""
+    ham = eikonal(1.0)
+    assert ham.slope_bound == 1.0
+    assert dataclasses.replace(ham, lipschitz_p=0.5).slope_bound == 1.0
+    steep = dataclasses.replace(ham, fn=lambda x, p: 3.0 * np.abs(p) - 1.0)
+    assert steep.slope_bound is None
+    problem = _with_hamiltonians("star3_eikonal", steep)
+    system = assemble(problem, Grid(problem.network, 21), probe_samples=0)
+    assert not system.stencil_certificate()
+    calls = _count_edge_calls(monkeypatch, system)
+    witness = system.certify_monotone()
+    assert calls == {"_edge_rows": 1, "_table_ham": 1}
+    assert witness is not None and witness == system.probe_monotone()
+
+
+class _SignedDiffusion(Diffusion):
+    """a(x) = value on the whole edge, its sign unchecked."""
+
+    def __init__(self, value):
+        super().__init__(sigma=None, c_a=1.0, name=f"signed({value})")
+        self.value = value
+
+    def a(self, x):
+        return np.full(np.shape(x), self.value)[()]
+
+
+@pytest.mark.parametrize("problem", [
+    _lowered_dissipation("star3_eikonal"),
+    dataclasses.replace(entry_by_name("star3_linear").problem, diffusions={
+        eid: _SignedDiffusion(-0.1) for eid in range(3)}),
+    # H is infinite on part of every edge, at p = 0 as at every p
+    _with_hamiltonians("star3_linear", advection(
+        0.5, lambda x: np.where(np.asarray(x) > 0.5, np.inf, 0.0))),
+], ids=["theta-below-bound", "negative-diffusion", "non-finite-h"])
+def test_stencil_certificate_rejects(problem):
+    """The stencil alone refuses a theta below the slope bound, a + eps < 0
+    and an H that is not finite at p = 0, at every resolution; assembly
+    then takes the full probe's witness."""
+    for n in (5, 21, 81):
+        grid = Grid(problem.network, n)
+        with np.errstate(invalid="ignore"):
+            assert not assemble(problem, grid, probe_samples=0).stencil_certificate(), n
+            with pytest.raises(MonotonicityProbeFailed):
+                assemble(problem, grid)
+
+
+def test_large_speed_is_certified_and_solves():
+    """eikonal(1e6, 1) on every edge of star3_eikonal at n = 21 is monotone,
+    but its rows are about 1e7 in size, so one ulp of the change of a flat
+    neighbour exceeds the full probe's absolute PROBE_TOL.  The stencil
+    certifies it, and the solve converges."""
+    problem = _with_hamiltonians("star3_eikonal", eikonal(1e6, 1.0))
+    system = assemble(problem, Grid(problem.network, 21))
+    assert system.probe_monotone()["direction"] == "cross"
+    result = solve_system(system, SolveConfig())
+    assert result.converged, result.message
 
 
 def _assert_stencil_layout(grid):

@@ -100,6 +100,17 @@ def test_fine_grid_reference(catalog):
     assert ref.meta["converged"]
     assert ref.grid.nodes_per_edge[0] == (11 - 1) * 4 + 1
     np.testing.assert_allclose(ref.u.values, 1.0, atol=1e-9)
+    assert ref.meta["message"]
+
+
+def test_unconverged_fine_grid_reference_keeps_its_reason(catalog, monkeypatch):
+    """A reference solve that stops short keeps the solver's message."""
+    monkeypatch.setattr(oracle, "SolveConfig",
+                        lambda: solver.SolveConfig(method="sweep", max_sweeps=1))
+    ref = fine_grid_reference(catalog["star3_eikonal"].problem, 5)
+    assert ref.meta["converged"] is False
+    assert ref.meta["message"].startswith("reached max_sweeps=1 at residual ")
+    assert ref.grid.level_name == "n=17"
 
 
 def test_sup_error_interpolates_across_grids():
