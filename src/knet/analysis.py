@@ -58,13 +58,6 @@ class ProbeFunction:
         r = self.rho(p)
         return self.L * (r - self.K * r * r)
 
-    def derivative_magnitude(self, r: float) -> float:
-        return self.L * abs(1.0 - 2.0 * self.K * r)
-
-    @property
-    def second_derivative(self) -> float:
-        return -2.0 * self.L * self.K
-
 
 def default_probe_grid():
     return [(2.0 ** k, 2.0 ** j) for k in range(11) for j in range(7)]

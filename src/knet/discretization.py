@@ -25,6 +25,9 @@ slope of H at the central slope, an edge row's own slope lam +
 2(a+eps)/h.  So the edge rows are monotone when each edge's Hamiltonian
 bounds |q| by a slope_bound <= theta, a + eps is finite and >= 0, and H is
 finite on the edge's nodes at p = 0 (ResidualSystem.stencil_certificate).
+slope_bound, like fn, is derived from a built-in H's (family, params)
+record, so no bound outlives a replaced fn: handing H an fn makes it
+custom, and a custom H declares none.
 A vertex row's coupling, ghost corrections and relaxed clauses change with
 eps, so the vertex rows are probed by finite differences: each row's own
 inputs move, one at a time, in one call of the vertex formula, which takes
@@ -146,9 +149,6 @@ class Grid:
 
     def vertex_gid(self, vid: int) -> int:
         return self.vertex_index[vid]
-
-    def node_kind(self, gid: int) -> str:
-        return "vertex" if gid < len(self.network.vertices) else "edge"
 
     def node_location(self, gid: int):
         """(edge_id, t) of a global node; vertices use the canonical edge."""

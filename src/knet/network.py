@@ -150,9 +150,6 @@ class Network:
             np.minimum(d, d[:, k, None] + d[k], out=d)
         return d
 
-    def vertex_distance(self, va: int, vb: int) -> float:
-        return float(self.vertex_distances[self._vidx[va], self._vidx[vb]])
-
     def geodesic_distance(self, p: NetworkPoint, q: NetworkPoint) -> float:
         if p.edge_id not in self._emap or q.edge_id not in self._emap:
             raise PointsOnDifferentNetworks(

@@ -4,13 +4,20 @@ Dirichlet data, and a sampled validator of the standing structure conditions.
 Sign convention for vertex couplings: the arguments of a coupling function
 F(r, p) are the *inward* derivatives of u along the incident edges, so F is
 nondecreasing in r and nonincreasing in each p_i for all built-in families.
+
+A built-in Hamiltonian or coupling is a frozen record (family, params)
+with fn None.  Its other facts (the function; a Hamiltonian's envelopes,
+slope bound, affine data and name) are derived once, in one function per
+family, and kept in no init field.  A custom one is just an fn.  Handing
+a built-in an fn, as dataclasses.replace(h, fn=g) does, makes it custom,
+so no fact of its former family survives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -27,78 +34,118 @@ def larger(a, b):
     return np.where(b > a, b, a) if isinstance(a, np.ndarray) else max(a, b)
 
 
+def _family_facts(record, families: dict, **args):
+    """The facts record's family derives from its params; None for a custom
+    record, which handing a record an fn makes it, so no fact outlives fn."""
+    if record.fn is not None:
+        object.__setattr__(record, "family", "custom")
+        object.__setattr__(record, "params", {})
+        return None
+    if record.family not in families:
+        raise ValueError(f"no fn, and {record.family!r} is no built-in family")
+    return families[record.family](**args, **record.params)
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonians
 
 
-@dataclass
+class _HamiltonianFacts(NamedTuple):
+    fn: Callable
+    below: Optional[Callable]  # min_below, in closed form; None: sampled
+    above: Optional[Callable]
+    slope_bound: Optional[float]
+    affine: Optional[tuple]
+    name: str
+
+
+def _eikonal_facts(speed, rhs) -> _HamiltonianFacts:
+    return _HamiltonianFacts(lambda x, p: speed * np.abs(p) - rhs,
+                             lambda x, q: speed * larger(-q, 0.0) - rhs,
+                             lambda x, q: speed * larger(q, 0.0) - rhs,
+                             speed, None, f"eikonal({speed},{rhs})")
+
+
+def _advection_facts(b, f) -> _HamiltonianFacts:
+    f_fn = f if callable(f) else (lambda x, _v=float(f): np.full_like(np.asarray(x, dtype=float), _v) if np.ndim(x) else _v)
+
+    def envelope(side):  # min of H over the slopes below (side 1) or above (-1) q
+        def env(x, q):
+            if side * b >= 0:
+                return np.full(np.shape(q), -math.inf if side * b > 0 else float(f_fn(x)))[()]
+            return b * q + float(f_fn(x))
+        return env
+
+    return _HamiltonianFacts(lambda x, p: b * np.asarray(p, dtype=float) + f_fn(x),
+                             envelope(1), envelope(-1), abs(b), (b, f_fn), f"advection({b})")
+
+
+_HAMILTONIAN_FAMILIES = {"eikonal": _eikonal_facts, "advection": _advection_facts}
+
+
+@dataclass(frozen=True)
 class Hamiltonian:
     """Edge Hamiltonian H(x, p); x is the edge coordinate in [0, len].
 
-    fn must accept numpy arrays in either argument.  c_h is the declared
-    structure constant (Lipschitz in x and p); lipschitz_p may be smaller
-    and drives the default numerical dissipation.  slope_bound is the
-    family's exact bound on |dH/dp| (speed for eikonal, |b| for advection),
-    while fn is still the function the family's factory built; it is None
-    for a custom H and for one whose fn was replaced.  Where it is at most
-    lipschitz_p, the edge rows are monotone by the stencil alone
-    (ResidualSystem.certify_monotone).
+    A built-in is a record (family, params) with fn None: "eikonal" (speed,
+    rhs), H = speed*|p| - rhs, or "advection" (b, f), H = b*p + f(x) with f
+    a constant or a callable of x.  Its _HAMILTONIAN_FAMILIES entry derives
+    H, the closed-form envelopes, name, slope_bound (the exact sup |dH/dp|:
+    speed, or |b|) and affine ((b, f as a function of x), advection only).
+    A custom H is an fn taking numpy arrays in either argument, with
+    sampled envelopes, no slope_bound and no affine data.  Handing a
+    built-in an fn makes it custom; replacing another field keeps it.
+
+    c_h is the declared structure constant (Lipschitz in x and p);
+    lipschitz_p may be smaller and drives the default numerical dissipation.
+    Where slope_bound is at most lipschitz_p, the edge rows are monotone by
+    the stencil alone (ResidualSystem.certify_monotone).
     """
 
-    fn: Callable
+    fn: Optional[Callable]
     c_h: float
     coercive: bool = False
     lipschitz_p: Optional[float] = None
-    name: str = "custom"
-    affine: Optional[tuple] = None  # (b, f_fn) when H = b*p + f_fn(x)
-    # analytic one-sided envelopes, filled in for built-ins
-    _min_below: Optional[Callable] = None
-    _min_above: Optional[Callable] = None
-    # (the factory's fn, sup |dH/dp| for that fn), filled in for built-ins
-    _fn_slope_bound: Optional[tuple] = None
+    family: str = "custom"
+    params: dict = field(default_factory=dict)
+    _facts: _HamiltonianFacts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.c_h <= 0:
             raise InvalidCoefficientSign("c_h must be positive")
         if self.lipschitz_p is None:
-            self.lipschitz_p = self.c_h
+            object.__setattr__(self, "lipschitz_p", self.c_h)
+        object.__setattr__(self, "_facts", _family_facts(self, _HAMILTONIAN_FAMILIES)
+                           or _HamiltonianFacts(self.fn, None, None, None, None, "custom"))
+
+    name = property(lambda self: self._facts.name)
+    slope_bound = property(lambda self: self._facts.slope_bound)
+    affine = property(lambda self: self._facts.affine)
 
     def __call__(self, x, p):
-        return self.fn(x, p)
-
-    @property
-    def slope_bound(self) -> Optional[float]:
-        if self._fn_slope_bound is None or self._fn_slope_bound[0] is not self.fn:
-            return None
-        return self._fn_slope_bound[1]
+        return self._facts.fn(x, p)
 
     # -- coercivity envelopes ----------------------------------------------
     # min_below(x, q) = min over p <= q of H(x, p); min_above symmetric.
     # Used by state-constraint residuals; exact for built-ins, sampled
-    # (monotone by construction) otherwise.  q may be an array of slopes,
-    # one envelope value each.
+    # (monotone by construction) otherwise.  q may be an array of slopes.
 
     def min_below(self, x, q):
-        if self._min_below is not None:
-            return self._min_below(x, q)
-        return self._sampled_envelope(x, q, below=True)
+        below = self._facts.below
+        return below(x, q) if below else self._sampled_envelope(x, q, below=True)
 
     def min_above(self, x, q):
-        if self._min_above is not None:
-            return self._min_above(x, q)
-        return self._sampled_envelope(x, q, below=False)
+        above = self._facts.above
+        return above(x, q) if above else self._sampled_envelope(x, q, below=False)
 
     def _sampled_envelope(self, x, q, below: bool):
         q = np.asarray(q, dtype=float)
-        hq = np.asarray(self.fn(x, q), dtype=float)
+        hq = np.asarray(self(x, q), dtype=float)
         # any competitor p with C^-1|p| - C > hq cannot improve on H(q)
         span = self.c_h * (self.c_h + np.maximum(hq, 0.0)) + 1.0
-        if below:
-            lo, hi = np.minimum(q - 1e-9, -span), q
-        else:
-            lo, hi = q, np.maximum(q + 1e-9, span)
+        lo, hi = (np.minimum(q - 1e-9, -span), q) if below else (q, np.maximum(q + 1e-9, span))
         ps = np.linspace(lo, hi, 257, axis=-1)
-        return np.minimum(hq, np.min(self.fn(x, ps), axis=-1))
+        return np.minimum(hq, np.min(self(x, ps), axis=-1))
 
 
 def eikonal(speed: float = 1.0, rhs: float = 1.0, c_h: Optional[float] = None) -> Hamiltonian:
@@ -106,45 +153,13 @@ def eikonal(speed: float = 1.0, rhs: float = 1.0, c_h: Optional[float] = None) -
     if speed <= 0:
         raise InvalidCoefficientSign("eikonal speed must be positive")
     ch = c_h if c_h is not None else max(speed, 1.0 / speed, abs(rhs), 1.0)
-
-    def fn(x, p):
-        return speed * np.abs(p) - rhs
-
-    def below(x, q):
-        return speed * larger(-q, 0.0) - rhs
-
-    def above(x, q):
-        return speed * larger(q, 0.0) - rhs
-
-    return Hamiltonian(
-        fn, c_h=ch, coercive=True, lipschitz_p=speed, name=f"eikonal({speed},{rhs})",
-        _min_below=below, _min_above=above, _fn_slope_bound=(fn, speed),
-    )
+    return Hamiltonian(None, ch, True, speed, "eikonal", {"speed": speed, "rhs": rhs})
 
 
 def advection(b: float = 0.0, f=0.0, c_h: Optional[float] = None) -> Hamiltonian:
     """H(x, p) = b * p + f(x); f may be a constant or a callable of x."""
-    f_fn = f if callable(f) else (lambda x, _v=float(f): np.full_like(np.asarray(x, dtype=float), _v) if np.ndim(x) else _v)
-    lip_p = abs(b)
-    ch = c_h if c_h is not None else max(lip_p, 1.0)
-
-    def fn(x, p):
-        return b * np.asarray(p, dtype=float) + f_fn(x)
-
-    def below(x, q):
-        if b >= 0:
-            return np.full(np.shape(q), -math.inf if b > 0 else float(f_fn(x)))[()]
-        return b * q + float(f_fn(x))
-
-    def above(x, q):
-        if b <= 0:
-            return np.full(np.shape(q), -math.inf if b < 0 else float(f_fn(x)))[()]
-        return b * q + float(f_fn(x))
-
-    return Hamiltonian(
-        fn, c_h=ch, coercive=False, lipschitz_p=lip_p, name=f"advection({b})",
-        affine=(b, f_fn), _min_below=below, _min_above=above, _fn_slope_bound=(fn, lip_p),
-    )
+    ch = c_h if c_h is not None else max(abs(b), 1.0)
+    return Hamiltonian(None, ch, False, abs(b), "advection", {"b": b, "f": f})
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +218,65 @@ def polynomial_diffusion(coefficients: Sequence[float], c_a: float = 1.0) -> Dif
 # Vertex couplings (Kirchhoff conditions)
 
 
-@dataclass
+class _CouplingFacts(NamedTuple):
+    fn: Callable
+    quantitative_slope: float  # lower bound on F(r, p - c*1) - F(r, p) per unit c
+
+
+def _classical_facts(arity, B) -> _CouplingFacts:
+    return _CouplingFacts(lambda r, p: np.sum(-p, axis=-1) - B, float(arity))
+
+
+def _affine_facts(arity, B, alpha0, alphas) -> _CouplingFacts:
+    alphas = np.asarray(alphas, dtype=float)
+    return _CouplingFacts(lambda r, p: alpha0 * r + np.sum(alphas * (-p), axis=-1) - B,
+                          float(np.min(alphas)))
+
+
+def _pm_split_facts(arity, B, alpha0, alphas, betas) -> _CouplingFacts:
+    alphas, betas = np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float)
+
+    def fn(r, p):
+        s = -p
+        return alpha0 * r + np.sum(alphas * np.maximum(s, 0.0) + betas * np.minimum(s, 0.0), axis=-1) - B
+
+    return _CouplingFacts(fn, float(min(np.min(alphas), np.min(betas))))
+
+
+_COUPLING_FAMILIES = {"classical": _classical_facts, "affine": _affine_facts,
+                     "pm-split": _pm_split_facts}
+
+
+@dataclass(frozen=True)
 class KirchhoffCondition:
     """Coupling F(r, p) at an interior vertex, p = inward derivatives.  A
-    call takes a batch, r (K,) and p (K, arity) to the K values, so fn must
-    reduce p over its last axis; a float r with p (arity,) gives a float."""
+    call takes a batch, r (K,) and p (K, arity) to the K values, so F must
+    reduce p over its last axis; a float r with p (arity,) gives a float.
+
+    A built-in (make_kirchhoff) is a record (family, params) with fn None,
+    whose _COUPLING_FAMILIES entry derives F and quantitative_slope; a custom
+    coupling is an fn, with slope 0.  Handing a built-in an fn makes it custom.
+    """
 
     arity: int
-    fn: Callable  # (r, p: array (..., arity)) -> one value per row of p
+    fn: Optional[Callable]  # (r, p: array (..., arity)) -> one value per row of p
     family: str = "custom"
-    # lower bound on F(r, p - c*1) - F(r, p) per unit c, > 0 for built-ins
-    quantitative_slope: float = 0.0
     params: dict = field(default_factory=dict)
+    _facts: _CouplingFacts = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_facts", _family_facts(self, _COUPLING_FAMILIES, arity=self.arity)
+                           or _CouplingFacts(self.fn, 0.0))
+
+    quantitative_slope = property(lambda self: self._facts.quantitative_slope)
 
     def __call__(self, r, p):
         p = np.asarray(p, dtype=float)
         if p.shape[-1:] != (self.arity,):
             raise ValueError(f"expected {self.arity} inward slopes, got {p.shape}")
         if p.ndim == 1:
-            return float(self.fn(float(r), p))
-        out = self.fn(r, p)
+            return float(self._facts.fn(float(r), p))
+        out = self._facts.fn(r, p)
         if np.shape(out) != p.shape[:-1]:
             raise ValueError(f"coupling gave shape {np.shape(out)} for slopes {p.shape}")
         return out
@@ -239,44 +293,21 @@ def make_kirchhoff(family: str, arity: int, B: float = 0.0, alpha0: float = 0.0,
                 axis of p, it must take a batch (see KirchhoffCondition)
     """
     if family == "custom":
-        if fn is None:
-            raise ValueError("custom family needs fn")
-        return KirchhoffCondition(arity, fn, family="custom")
-
-    alphas = np.ones(arity) if alphas is None else np.asarray(alphas, dtype=float)
-    betas = np.ones(arity) if betas is None else np.asarray(betas, dtype=float)
+        return KirchhoffCondition(arity, fn)
+    alphas, betas = (np.ones(arity) if w is None else np.asarray(w, dtype=float)
+                     for w in (alphas, betas))
     if alpha0 < 0:
         raise InvalidCoefficientSign("alpha0 must be nonnegative")
     if family in ("affine", "pm-split") and np.any(alphas <= 0):
         raise InvalidCoefficientSign("alpha_i must be positive")
     if family == "pm-split" and np.any(betas <= 0):
         raise InvalidCoefficientSign("beta_i must be positive")
-
-    if family == "classical":
-        def impl(r, p):
-            return np.sum(-p, axis=-1) - B
-        qslope = float(arity)
-        params = {"B": B}
-    elif family == "affine":
-        def impl(r, p):
-            return alpha0 * r + np.sum(alphas * (-p), axis=-1) - B
-        qslope = float(np.min(alphas))
-        params = {"B": B, "alpha0": alpha0, "alphas": alphas.tolist()}
-    elif family == "pm-split":
-        def impl(r, p):
-            s = -p
-            return alpha0 * r + np.sum(alphas * np.maximum(s, 0.0)
-                                       + betas * np.minimum(s, 0.0), axis=-1) - B
-        qslope = float(min(np.min(alphas), np.min(betas)))
-        params = {"B": B, "alpha0": alpha0, "alphas": alphas.tolist(),
-                  "betas": betas.tolist()}
-    else:
-        raise ValueError(f"unknown family {family!r}")
-
-    return KirchhoffCondition(
-        arity, impl, family=family,
-        quantitative_slope=qslope, params=params,
-    )
+    params = {"B": B}
+    if family != "classical":
+        params.update(alpha0=alpha0, alphas=alphas.tolist())
+    if family == "pm-split":
+        params["betas"] = betas.tolist()
+    return KirchhoffCondition(arity, None, family, params)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +331,8 @@ class NetworkProblem:
             if cond is None:
                 raise ValueError(f"missing coupling at interior vertex {v.id}")
             if cond.arity != self.network.degree(v.id):
-                raise ValueError(
-                    f"coupling arity {cond.arity} != degree "
-                    f"{self.network.degree(v.id)} at vertex {v.id}"
-                )
+                raise ValueError(f"coupling arity {cond.arity} != degree "
+                                 f"{self.network.degree(v.id)} at vertex {v.id}")
         for v in self.network.boundary_vertices:
             if not np.isfinite(self.dirichlet.get(v.id, np.nan)):
                 raise ValueError(f"no finite Dirichlet datum at vertex {v.id}")
@@ -348,14 +377,9 @@ class ValidationReport:
         return [e for e in self.entries if not e.passed]
 
     def to_dict(self):
-        return {
-            "ok": self.ok,
-            "entries": [
-                {"name": e.name, "location": e.location, "verdict": e.verdict,
-                 "witness": e.witness}
-                for e in self.entries
-            ],
-        }
+        return {"ok": self.ok, "entries": [
+            {"name": e.name, "location": e.location, "verdict": e.verdict, "witness": e.witness}
+            for e in self.entries]}
 
 
 def validate_problem(problem: NetworkProblem) -> ValidationReport:
@@ -367,6 +391,11 @@ def validate_problem(problem: NetworkProblem) -> ValidationReport:
     """
     entries = []
     slack = 1e-9
+
+    def check(name, loc, bad, witness):  # a failure's witness: witness(*first True of bad)
+        hits = np.argwhere(bad)
+        found = witness(*hits[0]) if hits.size else None
+        entries.append(CheckEntry(name, loc, found is None, found))
 
     for e in problem.network.edges:
         H = problem.hamiltonians[e.id]
@@ -384,49 +413,32 @@ def validate_problem(problem: NetworkProblem) -> ValidationReport:
         # Lipschitz in x: |H(x,p)-H(y,p)| <= C(1+|p|)|x-y|, axes (p, x, y)
         dv = np.abs(hs.T[:, :, None] - hs.T[:, None, :])
         bound = (H.c_h * (1.0 + np.abs(ps)))[:, None, None] * dx + slack
-        bad = np.argwhere(dv > bound)
-        witness = None
-        if bad.size:
-            m, i, j = bad[0]
-            witness = {"x": float(xs[i]), "y": float(xs[j]), "p": float(ps[m]),
-                       "gap": float(dv[m, i, j] - bound[m, i, j])}
-        entries.append(CheckEntry("hamiltonian_lipschitz_x", loc, witness is None, witness))
+        check("hamiltonian_lipschitz_x", loc, dv > bound, lambda m, i, j: {
+            "x": float(xs[i]), "y": float(xs[j]), "p": float(ps[m]),
+            "gap": float(dv[m, i, j] - bound[m, i, j])})
 
         # Lipschitz in p: |H(x,p)-H(x,q)| <= C|p-q|, axes (x, p, q)
         dv = np.abs(hs[:, :, None] - hs[:, None, :])
-        bad = np.argwhere(dv > H.c_h * dp + slack)
-        witness = None
-        if bad.size:
-            k, i, j = bad[0]
-            witness = {"x": float(xs[k]), "p": float(ps[i]), "q": float(ps[j]),
-                       "gap": float(dv[k, i, j] - H.c_h * dp[i, j])}
-        entries.append(CheckEntry("hamiltonian_lipschitz_p", loc, witness is None, witness))
+        check("hamiltonian_lipschitz_p", loc, dv > H.c_h * dp + slack, lambda k, i, j: {
+            "x": float(xs[k]), "p": float(ps[i]), "q": float(ps[j]),
+            "gap": float(dv[k, i, j] - H.c_h * dp[i, j])})
 
         # coercivity: H(x,p) >= C^-1 |p| - C when declared
         if H.coercive:
             lower = np.abs(ps) / H.c_h - H.c_h
-            bad = np.argwhere(hs < lower - slack)
-            witness = None
-            if bad.size:
-                k, i = bad[0]
-                witness = {"x": float(xs[k]), "p": float(ps[i]),
-                           "gap": float(lower[i] - hs[k, i])}
-            entries.append(CheckEntry("hamiltonian_coercive", loc, witness is None, witness))
+            check("hamiltonian_coercive", loc, hs < lower - slack, lambda k, i: {
+                "x": float(xs[k]), "p": float(ps[i]), "gap": float(lower[i] - hs[k, i])})
 
         # diffusion: a >= 0 and sigma Lipschitz
         sig = np.asarray(D.sigma(xs), dtype=float)
-        witness = None
         if np.any(sig < -slack):
             i = int(np.argmin(sig))
-            witness = {"x": float(xs[i]), "sigma": float(sig[i])}
+            entries.append(CheckEntry("diffusion_sigma_lipschitz", loc, False,
+                                      {"x": float(xs[i]), "sigma": float(sig[i])}))
         else:
             ds = np.abs(sig[:, None] - sig[None, :])
-            bad = np.argwhere(ds > D.c_a * dx + slack)
-            if bad.size:
-                i, j = bad[0]
-                witness = {"x": float(xs[i]), "y": float(xs[j]),
-                           "gap": float(ds[i, j] - D.c_a * dx[i, j])}
-        entries.append(CheckEntry("diffusion_sigma_lipschitz", loc, witness is None, witness))
+            check("diffusion_sigma_lipschitz", loc, ds > D.c_a * dx + slack, lambda i, j: {
+                "x": float(xs[i]), "y": float(xs[j]), "gap": float(ds[i, j] - D.c_a * dx[i, j])})
 
     rng = np.random.default_rng(0)
     for v in problem.network.interior_vertices:
@@ -459,26 +471,21 @@ def validate_problem(problem: NetworkProblem) -> ValidationReport:
 
         # coercivity: F -> +inf as any p_i -> -inf (large-argument probes)
         values = F(np.zeros(n), np.diag(np.full(n, -1e6)))
-        weak = np.flatnonzero(values < 1e3)
-        witness = ({"component": int(weak[0]), "value": float(values[weak[0]])}
-                   if weak.size else None)
-        entries.append(CheckEntry("kirchhoff_coercive", loc, witness is None, witness))
+        check("kirchhoff_coercive", loc, values < 1e3,
+              lambda i: {"component": int(i), "value": float(values[i])})
 
     # steady assumption: degenerate incident edges need coercive Hamiltonians
     for v in problem.network.interior_vertices:
         deg = problem.degenerate_set(v.id)
         bad = [e for e in deg if not problem.hamiltonians[e].coercive]
-        entries.append(CheckEntry(
-            "steady_degenerate_coercive", f"vertex {v.id}", not bad,
-            {"edges": bad} if bad else None,
-        ))
+        entries.append(CheckEntry("steady_degenerate_coercive", f"vertex {v.id}", not bad,
+                                  {"edges": bad} if bad else None))
 
     # boundary assumption: a(v) > 0 or coercive Hamiltonian
     for v in problem.network.boundary_vertices:
         inc = problem.network.incidence[v.id][0]
         ok = problem.a_at_incidence(inc) > 0.0 or problem.hamiltonians[inc.edge.id].coercive
-        entries.append(CheckEntry("boundary_elliptic_or_coercive",
-                                  f"vertex {v.id}", ok,
+        entries.append(CheckEntry("boundary_elliptic_or_coercive", f"vertex {v.id}", ok,
                                   None if ok else {"edge": inc.edge.id}))
 
     return ValidationReport(entries)
@@ -491,11 +498,9 @@ def validate_problem(problem: NetworkProblem) -> ValidationReport:
 def _hamiltonian_from_spec(spec: dict) -> Hamiltonian:
     kind = spec["type"]
     if kind == "eikonal":
-        return eikonal(speed=spec.get("c", 1.0), rhs=spec.get("f", 1.0),
-                       c_h=spec.get("C_H"))
+        return eikonal(speed=spec.get("c", 1.0), rhs=spec.get("f", 1.0), c_h=spec.get("C_H"))
     if kind == "advection":
-        return advection(b=spec.get("b", 0.0), f=spec.get("f", 0.0),
-                         c_h=spec.get("C_H"))
+        return advection(b=spec.get("b", 0.0), f=spec.get("f", 0.0), c_h=spec.get("C_H"))
     raise ValueError(f"unknown hamiltonian type {kind!r}")
 
 
@@ -504,19 +509,16 @@ def _diffusion_from_spec(spec: dict, length: float) -> Diffusion:
     if kind == "constant":
         return constant_diffusion(spec.get("value", 0.0))
     if kind == "linear_vanish":
-        return linear_vanish(spec.get("slope", 1.0), length,
-                             side=spec.get("side", "low"))
+        return linear_vanish(spec.get("slope", 1.0), length, side=spec.get("side", "low"))
     if kind == "polynomial":
         return polynomial_diffusion(spec["coefficients"], c_a=spec.get("C_a", 1.0))
     raise ValueError(f"unknown diffusion type {kind!r}")
 
 
 def _kirchhoff_from_spec(spec: dict, arity: int) -> KirchhoffCondition:
-    return make_kirchhoff(
-        spec.get("family", "classical"), arity, B=spec.get("B", 0.0),
-        alpha0=spec.get("alpha0", 0.0), alphas=spec.get("alphas"),
-        betas=spec.get("betas"),
-    )
+    return make_kirchhoff(spec.get("family", "classical"), arity, B=spec.get("B", 0.0),
+                          alpha0=spec.get("alpha0", 0.0), alphas=spec.get("alphas"),
+                          betas=spec.get("betas"))
 
 
 def problem_from_json(doc: dict, network: Network) -> NetworkProblem:
@@ -527,10 +529,8 @@ def problem_from_json(doc: dict, network: Network) -> NetworkProblem:
         espec = doc["edges"][str(e.id)]
         hams[e.id] = _hamiltonian_from_spec(espec["hamiltonian"])
         diffs[e.id] = _diffusion_from_spec(espec["diffusion"], e.length)
-    kirch = {}
-    for v in network.interior_vertices:
-        kirch[v.id] = _kirchhoff_from_spec(doc["kirchhoff"][str(v.id)],
-                                           network.degree(v.id))
+    kirch = {v.id: _kirchhoff_from_spec(doc["kirchhoff"][str(v.id)], network.degree(v.id))
+             for v in network.interior_vertices}
     dirichlet = {v.id: float(doc["dirichlet"][str(v.id)])
                  for v in network.boundary_vertices}
     return NetworkProblem(network, lam, hams, diffs, kirch, dirichlet)

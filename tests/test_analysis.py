@@ -43,13 +43,19 @@ def _single_edge_problem():
 
 
 def test_probe_function_bounds():
+    """The docstring's bounds, by differencing psi along each edge out from
+    the center: on the ball the derivative magnitude lies in [L/2, L] and
+    the second derivative is -2 L K."""
     net = star_junction(3)
     psi = ProbeFunction(net, net.vertex_point(0), L=8.0, K=4.0)
     assert psi.radius == pytest.approx(1.0 / 16.0)
-    assert psi.second_derivative == pytest.approx(-64.0)
-    for r in np.linspace(0.0, psi.radius, 33):
-        mag = psi.derivative_magnitude(r)
-        assert psi.L / 2.0 - 1e-12 <= mag <= psi.L + 1e-12
+    t = np.linspace(0.0, psi.radius, 33)
+    h = t[1] - t[0]
+    for e in net.edges:
+        values = np.array([psi(net.point(e.id, tk)) for tk in t])
+        slopes = np.abs(np.diff(values)) / h
+        assert np.all(slopes >= psi.L / 2.0 - 1e-9) and np.all(slopes <= psi.L + 1e-9), e.id
+        np.testing.assert_allclose(np.diff(values, 2) / h ** 2, -2.0 * psi.L * psi.K, rtol=1e-6)
     p = net.point(1, 0.05)
     assert psi(p) == pytest.approx(8.0 * (0.05 - 4.0 * 0.05 ** 2))
 

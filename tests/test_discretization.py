@@ -1,6 +1,7 @@
 """Grids, grid functions, and the monotone residual systems."""
 
 import dataclasses
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -42,8 +43,8 @@ def test_grid_layout_star():
         assert ids[-1] == grid.vertex_gid(eid + 1)
         assert grid.spacing[eid] == pytest.approx(0.25)
     assert grid.h == pytest.approx(0.25)
-    assert grid.node_kind(0) == "vertex"
-    assert grid.node_kind(4) == "edge"
+    # gids 0..3 are the vertex nodes; the edge nodes follow from gid 4
+    assert len(net.vertices) == 4 and grid.node_ids[0][1] == 4
 
 
 def test_grid_mixed_resolution():
@@ -126,14 +127,16 @@ def _boundary_distances_per_vertex(grid):
     """The per-vertex formula boundary_distances replaced: nearest boundary
     vertex through either end of each edge."""
     net = grid.network
-    bnd = [v.id for v in net.boundary_vertices]
+    index = {v.id: k for k, v in enumerate(net.vertices)}
+    bnd = [index[v.id] for v in net.boundary_vertices]
+    to_bnd = {v.id: min(net.vertex_distances[index[v.id], w] for w in bnd) for v in net.vertices}
     out = np.full(grid.total_nodes, np.inf)
     for v in net.vertices:
-        out[grid.vertex_gid(v.id)] = min(net.vertex_distance(v.id, w) for w in bnd)
+        out[grid.vertex_gid(v.id)] = to_bnd[v.id]
     for e in net.edges:
         t = grid.coords[e.id][1:-1]
-        via_tail = t + min(net.vertex_distance(e.tail, w) for w in bnd)
-        via_head = (e.length - t) + min(net.vertex_distance(e.head, w) for w in bnd)
+        via_tail = t + to_bnd[e.tail]
+        via_head = (e.length - t) + to_bnd[e.head]
         out[grid.node_ids[e.id][1:-1]] = np.minimum(via_tail, via_head)
     return out
 
@@ -336,7 +339,7 @@ def test_own_coeff_is_the_own_slope(catalog, nodes, eps):
         system = assemble(entry.problem, grid, eps=eps, probe_samples=0)
         u = rng.uniform(-1.0, 1.0, size=grid.total_nodes)
         for gid in range(grid.total_nodes):
-            if grid.node_kind(gid) == "vertex":
+            if gid < len(grid.network.vertices):
                 assert system.own_coeff[gid] == 0.0, (name, gid)
                 continue
             bumped = u.copy()
@@ -477,12 +480,24 @@ def _with_coupling(name, fn):
         for vid, cond in problem.kirchhoff.items()})
 
 
+@dataclasses.dataclass(frozen=True)
+class _Enveloped(Hamiltonian):
+    """A Hamiltonian record with env as both one-sided envelopes."""
+
+    env: Callable = None
+
+    def min_below(self, x, q):
+        return self.env(x, q)
+
+    min_above = min_below
+
+
 def _with_envelopes(name, env):
     """A catalog entry whose Hamiltonians declare env as both one-sided
     envelopes, as used by the relaxed boundary rows."""
     problem = entry_by_name(name).problem
     return dataclasses.replace(problem, hamiltonians={
-        eid: dataclasses.replace(ham, _min_below=env, _min_above=env)
+        eid: _Enveloped(ham.fn, ham.c_h, ham.coercive, ham.lipschitz_p, ham.family, ham.params, env)
         for eid, ham in problem.hamiltonians.items()})
 
 
@@ -569,9 +584,7 @@ def test_certificate_evaluates_no_edge_row_of_a_builtin_h(monkeypatch):
     assert calls == {"_edge_rows": 0, "_table_ham": 0}
 
     custom = dataclasses.replace(problem, hamiltonians={
-        eid: Hamiltonian(ham.fn, c_h=ham.c_h, coercive=ham.coercive,
-                         lipschitz_p=ham.lipschitz_p, _min_below=ham._min_below,
-                         _min_above=ham._min_above)
+        eid: Hamiltonian(ham, c_h=ham.c_h, coercive=ham.coercive, lipschitz_p=ham.lipschitz_p)
         for eid, ham in problem.hamiltonians.items()})
     system = assemble(custom, Grid(problem.network, 21), probe_samples=0)
     assert not system.stencil_certificate()

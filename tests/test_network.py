@@ -56,9 +56,9 @@ def test_geodesic_across_junction(star3):
 
 def test_geodesic_cycle_shortcut(graph5):
     # vertex 2 to vertex 3: direct edge of length 0.7 beats the long way
-    assert graph5.vertex_distance(2, 3) == pytest.approx(0.7)
+    assert graph5.vertex_distances[2, 3] == pytest.approx(0.7)  # vertex ids are indices
     # 0-1-3-4 through the long edge beats 0-1-2-3-4 around the cycle
-    assert graph5.vertex_distance(0, 4) == pytest.approx(1.0 + 1.2 + 0.9)
+    assert graph5.vertex_distances[0, 4] == pytest.approx(1.0 + 1.2 + 0.9)
 
 
 def test_vertex_distances_by_hand_on_a_cycle(graph5):

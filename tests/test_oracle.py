@@ -84,13 +84,45 @@ def test_direct_solve_rejects_nonlinear(catalog):
 
 
 def test_direct_solve_survives_dataclass_replace(catalog):
-    """A Hamiltonian's affine data is a field, so dataclasses.replace keeps
-    it and the direct oracle still applies."""
+    """A Hamiltonian's affine data is derived from its (family, params)
+    record, which dataclasses.replace of c_h keeps, so the direct oracle
+    still applies."""
     problem = catalog["star3_linear"].problem
     doubled = dataclasses.replace(problem, hamiltonians={
         eid: dataclasses.replace(ham, c_h=2.0 * ham.c_h)
         for eid, ham in problem.hamiltonians.items()})
     assert reference_for(doubled, 11).method == "direct-linear"
+
+
+def _replaced_fn(problem, part):
+    """problem with every Hamiltonian's fn replaced by 3p + f(x), f its
+    advection source, or with every coupling's fn replaced by
+    2*sum(-p) + 1."""
+    if part == "hamiltonian":
+        return dataclasses.replace(problem, hamiltonians={
+            eid: dataclasses.replace(
+                ham, fn=lambda x, p, f=ham.affine[1]: 3.0 * np.asarray(p, dtype=float) + f(x))
+            for eid, ham in problem.hamiltonians.items()})
+    return dataclasses.replace(problem, kirchhoff={
+        vid: dataclasses.replace(cond, fn=lambda r, p: 2.0 * np.sum(-p, axis=-1) + 1.0)
+        for vid, cond in problem.kirchhoff.items()})
+
+
+@pytest.mark.parametrize("part", ["hamiltonian", "coupling"])
+def test_replaced_fn_takes_the_fine_grid_reference(catalog, part):
+    """A built-in handed a new fn is custom, so no affine data or linear
+    family of its old record survives: the direct solve refuses the
+    problem, and the reference is the fine-grid run of the new problem,
+    not the old problem's direct solution."""
+    old = catalog["star3_linear"].problem
+    new = _replaced_fn(old, part)
+    records = new.hamiltonians if part == "hamiltonian" else new.kirchhoff
+    assert all(r.family == "custom" and r.params == {} for r in records.values())
+    with pytest.raises(ProblemNotLinear):
+        direct_linear_solve(new, 21)
+    ref = reference_for(new, 21)
+    assert ref.method == "fine-grid" and ref.meta["converged"]
+    assert sup_error(ref.u, direct_linear_solve(old, 21).u) > 0.05
 
 
 def test_fine_grid_reference(catalog):

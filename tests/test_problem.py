@@ -1,6 +1,7 @@
 """Problem data: Hamiltonians, envelopes, couplings, and the sampled
 structure validator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -160,12 +161,20 @@ def test_sampled_envelope_matches_analytic():
         assert H.min_below(0.0, q) >= ref.min_below(0.0, q) - 1e-12  # never below
 
 
-@pytest.mark.parametrize("H", [
+HAMILTONIANS = [
     eikonal(2.0, 1.0), eikonal(0.7, -0.4), advection(2.0, -0.5), advection(-1.0, 0.25),
     advection(0.0, 0.3), advection(0.0, lambda x: np.sin(x)),
+    advection(-0.6, lambda x: np.cos(3 * x)),
     Hamiltonian(lambda x, p: np.abs(p) * (1 + x) - 0.5, c_h=2.0, coercive=True),
     Hamiltonian(lambda x, p: np.sin(3 * x) + 0.3 * p ** 2 - p, c_h=3.0),
-], ids=lambda H: H.name if H.name != "custom" else "sampled")
+]
+
+
+def _hamiltonian_id(H):
+    return H.name if H.name != "custom" else "sampled"
+
+
+@pytest.mark.parametrize("H", HAMILTONIANS, ids=_hamiltonian_id)
 def test_envelopes_take_arrays(H):
     """min_below and min_above on an array of slopes equal their values at
     each slope alone, element by element."""
@@ -177,6 +186,43 @@ def test_envelopes_take_arrays(H):
             single = [env(x, float(qk)) for qk in q]
             assert all(isinstance(v, float) for v in single)
             assert batch.tolist() == single, (x, env.__name__)
+
+
+@pytest.mark.parametrize("H", [H for H in HAMILTONIANS if H.family != "custom"],
+                         ids=_hamiltonian_id)
+def test_family_facts_agree_with_fn(H):
+    """What a built-in derives from its (family, params) record agrees with
+    its fn: the closed-form envelopes with the sampled ones, to within the
+    sampled lattice's resolution; slope_bound with the largest sampled
+    |dH/dp|; affine data, advection's alone, with the values of fn."""
+    q = np.linspace(-6.0, 6.0, 25)
+    ps = np.linspace(-8.0, 8.0, 321)
+    for x in (0.0, 0.35, 1.0):
+        for below, exact in ((True, H.min_below(x, q)), (False, H.min_above(x, q))):
+            sampled = H._sampled_envelope(x, q, below)
+            # 257 slopes from q to the far end of the span _sampled_envelope takes
+            span = H.c_h * (H.c_h + np.maximum(H(x, q), 0.0)) + 1.0
+            step = (np.abs(q) + span + 1e-9) / 256
+            assert np.all(exact <= sampled + 1e-12), (x, below)
+            finite = np.isfinite(exact)
+            assert np.all(sampled[finite] - exact[finite] <= H.slope_bound * step[finite] + 1e-12)
+        hs = H(x, ps)
+        assert np.max(np.abs(np.diff(hs)) / np.diff(ps)) == pytest.approx(H.slope_bound, abs=1e-12)
+        if H.family == "advection":
+            b, f = H.affine
+            assert np.array_equal(b * ps + f(x), hs)
+        else:
+            assert H.affine is None
+
+
+def test_records_change_only_by_replace():
+    """A field of a Hamiltonian or coupling record changes only through
+    dataclasses.replace, which derives the facts anew; assigning one in
+    place raises, so no derived fact can disagree with fn."""
+    for record in (eikonal(2.0), make_kirchhoff("affine", 2, alphas=(1.0, 2.0))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.fn = lambda *args: 0.0
+    assert dataclasses.replace(eikonal(2.0), params={"speed": 3.0, "rhs": 0.0}).slope_bound == 3.0
 
 
 def test_hamiltonian_requires_positive_structure_constant():

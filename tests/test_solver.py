@@ -126,7 +126,7 @@ def _coloured_order(grid):
 
 
 def _solve_edge_node_closed_form(system, gid, u):
-    if system.grid.node_kind(gid) == "vertex":
+    if gid < len(system.grid.network.vertices):
         solve_node(system, gid, u)
     else:
         u[gid] -= system.residual_node(gid, u) / system.own_coeff[gid]
@@ -201,7 +201,7 @@ def test_sweep_solves_edge_nodes_without_root_finding(monkeypatch):
         loop_calls.clear()
         res = sweep_solve(system, SolveConfig(method="sweep", max_sweeps=sweeps), start)
         assert sorted(loop_calls) == sorted(vertices * sweeps)
-    assert solved and all(system.grid.node_kind(j) == "vertex" for j in solved)
+    assert solved and all(j < len(vertices) for j in solved)
     assert np.all(res.u.values[len(vertices):] != 0.5)
 
 
