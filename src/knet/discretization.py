@@ -18,24 +18,25 @@ Lax-Friedrichs dissipation too: theta on each edge is its H's lipschitz_p.
 
 Every assembled system is certified monotone: the residual at a node is
 nondecreasing in the node's own value and nonincreasing in every other
-node's value.  The edge rows are certified by their stencil.  With q the
-slope of H at the central slope, an edge row's own slope lam +
-2(a+eps)/h^2 + theta/h is > 0, and its cross slopes -(a+eps)/h^2 +- q/(2h)
-- theta/(2h) are both <= 0 for every u exactly when |q| <= theta +
-2(a+eps)/h.  So the edge rows are monotone when each edge's Hamiltonian
-bounds |q| by a slope_bound <= theta, a + eps is finite and >= 0, and H is
-finite on the edge's nodes at p = 0 (ResidualSystem.stencil_certificate).
-slope_bound, like fn, is derived from a built-in H's (family, params)
-record, so no bound outlives a replaced fn: handing H an fn makes it
-custom, and a custom H declares none.
-A vertex row's coupling, ghost corrections and relaxed clauses change with
-eps, so the vertex rows are probed by finite differences: each row's own
-inputs move, one at a time, in one call of the vertex formula, which takes
-a batch of input sets (ResidualSystem._vertex_rows).  Where the stencil
-certifies nothing (a custom H, or a bound above theta) or a vertex row
-shows a violation, the witness is that of probe_monotone, which probes
-every row the same way, the edge rows of every sample and perturbation in
-one stacked table call.
+node's value.  Built from built-in records, every row is so by
+construction.  An edge row's own slope lam + 2(a+eps)/h^2 + theta/h is
+> 0, and its cross slopes -(a+eps)/h^2 +- q/(2h) - theta/(2h), q the slope
+of H at the central slope, are <= 0 for every u exactly when |q| <= theta
++ 2(a+eps)/h; a built-in H bounds |q| by its slope_bound.  At a vertex,
+classical, affine and pm-split are nondecreasing in u_v and nonincreasing
+in each inward slope, given alpha0 >= 0 and alpha_i, beta_i > 0, which the
+record checks.  A ghost-corrected slope d_i - (h/2)(lam*u_v + H(x,
+s*d_i))/(a+eps) is monotone when |dH/dp| <= 2(a+eps)/h, and correct_2nd
+requires a + eps >= theta*h/2, so slope_bound <= theta suffices.  The
+exact envelopes make every relaxed clause monotone, a max of monotone rows
+is monotone, and a built-in row that is finite at one u is finite at
+every u.  So ResidualSystem.stencil_certificate checks only that every H
+and coupling is an exact Hamiltonian or KirchhoffCondition record of a
+built-in family (a subclass may override slope_bound or an envelope), that
+slope_bound <= theta and a + eps >= 0, and that own_coeff and every vertex
+row are finite at u = 0.  Where it fails, as for custom data,
+certify_monotone returns the witness of probe_monotone, which probes every
+row by finite differences, the vertex rows through _vertex_rows' batches.
 
 Each residual row reads only the inputs its stencil names, and the grid
 lists them once, as Grid.rows and Grid.cols in stencil order: three blocks
@@ -75,9 +76,9 @@ import numpy as np
 
 from .errors import MonotonicityProbeFailed
 from .network import INTERIOR, Network, NetworkPoint
-from .problem import NetworkProblem, larger
+from .problem import Hamiltonian, KirchhoffCondition, NetworkProblem, larger
 
-PROBE_STEP = 1e-6  # certify_monotone's perturbation of one input
+PROBE_STEP = 1e-6  # probe_monotone's perturbation of one input
 PROBE_TOL = 1e-9  # largest change of the wrong sign it forgives
 PROBE_SCALE = 2.0  # its samples of u are uniform on [-PROBE_SCALE, PROBE_SCALE]
 JUNCTION_MODES = ("kirchhoff", "minmax")  # assemble's junction modes; the first is the default
@@ -499,29 +500,25 @@ class ResidualSystem:
         return "boundary-relaxed" if st.relaxed else "boundary-strong"
 
     def stencil_certificate(self) -> bool:
-        """Whether the stencil alone makes every edge row monotone (see the
-        module docstring): each edge's slope_bound is at most its theta, a +
-        eps >= 0, and own_coeff is finite.  own_coeff is read off the row
-        formula at central slope 0, so it is finite exactly when H is finite
-        at p = 0 on every edge node and so is the own slope lam +
-        2(a+eps)/h^2 + theta/h; no H is evaluated here."""
-        return (all(ham.slope_bound is not None and ham.slope_bound <= ham.lipschitz_p
+        """Whether every row is monotone by construction (see the module
+        docstring).  own_coeff, read off the row formula at central slope 0,
+        is finite exactly when H is finite at p = 0 on every edge node and so
+        is the own slope; no row but the vertex rows at u = 0 is evaluated."""
+        builtin = lambda record, cls: type(record) is cls and record.family != "custom"
+        return (all(builtin(ham, Hamiltonian) and ham.slope_bound <= ham.lipschitz_p
                     for _, ham in self._hams)
-                and bool(np.all(self._a >= 0.0)) and bool(np.isfinite(self.own_coeff).all()))
+                and all(st.coupling is None or builtin(st.coupling, KirchhoffCondition)
+                        for st in self._vertices)
+                and bool(np.all(self._a >= 0.0)) and bool(np.isfinite(self.own_coeff).all())
+                and all(np.isfinite(self._vertex_rows(v, np.float64(0.0), np.zeros(len(i) - 1)))
+                        for v, i in enumerate(self.grid.vertex_inputs)))
 
-    def certify_monotone(self, n_samples: int = 3, rng=None):
-        """Certify the monotone-scheme property: the edge rows by
-        stencil_certificate, the vertex rows by probe_monotone's probe of
-        them alone, on the same n_samples draws of u.  Any violation that
-        probe finds, the full probe finds too, and where the stencil
-        certifies nothing or a vertex row violates, the result is
-        probe_monotone's witness on those draws: None when there is none.
-        The caller's rng advances by the n_samples draws either way."""
-        u = self._probe_draws(n_samples, rng)
-        if self.stencil_certificate() and not self._violations(
-                self._probe_deltas(u, edges=False)).any():
-            return None
-        return self._probe_witness(u)
+    def certify_monotone(self, n_samples: int = 3):
+        """None when stencil_certificate holds, as it does for every problem
+        built from built-in records, so nothing is drawn or probed; else
+        probe_monotone's witness on n_samples draws of u (None when the probe
+        finds none)."""
+        return None if self.stencil_certificate() else self.probe_monotone(n_samples)
 
     def probe_monotone(self, n_samples: int = 3, rng=None):
         """Perturbation probe of the monotone-scheme property on every row.
@@ -537,7 +534,18 @@ class ResidualSystem:
         describing the violating (sample, node, row, direction): the first in
         node order, then the row's own entry, then by row.
         """
-        return self._probe_witness(self._probe_draws(n_samples, rng))
+        delta = self._probe_deltas(self._probe_draws(n_samples, rng))
+        rows, cols = self.grid.rows, self.grid.cols
+        own = rows == cols
+        bad = np.where(own, delta < -PROBE_TOL, delta > PROBE_TOL) | ~np.isfinite(delta)
+        if not bad.any():
+            return None
+        s = int(np.argmax(bad.any(axis=1)))
+        k = np.flatnonzero(bad[s])
+        k = int(k[np.lexsort((rows[k], ~own[k], cols[k]))[0]])
+        return {"sample": s, "node": int(cols[k]), "row": int(rows[k]),
+                "direction": "own" if own[k] else "cross",
+                "delta": float(delta[s, k])}
 
     def _probe_draws(self, n_samples: int, rng):
         """n_samples grid functions, uniform on [-PROBE_SCALE, PROBE_SCALE]:
@@ -545,21 +553,18 @@ class ResidualSystem:
         rng = np.random.default_rng(0) if rng is None else rng
         return rng.uniform(-PROBE_SCALE, PROBE_SCALE, size=(n_samples, self.grid.total_nodes))
 
-    def _probe_deltas(self, u, edges: bool = True) -> np.ndarray:
+    def _probe_deltas(self, u) -> np.ndarray:
         """Per sample of u, each row's change when one of its inputs rises by
-        PROBE_STEP, in stencil order: the edge rows' three blocks (left out
-        unless edges), then the vertex rows'."""
+        PROBE_STEP, in stencil order."""
         nv, grid = len(self._vertices), self.grid
         n_samples, step = len(u), PROBE_STEP
-        deltas = []
-        if edges:
-            # edge rows: unperturbed, then own, left and right input + step
-            um, uc, up = u[:, grid.left_gids], u[:, nv:], u[:, grid.right_gids]
-            r = self._edge_rows(slice(None), np.concatenate([um, um, um + step, um]),
-                                np.concatenate([uc, uc + step, uc, uc]),
-                                np.concatenate([up, up, up, up + step]),
-                                self._table_ham).reshape(4, *uc.shape)
-            deltas.append((r[1:] - r[0]).transpose(1, 0, 2).reshape(n_samples, -1))
+        # edge rows: unperturbed, then own, left and right input + step
+        um, uc, up = u[:, grid.left_gids], u[:, nv:], u[:, grid.right_gids]
+        r = self._edge_rows(slice(None), np.concatenate([um, um, um + step, um]),
+                            np.concatenate([uc, uc + step, uc, uc]),
+                            np.concatenate([up, up, up, up + step]),
+                            self._table_ham).reshape(4, *uc.shape)
+        deltas = [(r[1:] - r[0]).transpose(1, 0, 2).reshape(n_samples, -1)]
         for v, inputs in enumerate(grid.vertex_inputs):
             m = len(inputs)
             if self._vertices[v].strong:
@@ -569,27 +574,6 @@ class ResidualSystem:
             r = self._vertex_moved(v, u[:, inputs], np.vstack([np.zeros(m), step * np.eye(m)]))
             deltas.append(r[:, 1:] - r[:, :1])
         return np.concatenate(deltas, axis=1)
-
-    def _violations(self, delta) -> np.ndarray:
-        """Where delta, the last entries of the stencil order, has the wrong
-        sign beyond PROBE_TOL or is not finite."""
-        own = (self.grid.rows == self.grid.cols)[-delta.shape[1]:]
-        return np.where(own, delta < -PROBE_TOL, delta > PROBE_TOL) | ~np.isfinite(delta)
-
-    def _probe_witness(self, u):
-        """probe_monotone's witness on the samples u, or None."""
-        delta = self._probe_deltas(u)
-        bad = self._violations(delta)
-        if not bad.any():
-            return None
-        rows, cols = self.grid.rows, self.grid.cols
-        own = rows == cols
-        s = int(np.argmax(bad.any(axis=1)))
-        k = np.flatnonzero(bad[s])
-        k = int(k[np.lexsort((rows[k], ~own[k], cols[k]))[0]])
-        return {"sample": s, "node": int(cols[k]), "row": int(rows[k]),
-                "direction": "own" if own[k] else "cross",
-                "delta": float(delta[s, k])}
 
 
 def resolve_relaxed_edges(problem: NetworkProblem, eps: float,

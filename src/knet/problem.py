@@ -6,18 +6,19 @@ F(r, p) are the *inward* derivatives of u along the incident edges, so F is
 nondecreasing in r and nonincreasing in each p_i for all built-in families.
 
 A built-in Hamiltonian or coupling is a frozen record (family, params)
-with fn None.  Its other facts (the function; a Hamiltonian's envelopes,
-slope bound, affine data and name) are derived once, in one function per
-family, and kept in no init field.  A custom one is just an fn.  Handing
-a built-in an fn, as dataclasses.replace(h, fn=g) does, makes it custom,
-so no fact of its former family survives.
+with fn None and params read-only.  One function per family checks the
+params and derives the other facts (the function; a Hamiltonian's
+envelopes, slope bound, affine data and name) once, however the record
+was built.  A custom one is just an fn.  Handing a built-in an fn, as
+replace(h, fn=g) does, makes it custom: no fact of its family survives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -35,14 +36,17 @@ def larger(a, b):
 
 
 def _family_facts(record, families: dict, **args):
-    """The facts record's family derives from its params; None for a custom
-    record, which handing a record an fn makes it, so no fact outlives fn."""
+    """The facts record's family derives from its params, made read-only
+    with each list or array a tuple; None for a custom record, which
+    handing a record an fn makes it, so no fact outlives fn."""
     if record.fn is not None:
         object.__setattr__(record, "family", "custom")
-        object.__setattr__(record, "params", {})
+        object.__setattr__(record, "params", MappingProxyType({}))
         return None
     if record.family not in families:
         raise ValueError(f"no fn, and {record.family!r} is no built-in family")
+    object.__setattr__(record, "params", MappingProxyType(
+        {k: tuple(v) if isinstance(v, (list, np.ndarray)) else v for k, v in record.params.items()}))
     return families[record.family](**args, **record.params)
 
 
@@ -60,6 +64,8 @@ class _HamiltonianFacts(NamedTuple):
 
 
 def _eikonal_facts(speed, rhs) -> _HamiltonianFacts:
+    if speed <= 0:
+        raise InvalidCoefficientSign("eikonal speed must be positive")
     return _HamiltonianFacts(lambda x, p: speed * np.abs(p) - rhs,
                              lambda x, q: speed * larger(-q, 0.0) - rhs,
                              lambda x, q: speed * larger(q, 0.0) - rhs,
@@ -87,19 +93,19 @@ _HAMILTONIAN_FAMILIES = {"eikonal": _eikonal_facts, "advection": _advection_fact
 class Hamiltonian:
     """Edge Hamiltonian H(x, p); x is the edge coordinate in [0, len].
 
-    A built-in is a record (family, params) with fn None: "eikonal" (speed,
-    rhs), H = speed*|p| - rhs, or "advection" (b, f), H = b*p + f(x) with f
-    a constant or a callable of x.  Its _HAMILTONIAN_FAMILIES entry derives
-    H, the closed-form envelopes, name, slope_bound (the exact sup |dH/dp|:
-    speed, or |b|) and affine ((b, f as a function of x), advection only).
-    A custom H is an fn taking numpy arrays in either argument, with
-    sampled envelopes, no slope_bound and no affine data.  Handing a
-    built-in an fn makes it custom; replacing another field keeps it.
+    A built-in is a record (family, params) with fn None: "eikonal" (speed
+    > 0, rhs), H = speed*|p| - rhs, or "advection" (b, f), H = b*p + f(x)
+    with f a constant or a callable of x.  Its _HAMILTONIAN_FAMILIES entry
+    checks the params and derives H, the closed-form envelopes, name,
+    slope_bound (the exact sup |dH/dp|: speed, or |b|) and affine ((b, f of
+    x), advection only).  A custom H is an fn taking numpy arrays in either
+    argument, with sampled envelopes, no slope_bound and no affine data.
+    Handing a built-in an fn makes it custom; replacing another field keeps it.
 
     c_h is the declared structure constant (Lipschitz in x and p);
     lipschitz_p may be smaller and drives the default numerical dissipation.
-    Where slope_bound is at most lipschitz_p, the edge rows are monotone by
-    the stencil alone (ResidualSystem.certify_monotone).
+    A problem whose built-in records all have slope_bound at most
+    lipschitz_p is monotone by construction (ResidualSystem.stencil_certificate).
     """
 
     fn: Optional[Callable]
@@ -107,16 +113,19 @@ class Hamiltonian:
     coercive: bool = False
     lipschitz_p: Optional[float] = None
     family: str = "custom"
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
     _facts: _HamiltonianFacts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_facts", _family_facts(self, _HAMILTONIAN_FAMILIES)
+                           or _HamiltonianFacts(self.fn, None, None, None, None, "custom"))
         if self.c_h <= 0:
             raise InvalidCoefficientSign("c_h must be positive")
         if self.lipschitz_p is None:
             object.__setattr__(self, "lipschitz_p", self.c_h)
-        object.__setattr__(self, "_facts", _family_facts(self, _HAMILTONIAN_FAMILIES)
-                           or _HamiltonianFacts(self.fn, None, None, None, None, "custom"))
+
+    def __deepcopy__(self, memo):  # a record is a value; its mappingproxy cannot be deep-copied
+        return replace(self, params=dict(self.params))
 
     name = property(lambda self: self._facts.name)
     slope_bound = property(lambda self: self._facts.slope_bound)
@@ -149,10 +158,8 @@ class Hamiltonian:
 
 
 def eikonal(speed: float = 1.0, rhs: float = 1.0, c_h: Optional[float] = None) -> Hamiltonian:
-    """H(x, p) = speed * |p| - rhs, coercive for speed > 0."""
-    if speed <= 0:
-        raise InvalidCoefficientSign("eikonal speed must be positive")
-    ch = c_h if c_h is not None else max(speed, 1.0 / speed, abs(rhs), 1.0)
+    """H(x, p) = speed * |p| - rhs, coercive; the record refuses speed <= 0."""
+    ch = c_h if c_h is not None else max(speed, 1.0 / speed if speed > 0 else 1.0, abs(rhs), 1.0)
     return Hamiltonian(None, ch, True, speed, "eikonal", {"speed": speed, "rhs": rhs})
 
 
@@ -227,14 +234,24 @@ def _classical_facts(arity, B) -> _CouplingFacts:
     return _CouplingFacts(lambda r, p: np.sum(-p, axis=-1) - B, float(arity))
 
 
+def _weights(alpha0, **weights) -> list:
+    """Each of weights as an array, once alpha0 >= 0 and every entry > 0."""
+    if alpha0 < 0:
+        raise InvalidCoefficientSign("alpha0 must be nonnegative")
+    for name, w in weights.items():
+        if np.any(np.asarray(w) <= 0):
+            raise InvalidCoefficientSign(f"{name}_i must be positive")
+    return [np.asarray(w, dtype=float) for w in weights.values()]
+
+
 def _affine_facts(arity, B, alpha0, alphas) -> _CouplingFacts:
-    alphas = np.asarray(alphas, dtype=float)
+    alphas, = _weights(alpha0, alpha=alphas)
     return _CouplingFacts(lambda r, p: alpha0 * r + np.sum(alphas * (-p), axis=-1) - B,
                           float(np.min(alphas)))
 
 
 def _pm_split_facts(arity, B, alpha0, alphas, betas) -> _CouplingFacts:
-    alphas, betas = np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float)
+    alphas, betas = _weights(alpha0, alpha=alphas, beta=betas)
 
     def fn(r, p):
         s = -p
@@ -254,20 +271,22 @@ class KirchhoffCondition:
     reduce p over its last axis; a float r with p (arity,) gives a float.
 
     A built-in (make_kirchhoff) is a record (family, params) with fn None,
-    whose _COUPLING_FAMILIES entry derives F and quantitative_slope; a custom
-    coupling is an fn, with slope 0.  Handing a built-in an fn makes it custom.
+    whose _COUPLING_FAMILIES entry checks the signs that make F monotone and
+    derives F and quantitative_slope; a custom coupling is an fn, with slope
+    0.  Handing a built-in an fn makes it custom.
     """
 
     arity: int
     fn: Optional[Callable]  # (r, p: array (..., arity)) -> one value per row of p
     family: str = "custom"
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
     _facts: _CouplingFacts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_facts", _family_facts(self, _COUPLING_FAMILIES, arity=self.arity)
                            or _CouplingFacts(self.fn, 0.0))
 
+    __deepcopy__ = Hamiltonian.__deepcopy__
     quantitative_slope = property(lambda self: self._facts.quantitative_slope)
 
     def __call__(self, r, p):
@@ -294,19 +313,15 @@ def make_kirchhoff(family: str, arity: int, B: float = 0.0, alpha0: float = 0.0,
     """
     if family == "custom":
         return KirchhoffCondition(arity, fn)
-    alphas, betas = (np.ones(arity) if w is None else np.asarray(w, dtype=float)
+    alphas, betas = ([1.0] * arity if w is None else np.asarray(w, dtype=float).tolist()
                      for w in (alphas, betas))
-    if alpha0 < 0:
-        raise InvalidCoefficientSign("alpha0 must be nonnegative")
-    if family in ("affine", "pm-split") and np.any(alphas <= 0):
-        raise InvalidCoefficientSign("alpha_i must be positive")
-    if family == "pm-split" and np.any(betas <= 0):
-        raise InvalidCoefficientSign("beta_i must be positive")
     params = {"B": B}
-    if family != "classical":
-        params.update(alpha0=alpha0, alphas=alphas.tolist())
+    if family == "classical":
+        _weights(alpha0)  # classical ignores alpha0, but not its sign
+    else:
+        params.update(alpha0=alpha0, alphas=alphas)
     if family == "pm-split":
-        params["betas"] = betas.tolist()
+        params["betas"] = betas
     return KirchhoffCondition(arity, None, family, params)
 
 

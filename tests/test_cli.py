@@ -40,6 +40,12 @@ def _write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+def _csv_rows(path):
+    """The rows of a CSV file, as dicts keyed by its header."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 FULL_CONFIG = {
     "network": {
         "vertices": [0, 1, 2],
@@ -99,7 +105,7 @@ def test_solve_full_json_config(tmp_path):
     cfg = _write_config(tmp_path, FULL_CONFIG)
     outdir = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--output-dir", str(outdir)]) == EXIT_OK
-    rows = list(csv.DictReader((outdir / "solution.csv").open()))
+    rows = _csv_rows(outdir / "solution.csv")
     assert all(abs(float(r["u"]) - 1.0) <= 1e-9 for r in rows)
 
 
@@ -112,7 +118,7 @@ def test_solve_flag_overrides(tmp_path):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["effective"]["grid"]["nodes_per_edge"] == 7
     assert manifest["effective"]["solver"]["method"] == "sweep"
-    rows = list(csv.DictReader((outdir / "solution.csv").open()))
+    rows = _csv_rows(outdir / "solution.csv")
     assert len(rows) == 3 * 7
 
 
@@ -656,7 +662,7 @@ def test_oracle_falls_back_to_fine_grid(tmp_path):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["stages"][0]["method"] == "fine-grid"
     # restricted back onto the requested grid
-    rows = list(csv.DictReader((outdir / "oracle.csv").open()))
+    rows = _csv_rows(outdir / "oracle.csv")
     assert len(rows) == 3 * 11
 
 
@@ -728,7 +734,7 @@ def test_sweep_epsilon(tmp_path):
     code = main(["sweep-epsilon", "--config", cfg, "--output-dir", str(outdir),
                  "--epsilon-schedule", "g:1:0.5:4"])
     assert code == EXIT_OK
-    rows = list(csv.DictReader((outdir / "sweep.csv").open()))
+    rows = _csv_rows(outdir / "sweep.csv")
     assert len(rows) == 4
     eps = [float(r["eps"]) for r in rows]
     assert eps == sorted(eps, reverse=True)
@@ -770,7 +776,7 @@ def test_convergence_table(tmp_path):
                  "--output-dir", str(outdir), "--resolutions", "11,21,41",
                  "--deterministic"])
     assert code == EXIT_OK
-    rows = list(csv.DictReader((outdir / "convergence.csv").open()))
+    rows = _csv_rows(outdir / "convergence.csv")
     assert len(rows) == 3
     hs = [float(r["h"]) for r in rows]
     assert hs == sorted(hs, reverse=True)
@@ -785,7 +791,7 @@ def test_convergence_table_reference_uses_run_epsilon(tmp_path):
                  "--output-dir", str(outdir), "--resolutions", "11,21,41",
                  "--epsilon", "0.5", "--deterministic"])
     assert code == EXIT_OK
-    rows = list(csv.DictReader((outdir / "convergence.csv").open()))
+    rows = _csv_rows(outdir / "convergence.csv")
     orders = [float(r["observed_order"]) for r in rows[1:]]
     assert min(orders) >= 1.9, orders
 
@@ -806,7 +812,7 @@ def test_convergence_table_relaxed_boundary_uses_matching_reference(tmp_path, mo
                  "--output-dir", str(outdir), "--resolutions", "11,21,41",
                  "--deterministic"])
     assert code == EXIT_OK
-    rows = list(csv.DictReader((outdir / "convergence.csv").open()))
+    rows = _csv_rows(outdir / "convergence.csv")
     assert max(float(r["sup_error"]) for r in rows) <= 1e-8
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["stages"][0]["references"] == ["exact"] * 3
@@ -830,7 +836,7 @@ def test_convergence_table_no_order_at_solver_tolerance(tmp_path):
     outdir = tmp_path / "out"
     assert main(["convergence-table", "--config", cfg,
                  "--output-dir", str(outdir), "--resolutions", "5,9,17"]) == EXIT_OK
-    rows = list(csv.DictReader((outdir / "convergence.csv").open()))
+    rows = _csv_rows(outdir / "convergence.csv")
     assert all(np.isnan(float(r["observed_order"])) for r in rows)
 
 
@@ -886,7 +892,7 @@ def test_convergence_table_unsorted_resolutions(tmp_path):
     outdir = tmp_path / "out"
     assert main(["convergence-table", "--config", cfg, "--output-dir", str(outdir),
                  "--resolutions", "41,21,81", "--deterministic"]) == EXIT_OK
-    rows = list(csv.DictReader((outdir / "convergence.csv").open()))
+    rows = _csv_rows(outdir / "convergence.csv")
     assert [float(r["h"]) for r in rows] == [0.025, 0.05, 0.0125]
 
 
@@ -1100,7 +1106,7 @@ def test_rerun_replaces_outputs_and_leaves_no_temp(tmp_path):
     for nodes in ("21", "11"):
         assert main(["solve", "--config", cfg, "--output-dir", str(outdir),
                      "--nodes-per-edge", nodes]) == EXIT_OK
-    rows = list(csv.DictReader((outdir / "solution.csv").open()))
+    rows = _csv_rows(outdir / "solution.csv")
     assert len(rows) == 3 * 11
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["effective"]["grid"]["nodes_per_edge"] == 11

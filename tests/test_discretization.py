@@ -8,18 +8,21 @@ import pytest
 
 from knet.catalog import all_entries, entry_by_name, random_problem
 from knet.discretization import (
+    JUNCTION_MODES,
     Grid,
     GridFunction,
+    ResidualSystem,
     assemble,
     lax_friedrichs,
     resolve_relaxed_edges,
 )
-from knet.errors import MonotonicityProbeFailed
+from knet.errors import InvalidCoefficientSign, MonotonicityProbeFailed
 from knet.network import star_junction
 from knet.oracle import richardson_order
 from knet.problem import (
     Diffusion,
     Hamiltonian,
+    KirchhoffCondition,
     NetworkProblem,
     advection,
     constant_diffusion,
@@ -543,54 +546,110 @@ def test_probe_witness_equals_sequential_probe(problem, nodes, expect):
     assert {k: witness[k] for k in expect} == expect
 
 
-@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
+@pytest.mark.parametrize("mode", JUNCTION_MODES)
 def test_certificate_agrees_with_full_probe_on_catalog(mode):
-    """Every catalog entry at eps in {0, 0.25, 1} and n in {5, 21, 81}: the
-    stencil certifies the edge rows, and certify_monotone and the full
-    probe both find no violation."""
-    for entry in all_entries():
-        for eps in (0.0, 0.25, 1.0):
-            for n in (5, 21, 81):
-                system = assemble(entry.problem, Grid(entry.problem.network, n), eps=eps,
-                                  junction_mode=mode, probe_samples=0)
-                case = (entry.name, eps, n)
-                assert system.stencil_certificate(), case
-                assert system.certify_monotone() is None, case
-                assert system.probe_monotone() is None, case
+    """Every catalog entry at eps in {0, 0.25, 1} and n in {5, 21, 81}, and
+    random_problem draws s = 0..59 at eps in {0, 0.25} and n in {5, 21}:
+    the certificate holds, so certify_monotone finds no violation, and the
+    full probe on ten samples finds none either."""
+    cases = [(entry.name, entry.problem, eps, n) for entry in all_entries()
+             for eps in (0.0, 0.25, 1.0) for n in (5, 21, 81)]
+    cases += [(f"random-{s}", random_problem(np.random.default_rng(s)), eps, n)
+              for s in range(60) for eps in (0.0, 0.25) for n in (5, 21)]
+    for name, problem, eps, n in cases:
+        system = assemble(problem, Grid(problem.network, n), eps=eps,
+                          junction_mode=mode, probe_samples=0)
+        case = (name, eps, n)
+        assert system.stencil_certificate(), case
+        assert system.certify_monotone() is None, case
+        assert system.probe_monotone(10) is None, case
 
 
-def _count_edge_calls(monkeypatch, system):
-    """Count calls of the edge-row formula and of the edge table's H."""
-    calls = {"_edge_rows": 0, "_table_ham": 0}
-    for name in calls:
-        real = getattr(type(system), name)
+def _count_calls(monkeypatch, names):
+    """Count calls of the ResidualSystem methods names, from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(ResidualSystem, name)
 
-        def counted(self, *args, _name=name, _real=real):
+        def counted(self, *args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
-            return _real(self, *args)
+            return _real(self, *args, **kwargs)
 
-        monkeypatch.setattr(type(system), name, counted)
+        monkeypatch.setattr(ResidualSystem, name, counted)
     return calls
 
 
-def test_certificate_evaluates_no_edge_row_of_a_builtin_h(monkeypatch):
-    """Built-in Hamiltonians declare their slope bound, so the edge rows are
-    certified from the stencil with no edge row or H evaluated; a custom
-    Hamiltonian declares none, so its system runs the full probe."""
-    problem = entry_by_name("star3_mixed").problem
-    system = assemble(problem, Grid(problem.network, 21), probe_samples=0)
-    calls = _count_edge_calls(monkeypatch, system)
-    assert system.certify_monotone() is None
-    assert calls == {"_edge_rows": 0, "_table_ham": 0}
+_PROBE_PARTS = ("_probe_draws", "_probe_deltas", "_edge_rows", "_table_ham")
 
+
+def test_certificate_evaluates_no_edge_row_of_a_builtin_h(monkeypatch):
+    """Every catalog entry is built from built-in records, so its system is
+    certified under either junction mode with no sample drawn, no row
+    probed and no edge row or edge H evaluated."""
+    calls = _count_calls(monkeypatch, _PROBE_PARTS)
+    for entry in all_entries():
+        for mode in JUNCTION_MODES:
+            system = assemble(entry.problem, Grid(entry.problem.network, 21),
+                              junction_mode=mode, probe_samples=0)
+            calls.update(dict.fromkeys(calls, 0))
+            assert system.certify_monotone() is None, (entry.name, mode)
+            assert calls == dict.fromkeys(_PROBE_PARTS, 0), (entry.name, mode)
+
+
+def test_certificate_leaves_custom_data_to_the_probe(monkeypatch):
+    """A custom Hamiltonian, a custom coupling or a Hamiltonian subclass
+    that overrides the envelopes gets no certificate, so certify_monotone
+    runs the full probe, once, and returns its witness."""
+    calls = _count_calls(monkeypatch, _PROBE_PARTS)
+    problem = entry_by_name("star3_mixed").problem
     custom = dataclasses.replace(problem, hamiltonians={
         eid: Hamiltonian(ham, c_h=ham.c_h, coercive=ham.coercive, lipschitz_p=ham.lipschitz_p)
         for eid, ham in problem.hamiltonians.items()})
-    system = assemble(custom, Grid(problem.network, 21), probe_samples=0)
-    assert not system.stencil_certificate()
-    calls.update(_edge_rows=0, _table_ham=0)
-    assert system.certify_monotone() is None
-    assert calls == {"_edge_rows": 1, "_table_ham": 1}
+    cases = [
+        (custom, 21, None),
+        (_with_coupling("graph5_constant", lambda r, p: np.sum(p, axis=-1)), 11,
+         {"sample": 0, "node": 1, "row": 1, "direction": "own"}),
+        (_with_envelopes("star3_eikonal", lambda x, q: 3.0 * np.abs(q)), 11,
+         {"sample": 0, "node": 1, "row": 1, "direction": "own"}),
+    ]
+    for problem, nodes, expect in cases:
+        system = assemble(problem, Grid(problem.network, nodes), probe_samples=0)
+        assert not system.stencil_certificate()
+        calls.update(dict.fromkeys(calls, 0))
+        witness = system.certify_monotone()
+        assert calls == dict.fromkeys(_PROBE_PARTS, 1)
+        assert witness == (expect and {**expect, "delta": witness["delta"]})
+
+
+@dataclasses.dataclass(frozen=True)
+class _Understated(Hamiltonian):
+    """A Hamiltonian record whose slope_bound reads 0.5 whatever its params."""
+
+    slope_bound = property(lambda self: 0.5)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: _with_hamiltonians("star3_eikonal", Hamiltonian(
+        None, 1.0, True, 0.5, "eikonal", {"speed": -1.0, "rhs": 1.0})), InvalidCoefficientSign),
+    (lambda: _with_hamiltonians("star3_eikonal", dataclasses.replace(
+        eikonal(1.0), lipschitz_p=0.5, params={"speed": -1.0, "rhs": 1.0})), InvalidCoefficientSign),
+    (lambda: dataclasses.replace(entry_by_name("star3_eikonal").problem, kirchhoff={
+        0: KirchhoffCondition(3, None, "affine", {"B": 0.0, "alpha0": 0.0, "alphas": [-1, 1, 1]})}),
+     InvalidCoefficientSign),
+    (lambda: _with_hamiltonians("star3_eikonal", _Understated(
+        None, 3.0, True, 0.5, "eikonal", {"speed": 3.0, "rhs": 1.0})), MonotonicityProbeFailed),
+    (lambda: dataclasses.replace(entry_by_name("star3_eikonal").problem, kirchhoff={
+        0: make_kirchhoff("classical", 3, B=np.inf)}), MonotonicityProbeFailed),
+], ids=["negative-speed", "negative-speed-replaced", "negative-alpha", "understated-bound",
+        "infinite-junction-row"])
+def test_builtin_records_cannot_bypass_the_certificate(build, error):
+    """A record refuses params of the wrong sign however it is built, and a
+    Hamiltonian subclass or a vertex row that is not finite at u = 0 gets
+    no certificate, so the probe finds the violation: none of these
+    problems assembles."""
+    with pytest.raises(error), np.errstate(invalid="ignore"):
+        problem = build()
+        assemble(problem, Grid(problem.network, 21))
 
 
 def _with_hamiltonians(name, ham):
@@ -611,9 +670,9 @@ def test_replaced_fn_declares_no_slope_bound(monkeypatch):
     problem = _with_hamiltonians("star3_eikonal", steep)
     system = assemble(problem, Grid(problem.network, 21), probe_samples=0)
     assert not system.stencil_certificate()
-    calls = _count_edge_calls(monkeypatch, system)
+    calls = _count_calls(monkeypatch, _PROBE_PARTS)
     witness = system.certify_monotone()
-    assert calls == {"_edge_rows": 1, "_table_ham": 1}
+    assert calls == dict.fromkeys(_PROBE_PARTS, 1)
     assert witness is not None and witness == system.probe_monotone()
 
 

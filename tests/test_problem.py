@@ -1,7 +1,9 @@
 """Problem data: Hamiltonians, envelopes, couplings, and the sampled
 structure validator."""
 
+import copy
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -14,6 +16,7 @@ from knet.network import star_junction
 from knet.problem import (
     Diffusion,
     Hamiltonian,
+    KirchhoffCondition,
     NetworkProblem,
     advection,
     constant_diffusion,
@@ -223,6 +226,27 @@ def test_records_change_only_by_replace():
         with pytest.raises(dataclasses.FrozenInstanceError):
             record.fn = lambda *args: 0.0
     assert dataclasses.replace(eikonal(2.0), params={"speed": 3.0, "rhs": 0.0}).slope_bound == 3.0
+
+
+def test_record_params_are_read_only():
+    """params is a read-only mapping whose lists are tuples, so no write in
+    place can leave a record's facts behind its params, as one once moved
+    star3_linear's direct oracle but not its scheme.  replace(params=...)
+    derives the facts anew, params still spread into a JSON config, and a
+    problem still deep-copies."""
+    problem = entry_by_name("star3_linear").problem
+    cond = make_kirchhoff("pm-split", 3, B=0.2, alphas=[1, 2, 3])
+    for params, key in ((problem.kirchhoff[0].params, "B"), (problem.hamiltonians[0].params, "b"),
+                        (cond.params, "alphas"), (cond.params["alphas"], 0)):
+        with pytest.raises(TypeError):
+            params[key] = 5.0
+    direct = KirchhoffCondition(3, None, "affine", {"B": 0.2, "alpha0": 0.0, "alphas": [1.0, 2.0, 3.0]})
+    assert cond.params["alphas"] == direct.params["alphas"] == (1.0, 2.0, 3.0)
+    assert json.loads(json.dumps({**cond.params})) == {
+        "B": 0.2, "alpha0": 0.0, "alphas": [1.0, 2.0, 3.0], "betas": [1.0, 1.0, 1.0]}
+    bumped = dataclasses.replace(cond, params={**cond.params, "B": 5.0})
+    assert (cond(0.0, np.zeros(3)), bumped(0.0, np.zeros(3))) == (-0.2, -5.0)
+    assert copy.deepcopy(problem).kirchhoff == problem.kirchhoff
 
 
 def test_hamiltonian_requires_positive_structure_constant():

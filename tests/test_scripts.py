@@ -18,12 +18,18 @@ def _load(name):
     return module
 
 
+def _csv_rows(path):
+    """The rows of a CSV file, as dicts keyed by its header."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_convergence_study_reports_reference_kind(tmp_path, capsys):
     study = _load("convergence_study")
     out = tmp_path / "rows.csv"
     assert study.main(["--entries", "star3_constant,star3_linear,star3_mixed",
                        "--resolutions", "5,9,17", "--csv", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = _csv_rows(out)
     assert len(rows) == 9
     assert {r["entry"]: r["reference"] for r in rows} == {
         "star3_constant": "exact", "star3_linear": "direct-linear",
@@ -54,7 +60,7 @@ def test_convergence_study_counts_unconverged_reference(tmp_path, capsys, monkey
     out = tmp_path / "rows.csv"
     assert study.main(["--entries", "star3_mixed", "--resolutions", "5,9,17",
                        "--csv", str(out)]) == 1
-    rows = list(csv.DictReader(out.open()))
+    rows = _csv_rows(out)
     assert [r["reference_converged"] for r in rows] == ["True", "True", "False"]
     assert all(r["converged"] == "True" for r in rows)
     lines = capsys.readouterr().out.splitlines()
@@ -81,7 +87,7 @@ def test_convergence_study_csv_goes_through_the_cli_writer(tmp_path, monkeypatch
     assert study.main(["--entries", "star3_constant", "--resolutions", "5,9,17",
                        "--csv", str(out)]) == 0
     assert written == [str(out)]
-    assert [r["nodes"] for r in csv.DictReader(out.open())] == ["5", "9", "17"]
+    assert [r["nodes"] for r in _csv_rows(out)] == ["5", "9", "17"]
     assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
 
