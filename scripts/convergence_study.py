@@ -2,7 +2,8 @@
 """Convergence study across the problem catalog.
 
 For each entry, solve on a ladder of grids and report sup errors against
-the best available reference (exact profile, direct linear solve, or a
+the best available reference (exact profile, the closed-form flux-limited
+reference of a first-order eikonal network, direct linear solve, or a
 4x-refined run of the same scheme) together with observed orders.  Exits 1
 when a run or a fine-grid reference did not converge, and marks its row.
 

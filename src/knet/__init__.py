@@ -14,7 +14,7 @@ from .analysis import (
     lipschitz_on_interior,
     probe_viscosity,
 )
-from .catalog import CatalogEntry, all_entries, entry_by_name, random_problem
+from .catalog import CatalogEntry, all_entries, eikonal_problem, entry_by_name, random_problem
 from .discretization import Grid, GridFunction, ResidualSystem, assemble
 from .errors import KnetError
 from .network import (
@@ -30,6 +30,7 @@ from .oracle import (
     ReferenceSolution,
     direct_linear_solve,
     fine_grid_reference,
+    flux_limited_reference,
     observed_orders,
     reference_for,
     richardson_order,

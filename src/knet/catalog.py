@@ -3,8 +3,9 @@ suite and the verification criteria.
 
 Each entry records what is known about its solution: an exact profile when
 one exists, degeneracy, and whether the interior Lipschitz bound applies.
-Whether the direct linear oracle applies is read off the problem itself
-(oracle.reference_for).
+Whether the flux-limited or the direct linear oracle applies is read off
+the problem itself (oracle.reference_for).  random_problem and
+eikonal_problem draw problems at random.
 """
 
 from __future__ import annotations
@@ -80,7 +81,9 @@ def graph5_constant() -> CatalogEntry:
 
 def star3_eikonal() -> CatalogEntry:
     """Degenerate eikonal star with zero boundary data; genuinely
-    nonsmooth, verified against fine-grid references."""
+    nonsmooth.  Its solution is 1 - e^(-d), d the distance to the boundary
+    vertex of the edge, which is 1 - t on every edge (the value of the
+    control problem of oracle.flux_limited_reference)."""
     net = star_junction(3)
     problem = NetworkProblem(
         net, lam=1.0,
@@ -89,7 +92,9 @@ def star3_eikonal() -> CatalogEntry:
         kirchhoff={0: make_kirchhoff("classical", 3, B=0.0)},
         dirichlet={1: 0.0, 2: 0.0, 3: 0.0},
     )
-    return CatalogEntry("star3_eikonal", problem, degenerate=True)
+    return CatalogEntry("star3_eikonal", problem,
+                        exact=lambda eid, t: 1.0 - np.exp(np.asarray(t, dtype=float) - 1.0),
+                        degenerate=True)
 
 
 def star3_eikonal_loss() -> CatalogEntry:
@@ -196,24 +201,29 @@ def entry_by_name(name: str) -> CatalogEntry:
     return make()
 
 
+def _random_network(rng: np.random.Generator) -> Network:
+    """A 3-star, a 4-star or the 5-vertex graph with a cycle, with edge
+    lengths ~ U(0.5, 1.5)."""
+    topology = rng.integers(0, 3)
+    if topology == 0:
+        return star_junction(3, lengths=list(rng.uniform(0.5, 1.5, 3)))
+    if topology == 1:
+        return star_junction(4, lengths=list(rng.uniform(0.5, 1.5, 4)))
+    return build_network(
+        range(5),
+        [(0, 0, 1, rng.uniform(0.5, 1.5)), (1, 1, 2, rng.uniform(0.5, 1.5)),
+         (2, 1, 3, rng.uniform(0.5, 1.5)), (3, 2, 3, rng.uniform(0.5, 1.5)),
+         (4, 3, 4, rng.uniform(0.5, 1.5))],
+    )
+
+
 def random_problem(rng: np.random.Generator) -> NetworkProblem:
     """Randomized problem whose every draw has lam > 0, a >= 0, Lipschitz H
     within its c_h and monotone, coercive couplings, so the discrete system is
     monotone.  A degenerate edge may carry a non-coercive (advection) H, so
     most draws fail validate_problem's standing assumptions at vertices (49
     of s = 0..59 fail steady_degenerate_coercive or boundary_elliptic_or_coercive)."""
-    topology = rng.integers(0, 3)
-    if topology == 0:
-        net = star_junction(3, lengths=list(rng.uniform(0.5, 1.5, 3)))
-    elif topology == 1:
-        net = star_junction(4, lengths=list(rng.uniform(0.5, 1.5, 4)))
-    else:
-        net = build_network(
-            range(5),
-            [(0, 0, 1, rng.uniform(0.5, 1.5)), (1, 1, 2, rng.uniform(0.5, 1.5)),
-             (2, 1, 3, rng.uniform(0.5, 1.5)), (3, 2, 3, rng.uniform(0.5, 1.5)),
-             (4, 3, 4, rng.uniform(0.5, 1.5))],
-        )
+    net = _random_network(rng)
     hams, diffs = {}, {}
     for e in net.edges:
         if rng.random() < 0.5:
@@ -240,4 +250,19 @@ def random_problem(rng: np.random.Generator) -> NetworkProblem:
     dirichlet = {v.id: float(rng.uniform(-2.0, 2.0))
                  for v in net.boundary_vertices}
     return NetworkProblem(net, float(rng.uniform(0.5, 2.0)), hams, diffs,
+                          kirch, dirichlet)
+
+
+def eikonal_problem(rng: np.random.Generator, B: Optional[float] = None) -> NetworkProblem:
+    """Randomized all-degenerate network, where oracle.flux_limited_reference
+    applies: random_problem's topologies and edge lengths, every edge a = 0
+    with eikonal(U(0.5, 2), U(0, 1)), classical junctions with the given B,
+    else B ~ U(-1, 1) each, Dirichlet data ~ U(-2, 2) and lam ~ U(0.5, 2)."""
+    net = _random_network(rng)
+    hams = {e.id: eikonal(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0)) for e in net.edges}
+    kirch = {v.id: make_kirchhoff("classical", net.degree(v.id),
+                                  B=rng.uniform(-1.0, 1.0) if B is None else B)
+             for v in net.interior_vertices}
+    dirichlet = {v.id: float(rng.uniform(-2.0, 2.0)) for v in net.boundary_vertices}
+    return NetworkProblem(net, float(rng.uniform(0.5, 2.0)), hams, _zero_diffusions(net),
                           kirch, dirichlet)

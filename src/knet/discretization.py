@@ -367,6 +367,13 @@ class ResidualSystem:
         self._left_coeff = self._edge_rows(slice(None), 1.0, 0.0, 0.0, no_ham)
         self._right_coeff = self._edge_rows(slice(None), 0.0, 0.0, 1.0, no_ham)
 
+    @cached_property
+    def affine(self) -> bool:
+        """Whether every row is affine in u: the problem is linear
+        (NetworkProblem.why_not_linear, the direct linear solve's test) and
+        no vertex row takes a relaxed clause, whose max is not."""
+        return not self.problem.why_not_linear() and not any(st.relaxed for st in self._vertices)
+
     # -- residual evaluation ------------------------------------------------
 
     def _vertex_rows(self, v: int, uv, nbr):

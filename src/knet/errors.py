@@ -68,6 +68,11 @@ class ProblemNotLinear(KnetError):
     pass
 
 
+class ProblemNotEikonal(KnetError):
+    """Raised by oracle.flux_limited_reference off its degenerate eikonal
+    networks."""
+
+
 class GridTooCoarse(KnetError):
     pass
 

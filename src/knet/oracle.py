@@ -6,14 +6,24 @@ with plain central differences and one-sided three-point vertex slopes.  It
 shares no code path with the monotone residual systems, so agreement
 between the two is meaningful evidence.
 
-Nonlinear problems are verified against fine-grid references of the main
-scheme and against observed convergence orders.  convergence_table is the
-one solve, reference, error and order loop behind `knet convergence-table`
-and scripts/convergence_study.py.  It solves its resolutions and their
-fine-grid references as one coarse-to-fine chain: each grid starts from
-the solution on the grid below it, prolonged by GridFunction.on_grid and
-passed to solver.solve_system as its start.  Every grid is still
-assembled, and so certified monotone, by assemble.
+The flux-limited reference is a third, in closed form: on a network whose
+every edge is first order (a = 0) with H = c_e|p| - f_e and whose every
+junction is classical, the relaxed viscosity solution, unique by the
+comparison principle, is the value of a discounted exit-time control
+problem: speed at most c_e and running cost f_e on edge e, discount lam,
+exit cost g at a boundary vertex, and at a junction the cost of staying
+there given by its effective flux limiter (Imbert & Monneau, Ann. Sci. ENS
+50, 2017; Achdou, Camilli, Cutri & Tchou, NoDEA 20, 2013).  It reads no
+grid solution, so it serves either junction mode.
+
+Other nonlinear problems are verified against fine-grid references of the
+main scheme and against observed convergence orders.  convergence_table is
+the one solve, reference, error and order loop behind `knet
+convergence-table` and scripts/convergence_study.py.  It solves its
+resolutions and their fine-grid references as one coarse-to-fine chain:
+each grid starts from the solution on the grid below it, prolonged by
+GridFunction.on_grid and passed to solver.solve_system as its start.  Every
+grid is still assembled, and so certified monotone, by assemble.
 """
 
 from __future__ import annotations
@@ -29,8 +39,10 @@ from scipy.sparse.linalg import spsolve
 
 from .discretization import (JUNCTION_MODES, Grid, GridFunction, assemble, check_nodes,
                              resolve_relaxed_edges)
-from .errors import GridTooCoarse, NonPositiveError, ProblemNotLinear, SingularSystem
-from .problem import NetworkProblem
+from .errors import (GridTooCoarse, NonPositiveError, ProblemNotEikonal, ProblemNotLinear,
+                     SingularSystem)
+from .network import INTERIOR
+from .problem import Hamiltonian, KirchhoffCondition, NetworkProblem
 from .solver import SolveConfig, solve_system
 
 REFINE = 4  # a fine-grid reference has REFINE cells per cell of its grid
@@ -47,13 +59,6 @@ class ReferenceSolution:
         return self.u.grid
 
 
-def _affine_data(problem: NetworkProblem, eid: int):
-    affine = problem.hamiltonians[eid].affine
-    if affine is None:
-        raise ProblemNotLinear(f"edge {eid}: Hamiltonian is not affine in p")
-    return affine  # (b, f_fn)
-
-
 def direct_linear_solve(problem: NetworkProblem, nodes_per_edge,
                         eps: float = 0.0) -> ReferenceSolution:
     """Sparse direct solve of a linear network problem.
@@ -63,12 +68,9 @@ def direct_linear_solve(problem: NetworkProblem, nodes_per_edge,
     least four nodes per edge: GridTooCoarse on fewer.
     """
     net = problem.network
-    for v in net.interior_vertices:
-        if problem.kirchhoff[v.id].family not in ("classical", "affine"):
-            raise ProblemNotLinear(
-                f"vertex {v.id}: coupling family "
-                f"{problem.kirchhoff[v.id].family!r} is not linear"
-            )
+    reason = problem.why_not_linear()
+    if reason:
+        raise ProblemNotLinear(reason)
     grid = Grid(net, nodes_per_edge)
     for eid, n in grid.nodes_per_edge.items():
         if n < 4:
@@ -85,7 +87,7 @@ def direct_linear_solve(problem: NetworkProblem, nodes_per_edge,
         vals.append(v)
 
     for e in net.edges:
-        b, f_fn = _affine_data(problem, e.id)
+        b, f_fn = problem.hamiltonians[e.id].affine
         ids = grid.node_ids[e.id]
         x = grid.coords[e.id]
         h = grid.spacing[e.id]
@@ -132,6 +134,86 @@ def direct_linear_solve(problem: NetworkProblem, nodes_per_edge,
                              {"eps": eps})
 
 
+def _eikonal_data(problem: NetworkProblem, nodes_per_edge, eps: float):
+    """The grid and (c_e, f_e) per edge, in edge order, where
+    flux_limited_reference applies; else ProblemNotEikonal, naming the
+    first obstruction.  The grid is built only for the last check."""
+    if eps != 0.0:
+        raise ProblemNotEikonal(f"eps = {eps} > 0: the closed form is first order")
+    for v in problem.network.interior_vertices:
+        cond = problem.kirchhoff[v.id]
+        if type(cond) is not KirchhoffCondition or cond.family != "classical":
+            raise ProblemNotEikonal(f"vertex {v.id}: coupling family {cond.family!r} "
+                                    "is not classical")
+    for e in problem.network.edges:
+        ham = problem.hamiltonians[e.id]
+        if type(ham) is not Hamiltonian or ham.family != "eikonal":
+            raise ProblemNotEikonal(f"edge {e.id}: Hamiltonian {ham.name} is not eikonal")
+    grid = Grid(problem.network, nodes_per_edge)
+    for e in problem.network.edges:
+        if np.any(problem.diffusions[e.id].a(grid.coords[e.id]) != 0.0):
+            raise ProblemNotEikonal(f"edge {e.id}: diffusion does not vanish")
+    speed, rhs = np.array([(problem.hamiltonians[e.id].params["speed"],
+                            problem.hamiltonians[e.id].params["rhs"])
+                           for e in problem.network.edges], dtype=float).T
+    return grid, speed, rhs
+
+
+def flux_limited_reference(problem: NetworkProblem, nodes_per_edge,
+                           eps: float = 0.0) -> ReferenceSolution:
+    """The relaxed viscosity solution in closed form, where eps = 0, every
+    edge's diffusion vanishes at every grid node, every H is a built-in
+    eikonal record c_e|p| - f_e and every junction is classical; else
+    ProblemNotEikonal.  It is the value of the control problem of the module
+    docstring, with K_e = exp(-lam L_e / c_e):
+
+    - stay values S_v: at a junction, min(min_e f_e, (B_v + sum_e f_e/c_e)
+      / sum_e 1/c_e) / lam, which is -A_v / lam for A_v its effective flux
+      limiter; at a boundary vertex, min(g_v, min_e f_e / lam);
+    - vertex values U(v) = min(S_v, min over edges e = (v, w) of
+      f_e/lam (1 - K_e) + K_e U(w)), iterated from U = S until no value
+      changes: an optimal path visits each vertex once, so at most V rounds;
+    - at distance s_w from end w of edge e, the min over both ends of
+      f_e/lam (1 - k) + k U(w), k = exp(-lam s_w / c_e).  Staying on the
+      edge, at cost f_e/lam, never does better: U(w) <= S_w <= f_e/lam at
+      either end."""
+    net, lam = problem.network, problem.lam
+    grid, speed, rhs = _eikonal_data(problem, nodes_per_edge, eps)
+    stay_edge = rhs / lam  # the cost of staying on each edge forever
+    stay = np.empty(len(net.vertices))
+    position = {e.id: i for i, e in enumerate(net.edges)}
+    for v in net.vertices:
+        ids = [position[inc.edge.id] for inc in net.incidence[v.id]]
+        if v.kind == INTERIOR:
+            limiter = ((problem.kirchhoff[v.id].params["B"] + np.sum(rhs[ids] / speed[ids]))
+                       / np.sum(1.0 / speed[ids]))
+            stay[grid.vertex_gid(v.id)] = min(np.min(rhs[ids]), limiter) / lam
+        else:
+            stay[grid.vertex_gid(v.id)] = min(problem.dirichlet[v.id], np.min(stay_edge[ids]))
+    # each edge in both directions: from vertex `at` across the edge to `to`
+    tails = np.array([grid.vertex_gid(e.tail) for e in net.edges])
+    heads = np.array([grid.vertex_gid(e.head) for e in net.edges])
+    at, to = np.concatenate([tails, heads]), np.concatenate([heads, tails])
+    lengths = np.array([e.length for e in net.edges])
+    k = np.tile(np.exp(-lam * lengths / speed), 2)
+    run = np.tile(stay_edge, 2) * (1.0 - k)
+    u_v = stay
+    for _ in net.vertices:
+        new = stay.copy()
+        np.minimum.at(new, at, run + k * u_v[to])
+        if np.array_equal(new, u_v):
+            break
+        u_v = new
+    values = np.empty(grid.total_nodes)
+    values[:len(u_v)] = u_v
+    for i, e in enumerate(net.edges):
+        t, ids = grid.coords[e.id][1:-1], grid.node_ids[e.id][1:-1]
+        k_tail, k_head = (np.exp(-lam * s / speed[i]) for s in (t, e.length - t))
+        values[ids] = np.minimum(stay_edge[i] * (1.0 - k_tail) + k_tail * u_v[tails[i]],
+                                 stay_edge[i] * (1.0 - k_head) + k_head * u_v[heads[i]])
+    return ReferenceSolution(GridFunction(grid, values), "flux-limited", {"eps": eps})
+
+
 def fine_grid_reference(problem: NetworkProblem, nodes_per_edge,
                         solved=None, eps: float = 0.0,
                         junction_mode: str = JUNCTION_MODES[0]) -> ReferenceSolution:
@@ -167,25 +249,31 @@ def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
                   eps: float = 0.0, junction_mode: str = JUNCTION_MODES[0],
                   solved=None) -> ReferenceSolution:
     """The best available reference for the scheme with viscosity eps and
-    junction mode junction_mode: the exact profile exact(edge id, t) when
-    eps = 0, else the direct linear solve where it applies, else a
-    REFINE-times refined run of the scheme itself.
+    junction mode junction_mode, the first that applies of: the exact
+    profile exact(edge id, t) when eps = 0, flux_limited_reference, the
+    direct linear solve, and a REFINE-times refined run of the scheme
+    itself.
 
     The exact profiles and the direct solve are solutions of the Kirchhoff
     problem.  They serve wherever resolve_relaxed_edges relaxes no junction
-    edge, where both junction modes give the same rows; a junction it
-    relaxes takes the fine-grid reference.  Their boundary data hold as the
-    scheme's boundary rows impose them: relaxed where a + eps = 0 and H is
-    coercive (an exact profile that detaches there), strong elsewhere,
-    which is every boundary vertex of a linear problem, since an affine H
-    is not coercive.  solved passes on to fine_grid_reference:
-    default-config solves of this scheme by node count."""
+    edge, where both junction modes give the same rows.  The flux-limited
+    reference is the limit of both modes, so it serves either.  Their
+    boundary data hold as the scheme's boundary rows impose them: relaxed
+    where a + eps = 0 and H is coercive (an exact profile that detaches
+    there), strong elsewhere, which is every boundary vertex of a linear
+    problem, since an affine H is not coercive.  solved passes on to
+    fine_grid_reference: default-config solves of this scheme by node
+    count."""
     relaxed = resolve_relaxed_edges(problem, eps, junction_mode)
-    if not any(relaxed[v.id] for v in problem.network.interior_vertices):
-        if exact is not None and eps == 0.0:
-            grid = Grid(problem.network, nodes_per_edge)
-            return ReferenceSolution(GridFunction.from_profile(grid, exact),
-                                     "exact", {})
+    kirchhoff_rows = not any(relaxed[v.id] for v in problem.network.interior_vertices)
+    if kirchhoff_rows and exact is not None and eps == 0.0:
+        grid = Grid(problem.network, nodes_per_edge)
+        return ReferenceSolution(GridFunction.from_profile(grid, exact), "exact", {})
+    try:
+        return flux_limited_reference(problem, nodes_per_edge, eps=eps)
+    except ProblemNotEikonal:
+        pass
+    if kirchhoff_rows:
         try:
             return direct_linear_solve(problem, nodes_per_edge, eps=eps)
         except (ProblemNotLinear, GridTooCoarse):

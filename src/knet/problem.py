@@ -352,6 +352,19 @@ class NetworkProblem:
             if not np.isfinite(self.dirichlet.get(v.id, np.nan)):
                 raise ValueError(f"no finite Dirichlet datum at vertex {v.id}")
 
+    def why_not_linear(self) -> str:
+        """"" when every coupling is classical or affine and every H has
+        affine data, so the equations are linear in u; else the first
+        coupling, then the first H, that is not, as a sentence."""
+        for v in self.network.interior_vertices:
+            family = self.kirchhoff[v.id].family
+            if family not in ("classical", "affine"):
+                return f"vertex {v.id}: coupling family {family!r} is not linear"
+        for e in self.network.edges:
+            if self.hamiltonians[e.id].affine is None:
+                return f"edge {e.id}: Hamiltonian is not affine in p"
+        return ""
+
     def a_at_incidence(self, inc: Incidence) -> float:
         """The diffusion of inc's edge at inc's vertex."""
         return float(self.diffusions[inc.edge.id].a(inc.vertex_param))

@@ -16,7 +16,9 @@ The hybrid is one predictor-corrector: Newton corrects the start given
 (a previous viscosity step, a coarser rung of a ladder), else the same
 system solved on the grid with half as many cells per edge and prolonged,
 nested down to a coarsest level that starts from zero (Brandt, Math. Comp.
-31, 1977).  From such a start Newton's count does not grow with the mesh
+31, 1977).  An affine system (ResidualSystem.affine) needs no predictor:
+Newton's first step solves it from any start, so it starts from zero on
+its own grid.  From such a start Newton's count does not grow with the mesh
 (Allgower, Bohmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986).
 The discrete solution is unique, so the start changes the cost, not the
 answer.  A coarse level only predicts: whatever Newton reaches there
@@ -45,6 +47,7 @@ from .problem import NetworkProblem
 MAX_NEWTON = 60  # Newton iterations per newton_solve
 WARMUP_SWEEPS = 5  # Gauss-Seidel sweeps before the fallback's Newton
 MIN_LEVEL_NODES = 21  # fewest nodes per edge on a coarse level of the hybrid
+ROUNDOFF_FACTOR = 4.0  # _threshold's round-off floor, in eps_mach * max(own_coeff)
 NEWTON_FD_STEP = 1e-7  # largest finite-difference step of the Jacobian
 BRACKET_WIDTH = 1.0  # solve_node's first bracket half-width
 MAX_DOUBLINGS = 80  # bracket doublings per side in solve_node
@@ -75,12 +78,38 @@ class SolveConfig:
             raise ValueError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps}")
 
 
-def _threshold(tol: float, u: np.ndarray) -> float:
-    """Convergence threshold tol * max(1, max|u|), relative to the solution
-    scale only.  It has no h-dependent round-off floor: the floor of the
-    second difference, about eps_mach * a * |u| / h^2, can exceed it on fine
-    grids."""
-    return tol * max(1.0, float(np.max(np.abs(u))))
+def _floor(system: ResidualSystem) -> float:
+    """The round-off floor ROUNDOFF_FACTOR * eps_mach * max(own_coeff) that
+    _threshold adds to tol."""
+    return ROUNDOFF_FACTOR * np.finfo(float).eps * float(np.max(system.own_coeff))
+
+
+def _threshold(tol: float, floor: float, u: np.ndarray) -> float:
+    """Convergence threshold (tol + floor) * max(1, max|u|), floor the
+    system's round-off floor (_floor).
+
+    A row sums terms whose coefficients are at most own_coeff in size and,
+    the row being monotone, at most 2 * own_coeff in sum (|left| + |right|
+    <= own_coeff - lam on an edge row).  Evaluated in floating point, each
+    term and the sum carry a rounding error of eps_mach relative to
+    coefficient * |u|, so the computed residual of the exact discrete
+    solution is of order eps_mach * own_coeff * |u| (Higham, Accuracy and
+    Stability of Numerical Algorithms, SIAM 2002, ch. 3), and no iterate
+    can be told from it below that.  On an edge row with diffusion,
+    own_coeff ~ 2(a+eps)/h^2, so this floor passes tol * max(1, |u|) on
+    fine grids (at n = 1281 on star3_linear); 4 eps_mach * max(own_coeff)
+    covers the few roundings of one row.  Where the floor is below tol, as
+    on every coarse grid and every edge with a + eps = 0, tol alone
+    decides."""
+    return (tol + floor) * max(1.0, float(np.max(np.abs(u))))
+
+
+def _short_of(norm: float, tol: float, floor: float, u: np.ndarray) -> str:
+    """Where a run stopped unconverged: its residual, the threshold and
+    the threshold's parts."""
+    return (f"at residual {norm:.3g} > threshold {_threshold(tol, floor, u):.3g} = "
+            f"(tol {tol:.3g} + round-off floor {floor:.3g}) * "
+            f"{max(1.0, float(np.max(np.abs(u)))):.3g}")
 
 
 @dataclass
@@ -200,6 +229,7 @@ def sweep_solve(system: ResidualSystem, config: SolveConfig,
     A vertex root solve_node cannot bracket ends the run unconverged."""
     u = (GridFunction.zeros(system.grid) if u0 is None else u0.copy()).values
     skip_below = 0.05 * config.tol
+    floor = _floor(system)
     vertices = range(len(system.grid.network.vertices))
     norm = system.residual_norm(u)
     it, message = 0, ""
@@ -216,12 +246,11 @@ def sweep_solve(system: ResidualSystem, config: SolveConfig,
         except LocalRootBracketFailed as exc:
             message = f"could not bracket a vertex root in sweep {it} ({exc})"
         norm = system.residual_norm(u)
-        if message or norm <= _threshold(config.tol, u):
+        if message or norm <= _threshold(config.tol, floor, u):
             break
-    threshold = _threshold(config.tol, u)
-    if not (message or norm <= threshold):
-        message = (f"reached max_sweeps={config.max_sweeps} at residual {norm:.3g} "
-                   f"> threshold {threshold:.3g}")
+    if not (message or norm <= _threshold(config.tol, floor, u)):
+        message = (f"reached max_sweeps={config.max_sweeps} "
+                   + _short_of(norm, config.tol, floor, u))
     return SolveResult(GridFunction(system.grid, u), not message, norm, it,
                        "sweep", message)
 
@@ -283,8 +312,9 @@ def newton_solve(system: ResidualSystem, config: SolveConfig,
     it = 0
     message = ""
     h = min(system.grid.spacing.values())
+    floor = _floor(system)
     for it in range(1, MAX_NEWTON + 1):
-        if norm <= _threshold(config.tol, u):
+        if norm <= _threshold(config.tol, floor, u):
             it -= 1
             break
         # near kinks the linearization error is O(step/h), so polish with a
@@ -304,16 +334,18 @@ def newton_solve(system: ResidualSystem, config: SolveConfig,
             trial = u + t * du
             r_try = system.residual(trial)
             n_try = float(np.max(np.abs(r_try)))
-            if (n_try <= _threshold(config.tol, trial)
+            if (n_try <= _threshold(config.tol, floor, trial)
                     or n_try < norm * (1.0 - 1e-4 * t)):
                 u, r, norm = trial, r_try, n_try
                 break
             t *= 0.5
         else:
-            message = f"line search stalled at iteration {it} at residual {norm:.3g}"
+            message = (f"line search stalled at iteration {it} "
+                       + _short_of(norm, config.tol, floor, u))
             break
-    if not (message or norm <= _threshold(config.tol, u)):
-        message = f"reached MAX_NEWTON={MAX_NEWTON} iterations at residual {norm:.3g}"
+    if not (message or norm <= _threshold(config.tol, floor, u)):
+        message = (f"reached MAX_NEWTON={MAX_NEWTON} iterations "
+                   + _short_of(norm, config.tol, floor, u))
     return SolveResult(GridFunction(system.grid, u), not message, norm, it,
                        "newton", message)
 
@@ -344,13 +376,15 @@ def _sweep_warmed(system: ResidualSystem, config: SolveConfig, u0) -> SolveResul
 def _nested(system: ResidualSystem, config: SolveConfig, u0):
     """Newton from u0, else from this system solved the same way on the
     grid with half as many cells per edge and prolonged, else (where an
-    edge would keep fewer than MIN_LEVEL_NODES) from zero.  Returns Newton's
-    result, counting every level's iterations, its start, and each level's
-    Newton count, coarsest first.  A coarse level only predicts, so it is
-    not probed and falls back nowhere: its Newton result is the start."""
+    edge would keep fewer than MIN_LEVEL_NODES, or the system is affine,
+    so that Newton's first step is exact from any start) from zero.
+    Returns Newton's result, counting every level's iterations, its start,
+    and each level's Newton count, coarsest first.  A coarse level only
+    predicts, so it is not probed and falls back nowhere: its Newton result
+    is the start."""
     counts, spent = [], 0
     coarse = {eid: (n - 1) // 2 + 1 for eid, n in system.grid.nodes_per_edge.items()}
-    if u0 is None and min(coarse.values()) >= MIN_LEVEL_NODES:
+    if u0 is None and not system.affine and min(coarse.values()) >= MIN_LEVEL_NODES:
         cres, _, counts = _nested(assemble(
             system.problem, Grid(system.problem.network, coarse), eps=system.eps,
             junction_mode=system.junction_mode, probe_samples=0), config, None)

@@ -497,12 +497,13 @@ def test_non_finite_number_in_config_exits_3(tmp_path, capsys, sub):
 @pytest.mark.parametrize("sub", RUNS)
 def test_failed_certification_exits_3_under_every_run(tmp_path, capsys, monkeypatch, sub):
     """One input, one outcome: a scheme that fails certification exits 3
-    with the same message under every subcommand that assembles it."""
+    with the same message under every subcommand that assembles it.
+    star3_mixed takes the fine-grid reference, so oracle assembles it too."""
     from knet.discretization import ResidualSystem
 
     monkeypatch.setattr(ResidualSystem, "certify_monotone",
                         lambda self, n_samples=3, rng=None: {"node": 0, "direction": 1})
-    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal"})
+    cfg = _write_config(tmp_path, {"catalog": "star3_mixed"})
     assert main(_run_argv(sub, cfg, tmp_path / "out")) == EXIT_BAD_INPUT
     assert capsys.readouterr().err == ("code:3 bad input: monotone-scheme probe failed: "
                                        "{'node': 0, 'direction': 1}\n")
@@ -655,7 +656,8 @@ def test_oracle_direct_linear(tmp_path):
 
 
 def test_oracle_falls_back_to_fine_grid(tmp_path):
-    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal",
+    """star3_mixed is neither linear nor all-degenerate eikonal."""
+    cfg = _write_config(tmp_path, {"catalog": "star3_mixed",
                                    "grid": {"nodes_per_edge": 11}})
     outdir = tmp_path / "out"
     assert main(["oracle", "--config", cfg, "--output-dir", str(outdir)]) == EXIT_OK
@@ -664,6 +666,68 @@ def test_oracle_falls_back_to_fine_grid(tmp_path):
     # restricted back onto the requested grid
     rows = _csv_rows(outdir / "oracle.csv")
     assert len(rows) == 3 * 11
+
+
+EIKONAL_STAR = {
+    "network": {"vertices": [0, 1, 2, 3],
+                "edges": [{"id": 0, "from": 0, "to": 1, "length": 1.0},
+                          {"id": 1, "from": 2, "to": 0, "length": 0.7},
+                          {"id": 2, "from": 0, "to": 3, "length": 1.3}]},
+    "problem": {
+        "lambda": 0.8,
+        "edges": {str(k): {"hamiltonian": {"type": "eikonal", "c": c, "f": f},
+                           "diffusion": {"type": "constant", "value": 0.0}}
+                  for k, (c, f) in enumerate([(1.0, 0.5), (0.6, 0.9), (1.7, 0.2)])},
+        "kirchhoff": {"0": {"family": "classical", "B": -0.4}},
+        "dirichlet": {"1": 0.3, "2": -1.0, "3": 2.0},
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
+def test_oracle_solves_nothing_on_a_degenerate_eikonal_config(tmp_path, monkeypatch, mode):
+    """A JSON-config star, not a catalog entry, whose every edge is
+    eikonal with a = 0 and whose junction is classical: under either
+    junction mode oracle reports the flux-limited reference and runs no
+    solve."""
+    from knet import oracle
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_system called")
+
+    monkeypatch.setattr(oracle, "solve_system", no_solve)
+    cfg = _write_config(tmp_path, {**EIKONAL_STAR, "grid": {"nodes_per_edge": 21}})
+    outdir = tmp_path / "out"
+    assert main(["oracle", "--config", cfg, "--output-dir", str(outdir),
+                 "--junction-mode", mode]) == EXIT_OK
+    stage = json.loads((outdir / "manifest.json").read_text())["stages"][0]
+    assert stage["method"] == "flux-limited"
+    assert len(_csv_rows(outdir / "oracle.csv")) == 3 * 21
+
+
+def test_convergence_table_on_star3_eikonal_takes_no_fine_grid_reference(tmp_path,
+                                                                        monkeypatch):
+    """star3_eikonal has its exact profile, 1 - e^(-d): no row takes a
+    fine-grid reference, and the scheme is first order against it."""
+    from knet import oracle
+
+    calls = []
+    real = oracle.fine_grid_reference
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "fine_grid_reference", counting)
+    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal"})
+    outdir = tmp_path / "out"
+    assert main(["convergence-table", "--config", cfg, "--output-dir", str(outdir),
+                 "--resolutions", "21,41,81", "--deterministic"]) == EXIT_OK
+    assert calls == []
+    stage = json.loads((outdir / "manifest.json").read_text())["stages"][0]
+    assert stage["references"] == ["exact"] * 3
+    orders = [float(r["observed_order"]) for r in _csv_rows(outdir / "convergence.csv")[1:]]
+    assert min(orders) >= 0.9, orders
 
 
 def test_three_nodes_take_the_fine_grid_reference(tmp_path):
@@ -696,7 +760,7 @@ def test_oracle_unconverged_reference_exits_1(tmp_path, capsys, monkeypatch):
                                                       "message": "stopped at 1.45e-09"})
 
     monkeypatch.setattr(cli, "reference_for", unconverged)
-    cfg = _write_config(tmp_path, {"catalog": "star3_eikonal",
+    cfg = _write_config(tmp_path, {"catalog": "star3_mixed",
                                    "grid": {"nodes_per_edge": 5}})
     outdir = tmp_path / "out"
     assert main(["oracle", "--config", cfg, "--output-dir", str(outdir)]) == EXIT_NO_CONVERGENCE

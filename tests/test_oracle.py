@@ -2,19 +2,21 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from knet import oracle, solver
-from knet.catalog import entry_by_name
+from knet.catalog import eikonal_problem, entry_by_name
 from knet.discretization import Grid, GridFunction
-from knet.errors import GridTooCoarse, NonPositiveError, ProblemNotLinear
+from knet.errors import GridTooCoarse, NonPositiveError, ProblemNotEikonal, ProblemNotLinear
 from knet.network import build_network, star_junction
 from knet.oracle import (
     convergence_table,
     direct_linear_solve,
     fine_grid_reference,
+    flux_limited_reference,
     observed_orders,
     reference_for,
     richardson_order,
@@ -25,6 +27,8 @@ from knet.problem import (
     NetworkProblem,
     advection,
     constant_diffusion,
+    eikonal,
+    linear_vanish,
     make_kirchhoff,
 )
 
@@ -145,6 +149,77 @@ def test_unconverged_fine_grid_reference_keeps_its_reason(catalog, monkeypatch):
     assert ref.grid.level_name == "n=17"
 
 
+@pytest.mark.parametrize("name", ["star3_eikonal", "star3_constant", "graph5_constant",
+                                  "star3_eikonal_loss"])
+def test_flux_limited_reference_reproduces_exact_profiles(catalog, name):
+    """The closed form reproduces every all-degenerate eikonal entry's exact
+    profile: 1 - e^(-d) on star3_eikonal, the constant 1 on the others."""
+    entry = catalog[name]
+    for nodes in (5, 41, {e.id: 5 + 4 * e.id for e in entry.problem.network.edges}):
+        ref = flux_limited_reference(entry.problem, nodes)
+        assert ref.method == "flux-limited"
+        exact = GridFunction.from_profile(ref.grid, entry.exact)
+        assert np.max(np.abs(ref.u.values - exact.values)) <= 1e-14
+
+
+def test_flux_limited_reference_loses_unattainable_data_on_one_edge():
+    """One eikonal edge with data 5 at both ends: staying costs f/lam = 1 <
+    5, so both data are lost and u = 1.  No junction joins the ends, so
+    only the boundary vertices' own stay values min(g, f/lam) give it; the
+    recursion through the edge alone would not reach 1 in V rounds."""
+    net = build_network(range(2), [(0, 0, 1, 1.0)])
+    problem = NetworkProblem(net, 1.0, {0: eikonal(1.0, 1.0)}, {0: constant_diffusion(0.0)},
+                             {}, {0: 5.0, 1: 5.0})
+    ref = flux_limited_reference(problem, 21)
+    assert np.max(np.abs(ref.u.values - 1.0)) <= 1e-14
+
+
+def _eikonal_star_with(**changes):
+    """star3_eikonal with one part replaced."""
+    problem = entry_by_name("star3_eikonal").problem
+    return dataclasses.replace(problem, **changes)
+
+
+@pytest.mark.parametrize("problem, eps, match", [
+    (entry_by_name("star3_mixed").problem, 0.0, "vertex 0: coupling family 'pm-split'"),
+    (entry_by_name("star3_eikonal").problem, 0.5, "eps = 0.5 > 0"),
+    (_eikonal_star_with(kirchhoff={0: make_kirchhoff("pm-split", 3)}), 0.0,
+     "vertex 0: coupling family 'pm-split'"),
+    (_eikonal_star_with(kirchhoff={0: make_kirchhoff("affine", 3)}), 0.0,
+     "vertex 0: coupling family 'affine'"),
+    (_eikonal_star_with(hamiltonians={eid: dataclasses.replace(ham, fn=lambda x, p: abs(p) - 1.0)
+                                      for eid, ham in entry_by_name("star3_eikonal")
+                                      .problem.hamiltonians.items()}), 0.0,
+     "edge 0: Hamiltonian custom"),
+    (_eikonal_star_with(diffusions={0: constant_diffusion(0.0), 1: constant_diffusion(0.0),
+                                    2: linear_vanish(1.0, 1.0)}), 0.0,
+     "edge 2: diffusion does not vanish"),
+])
+def test_flux_limited_reference_refuses_what_it_does_not_solve(problem, eps, match):
+    """Off eps = 0, a = 0 at every node, built-in eikonal H and classical
+    junctions the closed form raises its KnetError, as the direct solve
+    does off linear problems, and reference_for goes on down its list."""
+    with pytest.raises(ProblemNotEikonal, match=re.escape(match)):
+        flux_limited_reference(problem, 11, eps=eps)
+    assert reference_for(problem, 11, eps=eps).method == "fine-grid"
+
+
+EIKONAL_DRAWS = [(seed, B) for B in (0.0, -0.5, None) for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
+def test_eikonal_family_converges_at_first_order_to_the_flux_limited_reference(mode):
+    """Six eikonal_problem draws, two each with B = 0, B = -0.5 and B ~
+    U(-1, 1): under either junction mode the scheme converges to the closed
+    form, with observed order >= 0.9 from n = 161 to 641."""
+    for seed, B in EIKONAL_DRAWS:
+        problem = eikonal_problem(np.random.default_rng(seed), B)
+        rows = convergence_table(problem, [161, 321, 641], junction_mode=mode)
+        assert [r["reference"] for r in rows] == ["flux-limited"] * 3
+        assert all(r["converged"] for r in rows), (seed, B, [r["message"] for r in rows])
+        assert min(r["order"] for r in rows[1:]) >= 0.9, (seed, B, rows)
+
+
 def test_sup_error_interpolates_across_grids():
     net = star_junction(2)
     coarse = GridFunction.from_profile(Grid(net, 11),
@@ -185,6 +260,14 @@ def test_reference_for_matches_scheme_modes(catalog):
         assert reference_for(linear.problem, 11, junction_mode=mode).method == "direct-linear"
     mixed = catalog["star3_mixed"]
     assert reference_for(mixed.problem, 11, junction_mode="minmax").method == "fine-grid"
+    # the flux-limited reference is the limit of both modes: it serves
+    # where minmax relaxes the junction, and the exact profile elsewhere
+    eikonal = catalog["star3_eikonal"]
+    assert reference_for(eikonal.problem, 11, eikonal.exact).method == "exact"
+    for mode in ("kirchhoff", "minmax"):
+        assert reference_for(eikonal.problem, 11, junction_mode=mode).method == "flux-limited"
+    assert reference_for(eikonal.problem, 11, eikonal.exact,
+                         junction_mode="minmax").method == "flux-limited"
     # the boundary rows are relaxed on the degenerate coercive ends of
     # star3_eikonal_loss, as its exact profile is
     loss = catalog["star3_eikonal_loss"]
@@ -275,7 +358,7 @@ def test_convergence_table_rows_after_the_first_are_corrector_steps(
 
 @pytest.mark.parametrize("name, resolutions, mode", [
     ("star3_mixed", [6, 11, 21], "kirchhoff"),
-    ("star3_eikonal", [11, 21, 41], "minmax")])
+    ("star3_mixed", [11, 21, 41], "minmax")])
 def test_convergence_table_warm_references_match_cold(monkeypatch, name, resolutions, mode):
     """A reference continued from a coarser solution agrees with a cold
     fine_grid_reference to the solver's tolerance."""

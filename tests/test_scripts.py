@@ -27,13 +27,13 @@ def _csv_rows(path):
 def test_convergence_study_reports_reference_kind(tmp_path, capsys):
     study = _load("convergence_study")
     out = tmp_path / "rows.csv"
-    assert study.main(["--entries", "star3_constant,star3_linear,star3_mixed",
+    assert study.main(["--entries", "star3_constant,star3_eikonal,star3_linear,star3_mixed",
                        "--resolutions", "5,9,17", "--csv", str(out)]) == 0
     rows = _csv_rows(out)
-    assert len(rows) == 9
+    assert len(rows) == 12
     assert {r["entry"]: r["reference"] for r in rows} == {
-        "star3_constant": "exact", "star3_linear": "direct-linear",
-        "star3_mixed": "fine-grid"}
+        "star3_constant": "exact", "star3_eikonal": "exact",
+        "star3_linear": "direct-linear", "star3_mixed": "fine-grid"}
     # star3_constant's errors are at the solver tolerance: no order
     assert all(r["order"] == "nan" for r in rows if r["entry"] == "star3_constant")
     printed = capsys.readouterr().out

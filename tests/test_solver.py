@@ -3,6 +3,7 @@ the vanishing-viscosity continuation."""
 
 import functools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from knet import solver
 from knet.catalog import all_entries, entry_by_name, random_problem
 from knet.discretization import Grid, GridFunction, assemble
 from knet.errors import LocalRootBracketFailed, SingularLinearization
-from knet.problem import validate_problem
+from knet.problem import constant_diffusion, validate_problem
 from knet.solver import (
     SolveConfig,
     _fd_jacobian,
@@ -450,24 +451,29 @@ def test_sweep_stops_where_a_vertex_root_is_not_bracketed(monkeypatch, system_ca
     np.testing.assert_array_equal(res.u.values, u0.values)
 
 
-def test_star3_linear_1281_stall_stops_with_diagnosis():
+def test_star3_linear_1281_converges_within_the_round_off_floor():
     """At n = 1281 the round-off floor of the second difference lies above
-    the 1e-10 threshold: the default solve cannot converge, so it must stop
-    at the sweep cap quickly and say so."""
-    res = solve_problem(entry_by_name("star3_linear").problem, 1281)
-    assert not res.converged
-    threshold = solver._threshold(SolveConfig().tol, res.u.values)
-    assert res.residual_norm > threshold
-    assert res.message.endswith(
-        f"; fell back to sweeps, which reached max_sweeps=2000 at residual "
-        f"{res.residual_norm:.3g} > threshold {threshold:.3g}")
+    tol * max(1, |u|), and the threshold adds it: the default solve
+    converges, at a residual that tol alone would refuse, where it used to
+    stall and end unconverged after 2000 fallback sweeps.  The system is
+    affine, so one Newton step from zero on the target grid solves it."""
+    problem = entry_by_name("star3_linear").problem
+    system = assemble(problem, Grid(problem.network, 1281))
+    res = solve_system(system)
+    assert res.converged
+    assert res.message == "start: zero; newton iterations per level: 1 at n=1281"
+    tol, floor = SolveConfig().tol, solver._floor(system)
+    assert floor > tol
+    assert solver._threshold(tol, 0.0, res.u.values) < res.residual_norm
+    assert res.residual_norm <= solver._threshold(tol, floor, res.u.values)
 
 
 def test_fallback_keeps_newtons_iterate_when_sweeps_end_higher(monkeypatch, system_cached):
     """star3_mixed at n = 641 from u = 0: Newton reaches MAX_NEWTON both
     before and after the warm-up sweeps (near 0.35 after them), and 20
     sweeps from its iterate end near 0.6.  The fallback returns the lower
-    of the two and says so."""
+    of the two and says so; the sweeps' message gives the threshold with
+    its round-off floor."""
     newton_norms = []
     real = solver.newton_solve
 
@@ -484,7 +490,8 @@ def test_fallback_keeps_newtons_iterate_when_sweeps_end_higher(monkeypatch, syst
     assert res.residual_norm == newton_norms[1]
     assert res.residual_norm == system.residual_norm(res.u.values)
     swept, kept = re.search(r"fell back to sweeps, which reached max_sweeps=20 at "
-                            r"residual (\S+) > threshold \S+; kept newton's iterate, "
+                            r"residual (\S+) > threshold \S+ = \(tol 1e-10 \+ round-off "
+                            r"floor \S+\) \* \S+; kept newton's iterate, "
                             r"at residual (\S+)$", res.message).groups()
     assert float(kept) == float(f"{res.residual_norm:.3g}") < float(swept)
 
@@ -629,6 +636,57 @@ def test_coarse_levels_only_predict(monkeypatch):
     assert res.message.startswith("start: coarser grid; newton iterations per "
                                   "level: 2 at n=21, 2 at n=41; at n=41 newton ")
     assert swept and set(swept) == {41}
+
+
+def test_star3_linear_solves_on_its_own_grid_alone(monkeypatch):
+    """star3_linear is affine, so Newton's first step is exact from any
+    start: at n = 161 the hybrid runs Newton from zero on that grid, with
+    no coarser level and no coarse assembly."""
+    problem = entry_by_name("star3_linear").problem
+    system = assemble(problem, Grid(problem.network, 161))
+    assert system.affine
+    monkeypatch.setattr(solver, "assemble", None)
+    res = solve_system(system)
+    assert res.converged and res.iterations == 1
+    assert res.message == "start: zero; newton iterations per level: 1 at n=161"
+
+
+def test_affine_systems_converge_on_one_level_in_two_steps():
+    """Every affine system among the catalog and draws 0..59, under both
+    junction modes (star2_linear, star3_linear and draw 21), converges on
+    its own grid in at most two Newton steps from zero."""
+    problems = [e.problem for e in all_entries()] + [
+        random_problem(np.random.default_rng(s)) for s in range(60)]
+    systems = []
+    for mode in ("kirchhoff", "minmax"):
+        for problem in problems:
+            system = assemble(problem, Grid(problem.network, 41), junction_mode=mode)
+            if system.affine:
+                systems.append(system)
+    assert len(systems) == 6
+    for system in systems:
+        res = solve_system(system)
+        assert res.converged, res.message
+        assert re.fullmatch(r"start: zero; newton iterations per level: [12] at n=41",
+                            res.message), res.message
+
+
+def test_affine_is_the_direct_solves_linearity_and_no_relaxed_clause():
+    """ResidualSystem.affine takes the direct linear solve's test,
+    NetworkProblem.why_not_linear, and adds that no vertex row takes a
+    relaxed clause: under minmax a junction edge with a = 0 is relaxed."""
+    linear = entry_by_name("star3_linear").problem
+    flat = replace(linear, diffusions={**linear.diffusions, 0: constant_diffusion(0.0)})
+    for problem, modes in [(linear, {"kirchhoff": True, "minmax": True}),
+                           (flat, {"kirchhoff": True, "minmax": False})]:
+        assert problem.why_not_linear() == ""
+        for mode, affine in modes.items():
+            assert assemble(problem, Grid(problem.network, 11), junction_mode=mode).affine is affine
+    for name, reason in [("star3_eikonal", "edge 0: Hamiltonian is not affine in p"),
+                         ("star3_mixed", "vertex 0: coupling family 'pm-split' is not linear")]:
+        problem = entry_by_name(name).problem
+        assert problem.why_not_linear() == reason
+        assert not assemble(problem, Grid(problem.network, 11)).affine
 
 
 @pytest.mark.parametrize("nodes, levels", [
