@@ -22,8 +22,10 @@ its own grid.  From such a start Newton's count does not grow with the mesh
 (Allgower, Bohmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986).
 The discrete solution is unique, so the start changes the cost, not the
 answer.  A coarse level only predicts: whatever Newton reaches there
-starts the next level.  Only where Newton fails on the target grid does the
-sweep-warmed hybrid run, once, from the target grid's start.
+starts the next level.  Where Newton fails on the target grid, the hybrid
+alternates WARMUP_SWEEPS sweeps and Newton, each run from the iterate the
+last one returned, never from the level's start again (Kelley, Solving
+Nonlinear Equations with Newton's Method, SIAM 2003, ch. 1-2).
 
 Barriers are network-wide super- and subsolutions of the discrete scheme,
 found by doubling the two constants of a tent-shaped profile until the
@@ -45,7 +47,7 @@ from .problem import NetworkProblem
 
 
 MAX_NEWTON = 60  # Newton iterations per newton_solve
-WARMUP_SWEEPS = 5  # Gauss-Seidel sweeps before the fallback's Newton
+WARMUP_SWEEPS = 5  # Gauss-Seidel sweeps before Newton in each of the hybrid's rounds
 MIN_LEVEL_NODES = 21  # fewest nodes per edge on a coarse level of the hybrid
 ROUNDOFF_FACTOR = 4.0  # _threshold's round-off floor, in eps_mach * max(own_coeff)
 NEWTON_FD_STEP = 1e-7  # largest finite-difference step of the Jacobian
@@ -354,69 +356,64 @@ def newton_solve(system: ResidualSystem, config: SolveConfig,
 # Hybrid driver
 
 
-def _sweep_warmed(system: ResidualSystem, config: SolveConfig, u0) -> SolveResult:
-    """WARMUP_SWEEPS sweeps, Newton, then sweeps up to max_sweeps; the
-    message names Newton's stopping cause when the last sweeps ran.  Their
-    iterate is returned unless Newton's has the lower residual."""
-    warm = sweep_solve(system, replace(config, max_sweeps=WARMUP_SWEEPS), u0)
-    if warm.converged:
-        return warm
-    res = newton_solve(system, config, warm.u)
-    if not res.converged:
-        last = sweep_solve(system, config, res.u)
-        kept = last.residual_norm > res.residual_norm  # sweeps can raise the residual
-        res = replace(res if kept else last, iterations=res.iterations + last.iterations,
-                      message=f"newton {res.message}; fell back to sweeps"
-                      + (f", which {last.message}" if last.message else "")
-                      + (f"; kept newton's iterate, at residual {res.residual_norm:.3g}"
-                         if kept else ""))
-    return replace(res, iterations=warm.iterations + res.iterations)
-
-
 def _nested(system: ResidualSystem, config: SolveConfig, u0):
     """Newton from u0, else from this system solved the same way on the
     grid with half as many cells per edge and prolonged, else (where an
     edge would keep fewer than MIN_LEVEL_NODES, or the system is affine,
     so that Newton's first step is exact from any start) from zero.
-    Returns Newton's result, counting every level's iterations, its start,
-    and each level's Newton count, coarsest first.  A coarse level only
-    predicts, so it is not probed and falls back nowhere: its Newton result
-    is the start."""
+    Returns Newton's result, counting every level's iterations, and each
+    level's Newton count, coarsest first.  A coarse level only predicts, so
+    it is not probed and runs no rounds: its Newton result is the start."""
     counts, spent = [], 0
     coarse = {eid: (n - 1) // 2 + 1 for eid, n in system.grid.nodes_per_edge.items()}
     if u0 is None and not system.affine and min(coarse.values()) >= MIN_LEVEL_NODES:
-        cres, _, counts = _nested(assemble(
+        cres, counts = _nested(assemble(
             system.problem, Grid(system.problem.network, coarse), eps=system.eps,
             junction_mode=system.junction_mode, probe_samples=0), config, None)
         u0, spent = cres.u.on_grid(system.grid), cres.iterations
     res = newton_solve(system, config, u0)
     counts.append(f"{res.iterations} at {system.grid.level_name}")
-    return replace(res, iterations=spent + res.iterations), u0, counts
+    return replace(res, iterations=spent + res.iterations), counts
 
 
 def solve_system(system: ResidualSystem, config: Optional[SolveConfig] = None,
                  u0: Optional[GridFunction] = None) -> SolveResult:
     """Solve by config.method from u0.  No solver exception escapes: a run
     that fails is an unconverged result whose message says why it stopped.
-    The hybrid's message names its start (given, coarser grid or zero),
-    each level's Newton count and, where Newton fails on this grid, the
-    sweep-warmed hybrid run there from the same start."""
+    The hybrid's message names its start (given, coarser grid or zero) and
+    each level's Newton count.  Where Newton fails on this grid, rounds of
+    WARMUP_SWEEPS sweeps, then Newton, follow, each run from the iterate the
+    run before returned, while unconverged and fewer than max_sweeps
+    iterations are spent: at most max_sweeps + WARMUP_SWEEPS + MAX_NEWTON.
+    A round that leaves its start unchanged would repeat itself and ends
+    them.  The run with the lowest residual is returned, a converged one
+    first; the message adds Newton's cause, the number of rounds and, if
+    still unconverged, why the last round's runs stopped."""
     config = config or SolveConfig()
     if config.method == "sweep":
         return sweep_solve(system, config, u0)
     if config.method == "newton":
         return newton_solve(system, config, u0)
-    res, start, counts = _nested(system, config, u0)
-    note = ""
-    if not res.converged:
-        fallback = _sweep_warmed(system, config, start)
-        note = (f"; at {system.grid.level_name} newton {res.message}; ran the "
-                "sweep-warmed hybrid"
-                + (f": {fallback.message}" if fallback.message else ""))
-        res = replace(fallback, iterations=res.iterations + fallback.iterations)
+    res, counts = _nested(system, config, u0)
+    first, best, spent, rounds, note = res, res, 0, 0, ""
+    while not res.converged and spent < config.max_sweeps:
+        start = res.u.values
+        res = warm = sweep_solve(system, replace(config, max_sweeps=WARMUP_SWEEPS), res.u)
+        spent, rounds = spent + warm.iterations, rounds + 1
+        if not warm.converged:
+            res = newton_solve(system, config, warm.u)
+            spent += res.iterations
+        best = min(best, warm, res, key=lambda r: (not r.converged, r.residual_norm))
+        if np.array_equal(res.u.values, start):
+            break
+    if rounds:
+        note = (f"; at {system.grid.level_name} newton {first.message}; ran {rounds} "
+                f"round{'s' * (rounds > 1)} of sweeps and newton" + ("" if best.converged
+                else f"; in the last, sweep {warm.message}, then newton {res.message}"))
     kind = "given" if u0 is not None else "coarser grid" if len(counts) > 1 else "zero"
-    return replace(res, method="hybrid", message=f"start: {kind}; newton iterations "
-                   f"per level: {', '.join(counts)}" + note)
+    return replace(best, iterations=first.iterations + spent, method="hybrid",
+                   message=f"start: {kind}; newton iterations per level: "
+                   f"{', '.join(counts)}" + note)
 
 
 def solve_problem(problem: NetworkProblem, nodes_per_edge, eps: float = 0.0,

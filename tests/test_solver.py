@@ -381,10 +381,9 @@ def test_hybrid_fallback_names_singular_linearization(monkeypatch, system_cached
     monkeypatch.setattr(solver, "spsolve", singular)
     res = solve_system(system_cached("star3_eikonal", 11))
     assert res.converged
-    cause = "newton hit a singular linearization (non-finite Newton direction)"
-    assert res.message == ("start: zero; newton iterations per level: 0 at "
-                           f"n=11; at n=11 {cause}; ran the sweep-warmed "
-                           f"hybrid: {cause}; fell back to sweeps")
+    assert res.message == ("start: zero; newton iterations per level: 0 at n=11; "
+                           "at n=11 newton hit a singular linearization (non-finite "
+                           "Newton direction); ran 4 rounds of sweeps and newton")
 
 
 @pytest.mark.parametrize("method, causes", [
@@ -409,6 +408,25 @@ def test_no_solver_exception_escapes_solve_system(monkeypatch, system_cached, me
     assert not res.converged and res.method == method
     assert all(cause in res.message for cause in causes), res.message
     assert res.residual_norm == system.residual_norm(res.u.values)
+
+
+def test_rounds_end_where_a_round_moves_nothing(monkeypatch, system_cached):
+    """Where neither the sweeps nor Newton can move the iterate (an
+    unbracketed vertex root, a singular linear step), a second round would
+    repeat the first: the hybrid stops after one, naming both causes."""
+    def raising(error):
+        def primitive(*args, **kwargs):
+            raise error("patched")
+        return primitive
+
+    monkeypatch.setattr(solver, "spsolve", raising(SingularLinearization))
+    monkeypatch.setattr(solver, "solve_node", raising(LocalRootBracketFailed))
+    res = solve_system(system_cached("star3_mixed", 11))
+    assert not res.converged and res.iterations == 1
+    assert res.message.endswith(
+        "; ran 1 round of sweeps and newton; in the last, sweep could not bracket a "
+        "vertex root in sweep 1 (patched), then newton hit a singular linearization "
+        "(patched)")
 
 
 def test_singular_newton_step_keeps_the_last_iterate(monkeypatch, system_cached):
@@ -468,39 +486,66 @@ def test_star3_linear_1281_converges_within_the_round_off_floor():
     assert res.residual_norm <= solver._threshold(tol, floor, res.u.values)
 
 
-def test_fallback_keeps_newtons_iterate_when_sweeps_end_higher(monkeypatch, system_cached):
-    """star3_mixed at n = 641 from u = 0: Newton reaches MAX_NEWTON both
-    before and after the warm-up sweeps (near 0.35 after them), and 20
-    sweeps from its iterate end near 0.6.  The fallback returns the lower
-    of the two and says so; the sweeps' message gives the threshold with
-    its round-off floor."""
-    newton_norms = []
-    real = solver.newton_solve
+def _recording(monkeypatch, runs):
+    """Record each sweep_solve and newton_solve run as (name, grid, start
+    values, result)."""
+    for name in ("sweep_solve", "newton_solve"):
+        def wrapper(system, config, u0=None, real=getattr(solver, name), name=name):
+            res = real(system, config, u0)
+            runs.append((name, system.grid, None if u0 is None else u0.values.copy(), res))
+            return res
+        monkeypatch.setattr(solver, name, wrapper)
 
-    def recording(*args):
-        res = real(*args)
-        newton_norms.append(res.residual_norm)
-        return res
 
-    monkeypatch.setattr(solver, "newton_solve", recording)
+def test_rounds_start_where_the_last_run_stopped(monkeypatch, system_cached):
+    """With MAX_NEWTON = 1, Newton fails on star3_mixed's target grid at
+    n = 161 and the rounds finish the solve.  Each round's sweeps start
+    from the iterate the Newton run before returned, never from the level's
+    start again, and each round's Newton from its sweeps' iterate."""
+    monkeypatch.setattr(solver, "MAX_NEWTON", 1)
+    runs = []
+    _recording(monkeypatch, runs)
+    system = system_cached("star3_mixed", 161)
+    res = solve_system(system)
+    assert res.converged
+    rounds = int(re.search(r"; ran (\d+) rounds of sweeps and newton$", res.message).group(1))
+    target = [r for r in runs if r[1] is system.grid]
+    # the last round's sweeps converge, so no Newton follows them
+    assert [r[0] for r in target] == ["newton_solve", "sweep_solve"] * rounds
+    assert rounds >= 2
+    for before, after in zip(target, target[1:]):
+        np.testing.assert_array_equal(after[2], before[3].u.values)
+    assert not np.array_equal(target[1][2], target[0][2])
+
+
+def test_hybrid_returns_the_lowest_residual_run(monkeypatch, system_cached):
+    """star3_mixed at n = 641 from zero with MAX_NEWTON = 1 and max_sweeps =
+    20: the rounds end unconverged, above the residual of Newton's run on
+    the target grid, whose iterate the hybrid returns.  The rounds spend at
+    most max_sweeps + WARMUP_SWEEPS + MAX_NEWTON iterations, and the
+    message names the last round's causes."""
+    monkeypatch.setattr(solver, "MAX_NEWTON", 1)
+    runs = []
+    _recording(monkeypatch, runs)
     system = system_cached("star3_mixed", 641)
-    res = solve_system(system, SolveConfig(max_sweeps=20),
-                       GridFunction.zeros(system.grid))
-    assert not res.converged and len(newton_norms) == 2
-    assert res.residual_norm == newton_norms[1]
-    assert res.residual_norm == system.residual_norm(res.u.values)
-    swept, kept = re.search(r"fell back to sweeps, which reached max_sweeps=20 at "
-                            r"residual (\S+) > threshold \S+ = \(tol 1e-10 \+ round-off "
-                            r"floor \S+\) \* \S+; kept newton's iterate, "
-                            r"at residual (\S+)$", res.message).groups()
-    assert float(kept) == float(f"{res.residual_norm:.3g}") < float(swept)
+    res = solve_system(system, SolveConfig(max_sweeps=20), GridFunction.zeros(system.grid))
+    assert not res.converged
+    lowest = min((r[3] for r in runs), key=lambda r: r.residual_norm)
+    assert lowest is runs[0][3] and runs[-1][3].residual_norm > lowest.residual_norm
+    assert res.residual_norm == lowest.residual_norm
+    np.testing.assert_array_equal(res.u.values, lowest.u.values)
+    assert res.iterations == sum(r[3].iterations for r in runs)
+    assert res.iterations - runs[0][3].iterations <= 20 + solver.WARMUP_SWEEPS + 1
+    assert re.search(r"; in the last, sweep reached max_sweeps=5 at residual \S+ > "
+                     r"threshold .*, then newton reached MAX_NEWTON=1 iterations at "
+                     r"residual \S+ > threshold .*\) \* \S+$", res.message), res.message
 
 
 @pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
 def test_loss_elliptic_converges_from_minus_one_at_641(system_cached, mode):
     """star3_loss_elliptic at n = 641 from u = -1, a multistart start that
     ended unconverged under both junction modes with the SuperLU Newton
-    step: the fallback's sweeps now converge from Newton's iterate."""
+    step: the rounds of sweeps and Newton now converge from Newton's iterate."""
     system = system_cached("star3_loss_elliptic", 641, junction_mode=mode)
     res = solve_system(system, SolveConfig(max_sweeps=20),
                        GridFunction.full(system.grid, -1.0))
@@ -550,7 +595,7 @@ def test_graph5_constant_minmax_converges_at_1281():
 
 def test_multistart_converges_from_every_offset_at_161(system_cached):
     """Each constant start, +10 included, is corrected by Newton on the
-    target grid, with the sweep-warmed hybrid only as its fallback."""
+    target grid, with rounds of sweeps and Newton only where it fails."""
     runs = multistart_solve(system_cached("star3_mixed", 161))
     assert all(r.converged for r in runs), [r.message for r in runs]
     assert all(r.message.startswith("start: given; ") for r in runs)
@@ -558,12 +603,10 @@ def test_multistart_converges_from_every_offset_at_161(system_cached):
     assert float(np.max(stack.max(axis=0) - stack.min(axis=0))) <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "under the relaxed junction condition Newton from u = +10 reaches "
-    "MAX_NEWTON at residual 0.615 and the sweep fallback exhausts max_sweeps"))
 def test_minmax_multistart_converges_from_every_offset_at_161(system_cached):
     """The same starts as above under junction_mode="minmax", which the
-    relaxed Kirchhoff condition of the paper asks for."""
+    relaxed Kirchhoff condition of the paper asks for.  From +10 Newton
+    reaches MAX_NEWTON and one round of sweeps and Newton finishes."""
     runs = multistart_solve(system_cached("star3_mixed", 161, junction_mode="minmax"))
     assert all(r.converged for r in runs), [r.message for r in runs]
 
@@ -582,13 +625,36 @@ def test_graph5_newton_from_minus_one_converges_at_641(system_cached):
     assert res.converged, res.message
 
 
+@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
+def test_star3_mixed_converges_from_plus_ten_at_641(system_cached, mode):
+    """star3_mixed at n = 641 from u = +10: Newton reaches MAX_NEWTON, and
+    the rounds, each from the last iterate, converge to the cold solve."""
+    system = system_cached("star3_mixed", 641, junction_mode=mode)
+    res = solve_system(system, SolveConfig(), GridFunction.full(system.grid, 10.0))
+    cold = solve_system(system)
+    assert res.converged, res.message
+    assert cold.converged and "round" not in cold.message
+    scale = max(1.0, float(np.max(np.abs(cold.u.values))))
+    assert np.max(np.abs(res.u.values - cold.u.values)) <= 1e-10 * scale
+
+
+def test_graph5_hybrid_from_minus_one_converges_at_641(system_cached):
+    """graph5_constant under "minmax" at n = 641 from u = -1: Newton alone
+    stalls (the strict xfail above), and the hybrid's rounds converge to
+    the cold solve, the constant 1."""
+    system = system_cached("graph5_constant", 641, junction_mode="minmax")
+    res = solve_system(system, SolveConfig(), GridFunction.full(system.grid, -1.0))
+    cold = solve_system(system)
+    assert res.converged, res.message
+    assert "; ran " in res.message and "round" not in cold.message
+    assert np.max(np.abs(res.u.values - cold.u.values)) <= 1e-10
+
+
 def test_fallback_rescues_converge(system_cached):
-    """Solves that Newton alone fails on the target grid and the
-    sweep-warmed hybrid rescues: from +10 under minmax, graph5_constant by
-    one Newton step and star3_eikonal by three after the warm-up sweeps;
-    star3_loss_elliptic, cold at n = 641, by the final sweeps.  Only
-    convergence is checked, not which stage rescues, so a solver that
-    needs no fallback passes too."""
+    """Solves that Newton alone failed on the target grid: from +10 under
+    minmax, graph5_constant and star3_eikonal at n = 161, and
+    star3_loss_elliptic cold at n = 641.  Only convergence is checked, not
+    which run converged, so a solver that needs no rounds passes too."""
     cases = [("graph5_constant", 161, "minmax", 10.0),
              ("star3_eikonal", 161, "minmax", 10.0),
              ("star3_loss_elliptic", 641, "kirchhoff", None)]
@@ -739,10 +805,12 @@ def test_continuation_step_is_a_newton_corrector(monkeypatch, system_cached,
 @pytest.mark.parametrize("failure", ["singular", "max_newton"])
 def test_continuation_step_falls_back_to_hybrid(monkeypatch, system_cached,
                                                 solve_cached, failure):
-    """A corrector that fails hands the step to the sweep-warmed hybrid from
-    the same prediction, which converges; the message names the cause."""
+    """A corrector that fails hands the step to rounds of sweeps and Newton
+    from the prediction.  Newton moves nothing, so the sweeps converge, in
+    the last round; the message names Newton's cause and the rounds."""
     system = system_cached("star3_eikonal", 21, eps=0.25)
     warm = solve_cached("star3_eikonal", 21).u
+    cold = solve_cached("star3_eikonal", 21, eps=0.25).u
     if failure == "singular":
         def singular(*args, **kwargs):
             raise SingularLinearization("non-finite Newton direction")
@@ -753,13 +821,13 @@ def test_continuation_step_falls_back_to_hybrid(monkeypatch, system_cached,
         monkeypatch.setattr(solver, "MAX_NEWTON", 0)
         cause = "reached MAX_NEWTON=0 iterations at residual "
     res = solve_system(system, SolveConfig(), warm)
-    hybrid = solver._sweep_warmed(system, SolveConfig(), warm)
     assert res.converged and res.method == "hybrid"
-    assert res.message.startswith("start: given; newton iterations per level: ")
-    assert " at n=21; at n=21 newton " + cause in res.message
-    assert res.message.endswith("; ran the sweep-warmed hybrid: " + hybrid.message)
-    assert hybrid.message.startswith("newton " + cause)
-    np.testing.assert_array_equal(res.u.values, hybrid.u.values)
+    found = re.fullmatch(r"start: given; newton iterations per level: 0 at n=21; at "
+                         r"n=21 newton " + re.escape(cause)
+                         + r".*; ran (\d+) rounds of sweeps and newton", res.message)
+    rounds = int(found.group(1))
+    assert 5 * (rounds - 1) < res.iterations <= 5 * rounds
+    assert np.max(np.abs(res.u.values - cold.values)) <= 1e-8
 
 
 GRID_TABLES = ("border", "edge_slices", "edge_table", "sweep_classes", "incidence_geometry")
