@@ -9,11 +9,15 @@ test functions) and are reported as such.
 
 Geodesic distances from grid nodes, to a probe's touching point or to the
 boundary, come from Grid.distances_to, one array per point; nothing here
-builds a network point per node.
+builds a network point per node, and a report's sub and super probes at a
+junction share one array.  Probes are whole-array passes: a vertex probe
+evaluates the junction or boundary clause once, on the array of its
+distinct active slopes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -174,25 +178,25 @@ class ProbeVerdict:
                  "not an equivalence")
 
 
-def _vertex_clause(problem, vid, uv):
+def _vertex_clause(problem, vid, uv, slopes, side):
     """Junction or boundary clause of the relaxed solution definition at
-    vertex vid with value uv, as a function of (uniform inward test slope,
-    side).  The degenerate incident edges are found once, not per probe."""
+    vertex vid with value uv, at each of an array of uniform inward test
+    slopes: one H call per degenerate incident edge, and at a junction one
+    coupling call on the (K, degree) batch.  The min (sub) or max (super)
+    over the clause's terms keeps the first extreme, as Python's min and
+    max do."""
     lam = problem.lam
     net = problem.network
     incs = net.incidence[vid]
     interior = net.vertex(vid).kind == INTERIOR
     # a boundary vertex has one incident edge; a junction, its degenerate ones
-    edges = [(problem.hamiltonians[inc.edge.id], inc.vertex_param, inc.sign)
-             for inc in incs
-             if not interior or problem.a_at_incidence(inc) == 0.0]
-
-    def clause(slope, side):
-        vals = [lam * uv + float(ham(x, sign * slope)) for ham, x, sign in edges]
-        vals.append(problem.kirchhoff[vid](uv, np.full(len(incs), slope)) if interior
-                    else uv - problem.dirichlet[vid])
-        return min(vals) if side == "sub" else max(vals)
-    return clause
+    vals = [lam * uv + problem.hamiltonians[inc.edge.id](inc.vertex_param, inc.sign * slopes)
+            for inc in incs if not interior or problem.a_at_incidence(inc) == 0.0]
+    vals.append(problem.kirchhoff[vid](np.full(len(slopes), uv),
+                                       np.repeat(slopes[:, None], len(incs), axis=1))
+                if interior else np.full(len(slopes), uv - problem.dirichlet[vid]))
+    beats = np.less if side == "sub" else np.greater
+    return functools.reduce(lambda a, b: np.where(beats(b, a), b, a), vals)
 
 
 def probe_viscosity(problem: NetworkProblem, u: GridFunction,
@@ -212,13 +216,18 @@ def probe_viscosity(problem: NetworkProblem, u: GridFunction,
     """
     if side not in ("sub", "super"):
         raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
+    return _probe(problem, u, point, u.grid.distances_to(point), probes, side)
+
+
+def _probe(problem, u, point, rhos, probes, side) -> ProbeVerdict:
+    """probe_viscosity, given rhos, every node's distance to the point: the
+    two sides of a diagnostics report share one Grid.distances_to array."""
     grid = u.grid
     net = problem.network
     probes = default_probe_grid() if probes is None else list(probes)
     tol = TOL_PER_H * grid.h
     point = net.point(point.edge_id, point.t)
     vid = net.point_vertex(point)
-    rhos = grid.distances_to(point)
     if vid is not None:
         gid = grid.vertex_gid(vid)
     else:
@@ -258,11 +267,11 @@ def probe_viscosity(problem: NetworkProblem, u: GridFunction,
         raise NoActiveProbe(f"no probe touches u at {point} from side {side!r}")
 
     if vid is not None:
-        # the vertex clause depends on the slope alone
-        vertex_clause = _vertex_clause(problem, vid, u0)
+        # the vertex clause depends on the slope alone: one evaluation at
+        # the distinct active slopes
+        distinct, where = np.unique(slopes[active], return_inverse=True)
         clause = np.full(slopes.shape, np.nan)
-        for slope in np.unique(slopes[active]):
-            clause[slopes == slope] = vertex_clause(slope, side)
+        clause[active] = _vertex_clause(problem, vid, u0, distinct, side)[where]
     else:
         a_x = float(problem.diffusions[point.edge_id].a(point.t))
         clause = (problem.lam * u0 - a_x * sgn * (-2.0 * L * K)
@@ -424,11 +433,12 @@ def diagnostics_report(problem: NetworkProblem, u: GridFunction,
                                  f"{loc}, edge {verdict.edge}", verdict.sub_margin,
                                  tol, verdict.passed, verdict.witness))
 
+        point = problem.network.vertex_point(v.id)
+        rhos = grid.distances_to(point)
         for side in ("sub", "super"):
             name = f"viscosity_probe_{side}"
             try:
-                pv = probe_viscosity(problem, u,
-                                     problem.network.vertex_point(v.id), side=side)
+                pv = _probe(problem, u, point, rhos, None, side)
                 checks.append(_check(name, loc, pv.worst_margin, pv.tolerance,
                                      pv.passed, pv.worst_probe))
             except NoActiveProbe:

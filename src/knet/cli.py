@@ -2,12 +2,13 @@
 
 Subcommands: solve, oracle, sweep-epsilon, convergence-table, verify.
 Configs are JSON (network / problem / grid / solver / analysis sections, or
-a catalog entry name); solution profiles and tables are CSV; every run
-writes a manifest listing its outputs.  main() alone turns an exception
-into an exit code: 0 success; 1 a solve that did not converge, with its
-outputs, its manifest and the solver's reason; 2 verify FAIL verdicts; 3
-bad input, a KnetError (failed certification too) or an OSError (an output
-that cannot be written).  No input ends in a traceback.
+a catalog entry name); solution profiles and tables are CSV, numbers as
+%.17g, a profile formatted edge by edge; every run writes a manifest
+listing its outputs.  main() alone turns an exception into an exit code: 0
+success; 1 a solve that did not converge, with its outputs, its manifest
+and the solver's reason; 2 verify FAIL verdicts; 3 bad input, a KnetError
+(failed certification too) or an OSError (an output that cannot be
+written).  No input ends in a traceback.
 """
 
 from __future__ import annotations
@@ -105,14 +106,15 @@ def parse_epsilon_schedule(spec: str):
 
 
 def solution_csv_text(u: GridFunction) -> str:
-    buf = io.StringIO()
-    buf.write(CSV_SCHEMAS["solution"] + "\n")
+    """The solution CSV of u: a row "edge_id,t,u" per node of each edge, in
+    edge order, numbers as %.17g.  Each edge's rows are one % operation over
+    its interleaved (t, u) values."""
     grid = u.grid
+    parts = [CSV_SCHEMAS["solution"] + "\n"]
     for e in grid.network.edges:
-        vals = u.on_edge(e.id)
-        for t, v in zip(grid.coords[e.id], vals):
-            buf.write(f"{e.id},{t:.17g},{v:.17g}\n")
-    return buf.getvalue()
+        tu = np.column_stack((grid.coords[e.id], u.on_edge(e.id)))
+        parts.append(f"{e.id},%.17g,%.17g\n" * len(tu) % tuple(tu.ravel().tolist()))
+    return "".join(parts)
 
 
 def read_solution_csv(path: str, network: Network) -> GridFunction:

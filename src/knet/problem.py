@@ -27,6 +27,9 @@ from .network import INTERIOR, Incidence, Network
 
 LATTICE_RESOLUTION = 16  # validate_problem's x-samples per edge
 P_RANGE = 8.0  # validate_problem samples slopes on [-P_RANGE, P_RANGE]
+# a custom H's envelopes interpolate it on these slopes times c_h: 0 and
+# +-sinh(k/64), spaced 1/64 near 0 and |p|/64 far out, to |p| ~ 7e9
+ENVELOPE_LATTICE = np.sinh(np.arange(-1536, 1537) / 64.0)
 
 
 def larger(a, b):
@@ -137,7 +140,7 @@ class Hamiltonian:
     # -- coercivity envelopes ----------------------------------------------
     # min_below(x, q) = min over p <= q of H(x, p); min_above symmetric.
     # Used by state-constraint residuals; exact for built-ins, sampled
-    # (monotone by construction) otherwise.  q may be an array of slopes.
+    # (monotone in q by construction) otherwise.  q may be an array of slopes.
 
     def min_below(self, x, q):
         below = self._facts.below
@@ -148,13 +151,28 @@ class Hamiltonian:
         return above(x, q) if above else self._sampled_envelope(x, q, below=False)
 
     def _sampled_envelope(self, x, q, below: bool):
-        q = np.asarray(q, dtype=float)
-        hq = np.asarray(self(x, q), dtype=float)
-        # any competitor p with C^-1|p| - C > hq cannot improve on H(q)
-        span = self.c_h * (self.c_h + np.maximum(hq, 0.0)) + 1.0
-        lo, hi = (np.minimum(q - 1e-9, -span), q) if below else (q, np.maximum(q + 1e-9, span))
-        ps = np.linspace(lo, hi, 257, axis=-1)
-        return np.minimum(hq, np.min(self(x, ps), axis=-1))
+        """The exact envelope of H(x, .)'s piecewise-linear interpolant on
+        the slope lattice c_h * ENVELOPE_LATTICE, which does not move with
+        q, so the envelope is monotone in q; x is one point.  Below q, it is
+        the least node value at or below q, or the interpolant at q, clamped
+        to the value at the next node up.  Where H >= |p|/c_h - c_h, as a
+        coercive H declares, no node below -c_h*(c_h + max(H(p_j), 0)) - 1,
+        p_j the last node at or below q, beats H(p_j), so none is evaluated."""
+        side = 1.0 if below else -1.0  # min over p >= q of H(p): over r <= -q of H(-r)
+        q = side * np.asarray(q, dtype=float)
+        nodes = self.c_h * ENVELOPE_LATTICE
+
+        def h(k):
+            return np.asarray(self(x, side * nodes[k]), dtype=float)
+
+        j = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, len(nodes) - 2)
+        h_j, h_next = h(j), h(j + 1)
+        lo = np.minimum(j, np.searchsorted(nodes, -self.c_h * (self.c_h + np.maximum(h_j, 0.0)) - 1.0))
+        k = np.arange(np.min(lo, initial=len(nodes)), np.max(j, initial=-1) + 1)
+        least = np.min(np.where((k >= lo[..., None]) & (k <= j[..., None]), h(k), np.inf),
+                       axis=-1, initial=np.inf)
+        interp = h_j + (q - nodes[j]) * ((h_next - h_j) / (nodes[j + 1] - nodes[j]))
+        return np.minimum(least, np.maximum(interp, h_next))[()]
 
 
 def eikonal(speed: float = 1.0, rhs: float = 1.0, c_h: Optional[float] = None) -> Hamiltonian:
@@ -410,6 +428,12 @@ class ValidationReport:
             for e in self.entries]}
 
 
+def _first_hit(bad: np.ndarray) -> tuple:
+    """The index of bad's first True in C order, np.argwhere(bad)[0]; bad
+    has one."""
+    return np.unravel_index(np.argmax(bad), bad.shape)
+
+
 def validate_problem(problem: NetworkProblem) -> ValidationReport:
     """Sampled check of the standing assumptions; advisory, never raises.
 
@@ -420,9 +444,8 @@ def validate_problem(problem: NetworkProblem) -> ValidationReport:
     entries = []
     slack = 1e-9
 
-    def check(name, loc, bad, witness):  # a failure's witness: witness(*first True of bad)
-        hits = np.argwhere(bad)
-        found = witness(*hits[0]) if hits.size else None
+    def check(name, loc, bad, witness):  # a failure's witness: witness(*first hit of bad)
+        found = witness(*_first_hit(bad)) if bad.any() else None
         entries.append(CheckEntry(name, loc, found is None, found))
 
     for e in problem.network.edges:

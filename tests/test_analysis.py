@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from knet import analysis
 from knet.analysis import (
     ProbeFunction,
     boundary_loss_report,
@@ -17,8 +18,8 @@ from knet.analysis import (
     lipschitz_on_interior,
     probe_viscosity,
 )
-from knet.catalog import entry_by_name
-from knet.discretization import Grid, GridFunction
+from knet.catalog import all_entries, entry_by_name, random_problem
+from knet.discretization import JUNCTION_MODES, Grid, GridFunction
 from knet.errors import (
     EmptyInteriorSet,
     NoActiveProbe,
@@ -26,8 +27,9 @@ from knet.errors import (
     WindowTooLarge,
 )
 from knet.network import INTERIOR, Network, build_network, star_junction
-from knet.problem import NetworkProblem, constant_diffusion, eikonal
-from knet.solver import SolveConfig, sweep_solve
+from knet.problem import (Hamiltonian, KirchhoffCondition, NetworkProblem, constant_diffusion,
+                          eikonal)
+from knet.solver import SolveConfig, solve_problem, sweep_solve
 
 
 def _single_edge_problem():
@@ -209,6 +211,93 @@ def test_probe_reads_vertex_constants_once(monkeypatch, catalog):
         seen[label] = (active, len(calls))
     assert seen["one"][0] == [1, 1] and min(seen["all"][0]) > 1
     assert seen["one"][1] == seen["all"][1] > 0
+
+
+def _per_slope_vertex_clause(problem, vid, uv, slopes, side):
+    """_vertex_clause as a loop over the slopes: per slope, one H call per
+    degenerate incident edge, one coupling call on one row of slopes, and
+    Python's min or max over the terms."""
+    net = problem.network
+    incs = net.incidence[vid]
+    interior = net.vertex(vid).kind == INTERIOR
+    edges = [(problem.hamiltonians[inc.edge.id], inc.vertex_param, inc.sign)
+             for inc in incs if not interior or problem.a_at_incidence(inc) == 0.0]
+    out = []
+    for slope in slopes:
+        vals = [problem.lam * uv + float(ham(x, sign * slope)) for ham, x, sign in edges]
+        vals.append(problem.kirchhoff[vid](uv, np.full(len(incs), slope)) if interior
+                    else uv - problem.dirichlet[vid])
+        out.append(min(vals) if side == "sub" else max(vals))
+    return np.array(out)
+
+
+def _vertex_verdicts(problem, u):
+    """repr of probe_viscosity's verdict (or "none" for NoActiveProbe) at
+    every vertex, both sides: repr tells -0.0 from 0.0."""
+    out = []
+    for v in problem.network.vertices:
+        for side in ("sub", "super"):
+            try:
+                out.append(repr(probe_viscosity(problem, u, problem.network.vertex_point(v.id),
+                                                side=side)))
+            except NoActiveProbe:
+                out.append("none")
+    return out
+
+
+def test_vertex_clause_batch_matches_per_slope_loop(monkeypatch):
+    """One clause call on the distinct active slopes gives the per-slope
+    loop's verdicts bit for bit, at every vertex and on both sides, for the
+    solutions of every catalog entry and of random_problem draws 0..11 at
+    n = 3, 41 and 161 under both junction modes."""
+    problems = [e.problem for e in all_entries()] + [
+        random_problem(np.random.default_rng(s)) for s in range(12)]
+    inputs = [(k, problem, solve_problem(problem, n, junction_mode=mode).u)
+              for k, problem in enumerate(problems)
+              for n in (3, 41, 161) for mode in JUNCTION_MODES]
+    batch = [_vertex_verdicts(problem, u) for _, problem, u in inputs]
+    monkeypatch.setattr(analysis, "_vertex_clause", _per_slope_vertex_clause)
+    for (k, problem, u), got in zip(inputs, batch):
+        assert got == _vertex_verdicts(problem, u), (k, u.grid.level_name)
+    assert sum(v != "none" for verdicts in batch for v in verdicts) > 700
+
+
+def test_vertex_probe_calls_the_clause_once(monkeypatch, catalog):
+    """A vertex probe evaluates the clause once, on every distinct active
+    slope together: one coupling call and one call per degenerate incident
+    edge's H, however many distinct slopes are active."""
+    problem = catalog["star3_constant"].problem
+    u = GridFunction.full(Grid(problem.network, 21), 1.0)
+    calls = {"H": 0, "F": 0}
+    for cls, key in ((Hamiltonian, "H"), (KirchhoffCondition, "F")):
+        def counted(self, *args, _key=key, _orig=cls.__call__):
+            calls[_key] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(cls, "__call__", counted)
+    for side in ("sub", "super"):
+        calls.update(H=0, F=0)
+        pv = probe_viscosity(problem, u, problem.network.vertex_point(0), side=side)
+        assert pv.n_active > 7  # more than one L's 7 probes: two slopes or more
+        assert calls == {"H": len(problem.degenerate_set(0)), "F": 1}, side
+
+
+def test_report_computes_distances_once_per_junction(monkeypatch, catalog):
+    """diagnostics_report asks Grid.distances_to once per junction, for
+    both probe sides, and once per boundary vertex, for the Lipschitz
+    constant's boundary distances."""
+    problem = catalog["graph5_constant"].problem
+    u = GridFunction.full(Grid(problem.network, 41), 1.0)
+    points = []
+    original = Grid.distances_to
+
+    def counted(self, point):
+        points.append((point.edge_id, point.t))
+        return original(self, point)
+    monkeypatch.setattr(Grid, "distances_to", counted)
+    diagnostics_report(problem, u)
+    net = problem.network
+    assert sorted(points) == sorted((p.edge_id, p.t) for p in map(
+        net.vertex_point, (v.id for v in net.vertices)))
 
 
 def _reference_vertex_probe(problem, u, vid, side):

@@ -28,7 +28,7 @@ from knet.cli import (
     read_solution_csv,
     solution_csv_text,
 )
-from knet.catalog import entry_by_name
+from knet.catalog import all_entries, entry_by_name, random_problem
 from knet.discretization import Grid, GridFunction
 from knet.network import build_network
 from knet.oracle import ReferenceSolution, fine_grid_reference
@@ -84,6 +84,33 @@ def test_solution_csv_roundtrip(tmp_path):
     back = read_solution_csv(str(path), entry.problem.network)
     assert back.grid.nodes_per_edge == grid.nodes_per_edge
     np.testing.assert_allclose(back.values, u.values, rtol=0, atol=0)
+
+
+def _reference_solution_csv_text(u):
+    """solution_csv_text as a per-row loop, one f-string per node."""
+    lines = ["edge_id,t,u\n"]
+    for e in u.grid.network.edges:
+        for t, v in zip(u.grid.coords[e.id], u.on_edge(e.id)):
+            lines.append(f"{e.id},{t:.17g},{v:.17g}\n")
+    return "".join(lines)
+
+
+def test_solution_csv_text_matches_per_row_formatter():
+    """One % operation per edge writes the per-row f-string's bytes, on the
+    grid of every catalog entry and of random_problem draws 0..11, with
+    values that include -0, nan, +-inf, subnormals and the float extremes."""
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308,
+               1.7976931348623157e308, 0.1, 1 / 3, -1e-17, 123456789.0]
+    networks = [e.problem.network for e in all_entries()] + [
+        random_problem(np.random.default_rng(s)).network for s in range(12)]
+    rng = np.random.default_rng(0)
+    for k, network in enumerate(networks):
+        for n in (3, 41, 161):
+            grid = Grid(network, n)
+            values = rng.normal(scale=10.0 ** rng.integers(-20, 20), size=grid.total_nodes)
+            values[rng.permutation(grid.total_nodes)[:len(special)]] = special[:grid.total_nodes]
+            u = GridFunction(grid, values)
+            assert solution_csv_text(u) == _reference_solution_csv_text(u), (k, n)
 
 
 def test_solve_catalog_config(tmp_path):

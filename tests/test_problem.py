@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knet.catalog import all_entries, entry_by_name
+import knet.problem
+from knet.catalog import all_entries, entry_by_name, random_problem
+from knet.discretization import JUNCTION_MODES, Grid, assemble
 from knet.errors import InvalidCoefficientSign, VertexNotInterior
 from knet.network import star_junction
 from knet.problem import (
+    ENVELOPE_LATTICE,
     Diffusion,
     Hamiltonian,
     KirchhoffCondition,
@@ -164,6 +167,30 @@ def test_sampled_envelope_matches_analytic():
         assert H.min_below(0.0, q) >= ref.min_below(0.0, q) - 1e-12  # never below
 
 
+def test_sampled_envelope_is_monotone_in_q():
+    """The sampled envelopes of a custom |p| - 1 are monotone in q on
+    4000 steps of [-2, 2] and within 9.4e-3 of the exact eikonal ones (the
+    lattice that moved with q gave both a rise and that error); star3_mixed
+    with every H rebuilt as a custom one certifies at n = 11, 21 and 41
+    under both junction modes (the moving lattice failed n = 21 under minmax)."""
+    H = Hamiltonian(lambda x, p: np.abs(p) - 1.0, c_h=1.0, coercive=True)
+    exact = eikonal(1.0, 1.0)
+    q = np.linspace(-2.0, 2.0, 4001)
+    below, above = H.min_below(0.0, q), H.min_above(0.0, q)
+    assert np.all(np.diff(below) <= 0.0) and np.all(np.diff(above) >= 0.0)
+    assert np.max(np.abs(below - exact.min_below(0.0, q))) <= 9.4e-3
+    assert np.max(np.abs(above - exact.min_above(0.0, q))) <= 9.4e-3
+    problem = entry_by_name("star3_mixed").problem
+    custom = dataclasses.replace(problem, hamiltonians={
+        eid: Hamiltonian(ham, c_h=ham.c_h, coercive=ham.coercive, lipschitz_p=ham.lipschitz_p)
+        for eid, ham in problem.hamiltonians.items()})
+    for mode in JUNCTION_MODES:
+        for n in (11, 21, 41):
+            system = assemble(custom, Grid(custom.network, n), junction_mode=mode, probe_samples=0)
+            assert not system.stencil_certificate()
+            assert system.certify_monotone() is None, (mode, n)
+
+
 HAMILTONIANS = [
     eikonal(2.0, 1.0), eikonal(0.7, -0.4), advection(2.0, -0.5), advection(-1.0, 0.25),
     advection(0.0, 0.3), advection(0.0, lambda x: np.sin(x)),
@@ -200,12 +227,15 @@ def test_family_facts_agree_with_fn(H):
     |dH/dp|; affine data, advection's alone, with the values of fn."""
     q = np.linspace(-6.0, 6.0, 25)
     ps = np.linspace(-8.0, 8.0, 321)
+    nodes = H.c_h * ENVELOPE_LATTICE
     for x in (0.0, 0.35, 1.0):
+        # the widest lattice gap that reaches into [-|q| - span, |q| + span],
+        # which holds every slope that can beat H(q)
+        reach = np.abs(q) + H.c_h * (H.c_h + np.maximum(H(x, q), 0.0)) + 1.0
+        near = np.minimum(np.abs(nodes[:-1]), np.abs(nodes[1:])) <= reach[:, None]
+        step = np.max(np.where(near, np.diff(nodes), 0.0), axis=1)
         for below, exact in ((True, H.min_below(x, q)), (False, H.min_above(x, q))):
             sampled = H._sampled_envelope(x, q, below)
-            # 257 slopes from q to the far end of the span _sampled_envelope takes
-            span = H.c_h * (H.c_h + np.maximum(H(x, q), 0.0)) + 1.0
-            step = (np.abs(q) + span + 1e-9) / 256
             assert np.all(exact <= sampled + 1e-12), (x, below)
             finite = np.isfinite(exact)
             assert np.all(sampled[finite] - exact[finite] <= H.slope_bound * step[finite] + 1e-12)
@@ -323,19 +353,35 @@ def test_validate_passes_on_catalog(catalog):
         assert report.ok, (entry.name, [e.name for e in report.failures()])
 
 
-def test_validate_flags_wrong_lipschitz_constant():
-    """H = p^2 is not Lipschitz in p with constant 1; the validator must
-    report the violation with a witness rather than raise."""
+def _squared_problem():
+    """A two-edge star with H = p^2 declared Lipschitz with constant 1."""
     net = star_junction(2)
     bad = Hamiltonian(lambda x, p: np.asarray(p, dtype=float) ** 2, c_h=1.0)
-    problem = NetworkProblem(
+    return NetworkProblem(
         net, 1.0,
         {e.id: bad for e in net.edges},
         {e.id: constant_diffusion(1.0) for e in net.edges},
         {0: make_kirchhoff("classical", 2)},
         {1: 0.0, 2: 0.0},
     )
-    report = validate_problem(problem)
+
+
+def _noncoercive_degenerate_problem():
+    """A two-edge star whose degenerate edge 0 carries a non-coercive H."""
+    net = star_junction(2)
+    return NetworkProblem(
+        net, 1.0,
+        {0: advection(1.0, 0.0), 1: eikonal()},
+        {e.id: constant_diffusion(0.0) for e in net.edges},
+        {0: make_kirchhoff("classical", 2)},
+        {1: 0.0, 2: 0.0},
+    )
+
+
+def test_validate_flags_wrong_lipschitz_constant():
+    """H = p^2 is not Lipschitz in p with constant 1; the validator must
+    report the violation with a witness rather than raise."""
+    report = validate_problem(_squared_problem())
     assert not report.ok
     names = {e.name for e in report.failures()}
     assert "hamiltonian_lipschitz_p" in names
@@ -405,10 +451,9 @@ def _reference_edge_checks(H, D, length, resolution=16, p_range=8.0):
     return out
 
 
-def test_validate_first_witnesses_match_sequential_scans():
-    """The tabulated edge checks report the first violation of the old
-    per-sample scans, bit for bit, on Hamiltonians and diffusions that
-    violate every edge check."""
+def _failing_problems():
+    """The hand-made failing problems, then stars whose Hamiltonians and
+    diffusions violate every edge check between them."""
     net = star_junction(3, lengths=[1.0, 0.7, 1.3])
     hams = [
         Hamiltonian(lambda x, p: 3.0 * np.abs(p) * (1 + x) - 1.0, c_h=2.0, coercive=True),
@@ -421,20 +466,44 @@ def test_validate_first_witnesses_match_sequential_scans():
         Diffusion(lambda x: np.asarray(x, dtype=float) - 0.5, c_a=1.0),
         polynomial_diffusion([0.0, 0.0, 4.0], c_a=0.5),
     ]
+    return [_squared_problem(), _noncoercive_degenerate_problem()] + [
+        NetworkProblem(net, 1.0, {e: hams[(k + e) % len(hams)] for e in range(3)},
+                       {e: diffs[(k + e) % len(diffs)] for e in range(3)},
+                       {0: make_kirchhoff("classical", 3)}, {1: 0.0, 2: 1.0, 3: 0.5})
+        for k in range(len(hams))]
+
+
+def test_validate_first_witnesses_match_sequential_scans():
+    """The tabulated edge checks report the first violation of the old
+    per-sample scans, bit for bit, on the failing problems."""
+    problems = _failing_problems()
     failed = set()
-    for k in range(len(hams)):
-        h = {e: hams[(k + e) % len(hams)] for e in range(3)}
-        d = {e: diffs[(k + e) % len(diffs)] for e in range(3)}
-        problem = NetworkProblem(net, 1.0, h, d, {0: make_kirchhoff("classical", 3)},
-                                 {1: 0.0, 2: 1.0, 3: 0.5})
+    for k, problem in enumerate(problems):
         report = validate_problem(problem)
-        for e in net.edges:
+        for e in problem.network.edges:
             got = {c.name: c.witness for c in report.entries
                    if c.location == f"edge {e.id}"}
-            assert got == _reference_edge_checks(h[e.id], d[e.id], e.length), (k, e.id)
+            assert got == _reference_edge_checks(problem.hamiltonians[e.id],
+                                                 problem.diffusions[e.id], e.length), (k, e.id)
             failed |= {name for name, w in got.items() if w is not None}
     assert failed == {"hamiltonian_lipschitz_x", "hamiltonian_lipschitz_p",
                       "hamiltonian_coercive", "diffusion_sigma_lipschitz"}
+
+
+def _argwhere_first(bad):
+    """validate_problem's first hit as np.argwhere's first row."""
+    return tuple(np.argwhere(bad)[0])
+
+
+def test_validate_first_hits_match_argwhere_scan(monkeypatch):
+    """Reports on random_problem draws 0..59 and on the failing problems are
+    the same, to the bit, when every check's first hit comes from
+    np.argwhere."""
+    problems = [random_problem(np.random.default_rng(s)) for s in range(60)] + _failing_problems()
+    got = [repr(validate_problem(p).to_dict()) for p in problems]
+    monkeypatch.setattr(knet.problem, "_first_hit", _argwhere_first)
+    assert got == [repr(validate_problem(p).to_dict()) for p in problems]
+    assert sum(doc.count("'gap'") for doc in got) > 10
 
 
 def _reference_coupling_checks(problem, p_range=8.0, slack=1e-9):
@@ -496,15 +565,7 @@ def test_validate_coupling_witnesses_match_sample_loop():
 def test_validate_flags_noncoercive_degenerate_edge():
     """A degenerate edge with a non-coercive Hamiltonian violates the
     standing assumption at its junction."""
-    net = star_junction(2)
-    problem = NetworkProblem(
-        net, 1.0,
-        {0: advection(1.0, 0.0), 1: eikonal()},
-        {e.id: constant_diffusion(0.0) for e in net.edges},
-        {0: make_kirchhoff("classical", 2)},
-        {1: 0.0, 2: 0.0},
-    )
-    report = validate_problem(problem)
+    report = validate_problem(_noncoercive_degenerate_problem())
     names = {e.name for e in report.failures()}
     assert "steady_degenerate_coercive" in names
     assert "boundary_elliptic_or_coercive" in names

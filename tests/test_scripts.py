@@ -147,3 +147,24 @@ def test_census_records_a_slice_and_compares(tmp_path, capsys, monkeypatch):
         assert f"{r['id']}: iterations " in printed
     assert "16 solves in both; " in printed and "largest move " in printed
     assert "converged: 16 -> 16; newly failed: 0" in printed
+
+
+def test_output_digest_reruns_agree(tmp_path, capsys):
+    """Two digests of the 13 benchmark operations agree file for file; the
+    comparison lists a file whose hash differs and exits 1."""
+    import json
+
+    digest = _load("output_digest")
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert digest.main(["--out", str(first)]) == 0
+    assert digest.main(["--out", str(second), "--compare", str(first)]) == 0
+    assert capsys.readouterr().out.endswith("no file or exit code changed\n")
+    doc = json.loads(first.read_text())
+    assert len(doc["exits"]) == 13 and set(doc["exits"].values()) == {0}
+    assert {"solve-fine/star3_eikonal-321/solution.csv",
+            "solve-fine/star3_eikonal-321/report.json",
+            "ladder/star3_mixed-ladder/convergence.csv"} <= set(doc["files"])
+    doc["files"]["solve-fine/star3_eikonal-321/solution.csv"] = "0" * 64
+    first.write_text(json.dumps(doc))
+    assert digest.main(["--out", str(second), "--compare", str(first)]) == 1
+    assert "file solve-fine/star3_eikonal-321/solution.csv: changed" in capsys.readouterr().out
