@@ -44,22 +44,28 @@ over the interior edge nodes (the node, its left and its right neighbour),
 then each vertex row's Grid.vertex_inputs, own entry first.  The Jacobian
 (jacobian_entries) and the probe write their values in that order, one
 contiguous block per row.  Grid.border, shared by every system on the
-grid, places each entry in the solver's network form: a tridiagonal block
-over the edges' interior nodes, bordered by the vertex rows and columns.
+grid, places each entry in the solver's network form, a tridiagonal block
+over the edges' interior nodes bordered by the vertex rows and columns, as
+one position in one buffer whose views are the blocks: one scatter.
 
 The grid owns the scheme's geometry, built on first use and shared by
 every system on it: over the interior edge nodes, numbered V..N-1 edge
 after edge, the edge table (x, h, h^2 per node), each edge's slice of it
 and the two sweep classes; per vertex, each incidence's h, inward sign and
-edge coordinate.  A system adds what the problem and eps decide: a + eps
-and theta per node, each edge's H on its slice, and the vertex rows.  One
-row formula, ResidualSystem._edge_rows, writes every edge row in one call
-(one H call per edge) in residual(), and entry gid - V alone in
-residual_node, the one-node reference the tests compare against, with the
-same bits.  H is taken at the central slope (u+ - u-)/(2h), which omits
-the node's own value, so an edge row is affine in it with slope own_coeff
-= lam + 2(a+eps)/h^2 + theta/h, read off the row formula at assembly, as
-are its neighbour coefficients with H switched off; the Jacobian adds H's
+edge coordinate.  Per problem it keeps what the problem fixes, Grid.scheme:
+a, theta, the H of each family run and each incidence's a and H, built at
+the first assembly, read by every later one (each step of a viscosity
+schedule) and dropped with the grid, which each operation makes anew.  So
+a problem must not change once built: later systems would read stale
+tables.  A system adds what eps and the junction mode decide: a + eps, the
+coefficients below and the vertex rows.  One row formula,
+ResidualSystem._edge_rows, writes every edge row in one call (one H call
+per family run) in residual(), and entry gid - V alone in residual_node,
+the one-node reference the tests compare against, with the same bits.  H
+is taken at the central slope (u+ - u-)/(2h), which omits the node's own
+value, so an edge row is affine in it with slope own_coeff = lam +
+2(a+eps)/h^2 + theta/h, read off the row formula at assembly, as are its
+neighbour coefficients with H switched off; the Jacobian adds H's
 central quotient to them.  No row reads two nodes of one sweep class, so
 relax_edge_class steps every other node along each edge exactly at once,
 and the sweeps run Python only at vertices.
@@ -67,6 +73,8 @@ and the sweeps run Python only at vertices.
 
 from __future__ import annotations
 
+import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -142,6 +150,7 @@ class Grid:
             np.full(len(c), v) for v, c in enumerate(self.vertex_inputs)])
         self.cols = np.concatenate([edge, self.left_gids, self.right_gids,
                                     *self.vertex_inputs])
+        self._schemes = {}  # id(problem) -> (problem, SchemeTables), see scheme
 
     @property
     def level_name(self) -> str:
@@ -230,13 +239,14 @@ class Grid:
         return [np.flatnonzero(pos % 2 == p) for p in (0, 1)]
 
     @cached_property
-    def border(self):
+    def border(self) -> tuple:
         """Where each stencil-order entry sits in the Jacobian's network form:
         T, tridiagonal over the M interior edge nodes ("d"; "dl" below, "du"
         above; zero between two edges' chains), the edge rows' vertex columns
-        B (M x V), the vertex rows' interior and vertex columns C and D.  Maps
-        each block to (shape, stencil positions, flat indices in the block);
-        built once, shared by every system on this grid."""
+        B (M x V), the vertex rows' interior and vertex columns C and D, as
+        (size, dest, blocks): entry k goes to dest[k] of a buffer of size
+        values, whose slice blocks[name][0] is the block, shaped
+        blocks[name][1]; built once, shared by every system on this grid."""
         nv, r, c = len(self.network.vertices), self.rows, self.cols
         m = self.total_nodes - nv
         sub = max(m - 1, 1)  # LAPACK's dgtsv wrapper takes no empty diagonal
@@ -246,8 +256,59 @@ class Grid:
                   "B": ((m, nv), (r >= nv) & (c < nv), (r - nv) * nv + c),
                   "C": ((nv, m), (r < nv) & (c >= nv), r * m + c - nv),
                   "D": ((nv, nv), (r < nv) & (c < nv), r * nv + c)}
-        return {name: (shape, np.flatnonzero(at), flat[at])
-                for name, (shape, at, flat) in blocks.items()}
+        dest, views, size = np.empty(len(r), dtype=np.intp), {}, 0
+        for name, (shape, at, flat) in blocks.items():
+            dest[at] = size + flat[at]
+            views[name] = (slice(size, size := size + math.prod(shape)), shape)
+        dest.flags.writeable = False
+        return size, dest, views
+
+    def scheme(self, problem: NetworkProblem) -> "SchemeTables":
+        """problem's SchemeTables on this grid, built on first use; the grid
+        keeps the problem too, so that its id, the key, is not reused."""
+        if id(problem) not in self._schemes:
+            self._schemes[id(problem)] = (problem, SchemeTables(problem, self))
+        return self._schemes[id(problem)][1]
+
+
+class SchemeTables:
+    """What a problem fixes on a grid, shared read-only by every system on
+    it (Grid.scheme).  Over the edge table: a, theta (lipschitz_p), c and d
+    (Hamiltonian.table's, nan on an edge with none) and runs, the
+    Hamiltonian as (slice, fn), one per run of consecutive edges with one
+    table g, fn = c*g(p) + d, else one per edge, fn its H.  Per vertex,
+    tuples over its incidences: a, the H records and theta*h/2, the least
+    a + eps whose ghost correction keeps the row monotone.  builtin: every
+    H and coupling is an exact built-in record, with slope_bound <= theta."""
+
+    def __init__(self, problem: NetworkProblem, grid: Grid):
+        x = grid.edge_table[0]
+        self.a, self.theta, self.c, self.d = (np.empty_like(x) for _ in range(4))
+        edges = [(s, problem.hamiltonians[eid]) for eid, s in grid.edge_slices.items()]
+        table = lambda ham: ham.table if type(ham) is Hamiltonian else None
+        for (s, ham), eid in zip(edges, grid.edge_slices):
+            self.a[s], self.theta[s] = problem.diffusions[eid].a(x[s]), ham.lipschitz_p
+            _, self.c[s], self.d[s] = table(ham) or (None, np.nan, np.nan)
+        self.vertices = []
+        for v, (hs, _, _) in zip(problem.network.vertices, grid.incidence_geometry):
+            incs = problem.network.incidence[v.id]
+            hams = tuple(problem.hamiltonians[inc.edge.id] for inc in incs)
+            self.vertices.append((tuple(problem.a_at_incidence(inc) for inc in incs), hams, tuple(
+                float(0.5 * ham.lipschitz_p * h) for ham, h in zip(hams, hs))))
+        for arr in (self.a, self.theta, self.c, self.d):
+            arr.flags.writeable = False
+        self.runs = []  # keyed by g, or for an edge with no table by its own slice
+        for g, run in itertools.groupby(edges, lambda e: (table(e[1]) or e)[0]):
+            run = list(run)
+            s = slice(run[0][0].start, run[-1][0].stop)
+            c, d = self.c[s], self.d[s]  # views of read-only arrays are read-only
+            self.runs.append((s, run[0][1] if table(run[0][1]) is None
+                              else lambda x, p, g=g, c=c, d=d: c * g(p) + d))
+        builtin = lambda record, cls: type(record) is cls and record.family != "custom"
+        self.builtin = (all(builtin(ham, Hamiltonian) and ham.slope_bound <= ham.lipschitz_p
+                            for _, ham in edges)
+                        and all(c is None or builtin(c, KirchhoffCondition) for c in (
+                            problem.kirchhoff.get(v.id) for v in problem.network.vertices)))
 
 
 class GridFunction:
@@ -330,42 +391,32 @@ class ResidualSystem:
         self.grid = grid
         self.eps = float(eps)
         self.junction_mode = junction_mode
-
-        # over the grid's edge table: a + eps and theta (the edge's
-        # lipschitz_p) per node; per edge, its slice and its Hamiltonian
-        x = grid.edge_table[0]
-        self._a, self._theta, self._hams = np.empty_like(x), np.empty_like(x), []
-        for eid, s in grid.edge_slices.items():
-            self._a[s] = problem.diffusions[eid].a(x[s]) + self.eps
-            self._theta[s] = problem.hamiltonians[eid].lipschitz_p
-            self._hams.append((s, problem.hamiltonians[eid]))
+        self._tables = tables = grid.scheme(problem)
+        self._a, self._theta = tables.a + self.eps, tables.theta
 
         relaxed = resolve_relaxed_edges(problem, self.eps, junction_mode)
         self._vertices = []
-        for v, (hs, _, _) in zip(problem.network.vertices, grid.incidence_geometry):
-            incs = problem.network.incidence[v.id]
-            av = [problem.a_at_incidence(inc) + self.eps for inc in incs]
-            hams = tuple(problem.hamiltonians[inc.edge.id] for inc in incs)
+        for v, (a, hams, ghost) in zip(problem.network.vertices, tables.vertices):
+            a = [a_v + self.eps for a_v in a]
             # second-order ghost correction only where it keeps the stencil
             # monotone: a + eps must dominate theta*h/2
-            cors = tuple(i for i, (a_v, ham, h_e) in enumerate(zip(av, hams, hs))
-                         if a_v > 0.0 and a_v >= 0.5 * ham.lipschitz_p * h_e)
+            cors = tuple(i for i, (a_v, g) in enumerate(zip(a, ghost)) if a_v > 0.0 and a_v >= g)
             self._vertices.append(_VertexStencil(
-                np.array(av), hams, cors, problem.kirchhoff.get(v.id),
+                np.array(a), hams, cors, problem.kirchhoff.get(v.id),
                 problem.dirichlet.get(v.id, 0.0), relaxed[v.id]))
 
         # own_coeff[j]: slope of an edge row, affine in its own value u[j],
         # read off the row formula as row(u[j] = 1) - row(u[j] = 0); 0 at
         # vertex rows, which are not affine in general.  The row is affine in
         # its neighbours too, but for H at the central slope: with H switched
-        # off, the same formula gives their coefficients
+        # off, the same formula gives their coefficients.  Each is one call
+        # on the two input sets stacked
+        one = np.array([[1.0], [0.0]])
+        own = self._edge_rows(slice(None), 0.0, one, 0.0, self._table_ham)
         self.own_coeff = np.zeros(grid.total_nodes)
-        self.own_coeff[len(self._vertices):] = (
-            self._edge_rows(slice(None), 0.0, 1.0, 0.0, self._table_ham)
-            - self._edge_rows(slice(None), 0.0, 0.0, 0.0, self._table_ham))
-        no_ham = lambda x, p: 0.0 * p
-        self._left_coeff = self._edge_rows(slice(None), 1.0, 0.0, 0.0, no_ham)
-        self._right_coeff = self._edge_rows(slice(None), 0.0, 0.0, 1.0, no_ham)
+        self.own_coeff[len(self._vertices):] = own[0] - own[1]
+        self._left_coeff, self._right_coeff = self._edge_rows(
+            slice(None), one, 0.0, one[::-1], lambda x, p: 0.0 * p)
 
     @cached_property
     def affine(self) -> bool:
@@ -402,11 +453,11 @@ class ResidualSystem:
         return res
 
     def _table_ham(self, x, p):
-        """Each edge's Hamiltonian on its slice of the whole table; p may
-        stack several tables, (..., table length)."""
+        """The Hamiltonian on the whole table, one call per run of
+        SchemeTables.runs; p may stack several tables, (..., table length)."""
         out = np.empty(np.shape(p))
-        for s, ham in self._hams:
-            out[..., s] = ham(x[s], p[..., s])
+        for s, fn in self._tables.runs:
+            out[..., s] = fn(x[s], p[..., s])
         return out
 
     def _edge_rows(self, k, um, uc, up, ham):
@@ -511,11 +562,7 @@ class ResidualSystem:
         docstring).  own_coeff, read off the row formula at central slope 0,
         is finite exactly when H is finite at p = 0 on every edge node and so
         is the own slope; no row but the vertex rows at u = 0 is evaluated."""
-        builtin = lambda record, cls: type(record) is cls and record.family != "custom"
-        return (all(builtin(ham, Hamiltonian) and ham.slope_bound <= ham.lipschitz_p
-                    for _, ham in self._hams)
-                and all(st.coupling is None or builtin(st.coupling, KirchhoffCondition)
-                        for st in self._vertices)
+        return (self._tables.builtin
                 and bool(np.all(self._a >= 0.0)) and bool(np.isfinite(self.own_coeff).all())
                 and all(np.isfinite(self._vertex_rows(v, np.float64(0.0), np.zeros(len(i) - 1)))
                         for v, i in enumerate(self.grid.vertex_inputs)))

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
 
 from .discretization import (JUNCTION_MODES, Grid, GridFunction, assemble, check_nodes,
                              resolve_relaxed_edges)
@@ -122,6 +120,8 @@ def direct_linear_solve(problem: NetworkProblem, nodes_per_edge,
             add(i, int(n2), al * 1.0 / (2.0 * h))
         rhs[i] = cond.params.get("B", 0.0)
 
+    from scipy.sparse import coo_matrix  # lazy: importing scipy slows every knet start
+    from scipy.sparse.linalg import spsolve
     mat = coo_matrix((vals, (rows, cols)), shape=(n_tot, n_tot)).tocsc()
     with np.errstate(all="ignore"):
         try:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -64,6 +65,7 @@ class _HamiltonianFacts(NamedTuple):
     slope_bound: Optional[float]
     affine: Optional[tuple]
     name: str
+    table: Optional[tuple] = None  # (g, c, d): H = c*g(p) + d, c and d constant
 
 
 def _eikonal_facts(speed, rhs) -> _HamiltonianFacts:
@@ -72,7 +74,7 @@ def _eikonal_facts(speed, rhs) -> _HamiltonianFacts:
     return _HamiltonianFacts(lambda x, p: speed * np.abs(p) - rhs,
                              lambda x, q: speed * larger(-q, 0.0) - rhs,
                              lambda x, q: speed * larger(q, 0.0) - rhs,
-                             speed, None, f"eikonal({speed},{rhs})")
+                             speed, None, f"eikonal({speed},{rhs})", (np.abs, speed, -rhs))
 
 
 def _advection_facts(b, f) -> _HamiltonianFacts:
@@ -86,7 +88,8 @@ def _advection_facts(b, f) -> _HamiltonianFacts:
         return env
 
     return _HamiltonianFacts(lambda x, p: b * np.asarray(p, dtype=float) + f_fn(x),
-                             envelope(1), envelope(-1), abs(b), (b, f_fn), f"advection({b})")
+                             envelope(1), envelope(-1), abs(b), (b, f_fn), f"advection({b})",
+                             None if callable(f) else (np.positive, b, float(f)))
 
 
 _HAMILTONIAN_FAMILIES = {"eikonal": _eikonal_facts, "advection": _advection_facts}
@@ -100,9 +103,11 @@ class Hamiltonian:
     > 0, rhs), H = speed*|p| - rhs, or "advection" (b, f), H = b*p + f(x)
     with f a constant or a callable of x.  Its _HAMILTONIAN_FAMILIES entry
     checks the params and derives H, the closed-form envelopes, name,
-    slope_bound (the exact sup |dH/dp|: speed, or |b|) and affine ((b, f of
-    x), advection only).  A custom H is an fn taking numpy arrays in either
-    argument, with sampled envelopes, no slope_bound and no affine data.
+    slope_bound (the exact sup |dH/dp|: speed, or |b|), affine ((b, f of
+    x), advection only) and table ((g, c, d), H = c*g(p) + d: (abs, speed,
+    -rhs), or (positive, b, f) for a constant f).  A custom H is an fn
+    taking numpy arrays in either argument, with sampled envelopes and no
+    slope_bound, affine data or table.
     Handing a built-in an fn makes it custom; replacing another field keeps it.
 
     c_h is the declared structure constant (Lipschitz in x and p);
@@ -133,6 +138,7 @@ class Hamiltonian:
     name = property(lambda self: self._facts.name)
     slope_bound = property(lambda self: self._facts.slope_bound)
     affine = property(lambda self: self._facts.affine)
+    table = property(lambda self: self._facts.table)
 
     def __call__(self, x, p):
         return self._facts.fn(x, p)
@@ -383,9 +389,15 @@ class NetworkProblem:
                 return f"edge {e.id}: Hamiltonian is not affine in p"
         return ""
 
+    @cached_property
+    def _incidence_a(self) -> dict:  # keyed by (edge id, at_tail): cheap to hash
+        return {(inc.edge.id, inc.at_tail): float(self.diffusions[inc.edge.id].a(inc.vertex_param))
+                for incs in self.network.incidence.values() for inc in incs}
+
     def a_at_incidence(self, inc: Incidence) -> float:
-        """The diffusion of inc's edge at inc's vertex."""
-        return float(self.diffusions[inc.edge.id].a(inc.vertex_param))
+        """The diffusion of inc's edge at inc's vertex, from a table of every
+        incidence built on first use: a problem is not changed once built."""
+        return self._incidence_a[inc.edge.id, inc.at_tail]
 
     def degenerate_set(self, vid: int):
         """Incident edges whose diffusion vanishes at the vertex."""

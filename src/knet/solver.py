@@ -39,7 +39,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .discretization import JUNCTION_MODES, Grid, GridFunction, ResidualSystem, assemble
 from .errors import BarrierConstructionFailed, LocalRootBracketFailed, SingularLinearization
@@ -265,19 +264,19 @@ def _fd_jacobian(system: ResidualSystem, u: np.ndarray, step: float) -> dict:
     """Jacobian of the residual at u, read off the stencil by
     system.jacobian_entries (exact edge coefficients but for H's central
     quotient, central differences at vertex rows; no residual() call) and
-    written straight into spsolve's network form, Grid.border's blocks.
+    written straight into spsolve's network form: one scatter of every
+    entry into a buffer of zeros, at Grid.border's positions, whose views
+    are the six blocks.
 
     Central differencing matters: at kinks of the numerical Hamiltonian a
     one-sided difference is not an element of the generalized Jacobian (it
     turns |p| into a sum of both neighbors), while the central quotient
     picks the midpoint slope and keeps the linearization monotone.
     """
-    vals = system.jacobian_entries(u, step)
-    jac = {}
-    for name, (shape, at, flat) in system.grid.border.items():
-        jac[name] = np.zeros(shape)
-        jac[name].flat[flat] = vals[at]
-    return jac
+    size, dest, blocks = system.grid.border
+    buf = np.zeros(size)
+    buf[dest] = system.jacobian_entries(u, step)
+    return {name: buf[at].reshape(shape) for name, (at, shape) in blocks.items()}
 
 
 def spsolve(jac: dict, b: np.ndarray) -> np.ndarray:
@@ -291,6 +290,7 @@ def spsolve(jac: dict, b: np.ndarray) -> np.ndarray:
     pivot of T or a singular Schur complement raises SingularLinearization.
     Named spsolve because perfbench's tracer times knet.solver.spsolve and
     _fd_jacobian as its solver.linear_solve and solver.jacobian layers."""
+    from scipy.linalg.lapack import dgtsv  # lazy: knet verify never solves
     nv = len(jac["D"])
     *_, y, info = dgtsv(jac["dl"], jac["d"], jac["du"],
                         np.column_stack([b[nv:], jac["B"]]), overwrite_b=True)

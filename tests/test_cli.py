@@ -1011,16 +1011,18 @@ def test_main_builds_the_parser_once(tmp_path, monkeypatch):
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    """scipy.optimize serves only the Gauss-Seidel vertex solve, so a fresh
-    process that imports the CLI does not load it."""
+    """scipy.optimize serves only the Gauss-Seidel vertex solve, LAPACK's
+    dgtsv only spsolve and scipy.sparse only the direct linear solve, so a
+    fresh process that imports the CLI loads no scipy module at all."""
     src = str(Path(solver.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, knet.cli; print('scipy.optimize' in sys.modules)"],
+         "import sys, knet.cli; print(sorted(m for m in sys.modules"
+         " if m == 'scipy' or m.startswith('scipy.')))"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_verify_clean_solution(tmp_path):

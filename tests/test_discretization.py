@@ -29,7 +29,7 @@ from knet.problem import (
     eikonal,
     make_kirchhoff,
 )
-from knet.solver import SolveConfig, solve_system
+from knet.solver import SolveConfig, _fd_jacobian, solve_system
 
 
 # ---------------------------------------------------------------------------
@@ -748,12 +748,13 @@ def _assert_stencil_layout(grid):
     vals = np.arange(1.0, len(rows) + 1.0)
     dense = np.zeros((n, n))
     dense[rows, cols] = vals
-    blocks = {}
-    for name, (shape, at, flat) in grid.border.items():
-        blocks[name] = np.zeros(shape)
-        blocks[name].flat[flat] = vals[at]
-    np.testing.assert_array_equal(np.sort(np.concatenate(
-        [at for _, at, _ in grid.border.values()])), np.arange(len(rows)))
+    size, dest, views = grid.border
+    buf = np.zeros(size)
+    buf[dest] = vals
+    blocks = {name: buf[at].reshape(shape) for name, (at, shape) in views.items()}
+    # the six views tile the buffer, and no two entries share a position
+    assert sum(np.prod(shape, dtype=int) for _, shape in views.values()) == size
+    assert len(np.unique(dest)) == len(rows)
     tri = np.diag(blocks["d"]) + np.diag(blocks["dl"][:ne - 1], -1) + np.diag(
         blocks["du"][:ne - 1], 1)
     np.testing.assert_array_equal(np.block([[blocks["D"], blocks["C"]],
@@ -909,3 +910,103 @@ def test_strong_boundary_row_evaluates_no_hamiltonian(monkeypatch, system_cached
         assert system.residual_node(gid, u) == u[gid] - system.problem.dirichlet[vid]
     assert calls == []
 
+
+
+# ---------------------------------------------------------------------------
+# Scheme tables shared by the systems on one grid
+
+
+def _bits(a) -> np.ndarray:
+    """a's float64 bit patterns, so -0.0 and 0.0 differ and NaNs compare."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("mode", JUNCTION_MODES)
+def test_systems_sharing_a_grid_match_a_fresh_grid_bit_for_bit(catalog_and_draws, mode):
+    """A system assembled on a grid that already holds the problem's scheme
+    tables, built by an assembly at another eps, equals bit for bit the one
+    assembled on a fresh grid: own_coeff, residual, Jacobian entries and
+    network form, certificate and probe deltas."""
+    rng = np.random.default_rng(31)
+    for k, problem in enumerate(catalog_and_draws):
+        shared = Grid(problem.network, {e.id: 9 + 2 * (e.id % 3) for e in problem.network.edges})
+        first = assemble(problem, shared, eps=0.5, junction_mode=mode, probe_samples=0)
+        for eps in (0.0, 2.0 ** -8, 0.25, 1.0):
+            a = assemble(problem, shared, eps=eps, junction_mode=mode, probe_samples=0)
+            b = assemble(problem, Grid(problem.network, shared.nodes_per_edge), eps=eps,
+                         junction_mode=mode, probe_samples=0)
+            assert a._tables is first._tables is not b._tables
+            u = rng.uniform(-2.0, 2.0, (3, shared.total_nodes))
+            np.testing.assert_array_equal(_bits(a.own_coeff), _bits(b.own_coeff))
+            for x in u:
+                np.testing.assert_array_equal(_bits(a.residual(x)), _bits(b.residual(x)))
+                np.testing.assert_array_equal(_bits(a.jacobian_entries(x, 1e-7)),
+                                              _bits(b.jacobian_entries(x, 1e-7)))
+                ja, jb = _fd_jacobian(a, x, 1e-7), _fd_jacobian(b, x, 1e-7)
+                assert ja.keys() == jb.keys()
+                for name in ja:
+                    np.testing.assert_array_equal(_bits(ja[name]), _bits(jb[name]))
+            assert a.stencil_certificate() == b.stencil_certificate(), (k, eps)
+            np.testing.assert_array_equal(_bits(a._probe_deltas(u)), _bits(b._probe_deltas(u)))
+
+
+def test_scheme_tables_are_shared_and_read_only():
+    """Every system on a grid reads one SchemeTables per problem, and no
+    shared array can be written: a, theta, c and d, each run's views of c
+    and d and the Jacobian's destinations; each vertex's a, H records and
+    ghost bounds are tuples."""
+    problem = entry_by_name("star3_mixed").problem
+    grid = Grid(problem.network, 11)
+    systems = [assemble(problem, grid, eps=eps) for eps in (0.0, 0.25)]
+    tables = grid.scheme(problem)
+    assert all(s._tables is tables for s in systems)
+    assert grid.scheme(entry_by_name("star3_mixed").problem) is not tables
+    runs = [arr for _, fn in tables.runs for arr in (getattr(fn, "__defaults__", None) or ())
+            if isinstance(arr, np.ndarray)]
+    assert len(runs) == 4  # eikonal on edge 0, then one advection run over edges 1 and 2
+    assert all(type(part) is tuple for vertex in tables.vertices for part in vertex)
+    for arr in [tables.a, tables.theta, tables.c, tables.d, grid.border[1], *runs]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    assert systems[1]._a.flags.writeable
+
+
+def _doubled_eikonal():
+    """A Hamiltonian subclass whose call doubles its record's H."""
+    class Doubled(Hamiltonian):
+        def __call__(self, x, p):
+            return 2.0 * super().__call__(x, p)
+    return Doubled(None, 2.0, True, 2.0, "eikonal", {"speed": 1.0, "rhs": 0.5})
+
+
+@pytest.mark.parametrize("hams, runs", [
+    # families interleaved: every run is one edge
+    (lambda: [eikonal(1.0, 1.0), advection(0.5, -0.2), eikonal(2.0, 0.0),
+              advection(-1.0, 0.0), eikonal(0.7, -0.3)], 5),
+    # runs of two: eikonal, advection, then a custom H on its own
+    (lambda: [eikonal(1.0, 1.0), eikonal(2.0, 0.5), advection(-0.3, 0.1), advection(0.7, 2),
+              Hamiltonian(lambda x, p: np.abs(p) ** 1.5 - np.sin(x), c_h=3.0)], 3),
+    # a callable f and a subclass take an entry each; the subclass splits the eikonal run
+    (lambda: [advection(0.3, lambda x: np.cos(x)), eikonal(1.0, 1.0), _doubled_eikonal(),
+              eikonal(1.5, 0.0), advection(-2, 0)], 5),
+], ids=["interleaved", "runs-of-two", "split-runs"])
+def test_table_ham_matches_the_per_edge_loop(hams, runs):
+    """_table_ham, one call per run of consecutive edges of one built-in
+    family with constant data, equals bit for bit each edge's own H on its
+    slice, on a graph with cycles and unequal node counts."""
+    base = entry_by_name("graph5_constant").problem
+    edges = base.network.edges
+    problem = dataclasses.replace(base, hamiltonians=dict(zip((e.id for e in edges), hams())))
+    grid = Grid(problem.network, {e.id: 5 + 3 * e.id for e in edges})
+    system = assemble(problem, grid, probe_samples=0)
+    assert len(grid.scheme(problem).runs) == runs
+    x = grid.edge_table[0]
+    p = np.random.default_rng(7).uniform(-3.0, 3.0, (3, len(x)))
+    p[:, ::4] = 0.0
+    p[1, ::5] = -0.0
+    ref = np.empty_like(p)
+    for eid, s in grid.edge_slices.items():
+        ref[..., s] = problem.hamiltonians[eid](x[s], p[..., s])
+    np.testing.assert_array_equal(_bits(system._table_ham(x, p)), _bits(ref))
+    np.testing.assert_array_equal(_bits(system._table_ham(x, p[0])), _bits(ref[0]))

@@ -1,6 +1,7 @@
 """Problem data: Hamiltonians, envelopes, couplings, and the sampled
 structure validator."""
 
+import collections
 import copy
 import dataclasses
 import json
@@ -12,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import knet.problem
 from knet.catalog import all_entries, entry_by_name, random_problem
-from knet.discretization import JUNCTION_MODES, Grid, assemble
+from knet.analysis import diagnostics_report
+from knet.discretization import JUNCTION_MODES, Grid, assemble, resolve_relaxed_edges
 from knet.errors import InvalidCoefficientSign, VertexNotInterior
 from knet.network import star_junction
 from knet.problem import (
@@ -30,6 +32,7 @@ from knet.problem import (
     problem_from_json,
     validate_problem,
 )
+from knet.solver import solve_system
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +601,40 @@ def test_problem_from_json():
     assert problem.kirchhoff[0].family == "affine"
     assert problem.dirichlet[2] == 1.0
     assert problem.a_at_incidence(net.incidence[0][1]) == pytest.approx(0.0)
+
+
+def _count_scalar_a_calls(problem) -> collections.Counter:
+    """Wrap each of problem's diffusions so that a call of a at one point
+    counts under (edge id, x); returns the counter."""
+    calls = collections.Counter()
+    for eid, diffusion in problem.diffusions.items():
+        def counted(x, _eid=eid, _real=diffusion.a):
+            if np.ndim(x) == 0:
+                calls[_eid, float(x)] += 1
+            return _real(x)
+        diffusion.a = counted
+    return calls
+
+
+def test_incidence_diffusion_is_evaluated_once_per_problem():
+    """a_at_incidence reads a table built on first use, so assembly under
+    both junction modes at two eps, resolve_relaxed_edges, validate_problem,
+    degenerate_set and the diagnostics evaluate each incidence's a once in
+    all."""
+    problem = entry_by_name("star3_loss_elliptic").problem
+    calls = _count_scalar_a_calls(problem)
+    for mode in JUNCTION_MODES:
+        for eps in (0.0, 0.5):
+            system = assemble(problem, Grid(problem.network, 21), eps=eps, junction_mode=mode)
+            resolve_relaxed_edges(problem, eps, mode)
+    validate_problem(problem)
+    for v in problem.network.interior_vertices:
+        problem.degenerate_set(v.id)
+    u = solve_system(system).u
+    diagnostics_report(problem, u, system)
+    incidences = {(inc.edge.id, inc.vertex_param)
+                  for incs in problem.network.incidence.values() for inc in incs}
+    assert {k: calls[k] for k in incidences} == dict.fromkeys(incidences, 1)
 
 
 def test_problem_from_json_polynomial_diffusion():

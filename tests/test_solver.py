@@ -1,6 +1,7 @@
 """Nonlinear solvers: nodewise sweeps, semismooth Newton, barriers, and
 the vanishing-viscosity continuation."""
 
+import collections
 import functools
 import re
 from dataclasses import replace
@@ -865,6 +866,31 @@ def test_viscosity_schedule_builds_its_border_index_once(monkeypatch):
         sweep_solve(assemble(problem, sweep.base.u.grid, eps=eps), SolveConfig(max_sweeps=2))
     assert len(jacobians) > len(sweep.steps)
     assert calls == {name: 1 for name in GRID_TABLES}
+
+
+def test_viscosity_steps_build_the_scheme_tables_once_per_grid(monkeypatch):
+    """A 9-step vanishing_viscosity assembles its base and nine steps on one
+    grid, and the base's nested levels on their own grids.  Each grid builds
+    the problem's scheme tables once, so each edge's diffusion is evaluated
+    on the edge table once per grid, and at each incidence once in all."""
+    import knet.discretization as disc
+
+    problem = entry_by_name("star3_mixed").problem
+    grids = []
+    real_init = disc.Grid.__init__
+    monkeypatch.setattr(disc.Grid, "__init__",
+                        lambda self, *args: grids.append(self) or real_init(self, *args))
+    calls = collections.Counter()
+    for eid, diffusion in problem.diffusions.items():
+        def counted(x, _eid=eid, _real=diffusion.a):
+            calls[_eid, "table" if np.ndim(x) else "incidence"] += 1
+            return _real(x)
+        diffusion.a = counted
+    sweep = vanishing_viscosity(problem, 41, [0.5 ** k for k in range(9)])
+    assert len(sweep.steps) == 9 and all(s.result.converged for s in sweep.steps)
+    assert len(grids) == 2  # n = 41 and the base's coarse level n = 21
+    assert calls == {**{(e, "table"): len(grids) for e in problem.diffusions},
+                     **{(e, "incidence"): 2 for e in problem.diffusions}}
 
 
 def test_warm_start_reuses_profile(system_cached, solve_cached):
