@@ -12,7 +12,8 @@ Sets (n is nodes per edge; every set runs under both junction modes):
 Each record holds: converged, the message, Newton's count per level, the
 number of sweep-and-Newton rounds, whether Newton failed on the target grid
 (a fallback), iterations, the residual, the convergence threshold, the wall
-time of the solve (assembly excluded) and a digest of the solution.  The
+time of the solve (assembly and scipy's one-time import excluded) and a
+digest of the solution.  The
 records are written as JSON; --compare OLD.json lists the solves whose
 outcome or iteration counts changed, and counts the solutions that moved.
 With --arrays the solutions are saved too (.npz), and a comparison of two
@@ -95,6 +96,11 @@ def _record(case_id, problem, n, mode, start, config):
 
 
 def run(sets, nodes=None, arrays=None):
+    # the solver imports these scipy modules on first use; importing them
+    # here keeps that one-time cost out of the first solve's wall time
+    import scipy.linalg.lapack  # noqa: F401
+    import scipy.optimize  # noqa: F401
+
     config = SolveConfig()
     records, saved = [], {}
     for name in sets:

@@ -9,10 +9,10 @@ test functions) and are reported as such.
 
 Geodesic distances from grid nodes, to a probe's touching point or to the
 boundary, come from Grid.distances_to, one array per point; nothing here
-builds a network point per node, and a report's sub and super probes at a
-junction share one array.  Probes are whole-array passes: a vertex probe
-evaluates the junction or boundary clause once, on the array of its
-distinct active slopes.
+builds a network point per node.  Probes are whole-array passes: one pass
+per junction probes both sides, which share the distances and the nodes
+in the largest ball, and evaluates the junction or boundary clause once
+per side, on the array of its distinct active slopes.
 """
 
 from __future__ import annotations
@@ -65,6 +65,10 @@ class ProbeFunction:
 
 def default_probe_grid():
     return [(2.0 ** k, 2.0 ** j) for k in range(11) for j in range(7)]
+
+
+_DEFAULT_PROBES = default_probe_grid()
+_DEFAULT_LK = np.asarray(_DEFAULT_PROBES).T[..., None]  # L and K, (probe, 1) each
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +220,24 @@ def probe_viscosity(problem: NetworkProblem, u: GridFunction,
     """
     if side not in ("sub", "super"):
         raise ValueError(f"side must be 'sub' or 'super', got {side!r}")
-    return _probe(problem, u, point, u.grid.distances_to(point), probes, side)
+    rhos = u.grid.distances_to(point)
+    point = problem.network.point(point.edge_id, point.t)
+    verdict, = _probe(problem, u, point, rhos, probes, (side,))
+    if verdict is None:
+        raise NoActiveProbe(f"no probe touches u at {point} from side {side!r}")
+    return verdict
 
 
-def _probe(problem, u, point, rhos, probes, side) -> ProbeVerdict:
-    """probe_viscosity, given rhos, every node's distance to the point: the
-    two sides of a diagnostics report share one Grid.distances_to array."""
+def _probe(problem, u, point, rhos, probes, sides):
+    """probe_viscosity's verdict at a canonical point, or None where no
+    probe touches, for each of sides in turn, given rhos, every node's
+    distance to the point; the sides share every array but their own."""
     grid = u.grid
-    net = problem.network
-    probes = default_probe_grid() if probes is None else list(probes)
+    probes = _DEFAULT_PROBES if probes is None else list(probes)
+    L, K = (_DEFAULT_LK if probes is _DEFAULT_PROBES
+            else np.asarray(probes, dtype=float).reshape(-1, 2).T[..., None])
     tol = TOL_PER_H * grid.h
-    point = net.point(point.edge_id, point.t)
-    vid = net.point_vertex(point)
+    vid = problem.network.point_vertex(point)
     if vid is not None:
         gid = grid.vertex_gid(vid)
     else:
@@ -240,48 +250,50 @@ def _probe(problem, u, point, rhos, probes, side) -> ProbeVerdict:
         offsets = np.full(grid.total_nodes, np.nan)
         offsets[grid.node_ids[point.edge_id]] = grid.coords[point.edge_id] - point.t
     u0 = float(u.values[gid])
-    sgn = 1.0 if side == "sub" else -1.0
 
     # node arrays run over (node, probe, slope), the rest over (probe,
     # slope); the nodes are those inside the largest ball
-    L, K = np.asarray(probes, dtype=float).reshape(-1, 2).T[..., None]
     radius = 1.0 / (4.0 * K)
     near = (rhos > 0) & (rhos <= radius.max(initial=0.0))
     r = rhos[near][:, None, None]
     du = (u.values[near] - u0)[:, None, None]
     ball = r <= radius
-    if vid is not None:
-        slopes = sgn * L
-        phi = sgn * (L * (r - K * r * r))
-    else:
+    if vid is None:
         slopes = np.linspace(-L[:, 0], L[:, 0], 5, axis=1)
         signed = offsets[near][:, None, None]
         # phi(z) - u0 = sgn*(p*d - L K d^2) with d the signed offset;
         # off-edge nodes use the worst-case quadratic bound in rho
-        phi = np.where(np.isnan(signed), L * r - L * K * r * r,
-                       sgn * (slopes * signed - L * K * signed ** 2))
-    # touching from above (sub) means u - u0 <= phi on the ball
-    outside = du > phi + 1e-12 if side == "sub" else du < phi - 1e-12
-    active = ball.any(axis=0) & ~(ball & outside).any(axis=0)
-    if not active.any():
-        raise NoActiveProbe(f"no probe touches u at {point} from side {side!r}")
-
-    if vid is not None:
-        # the vertex clause depends on the slope alone: one evaluation at
-        # the distinct active slopes
-        distinct, where = np.unique(slopes[active], return_inverse=True)
-        clause = np.full(slopes.shape, np.nan)
-        clause[active] = _vertex_clause(problem, vid, u0, distinct, side)[where]
+        off_edge, bound = np.isnan(signed), L * r - L * K * r * r
+        on_edge = slopes * signed - L * K * signed ** 2
     else:
-        a_x = float(problem.diffusions[point.edge_id].a(point.t))
-        clause = (problem.lam * u0 - a_x * sgn * (-2.0 * L * K)
-                  + problem.hamiltonians[point.edge_id](point.t, sgn * slopes))
-    margin = np.where(active, sgn * clause, -math.inf)
-    i, j = np.unravel_index(np.argmax(margin), margin.shape)
-    worst = float(margin[i, j])
-    worst_probe = {"L": probes[i][0], "K": probes[i][1], "slope": float(slopes[i, j])}
-    return ProbeVerdict(point, side, int(active.sum()), worst, tol, worst_probe,
-                        worst <= tol)
+        quadratic = L * (r - K * r * r)
+    for side in sides:
+        sgn = 1.0 if side == "sub" else -1.0
+        if vid is None:
+            phi = np.where(off_edge, bound, sgn * on_edge)
+        else:
+            slopes, phi = sgn * L, sgn * quadratic
+        # touching from above (sub) means u - u0 <= phi on the ball
+        outside = du > phi + 1e-12 if side == "sub" else du < phi - 1e-12
+        active = ball.any(axis=0) & ~(ball & outside).any(axis=0)
+        if not active.any():
+            yield None
+            continue
+        if vid is not None:
+            # the vertex clause depends on the slope alone: one evaluation
+            # at the distinct active slopes
+            distinct, where = np.unique(slopes[active], return_inverse=True)
+            clause = np.full(slopes.shape, np.nan)
+            clause[active] = _vertex_clause(problem, vid, u0, distinct, side)[where]
+        else:
+            a_x = float(problem.diffusions[point.edge_id].a(point.t))
+            clause = (problem.lam * u0 - a_x * sgn * (-2.0 * L * K)
+                      + problem.hamiltonians[point.edge_id](point.t, sgn * slopes))
+        margin = np.where(active, sgn * clause, -math.inf)
+        i, j = np.unravel_index(np.argmax(margin), margin.shape)
+        worst = float(margin[i, j])
+        worst_probe = {"L": probes[i][0], "K": probes[i][1], "slope": float(slopes[i, j])}
+        yield ProbeVerdict(point, side, int(active.sum()), worst, tol, worst_probe, worst <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +446,11 @@ def diagnostics_report(problem: NetworkProblem, u: GridFunction,
                                  tol, verdict.passed, verdict.witness))
 
         point = problem.network.vertex_point(v.id)
-        rhos = grid.distances_to(point)
-        for side in ("sub", "super"):
+        sides = ("sub", "super")
+        for side, pv in zip(sides, _probe(problem, u, point, grid.distances_to(point), None, sides)):
             name = f"viscosity_probe_{side}"
-            try:
-                pv = _probe(problem, u, point, rhos, None, side)
-                checks.append(_check(name, loc, pv.worst_margin, pv.tolerance,
-                                     pv.passed, pv.worst_probe))
-            except NoActiveProbe:
-                checks.append(_check(name, loc, None, tol, None))
+            checks.append(_check(name, loc, None, tol, None) if pv is None else
+                          _check(name, loc, pv.worst_margin, pv.tolerance, pv.passed, pv.worst_probe))
 
     boundary = boundary_loss_report(problem, u, tol)
     for b in boundary:

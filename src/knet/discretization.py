@@ -55,8 +55,8 @@ and the two sweep classes; per vertex, each incidence's h, inward sign and
 edge coordinate.  Per problem it keeps what the problem fixes, Grid.scheme:
 a, theta, the H of each family run and each incidence's a and H, built at
 the first assembly, read by every later one (each step of a viscosity
-schedule) and dropped with the grid, which each operation makes anew.  So
-a problem must not change once built: later systems would read stale
+schedule) and dropped with the grid, which each operation makes anew.  A
+problem is frozen, with read-only maps, so no later system reads stale
 tables.  A system adds what eps and the junction mode decide: a + eps, the
 coefficients below and the vertex rows.  One row formula,
 ResidualSystem._edge_rows, writes every edge row in one call (one H call

@@ -1,5 +1,5 @@
 """Equation data on a network: Hamiltonians, diffusions, vertex couplings,
-Dirichlet data, and a sampled validator of the standing structure conditions.
+Dirichlet data, and a validator of the standing structure conditions.
 
 Sign convention for vertex couplings: the arguments of a coupling function
 F(r, p) are the *inward* derivatives of u along the incident edges, so F is
@@ -15,8 +15,9 @@ replace(h, fn=g) does, makes it custom: no fact of its family survives.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
@@ -353,16 +354,21 @@ def make_kirchhoff(family: str, arity: int, B: float = 0.0, alpha0: float = 0.0,
 # The assembled problem
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkProblem:
+    """A value: frozen, its maps read-only copies made at construction, so
+    tables built from it stay true; dataclasses.replace makes a new one."""
+
     network: Network
     lam: float
-    hamiltonians: dict  # edge id -> Hamiltonian
-    diffusions: dict  # edge id -> Diffusion
-    kirchhoff: dict  # interior vertex id -> KirchhoffCondition
-    dirichlet: dict  # boundary vertex id -> float
+    hamiltonians: Mapping  # edge id -> Hamiltonian
+    diffusions: Mapping  # edge id -> Diffusion
+    kirchhoff: Mapping  # interior vertex id -> KirchhoffCondition
+    dirichlet: Mapping  # boundary vertex id -> float
 
     def __post_init__(self):
+        for name in ("hamiltonians", "diffusions", "kirchhoff", "dirichlet"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         if not 0 < self.lam < np.inf:
             raise InvalidCoefficientSign(f"lam must be finite and positive, got {self.lam}")
         for v in self.network.interior_vertices:
@@ -375,6 +381,10 @@ class NetworkProblem:
         for v in self.network.boundary_vertices:
             if not np.isfinite(self.dirichlet.get(v.id, np.nan)):
                 raise ValueError(f"no finite Dirichlet datum at vertex {v.id}")
+
+    def __deepcopy__(self, memo):  # a mappingproxy cannot be deep-copied: rebuild from dicts
+        return NetworkProblem(*(copy.deepcopy(dict(v) if isinstance(v, Mapping) else v, memo)
+                                for v in (getattr(self, f.name) for f in fields(self))))
 
     def why_not_linear(self) -> str:
         """"" when every coupling is classical or affine and every H has
@@ -396,7 +406,7 @@ class NetworkProblem:
 
     def a_at_incidence(self, inc: Incidence) -> float:
         """The diffusion of inc's edge at inc's vertex, from a table of every
-        incidence built on first use: a problem is not changed once built."""
+        incidence built on first use."""
         return self._incidence_a[inc.edge.id, inc.at_tail]
 
     def degenerate_set(self, vid: int):
@@ -408,7 +418,7 @@ class NetworkProblem:
 
 
 # ---------------------------------------------------------------------------
-# Sampled validation of the structure conditions
+# Validation of the structure conditions
 
 
 @dataclass
@@ -446,12 +456,27 @@ def _first_hit(bad: np.ndarray) -> tuple:
     return np.unravel_index(np.argmax(bad), bad.shape)
 
 
-def validate_problem(problem: NetworkProblem) -> ValidationReport:
-    """Sampled check of the standing assumptions; advisory, never raises.
+def _decided_by_facts(H: Hamiltonian, slack: float) -> bool:
+    """Whether H is built in with a table (eikonal, or advection with a
+    constant f) and its facts pass the edge checks: H does not read x,
+    slope_bound <= c_h, and if H is declared coercive, H - (|p|/c_h - c_h)
+    is linear in |p| on each side of 0, least at a lattice end or at 0."""
+    if type(H) is not Hamiltonian or H.table is None or not H.slope_bound <= H.c_h:
+        return False
+    ends = np.array([-P_RANGE, 0.0, P_RANGE])
+    return not H.coercive or not np.any(
+        np.asarray(H(0.0, ends), dtype=float) < np.abs(ends) / H.c_h - H.c_h - slack)
 
-    Each entry covers one assumption on one edge or vertex; failures carry
-    the violating sample.  Each edge takes LATTICE_RESOLUTION x-samples;
-    slopes are sampled on [-P_RANGE, P_RANGE].
+
+def validate_problem(problem: NetworkProblem) -> ValidationReport:
+    """Check of the standing assumptions; advisory, never raises.
+
+    Each entry covers one assumption on one edge or vertex.  A built-in H's
+    edge checks (_decided_by_facts) and a built-in coupling's monotonicity
+    (by its invariants) are decided from facts; the rest is scanned: per
+    edge on LATTICE_RESOLUTION x-samples and slopes on [-P_RANGE, P_RANGE],
+    per custom coupling on 64 random samples.  Failing facts fall back to
+    the scan, so that every failure names its first violating sample.
     """
     entries = []
     slack = 1e-9
@@ -464,33 +489,37 @@ def validate_problem(problem: NetworkProblem) -> ValidationReport:
         H = problem.hamiltonians[e.id]
         D = problem.diffusions[e.id]
         xs = np.linspace(0.0, e.length, LATTICE_RESOLUTION)
-        ps = np.linspace(-P_RANGE, P_RANGE, 2 * LATTICE_RESOLUTION + 1)
         dx = np.abs(xs[:, None] - xs[None, :])
-        dp = np.abs(ps[:, None] - ps[None, :])
         loc = f"edge {e.id}"
-        # hs[i, m] = H(xs[i], ps[m]); each check reports its first violation
-        # in a fixed scan order: p, then (x, y) for the x-check; x, then
-        # (p, q) for the p-check; x, then p for coercivity
-        hs = np.array([np.asarray(H(x, ps), dtype=float) for x in xs])
+        if _decided_by_facts(H, slack):
+            names = ("hamiltonian_lipschitz_x", "hamiltonian_lipschitz_p", "hamiltonian_coercive")
+            entries += [CheckEntry(name, loc, True) for name in names[:3 if H.coercive else 2]]
+        else:
+            ps = np.linspace(-P_RANGE, P_RANGE, 2 * LATTICE_RESOLUTION + 1)
+            dp = np.abs(ps[:, None] - ps[None, :])
+            # hs[i, m] = H(xs[i], ps[m]); each check reports its first violation
+            # in a fixed scan order: p, then (x, y) for the x-check; x, then
+            # (p, q) for the p-check; x, then p for coercivity
+            hs = np.array([np.asarray(H(x, ps), dtype=float) for x in xs])
 
-        # Lipschitz in x: |H(x,p)-H(y,p)| <= C(1+|p|)|x-y|, axes (p, x, y)
-        dv = np.abs(hs.T[:, :, None] - hs.T[:, None, :])
-        bound = (H.c_h * (1.0 + np.abs(ps)))[:, None, None] * dx + slack
-        check("hamiltonian_lipschitz_x", loc, dv > bound, lambda m, i, j: {
-            "x": float(xs[i]), "y": float(xs[j]), "p": float(ps[m]),
-            "gap": float(dv[m, i, j] - bound[m, i, j])})
+            # Lipschitz in x: |H(x,p)-H(y,p)| <= C(1+|p|)|x-y|, axes (p, x, y)
+            dv = np.abs(hs.T[:, :, None] - hs.T[:, None, :])
+            bound = (H.c_h * (1.0 + np.abs(ps)))[:, None, None] * dx + slack
+            check("hamiltonian_lipschitz_x", loc, dv > bound, lambda m, i, j: {
+                "x": float(xs[i]), "y": float(xs[j]), "p": float(ps[m]),
+                "gap": float(dv[m, i, j] - bound[m, i, j])})
 
-        # Lipschitz in p: |H(x,p)-H(x,q)| <= C|p-q|, axes (x, p, q)
-        dv = np.abs(hs[:, :, None] - hs[:, None, :])
-        check("hamiltonian_lipschitz_p", loc, dv > H.c_h * dp + slack, lambda k, i, j: {
-            "x": float(xs[k]), "p": float(ps[i]), "q": float(ps[j]),
-            "gap": float(dv[k, i, j] - H.c_h * dp[i, j])})
+            # Lipschitz in p: |H(x,p)-H(x,q)| <= C|p-q|, axes (x, p, q)
+            dv = np.abs(hs[:, :, None] - hs[:, None, :])
+            check("hamiltonian_lipschitz_p", loc, dv > H.c_h * dp + slack, lambda k, i, j: {
+                "x": float(xs[k]), "p": float(ps[i]), "q": float(ps[j]),
+                "gap": float(dv[k, i, j] - H.c_h * dp[i, j])})
 
-        # coercivity: H(x,p) >= C^-1 |p| - C when declared
-        if H.coercive:
-            lower = np.abs(ps) / H.c_h - H.c_h
-            check("hamiltonian_coercive", loc, hs < lower - slack, lambda k, i: {
-                "x": float(xs[k]), "p": float(ps[i]), "gap": float(lower[i] - hs[k, i])})
+            # coercivity: H(x,p) >= C^-1 |p| - C when declared
+            if H.coercive:
+                lower = np.abs(ps) / H.c_h - H.c_h
+                check("hamiltonian_coercive", loc, hs < lower - slack, lambda k, i: {
+                    "x": float(xs[k]), "p": float(ps[i]), "gap": float(lower[i] - hs[k, i])})
 
         # diffusion: a >= 0 and sigma Lipschitz
         sig = np.asarray(D.sigma(xs), dtype=float)
@@ -510,26 +539,28 @@ def validate_problem(problem: NetworkProblem) -> ValidationReport:
         n = F.arity
 
         # joint monotonicity: r >= s, p <= q componentwise => F(r,p) >= F(s,q),
-        # 64 samples in one batch.  Row k holds the 2 + 2n uniforms sample k
-        # takes in turn, mapped as rng.uniform maps them (s, r - s, q, q - p)
+        # strictly when some p_j < q_j: a built-in family's alpha0 >= 0 and
+        # weights > 0 give it, yet it draws, so a later custom vertex draws as
+        # before.  Row k holds the 2 + 2n uniforms sample k takes in turn,
+        # mapped as rng.uniform maps them (s, r - s, q, q - p)
         state = rng.bit_generator.state
         draws = rng.random((64, 2 + 2 * n))
-        s = -P_RANGE + 2.0 * P_RANGE * draws[:, 0]
-        r = s + P_RANGE * draws[:, 1]
-        q = -P_RANGE + 2.0 * P_RANGE * draws[:, 2:2 + n]
-        p = q - P_RANGE * draws[:, 2 + n:]
-        frp, fsq = F(r, p), F(s, q)
-        lower = frp < fsq - slack
-        # strictness when some p_j < q_j
-        bad = lower | (np.any(p < q, axis=1) & (frp <= fsq))
         witness = None
-        if bad.any():
-            k = int(np.argmax(bad))
-            witness = {"r": float(r[k]), "s": float(s[k]), "p": p[k].tolist(),
-                       "q": q[k].tolist(), **({} if lower[k] else {"strict": False})}
-            # the generator ends where a sample-by-sample scan stops
-            rng.bit_generator.state = state
-            rng.random((k + 1, 2 + 2 * n))
+        if type(F) is not KirchhoffCondition or F.fn is not None:
+            s = -P_RANGE + 2.0 * P_RANGE * draws[:, 0]
+            r = s + P_RANGE * draws[:, 1]
+            q = -P_RANGE + 2.0 * P_RANGE * draws[:, 2:2 + n]
+            p = q - P_RANGE * draws[:, 2 + n:]
+            frp, fsq = F(r, p), F(s, q)
+            lower = frp < fsq - slack
+            bad = lower | (np.any(p < q, axis=1) & (frp <= fsq))
+            if bad.any():
+                k = int(np.argmax(bad))
+                witness = {"r": float(r[k]), "s": float(s[k]), "p": p[k].tolist(),
+                           "q": q[k].tolist(), **({} if lower[k] else {"strict": False})}
+                # the generator ends where a sample-by-sample scan stops
+                rng.bit_generator.state = state
+                rng.random((k + 1, 2 + 2 * n))
         entries.append(CheckEntry("kirchhoff_monotone", loc, witness is None, witness))
 
         # coercivity: F -> +inf as any p_i -> -inf (large-argument probes)

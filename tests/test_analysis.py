@@ -361,6 +361,35 @@ def test_probe_matches_per_probe_reference(name, system_cached, solve_cached):
                 assert pv.passed == (ref[1] <= tol)
 
 
+def test_two_sided_probe_pass_matches_two_probe_calls():
+    """One _probe pass over both sides gives, bit for bit, the verdicts of
+    a probe_viscosity call per side (None for NoActiveProbe): at every
+    vertex and at two nodes inside each edge, default and custom probes,
+    on the catalog's and draws 0..5's solutions at n = 41, both modes."""
+    problems = [e.problem for e in all_entries()] + [
+        random_problem(np.random.default_rng(s)) for s in range(6)]
+    compared = 0
+    for problem in problems:
+        for mode in JUNCTION_MODES:
+            u = solve_problem(problem, 41, junction_mode=mode).u
+            net = problem.network
+            points = [net.vertex_point(v.id) for v in net.vertices] + [
+                net.point(e.id, u.grid.coords[e.id][k]) for e in net.edges for k in (1, 20)]
+            for point in points:
+                for probes in (None, [(3.0, 0.5), (1.0, 4.0), (1.0, 4.0)]):
+                    calls = []
+                    for side in ("sub", "super"):
+                        try:
+                            calls.append(repr(probe_viscosity(problem, u, point, probes, side)))
+                        except NoActiveProbe:
+                            calls.append(repr(None))
+                    one = analysis._probe(problem, u, point, u.grid.distances_to(point), probes,
+                                          ("sub", "super"))
+                    assert list(map(repr, one)) == calls, (point, probes)
+                    compared += calls.count("None") < 2
+    assert compared > 200
+
+
 def test_probe_interior_kink():
     """A tent profile with sub-characteristic slope is a viscosity
     subsolution of the eikonal equation; the probes at its kink must agree."""

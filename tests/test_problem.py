@@ -1,5 +1,5 @@
-"""Problem data: Hamiltonians, envelopes, couplings, and the sampled
-structure validator."""
+"""Problem data: Hamiltonians, envelopes, couplings, the frozen problem,
+and the structure validator."""
 
 import collections
 import copy
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import knet.problem
-from knet.catalog import all_entries, entry_by_name, random_problem
+from knet.catalog import all_entries, eikonal_problem, entry_by_name, random_problem
 from knet.analysis import diagnostics_report
 from knet.discretization import JUNCTION_MODES, Grid, assemble, resolve_relaxed_edges
 from knet.errors import InvalidCoefficientSign, VertexNotInterior
@@ -342,6 +342,34 @@ def test_problem_construction_errors():
                            {0: make_kirchhoff("classical", 3)}, {1: 0.0, 2: 0.0, 3: g})
 
 
+def test_problem_is_frozen_with_read_only_maps():
+    """A problem's maps are read-only copies made at construction and its
+    fields cannot be reassigned, so the tables built from it stay true;
+    copy.deepcopy and dataclasses.replace still give working problems."""
+    problem = entry_by_name("star3_mixed").problem
+    hams = dict(problem.hamiltonians)
+    built = dataclasses.replace(problem, hamiltonians=hams)
+    hams[0] = eikonal(3.0)
+    assert built.hamiltonians[0] is problem.hamiltonians[0]
+    for name, key, value in (("hamiltonians", 0, eikonal(2.0)), ("diffusions", 0, constant_diffusion(0.5)),
+                             ("kirchhoff", 0, make_kirchhoff("classical", 3)), ("dirichlet", 1, 7.0)):
+        with pytest.raises(TypeError):
+            getattr(problem, name)[key] = value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(problem, name, {})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.lam = 2.0
+    deep = copy.deepcopy(problem)
+    assert deep is not problem and deep.hamiltonians == problem.hamiltonians
+    assert deep.dirichlet == problem.dirichlet and deep.kirchhoff == problem.kirchhoff
+    assert validate_problem(deep).to_dict() == validate_problem(problem).to_dict()
+    assert deep.degenerate_set(0) == problem.degenerate_set(0) == (0,)
+    changed = dataclasses.replace(problem, lam=2.0, dirichlet={**problem.dirichlet, 1: 7.0})
+    assert (changed.lam, changed.dirichlet[1], problem.lam, problem.dirichlet[1]) == (2.0, 7.0, 1.0, 0.3)
+    with pytest.raises(TypeError):
+        changed.dirichlet[1] = 0.0
+
+
 def test_degenerate_set(catalog):
     assert catalog["star3_constant"].problem.degenerate_set(0) == (0, 1, 2)
     assert catalog["star3_mixed"].problem.degenerate_set(0) == (0,)
@@ -563,6 +591,88 @@ def test_validate_coupling_witnesses_match_sample_loop():
         assert all(reference[("kirchhoff_monotone", vid)] for vid in kirch)
         assert {reference[("kirchhoff_monotone", vid)].get("strict") for vid in kirch} == {
             None, False}
+
+
+def _failing_builtin_problems():
+    """Stars whose built-in Hamiltonians fail a check: speed > c_h (the
+    p-check), an advection declared coercive, and a coercive eikonal with
+    speed < 1/c_h; each failing edge next to a passing one."""
+    net = star_junction(3, lengths=[1.0, 0.7, 1.3])
+    hams = [eikonal(2.0, 1.0, c_h=1.5),
+            Hamiltonian(None, 2.0, True, None, "advection", {"b": 1.0, "f": 0.5}),
+            eikonal(0.3, 1.0, c_h=2.0), advection(-1.0, 0.25)]
+    return [NetworkProblem(net, 1.0, {e: hams[(k + e) % len(hams)] for e in range(3)},
+                           {e: constant_diffusion(0.0) for e in range(3)},
+                           {0: make_kirchhoff("pm-split", 3, B=0.3, alpha0=0.5, alphas=[1, 2, 3])},
+                           {1: 0.0, 2: 1.0, 3: 0.5})
+            for k in range(len(hams))]
+
+
+def _custom_twin(problem):
+    """problem with every Hamiltonian and coupling made custom, with the
+    same function: the validator scans all of them."""
+    return dataclasses.replace(
+        problem, hamiltonians={e: dataclasses.replace(H, fn=H) for e, H in problem.hamiltonians.items()},
+        kirchhoff={v: dataclasses.replace(F, fn=F) for v, F in problem.kirchhoff.items()})
+
+
+def test_builtin_records_validate_as_their_custom_twins():
+    """Checks decided from a built-in record's facts give the entries its
+    custom twin's scans give, witnesses and all: on the catalog, draws
+    0..59, the eikonal family (seeds 0..19, B = 0 and -0.5), the failing
+    problems and built-ins whose facts fail."""
+    problems = ([e.problem for e in all_entries()]
+                + [random_problem(np.random.default_rng(s)) for s in range(60)]
+                + [eikonal_problem(np.random.default_rng(s), B=b) for s in range(20) for b in (0.0, -0.5)]
+                + _failing_problems() + _failing_builtin_problems())
+    failed = set()
+    for k, problem in enumerate(problems):
+        twin = _custom_twin(problem)
+        assert all(H.table is None for H in twin.hamiltonians.values())
+        report = validate_problem(problem).to_dict()
+        assert report == validate_problem(twin).to_dict(), k
+        failed |= {e["name"] for e in report["entries"] if e["witness"] and e["verdict"] == "FAIL"}
+    assert {"hamiltonian_lipschitz_x", "hamiltonian_lipschitz_p", "hamiltonian_coercive"} <= failed
+    for problem in _failing_builtin_problems():
+        assert any(e.name.startswith("hamiltonian") for e in validate_problem(problem).failures())
+
+
+def test_validate_evaluates_builtin_hamiltonians_at_three_slopes(monkeypatch):
+    """On the catalog, every Hamiltonian is built in, and validate_problem
+    evaluates each at 3 slopes at most (a scan would take 16 x 33)."""
+    slopes = collections.Counter()
+    original = Hamiltonian.__call__
+
+    def counted(self, x, p):
+        slopes[id(self)] += np.size(p)
+        return original(self, x, p)
+    monkeypatch.setattr(Hamiltonian, "__call__", counted)
+    for entry in all_entries():
+        hams = entry.problem.hamiltonians.values()
+        assert all(H.table is not None for H in hams), entry.name
+        slopes.clear()
+        validate_problem(entry.problem)
+        assert max(slopes[id(H)] for H in hams) <= 3, entry.name
+        assert slopes[id(entry.problem.hamiltonians[0])] == (3 if entry.problem.hamiltonians[0].coercive else 0)
+
+
+def test_custom_junction_after_a_builtin_one_keeps_its_witness():
+    """A built-in coupling, decided by its invariants, still draws its 64
+    samples: a custom vertex after it reports the sample-by-sample scan's
+    witness, which draws through every vertex."""
+    problem = entry_by_name("graph5_constant").problem
+    first, *rest = problem.kirchhoff
+    assert rest and problem.kirchhoff[first].fn is None
+    kirch = {**problem.kirchhoff, **{vid: make_kirchhoff(
+        "custom", problem.kirchhoff[vid].arity, fn=lambda r, p: np.where(r < 9.0, r - np.sum(p, axis=-1), -100.0))
+        for vid in rest}}
+    custom = dataclasses.replace(problem, kirchhoff=kirch)
+    got = {(e.name, int(e.location.split()[1])): e.witness
+           for e in validate_problem(custom).entries if e.name.startswith("kirchhoff")}
+    reference = _reference_coupling_checks(custom)
+    assert got == reference
+    assert reference[("kirchhoff_monotone", first)] is None
+    assert all(reference[("kirchhoff_monotone", vid)] for vid in rest)
 
 
 def test_validate_flags_noncoercive_degenerate_edge():
