@@ -26,17 +26,18 @@ of H at the central slope, are <= 0 for every u exactly when |q| <= theta
 classical, affine and pm-split are nondecreasing in u_v and nonincreasing
 in each inward slope, given alpha0 >= 0 and alpha_i, beta_i > 0, which the
 record checks.  A ghost-corrected slope d_i - (h/2)(lam*u_v + H(x,
-s*d_i))/(a+eps) is monotone when |dH/dp| <= 2(a+eps)/h, and correct_2nd
-requires a + eps >= theta*h/2, so slope_bound <= theta suffices.  The
-exact envelopes make every relaxed clause monotone, a max of monotone rows
-is monotone, and a built-in row that is finite at one u is finite at
-every u.  So ResidualSystem.stencil_certificate checks only that every H
-and coupling is an exact Hamiltonian or KirchhoffCondition record of a
-built-in family (a subclass may override slope_bound or an envelope), that
-slope_bound <= theta and a + eps >= 0, and that own_coeff and every vertex
-row are finite at u = 0.  Where it fails, as for custom data,
-certify_monotone returns the witness of probe_monotone, which probes every
-row by finite differences, the vertex rows through _vertex_rows' batches.
+s*d_i))/(a+eps) is monotone when |dH/dp| <= 2(a+eps)/h, and a ghost
+correction requires a + eps >= theta*h/2, so slope_bound <= theta
+suffices.  The exact envelopes make every relaxed clause monotone, a max
+of monotone rows is monotone, and a built-in row that is finite at one u
+is finite at every u.  So ResidualSystem.stencil_certificate checks only
+that every H and coupling is an exact Hamiltonian or KirchhoffCondition
+record of a built-in family (a subclass may override slope_bound or an
+envelope), that slope_bound <= theta and a + eps >= 0, and that own_coeff
+and every vertex row are finite at u = 0.  Where it fails, as for custom
+data, certify_monotone returns the witness of probe_monotone, which probes
+every row by finite differences, the vertex rows through _vertex_rows'
+batches.
 
 Each residual row reads only the inputs its stencil names, and the grid
 lists them once, as Grid.rows and Grid.cols in stencil order: three blocks
@@ -45,20 +46,30 @@ then each vertex row's Grid.vertex_inputs, own entry first.  The Jacobian
 (jacobian_entries) and the probe write their values in that order, one
 contiguous block per row.  Grid.border, shared by every system on the
 grid, places each entry in the solver's network form, a tridiagonal block
-over the edges' interior nodes bordered by the vertex rows and columns, as
-one position in one buffer whose views are the blocks: one scatter.
+T over the M edges' interior nodes bordered by the vertex rows and columns
+(B, M x V; C, V x M; D, V x V), as one position in one buffer whose views
+are the blocks: one scatter.  The positions follow from the stencil order
+by index arithmetic.  Edge row k (node V + k) puts its own entry on T's
+diagonal at k, its left input below it at k - 1 and its right input above
+it at k, or, where that input is vertex v, in B at (k, v).  Vertex row v
+puts its own entry in D at (v, v) and the next node along each incident
+edge, node V + k, in C at (v, k).
 
 The grid owns the scheme's geometry, built on first use and shared by
 every system on it: over the interior edge nodes, numbered V..N-1 edge
 after edge, the edge table (x, h, h^2 per node), each edge's slice of it
 and the two sweep classes; per vertex, each incidence's h, inward sign and
-edge coordinate.  Per problem it keeps what the problem fixes, Grid.scheme:
-a, theta, the H of each family run and each incidence's a and H, built at
-the first assembly, read by every later one (each step of a viscosity
-schedule) and dropped with the grid, which each operation makes anew.  A
-problem is frozen, with read-only maps, so no later system reads stale
-tables.  A system adds what eps and the junction mode decide: a + eps, the
-coefficients below and the vertex rows.  One row formula,
+edge coordinate, and the row's unit moves for central differences and its
+entries as a strong row, all read-only.  Per problem it keeps what the
+problem fixes, Grid.scheme: a, theta, the H of each family run and each
+incidence's a and H, built at the first assembly, read by every later one
+(each step of a viscosity schedule) and dropped with the grid, which each
+operation makes anew.  A problem is frozen, with read-only maps, so no
+later system reads stale tables.  A system adds what eps and the junction
+mode decide: a + eps, the coefficients below and the vertex rows, each
+resolved at assembly to what its formula reads on every call: per relaxed
+edge the envelope, inward sign and x at the vertex, per ghost-corrected
+edge its H, sign, x, h/2 and a + eps.  One row formula,
 ResidualSystem._edge_rows, writes every edge row in one call (one H call
 per family run) in residual(), and entry gid - V alone in residual_node,
 the one-node reference the tests compare against, with the same bits.  H
@@ -97,6 +108,12 @@ def check_nodes(n, edge=None) -> None:
     if not (isinstance(n, numbers.Integral) and n >= 3):
         raise ValueError(f"need at least 3 nodes per edge, got {n}" if edge is None
                          else f"edge {edge}: need at least 3 nodes, got {n}")
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only: a table that many systems share."""
+    arr.flags.writeable = False
+    return arr
 
 
 class Grid:
@@ -204,12 +221,25 @@ class Grid:
 
     @cached_property
     def incidence_geometry(self) -> list:
-        """Per vertex, in vertex order, three arrays over its incidences in
-        vertex_inputs' order: the edge's h, the inward sign (+1 where the
-        vertex sits at t = 0) and the vertex's edge coordinate."""
-        return [tuple(np.array(col) for col in zip(*[
+        """Per vertex, in vertex order, three read-only arrays over its
+        incidences in vertex_inputs' order: the edge's h, the inward sign
+        (+1 where the vertex sits at t = 0) and the vertex's edge
+        coordinate."""
+        return [tuple(_read_only(np.array(col)) for col in zip(*[
             (self.spacing[inc.edge.id], inc.sign, inc.vertex_param)
             for inc in self.network.incidence[v.id]])) for v in self.network.vertices]
+
+    @cached_property
+    def vertex_moves(self) -> list:
+        """Per vertex row, in vertex order, two read-only arrays over its
+        m inputs: the unit moves of its central differences, row i raising
+        input i by one and row m + i lowering it, and a strong row's
+        Jacobian entries, 1 at its own input and 0 elsewhere."""
+        out = []
+        for inputs in self.vertex_inputs:
+            eye = _read_only(np.eye(len(inputs)))
+            out.append((_read_only(np.concatenate([eye, -eye])), eye[0]))
+        return out
 
     @cached_property
     def edge_slices(self) -> dict:
@@ -246,21 +276,31 @@ class Grid:
         B (M x V), the vertex rows' interior and vertex columns C and D, as
         (size, dest, blocks): entry k goes to dest[k] of a buffer of size
         values, whose slice blocks[name][0] is the block, shaped
-        blocks[name][1]; built once, shared by every system on this grid."""
-        nv, r, c = len(self.network.vertices), self.rows, self.cols
+        blocks[name][1]; built once, shared by every system on this grid,
+        dest read-only.
+
+        dest follows from the stencil order alone.  Edge row k (node V + k)
+        puts its own entry at d[k].  Its left input is node V + k - 1 on the
+        same edge, at dl[k - 1], or a vertex v, at B[k, v]; its right input
+        is V + k + 1, at du[k], or a vertex v, at B[k, v].  Vertex row v puts
+        its own entry at D[v, v] and the next node along each incident edge,
+        V + k, at C[v, k]."""
+        nv = len(self.network.vertices)
         m = self.total_nodes - nv
         sub = max(m - 1, 1)  # LAPACK's dgtsv wrapper takes no empty diagonal
-        blocks = {"d": ((m,), (r >= nv) & (c == r), r - nv),
-                  "dl": ((sub,), (c >= nv) & (r == c + 1), c - nv),
-                  "du": ((sub,), (r >= nv) & (c == r + 1), r - nv),
-                  "B": ((m, nv), (r >= nv) & (c < nv), (r - nv) * nv + c),
-                  "C": ((nv, m), (r < nv) & (c >= nv), r * m + c - nv),
-                  "D": ((nv, nv), (r < nv) & (c < nv), r * nv + c)}
-        dest, views, size = np.empty(len(r), dtype=np.intp), {}, 0
-        for name, (shape, at, flat) in blocks.items():
-            dest[at] = size + flat[at]
+        views, at, size = {}, {}, 0
+        for name, shape in (("d", (m,)), ("dl", (sub,)), ("du", (sub,)),
+                            ("B", (m, nv)), ("C", (nv, m)), ("D", (nv, nv))):
+            at[name] = size
             views[name] = (slice(size, size := size + math.prod(shape)), shape)
-        dest.flags.writeable = False
+        k, left, right = np.arange(m), self.left_gids, self.right_gids
+        vr, vc = self.rows[3 * m:], self.cols[3 * m:]
+        dest = _read_only(np.concatenate([
+            at["d"] + k,
+            np.where(left >= nv, at["dl"] + k - 1, at["B"] + k * nv + left),
+            np.where(right >= nv, at["du"] + k, at["B"] + k * nv + right),
+            np.where(vc < nv, at["D"] + vr * nv + vc, at["C"] + vr * m + vc - nv),
+        ]).astype(np.intp, copy=False))
         return size, dest, views
 
     def scheme(self, problem: NetworkProblem) -> "SchemeTables":
@@ -296,7 +336,7 @@ class SchemeTables:
             self.vertices.append((tuple(problem.a_at_incidence(inc) for inc in incs), hams, tuple(
                 float(0.5 * ham.lipschitz_p * h) for ham, h in zip(hams, hs))))
         for arr in (self.a, self.theta, self.c, self.d):
-            arr.flags.writeable = False
+            _read_only(arr)
         self.runs = []  # keyed by g, or for an edge with no table by its own slice
         for g, run in itertools.groupby(edges, lambda e: (table(e[1]) or e)[0]):
             run = list(run)
@@ -368,18 +408,13 @@ def lax_friedrichs(ham, x, p_minus, p_plus, theta):
 
 @dataclass
 class _VertexStencil:
-    # per incident edge, in coupling component order, as incidence_geometry:
-    a_plus_eps: np.ndarray
-    hams: tuple
-    correct_2nd: tuple  # edges whose inward slope is ghost-corrected
+    # edges by position in coupling component order, as incidence_geometry
+    hs: np.ndarray  # each incident edge's h
+    ghosts: tuple  # (i, H, inward sign, x at the vertex, h/2, a + eps) per ghost-corrected edge
     coupling: object  # interior: KirchhoffCondition, else None
     h_dirichlet: float  # boundary: Dirichlet datum, else 0
-    relaxed: tuple  # edges whose state-constraint clause the row takes
-
-    @property
-    def strong(self) -> bool:
-        """A boundary row u_v - g, which reads no slope."""
-        return self.coupling is None and not self.relaxed
+    clauses: tuple  # (i, envelope, inward sign, x at the vertex) per relaxed edge
+    strong: bool  # a boundary row u_v - g, which reads no slope
 
 
 class ResidualSystem:
@@ -396,14 +431,22 @@ class ResidualSystem:
 
         relaxed = resolve_relaxed_edges(problem, self.eps, junction_mode)
         self._vertices = []
-        for v, (a, hams, ghost) in zip(problem.network.vertices, tables.vertices):
-            a = [a_v + self.eps for a_v in a]
+        for v, (a, hams, ghost), (hs, signs, x_at_v) in zip(
+                problem.network.vertices, tables.vertices, grid.incidence_geometry):
+            # each relaxed edge's state constraint: min of H below the inward
+            # slope where the vertex sits at t = 0, else above
+            clauses = tuple([(i, hams[i].min_below if signs[i] > 0 else hams[i].min_above,
+                              signs[i], x_at_v[i]) for i in relaxed[v.id]])
+            coupling = problem.kirchhoff.get(v.id)
+            strong = coupling is None and not clauses
             # second-order ghost correction only where it keeps the stencil
-            # monotone: a + eps must dominate theta*h/2
-            cors = tuple(i for i, (a_v, g) in enumerate(zip(a, ghost)) if a_v > 0.0 and a_v >= g)
+            # monotone: a + eps must dominate theta*h/2; a strong row reads no slope
+            ghosts = () if strong else tuple([
+                (i, hams[i], signs[i], x_at_v[i], 0.5 * hs[i], a_v)
+                for i, a_v in enumerate(a_v + self.eps for a_v in a)
+                if a_v > 0.0 and a_v >= ghost[i]])
             self._vertices.append(_VertexStencil(
-                np.array(a), hams, cors, problem.kirchhoff.get(v.id),
-                problem.dirichlet.get(v.id, 0.0), relaxed[v.id]))
+                hs, ghosts, coupling, problem.dirichlet.get(v.id, 0.0), clauses, strong))
 
         # own_coeff[j]: slope of an edge row, affine in its own value u[j],
         # read off the row formula as row(u[j] = 1) - row(u[j] = 0); 0 at
@@ -423,7 +466,7 @@ class ResidualSystem:
         """Whether every row is affine in u: the problem is linear
         (NetworkProblem.why_not_linear, the direct linear solve's test) and
         no vertex row takes a relaxed clause, whose max is not."""
-        return not self.problem.why_not_linear() and not any(st.relaxed for st in self._vertices)
+        return not self.problem.why_not_linear() and not any(st.clauses for st in self._vertices)
 
     # -- residual evaluation ------------------------------------------------
 
@@ -439,17 +482,14 @@ class ResidualSystem:
         if st.strong:
             return uv - st.h_dirichlet
         lam = self.problem.lam
-        hs, signs, x_at_v = self.grid.incidence_geometry[v]
-        d = (nbr - uv[..., None]) / hs
+        d = (nbr - uv[..., None]) / st.hs
         slopes = d.T  # slopes[i]: the slope(s) along edge i, a view of d
-        for i in st.correct_2nd:
-            hval = st.hams[i](x_at_v[i], signs[i] * slopes[i])
-            slopes[i] -= 0.5 * hs[i] * (lam * uv + hval) / st.a_plus_eps[i]
+        for i, ham, sign, x, half_h, a in st.ghosts:
+            hval = ham(x, sign * slopes[i])
+            slopes[i] -= half_h * (lam * uv + hval) / a
         res = uv - st.h_dirichlet if st.coupling is None else st.coupling(uv, d)
-        for i in st.relaxed:
-            env = st.hams[i].min_below if signs[i] > 0 else st.hams[i].min_above
-            clause = lam * uv + env(x_at_v[i], signs[i] * slopes[i])
-            res = larger(res, clause)
+        for i, env, sign, x in st.clauses:
+            res = larger(res, lam * uv + env(x, sign * slopes[i]))
         return res
 
     def _table_ham(self, x, p):
@@ -511,7 +551,7 @@ class ResidualSystem:
         return out
 
     def residual_norm(self, u) -> float:
-        return float(np.max(np.abs(self.residual(u))))
+        return float(np.abs(self.residual(u)).max())
 
     def jacobian_entries(self, u: np.ndarray, step: float) -> np.ndarray:
         """Jacobian of residual() at u, one value per entry of Grid.rows and
@@ -536,14 +576,13 @@ class ResidualSystem:
         q = (self._table_ham(xs, hi) - self._table_ham(xs, lo)) / (hi - lo)
         dq = q / (2.0 * h)
         blocks = [self.own_coeff[nv:], self._left_coeff - dq, self._right_coeff + dq]
-        for v, inputs in enumerate(grid.vertex_inputs):
-            m = len(inputs)
+        for v, (inputs, (moves, unit)) in enumerate(zip(grid.vertex_inputs, grid.vertex_moves)):
             if self._vertices[v].strong:
-                blocks.append(np.eye(1, m)[0])
+                blocks.append(unit)
                 continue
             # input sets 0..m-1 move input i up by step, m..2m-1 down
-            x, eye = u[inputs], np.eye(m)
-            r = self._vertex_moved(v, x, np.concatenate([step * eye, -step * eye]))
+            x, m = u[inputs], len(inputs)
+            r = self._vertex_moved(v, x, step * moves)
             blocks.append((r[:m] - r[m:]) / ((x + step) - (x - step)))
         return np.concatenate(blocks)
 
@@ -555,7 +594,7 @@ class ResidualSystem:
         st = self._vertices[gid]
         if st.coupling is not None:
             return "junction"
-        return "boundary-relaxed" if st.relaxed else "boundary-strong"
+        return "boundary-strong" if st.strong else "boundary-relaxed"
 
     def stencil_certificate(self) -> bool:
         """Whether every row is monotone by construction (see the module
@@ -563,7 +602,7 @@ class ResidualSystem:
         is finite exactly when H is finite at p = 0 on every edge node and so
         is the own slope; no row but the vertex rows at u = 0 is evaluated."""
         return (self._tables.builtin
-                and bool(np.all(self._a >= 0.0)) and bool(np.isfinite(self.own_coeff).all())
+                and bool((self._a >= 0.0).all()) and bool(np.isfinite(self.own_coeff).all())
                 and all(np.isfinite(self._vertex_rows(v, np.float64(0.0), np.zeros(len(i) - 1)))
                         for v, i in enumerate(self.grid.vertex_inputs)))
 

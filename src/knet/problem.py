@@ -198,9 +198,11 @@ def advection(b: float = 0.0, f=0.0, c_h: Optional[float] = None) -> Hamiltonian
 # Diffusions
 
 
-@dataclass
+@dataclass(frozen=True)
 class Diffusion:
-    """Degenerate diffusion a = sigma^2 with sigma Lipschitz (constant c_a)."""
+    """Degenerate diffusion a = sigma^2 with sigma Lipschitz (constant c_a).
+    Frozen, like the problem that holds it, so the tables built from sigma
+    (NetworkProblem.a_at_incidence, a grid's SchemeTables) stay true."""
 
     sigma: Callable
     c_a: float

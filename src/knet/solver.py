@@ -82,7 +82,7 @@ class SolveConfig:
 def _floor(system: ResidualSystem) -> float:
     """The round-off floor ROUNDOFF_FACTOR * eps_mach * max(own_coeff) that
     _threshold adds to tol."""
-    return ROUNDOFF_FACTOR * np.finfo(float).eps * float(np.max(system.own_coeff))
+    return ROUNDOFF_FACTOR * np.finfo(float).eps * float(system.own_coeff.max())
 
 
 def _threshold(tol: float, floor: float, u: np.ndarray) -> float:
@@ -102,7 +102,7 @@ def _threshold(tol: float, floor: float, u: np.ndarray) -> float:
     covers the few roundings of one row.  Where the floor is below tol, as
     on every coarse grid and every edge with a + eps = 0, tol alone
     decides."""
-    return (tol + floor) * max(1.0, float(np.max(np.abs(u))))
+    return (tol + floor) * max(1.0, float(np.abs(u).max()))
 
 
 def _short_of(norm: float, tol: float, floor: float, u: np.ndarray) -> str:
@@ -110,7 +110,7 @@ def _short_of(norm: float, tol: float, floor: float, u: np.ndarray) -> str:
     the threshold's parts."""
     return (f"at residual {norm:.3g} > threshold {_threshold(tol, floor, u):.3g} = "
             f"(tol {tol:.3g} + round-off floor {floor:.3g}) * "
-            f"{max(1.0, float(np.max(np.abs(u)))):.3g}")
+            f"{max(1.0, float(np.abs(u).max())):.3g}")
 
 
 @dataclass
@@ -288,12 +288,16 @@ def spsolve(jac: dict, b: np.ndarray) -> np.ndarray:
     lam + 2(a+eps)/h^2 + theta/h > |left| + |right| = 2(a+eps)/h^2 + theta/h
     when H's central quotient |q| <= theta, its Lipschitz bound.  A zero
     pivot of T or a singular Schur complement raises SingularLinearization.
-    Named spsolve because perfbench's tracer times knet.solver.spsolve and
-    _fd_jacobian as its solver.linear_solve and solver.jacobian layers."""
+    The right-hand side [b_int | B] is written straight into a buffer in
+    LAPACK's column order (Fortran order), which dgtsv overwrites with
+    [y0 | X] in place, with no copy on the way in.  Named spsolve because
+    perfbench's tracer times knet.solver.spsolve and _fd_jacobian as its
+    solver.linear_solve and solver.jacobian layers."""
     from scipy.linalg.lapack import dgtsv  # lazy: knet verify never solves
     nv = len(jac["D"])
-    *_, y, info = dgtsv(jac["dl"], jac["d"], jac["du"],
-                        np.column_stack([b[nv:], jac["B"]]), overwrite_b=True)
+    rhs = np.empty((len(jac["d"]), nv + 1), order="F")
+    rhs[:, 0], rhs[:, 1:] = b[nv:], jac["B"]
+    *_, y, info = dgtsv(jac["dl"], jac["d"], jac["du"], rhs, overwrite_b=True)
     if info:
         raise SingularLinearization(f"dgtsv: zero pivot {info} in the edge block")
     try:
@@ -310,7 +314,7 @@ def newton_solve(system: ResidualSystem, config: SolveConfig,
     not counted), returning its last accepted iterate and its residual."""
     u = (GridFunction.zeros(system.grid) if u0 is None else u0.copy()).values
     r = system.residual(u)
-    norm = float(np.max(np.abs(r)))
+    norm = float(np.abs(r).max())
     it = 0
     message = ""
     h = min(system.grid.spacing.values())
@@ -321,11 +325,11 @@ def newton_solve(system: ResidualSystem, config: SolveConfig,
             break
         # near kinks the linearization error is O(step/h), so polish with a
         # step small against the residual times the mesh size
-        step = float(np.clip(0.1 * h * norm, 1e-13, NEWTON_FD_STEP))
+        step = min(max(0.1 * h * norm, 1e-13), NEWTON_FD_STEP)
         try:
             with np.errstate(all="ignore"):
                 du = spsolve(_fd_jacobian(system, u, step), -r)
-            if not np.all(np.isfinite(du)):
+            if not np.isfinite(du).all():
                 raise SingularLinearization("non-finite Newton direction")
         except SingularLinearization as exc:
             it -= 1
@@ -335,7 +339,7 @@ def newton_solve(system: ResidualSystem, config: SolveConfig,
         for _ in range(40):
             trial = u + t * du
             r_try = system.residual(trial)
-            n_try = float(np.max(np.abs(r_try)))
+            n_try = float(np.abs(r_try).max())
             if (n_try <= _threshold(config.tol, floor, trial)
                     or n_try < norm * (1.0 - 1e-4 * t)):
                 u, r, norm = trial, r_try, n_try
@@ -469,6 +473,8 @@ def vanishing_viscosity(problem: NetworkProblem, nodes_per_edge, schedule,
         m = problem.network.min_edge_length
         deltas = tuple(f * m for f in (0.05, 0.1, 0.2))
     dist = grid.boundary_distances()
+    # the nodes at distance >= delta from the boundary, one mask per delta
+    away = {float(d): dist >= d - 1e-12 for d in deltas}
 
     base_sys = assemble(problem, grid, eps=0.0, junction_mode=junction_mode)
     base = solve_system(base_sys, config)
@@ -480,7 +486,6 @@ def vanishing_viscosity(problem: NetworkProblem, nodes_per_edge, schedule,
         res = solve_system(system, config, warm)
         warm = res.u
         diff = np.abs(res.u.values - base.u.values)
-        interior = {float(d): float(np.max(diff[dist >= d - 1e-12], initial=0.0))
-                    for d in deltas}
+        interior = {d: float(np.max(diff[mask], initial=0.0)) for d, mask in away.items()}
         steps.append(ViscosityStep(eps, res, float(np.max(diff)), interior))
     return ViscositySweep(base, steps, tuple(float(d) for d in deltas))

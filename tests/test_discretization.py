@@ -719,12 +719,30 @@ def test_large_speed_is_certified_and_solves():
     assert result.converged, result.message
 
 
+def _mask_border_dest(grid):
+    """border's dest as six boolean masks over (rows, cols) place it, one
+    block at a time: the reference for the index arithmetic."""
+    nv, r, c = len(grid.network.vertices), grid.rows, grid.cols
+    m = grid.total_nodes - nv
+    blocks = {"d": ((r >= nv) & (c == r), r - nv),
+              "dl": ((c >= nv) & (r == c + 1), c - nv),
+              "du": ((r >= nv) & (c == r + 1), r - nv),
+              "B": ((r >= nv) & (c < nv), (r - nv) * nv + c),
+              "C": ((r < nv) & (c >= nv), r * m + c - nv),
+              "D": ((r < nv) & (c < nv), r * nv + c)}
+    dest = np.empty(len(r), dtype=np.intp)
+    for name, (at, flat) in blocks.items():
+        dest[at] = grid.border[2][name][0].start + flat[at]
+    return dest
+
+
 def _assert_stencil_layout(grid):
     """rows and cols list each row's inputs once, in stencil order: three
     blocks over the interior edge nodes (own, left, right), then each vertex
     row's vertex_inputs, own entry first.  No (row, col) pair repeats, and
     border puts every entry in exactly one block of the network form, where
-    the blocks rebuild the matrix of the entries."""
+    the blocks rebuild the matrix of the entries; its dest, found by index
+    arithmetic, equals the one six boolean masks give."""
     nv, n = len(grid.network.vertices), grid.total_nodes
     edge = np.arange(nv, n)
     rows, cols = grid.rows, grid.cols
@@ -749,6 +767,8 @@ def _assert_stencil_layout(grid):
     dense = np.zeros((n, n))
     dense[rows, cols] = vals
     size, dest, views = grid.border
+    assert dest.dtype == np.intp
+    np.testing.assert_array_equal(dest, _mask_border_dest(grid))
     buf = np.zeros(size)
     buf[dest] = vals
     blocks = {name: buf[at].reshape(shape) for name, (at, shape) in views.items()}
@@ -970,6 +990,38 @@ def test_scheme_tables_are_shared_and_read_only():
         with pytest.raises(ValueError):
             arr[...] = 0.0
     assert systems[1]._a.flags.writeable
+
+
+def test_grid_tables_are_shared_and_read_only():
+    """Two systems on one grid, under either junction mode, read the same
+    per-grid arrays (the Jacobian's destinations, each vertex row's unit
+    moves and strong-row entries, each incidence's h, sign and coordinate),
+    and a write to any of them raises; the Jacobian entries a system returns
+    are its own, so writing them leaves the grid's tables and the other
+    system's Jacobian as they were."""
+    problem = entry_by_name("star3_mixed").problem
+    grid = Grid(problem.network, 11)
+    one, two = (assemble(problem, grid, eps=eps, junction_mode=mode)
+                for eps, mode in ((0.0, "kirchhoff"), (0.25, "minmax")))
+    assert one.grid is two.grid is grid
+    for v, (hs, _, _) in enumerate(grid.incidence_geometry):
+        assert one._vertices[v].hs is hs and two._vertices[v].hs is hs
+    tables = [grid.border[1], *(arr for v in grid.vertex_moves for arr in v),
+              *(arr for v in grid.incidence_geometry for arr in v)]
+    for arr in tables:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    for (moves, unit), inputs in zip(grid.vertex_moves, grid.vertex_inputs):
+        m = len(inputs)
+        np.testing.assert_array_equal(moves, np.vstack([np.eye(m), -np.eye(m)]))
+        np.testing.assert_array_equal(unit, np.eye(1, m)[0])
+    u = np.random.default_rng(3).uniform(-1.0, 1.0, grid.total_nodes)
+    before = two.jacobian_entries(u, 1e-7)
+    entries = one.jacobian_entries(u, 1e-7)
+    entries[...] = 0.0
+    np.testing.assert_array_equal(two.jacobian_entries(u, 1e-7), before)
+    assert all(v[1][0] == 1.0 for v in grid.vertex_moves)
 
 
 def _doubled_eikonal():

@@ -370,6 +370,32 @@ def test_problem_is_frozen_with_read_only_maps():
         changed.dirichlet[1] = 0.0
 
 
+def test_diffusion_is_frozen():
+    """A Diffusion's fields cannot be reassigned, so the problem's
+    a_at_incidence table stays true (assigning sigma on star3_eikonal's
+    edge 0 used to leave the junction's table at 0.0 while a gave 0.5);
+    copy.deepcopy and dataclasses.replace still give working diffusions."""
+    problem = entry_by_name("star3_eikonal").problem
+    diffusion = problem.diffusions[0]
+    inc = problem.network.incidence[0][0]
+    before = problem.a_at_incidence(inc)
+    for name, value in (("sigma", constant_diffusion(0.5).sigma), ("c_a", 2.0), ("name", "x")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(diffusion, name, value)
+    assert problem.a_at_incidence(inc) == before == diffusion.a(inc.vertex_param) == 0.0
+    x = np.linspace(0.0, 1.0, 5)
+    for d in (constant_diffusion(0.25), linear_vanish(2.0, 1.0, "high"),
+              polynomial_diffusion([0.1, 1.0])):
+        deep = copy.deepcopy(d)
+        assert deep is not d and (deep.c_a, deep.name) == (d.c_a, d.name)
+        np.testing.assert_array_equal(deep.a(x), d.a(x))
+        changed = dataclasses.replace(d, c_a=7.0)
+        assert changed.c_a == 7.0 != d.c_a and changed.name == d.name
+        np.testing.assert_array_equal(changed.a(x), d.a(x))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            changed.sigma = None
+
+
 def test_degenerate_set(catalog):
     assert catalog["star3_constant"].problem.degenerate_set(0) == (0, 1, 2)
     assert catalog["star3_mixed"].problem.degenerate_set(0) == (0,)
@@ -715,14 +741,15 @@ def test_problem_from_json():
 
 def _count_scalar_a_calls(problem) -> collections.Counter:
     """Wrap each of problem's diffusions so that a call of a at one point
-    counts under (edge id, x); returns the counter."""
+    counts under (edge id, x); returns the counter.  A Diffusion is frozen,
+    so the counted a is set with object.__setattr__."""
     calls = collections.Counter()
     for eid, diffusion in problem.diffusions.items():
         def counted(x, _eid=eid, _real=diffusion.a):
             if np.ndim(x) == 0:
                 calls[_eid, float(x)] += 1
             return _real(x)
-        diffusion.a = counted
+        object.__setattr__(diffusion, "a", counted)
     return calls
 
 

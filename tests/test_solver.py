@@ -294,6 +294,43 @@ def test_network_solve_matches_dense_solve(nodes, mode):
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref)), k
 
 
+def _column_stack_spsolve(jac, b):
+    """spsolve with its right-hand side built by np.column_stack, in C
+    order, which f2py copies into Fortran order for dgtsv: the reference
+    for the right-hand side written in LAPACK's column order."""
+    from scipy.linalg.lapack import dgtsv
+    nv = len(jac["D"])
+    *_, y, info = dgtsv(jac["dl"], jac["d"], jac["du"],
+                        np.column_stack([b[nv:], jac["B"]]), overwrite_b=True)
+    assert info == 0
+    xv = np.linalg.solve(jac["D"] - jac["C"] @ y[:, 1:], b[:nv] - jac["C"] @ y[:, 0])
+    return np.concatenate([xv, y[:, 0] - y[:, 1:] @ xv])
+
+
+@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
+def test_fortran_order_rhs_matches_column_stack(mode):
+    """spsolve's right-hand side, written straight into a Fortran-order
+    buffer, gives the column_stack form's solution bit for bit: every
+    catalog entry and random_problem draws 0..11, at n = 3 (one interior
+    node per edge; star2_linear's two give dgtsv one off-diagonal entry),
+    n = 21 and mixed per-edge node counts.  The Jacobian is left as it was."""
+    rng = np.random.default_rng(29)
+    problems = ([e.problem for e in all_entries()]
+                + [random_problem(np.random.default_rng(s)) for s in range(12)])
+    for k, problem in enumerate(problems):
+        mixed = {e.id: int(rng.integers(3, 14)) for e in problem.network.edges}
+        for nodes in (3, 21, mixed):
+            grid = Grid(problem.network, nodes)
+            system = assemble(problem, grid, junction_mode=mode, probe_samples=0)
+            u = rng.uniform(-2.0, 2.0, grid.total_nodes)
+            b = rng.uniform(-1.0, 1.0, grid.total_nodes)
+            jac = _fd_jacobian(system, u, 1e-7)
+            kept = {name: block.copy() for name, block in jac.items()}
+            x = spsolve(jac, b)
+            assert x.tobytes() == _column_stack_spsolve(jac, b).tobytes(), (k, nodes)
+            assert all(np.array_equal(jac[name], kept[name]) for name in jac)
+
+
 @pytest.mark.parametrize("block", ["edge", "vertex"])
 def test_singular_network_jacobian_raises(system_cached, block):
     """A zero pivot in the tridiagonal edge block (dgtsv's info != 0) or a
@@ -831,7 +868,8 @@ def test_continuation_step_falls_back_to_hybrid(monkeypatch, system_cached,
     assert np.max(np.abs(res.u.values - cold.values)) <= 1e-8
 
 
-GRID_TABLES = ("border", "edge_slices", "edge_table", "sweep_classes", "incidence_geometry")
+GRID_TABLES = ("border", "edge_slices", "edge_table", "sweep_classes", "incidence_geometry",
+               "vertex_moves")
 
 
 def test_viscosity_schedule_builds_its_border_index_once(monkeypatch):
@@ -885,7 +923,7 @@ def test_viscosity_steps_build_the_scheme_tables_once_per_grid(monkeypatch):
         def counted(x, _eid=eid, _real=diffusion.a):
             calls[_eid, "table" if np.ndim(x) else "incidence"] += 1
             return _real(x)
-        diffusion.a = counted
+        object.__setattr__(diffusion, "a", counted)  # a Diffusion is frozen
     sweep = vanishing_viscosity(problem, 41, [0.5 ** k for k in range(9)])
     assert len(sweep.steps) == 9 and all(s.result.converged for s in sweep.steps)
     assert len(grids) == 2  # n = 41 and the base's coarse level n = 21
