@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Solve census: run named sets of solves and record how each one ended.
 
-Sets (n is nodes per edge; every set runs under both junction modes):
+Sets (n is nodes per edge):
   cold        every catalog entry, no start given, n = 41, 161, 641, 1281, 2561
   multistart  every catalog entry from each constant of MULTISTART_OFFSETS,
               n = 161, 641
@@ -37,7 +37,7 @@ import numpy as np
 
 from knet import solver
 from knet.catalog import all_entries, eikonal_problem, random_problem
-from knet.discretization import JUNCTION_MODES, Grid, GridFunction, assemble
+from knet.discretization import Grid, GridFunction, assemble
 from knet.errors import KnetError
 from knet.solver import MULTISTART_OFFSETS, SolveConfig, solve_system
 
@@ -47,7 +47,7 @@ NODES = {"cold": (41, 161, 641, 1281, 2561), "multistart": (161, 641),
 
 
 def _cases(name, nodes):
-    """(id, problem, nodes per edge, junction mode, constant start or None)."""
+    """(id, problem, nodes per edge, constant start or None)."""
     if name == "cold":
         problems = [(e.name, e.problem, (None,)) for e in all_entries()]
     elif name == "multistart":
@@ -59,18 +59,17 @@ def _cases(name, nodes):
         problems = [(f"edraw{s}/B={b:g}", eikonal_problem(np.random.default_rng(s), B=b),
                      (None,)) for b in (0.0, -0.5) for s in range(20)]
     for label, problem, starts in problems:
-        for mode in JUNCTION_MODES:
-            for n in nodes:
-                for c in starts:
-                    yield (f"{name}/{label}/{mode}/n={n}"
-                           + ("" if c is None else f"/u0={c:+g}"), problem, n, mode, c)
+        for n in nodes:
+            for c in starts:
+                yield (f"{name}/{label}/n={n}" + ("" if c is None else f"/u0={c:+g}"),
+                       problem, n, c)
 
 
-def _record(case_id, problem, n, mode, start, config):
+def _record(case_id, problem, n, start, config):
     """Assemble, solve and describe one case; an exception is a failure."""
     rec = {"id": case_id}
     try:
-        system = assemble(problem, Grid(problem.network, n), junction_mode=mode)
+        system = assemble(problem, Grid(problem.network, n))
         u0 = None if start is None else GridFunction.full(system.grid, start)
         t0 = time.perf_counter()
         res = solve_system(system, config, u0)

@@ -135,7 +135,16 @@ def check_degenerate_edge_inequalities(problem: NetworkProblem, u: GridFunction,
     """Subsolution inequality lam*u_v + H_i(v, p) <= tol for
     EDGE_INEQUALITY_SAMPLES sampled p in [p_low, p_bar], and the
     supersolution inequality >= -tol on the open interval, on each incident
-    edge with vanishing diffusion."""
+    edge with vanishing diffusion.
+
+    A discrete solution meets them to O(h), hence tol = TOL_PER_H * h, and
+    some valid problems need a larger constant.  Draw 42 of random_problem
+    (it passes validate_problem) fails the supersolution side at junction 0
+    on edge 1 by 1.22-1.25 tolerances at every n from 81 to 2561 (margin
+    -0.106 against tol 0.085 at n = 81, -3.22e-3 against 2.65e-3 at 2561).
+    The margin halves with h, so the violation is O(h), not a different
+    limit.  The check still reports it: a larger TOL_PER_H would also pass
+    violations that do not shrink with h."""
     uv = float(u.values[u.grid.vertex_gid(vid)])
     lam = problem.lam
     verdicts = []

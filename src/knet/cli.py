@@ -29,8 +29,7 @@ import numpy as np
 from . import __version__
 from .analysis import check_window, diagnostics_report
 from .catalog import CatalogEntry, entry_by_name
-from .discretization import (JUNCTION_MODES, Grid, GridFunction, assemble, check_nodes,
-                             check_scheme)
+from .discretization import Grid, GridFunction, assemble, check_nodes, check_scheme
 from .errors import KnetError
 from .network import Network, network_from_json
 from .oracle import REFINE, check_resolutions, convergence_table, reference_for
@@ -192,11 +191,10 @@ def integer(value) -> int:
 # Every key a config may hold: each section's, with the conversion of its
 # value, which a grid or solver key's flag takes too, and the top level's.
 SECTIONS = {"grid": {"nodes_per_edge": integer},
-            "solver": {"epsilon": float, "junction_mode": str, "tol": float,
-                       "max_sweeps": integer, "method": str},
+            "solver": {"epsilon": float, "tol": float, "max_sweeps": integer, "method": str},
             "analysis": {"window": integer}}
 TOP_LEVEL = ("catalog", "network", "problem", *SECTIONS)
-CHOICES = {"junction_mode": JUNCTION_MODES, "method": METHODS}
+CHOICES = {"method": METHODS}
 
 
 def _check_keys(doc, keys, what: str) -> None:
@@ -207,10 +205,9 @@ def _check_keys(doc, keys, what: str) -> None:
 
 
 def _options(solver: dict):
-    """A solver section's scheme options as assemble() keywords and its solve
+    """A solver section's viscosity as assemble()'s keyword and its solve
     options as a SolveConfig; one it leaves out keeps the library default."""
-    return ({kw: solver[k] for k, kw in (("epsilon", "eps"), ("junction_mode", "junction_mode"))
-             if k in solver},
+    return ({"eps": solver["epsilon"]} if "epsilon" in solver else {},
             SolveConfig(**{k: solver[k] for k in ("tol", "max_sweeps", "method") if k in solver}))
 
 
@@ -431,10 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
              *SECTIONS["grid"], *SECTIONS["solver"])
     # the fine-grid reference solves with SolveConfig(): no solve option
     _add_run(sub, "oracle", cmd_oracle, "independent reference solve, same CSV schema",
-             "nodes_per_edge", "epsilon", "junction_mode")
+             "nodes_per_edge", "epsilon")
     # the schedule sets the viscosity
     p = _add_run(sub, "sweep-epsilon", cmd_sweep_epsilon, "vanishing-viscosity continuation",
-                 "nodes_per_edge", "junction_mode", "tol", "max_sweeps", "method")
+                 "nodes_per_edge", "tol", "max_sweeps", "method")
     p.add_argument("--epsilon-schedule", default="g:1:0.5:9",
                    help="g:start:ratio:count")
     # the resolutions set the grids
@@ -448,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True, dest="config")
     p.add_argument("--report", required=True)
     # verify reads the scheme and the analysis window from the config alone
-    p.set_defaults(func=cmd_verify, epsilon=None, junction_mode=None, window=None)
+    p.set_defaults(func=cmd_verify, epsilon=None, window=None)
     return parser
 
 

@@ -10,10 +10,11 @@ interior vertex and u_v - g at a boundary vertex, and SC_i(d_i) the state
 constraint of edge i, min of H over the one-sided slopes below d_i.  One
 rule, resolve_relaxed_edges, fixes the relaxed edges at assembly: a
 boundary vertex's edge where a + eps = 0 and H is coercive (the Dirichlet
-datum in the viscosity sense), and under junction_mode "minmax" a
-junction's edges with a + eps = 0 (Kirchhoff or the degenerate edge
-equation); none elsewhere.  A boundary row with no relaxed edge is the
-strong equation u_v = g and reads no slope.  The problem fixes the
+datum in the viscosity sense) and a junction's edges with a + eps = 0 (the
+Kirchhoff condition in the relaxed sense, F or the degenerate edge
+equation); none elsewhere.  A junction whose every edge has a + eps > 0
+imposes F = 0 alone.  A boundary row with no relaxed edge is the strong
+equation u_v = g and reads no slope.  The problem fixes the
 Lax-Friedrichs dissipation too: theta on each edge is its H's lipschitz_p.
 
 Every assembled system is certified monotone: the residual at a node is
@@ -65,11 +66,11 @@ problem fixes, Grid.scheme: a, theta, the H of each family run and each
 incidence's a and H, built at the first assembly, read by every later one
 (each step of a viscosity schedule) and dropped with the grid, which each
 operation makes anew.  A problem is frozen, with read-only maps, so no
-later system reads stale tables.  A system adds what eps and the junction
-mode decide: a + eps, the coefficients below and the vertex rows, each
-resolved at assembly to what its formula reads on every call: per relaxed
-edge the envelope, inward sign and x at the vertex, per ghost-corrected
-edge its H, sign, x, h/2 and a + eps.  One row formula,
+later system reads stale tables.  A system adds what eps decides: a + eps,
+the coefficients below and the vertex rows, each resolved at assembly to
+what its formula reads on every call: per relaxed edge the envelope,
+inward sign and x at the vertex, per ghost-corrected edge its H, sign, x,
+h/2 and a + eps.  One row formula,
 ResidualSystem._edge_rows, writes every edge row in one call (one H call
 per family run) in residual(), and entry gid - V alone in residual_node,
 the one-node reference the tests compare against, with the same bits.  H
@@ -100,7 +101,6 @@ from .problem import Hamiltonian, KirchhoffCondition, NetworkProblem, larger
 PROBE_STEP = 1e-6  # probe_monotone's perturbation of one input
 PROBE_TOL = 1e-9  # largest change of the wrong sign it forgives
 PROBE_SCALE = 2.0  # its samples of u are uniform on [-PROBE_SCALE, PROBE_SCALE]
-JUNCTION_MODES = ("kirchhoff", "minmax")  # assemble's junction modes; the first is the default
 
 
 def check_nodes(n, edge=None) -> None:
@@ -420,16 +420,14 @@ class _VertexStencil:
 class ResidualSystem:
     """Assembled monotone discrete operator; immutable after assembly."""
 
-    def __init__(self, problem: NetworkProblem, grid: Grid, eps: float,
-                 junction_mode: str):
+    def __init__(self, problem: NetworkProblem, grid: Grid, eps: float):
         self.problem = problem
         self.grid = grid
         self.eps = float(eps)
-        self.junction_mode = junction_mode
         self._tables = tables = grid.scheme(problem)
         self._a, self._theta = tables.a + self.eps, tables.theta
 
-        relaxed = resolve_relaxed_edges(problem, self.eps, junction_mode)
+        relaxed = resolve_relaxed_edges(problem, self.eps)
         self._vertices = []
         for v, (a, hams, ghost), (hs, signs, x_at_v) in zip(
                 problem.network.vertices, tables.vertices, grid.incidence_geometry):
@@ -669,35 +667,32 @@ class ResidualSystem:
         return np.concatenate(deltas, axis=1)
 
 
-def resolve_relaxed_edges(problem: NetworkProblem, eps: float,
-                          junction_mode: str = JUNCTION_MODES[0]) -> dict:
+def resolve_relaxed_edges(problem: NetworkProblem, eps: float) -> dict:
     """Per vertex id, the incident edges (positions in its incidence list)
     whose state-constraint clause its row takes: a boundary vertex's edge
     where a + eps = 0 and H is coercive (the Dirichlet datum in the
-    viscosity sense), and under "minmax" a junction's edges with
-    a + eps = 0 (Kirchhoff or the edge equation).  Else none: where
-    a + eps > 0 the diffusion keeps the datum, so only u = g is right."""
+    viscosity sense), and a junction's edges with a + eps = 0 (Kirchhoff or
+    the edge equation, the relaxed condition of Imbert & Monneau, Ann. Sci.
+    ENS 50, 2017).  Else none: where a + eps > 0 the diffusion keeps the
+    datum, so only u = g, or F = 0, is right."""
     out = {}
     for v in problem.network.vertices:
         incs = problem.network.incidence[v.id]
         flat = [problem.a_at_incidence(inc) + eps == 0.0 for inc in incs]
         if v.kind == INTERIOR:
-            out[v.id] = tuple(i for i, f in enumerate(flat) if f and junction_mode == "minmax")
+            out[v.id] = tuple(i for i, f in enumerate(flat) if f)
         else:
             out[v.id] = (0,) if flat[0] and problem.hamiltonians[incs[0].edge.id].coercive else ()
     return out
 
 
-def check_scheme(eps: float = 0.0, junction_mode: str = JUNCTION_MODES[0]) -> None:
-    """Raise ValueError on a scheme option assemble() cannot take."""
+def check_scheme(eps: float = 0.0) -> None:
+    """Raise ValueError on a viscosity assemble() cannot take."""
     if not 0.0 <= eps < np.inf:
         raise ValueError(f"eps must be nonnegative and finite, got {eps}")
-    if junction_mode not in JUNCTION_MODES:
-        raise ValueError(f"unknown junction mode {junction_mode!r}")
 
 
 def assemble(problem: NetworkProblem, grid: Grid, eps: float = 0.0,
-             junction_mode: str = JUNCTION_MODES[0],
              probe_samples: int = 3) -> ResidualSystem:
     """Build the residual system and certify the monotone-scheme property.
     The problem fixes theta and the boundary rows (see the module docstring).
@@ -706,8 +701,8 @@ def assemble(problem: NetworkProblem, grid: Grid, eps: float = 0.0,
     fails; pass probe_samples=0 to skip (used by deliberate counterexample
     tests).
     """
-    check_scheme(eps, junction_mode)
-    system = ResidualSystem(problem, grid, eps, junction_mode)
+    check_scheme(eps)
+    system = ResidualSystem(problem, grid, eps)
     if probe_samples > 0:
         witness = system.certify_monotone(n_samples=probe_samples)
         if witness is not None:

@@ -14,7 +14,7 @@ problem: speed at most c_e and running cost f_e on edge e, discount lam,
 exit cost g at a boundary vertex, and at a junction the cost of staying
 there given by its effective flux limiter (Imbert & Monneau, Ann. Sci. ENS
 50, 2017; Achdou, Camilli, Cutri & Tchou, NoDEA 20, 2013).  It reads no
-grid solution, so it serves either junction mode.
+grid solution of the scheme.
 
 Other nonlinear problems are verified against fine-grid references of the
 main scheme and against observed convergence orders.  convergence_table is
@@ -35,8 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .discretization import (JUNCTION_MODES, Grid, GridFunction, assemble, check_nodes,
-                             resolve_relaxed_edges)
+from .discretization import Grid, GridFunction, assemble, check_nodes, resolve_relaxed_edges
 from .errors import (GridTooCoarse, NonPositiveError, ProblemNotEikonal, ProblemNotLinear,
                      SingularSystem)
 from .network import INTERIOR
@@ -215,12 +214,11 @@ def flux_limited_reference(problem: NetworkProblem, nodes_per_edge,
 
 
 def fine_grid_reference(problem: NetworkProblem, nodes_per_edge,
-                        solved=None, eps: float = 0.0,
-                        junction_mode: str = JUNCTION_MODES[0]) -> ReferenceSolution:
+                        solved=None, eps: float = 0.0) -> ReferenceSolution:
     """Reference from the main monotone scheme on a REFINE-times finer grid.
 
-    solved maps node counts to default-config solutions of this scheme
-    (eps, junction_mode) already at hand.  The fine grid's own, if there,
+    solved maps node counts to default-config solutions of this scheme (at
+    viscosity eps) already at hand.  The fine grid's own, if there,
     is the reference.  Else the fine grid is solved from the finest one
     below it, prolonged (with no start given if there is none), and the
     result joins solved, so that the next reference starts from it.  The
@@ -236,8 +234,7 @@ def fine_grid_reference(problem: NetworkProblem, nodes_per_edge,
         grid = Grid(problem.network, fine)
         coarser = [n for n in solved if n < fine] if chain else []
         start = solved[max(coarser)].u.on_grid(grid) if coarser else None
-        res = solve_system(assemble(problem, grid, eps=eps, junction_mode=junction_mode),
-                           SolveConfig(), start)
+        res = solve_system(assemble(problem, grid, eps=eps), SolveConfig(), start)
         if chain:
             solved[fine] = res
     return ReferenceSolution(res.u, "fine-grid",
@@ -246,40 +243,36 @@ def fine_grid_reference(problem: NetworkProblem, nodes_per_edge,
 
 
 def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
-                  eps: float = 0.0, junction_mode: str = JUNCTION_MODES[0],
-                  solved=None) -> ReferenceSolution:
-    """The best available reference for the scheme with viscosity eps and
-    junction mode junction_mode, the first that applies of: the exact
-    profile exact(edge id, t) when eps = 0, flux_limited_reference, the
-    direct linear solve, and a REFINE-times refined run of the scheme
-    itself.
+                  eps: float = 0.0, solved=None) -> ReferenceSolution:
+    """The best available reference for the scheme with viscosity eps, the
+    first that applies of: the exact profile exact(edge id, t) when eps = 0,
+    flux_limited_reference, the direct linear solve where no junction edge
+    is relaxed, and a REFINE-times refined run of the scheme itself.
 
-    The exact profiles and the direct solve are solutions of the Kirchhoff
-    problem.  They serve wherever resolve_relaxed_edges relaxes no junction
-    edge, where both junction modes give the same rows.  The flux-limited
-    reference is the limit of both modes, so it serves either.  Their
-    boundary data hold as the scheme's boundary rows impose them: relaxed
-    where a + eps = 0 and H is coercive (an exact profile that detaches
-    there), strong elsewhere, which is every boundary vertex of a linear
-    problem, since an affine H is not coercive.  solved passes on to
-    fine_grid_reference: default-config solves of this scheme by node
-    count."""
-    relaxed = resolve_relaxed_edges(problem, eps, junction_mode)
-    kirchhoff_rows = not any(relaxed[v.id] for v in problem.network.interior_vertices)
-    if kirchhoff_rows and exact is not None and eps == 0.0:
+    A catalog entry's exact profile and the flux-limited reference are the
+    relaxed viscosity solution, the limit of the scheme.  The direct solve
+    imposes the Kirchhoff condition F = 0 alone, which is the scheme's
+    junction row only where resolve_relaxed_edges relaxes no junction edge.
+    Every reference holds the boundary data as the scheme's boundary rows
+    impose them: relaxed where a + eps = 0 and H is coercive (an exact
+    profile that detaches there), strong elsewhere, which is every boundary
+    vertex of a linear problem, since an affine H is not coercive.  solved
+    passes on to fine_grid_reference: default-config solves of this scheme
+    by node count."""
+    if exact is not None and eps == 0.0:
         grid = Grid(problem.network, nodes_per_edge)
         return ReferenceSolution(GridFunction.from_profile(grid, exact), "exact", {})
     try:
         return flux_limited_reference(problem, nodes_per_edge, eps=eps)
     except ProblemNotEikonal:
         pass
-    if kirchhoff_rows:
+    relaxed = resolve_relaxed_edges(problem, eps)
+    if not any(relaxed[v.id] for v in problem.network.interior_vertices):
         try:
             return direct_linear_solve(problem, nodes_per_edge, eps=eps)
         except (ProblemNotLinear, GridTooCoarse):
             pass
-    return fine_grid_reference(problem, nodes_per_edge, solved=solved, eps=eps,
-                               junction_mode=junction_mode)
+    return fine_grid_reference(problem, nodes_per_edge, solved=solved, eps=eps)
 
 
 def check_resolutions(resolutions) -> list:
@@ -296,8 +289,7 @@ def check_resolutions(resolutions) -> list:
 
 
 def convergence_table(problem: NetworkProblem, resolutions, exact=None,
-                      config: Optional[SolveConfig] = None, eps: float = 0.0,
-                      junction_mode: str = JUNCTION_MODES[0]) -> list:
+                      config: Optional[SolveConfig] = None, eps: float = 0.0) -> list:
     """Solve the scheme at each resolution and measure it against
     reference_for at that resolution.  One dict per resolution, in the
     order given: nodes, h, the sup error, observed_orders' order,
@@ -319,8 +311,7 @@ def convergence_table(problem: NetworkProblem, resolutions, exact=None,
     ascending = sorted(resolutions)
     runs, warm = {}, None
     for nodes in ascending:
-        system = assemble(problem, Grid(problem.network, nodes), eps=eps,
-                          junction_mode=junction_mode)
+        system = assemble(problem, Grid(problem.network, nodes), eps=eps)
         t0 = time.perf_counter()
         res = solve_system(system, config,
                            None if warm is None else warm.on_grid(system.grid))
@@ -328,8 +319,7 @@ def convergence_table(problem: NetworkProblem, resolutions, exact=None,
         warm = res.u
     solved = ({nodes: res for nodes, (res, _) in runs.items()}
               if config == SolveConfig() else None)
-    refs = {nodes: reference_for(problem, nodes, exact, eps=eps,
-                                 junction_mode=junction_mode, solved=solved)
+    refs = {nodes: reference_for(problem, nodes, exact, eps=eps, solved=solved)
             for nodes in ascending}
     rows = []
     for nodes in resolutions:

@@ -258,7 +258,7 @@ class _CouplingFacts(NamedTuple):
 
 
 def _classical_facts(arity, B) -> _CouplingFacts:
-    return _CouplingFacts(lambda r, p: np.sum(-p, axis=-1) - B, float(arity))
+    return _CouplingFacts(lambda r, p: (-p).sum(axis=-1) - B, float(arity))
 
 
 def _weights(alpha0, **weights) -> list:
@@ -273,7 +273,7 @@ def _weights(alpha0, **weights) -> list:
 
 def _affine_facts(arity, B, alpha0, alphas) -> _CouplingFacts:
     alphas, = _weights(alpha0, alpha=alphas)
-    return _CouplingFacts(lambda r, p: alpha0 * r + np.sum(alphas * (-p), axis=-1) - B,
+    return _CouplingFacts(lambda r, p: alpha0 * r + (alphas * (-p)).sum(axis=-1) - B,
                           float(np.min(alphas)))
 
 
@@ -282,7 +282,7 @@ def _pm_split_facts(arity, B, alpha0, alphas, betas) -> _CouplingFacts:
 
     def fn(r, p):
         s = -p
-        return alpha0 * r + np.sum(alphas * np.maximum(s, 0.0) + betas * np.minimum(s, 0.0), axis=-1) - B
+        return alpha0 * r + (alphas * np.maximum(s, 0.0) + betas * np.minimum(s, 0.0)).sum(axis=-1) - B
 
     return _CouplingFacts(fn, float(min(np.min(alphas), np.min(betas))))
 

@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .discretization import JUNCTION_MODES, Grid, GridFunction, ResidualSystem, assemble
+from .discretization import Grid, GridFunction, ResidualSystem, assemble
 from .errors import BarrierConstructionFailed, LocalRootBracketFailed, SingularLinearization
 from .problem import NetworkProblem
 
@@ -187,8 +187,8 @@ def solve_node(system: ResidualSystem, gid: int, u: np.ndarray) -> float:
     LocalRootBracketFailed, with u[gid] as it was.
 
     sweep_solve needs it only at vertex nodes, whose couplings, ghost
-    corrections, minmax clauses and state constraints are not affine; an
-    edge row is, and takes the closed-form step with own_coeff instead."""
+    corrections and relaxed clauses are not affine; an edge row is, and
+    takes the closed-form step with own_coeff instead."""
     from scipy.optimize import brentq  # lazy: importing it slows every knet start
     def f(v):
         u[gid] = v
@@ -373,7 +373,7 @@ def _nested(system: ResidualSystem, config: SolveConfig, u0):
     if u0 is None and not system.affine and min(coarse.values()) >= MIN_LEVEL_NODES:
         cres, counts = _nested(assemble(
             system.problem, Grid(system.problem.network, coarse), eps=system.eps,
-            junction_mode=system.junction_mode, probe_samples=0), config, None)
+            probe_samples=0), config, None)
         u0, spent = cres.u.on_grid(system.grid), cres.iterations
     res = newton_solve(system, config, u0)
     counts.append(f"{res.iterations} at {system.grid.level_name}")
@@ -421,13 +421,11 @@ def solve_system(system: ResidualSystem, config: Optional[SolveConfig] = None,
 
 
 def solve_problem(problem: NetworkProblem, nodes_per_edge, eps: float = 0.0,
-                  junction_mode: str = JUNCTION_MODES[0],
                   config: Optional[SolveConfig] = None,
                   u0: Optional[GridFunction] = None) -> SolveResult:
     """Assemble on a fresh grid, certify monotonicity, and solve."""
     grid = Grid(problem.network, nodes_per_edge)
-    system = assemble(problem, grid, eps=eps, junction_mode=junction_mode)
-    return solve_system(system, config, u0)
+    return solve_system(assemble(problem, grid, eps=eps), config, u0)
 
 
 def multistart_solve(system: ResidualSystem, config: Optional[SolveConfig] = None):
@@ -460,7 +458,6 @@ class ViscositySweep:
 
 
 def vanishing_viscosity(problem: NetworkProblem, nodes_per_edge, schedule,
-                        junction_mode: str = JUNCTION_MODES[0],
                         config: Optional[SolveConfig] = None,
                         deltas=None) -> ViscositySweep:
     """Solve along a decreasing viscosity schedule, each step from the
@@ -476,14 +473,12 @@ def vanishing_viscosity(problem: NetworkProblem, nodes_per_edge, schedule,
     # the nodes at distance >= delta from the boundary, one mask per delta
     away = {float(d): dist >= d - 1e-12 for d in deltas}
 
-    base_sys = assemble(problem, grid, eps=0.0, junction_mode=junction_mode)
-    base = solve_system(base_sys, config)
+    base = solve_system(assemble(problem, grid, eps=0.0), config)
 
     steps = []
     warm = base.u
     for eps in sorted(set(float(e) for e in schedule), reverse=True):
-        system = assemble(problem, grid, eps=eps, junction_mode=junction_mode)
-        res = solve_system(system, config, warm)
+        res = solve_system(assemble(problem, grid, eps=eps), config, warm)
         warm = res.u
         diff = np.abs(res.u.values - base.u.values)
         interior = {d: float(np.max(diff[mask], initial=0.0)) for d, mask in away.items()}

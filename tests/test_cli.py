@@ -30,8 +30,9 @@ from knet.cli import (
 )
 from knet.catalog import all_entries, entry_by_name, random_problem
 from knet.discretization import Grid, GridFunction
-from knet.network import build_network
+from knet.network import build_network, network_from_json
 from knet.oracle import ReferenceSolution, fine_grid_reference
+from knet.problem import problem_from_json
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -183,10 +184,12 @@ def test_unknown_catalog_exits_3(tmp_path):
 @pytest.mark.parametrize("sub", ["solve", "oracle", "sweep-epsilon",
                                  "convergence-table"])
 def test_bad_scheme_option_exits_3(tmp_path, capsys, sub):
-    """The problem sets theta and the boundary rows: their former flags are
-    unknown arguments."""
+    """The problem sets theta and the boundary rows, and the junction row is
+    the relaxed Kirchhoff condition: their former flags are unknown
+    arguments."""
     cfg = _write_config(tmp_path, {"catalog": "star3_eikonal"})
-    for flag, value in (("--lf-theta", "1.0"), ("--boundary-mode", "strong")):
+    for flag, value in (("--lf-theta", "1.0"), ("--boundary-mode", "strong"),
+                        ("--junction-mode", "minmax")):
         assert main([sub, "--config", cfg, "--output-dir", str(tmp_path),
                      flag, value]) == EXIT_BAD_INPUT, flag
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
@@ -194,7 +197,7 @@ def test_bad_scheme_option_exits_3(tmp_path, capsys, sub):
 
 BAD_SCHEME_SECTIONS = [
     ("star3_eikonal", {"boundary_mode": "bogus"}, "unknown solver option 'boundary_mode'"),
-    ("star3_eikonal", {"junction_mode": "bogus"}, "unknown junction mode"),
+    ("star3_eikonal", {"junction_mode": "minmax"}, "unknown solver option 'junction_mode'"),
     ("star3_eikonal", {"epsilon": -1}, "eps must be nonnegative"),
     ("star2_linear", {"boundary_mode": "relaxed"}, "unknown solver option 'boundary_mode'"),
     ("star3_eikonal", {"lf_theta": 1.0}, "unknown solver option 'lf_theta'"),
@@ -315,7 +318,6 @@ def test_readme_lists_the_parser_flags_and_solver_keys():
 NON_DEFAULT_FLAGS = {
     "--nodes-per-edge": ("7", 7),
     "--epsilon": ("0.5", 0.5),
-    "--junction-mode": ("minmax", "minmax"),
     "--tol": ("1e-9", 1e-9),
     "--max-sweeps": ("30", 30),
     "--method": ("newton", "newton"),
@@ -711,22 +713,27 @@ EIKONAL_STAR = {
 }
 
 
-@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
-def test_oracle_solves_nothing_on_a_degenerate_eikonal_config(tmp_path, monkeypatch, mode):
+@pytest.mark.parametrize("limiter", ["kirchhoff", "minmax"])
+def test_oracle_solves_nothing_on_a_degenerate_eikonal_config(tmp_path, monkeypatch,
+                                                              flux_limiter, limiter):
     """A JSON-config star, not a catalog entry, whose every edge is
-    eikonal with a = 0 and whose junction is classical: under either
-    junction mode oracle reports the flux-limited reference and runs no
-    solve."""
+    eikonal with a = 0 and whose junction is classical, with B such that
+    the coupling, or else A_0, sets its flux limiter: oracle reports the
+    flux-limited reference and runs no solve."""
     from knet import oracle
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solve_system called")
 
     monkeypatch.setattr(oracle, "solve_system", no_solve)
-    cfg = _write_config(tmp_path, {**EIKONAL_STAR, "grid": {"nodes_per_edge": 21}})
+    B = {"kirchhoff": -2.0, "minmax": -0.4}[limiter]
+    doc = {**EIKONAL_STAR["problem"], "kirchhoff": {"0": {"family": "classical", "B": B}}}
+    assert flux_limiter(problem_from_json(doc, network_from_json(EIKONAL_STAR["network"]))) \
+        == limiter
+    cfg = _write_config(tmp_path, {**EIKONAL_STAR, "problem": doc,
+                                   "grid": {"nodes_per_edge": 21}})
     outdir = tmp_path / "out"
-    assert main(["oracle", "--config", cfg, "--output-dir", str(outdir),
-                 "--junction-mode", mode]) == EXIT_OK
+    assert main(["oracle", "--config", cfg, "--output-dir", str(outdir)]) == EXIT_OK
     stage = json.loads((outdir / "manifest.json").read_text())["stages"][0]
     assert stage["method"] == "flux-limited"
     assert len(_csv_rows(outdir / "oracle.csv")) == 3 * 21
@@ -933,8 +940,8 @@ def test_convergence_table_no_order_at_solver_tolerance(tmp_path):
 
 def test_convergence_table_counts_unconverged_reference(tmp_path, capsys, monkeypatch):
     """A fine-grid reference that stopped short of the tolerance (as the
-    n = 1281 reference of star3_linear under minmax does) fails the table:
-    exit 1, naming the reference's grid and the solver's message, and
+    n = 1281 reference of star3_linear once did) fails the table: exit 1,
+    naming the reference's grid and the solver's message, and
     all_converged false, with each reference's state listed."""
     import knet.oracle
 

@@ -8,7 +8,6 @@ import pytest
 
 from knet.catalog import all_entries, entry_by_name, random_problem
 from knet.discretization import (
-    JUNCTION_MODES,
     Grid,
     GridFunction,
     ResidualSystem,
@@ -276,12 +275,11 @@ def _reference_inward_slopes(system, gid, u):
     return np.array(d)
 
 
-def _reference_vertex_row(system, gid, u, mode):
+def _reference_vertex_row(system, gid, u):
     """A vertex row in four hand-split branches, as the scheme once wrote
     it: a strong boundary row u - g where a + eps > 0 or H is not coercive,
     else max(u - g, lam*u + state constraint); a junction's coupling F(u, d),
-    under "minmax" maxed with lam*u + state constraint on every edge with
-    a + eps = 0."""
+    maxed with lam*u + state constraint on every edge with a + eps = 0."""
     problem, eps = system.problem, system.eps
     v = problem.network.vertices[gid]
     incs = problem.network.incidence[v.id]
@@ -295,10 +293,9 @@ def _reference_vertex_row(system, gid, u, mode):
     if v.kind == "interior":
         d = _reference_inward_slopes(system, gid, u)
         res = problem.kirchhoff[v.id](uv, d)
-        if mode == "minmax":
-            for i, inc in enumerate(incs):
-                if problem.a_at_incidence(inc) + eps == 0.0:
-                    res = max(res, clause(i, float(d[i])))
+        for i, inc in enumerate(incs):
+            if problem.a_at_incidence(inc) + eps == 0.0:
+                res = max(res, clause(i, float(d[i])))
         return float(res)
     g = problem.dirichlet.get(v.id, 0.0)
     eid = incs[0].edge.id
@@ -314,21 +311,24 @@ def catalog_and_draws():
             + [random_problem(np.random.default_rng(s)) for s in range(12)])
 
 
-@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
+@pytest.mark.parametrize("rows", ["kirchhoff", "minmax"])
 @pytest.mark.parametrize("eps", [0.0, 0.3])
 @pytest.mark.parametrize("nodes", [3, 4, 11, 41])
-def test_vertex_rows_match_four_branch_reference(catalog_and_draws, nodes, eps, mode):
+def test_vertex_rows_match_four_branch_reference(catalog_and_draws, junction_rows,
+                                                 nodes, eps, rows):
     """The one vertex formula, with its relaxed edges fixed at assembly,
     gives the four-branch rows bit for bit on every catalog entry and
-    random draw."""
+    random draw whose junction rows at eps = 0 are of the shape rows."""
     rng = np.random.default_rng(nodes)
-    for k, problem in enumerate(catalog_and_draws):
+    problems = [(k, p) for k, p in enumerate(catalog_and_draws) if junction_rows(p) == rows]
+    assert len(problems) >= 3
+    for k, problem in problems:
         grid = Grid(problem.network, nodes)
-        system = assemble(problem, grid, eps=eps, junction_mode=mode, probe_samples=0)
+        system = assemble(problem, grid, eps=eps, probe_samples=0)
         u = rng.uniform(-2.0, 2.0, size=grid.total_nodes)
         r = system.residual(u)
         for gid in range(len(problem.network.vertices)):
-            assert r[gid] == _reference_vertex_row(system, gid, u, mode), (k, gid)
+            assert r[gid] == _reference_vertex_row(system, gid, u), (k, gid)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.3])
@@ -352,14 +352,17 @@ def test_own_coeff_is_the_own_slope(catalog, nodes, eps):
 
 
 def test_junction_residual_direct(system_cached):
-    """Inward slopes of 1 on all three degenerate edges against the
-    classical coupling give F = -3."""
+    """The junction of star3_constant, u_v = 0, takes max(F, lam*u_v +
+    min of |p| - 1 over p <= d_i) over its three degenerate edges: inward
+    slopes d of 1 give F = -3 and clauses -1, slopes of -1 give F = 3 and
+    clauses 0."""
     system = system_cached("star3_constant", 11)
     grid = system.grid
-    u = np.zeros(grid.total_nodes)
-    for eid in range(3):
-        u[grid.node_ids[eid][1]] = 0.1  # h = 0.1, so slope 1 inward
-    assert system.residual_node(grid.vertex_gid(0), u) == pytest.approx(-3.0)
+    for slope, row in ((1.0, -1.0), (-1.0, 3.0)):
+        u = np.zeros(grid.total_nodes)
+        for eid in range(3):
+            u[grid.node_ids[eid][1]] = 0.1 * slope  # h = 0.1
+        assert system.residual_node(grid.vertex_gid(0), u) == pytest.approx(row)
 
 
 def test_epsilon_adds_uniform_diffusion(catalog):
@@ -531,8 +534,9 @@ def test_probe_fails_with_insufficient_dissipation():
     (_with_envelopes("star3_eikonal", lambda x, q: 3.0 * np.abs(q)), 11,
      {"sample": 0, "node": 1, "row": 1, "direction": "own"}),
     # falls steeply in the vertex value above 1, which the junction's
-    # value first exceeds in sample 3
-    (_with_coupling("star3_eikonal", lambda r, p: np.where(r > 1.0, -100.0 * r, r)
+    # value first exceeds in sample 3, and stays above the relaxed clauses
+    # there, so that the row's max takes it
+    (_with_coupling("star3_eikonal", lambda r, p: np.where(r > 1.0, 200.0 - 100.0 * r, r)
                     - np.sum(p, axis=-1)), 11,
      {"sample": 3, "node": 0, "row": 0, "direction": "own"}),
 ], ids=["edge-row", "junction-row", "relaxed-row", "later-sample"])
@@ -546,19 +550,21 @@ def test_probe_witness_equals_sequential_probe(problem, nodes, expect):
     assert {k: witness[k] for k in expect} == expect
 
 
-@pytest.mark.parametrize("mode", JUNCTION_MODES)
-def test_certificate_agrees_with_full_probe_on_catalog(mode):
+@pytest.mark.parametrize("rows", ["kirchhoff", "minmax"])
+def test_certificate_agrees_with_full_probe_on_catalog(junction_rows, rows):
     """Every catalog entry at eps in {0, 0.25, 1} and n in {5, 21, 81}, and
-    random_problem draws s = 0..59 at eps in {0, 0.25} and n in {5, 21}:
-    the certificate holds, so certify_monotone finds no violation, and the
-    full probe on ten samples finds none either."""
+    random_problem draws s = 0..59 at eps in {0, 0.25} and n in {5, 21},
+    those whose junction rows at eps = 0 are of the shape rows: the
+    certificate holds, so certify_monotone finds no violation, and the full
+    probe on ten samples finds none either."""
     cases = [(entry.name, entry.problem, eps, n) for entry in all_entries()
              for eps in (0.0, 0.25, 1.0) for n in (5, 21, 81)]
     cases += [(f"random-{s}", random_problem(np.random.default_rng(s)), eps, n)
               for s in range(60) for eps in (0.0, 0.25) for n in (5, 21)]
+    cases = [case for case in cases if junction_rows(case[1]) == rows]
+    assert len(cases) >= 39
     for name, problem, eps, n in cases:
-        system = assemble(problem, Grid(problem.network, n), eps=eps,
-                          junction_mode=mode, probe_samples=0)
+        system = assemble(problem, Grid(problem.network, n), eps=eps, probe_samples=0)
         case = (name, eps, n)
         assert system.stencil_certificate(), case
         assert system.certify_monotone() is None, case
@@ -584,16 +590,16 @@ _PROBE_PARTS = ("_probe_draws", "_probe_deltas", "_edge_rows", "_table_ham")
 
 def test_certificate_evaluates_no_edge_row_of_a_builtin_h(monkeypatch):
     """Every catalog entry is built from built-in records, so its system is
-    certified under either junction mode with no sample drawn, no row
-    probed and no edge row or edge H evaluated."""
+    certified at eps = 0 and 0.25 with no sample drawn, no row probed and
+    no edge row or edge H evaluated."""
     calls = _count_calls(monkeypatch, _PROBE_PARTS)
     for entry in all_entries():
-        for mode in JUNCTION_MODES:
+        for eps in (0.0, 0.25):
             system = assemble(entry.problem, Grid(entry.problem.network, 21),
-                              junction_mode=mode, probe_samples=0)
+                              eps=eps, probe_samples=0)
             calls.update(dict.fromkeys(calls, 0))
-            assert system.certify_monotone() is None, (entry.name, mode)
-            assert calls == dict.fromkeys(_PROBE_PARTS, 0), (entry.name, mode)
+            assert system.certify_monotone() is None, (entry.name, eps)
+            assert calls == dict.fromkeys(_PROBE_PARTS, 0), (entry.name, eps)
 
 
 def test_certificate_leaves_custom_data_to_the_probe(monkeypatch):
@@ -639,7 +645,7 @@ class _Understated(Hamiltonian):
     (lambda: _with_hamiltonians("star3_eikonal", _Understated(
         None, 3.0, True, 0.5, "eikonal", {"speed": 3.0, "rhs": 1.0})), MonotonicityProbeFailed),
     (lambda: dataclasses.replace(entry_by_name("star3_eikonal").problem, kirchhoff={
-        0: make_kirchhoff("classical", 3, B=np.inf)}), MonotonicityProbeFailed),
+        0: make_kirchhoff("classical", 3, B=-np.inf)}), MonotonicityProbeFailed),
 ], ids=["negative-speed", "negative-speed-replaced", "negative-alpha", "understated-bound",
         "infinite-junction-row"])
 def test_builtin_records_cannot_bypass_the_certificate(build, error):
@@ -809,15 +815,18 @@ def _reference_vertex_jacobian(system, gid, u, step):
     return np.array(out)
 
 
-@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
-def test_jacobian_vertex_entries_match_per_entry_loop(catalog_and_draws, mode):
+@pytest.mark.parametrize("rows", ["kirchhoff", "minmax"])
+def test_jacobian_vertex_entries_match_per_entry_loop(catalog_and_draws, junction_rows, rows):
     """Each vertex row's batched central differences equal, bit for bit,
     the per-entry loop through residual_node; a strong row's entries are 1
-    and 0."""
+    and 0.  Every catalog entry and draw whose junction rows are of the
+    shape rows."""
     rng = np.random.default_rng(17)
-    for k, problem in enumerate(catalog_and_draws):
+    problems = [(k, p) for k, p in enumerate(catalog_and_draws) if junction_rows(p) == rows]
+    assert len(problems) >= 3
+    for k, problem in problems:
         grid = Grid(problem.network, 11)
-        system = assemble(problem, grid, junction_mode=mode, probe_samples=0)
+        system = assemble(problem, grid, probe_samples=0)
         u = rng.uniform(-2.0, 2.0, size=grid.total_nodes)
         vals = system.jacobian_entries(u, 1e-7)
         for v in range(len(grid.vertex_inputs)):
@@ -874,17 +883,21 @@ def test_node_classification_and_dependents(system_cached):
 
 def test_resolve_relaxed_edges():
     """A boundary row is relaxed on its edge where a + eps = 0 and H is
-    coercive, else strong; a junction takes its degenerate edges' clauses
-    under "minmax" only."""
+    coercive, else strong; a junction takes the clause of every edge where
+    a + eps = 0, whatever its H, and of no other."""
     degen = entry_by_name("star3_eikonal").problem
     elliptic = entry_by_name("star2_linear").problem
     mixed = entry_by_name("star3_mixed").problem
     boundary = {1: (0,), 2: (0,), 3: (0,)}
-    assert resolve_relaxed_edges(degen, 0.0) == {0: (), **boundary}
-    assert resolve_relaxed_edges(degen, 0.0, "minmax") == {0: (0, 1, 2), **boundary}
-    assert set(resolve_relaxed_edges(degen, 0.1, "minmax").values()) == {()}
-    assert set(resolve_relaxed_edges(elliptic, 0.0, "minmax").values()) == {()}
-    assert resolve_relaxed_edges(mixed, 0.0, "minmax")[0] == mixed.degenerate_set(0)
+    assert resolve_relaxed_edges(degen, 0.0) == {0: (0, 1, 2), **boundary}
+    assert set(resolve_relaxed_edges(degen, 0.1).values()) == {()}
+    assert set(resolve_relaxed_edges(elliptic, 0.0).values()) == {()}
+    assert resolve_relaxed_edges(mixed, 0.0) == {0: (0,), 1: (0,), 2: (), 3: ()}
+    assert resolve_relaxed_edges(mixed, 0.0)[0] == mixed.degenerate_set(0)
+    # an advection H is not coercive: the boundary row at vertex 1 turns
+    # strong, the junction still takes the edge's clause
+    flat = dataclasses.replace(mixed, hamiltonians={**mixed.hamiltonians, 0: advection(0.5, 0.2)})
+    assert resolve_relaxed_edges(flat, 0.0) == {0: (0,), 1: (), 2: (), 3: ()}
 
 
 def test_resolve_theta():
@@ -906,8 +919,8 @@ def test_assemble_rejects_bad_arguments():
     grid = Grid(entry.problem.network, 5)
     with pytest.raises(ValueError):
         assemble(entry.problem, grid, eps=-0.1)
-    with pytest.raises(ValueError):
-        assemble(entry.problem, grid, junction_mode="bogus")
+    with pytest.raises(TypeError):  # one junction row: no mode to choose
+        assemble(entry.problem, grid, junction_mode="minmax")
 
 
 def test_strong_boundary_row_evaluates_no_hamiltonian(monkeypatch, system_cached):
@@ -941,20 +954,24 @@ def _bits(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
-@pytest.mark.parametrize("mode", JUNCTION_MODES)
-def test_systems_sharing_a_grid_match_a_fresh_grid_bit_for_bit(catalog_and_draws, mode):
+@pytest.mark.parametrize("rows", ["kirchhoff", "minmax"])
+def test_systems_sharing_a_grid_match_a_fresh_grid_bit_for_bit(catalog_and_draws,
+                                                                junction_rows, rows):
     """A system assembled on a grid that already holds the problem's scheme
     tables, built by an assembly at another eps, equals bit for bit the one
     assembled on a fresh grid: own_coeff, residual, Jacobian entries and
-    network form, certificate and probe deltas."""
+    network form, certificate and probe deltas.  Every catalog entry and
+    draw whose junction rows at eps = 0 are of the shape rows."""
     rng = np.random.default_rng(31)
-    for k, problem in enumerate(catalog_and_draws):
+    problems = [(k, p) for k, p in enumerate(catalog_and_draws) if junction_rows(p) == rows]
+    assert len(problems) >= 3
+    for k, problem in problems:
         shared = Grid(problem.network, {e.id: 9 + 2 * (e.id % 3) for e in problem.network.edges})
-        first = assemble(problem, shared, eps=0.5, junction_mode=mode, probe_samples=0)
+        first = assemble(problem, shared, eps=0.5, probe_samples=0)
         for eps in (0.0, 2.0 ** -8, 0.25, 1.0):
-            a = assemble(problem, shared, eps=eps, junction_mode=mode, probe_samples=0)
+            a = assemble(problem, shared, eps=eps, probe_samples=0)
             b = assemble(problem, Grid(problem.network, shared.nodes_per_edge), eps=eps,
-                         junction_mode=mode, probe_samples=0)
+                         probe_samples=0)
             assert a._tables is first._tables is not b._tables
             u = rng.uniform(-2.0, 2.0, (3, shared.total_nodes))
             np.testing.assert_array_equal(_bits(a.own_coeff), _bits(b.own_coeff))
@@ -993,7 +1010,7 @@ def test_scheme_tables_are_shared_and_read_only():
 
 
 def test_grid_tables_are_shared_and_read_only():
-    """Two systems on one grid, under either junction mode, read the same
+    """Two systems on one grid, at eps = 0 and 0.25, read the same
     per-grid arrays (the Jacobian's destinations, each vertex row's unit
     moves and strong-row entries, each incidence's h, sign and coordinate),
     and a write to any of them raises; the Jacobian entries a system returns
@@ -1001,8 +1018,7 @@ def test_grid_tables_are_shared_and_read_only():
     system's Jacobian as they were."""
     problem = entry_by_name("star3_mixed").problem
     grid = Grid(problem.network, 11)
-    one, two = (assemble(problem, grid, eps=eps, junction_mode=mode)
-                for eps, mode in ((0.0, "kirchhoff"), (0.25, "minmax")))
+    one, two = (assemble(problem, grid, eps=eps) for eps in (0.0, 0.25))
     assert one.grid is two.grid is grid
     for v, (hs, _, _) in enumerate(grid.incidence_geometry):
         assert one._vertices[v].hs is hs and two._vertices[v].hs is hs

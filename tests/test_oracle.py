@@ -207,14 +207,20 @@ def test_flux_limited_reference_refuses_what_it_does_not_solve(problem, eps, mat
 EIKONAL_DRAWS = [(seed, B) for B in (0.0, -0.5, None) for seed in (0, 1)]
 
 
-@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
-def test_eikonal_family_converges_at_first_order_to_the_flux_limited_reference(mode):
+@pytest.mark.parametrize("limiter", ["kirchhoff", "minmax"])
+def test_eikonal_family_converges_at_first_order_to_the_flux_limited_reference(
+        flux_limiter, limiter):
     """Six eikonal_problem draws, two each with B = 0, B = -0.5 and B ~
-    U(-1, 1): under either junction mode the scheme converges to the closed
-    form, with observed order >= 0.9 from n = 161 to 641."""
-    for seed, B in EIKONAL_DRAWS:
-        problem = eikonal_problem(np.random.default_rng(seed), B)
-        rows = convergence_table(problem, [161, 321, 641], junction_mode=mode)
+    U(-1, 1), each in the case named by what sets its flux limiter (two
+    where a coupling does, four where A_0 does at every junction): the
+    scheme converges to the closed form, with observed order >= 0.9 from
+    n = 161 to 641."""
+    problems = [(seed, B, eikonal_problem(np.random.default_rng(seed), B))
+                for seed, B in EIKONAL_DRAWS]
+    problems = [d for d in problems if flux_limiter(d[2]) == limiter]
+    assert len(problems) >= 2
+    for seed, B, problem in problems:
+        rows = convergence_table(problem, [161, 321, 641])
         assert [r["reference"] for r in rows] == ["flux-limited"] * 3
         assert all(r["converged"] for r in rows), (seed, B, [r["message"] for r in rows])
         assert min(r["order"] for r in rows[1:]) >= 0.9, (seed, B, rows)
@@ -249,25 +255,29 @@ def test_self_convergence_order(catalog):
 
 
 def test_reference_for_matches_scheme_modes(catalog):
-    """The exact profile and the direct solve are Kirchhoff references.  A
-    junction minmax relaxes (an edge with a + eps = 0) takes the fine-grid
-    reference; where minmax relaxes no junction edge its rows are the
-    Kirchhoff rows, so the Kirchhoff references serve."""
+    """The references in reference_for's order: a catalog entry's exact
+    profile at eps = 0, then the flux-limited closed form, then the direct
+    solve, which imposes F = 0 alone and so serves only where no junction
+    edge is relaxed, then the fine grid."""
     linear = catalog["star2_linear"]
-    for mode in ("kirchhoff", "minmax"):
-        assert reference_for(linear.problem, 11, linear.exact,
-                             junction_mode=mode).method == "exact"
-        assert reference_for(linear.problem, 11, junction_mode=mode).method == "direct-linear"
+    assert reference_for(linear.problem, 11, linear.exact).method == "exact"
+    assert reference_for(linear.problem, 11, linear.exact, eps=0.5).method == "direct-linear"
+    assert reference_for(linear.problem, 11).method == "direct-linear"
     mixed = catalog["star3_mixed"]
-    assert reference_for(mixed.problem, 11, junction_mode="minmax").method == "fine-grid"
-    # the flux-limited reference is the limit of both modes: it serves
-    # where minmax relaxes the junction, and the exact profile elsewhere
+    assert reference_for(mixed.problem, 11).method == "fine-grid"
+    # star3_linear with a = 0 on one edge is linear, but its junction takes
+    # that edge's relaxed clause at eps = 0, which the direct solve omits
+    star3 = catalog["star3_linear"].problem
+    flat = dataclasses.replace(star3, diffusions={**star3.diffusions, 0: constant_diffusion(0.0)})
+    assert reference_for(flat, 11).method == "fine-grid"
+    assert reference_for(flat, 11, eps=0.5).method == "direct-linear"
+    # the exact profile of star3_eikonal is its flux-limited solution:
+    # either serves, the exact one first
     eikonal = catalog["star3_eikonal"]
-    assert reference_for(eikonal.problem, 11, eikonal.exact).method == "exact"
-    for mode in ("kirchhoff", "minmax"):
-        assert reference_for(eikonal.problem, 11, junction_mode=mode).method == "flux-limited"
-    assert reference_for(eikonal.problem, 11, eikonal.exact,
-                         junction_mode="minmax").method == "flux-limited"
+    exact = reference_for(eikonal.problem, 11, eikonal.exact)
+    flux = reference_for(eikonal.problem, 11)
+    assert (exact.method, flux.method) == ("exact", "flux-limited")
+    assert np.max(np.abs(exact.u.values - flux.u.values)) <= 1e-15
     # the boundary rows are relaxed on the degenerate coercive ends of
     # star3_eikonal_loss, as its exact profile is
     loss = catalog["star3_eikonal_loss"]
@@ -356,12 +366,15 @@ def test_convergence_table_rows_after_the_first_are_corrector_steps(
     assert solver.solve_problem(entry.problem, resolutions[-1]).iterations >= cold_iterations
 
 
-@pytest.mark.parametrize("name, resolutions, mode", [
+@pytest.mark.parametrize("name, resolutions, rows", [
     ("star3_mixed", [6, 11, 21], "kirchhoff"),
     ("star3_mixed", [11, 21, 41], "minmax")])
-def test_convergence_table_warm_references_match_cold(monkeypatch, name, resolutions, mode):
+def test_convergence_table_warm_references_match_cold(monkeypatch, name, resolutions, rows):
     """A reference continued from a coarser solution agrees with a cold
-    fine_grid_reference to the solver's tolerance."""
+    fine_grid_reference to the solver's tolerance, with Kirchhoff junction
+    rows (eps = 0.25, so that every edge has a + eps > 0) and with the
+    relaxed one (eps = 0)."""
+    eps = {"kirchhoff": 0.25, "minmax": 0.0}[rows]
     entry = entry_by_name(name)
     refs = {}
     real = oracle.fine_grid_reference
@@ -371,11 +384,11 @@ def test_convergence_table_warm_references_match_cold(monkeypatch, name, resolut
         return refs[nodes]
 
     monkeypatch.setattr(oracle, "fine_grid_reference", recording)
-    convergence_table(entry.problem, resolutions, entry.exact, junction_mode=mode)
+    convergence_table(entry.problem, resolutions, entry.exact, eps=eps)
     monkeypatch.undo()
     assert sorted(refs) == resolutions
     for nodes, ref in refs.items():
-        cold = fine_grid_reference(entry.problem, nodes, junction_mode=mode)
+        cold = fine_grid_reference(entry.problem, nodes, eps=eps)
         assert ref.grid.total_nodes == cold.grid.total_nodes
         assert ref.meta["converged"] and cold.meta["converged"]
         assert _within_tolerance(ref.u.values, cold.u.values), nodes

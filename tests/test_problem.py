@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import knet.problem
 from knet.catalog import all_entries, eikonal_problem, entry_by_name, random_problem
 from knet.analysis import diagnostics_report
-from knet.discretization import JUNCTION_MODES, Grid, assemble, resolve_relaxed_edges
+from knet.discretization import Grid, assemble, resolve_relaxed_edges
 from knet.errors import InvalidCoefficientSign, VertexNotInterior
 from knet.network import star_junction
 from knet.problem import (
@@ -175,7 +175,7 @@ def test_sampled_envelope_is_monotone_in_q():
     4000 steps of [-2, 2] and within 9.4e-3 of the exact eikonal ones (the
     lattice that moved with q gave both a rise and that error); star3_mixed
     with every H rebuilt as a custom one certifies at n = 11, 21 and 41
-    under both junction modes (the moving lattice failed n = 21 under minmax)."""
+    (the moving lattice failed n = 21 with the junction's relaxed clause)."""
     H = Hamiltonian(lambda x, p: np.abs(p) - 1.0, c_h=1.0, coercive=True)
     exact = eikonal(1.0, 1.0)
     q = np.linspace(-2.0, 2.0, 4001)
@@ -187,11 +187,10 @@ def test_sampled_envelope_is_monotone_in_q():
     custom = dataclasses.replace(problem, hamiltonians={
         eid: Hamiltonian(ham, c_h=ham.c_h, coercive=ham.coercive, lipschitz_p=ham.lipschitz_p)
         for eid, ham in problem.hamiltonians.items()})
-    for mode in JUNCTION_MODES:
-        for n in (11, 21, 41):
-            system = assemble(custom, Grid(custom.network, n), junction_mode=mode, probe_samples=0)
-            assert not system.stencil_certificate()
-            assert system.certify_monotone() is None, (mode, n)
+    for n in (11, 21, 41):
+        system = assemble(custom, Grid(custom.network, n), probe_samples=0)
+        assert not system.stencil_certificate()
+        assert system.certify_monotone() is None, n
 
 
 HAMILTONIANS = [
@@ -755,15 +754,14 @@ def _count_scalar_a_calls(problem) -> collections.Counter:
 
 def test_incidence_diffusion_is_evaluated_once_per_problem():
     """a_at_incidence reads a table built on first use, so assembly under
-    both junction modes at two eps, resolve_relaxed_edges, validate_problem,
+    two eps, resolve_relaxed_edges, validate_problem,
     degenerate_set and the diagnostics evaluate each incidence's a once in
     all."""
     problem = entry_by_name("star3_loss_elliptic").problem
     calls = _count_scalar_a_calls(problem)
-    for mode in JUNCTION_MODES:
-        for eps in (0.0, 0.5):
-            system = assemble(problem, Grid(problem.network, 21), eps=eps, junction_mode=mode)
-            resolve_relaxed_edges(problem, eps, mode)
+    for eps in (0.0, 0.5):
+        system = assemble(problem, Grid(problem.network, 21), eps=eps)
+        resolve_relaxed_edges(problem, eps)
     validate_problem(problem)
     for v in problem.network.interior_vertices:
         problem.degenerate_set(v.id)

@@ -112,8 +112,8 @@ def test_viscosity_sweep_demo_runs(capsys):
 
 
 def test_census_records_a_slice_and_compares(tmp_path, capsys, monkeypatch):
-    """The cold set at n = 41: one record per entry and junction mode, each
-    with the documented fields.  A second census with MAX_NEWTON = 2 sends
+    """The cold set at n = 41: one record per entry, each with the
+    documented fields.  A second census with MAX_NEWTON = 2 sends
     some solves into rounds of sweeps and Newton, and --compare lists those
     whose counts changed and how far their solutions moved."""
     import json
@@ -125,14 +125,14 @@ def test_census_records_a_slice_and_compares(tmp_path, capsys, monkeypatch):
     assert census.main(["--sets", "cold", "--nodes", "41", "--out", str(old),
                         "--arrays", str(tmp_path / "old.npz")]) == 0
     records = json.loads(old.read_text())["records"]
-    assert len(records) == 16 and all(r["converged"] for r in records)
+    assert len(records) == 8 and all(r["converged"] for r in records)
     for r in records:
         assert {"id", "set", "converged", "message", "newton_per_level", "rounds",
                 "fallback", "iterations", "residual", "threshold", "wall_s",
                 "u_digest"} <= set(r)
         assert r["residual"] <= r["threshold"] and r["rounds"] == 0
         assert sum(r["newton_per_level"].values()) == r["iterations"]
-    mixed = next(r for r in records if r["id"] == "cold/star3_mixed/kirchhoff/n=41")
+    mixed = next(r for r in records if r["id"] == "cold/star3_mixed/n=41")
     assert mixed["newton_per_level"] == {"n=21": 5, "n=41": 1}
     capsys.readouterr()
 
@@ -145,8 +145,8 @@ def test_census_records_a_slice_and_compares(tmp_path, capsys, monkeypatch):
     assert changed and all(r["fallback"] and r["converged"] for r in changed)
     for r in changed:
         assert f"{r['id']}: iterations " in printed
-    assert "16 solves in both; " in printed and "largest move " in printed
-    assert "converged: 16 -> 16; newly failed: 0" in printed
+    assert "8 solves in both; " in printed and "largest move " in printed
+    assert "converged: 8 -> 8; newly failed: 0" in printed
 
 
 def test_output_digest_reruns_agree(tmp_path, capsys):

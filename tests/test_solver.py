@@ -274,19 +274,22 @@ def test_jacobian_leaves_iterate_untouched(system_cached):
     assert np.array_equal(u, before)
 
 
-@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
+@pytest.mark.parametrize("rows", ["kirchhoff", "minmax"])
 @pytest.mark.parametrize("nodes", [3, 4, 11])
-def test_network_solve_matches_dense_solve(nodes, mode):
+def test_network_solve_matches_dense_solve(junction_rows, nodes, rows):
     """spsolve on _fd_jacobian's network form (a tridiagonal edge block
     bordered by the vertex rows and columns) equals np.linalg.solve on the
     dense matrix of jacobian_entries at the grid's (rows, cols); n = 3 has
-    one interior node between two vertices."""
+    one interior node between two vertices.  The catalog entries and draws
+    whose junction rows are of the shape rows."""
     rng = np.random.default_rng(8)
     problems = ([e.problem for e in all_entries()]
                 + [random_problem(np.random.default_rng(s)) for s in range(6)])
+    problems = [p for p in problems if junction_rows(p) == rows]
+    assert len(problems) >= 3
     for k, problem in enumerate(problems):
         grid = Grid(problem.network, nodes)
-        system = assemble(problem, grid, junction_mode=mode, probe_samples=0)
+        system = assemble(problem, grid, probe_samples=0)
         u = rng.uniform(-2.0, 2.0, grid.total_nodes)
         b = rng.uniform(-1.0, 1.0, grid.total_nodes)
         x = spsolve(_fd_jacobian(system, u, 1e-7), b)
@@ -307,21 +310,24 @@ def _column_stack_spsolve(jac, b):
     return np.concatenate([xv, y[:, 0] - y[:, 1:] @ xv])
 
 
-@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
-def test_fortran_order_rhs_matches_column_stack(mode):
+@pytest.mark.parametrize("rows", ["kirchhoff", "minmax"])
+def test_fortran_order_rhs_matches_column_stack(junction_rows, rows):
     """spsolve's right-hand side, written straight into a Fortran-order
     buffer, gives the column_stack form's solution bit for bit: every
-    catalog entry and random_problem draws 0..11, at n = 3 (one interior
-    node per edge; star2_linear's two give dgtsv one off-diagonal entry),
-    n = 21 and mixed per-edge node counts.  The Jacobian is left as it was."""
+    catalog entry and random_problem draws 0..11 whose junction rows are of
+    the shape rows, at n = 3 (one interior node per edge; star2_linear's two
+    give dgtsv one off-diagonal entry), n = 21 and mixed per-edge node
+    counts.  The Jacobian is left as it was."""
     rng = np.random.default_rng(29)
     problems = ([e.problem for e in all_entries()]
                 + [random_problem(np.random.default_rng(s)) for s in range(12)])
+    problems = [p for p in problems if junction_rows(p) == rows]
+    assert len(problems) >= 3
     for k, problem in enumerate(problems):
         mixed = {e.id: int(rng.integers(3, 14)) for e in problem.network.edges}
         for nodes in (3, 21, mixed):
             grid = Grid(problem.network, nodes)
-            system = assemble(problem, grid, junction_mode=mode, probe_samples=0)
+            system = assemble(problem, grid, probe_samples=0)
             u = rng.uniform(-2.0, 2.0, grid.total_nodes)
             b = rng.uniform(-1.0, 1.0, grid.total_nodes)
             jac = _fd_jacobian(system, u, 1e-7)
@@ -579,25 +585,20 @@ def test_hybrid_returns_the_lowest_residual_run(monkeypatch, system_cached):
                      r"residual \S+ > threshold .*\) \* \S+$", res.message), res.message
 
 
-@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
-def test_loss_elliptic_converges_from_minus_one_at_641(system_cached, mode):
+@pytest.mark.parametrize("rows", ["kirchhoff", "minmax"])
+def test_loss_elliptic_converges_from_minus_one_at_641(junction_rows, rows):
     """star3_loss_elliptic at n = 641 from u = -1, a multistart start that
-    ended unconverged under both junction modes with the SuperLU Newton
-    step: the rounds of sweeps and Newton now converge from Newton's iterate."""
-    system = system_cached("star3_loss_elliptic", 641, junction_mode=mode)
+    ended unconverged with the SuperLU Newton step: the rounds of sweeps
+    and Newton now converge from Newton's iterate.  Its junction row is F =
+    0; with edge 0 made degenerate it takes that edge's relaxed clause."""
+    problem = entry_by_name("star3_loss_elliptic").problem
+    if rows == "minmax":
+        problem = replace(problem, diffusions={**problem.diffusions, 0: constant_diffusion(0.0)})
+    assert junction_rows(problem) == rows
+    system = assemble(problem, Grid(problem.network, 641))
     res = solve_system(system, SolveConfig(max_sweeps=20),
                        GridFunction.full(system.grid, -1.0))
     assert res.converged, res.message
-
-
-def test_junction_modes_agree_at_solution(catalog):
-    """The minmax junction form and the coupling-equation form coincide on
-    the catalog (the envelope clauses are inactive at F = 0)."""
-    entry = entry_by_name("star3_eikonal")
-    grid = Grid(entry.problem.network, 41)
-    u_k = solve_system(assemble(entry.problem, grid)).u.values
-    u_m = solve_system(assemble(entry.problem, grid, junction_mode="minmax")).u.values
-    assert np.max(np.abs(u_k - u_m)) <= 1e-8
 
 
 def test_multistart_unique_root(system_cached):
@@ -625,8 +626,7 @@ def test_valid_draws_converge_at_161(seed):
 
 
 def test_graph5_constant_minmax_converges_at_1281():
-    res = solve_problem(entry_by_name("graph5_constant").problem, 1281,
-                        junction_mode="minmax")
+    res = solve_problem(entry_by_name("graph5_constant").problem, 1281)
     assert res.converged, res.message
     np.testing.assert_allclose(res.u.values, 1.0, atol=1e-9)
 
@@ -642,32 +642,37 @@ def test_multistart_converges_from_every_offset_at_161(system_cached):
 
 
 def test_minmax_multistart_converges_from_every_offset_at_161(system_cached):
-    """The same starts as above under junction_mode="minmax", which the
-    relaxed Kirchhoff condition of the paper asks for.  From +10 Newton
-    reaches MAX_NEWTON and one round of sweeps and Newton finishes."""
-    runs = multistart_solve(system_cached("star3_mixed", 161, junction_mode="minmax"))
+    """The same starts as above: star3_mixed's junction row takes the
+    relaxed clause of its degenerate edge (the relaxed Kirchhoff condition
+    of the paper), and from +10 alone Newton reaches MAX_NEWTON, so that
+    one round of sweeps and Newton finishes."""
+    runs = multistart_solve(system_cached("star3_mixed", 161))
     assert all(r.converged for r in runs), [r.message for r in runs]
+    assert [r.message.endswith("; ran 1 round of sweeps and newton") for r in runs] \
+        == [c == 10.0 for c in solver.MULTISTART_OFFSETS], [r.message for r in runs]
 
 
 @pytest.mark.xfail(strict=True, reason=(
     "Newton's line search stalls at residual 2.41e-10 > threshold 1e-10"))
 def test_graph5_newton_from_minus_one_converges_at_641(system_cached):
-    """Newton alone, from u = -1, on graph5_constant at n = 641 under
-    "minmax"; it converged in 17 iterations before the network-form linear
-    solve.  Every edge has a = 0, so the diffusion's round-off floor does
-    not explain the stall.  The cause is open, likely the edge rows'
-    Jacobian (the roadmap item on Newton's edge rows): H's central quotient
-    is no element of the generalized Jacobian near the kink of |p|."""
-    system = system_cached("graph5_constant", 641, junction_mode="minmax")
+    """Newton alone, from u = -1, on graph5_constant at n = 641; it
+    converged in 17 iterations before the network-form linear solve.  Every
+    edge has a = 0, so the diffusion's round-off floor does not explain the
+    stall.  The cause is open, likely the edge rows' Jacobian (the roadmap
+    item on Newton's edge rows): H's central quotient is no element of the
+    generalized Jacobian near the kink of |p|."""
+    system = system_cached("graph5_constant", 641)
     res = newton_solve(system, SolveConfig(), GridFunction.full(system.grid, -1.0))
     assert res.converged, res.message
 
 
-@pytest.mark.parametrize("mode", ["kirchhoff", "minmax"])
-def test_star3_mixed_converges_from_plus_ten_at_641(system_cached, mode):
-    """star3_mixed at n = 641 from u = +10: Newton reaches MAX_NEWTON, and
-    the rounds, each from the last iterate, converge to the cold solve."""
-    system = system_cached("star3_mixed", 641, junction_mode=mode)
+@pytest.mark.parametrize("rows", ["kirchhoff", "minmax"])
+def test_star3_mixed_converges_from_plus_ten_at_641(system_cached, rows):
+    """star3_mixed at n = 641 from u = +10, with Kirchhoff junction rows
+    (eps = 2^-10, so that its degenerate edge has a + eps > 0) and with the
+    relaxed one (eps = 0): Newton reaches MAX_NEWTON, and the rounds, each
+    from the last iterate, converge to the cold solve."""
+    system = system_cached("star3_mixed", 641, eps={"kirchhoff": 2.0 ** -10, "minmax": 0.0}[rows])
     res = solve_system(system, SolveConfig(), GridFunction.full(system.grid, 10.0))
     cold = solve_system(system)
     assert res.converged, res.message
@@ -677,10 +682,10 @@ def test_star3_mixed_converges_from_plus_ten_at_641(system_cached, mode):
 
 
 def test_graph5_hybrid_from_minus_one_converges_at_641(system_cached):
-    """graph5_constant under "minmax" at n = 641 from u = -1: Newton alone
-    stalls (the strict xfail above), and the hybrid's rounds converge to
-    the cold solve, the constant 1."""
-    system = system_cached("graph5_constant", 641, junction_mode="minmax")
+    """graph5_constant at n = 641 from u = -1: Newton alone stalls (the
+    strict xfail above), and the hybrid's rounds converge to the cold
+    solve, the constant 1."""
+    system = system_cached("graph5_constant", 641)
     res = solve_system(system, SolveConfig(), GridFunction.full(system.grid, -1.0))
     cold = solve_system(system)
     assert res.converged, res.message
@@ -689,18 +694,17 @@ def test_graph5_hybrid_from_minus_one_converges_at_641(system_cached):
 
 
 def test_fallback_rescues_converge(system_cached):
-    """Solves that Newton alone failed on the target grid: from +10 under
-    minmax, graph5_constant and star3_eikonal at n = 161, and
-    star3_loss_elliptic cold at n = 641.  Only convergence is checked, not
-    which run converged, so a solver that needs no rounds passes too."""
-    cases = [("graph5_constant", 161, "minmax", 10.0),
-             ("star3_eikonal", 161, "minmax", 10.0),
-             ("star3_loss_elliptic", 641, "kirchhoff", None)]
-    for name, nodes, mode, start in cases:
-        system = system_cached(name, nodes, junction_mode=mode)
+    """Solves that Newton alone failed on the target grid: from +10,
+    graph5_constant and star3_eikonal at n = 161, and star3_loss_elliptic
+    cold at n = 641.  Only convergence is checked, not which run
+    converged, so a solver that needs no rounds passes too."""
+    cases = [("graph5_constant", 161, 10.0), ("star3_eikonal", 161, 10.0),
+             ("star3_loss_elliptic", 641, None)]
+    for name, nodes, start in cases:
+        system = system_cached(name, nodes)
         u0 = None if start is None else GridFunction.full(system.grid, start)
         res = solve_system(system, SolveConfig(), u0)
-        assert res.converged, (name, nodes, mode, start, res.message)
+        assert res.converged, (name, nodes, start, res.message)
 
 
 def test_cold_solve_neither_sweeps_nor_probes(monkeypatch, system_cached):
@@ -756,18 +760,14 @@ def test_star3_linear_solves_on_its_own_grid_alone(monkeypatch):
 
 
 def test_affine_systems_converge_on_one_level_in_two_steps():
-    """Every affine system among the catalog and draws 0..59, under both
-    junction modes (star2_linear, star3_linear and draw 21), converges on
-    its own grid in at most two Newton steps from zero."""
+    """Every affine system among the catalog and draws 0..59 (star2_linear,
+    star3_linear and draw 21) converges on its own grid in at most two
+    Newton steps from zero."""
     problems = [e.problem for e in all_entries()] + [
         random_problem(np.random.default_rng(s)) for s in range(60)]
-    systems = []
-    for mode in ("kirchhoff", "minmax"):
-        for problem in problems:
-            system = assemble(problem, Grid(problem.network, 41), junction_mode=mode)
-            if system.affine:
-                systems.append(system)
-    assert len(systems) == 6
+    systems = [system for system in (assemble(p, Grid(p.network, 41)) for p in problems)
+               if system.affine]
+    assert len(systems) == 3
     for system in systems:
         res = solve_system(system)
         assert res.converged, res.message
@@ -778,14 +778,12 @@ def test_affine_systems_converge_on_one_level_in_two_steps():
 def test_affine_is_the_direct_solves_linearity_and_no_relaxed_clause():
     """ResidualSystem.affine takes the direct linear solve's test,
     NetworkProblem.why_not_linear, and adds that no vertex row takes a
-    relaxed clause: under minmax a junction edge with a = 0 is relaxed."""
+    relaxed clause: a junction edge with a + eps = 0 is relaxed."""
     linear = entry_by_name("star3_linear").problem
     flat = replace(linear, diffusions={**linear.diffusions, 0: constant_diffusion(0.0)})
-    for problem, modes in [(linear, {"kirchhoff": True, "minmax": True}),
-                           (flat, {"kirchhoff": True, "minmax": False})]:
+    for problem, eps, affine in [(linear, 0.0, True), (flat, 0.0, False), (flat, 0.5, True)]:
         assert problem.why_not_linear() == ""
-        for mode, affine in modes.items():
-            assert assemble(problem, Grid(problem.network, 11), junction_mode=mode).affine is affine
+        assert assemble(problem, Grid(problem.network, 11), eps=eps).affine is affine
     for name, reason in [("star3_eikonal", "edge 0: Hamiltonian is not affine in p"),
                          ("star3_mixed", "vertex 0: coupling family 'pm-split' is not linear")]:
         problem = entry_by_name(name).problem
