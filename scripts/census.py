@@ -12,12 +12,16 @@ Sets (n is nodes per edge):
 Each record holds: converged, the message, Newton's count per level, the
 number of sweep-and-Newton rounds, whether Newton failed on the target grid
 (a fallback), iterations, the residual, the convergence threshold, the wall
-time of the solve (assembly and scipy's one-time import excluded) and a
-digest of the solution.  The
-records are written as JSON; --compare OLD.json lists the solves whose
-outcome or iteration counts changed, and counts the solutions that moved.
-With --arrays the solutions are saved too (.npz), and a comparison of two
-censuses that both saved them reports how far each moved solution moved.
+time of the solve (assembly and scipy's one-time import excluded), a
+digest of the solution and, for a converged solve, its `knet verify`
+outcome: diagnostics_report's ok and the name and location of each FAIL
+check (None for a solve that did not converge).  The records are written
+as JSON; --compare OLD.json lists the solves whose outcome or iteration
+counts changed and those whose verify outcome changed, and counts the
+solutions that moved.  An old census with no verify outcomes compares as
+unknown on that count, not as changed.  With --arrays the solutions are
+saved too (.npz), and a comparison of two censuses that both saved them
+reports how far each moved solution moved.
 
 Usage:
     python3 scripts/census.py --out census.json
@@ -36,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from knet import solver
+from knet.analysis import diagnostics_report
 from knet.catalog import all_entries, eikonal_problem, random_problem
 from knet.discretization import Grid, GridFunction, assemble
 from knet.errors import KnetError
@@ -78,8 +83,13 @@ def _record(case_id, problem, n, start, config):
         return {**rec, "converged": False, "message": f"{type(exc).__name__}: {exc}",
                 "newton_per_level": {}, "rounds": 0, "fallback": False,
                 "iterations": 0, "residual": None, "threshold": None,
-                "wall_s": 0.0, "u_digest": None, "u_max": None}, None
+                "wall_s": 0.0, "u_digest": None, "u_max": None, "verify": None}, None
     u = res.u.values
+    verify = None
+    if res.converged:
+        report = diagnostics_report(problem, res.u, system)
+        verify = {"ok": report.ok, "fails": [[c["name"], c["location"]] for c in report.checks
+                                             if c["verdict"] == "FAIL"]}
     levels = re.search(r"newton iterations per level: ([^;]*)", res.message)
     rounds = re.search(r"ran (\d+) rounds? ", res.message)
     return {**rec, "converged": res.converged, "message": res.message,
@@ -91,7 +101,7 @@ def _record(case_id, problem, n, start, config):
             "iterations": res.iterations, "residual": res.residual_norm,
             "threshold": solver._threshold(config.tol, solver._floor(system), u),
             "wall_s": wall, "u_digest": hashlib.sha256(u.tobytes()).hexdigest()[:16],
-            "u_max": float(np.max(np.abs(u)))}, u
+            "u_max": float(np.max(np.abs(u))), "verify": verify}, u
 
 
 def run(sets, nodes=None, arrays=None):
@@ -117,14 +127,16 @@ def run(sets, nodes=None, arrays=None):
 
 
 def summary(census):
-    """One row per set: converged, fallbacks, failed, total and slowest time."""
+    """One row per set: converged, fallbacks, failed, converged solves that
+    fail verify, total and slowest time."""
     lines = [f"{'set':<12}{'solves':>7}{'converged':>10}{'fallbacks':>10}"
-             f"{'failed':>7}{'total s':>9}{'slowest s':>10}"]
+             f"{'failed':>7}{'not ok':>7}{'total s':>9}{'slowest s':>10}"]
     for name in census["sets"]:
         recs = [r for r in census["records"] if r["set"] == name]
         conv = sum(r["converged"] for r in recs)
         lines.append(f"{name:<12}{len(recs):>7}{conv:>10}"
                      f"{sum(r['fallback'] for r in recs):>10}{len(recs) - conv:>7}"
+                     f"{sum(r['verify'] is not None and not r['verify']['ok'] for r in recs):>7}"
                      f"{sum(r['wall_s'] for r in recs):>9.2f}"
                      f"{max((r['wall_s'] for r in recs), default=0.0):>10.3f}")
     return "\n".join(lines)
@@ -138,12 +150,22 @@ def _arrays(census):
         return {key: saved[key] for key in saved.files}
 
 
+def _verdict(verify) -> str:
+    """A verify outcome as text: PASS, NOT OK (no FAIL check, yet not ok),
+    or FAIL with each failing check; "not converged" for None."""
+    if verify is None:
+        return "not converged"
+    fails = ", ".join(f"{name} at {location}" for name, location in verify["fails"])
+    return "PASS" if verify["ok"] else f"FAIL ({fails})" if fails else "NOT OK"
+
+
 def compare(old, new):
-    """The solves whose outcome or counts changed, then how many solutions
-    moved and, where both censuses saved their arrays, by how much."""
+    """The solves whose outcome or counts changed, then those whose verify
+    outcome changed, then how many solutions moved and, where both
+    censuses saved their arrays, by how much."""
     before = {r["id"]: r for r in old["records"]}
     keys = ("converged", "iterations", "newton_per_level")
-    lines, moved = [], []
+    lines, moved, verdicts, unknown = [], [], [], 0
     for r in new["records"]:
         o = before.get(r["id"])
         if o is None:
@@ -154,10 +176,18 @@ def compare(old, new):
                 + f"; rounds {o['rounds']} -> {r['rounds']}")
         if o["converged"] and r["converged"] and o["u_digest"] != r["u_digest"]:
             moved.append(r["id"])
+        if "verify" not in o or "verify" not in r:
+            unknown += 1
+        elif o["verify"] != r["verify"]:
+            verdicts.append(f"{r['id']}: verify {_verdict(o['verify'])} -> "
+                            f"{_verdict(r['verify'])}")
     common = [r for r in new["records"] if r["id"] in before]
     old_times = [before[r["id"]]["wall_s"] for r in common]
     new_times = [r["wall_s"] for r in common]
     lines.append(f"{len(common)} solves in both; {len(lines)} changed outcome or counts")
+    lines += verdicts
+    lines.append(f"{len(verdicts)} verify verdicts changed"
+                 + (f"; {unknown} unknown (no verify outcome on one side)" if unknown else ""))
     lines.append("converged: {} -> {}; newly failed: {}".format(
         sum(before[r["id"]]["converged"] for r in common),
         sum(r["converged"] for r in common),

@@ -134,8 +134,8 @@ def check_degenerate_edge_inequalities(problem: NetworkProblem, u: GridFunction,
                                        tol: float):
     """Subsolution inequality lam*u_v + H_i(v, p) <= tol for
     EDGE_INEQUALITY_SAMPLES sampled p in [p_low, p_bar], and the
-    supersolution inequality >= -tol on the open interval, on each incident
-    edge with vanishing diffusion.
+    supersolution inequality >= -tol on the open interval, on each relaxed
+    edge of junction vid (NetworkProblem.relaxed: those with a = 0).
 
     A discrete solution meets them to O(h), hence tol = TOL_PER_H * h, and
     some valid problems need a larger constant.  Draw 42 of random_problem
@@ -148,10 +148,9 @@ def check_degenerate_edge_inequalities(problem: NetworkProblem, u: GridFunction,
     uv = float(u.values[u.grid.vertex_gid(vid)])
     lam = problem.lam
     verdicts = []
-    for inc in problem.network.incidence[vid]:
+    for i in problem.relaxed[vid]:
+        inc = problem.network.incidence[vid][i]
         eid = inc.edge.id
-        if problem.a_at_incidence(inc) != 0.0:
-            continue
         ham = problem.hamiltonians[eid]
         xv = inc.vertex_param
         lo, hi = slopes.lower[eid], slopes.upper[eid]
@@ -194,7 +193,7 @@ class ProbeVerdict:
 def _vertex_clause(problem, vid, uv, slopes, side):
     """Junction or boundary clause of the relaxed solution definition at
     vertex vid with value uv, at each of an array of uniform inward test
-    slopes: one H call per degenerate incident edge, and at a junction one
+    slopes: one H call per relaxed incident edge, and at a junction one
     coupling call on the (K, degree) batch.  The min (sub) or max (super)
     over the clause's terms keeps the first extreme, as Python's min and
     max do."""
@@ -202,9 +201,9 @@ def _vertex_clause(problem, vid, uv, slopes, side):
     net = problem.network
     incs = net.incidence[vid]
     interior = net.vertex(vid).kind == INTERIOR
-    # a boundary vertex has one incident edge; a junction, its degenerate ones
+    # a boundary vertex has one incident edge; a junction, its relaxed ones
     vals = [lam * uv + problem.hamiltonians[inc.edge.id](inc.vertex_param, inc.sign * slopes)
-            for inc in incs if not interior or problem.a_at_incidence(inc) == 0.0]
+            for inc in (incs[i] for i in (problem.relaxed[vid] if interior else (0,)))]
     vals.append(problem.kirchhoff[vid](np.full(len(slopes), uv),
                                        np.repeat(slopes[:, None], len(incs), axis=1))
                 if interior else np.full(len(slopes), uv - problem.dirichlet[vid]))

@@ -8,11 +8,11 @@ lam*u - (a+eps)*u_xx + H(x, u_x).  Every vertex row is one formula,
 with d the inward divided differences, base the coupling F(u_v, d) at an
 interior vertex and u_v - g at a boundary vertex, and SC_i(d_i) the state
 constraint of edge i, min of H over the one-sided slopes below d_i.  One
-rule, resolve_relaxed_edges, fixes the relaxed edges at assembly: a
-boundary vertex's edge where a + eps = 0 and H is coercive (the Dirichlet
-datum in the viscosity sense) and a junction's edges with a + eps = 0 (the
-Kirchhoff condition in the relaxed sense, F or the degenerate edge
-equation); none elsewhere.  A junction whose every edge has a + eps > 0
+rule, NetworkProblem.relaxed, fixes the relaxed edges: at eps = 0, a
+boundary vertex's edge where a = 0 and H is coercive (the Dirichlet datum
+in the viscosity sense) and a junction's edges with a = 0 (the Kirchhoff
+condition in the relaxed sense, F or the degenerate edge equation); none
+elsewhere, and none at all once eps > 0.  A junction with no relaxed edge
 imposes F = 0 alone.  A boundary row with no relaxed edge is the strong
 equation u_v = g and reads no slope.  The problem fixes the
 Lax-Friedrichs dissipation too: theta on each edge is its H's lipschitz_p.
@@ -32,9 +32,9 @@ correction requires a + eps >= theta*h/2, so slope_bound <= theta
 suffices.  The exact envelopes make every relaxed clause monotone, a max
 of monotone rows is monotone, and a built-in row that is finite at one u
 is finite at every u.  So ResidualSystem.stencil_certificate checks only
-that every H and coupling is an exact Hamiltonian or KirchhoffCondition
-record of a built-in family (a subclass may override slope_bound or an
-envelope), that slope_bound <= theta and a + eps >= 0, and that own_coeff
+that every H and coupling is builtin, an exact record of a built-in
+family (a subclass may override slope_bound or an envelope, an fn any
+fact), that slope_bound <= theta and a + eps >= 0, and that own_coeff
 and every vertex row are finite at u = 0.  Where it fails, as for custom
 data, certify_monotone returns the witness of probe_monotone, which probes
 every row by finite differences, the vertex rows through _vertex_rows'
@@ -59,18 +59,18 @@ edge, node V + k, in C at (v, k).
 The grid owns the scheme's geometry, built on first use and shared by
 every system on it: over the interior edge nodes, numbered V..N-1 edge
 after edge, the edge table (x, h, h^2 per node), each edge's slice of it
-and the two sweep classes; per vertex, each incidence's h, inward sign and
-edge coordinate, and the row's unit moves for central differences and its
-entries as a strong row, all read-only.  Per problem it keeps what the
-problem fixes, Grid.scheme: a, theta, the H of each family run and each
-incidence's a and H, built at the first assembly, read by every later one
-(each step of a viscosity schedule) and dropped with the grid, which each
-operation makes anew.  A problem is frozen, with read-only maps, so no
-later system reads stale tables.  A system adds what eps decides: a + eps,
-the coefficients below and the vertex rows, each resolved at assembly to
-what its formula reads on every call: per relaxed edge the envelope,
-inward sign and x at the vertex, per ghost-corrected edge its H, sign, x,
-h/2 and a + eps.  One row formula,
+and the two sweep classes; per vertex row, its unit moves for central
+differences and its entries as a strong row, all read-only.  Per problem
+it keeps what the problem fixes, Grid.scheme: a, theta and the H of each
+family run over the edge table, and each vertex's stencil: per incidence
+its h, H, inward sign, x at the vertex, h/2, a and theta*h/2, and per
+relaxed edge at eps = 0 the envelope, sign and x its clause reads.  They
+are built at the first assembly, read by every later one (each step of a
+viscosity schedule) and dropped with the grid, which each operation makes
+anew.  A problem is frozen, with read-only maps, so no later system reads
+stale tables.  A system adds what eps decides: a + eps, the coefficients
+below, the clauses only at eps = 0, and the ghost-corrected edges, each
+with its a + eps.  One row formula,
 ResidualSystem._edge_rows, writes every edge row in one call (one H call
 per family run) in residual(), and entry gid - V alone in residual_node,
 the one-node reference the tests compare against, with the same bits.  H
@@ -88,15 +88,14 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from .errors import MonotonicityProbeFailed
-from .network import INTERIOR, Network, NetworkPoint
-from .problem import Hamiltonian, KirchhoffCondition, NetworkProblem, larger
+from .network import Network, NetworkPoint
+from .problem import NetworkProblem, larger
 
 PROBE_STEP = 1e-6  # probe_monotone's perturbation of one input
 PROBE_TOL = 1e-9  # largest change of the wrong sign it forgives
@@ -220,16 +219,6 @@ class Grid:
                          values[self.node_ids[eid]])
 
     @cached_property
-    def incidence_geometry(self) -> list:
-        """Per vertex, in vertex order, three read-only arrays over its
-        incidences in vertex_inputs' order: the edge's h, the inward sign
-        (+1 where the vertex sits at t = 0) and the vertex's edge
-        coordinate."""
-        return [tuple(_read_only(np.array(col)) for col in zip(*[
-            (self.spacing[inc.edge.id], inc.sign, inc.vertex_param)
-            for inc in self.network.incidence[v.id]])) for v in self.network.vertices]
-
-    @cached_property
     def vertex_moves(self) -> list:
         """Per vertex row, in vertex order, two read-only arrays over its
         m inputs: the unit moves of its central differences, row i raising
@@ -311,30 +300,52 @@ class Grid:
         return self._schemes[id(problem)][1]
 
 
+class _VertexStencil(NamedTuple):
+    """One vertex row's stencil, incidences in Grid.vertex_inputs' order.
+    SchemeTables builds it once per grid with the clauses at eps = 0 and no
+    ghost; each system fills in clauses, ghosts and strong at its eps."""
+    hs: np.ndarray  # each incident edge's h, read-only
+    incidences: tuple  # (H, inward sign, x at the vertex, h/2, a, theta*h/2) each
+    coupling: object  # a junction's KirchhoffCondition, else None
+    h_dirichlet: float  # a boundary vertex's datum, else 0
+    clauses: tuple  # (i, envelope, inward sign, x at the vertex) per relaxed edge
+    ghosts: tuple = ()  # (i, H, inward sign, x at the vertex, h/2, a + eps) per corrected edge
+    strong: bool = False  # a boundary row u_v - g, which reads no slope
+
+
 class SchemeTables:
     """What a problem fixes on a grid, shared read-only by every system on
     it (Grid.scheme).  Over the edge table: a, theta (lipschitz_p), c and d
     (Hamiltonian.table's, nan on an edge with none) and runs, the
     Hamiltonian as (slice, fn), one per run of consecutive edges with one
-    table g, fn = c*g(p) + d, else one per edge, fn its H.  Per vertex,
-    tuples over its incidences: a, the H records and theta*h/2, the least
-    a + eps whose ghost correction keeps the row monotone.  builtin: every
-    H and coupling is an exact built-in record, with slope_bound <= theta."""
+    table g, fn = c*g(p) + d, else one per edge, fn its H.  vertices: each
+    vertex's _VertexStencil, in vertex order; theta*h/2 is the least a + eps
+    whose ghost correction keeps the row monotone.  builtin: every H and
+    coupling is an exact built-in record, with slope_bound <= theta."""
 
     def __init__(self, problem: NetworkProblem, grid: Grid):
         x = grid.edge_table[0]
         self.a, self.theta, self.c, self.d = (np.empty_like(x) for _ in range(4))
         edges = [(s, problem.hamiltonians[eid]) for eid, s in grid.edge_slices.items()]
-        table = lambda ham: ham.table if type(ham) is Hamiltonian else None
+        table = lambda ham: ham.table if ham.builtin else None
         for (s, ham), eid in zip(edges, grid.edge_slices):
             self.a[s], self.theta[s] = problem.diffusions[eid].a(x[s]), ham.lipschitz_p
             _, self.c[s], self.d[s] = table(ham) or (None, np.nan, np.nan)
         self.vertices = []
-        for v, (hs, _, _) in zip(problem.network.vertices, grid.incidence_geometry):
+        for v in problem.network.vertices:
             incs = problem.network.incidence[v.id]
-            hams = tuple(problem.hamiltonians[inc.edge.id] for inc in incs)
-            self.vertices.append((tuple(problem.a_at_incidence(inc) for inc in incs), hams, tuple(
-                float(0.5 * ham.lipschitz_p * h) for ham, h in zip(hams, hs))))
+            hams = [problem.hamiltonians[inc.edge.id] for inc in incs]
+            hs, signs, x_at_v = (_read_only(np.array(col)) for col in zip(*[
+                (grid.spacing[inc.edge.id], inc.sign, inc.vertex_param) for inc in incs]))
+            # each relaxed edge's state constraint: min of H below the inward
+            # slope where the vertex sits at t = 0, else above
+            clauses = tuple([(i, hams[i].min_below if signs[i] > 0 else hams[i].min_above,
+                              signs[i], x_at_v[i]) for i in problem.relaxed[v.id]])
+            self.vertices.append(_VertexStencil(hs, tuple(
+                (ham, signs[i], x_at_v[i], 0.5 * hs[i], problem.a_at_incidence(inc),
+                 float(0.5 * ham.lipschitz_p * hs[i]))
+                for i, (inc, ham) in enumerate(zip(incs, hams))),
+                problem.kirchhoff.get(v.id), problem.dirichlet.get(v.id, 0.0), clauses))
         for arr in (self.a, self.theta, self.c, self.d):
             _read_only(arr)
         self.runs = []  # keyed by g, or for an edge with no table by its own slice
@@ -344,11 +355,8 @@ class SchemeTables:
             c, d = self.c[s], self.d[s]  # views of read-only arrays are read-only
             self.runs.append((s, run[0][1] if table(run[0][1]) is None
                               else lambda x, p, g=g, c=c, d=d: c * g(p) + d))
-        builtin = lambda record, cls: type(record) is cls and record.family != "custom"
-        self.builtin = (all(builtin(ham, Hamiltonian) and ham.slope_bound <= ham.lipschitz_p
-                            for _, ham in edges)
-                        and all(c is None or builtin(c, KirchhoffCondition) for c in (
-                            problem.kirchhoff.get(v.id) for v in problem.network.vertices)))
+        self.builtin = (all(ham.builtin and ham.slope_bound <= ham.lipschitz_p for _, ham in edges)
+                        and all(vt.coupling is None or vt.coupling.builtin for vt in self.vertices))
 
 
 class GridFunction:
@@ -406,17 +414,6 @@ def lax_friedrichs(ham, x, p_minus, p_plus, theta):
     return ham(x, 0.5 * (p_minus + p_plus)) - 0.5 * theta * (p_plus - p_minus)
 
 
-@dataclass
-class _VertexStencil:
-    # edges by position in coupling component order, as incidence_geometry
-    hs: np.ndarray  # each incident edge's h
-    ghosts: tuple  # (i, H, inward sign, x at the vertex, h/2, a + eps) per ghost-corrected edge
-    coupling: object  # interior: KirchhoffCondition, else None
-    h_dirichlet: float  # boundary: Dirichlet datum, else 0
-    clauses: tuple  # (i, envelope, inward sign, x at the vertex) per relaxed edge
-    strong: bool  # a boundary row u_v - g, which reads no slope
-
-
 class ResidualSystem:
     """Assembled monotone discrete operator; immutable after assembly."""
 
@@ -427,24 +424,17 @@ class ResidualSystem:
         self._tables = tables = grid.scheme(problem)
         self._a, self._theta = tables.a + self.eps, tables.theta
 
-        relaxed = resolve_relaxed_edges(problem, self.eps)
         self._vertices = []
-        for v, (a, hams, ghost), (hs, signs, x_at_v) in zip(
-                problem.network.vertices, tables.vertices, grid.incidence_geometry):
-            # each relaxed edge's state constraint: min of H below the inward
-            # slope where the vertex sits at t = 0, else above
-            clauses = tuple([(i, hams[i].min_below if signs[i] > 0 else hams[i].min_above,
-                              signs[i], x_at_v[i]) for i in relaxed[v.id]])
-            coupling = problem.kirchhoff.get(v.id)
-            strong = coupling is None and not clauses
+        for st in tables.vertices:
+            clauses = st.clauses if self.eps == 0.0 else ()  # NetworkProblem.relaxed
+            strong = st.coupling is None and not clauses
             # second-order ghost correction only where it keeps the stencil
             # monotone: a + eps must dominate theta*h/2; a strong row reads no slope
             ghosts = () if strong else tuple([
-                (i, hams[i], signs[i], x_at_v[i], 0.5 * hs[i], a_v)
-                for i, a_v in enumerate(a_v + self.eps for a_v in a)
-                if a_v > 0.0 and a_v >= ghost[i]])
-            self._vertices.append(_VertexStencil(
-                hs, ghosts, coupling, problem.dirichlet.get(v.id, 0.0), clauses, strong))
+                (i, ham, sign, x, half_h, a + self.eps)
+                for i, (ham, sign, x, half_h, a, least) in enumerate(st.incidences)
+                if a + self.eps > 0.0 and a + self.eps >= least])
+            self._vertices.append(st._replace(clauses=clauses, ghosts=ghosts, strong=strong))
 
         # own_coeff[j]: slope of an edge row, affine in its own value u[j],
         # read off the row formula as row(u[j] = 1) - row(u[j] = 0); 0 at
@@ -665,25 +655,6 @@ class ResidualSystem:
             r = self._vertex_moved(v, u[:, inputs], np.vstack([np.zeros(m), step * np.eye(m)]))
             deltas.append(r[:, 1:] - r[:, :1])
         return np.concatenate(deltas, axis=1)
-
-
-def resolve_relaxed_edges(problem: NetworkProblem, eps: float) -> dict:
-    """Per vertex id, the incident edges (positions in its incidence list)
-    whose state-constraint clause its row takes: a boundary vertex's edge
-    where a + eps = 0 and H is coercive (the Dirichlet datum in the
-    viscosity sense), and a junction's edges with a + eps = 0 (Kirchhoff or
-    the edge equation, the relaxed condition of Imbert & Monneau, Ann. Sci.
-    ENS 50, 2017).  Else none: where a + eps > 0 the diffusion keeps the
-    datum, so only u = g, or F = 0, is right."""
-    out = {}
-    for v in problem.network.vertices:
-        incs = problem.network.incidence[v.id]
-        flat = [problem.a_at_incidence(inc) + eps == 0.0 for inc in incs]
-        if v.kind == INTERIOR:
-            out[v.id] = tuple(i for i, f in enumerate(flat) if f)
-        else:
-            out[v.id] = (0,) if flat[0] and problem.hamiltonians[incs[0].edge.id].coercive else ()
-    return out
 
 
 def check_scheme(eps: float = 0.0) -> None:

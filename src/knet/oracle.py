@@ -35,11 +35,11 @@ from typing import Optional
 
 import numpy as np
 
-from .discretization import Grid, GridFunction, assemble, check_nodes, resolve_relaxed_edges
+from .discretization import Grid, GridFunction, assemble, check_nodes
 from .errors import (GridTooCoarse, NonPositiveError, ProblemNotEikonal, ProblemNotLinear,
                      SingularSystem)
 from .network import INTERIOR
-from .problem import Hamiltonian, KirchhoffCondition, NetworkProblem
+from .problem import NetworkProblem
 from .solver import SolveConfig, solve_system
 
 REFINE = 4  # a fine-grid reference has REFINE cells per cell of its grid
@@ -141,12 +141,12 @@ def _eikonal_data(problem: NetworkProblem, nodes_per_edge, eps: float):
         raise ProblemNotEikonal(f"eps = {eps} > 0: the closed form is first order")
     for v in problem.network.interior_vertices:
         cond = problem.kirchhoff[v.id]
-        if type(cond) is not KirchhoffCondition or cond.family != "classical":
+        if not cond.builtin or cond.family != "classical":
             raise ProblemNotEikonal(f"vertex {v.id}: coupling family {cond.family!r} "
                                     "is not classical")
     for e in problem.network.edges:
         ham = problem.hamiltonians[e.id]
-        if type(ham) is not Hamiltonian or ham.family != "eikonal":
+        if not ham.builtin or ham.family != "eikonal":
             raise ProblemNotEikonal(f"edge {e.id}: Hamiltonian {ham.name} is not eikonal")
     grid = Grid(problem.network, nodes_per_edge)
     for e in problem.network.edges:
@@ -246,15 +246,17 @@ def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
                   eps: float = 0.0, solved=None) -> ReferenceSolution:
     """The best available reference for the scheme with viscosity eps, the
     first that applies of: the exact profile exact(edge id, t) when eps = 0,
-    flux_limited_reference, the direct linear solve where no junction edge
-    is relaxed, and a REFINE-times refined run of the scheme itself.
+    flux_limited_reference, the direct linear solve where eps > 0 or
+    NetworkProblem.relaxed relaxes no junction edge, and a REFINE-times
+    refined run of the scheme itself.
 
     A catalog entry's exact profile and the flux-limited reference are the
     relaxed viscosity solution, the limit of the scheme.  The direct solve
     imposes the Kirchhoff condition F = 0 alone, which is the scheme's
-    junction row only where resolve_relaxed_edges relaxes no junction edge.
-    Every reference holds the boundary data as the scheme's boundary rows
-    impose them: relaxed where a + eps = 0 and H is coercive (an exact
+    junction row wherever the junction takes no clause: at every junction
+    once eps > 0, and at eps = 0 at one with no relaxed edge.  Every
+    reference holds the boundary data as the scheme's boundary rows impose
+    them: relaxed at eps = 0 where a = 0 and H is coercive (an exact
     profile that detaches there), strong elsewhere, which is every boundary
     vertex of a linear problem, since an affine H is not coercive.  solved
     passes on to fine_grid_reference: default-config solves of this scheme
@@ -266,8 +268,7 @@ def reference_for(problem: NetworkProblem, nodes_per_edge, exact=None,
         return flux_limited_reference(problem, nodes_per_edge, eps=eps)
     except ProblemNotEikonal:
         pass
-    relaxed = resolve_relaxed_edges(problem, eps)
-    if not any(relaxed[v.id] for v in problem.network.interior_vertices):
+    if eps > 0.0 or not any(problem.relaxed[v.id] for v in problem.network.interior_vertices):
         try:
             return direct_linear_solve(problem, nodes_per_edge, eps=eps)
         except (ProblemNotLinear, GridTooCoarse):

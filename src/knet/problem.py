@@ -24,7 +24,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidCoefficientSign, VertexNotInterior
+from .errors import InvalidCoefficientSign
 from .network import INTERIOR, Incidence, Network
 
 LATTICE_RESOLUTION = 16  # validate_problem's x-samples per edge
@@ -53,6 +53,12 @@ def _family_facts(record, families: dict, **args):
     object.__setattr__(record, "params", MappingProxyType(
         {k: tuple(v) if isinstance(v, (list, np.ndarray)) else v for k, v in record.params.items()}))
     return families[record.family](**args, **record.params)
+
+
+def _builtin(record) -> bool:
+    """Whether record is an exact built-in: of its class itself, since a
+    subclass may override a fact of its family, and with no fn."""
+    return type(record) in (Hamiltonian, KirchhoffCondition) and record.fn is None
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +116,8 @@ class Hamiltonian:
     taking numpy arrays in either argument, with sampled envelopes and no
     slope_bound, affine data or table.
     Handing a built-in an fn makes it custom; replacing another field keeps it.
+    builtin holds for an exact built-in, of this class itself and with no
+    fn: only its facts are trusted (ResidualSystem.stencil_certificate).
 
     c_h is the declared structure constant (Lipschitz in x and p);
     lipschitz_p may be smaller and drives the default numerical dissipation.
@@ -136,6 +144,7 @@ class Hamiltonian:
     def __deepcopy__(self, memo):  # a record is a value; its mappingproxy cannot be deep-copied
         return replace(self, params=dict(self.params))
 
+    builtin = property(_builtin)
     name = property(lambda self: self._facts.name)
     slope_bound = property(lambda self: self._facts.slope_bound)
     affine = property(lambda self: self._facts.affine)
@@ -300,7 +309,8 @@ class KirchhoffCondition:
     A built-in (make_kirchhoff) is a record (family, params) with fn None,
     whose _COUPLING_FAMILIES entry checks the signs that make F monotone and
     derives F and quantitative_slope; a custom coupling is an fn, with slope
-    0.  Handing a built-in an fn makes it custom.
+    0.  Handing a built-in an fn makes it custom; builtin, as for a
+    Hamiltonian, holds for an exact built-in record.
     """
 
     arity: int
@@ -314,6 +324,7 @@ class KirchhoffCondition:
                            or _CouplingFacts(self.fn, 0.0))
 
     __deepcopy__ = Hamiltonian.__deepcopy__
+    builtin = property(_builtin)
     quantitative_slope = property(lambda self: self._facts.quantitative_slope)
 
     def __call__(self, r, p):
@@ -411,12 +422,22 @@ class NetworkProblem:
         incidence built on first use."""
         return self._incidence_a[inc.edge.id, inc.at_tail]
 
-    def degenerate_set(self, vid: int):
-        """Incident edges whose diffusion vanishes at the vertex."""
-        if self.network.vertex(vid).kind != INTERIOR:
-            raise VertexNotInterior(f"vertex {vid} is not interior")
-        return tuple(inc.edge.id for inc in self.network.incidence[vid]
-                     if self.a_at_incidence(inc) == 0.0)
+    @cached_property
+    def relaxed(self) -> Mapping:
+        """Per vertex id, the incidences (positions in its incidence list)
+        whose state constraint the vertex condition takes at eps = 0: a
+        junction's edges with a = 0 (the Kirchhoff condition in the relaxed
+        sense of Imbert & Monneau, Ann. Sci. ENS 50, 2017) and a boundary
+        vertex's edge where a = 0 and H is coercive (the Dirichlet datum in
+        the viscosity sense).  Where a > 0 the diffusion keeps the datum, so
+        only F = 0, or u = g, is right.  A positive eps relaxes nothing:
+        a = sigma^2 >= 0, so a + eps = 0 only where eps = 0 and a = 0."""
+        out = {}
+        for v in self.network.vertices:
+            incs = self.network.incidence[v.id]
+            out[v.id] = tuple(i for i, inc in enumerate(incs) if self.a_at_incidence(inc) == 0.0) \
+                if v.kind == INTERIOR or self.hamiltonians[incs[0].edge.id].coercive else ()
+        return MappingProxyType(out)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +484,7 @@ def _decided_by_facts(H: Hamiltonian, slack: float) -> bool:
     constant f) and its facts pass the edge checks: H does not read x,
     slope_bound <= c_h, and if H is declared coercive, H - (|p|/c_h - c_h)
     is linear in |p| on each side of 0, least at a lattice end or at 0."""
-    if type(H) is not Hamiltonian or H.table is None or not H.slope_bound <= H.c_h:
+    if not H.builtin or H.table is None or not H.slope_bound <= H.c_h:
         return False
     ends = np.array([-P_RANGE, 0.0, P_RANGE])
     return not H.coercive or not np.any(
@@ -548,7 +569,7 @@ def validate_problem(problem: NetworkProblem) -> ValidationReport:
         state = rng.bit_generator.state
         draws = rng.random((64, 2 + 2 * n))
         witness = None
-        if type(F) is not KirchhoffCondition or F.fn is not None:
+        if not F.builtin:
             s = -P_RANGE + 2.0 * P_RANGE * draws[:, 0]
             r = s + P_RANGE * draws[:, 1]
             q = -P_RANGE + 2.0 * P_RANGE * draws[:, 2:2 + n]
@@ -570,10 +591,10 @@ def validate_problem(problem: NetworkProblem) -> ValidationReport:
         check("kirchhoff_coercive", loc, values < 1e3,
               lambda i: {"component": int(i), "value": float(values[i])})
 
-    # steady assumption: degenerate incident edges need coercive Hamiltonians
+    # steady assumption: relaxed (degenerate) junction edges need coercive Hamiltonians
     for v in problem.network.interior_vertices:
-        deg = problem.degenerate_set(v.id)
-        bad = [e for e in deg if not problem.hamiltonians[e].coercive]
+        edges = [problem.network.incidence[v.id][i].edge.id for i in problem.relaxed[v.id]]
+        bad = [e for e in edges if not problem.hamiltonians[e].coercive]
         entries.append(CheckEntry("steady_degenerate_coercive", f"vertex {v.id}", not bad,
                                   {"edges": bad} if bad else None))
 

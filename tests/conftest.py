@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from knet.catalog import all_entries, entry_by_name
-from knet.discretization import Grid, assemble, resolve_relaxed_edges
+from knet.discretization import Grid, assemble
 from knet.solver import SolveConfig, solve_problem
 
 
@@ -48,14 +48,15 @@ def system_cached():
 @pytest.fixture(scope="session")
 def junction_rows():
     """junction_rows(problem) -> the shape of problem's junction rows at
-    eps = 0: "minmax" where some junction edge has a = 0, so that its row
-    maxes the coupling F with that edge's state constraint (the relaxed
-    Kirchhoff condition), else "kirchhoff", F = 0 alone.  A test over many
-    problems that is parametrized by these two names checks each problem
-    once, under its own name."""
+    eps = 0: "minmax" where NetworkProblem.relaxed relaxes some junction
+    edge (one with a = 0), so that its row maxes the coupling F with that
+    edge's state constraint (the relaxed Kirchhoff condition), else
+    "kirchhoff", F = 0 alone.  The two ids are legacy names for these row
+    shapes, not modes: there is one junction rule.  A test over many
+    problems that is parametrized by them checks each problem once, under
+    its own shape."""
     def rows(problem):
-        relaxed = resolve_relaxed_edges(problem, 0.0)
-        return "minmax" if any(relaxed[v.id] for v in problem.network.interior_vertices) \
+        return "minmax" if any(problem.relaxed[v.id] for v in problem.network.interior_vertices) \
             else "kirchhoff"
     return rows
 
@@ -67,7 +68,8 @@ def flux_limiter():
     H_e = c_e|p| - f_e, every coupling classical): "kirchhoff" where at some
     junction the coupling's A_B = -(B + sum f_e/c_e) / sum 1/c_e exceeds
     A_0 = max_e min_p H_e = -min_e f_e, else "minmax", A_0 at every
-    junction, which B then does not reach."""
+    junction, which B then does not reach.  The two ids are legacy names
+    for what sets the limiter, not modes of the scheme."""
     def limiter(problem):
         net = problem.network
         for v in net.interior_vertices:

@@ -13,7 +13,6 @@ from knet.discretization import (
     ResidualSystem,
     assemble,
     lax_friedrichs,
-    resolve_relaxed_edges,
 )
 from knet.errors import InvalidCoefficientSign, MonotonicityProbeFailed
 from knet.network import star_junction
@@ -60,10 +59,11 @@ def test_grid_mixed_resolution():
 def test_grid_tables_equal_the_per_edge_lattices():
     """On a grid with its own node count per edge, each edge's slice of the
     edge table holds its interior coords, spacing and spacing**2 bit for
-    bit, node_location reads them, each vertex's incidence geometry holds
-    its edges' spacing, inward sign and end coordinate, and the two sweep
+    bit, node_location reads them, each vertex's scheme tables hold its
+    edges' spacing, inward sign and end coordinate, and the two sweep
     classes split every edge's interior nodes into alternate ones."""
-    net = entry_by_name("graph5_constant").problem.network
+    problem = entry_by_name("graph5_constant").problem
+    net = problem.network
     grid = Grid(net, {e.id: 3 + 2 * e.id + e.id % 2 for e in net.edges})
     nv = len(net.vertices)
     x, h, hsq = grid.edge_table
@@ -78,9 +78,11 @@ def test_grid_tables_equal_the_per_edge_lattices():
         assert np.array_equal(classes[0], np.arange(s.start, s.stop, 2))
         assert np.array_equal(classes[1], np.arange(s.start + 1, s.stop, 2))
     assert sum(s.stop - s.start for s in grid.edge_slices.values()) == len(x)
-    for v, (hs, signs, x_at_v) in zip(net.vertices, grid.incidence_geometry):
+    for v, vt in zip(net.vertices, grid.scheme(problem).vertices):
         incs = net.incidence[v.id]
-        assert np.array_equal(hs, [grid.spacing[i.edge.id] for i in incs])
+        _, signs, x_at_v, half_h, _, _ = zip(*vt.incidences)
+        assert np.array_equal(vt.hs, [grid.spacing[i.edge.id] for i in incs])
+        assert np.array_equal(half_h, 0.5 * vt.hs)
         assert np.array_equal(signs, [1.0 if i.at_tail else -1.0 for i in incs])
         assert np.array_equal(x_at_v, [grid.coords[i.edge.id][0 if i.at_tail else -1]
                                        for i in incs])
@@ -882,22 +884,37 @@ def test_node_classification_and_dependents(system_cached):
 
 
 def test_resolve_relaxed_edges():
-    """A boundary row is relaxed on its edge where a + eps = 0 and H is
-    coercive, else strong; a junction takes the clause of every edge where
-    a + eps = 0, whatever its H, and of no other."""
+    """An assembled system relaxes a boundary row on its edge where
+    a + eps = 0 and H is coercive, else keeps it strong; a junction takes
+    the clause of every edge where a + eps = 0, whatever its H, and of no
+    other: at eps = 0 each vertex row's clauses are those of
+    NetworkProblem.relaxed, at eps > 0 none."""
     degen = entry_by_name("star3_eikonal").problem
     elliptic = entry_by_name("star2_linear").problem
     mixed = entry_by_name("star3_mixed").problem
-    boundary = {1: (0,), 2: (0,), 3: (0,)}
-    assert resolve_relaxed_edges(degen, 0.0) == {0: (0, 1, 2), **boundary}
-    assert set(resolve_relaxed_edges(degen, 0.1).values()) == {()}
-    assert set(resolve_relaxed_edges(elliptic, 0.0).values()) == {()}
-    assert resolve_relaxed_edges(mixed, 0.0) == {0: (0,), 1: (0,), 2: (), 3: ()}
-    assert resolve_relaxed_edges(mixed, 0.0)[0] == mixed.degenerate_set(0)
     # an advection H is not coercive: the boundary row at vertex 1 turns
     # strong, the junction still takes the edge's clause
     flat = dataclasses.replace(mixed, hamiltonians={**mixed.hamiltonians, 0: advection(0.5, 0.2)})
-    assert resolve_relaxed_edges(flat, 0.0) == {0: (0,), 1: (), 2: (), 3: ()}
+
+    def resolved(problem, eps):
+        system = assemble(problem, Grid(problem.network, 11), eps=eps, probe_samples=0)
+        out = {}
+        for v in problem.network.vertices:
+            out[v.id] = tuple(i for i, *_ in system._vertices[v.id].clauses)
+            if v in problem.network.boundary_vertices:
+                kind = system.node_classification(system.grid.vertex_gid(v.id))
+                assert kind == ("boundary-relaxed" if out[v.id] else "boundary-strong")
+        return out
+
+    boundary = {1: (0,), 2: (0,), 3: (0,)}
+    assert resolved(degen, 0.0) == {0: (0, 1, 2), **boundary}
+    assert set(resolved(degen, 0.1).values()) == {()}
+    assert set(resolved(elliptic, 0.0).values()) == {()}
+    assert resolved(mixed, 0.0) == {0: (0,), 1: (0,), 2: (), 3: ()}
+    assert set(resolved(mixed, 0.1).values()) == {()}
+    assert resolved(flat, 0.0) == {0: (0,), 1: (), 2: (), 3: ()}
+    for problem in (degen, elliptic, mixed, flat):
+        assert resolved(problem, 0.0) == problem.relaxed
 
 
 def test_resolve_theta():
@@ -990,8 +1007,10 @@ def test_systems_sharing_a_grid_match_a_fresh_grid_bit_for_bit(catalog_and_draws
 def test_scheme_tables_are_shared_and_read_only():
     """Every system on a grid reads one SchemeTables per problem, and no
     shared array can be written: a, theta, c and d, each run's views of c
-    and d and the Jacobian's destinations; each vertex's a, H records and
-    ghost bounds are tuples."""
+    and d, each vertex's h per incidence and the Jacobian's destinations.
+    Each vertex's stencil is built once: its incidences (H, sign, x, h/2,
+    a, theta*h/2) and its clauses at eps = 0, whose envelopes the system at
+    eps = 0 reads and the one at eps = 0.25 drops."""
     problem = entry_by_name("star3_mixed").problem
     grid = Grid(problem.network, 11)
     systems = [assemble(problem, grid, eps=eps) for eps in (0.0, 0.25)]
@@ -1001,8 +1020,18 @@ def test_scheme_tables_are_shared_and_read_only():
     runs = [arr for _, fn in tables.runs for arr in (getattr(fn, "__defaults__", None) or ())
             if isinstance(arr, np.ndarray)]
     assert len(runs) == 4  # eikonal on edge 0, then one advection run over edges 1 and 2
-    assert all(type(part) is tuple for vertex in tables.vertices for part in vertex)
-    for arr in [tables.a, tables.theta, tables.c, tables.d, grid.border[1], *runs]:
+    net, ham = problem.network, problem.hamiltonians[0]
+    for v, vt, one, two in zip(net.vertices, tables.vertices, *(s._vertices for s in systems)):
+        assert type(vt.incidences) is tuple and one.hs is two.hs is vt.hs
+        assert [a for *_, a, _ in vt.incidences] == [
+            problem.a_at_incidence(inc) for inc in net.incidence[v.id]]
+        assert [i for i, *_ in vt.clauses] == list(problem.relaxed[v.id])
+        assert one.clauses is vt.clauses and two.clauses == ()
+    # edge 0 (a = 0, eikonal) is relaxed at the junction, its tail, and at its head
+    assert [vt.clauses for vt in tables.vertices] == [
+        ((0, ham.min_below, 1.0, 0.0),), ((0, ham.min_above, -1.0, 1.0),), (), ()]
+    for arr in [tables.a, tables.theta, tables.c, tables.d, grid.border[1], *runs,
+                *(vt.hs for vt in tables.vertices)]:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0.0
@@ -1012,18 +1041,14 @@ def test_scheme_tables_are_shared_and_read_only():
 def test_grid_tables_are_shared_and_read_only():
     """Two systems on one grid, at eps = 0 and 0.25, read the same
     per-grid arrays (the Jacobian's destinations, each vertex row's unit
-    moves and strong-row entries, each incidence's h, sign and coordinate),
-    and a write to any of them raises; the Jacobian entries a system returns
-    are its own, so writing them leaves the grid's tables and the other
-    system's Jacobian as they were."""
+    moves and strong-row entries), and a write to any of them raises; the
+    Jacobian entries a system returns are its own, so writing them leaves
+    the grid's tables and the other system's Jacobian as they were."""
     problem = entry_by_name("star3_mixed").problem
     grid = Grid(problem.network, 11)
     one, two = (assemble(problem, grid, eps=eps) for eps in (0.0, 0.25))
     assert one.grid is two.grid is grid
-    for v, (hs, _, _) in enumerate(grid.incidence_geometry):
-        assert one._vertices[v].hs is hs and two._vertices[v].hs is hs
-    tables = [grid.border[1], *(arr for v in grid.vertex_moves for arr in v),
-              *(arr for v in grid.incidence_geometry for arr in v)]
+    tables = [grid.border[1], *(arr for v in grid.vertex_moves for arr in v)]
     for arr in tables:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 import knet.problem
 from knet.catalog import all_entries, eikonal_problem, entry_by_name, random_problem
 from knet.analysis import diagnostics_report
-from knet.discretization import Grid, assemble, resolve_relaxed_edges
-from knet.errors import InvalidCoefficientSign, VertexNotInterior
+from knet.discretization import Grid, assemble
+from knet.errors import InvalidCoefficientSign
 from knet.network import star_junction
 from knet.problem import (
     ENVELOPE_LATTICE,
@@ -362,7 +362,7 @@ def test_problem_is_frozen_with_read_only_maps():
     assert deep is not problem and deep.hamiltonians == problem.hamiltonians
     assert deep.dirichlet == problem.dirichlet and deep.kirchhoff == problem.kirchhoff
     assert validate_problem(deep).to_dict() == validate_problem(problem).to_dict()
-    assert deep.degenerate_set(0) == problem.degenerate_set(0) == (0,)
+    assert deep.relaxed == problem.relaxed and problem.relaxed[0] == (0,)
     changed = dataclasses.replace(problem, lam=2.0, dirichlet={**problem.dirichlet, 1: 7.0})
     assert (changed.lam, changed.dirichlet[1], problem.lam, problem.dirichlet[1]) == (2.0, 7.0, 1.0, 0.3)
     with pytest.raises(TypeError):
@@ -396,11 +396,114 @@ def test_diffusion_is_frozen():
 
 
 def test_degenerate_set(catalog):
-    assert catalog["star3_constant"].problem.degenerate_set(0) == (0, 1, 2)
-    assert catalog["star3_mixed"].problem.degenerate_set(0) == (0,)
-    assert catalog["star3_linear"].problem.degenerate_set(0) == ()
-    with pytest.raises(VertexNotInterior):
-        catalog["star3_constant"].problem.degenerate_set(1)
+    """A junction's relaxed edges are exactly its edges where a = 0: all,
+    some or none of a star's."""
+    assert catalog["star3_constant"].problem.relaxed[0] == (0, 1, 2)
+    assert catalog["star3_mixed"].problem.relaxed[0] == (0,)
+    assert catalog["star3_linear"].problem.relaxed[0] == ()
+    for name in ("star3_constant", "star3_mixed", "star3_linear"):
+        problem = catalog[name].problem
+        junction = problem.network.incidence[0]
+        assert problem.relaxed[0] == tuple(
+            i for i, inc in enumerate(junction) if problem.a_at_incidence(inc) == 0.0), name
+
+
+def test_relaxed_edges(catalog):
+    """relaxed: a boundary vertex's edge where a = 0 and H is coercive, a
+    junction's every edge where a = 0, whatever its H, and no other; built
+    once per problem, read-only."""
+    degen = catalog["star3_eikonal"].problem
+    mixed = catalog["star3_mixed"].problem
+    boundary = {1: (0,), 2: (0,), 3: (0,)}
+    assert degen.relaxed == {0: (0, 1, 2), **boundary}
+    assert set(catalog["star2_linear"].problem.relaxed.values()) == {()}
+    assert mixed.relaxed == {0: (0,), 1: (0,), 2: (), 3: ()}
+    assert mixed.relaxed is mixed.relaxed
+    with pytest.raises(TypeError):
+        mixed.relaxed[0] = ()
+    # an advection H is not coercive: the boundary row at vertex 1 turns
+    # strong, the junction still takes the edge's clause
+    flat = dataclasses.replace(mixed, hamiltonians={**mixed.hamiltonians, 0: advection(0.5, 0.2)})
+    assert flat.relaxed == {0: (0,), 1: (), 2: (), 3: ()}
+
+
+def test_every_layer_reads_the_one_relaxed_rule(monkeypatch):
+    """On every catalog entry and random_problem draws 0..59, at eps = 0
+    and 0.25, each layer relaxes exactly the incidences of relaxed: the
+    scheme classifies a boundary row as relaxed exactly where relaxed has
+    its edge and eps = 0; the degenerate-edge inequalities judge exactly a
+    junction's relaxed edges; steady_degenerate_coercive's witness lists
+    exactly the relaxed junction edges whose H is not coercive; and
+    reference_for tries the direct linear solve, unless the flux-limited
+    reference applies, exactly where eps > 0 or no junction edge is
+    relaxed."""
+    import knet.oracle as oracle
+    from knet.analysis import check_degenerate_edge_inequalities, estimate_junction_slopes
+    from knet.discretization import GridFunction
+
+    tried = []
+
+    def direct(problem, nodes, eps=0.0):
+        tried.append("direct")
+        raise knet.errors.ProblemNotLinear("stub")
+
+    monkeypatch.setattr(oracle, "direct_linear_solve", direct)
+    monkeypatch.setattr(oracle, "fine_grid_reference", lambda *a, **k: "fine-grid")
+    problems = [e.problem for e in all_entries()]
+    problems += [random_problem(np.random.default_rng(s)) for s in range(60)]
+    seen = collections.Counter()
+    for k, problem in enumerate(problems):
+        net, relaxed = problem.network, problem.relaxed
+        grid = Grid(net, 11)
+        u = GridFunction.zeros(grid)
+        witnesses = {e.location: e.witness for e in validate_problem(problem).entries
+                     if e.name == "steady_degenerate_coercive"}
+        for v in net.interior_vertices:
+            edges = [net.incidence[v.id][i].edge.id for i in relaxed[v.id]]
+            verdicts = check_degenerate_edge_inequalities(
+                problem, u, v.id, estimate_junction_slopes(u, v.id, 2), 1.0)
+            assert [verdict.edge for verdict in verdicts] == edges, k
+            bad = [e for e in edges if not problem.hamiltonians[e].coercive]
+            assert witnesses[f"vertex {v.id}"] == ({"edges": bad} if bad else None), k
+            seen["non-coercive witness"] += bool(bad)
+        junction_relaxed = any(relaxed[v.id] for v in net.interior_vertices)
+        for eps in (0.0, 0.25):
+            system = assemble(problem, grid, eps=eps, probe_samples=0)
+            for v in net.boundary_vertices:
+                expected = "boundary-relaxed" if eps == 0.0 and relaxed[v.id] else "boundary-strong"
+                assert system.node_classification(grid.vertex_gid(v.id)) == expected, (k, eps)
+                seen[expected] += 1
+            tried.clear()
+            ref = oracle.reference_for(problem, 11, eps=eps)
+            flux = getattr(ref, "method", None) == "flux-limited"
+            assert tried == ([] if flux or not (eps > 0.0 or not junction_relaxed)
+                             else ["direct"]), (k, eps)
+            seen["direct"] += bool(tried)
+            seen["flux-limited"] += flux
+    assert min(seen.values()) > 0 and len(seen) == 5, seen
+
+
+def test_builtin_is_an_exact_record_with_no_fn(catalog):
+    """builtin holds for every catalog record and for no subclass of a
+    built-in or record handed an fn, of either kind."""
+    for entry in catalog.values():
+        problem = entry.problem
+        assert all(h.builtin for h in problem.hamiltonians.values()), entry.name
+        assert all(c.builtin for c in problem.kirchhoff.values()), entry.name
+
+    class SubHamiltonian(Hamiltonian):
+        pass
+
+    class SubCoupling(KirchhoffCondition):
+        pass
+
+    ham, cond = eikonal(2.0, 0.5), make_kirchhoff("affine", 3, alpha0=0.1)
+    assert ham.builtin and cond.builtin
+    assert not SubHamiltonian(None, 2.0, True, 2.0, "eikonal", {"speed": 2.0, "rhs": 0.5}).builtin
+    assert not SubCoupling(3, None, "classical", {"B": 0.0}).builtin
+    assert not dataclasses.replace(ham, fn=lambda x, p: np.abs(p)).builtin
+    assert not dataclasses.replace(cond, fn=lambda r, p: (-p).sum(axis=-1)).builtin
+    assert dataclasses.replace(ham, c_h=5.0).builtin
 
 
 def test_validate_passes_on_catalog(catalog):
@@ -754,17 +857,14 @@ def _count_scalar_a_calls(problem) -> collections.Counter:
 
 def test_incidence_diffusion_is_evaluated_once_per_problem():
     """a_at_incidence reads a table built on first use, so assembly under
-    two eps, resolve_relaxed_edges, validate_problem,
-    degenerate_set and the diagnostics evaluate each incidence's a once in
-    all."""
+    two eps, relaxed, validate_problem and the diagnostics evaluate each
+    incidence's a once in all."""
     problem = entry_by_name("star3_loss_elliptic").problem
     calls = _count_scalar_a_calls(problem)
     for eps in (0.0, 0.5):
         system = assemble(problem, Grid(problem.network, 21), eps=eps)
-        resolve_relaxed_edges(problem, eps)
     validate_problem(problem)
-    for v in problem.network.interior_vertices:
-        problem.degenerate_set(v.id)
+    assert problem.relaxed[0] == ()
     u = solve_system(system).u
     diagnostics_report(problem, u, system)
     incidences = {(inc.edge.id, inc.vertex_param)

@@ -113,9 +113,11 @@ def test_viscosity_sweep_demo_runs(capsys):
 
 def test_census_records_a_slice_and_compares(tmp_path, capsys, monkeypatch):
     """The cold set at n = 41: one record per entry, each with the
-    documented fields.  A second census with MAX_NEWTON = 2 sends
-    some solves into rounds of sweeps and Newton, and --compare lists those
-    whose counts changed and how far their solutions moved."""
+    documented fields, its verify outcome included.  A second census with
+    MAX_NEWTON = 2 sends some solves into rounds of sweeps and Newton, and
+    --compare lists those whose counts changed and how far their solutions
+    moved.  A changed verify outcome is listed; an old census with none
+    compares as unknown."""
     import json
 
     from knet import solver
@@ -129,8 +131,9 @@ def test_census_records_a_slice_and_compares(tmp_path, capsys, monkeypatch):
     for r in records:
         assert {"id", "set", "converged", "message", "newton_per_level", "rounds",
                 "fallback", "iterations", "residual", "threshold", "wall_s",
-                "u_digest"} <= set(r)
+                "u_digest", "verify"} <= set(r)
         assert r["residual"] <= r["threshold"] and r["rounds"] == 0
+        assert r["verify"] == {"ok": True, "fails": []}
         assert sum(r["newton_per_level"].values()) == r["iterations"]
     mixed = next(r for r in records if r["id"] == "cold/star3_mixed/n=41")
     assert mixed["newton_per_level"] == {"n=21": 5, "n=41": 1}
@@ -147,6 +150,18 @@ def test_census_records_a_slice_and_compares(tmp_path, capsys, monkeypatch):
         assert f"{r['id']}: iterations " in printed
     assert "8 solves in both; " in printed and "largest move " in printed
     assert "converged: 8 -> 8; newly failed: 0" in printed
+    assert "\n0 verify verdicts changed\n" in printed
+
+    doc = json.loads(old.read_text())
+    failed = {"ok": False, "fails": [["degenerate_edge_inequality", "vertex 0, edge 1"]]}
+    doc["records"][0]["verify"] = failed
+    for r in doc["records"][1:3]:
+        del r["verify"]
+    lines = census.compare(doc, json.loads(new.read_text())).splitlines()
+    first = doc["records"][0]["id"]
+    assert (f"{first}: verify FAIL (degenerate_edge_inequality at vertex 0, edge 1) -> PASS"
+            in lines)
+    assert "1 verify verdicts changed; 2 unknown (no verify outcome on one side)" in lines
 
 
 def test_output_digest_reruns_agree(tmp_path, capsys):

@@ -866,8 +866,7 @@ def test_continuation_step_falls_back_to_hybrid(monkeypatch, system_cached,
     assert np.max(np.abs(res.u.values - cold.values)) <= 1e-8
 
 
-GRID_TABLES = ("border", "edge_slices", "edge_table", "sweep_classes", "incidence_geometry",
-               "vertex_moves")
+GRID_TABLES = ("border", "edge_slices", "edge_table", "sweep_classes", "vertex_moves")
 
 
 def test_viscosity_schedule_builds_its_border_index_once(monkeypatch):
