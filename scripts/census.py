@@ -8,6 +8,9 @@ Sets (n is nodes per edge):
   draws       random_problem(default_rng(s)), s = 0..59, n = 161, 321
   eikonal     eikonal_problem(default_rng(s), B), s = 0..19, B = 0 and -0.5,
               n = 161, 321, 641
+  stress      random_problem(default_rng(s)), s = 0..199, n = 9, 21, 81, with
+              no start and from each constant of MULTISTART_OFFSETS (3600
+              solves; run only when named)
 
 Each record holds: converged, the message, Newton's count per level, the
 number of sweep-and-Newton rounds, whether Newton failed on the target grid
@@ -46,9 +49,10 @@ from knet.discretization import Grid, GridFunction, assemble
 from knet.errors import KnetError
 from knet.solver import MULTISTART_OFFSETS, SolveConfig, solve_system
 
-SETS = ("cold", "multistart", "draws", "eikonal")
+SETS = ("cold", "multistart", "draws", "eikonal", "stress")
+DEFAULT_SETS = SETS[:-1]
 NODES = {"cold": (41, 161, 641, 1281, 2561), "multistart": (161, 641),
-         "draws": (161, 321), "eikonal": (161, 321, 641)}
+         "draws": (161, 321), "eikonal": (161, 321, 641), "stress": (9, 21, 81)}
 
 
 def _cases(name, nodes):
@@ -57,9 +61,10 @@ def _cases(name, nodes):
         problems = [(e.name, e.problem, (None,)) for e in all_entries()]
     elif name == "multistart":
         problems = [(e.name, e.problem, MULTISTART_OFFSETS) for e in all_entries()]
-    elif name == "draws":
-        problems = [(f"draw{s}", random_problem(np.random.default_rng(s)), (None,))
-                    for s in range(60)]
+    elif name in ("draws", "stress"):
+        starts = (None,) if name == "draws" else (None, *MULTISTART_OFFSETS)
+        problems = [(f"draw{s}", random_problem(np.random.default_rng(s)), starts)
+                    for s in range(60 if name == "draws" else 200)]
     else:
         problems = [(f"edraw{s}/B={b:g}", eikonal_problem(np.random.default_rng(s), B=b),
                      (None,)) for b in (0.0, -0.5) for s in range(20)]
@@ -217,8 +222,8 @@ def _set_names(spec):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sets", type=_set_names, default=list(SETS),
-                    help="comma-separated sets (default: all)")
+    ap.add_argument("--sets", type=_set_names, default=list(DEFAULT_SETS),
+                    help="comma-separated sets (default: all but stress)")
     ap.add_argument("--nodes", type=lambda s: [int(n) for n in s.split(",")], default=None,
                     help="comma-separated nodes per edge, replacing every set's own")
     ap.add_argument("--out", default="census.json", help="write the records here")

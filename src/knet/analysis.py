@@ -124,9 +124,17 @@ def estimate_junction_slopes(u: GridFunction, vid: int,
 class EdgeInequalityVerdict:
     edge: int
     sub_margin: float  # max of lam*u_v + H over sampled closed interval
+    super_margin: float  # min over the open interval's samples; inf where it is empty
     tolerance: float
     passed: bool
-    witness: Optional[dict] = None
+    witness: Optional[dict] = None  # the failing side, "sub" first, and its p
+
+    @property
+    def margin(self) -> float:
+        """The failing side's margin, > tolerance exactly where that side
+        fails: -super_margin where the super side fails, else sub_margin."""
+        failed_super = self.witness is not None and self.witness["side"] == "super"
+        return -self.super_margin if failed_super else self.sub_margin
 
 
 def check_degenerate_edge_inequalities(problem: NetworkProblem, u: GridFunction,
@@ -144,7 +152,9 @@ def check_degenerate_edge_inequalities(problem: NetworkProblem, u: GridFunction,
     -0.106 against tol 0.085 at n = 81, -3.22e-3 against 2.65e-3 at 2561).
     The margin halves with h, so the violation is O(h), not a different
     limit.  The check still reports it: a larger TOL_PER_H would also pass
-    violations that do not shrink with h."""
+    violations that do not shrink with h.  A verdict's margin is its
+    failing side's, so a report of it reads margin > tolerance as FAIL on
+    either side."""
     uv = float(u.values[u.grid.vertex_gid(vid)])
     lam = problem.lam
     verdicts = []
@@ -169,7 +179,7 @@ def check_degenerate_edge_inequalities(problem: NetworkProblem, u: GridFunction,
         if not ok and witness is None:
             witness = {"p": float(ps[1 + int(np.argmin(vals[1:-1]))]),
                        "side": "super"}
-        verdicts.append(EdgeInequalityVerdict(eid, sub_margin, tol, ok, witness))
+        verdicts.append(EdgeInequalityVerdict(eid, sub_margin, super_margin, tol, ok, witness))
     return verdicts
 
 
@@ -450,7 +460,7 @@ def diagnostics_report(problem: NetworkProblem, u: GridFunction,
         for verdict in check_degenerate_edge_inequalities(problem, u, v.id,
                                                           sl, tol):
             checks.append(_check("degenerate_edge_inequality",
-                                 f"{loc}, edge {verdict.edge}", verdict.sub_margin,
+                                 f"{loc}, edge {verdict.edge}", verdict.margin,
                                  tol, verdict.passed, verdict.witness))
 
         point = problem.network.vertex_point(v.id)

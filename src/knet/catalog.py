@@ -1,11 +1,11 @@
 """Catalog of network problems with known structure, used by the test
 suite and the verification criteria.
 
-Each entry records what is known about its solution: an exact profile when
-one exists, degeneracy, and whether the interior Lipschitz bound applies.
-Whether the flux-limited or the direct linear oracle applies is read off
-the problem itself (oracle.reference_for).  random_problem and
-eikonal_problem draw problems at random.
+Each entry records an exact profile of its solution when one exists.  The
+rest is read off the problem itself: which junction edges are degenerate,
+and so relaxed (NetworkProblem.relaxed), and whether the flux-limited or
+the direct linear oracle applies (oracle.reference_for).  random_problem
+and eikonal_problem draw problems at random.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class CatalogEntry:
     name: str
     problem: NetworkProblem
     exact: Optional[Callable] = None  # (edge id, t array) -> values
-    degenerate: bool = False
 
 
 def _zero_diffusions(net: Network):
@@ -55,8 +54,7 @@ def star3_constant() -> CatalogEntry:
         dirichlet={1: 1.0, 2: 1.0, 3: 1.0},
     )
     return CatalogEntry("star3_constant", problem,
-                        exact=lambda eid, t: np.ones_like(np.asarray(t, dtype=float)),
-                        degenerate=True)
+                        exact=lambda eid, t: np.ones_like(np.asarray(t, dtype=float)))
 
 
 def graph5_constant() -> CatalogEntry:
@@ -75,8 +73,7 @@ def graph5_constant() -> CatalogEntry:
         dirichlet={0: 1.0, 4: 1.0},
     )
     return CatalogEntry("graph5_constant", problem,
-                        exact=lambda eid, t: np.ones_like(np.asarray(t, dtype=float)),
-                        degenerate=True)
+                        exact=lambda eid, t: np.ones_like(np.asarray(t, dtype=float)))
 
 
 def star3_eikonal() -> CatalogEntry:
@@ -93,8 +90,7 @@ def star3_eikonal() -> CatalogEntry:
         dirichlet={1: 0.0, 2: 0.0, 3: 0.0},
     )
     return CatalogEntry("star3_eikonal", problem,
-                        exact=lambda eid, t: 1.0 - np.exp(np.asarray(t, dtype=float) - 1.0),
-                        degenerate=True)
+                        exact=lambda eid, t: 1.0 - np.exp(np.asarray(t, dtype=float) - 1.0))
 
 
 def star3_eikonal_loss() -> CatalogEntry:
@@ -110,8 +106,7 @@ def star3_eikonal_loss() -> CatalogEntry:
         dirichlet={1: 5.0, 2: 5.0, 3: 5.0},
     )
     return CatalogEntry("star3_eikonal_loss", problem,
-                        exact=lambda eid, t: np.ones_like(np.asarray(t, dtype=float)),
-                        degenerate=True)
+                        exact=lambda eid, t: np.ones_like(np.asarray(t, dtype=float)))
 
 
 def star3_loss_elliptic() -> CatalogEntry:
@@ -180,7 +175,7 @@ def star3_mixed() -> CatalogEntry:
                                      betas=(0.5, 1.0, 1.0))},
         dirichlet={1: 0.3, 2: -0.2, 3: 0.4},
     )
-    return CatalogEntry("star3_mixed", problem, degenerate=True)
+    return CatalogEntry("star3_mixed", problem)
 
 
 # each function is named after the entry it returns

@@ -386,7 +386,7 @@ def cmd_convergence_table(args) -> int:
 def cmd_verify(args) -> int:
     _, problem, _, read, scheme, _, _, u = _inputs(
         args, lambda a, p: read_solution_csv(a.solution, p.network))
-    system = assemble(problem, u.grid, probe_samples=0, **scheme)
+    system = assemble(problem, u.grid, certify=False, **scheme)
     report = diagnostics_report(problem, u, system=system, **read["analysis"])
     _atomic_write(args.report,
                   json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")

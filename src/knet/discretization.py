@@ -36,20 +36,22 @@ that every H and coupling is builtin, an exact record of a built-in
 family (a subclass may override slope_bound or an envelope, an fn any
 fact), that slope_bound <= theta and a + eps >= 0, and that own_coeff
 and every vertex row are finite at u = 0.  Where it fails, as for custom
-data, certify_monotone returns the witness of probe_monotone, which probes
-every row by finite differences, the vertex rows through _vertex_rows'
-batches.
+data, certify_monotone returns the witness of probe_monotone, which checks
+the signs of Newton's Jacobian (jacobian_entries) at random u: own entries
+>= 0, cross entries <= 0, the pattern spsolve's diagonal dominance rests
+on.  An edge row's entries are exact coefficients plus a central quotient
+of H, so the probe never subtracts two rows of size theta/h.
 
 Each residual row reads only the inputs its stencil names, and the grid
 lists them once, as Grid.rows and Grid.cols in stencil order: three blocks
 over the interior edge nodes (the node, its left and its right neighbour),
 then each vertex row's Grid.vertex_inputs, own entry first.  The Jacobian
-(jacobian_entries) and the probe write their values in that order, one
-contiguous block per row.  Grid.border, shared by every system on the
-grid, places each entry in the solver's network form, a tridiagonal block
-T over the M edges' interior nodes bordered by the vertex rows and columns
-(B, M x V; C, V x M; D, V x V), as one position in one buffer whose views
-are the blocks: one scatter.  The positions follow from the stencil order
+(jacobian_entries), and through it the probe, writes its values in that
+order, one contiguous block per row.  Grid.border, shared by every system
+on the grid, places each entry in the solver's network form, a
+tridiagonal block T over the M edges' interior nodes bordered by the
+vertex rows and columns (B, M x V; C, V x M; D, V x V), as one position
+in one buffer whose views are the blocks: one scatter.  The positions follow from the stencil order
 by index arithmetic.  Edge row k (node V + k) puts its own entry on T's
 diagonal at k, its left input below it at k - 1 and its right input above
 it at k, or, where that input is vertex v, in B at (k, v).  Vertex row v
@@ -100,6 +102,7 @@ from .problem import NetworkProblem, larger
 PROBE_STEP = 1e-6  # probe_monotone's perturbation of one input
 PROBE_TOL = 1e-9  # largest change of the wrong sign it forgives
 PROBE_SCALE = 2.0  # its samples of u are uniform on [-PROBE_SCALE, PROBE_SCALE]
+PROBE_SAMPLES = 3  # certify_monotone's draws of u
 
 
 def check_nodes(n, edge=None) -> None:
@@ -496,13 +499,6 @@ class ResidualSystem:
         hh = lax_friedrichs(ham, x, (uc - um) / h, (up - uc) / h, self._theta[k])
         return self.problem.lam * uc - self._a[k] * ((up - 2.0 * uc + um) / hsq) + hh
 
-    def _vertex_moved(self, v: int, x, moves):
-        """Vertex v's row at x + each row of moves: x holds the row's inputs,
-        Grid.vertex_inputs' order, in its last axis, and moves is (K, number
-        of inputs).  Returns x's leading shape + (K,)."""
-        w = (x[..., None, :] + moves).reshape(-1, moves.shape[1])
-        return self._vertex_rows(v, w[:, 0], w[:, 1:]).reshape(*x.shape[:-1], len(moves))
-
     def residual_node(self, gid: int, u: np.ndarray) -> float:
         grid = self.grid
         k = gid - len(self._vertices)
@@ -570,7 +566,8 @@ class ResidualSystem:
                 continue
             # input sets 0..m-1 move input i up by step, m..2m-1 down
             x, m = u[inputs], len(inputs)
-            r = self._vertex_moved(v, x, step * moves)
+            w = x + step * moves
+            r = self._vertex_rows(v, w[:, 0], w[:, 1:])
             blocks.append((r[:m] - r[m:]) / ((x + step) - (x - step)))
         return np.concatenate(blocks)
 
@@ -594,28 +591,31 @@ class ResidualSystem:
                 and all(np.isfinite(self._vertex_rows(v, np.float64(0.0), np.zeros(len(i) - 1)))
                         for v, i in enumerate(self.grid.vertex_inputs)))
 
-    def certify_monotone(self, n_samples: int = 3):
+    def certify_monotone(self):
         """None when stencil_certificate holds, as it does for every problem
         built from built-in records, so nothing is drawn or probed; else
-        probe_monotone's witness on n_samples draws of u (None when the probe
-        finds none)."""
-        return None if self.stencil_certificate() else self.probe_monotone(n_samples)
+        probe_monotone's witness on PROBE_SAMPLES draws of u (None when the
+        probe finds none)."""
+        return None if self.stencil_certificate() else self.probe_monotone(PROBE_SAMPLES)
 
-    def probe_monotone(self, n_samples: int = 3, rng=None):
-        """Perturbation probe of the monotone-scheme property on every row.
+    def probe_monotone(self, n_samples: int = PROBE_SAMPLES, rng=None):
+        """Probe of the monotone-scheme property on every row, through the
+        signs of Newton's Jacobian.
 
-        Draws every sample up front, so the caller's rng advances by n_samples
-        draws of u even when sample 0 fails.  Each sample raises every input of
-        every row by PROBE_STEP, one input at a time, and compares the row with
-        its unperturbed value, forgiving a finite change of the wrong sign up to
-        PROBE_TOL: the edge rows of all samples and perturbations in one stacked
-        table call, each vertex row in one call of the vertex formula.  A strong
-        boundary row u_v - g rises with its own value and reads nothing else, so
-        it is not probed.  Returns None when no witness is found, else a dict
-        describing the violating (sample, node, row, direction): the first in
-        node order, then the row's own entry, then by row.
+        Draws n_samples grid functions up front, uniform on [-PROBE_SCALE,
+        PROBE_SCALE] (rng's next draws, or with no rng default_rng(0)'s
+        first), so the caller's rng advances by all of them even when sample
+        0 fails.  At each, delta is jacobian_entries(u, PROBE_STEP) scaled by
+        PROBE_STEP: a row's change per input moved by PROBE_STEP, central
+        over that step, with no two rows subtracted.  A finite change of the
+        wrong sign up to PROBE_TOL is forgiven.  Returns None when no witness
+        is found, else a dict describing the violating (sample, node, row,
+        direction): the first in node order, then the row's own entry, then
+        by row.
         """
-        delta = self._probe_deltas(self._probe_draws(n_samples, rng))
+        rng = np.random.default_rng(0) if rng is None else rng
+        draws = rng.uniform(-PROBE_SCALE, PROBE_SCALE, size=(n_samples, self.grid.total_nodes))
+        delta = PROBE_STEP * np.array([self.jacobian_entries(u, PROBE_STEP) for u in draws])
         rows, cols = self.grid.rows, self.grid.cols
         own = rows == cols
         bad = np.where(own, delta < -PROBE_TOL, delta > PROBE_TOL) | ~np.isfinite(delta)
@@ -628,34 +628,6 @@ class ResidualSystem:
                 "direction": "own" if own[k] else "cross",
                 "delta": float(delta[s, k])}
 
-    def _probe_draws(self, n_samples: int, rng):
-        """n_samples grid functions, uniform on [-PROBE_SCALE, PROBE_SCALE]:
-        rng's next draws, or with no rng default_rng(0)'s first."""
-        rng = np.random.default_rng(0) if rng is None else rng
-        return rng.uniform(-PROBE_SCALE, PROBE_SCALE, size=(n_samples, self.grid.total_nodes))
-
-    def _probe_deltas(self, u) -> np.ndarray:
-        """Per sample of u, each row's change when one of its inputs rises by
-        PROBE_STEP, in stencil order."""
-        nv, grid = len(self._vertices), self.grid
-        n_samples, step = len(u), PROBE_STEP
-        # edge rows: unperturbed, then own, left and right input + step
-        um, uc, up = u[:, grid.left_gids], u[:, nv:], u[:, grid.right_gids]
-        r = self._edge_rows(slice(None), np.concatenate([um, um, um + step, um]),
-                            np.concatenate([uc, uc + step, uc, uc]),
-                            np.concatenate([up, up, up, up + step]),
-                            self._table_ham).reshape(4, *uc.shape)
-        deltas = [(r[1:] - r[0]).transpose(1, 0, 2).reshape(n_samples, -1)]
-        for v, inputs in enumerate(grid.vertex_inputs):
-            m = len(inputs)
-            if self._vertices[v].strong:
-                deltas.append(np.zeros((n_samples, m)))
-                continue
-            # input set 0 unperturbed, set 1 + i with input i + step
-            r = self._vertex_moved(v, u[:, inputs], np.vstack([np.zeros(m), step * np.eye(m)]))
-            deltas.append(r[:, 1:] - r[:, :1])
-        return np.concatenate(deltas, axis=1)
-
 
 def check_scheme(eps: float = 0.0) -> None:
     """Raise ValueError on a viscosity assemble() cannot take."""
@@ -664,18 +636,18 @@ def check_scheme(eps: float = 0.0) -> None:
 
 
 def assemble(problem: NetworkProblem, grid: Grid, eps: float = 0.0,
-             probe_samples: int = 3) -> ResidualSystem:
+             certify: bool = True) -> ResidualSystem:
     """Build the residual system and certify the monotone-scheme property.
     The problem fixes theta and the boundary rows (see the module docstring).
 
     Raises MonotonicityProbeFailed with the witness node when certification
-    fails; pass probe_samples=0 to skip (used by deliberate counterexample
-    tests).
+    fails; pass certify=False to skip it (coarse levels of a certified
+    problem, verify's re-assembly, deliberate counterexample tests).
     """
     check_scheme(eps)
     system = ResidualSystem(problem, grid, eps)
-    if probe_samples > 0:
-        witness = system.certify_monotone(n_samples=probe_samples)
+    if certify:
+        witness = system.certify_monotone()
         if witness is not None:
             raise MonotonicityProbeFailed(
                 f"monotone-scheme probe failed: {witness}",

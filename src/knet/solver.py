@@ -286,8 +286,11 @@ def spsolve(jac: dict, b: np.ndarray) -> np.ndarray:
     x_int = y0 - X x_v (Arioli & Benzi, IMA J. Numer. Anal. 38, 2018).  T is
     nonsingular, every edge row strictly diagonally dominant: own_coeff
     lam + 2(a+eps)/h^2 + theta/h > |left| + |right| = 2(a+eps)/h^2 + theta/h
-    when H's central quotient |q| <= theta, its Lipschitz bound.  A zero
-    pivot of T or a singular Schur complement raises SingularLinearization.
+    when both cross entries are <= 0, the sign pattern assembly certifies
+    (the stencil argument for built-in records, else probe_monotone on this
+    Jacobian); for H's central quotient q that is |q| <= theta + 2(a+eps)/h.
+    A zero pivot of T or a singular Schur complement raises
+    SingularLinearization.
     The right-hand side [b_int | B] is written straight into a buffer in
     LAPACK's column order (Fortran order), which dgtsv overwrites with
     [y0 | X] in place, with no copy on the way in.  Named spsolve because
@@ -373,7 +376,7 @@ def _nested(system: ResidualSystem, config: SolveConfig, u0):
     if u0 is None and not system.affine and min(coarse.values()) >= MIN_LEVEL_NODES:
         cres, counts = _nested(assemble(
             system.problem, Grid(system.problem.network, coarse), eps=system.eps,
-            probe_samples=0), config, None)
+            certify=False), config, None)
         u0, spent = cres.u.on_grid(system.grid), cres.iterations
     res = newton_solve(system, config, u0)
     counts.append(f"{res.iterations} at {system.grid.level_name}")

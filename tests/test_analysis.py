@@ -19,8 +19,8 @@ from knet.analysis import (
     lipschitz_on_interior,
     probe_viscosity,
 )
-from knet.catalog import all_entries, entry_by_name, random_problem
-from knet.discretization import Grid, GridFunction
+from knet.catalog import all_entries, eikonal_problem, entry_by_name, random_problem
+from knet.discretization import Grid, GridFunction, assemble
 from knet.errors import (
     EmptyInteriorSet,
     NoActiveProbe,
@@ -30,7 +30,7 @@ from knet.errors import (
 from knet.network import INTERIOR, Network, build_network, star_junction
 from knet.problem import (Hamiltonian, KirchhoffCondition, NetworkProblem, constant_diffusion,
                           eikonal, validate_problem)
-from knet.solver import SolveConfig, solve_problem, sweep_solve
+from knet.solver import SolveConfig, solve_problem, solve_system, sweep_solve
 
 
 def _single_edge_problem():
@@ -172,6 +172,29 @@ def test_edge_inequalities_flag_solution_shifted_down(catalog, solve_cached):
     assert verdict.sub_margin <= tol and not verdict.passed
     assert verdict.witness["side"] == "super"
     assert sl.lower[0] < verdict.witness["p"] < sl.upper[0]
+    assert verdict.margin == -verdict.super_margin > tol
+
+
+def test_super_side_failure_reports_its_own_margin():
+    """The solution of eikonal_problem(default_rng(3), B=-0.5) at n = 161
+    fails the supersolution side at vertex 2 on edge 1 while its sub margin
+    passes.  The report's record carries the super side's margin, over the
+    tolerance, and the other edges' records their sub margins."""
+    problem = eikonal_problem(np.random.default_rng(3), B=-0.5)
+    system = assemble(problem, Grid(problem.network, 161))
+    u = solve_system(system, SolveConfig()).u
+    records = {c["location"]: c for c in diagnostics_report(problem, u, system).checks
+               if c["name"] == "degenerate_edge_inequality"}
+    failed = {loc for loc, c in records.items() if c["verdict"] == "FAIL"}
+    assert failed == {"vertex 2, edge 1"}
+    record = records["vertex 2, edge 1"]
+    assert record["witness"]["side"] == "super"
+    verdicts = check_degenerate_edge_inequalities(
+        problem, u, 2, estimate_junction_slopes(u, 2, 3), record["tolerance"])
+    [verdict] = [v for v in verdicts if v.edge == 1]
+    assert verdict.sub_margin <= record["tolerance"] < record["margin"] == -verdict.super_margin
+    assert all(records[f"vertex 2, edge {v.edge}"]["margin"] == v.sub_margin
+               for v in verdicts if v.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +612,25 @@ def test_diagnostics_report_rejects_a_window_below_2(window):
     u = GridFunction.zeros(Grid(entry.problem.network, 41))
     with pytest.raises(ValueError, match=f"analysis window must be at least 2, got {window}"):
         diagnostics_report(entry.problem, u, window=window)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "kirchhoff_node_equation: |F| 1.26e-8 > 1e-8 at a converged solve; the stopping "
+    "threshold's round-off floor comes from the edge rows' own_coeff, not the junction row"))
+def test_converged_fine_solve_passes_the_junction_equation_check():
+    """star3_loss_elliptic's default solve converges at n = 10241 (residual
+    1.73e-7 against its threshold 9.32e-7), yet the report's absolute 1e-8
+    on the junction row fails it: |F| is 1.26e-8 there, 1.77e-8 at 7681,
+    and 9.26e-9 and 3.8e-9 at 5121 and 20481, where it passes.  A stopping
+    rule that knew the junction row's own floor would stop below the check,
+    or the check would read that floor; the check's 1e-8 stays."""
+    problem = entry_by_name("star3_loss_elliptic").problem
+    system = assemble(problem, Grid(problem.network, 10241))
+    result = solve_system(system, SolveConfig())
+    assert result.converged, result.message
+    [record] = [c for c in diagnostics_report(problem, result.u, system).checks
+                if c["name"] == "kirchhoff_node_equation"]
+    assert record["verdict"] == "PASS", record
 
 
 def test_diagnostics_report_flags_corruption(catalog, system_cached, solve_cached):

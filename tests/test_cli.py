@@ -531,7 +531,7 @@ def test_failed_certification_exits_3_under_every_run(tmp_path, capsys, monkeypa
     from knet.discretization import ResidualSystem
 
     monkeypatch.setattr(ResidualSystem, "certify_monotone",
-                        lambda self, n_samples=3, rng=None: {"node": 0, "direction": 1})
+                        lambda self: {"node": 0, "direction": 1})
     cfg = _write_config(tmp_path, {"catalog": "star3_mixed"})
     assert main(_run_argv(sub, cfg, tmp_path / "out")) == EXIT_BAD_INPUT
     assert capsys.readouterr().err == ("code:3 bad input: monotone-scheme probe failed: "

@@ -8,6 +8,7 @@ import pytest
 
 from knet.catalog import all_entries, entry_by_name, random_problem
 from knet.discretization import (
+    PROBE_SAMPLES,
     Grid,
     GridFunction,
     ResidualSystem,
@@ -252,7 +253,7 @@ def test_residual_and_residual_node_agree_bitwise(catalog, nodes, eps):
     rng = np.random.default_rng(nodes)
     for name, entry in catalog.items():
         grid = Grid(entry.problem.network, nodes)
-        system = assemble(entry.problem, grid, eps=eps, probe_samples=0)
+        system = assemble(entry.problem, grid, eps=eps, certify=False)
         u = rng.uniform(-2.0, 2.0, size=grid.total_nodes)
         nodewise = [system.residual_node(j, u) for j in range(grid.total_nodes)]
         assert np.array_equal(system.residual(u), nodewise), name
@@ -326,7 +327,7 @@ def test_vertex_rows_match_four_branch_reference(catalog_and_draws, junction_row
     assert len(problems) >= 3
     for k, problem in problems:
         grid = Grid(problem.network, nodes)
-        system = assemble(problem, grid, eps=eps, probe_samples=0)
+        system = assemble(problem, grid, eps=eps, certify=False)
         u = rng.uniform(-2.0, 2.0, size=grid.total_nodes)
         r = system.residual(u)
         for gid in range(len(problem.network.vertices)):
@@ -341,7 +342,7 @@ def test_own_coeff_is_the_own_slope(catalog, nodes, eps):
     rng = np.random.default_rng(nodes)
     for name, entry in catalog.items():
         grid = Grid(entry.problem.network, nodes)
-        system = assemble(entry.problem, grid, eps=eps, probe_samples=0)
+        system = assemble(entry.problem, grid, eps=eps, certify=False)
         u = rng.uniform(-1.0, 1.0, size=grid.total_nodes)
         for gid in range(grid.total_nodes):
             if gid < len(grid.network.vertices):
@@ -405,7 +406,7 @@ def test_interior_consistency_order():
         errs = []
         for n in (21, 41, 81):
             grid = Grid(net, n)
-            system = assemble(problem, grid, probe_samples=0)
+            system = assemble(problem, grid, certify=False)
             u = GridFunction.from_profile(grid, lambda eid, t: phi(np.asarray(t)))
             worst = 0.0
             for k in range(1, n - 1):
@@ -423,7 +424,8 @@ def test_interior_consistency_order():
 
 def test_probe_passes_with_matching_dissipation(system_cached):
     system = system_cached("star3_eikonal", 11)
-    assert system.certify_monotone(n_samples=5) is None
+    assert system.certify_monotone() is None
+    assert system.probe_monotone(5) is None
 
 
 def _dependents(grid, gid):
@@ -455,6 +457,9 @@ def _sequential_probe(system, n_samples, step=1e-6, tol=1e-9, scale=2.0):
     return None
 
 
+_WHERE = ("sample", "node", "row", "direction")  # a witness's location
+
+
 def test_probe_counts_a_nan_change_as_a_violation():
     """A coupling that is NaN where the junction value exceeds 1, as it
     first does in sample 3, changes the junction row by NaN, which passes
@@ -462,10 +467,7 @@ def test_probe_counts_a_nan_change_as_a_violation():
     problem = _with_coupling("star3_eikonal", lambda r, p: np.where(r > 1.0, np.nan, r)
                              - np.sum(p, axis=-1))
     grid = Grid(problem.network, 11)
-    with pytest.raises(MonotonicityProbeFailed) as exc:
-        assemble(problem, grid, probe_samples=10)
-    assert exc.value.node == grid.vertex_gid(0)
-    witness = assemble(problem, grid, probe_samples=0).certify_monotone(n_samples=10)
+    witness = assemble(problem, grid, certify=False).probe_monotone(10)
     assert {k: witness[k] for k in ("sample", "node", "row", "direction")} == {
         "sample": 3, "node": 0, "row": 0, "direction": "own"}
     assert np.isnan(witness["delta"])
@@ -516,11 +518,11 @@ def test_probe_fails_with_insufficient_dissipation():
     problem = _lowered_dissipation("star3_eikonal")
     grid = Grid(problem.network, 21)
     with pytest.raises(MonotonicityProbeFailed) as exc:
-        assemble(problem, grid, probe_samples=10)
+        assemble(problem, grid)
     assert exc.value.node == 0
     assert exc.value.direction == "cross"
-    system = assemble(problem, grid, probe_samples=0)
-    witness = system.certify_monotone(n_samples=10)
+    system = assemble(problem, grid, certify=False)
+    witness = system.probe_monotone(10)
     assert {k: witness[k] for k in ("sample", "node", "row", "direction")} == {
         "sample": 0, "node": 0, "row": 23, "direction": "cross"}
 
@@ -543,13 +545,50 @@ def test_probe_fails_with_insufficient_dissipation():
      {"sample": 3, "node": 0, "row": 0, "direction": "own"}),
 ], ids=["edge-row", "junction-row", "relaxed-row", "later-sample"])
 def test_probe_witness_equals_sequential_probe(problem, nodes, expect):
-    """The batched probe returns the node-by-node reference scan's witness
-    exactly, delta included: the first violating sample, then node order,
-    then the order of _dependents(node)."""
-    system = assemble(problem, Grid(problem.network, nodes), probe_samples=0)
-    witness = system.certify_monotone(n_samples=10)
-    assert witness == _sequential_probe(system, n_samples=10)
+    """The probe, which reads the signs of the Jacobian, returns the
+    node-by-node reference scan's witness: the first violating sample, then
+    node order, then the order of _dependents(node).  Its delta is the
+    Jacobian entry times the step, central where the scan's is forward, so
+    the two agree to rounding, not bit for bit."""
+    system = assemble(problem, Grid(problem.network, nodes), certify=False)
+    witness = system.probe_monotone(10)
+    reference = _sequential_probe(system, n_samples=10)
+    assert {k: witness[k] for k in _WHERE} == {k: reference[k] for k in _WHERE}
+    assert witness["delta"] == pytest.approx(reference["delta"], rel=1e-8)
     assert {k: witness[k] for k in expect} == expect
+
+
+def _custom_twin(problem, scale):
+    """problem with every H a custom record of the same function, so that
+    no stencil certificate holds, and theta scaled by scale."""
+    return dataclasses.replace(problem, hamiltonians={
+        eid: dataclasses.replace(ham, fn=ham, lipschitz_p=scale * ham.lipschitz_p)
+        for eid, ham in problem.hamiltonians.items()})
+
+
+def test_probe_agrees_with_sequential_probe_on_custom_twins():
+    """On custom twins of every catalog entry and of draws 0, 6, ..., 54,
+    with theta scaled to 0.2, 0.6 and 1 times the slope bound, at n = 5
+    and 21, the probe fails exactly where the node-by-node reference scan
+    does, at the same (sample, node, row, direction)."""
+    problems = [e.problem for e in all_entries()]
+    problems += [random_problem(np.random.default_rng(s)) for s in range(0, 60, 6)]
+    failed = 0
+    for i, problem in enumerate(problems):
+        for scale in (0.2, 0.6, 1.0):
+            twin = _custom_twin(problem, scale)
+            for n in (5, 21):
+                with np.errstate(all="ignore"):
+                    system = assemble(twin, Grid(twin.network, n), certify=False)
+                    witness = system.probe_monotone(PROBE_SAMPLES)
+                    reference = _sequential_probe(system, PROBE_SAMPLES)
+                case = (i, scale, n)
+                assert (witness is None) == (reference is None), case
+                if witness is not None:
+                    failed += 1
+                    assert ({k: witness[k] for k in _WHERE}
+                            == {k: reference[k] for k in _WHERE}), case
+    assert 0 < failed < 6 * len(problems)
 
 
 @pytest.mark.parametrize("rows", ["kirchhoff", "minmax"])
@@ -566,7 +605,7 @@ def test_certificate_agrees_with_full_probe_on_catalog(junction_rows, rows):
     cases = [case for case in cases if junction_rows(case[1]) == rows]
     assert len(cases) >= 39
     for name, problem, eps, n in cases:
-        system = assemble(problem, Grid(problem.network, n), eps=eps, probe_samples=0)
+        system = assemble(problem, Grid(problem.network, n), eps=eps, certify=False)
         case = (name, eps, n)
         assert system.stencil_certificate(), case
         assert system.certify_monotone() is None, case
@@ -587,7 +626,12 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
-_PROBE_PARTS = ("_probe_draws", "_probe_deltas", "_edge_rows", "_table_ham")
+_PROBE_PARTS = ("probe_monotone", "jacobian_entries", "_edge_rows", "_table_ham")
+# what certify_monotone calls when the probe runs: the probe reaches the
+# stencil through PROBE_SAMPLES Jacobians, two table calls each, and never
+# evaluates an edge row
+_PROBED = {"probe_monotone": 1, "jacobian_entries": PROBE_SAMPLES, "_edge_rows": 0,
+           "_table_ham": 2 * PROBE_SAMPLES}
 
 
 def test_certificate_evaluates_no_edge_row_of_a_builtin_h(monkeypatch):
@@ -598,7 +642,7 @@ def test_certificate_evaluates_no_edge_row_of_a_builtin_h(monkeypatch):
     for entry in all_entries():
         for eps in (0.0, 0.25):
             system = assemble(entry.problem, Grid(entry.problem.network, 21),
-                              eps=eps, probe_samples=0)
+                              eps=eps, certify=False)
             calls.update(dict.fromkeys(calls, 0))
             assert system.certify_monotone() is None, (entry.name, eps)
             assert calls == dict.fromkeys(_PROBE_PARTS, 0), (entry.name, eps)
@@ -607,7 +651,8 @@ def test_certificate_evaluates_no_edge_row_of_a_builtin_h(monkeypatch):
 def test_certificate_leaves_custom_data_to_the_probe(monkeypatch):
     """A custom Hamiltonian, a custom coupling or a Hamiltonian subclass
     that overrides the envelopes gets no certificate, so certify_monotone
-    runs the full probe, once, and returns its witness."""
+    runs the full probe, once, through the Jacobian, and returns its
+    witness."""
     calls = _count_calls(monkeypatch, _PROBE_PARTS)
     problem = entry_by_name("star3_mixed").problem
     custom = dataclasses.replace(problem, hamiltonians={
@@ -621,11 +666,11 @@ def test_certificate_leaves_custom_data_to_the_probe(monkeypatch):
          {"sample": 0, "node": 1, "row": 1, "direction": "own"}),
     ]
     for problem, nodes, expect in cases:
-        system = assemble(problem, Grid(problem.network, nodes), probe_samples=0)
+        system = assemble(problem, Grid(problem.network, nodes), certify=False)
         assert not system.stencil_certificate()
         calls.update(dict.fromkeys(calls, 0))
         witness = system.certify_monotone()
-        assert calls == dict.fromkeys(_PROBE_PARTS, 1)
+        assert calls == _PROBED
         assert witness == (expect and {**expect, "delta": witness["delta"]})
 
 
@@ -676,11 +721,11 @@ def test_replaced_fn_declares_no_slope_bound(monkeypatch):
     steep = dataclasses.replace(ham, fn=lambda x, p: 3.0 * np.abs(p) - 1.0)
     assert steep.slope_bound is None
     problem = _with_hamiltonians("star3_eikonal", steep)
-    system = assemble(problem, Grid(problem.network, 21), probe_samples=0)
+    system = assemble(problem, Grid(problem.network, 21), certify=False)
     assert not system.stencil_certificate()
     calls = _count_calls(monkeypatch, _PROBE_PARTS)
     witness = system.certify_monotone()
-    assert calls == dict.fromkeys(_PROBE_PARTS, 1)
+    assert calls == _PROBED
     assert witness is not None and witness == system.probe_monotone()
 
 
@@ -710,19 +755,31 @@ def test_stencil_certificate_rejects(problem):
     for n in (5, 21, 81):
         grid = Grid(problem.network, n)
         with np.errstate(invalid="ignore"):
-            assert not assemble(problem, grid, probe_samples=0).stencil_certificate(), n
+            assert not assemble(problem, grid, certify=False).stencil_certificate(), n
             with pytest.raises(MonotonicityProbeFailed):
                 assemble(problem, grid)
 
 
 def test_large_speed_is_certified_and_solves():
     """eikonal(1e6, 1) on every edge of star3_eikonal at n = 21 is monotone,
-    but its rows are about 1e7 in size, so one ulp of the change of a flat
-    neighbour exceeds the full probe's absolute PROBE_TOL.  The stencil
-    certifies it, and the solve converges."""
+    with rows about 1e7 in size.  The stencil certifies it, the probe, which
+    subtracts no two rows, finds nothing either, and the solve converges."""
     problem = _with_hamiltonians("star3_eikonal", eikonal(1e6, 1.0))
     system = assemble(problem, Grid(problem.network, 21))
-    assert system.probe_monotone()["direction"] == "cross"
+    assert system.probe_monotone() is None
+    result = solve_system(system, SolveConfig())
+    assert result.converged, result.message
+
+
+def test_large_speed_custom_h_passes_the_probe_and_solves():
+    """The same H as a custom record (lipschitz_p 1e6, no slope bound) is
+    left to the probe, which accepts it: a neighbour where the row is
+    exactly flat changes it by a central quotient of H, not by the
+    difference of two rows of size 1e7, whose one ulp exceeds PROBE_TOL."""
+    problem = _custom_twin(_with_hamiltonians("star3_eikonal", eikonal(1e6, 1.0)), 1.0)
+    assert problem.hamiltonians[0].slope_bound is None
+    system = assemble(problem, Grid(problem.network, 21))
+    assert not system.stencil_certificate()
     result = solve_system(system, SolveConfig())
     assert result.converged, result.message
 
@@ -828,7 +885,7 @@ def test_jacobian_vertex_entries_match_per_entry_loop(catalog_and_draws, junctio
     assert len(problems) >= 3
     for k, problem in problems:
         grid = Grid(problem.network, 11)
-        system = assemble(problem, grid, probe_samples=0)
+        system = assemble(problem, grid, certify=False)
         u = rng.uniform(-2.0, 2.0, size=grid.total_nodes)
         vals = system.jacobian_entries(u, 1e-7)
         for v in range(len(grid.vertex_inputs)):
@@ -897,7 +954,7 @@ def test_resolve_relaxed_edges():
     flat = dataclasses.replace(mixed, hamiltonians={**mixed.hamiltonians, 0: advection(0.5, 0.2)})
 
     def resolved(problem, eps):
-        system = assemble(problem, Grid(problem.network, 11), eps=eps, probe_samples=0)
+        system = assemble(problem, Grid(problem.network, 11), eps=eps, certify=False)
         out = {}
         for v in problem.network.vertices:
             out[v.id] = tuple(i for i, *_ in system._vertices[v.id].clauses)
@@ -977,18 +1034,18 @@ def test_systems_sharing_a_grid_match_a_fresh_grid_bit_for_bit(catalog_and_draws
     """A system assembled on a grid that already holds the problem's scheme
     tables, built by an assembly at another eps, equals bit for bit the one
     assembled on a fresh grid: own_coeff, residual, Jacobian entries and
-    network form, certificate and probe deltas.  Every catalog entry and
+    network form, certificate and probe witness.  Every catalog entry and
     draw whose junction rows at eps = 0 are of the shape rows."""
     rng = np.random.default_rng(31)
     problems = [(k, p) for k, p in enumerate(catalog_and_draws) if junction_rows(p) == rows]
     assert len(problems) >= 3
     for k, problem in problems:
         shared = Grid(problem.network, {e.id: 9 + 2 * (e.id % 3) for e in problem.network.edges})
-        first = assemble(problem, shared, eps=0.5, probe_samples=0)
+        first = assemble(problem, shared, eps=0.5, certify=False)
         for eps in (0.0, 2.0 ** -8, 0.25, 1.0):
-            a = assemble(problem, shared, eps=eps, probe_samples=0)
+            a = assemble(problem, shared, eps=eps, certify=False)
             b = assemble(problem, Grid(problem.network, shared.nodes_per_edge), eps=eps,
-                         probe_samples=0)
+                         certify=False)
             assert a._tables is first._tables is not b._tables
             u = rng.uniform(-2.0, 2.0, (3, shared.total_nodes))
             np.testing.assert_array_equal(_bits(a.own_coeff), _bits(b.own_coeff))
@@ -1001,7 +1058,7 @@ def test_systems_sharing_a_grid_match_a_fresh_grid_bit_for_bit(catalog_and_draws
                 for name in ja:
                     np.testing.assert_array_equal(_bits(ja[name]), _bits(jb[name]))
             assert a.stencil_certificate() == b.stencil_certificate(), (k, eps)
-            np.testing.assert_array_equal(_bits(a._probe_deltas(u)), _bits(b._probe_deltas(u)))
+            assert a.probe_monotone() == b.probe_monotone(), (k, eps)
 
 
 def test_scheme_tables_are_shared_and_read_only():
@@ -1092,7 +1149,7 @@ def test_table_ham_matches_the_per_edge_loop(hams, runs):
     edges = base.network.edges
     problem = dataclasses.replace(base, hamiltonians=dict(zip((e.id for e in edges), hams())))
     grid = Grid(problem.network, {e.id: 5 + 3 * e.id for e in edges})
-    system = assemble(problem, grid, probe_samples=0)
+    system = assemble(problem, grid, certify=False)
     assert len(grid.scheme(problem).runs) == runs
     x = grid.edge_table[0]
     p = np.random.default_rng(7).uniform(-3.0, 3.0, (3, len(x)))

@@ -188,7 +188,7 @@ def test_sampled_envelope_is_monotone_in_q():
         eid: Hamiltonian(ham, c_h=ham.c_h, coercive=ham.coercive, lipschitz_p=ham.lipschitz_p)
         for eid, ham in problem.hamiltonians.items()})
     for n in (11, 21, 41):
-        system = assemble(custom, Grid(custom.network, n), probe_samples=0)
+        system = assemble(custom, Grid(custom.network, n), certify=False)
         assert not system.stencil_certificate()
         assert system.certify_monotone() is None, n
 
@@ -468,7 +468,7 @@ def test_every_layer_reads_the_one_relaxed_rule(monkeypatch):
             seen["non-coercive witness"] += bool(bad)
         junction_relaxed = any(relaxed[v.id] for v in net.interior_vertices)
         for eps in (0.0, 0.25):
-            system = assemble(problem, grid, eps=eps, probe_samples=0)
+            system = assemble(problem, grid, eps=eps, certify=False)
             for v in net.boundary_vertices:
                 expected = "boundary-relaxed" if eps == 0.0 and relaxed[v.id] else "boundary-strong"
                 assert system.node_classification(grid.vertex_gid(v.id)) == expected, (k, eps)

@@ -113,7 +113,9 @@ def test_viscosity_sweep_demo_runs(capsys):
 
 def test_census_records_a_slice_and_compares(tmp_path, capsys, monkeypatch):
     """The cold set at n = 41: one record per entry, each with the
-    documented fields, its verify outcome included.  A second census with
+    documented fields, its verify outcome included.  The stress set, run
+    only when named, holds 3600 cases: 200 draws at three resolutions, with
+    no start and from each multistart offset.  A second census with
     MAX_NEWTON = 2 sends some solves into rounds of sweeps and Newton, and
     --compare lists those whose counts changed and how far their solutions
     moved.  A changed verify outcome is listed; an old census with none
@@ -137,6 +139,13 @@ def test_census_records_a_slice_and_compares(tmp_path, capsys, monkeypatch):
         assert sum(r["newton_per_level"].values()) == r["iterations"]
     mixed = next(r for r in records if r["id"] == "cold/star3_mixed/n=41")
     assert mixed["newton_per_level"] == {"n=21": 5, "n=41": 1}
+    assert "stress" not in census.DEFAULT_SETS
+    stress = list(census._cases("stress", census.NODES["stress"]))
+    assert len(stress) == 3600 == 200 * 3 * (1 + len(solver.MULTISTART_OFFSETS))
+    assert [c[0] for c in stress[:7]] == ["stress/draw0/n=9"] + [
+        f"stress/draw0/n=9/u0={c:+g}" for c in solver.MULTISTART_OFFSETS] + ["stress/draw0/n=21"]
+    rec, _ = census._record(*stress[-1], solver.SolveConfig())
+    assert rec["id"] == "stress/draw199/n=81/u0=+10" and rec["converged"]
     capsys.readouterr()
 
     monkeypatch.setattr(solver, "MAX_NEWTON", 2)

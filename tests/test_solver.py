@@ -289,7 +289,7 @@ def test_network_solve_matches_dense_solve(junction_rows, nodes, rows):
     assert len(problems) >= 3
     for k, problem in enumerate(problems):
         grid = Grid(problem.network, nodes)
-        system = assemble(problem, grid, probe_samples=0)
+        system = assemble(problem, grid, certify=False)
         u = rng.uniform(-2.0, 2.0, grid.total_nodes)
         b = rng.uniform(-1.0, 1.0, grid.total_nodes)
         x = spsolve(_fd_jacobian(system, u, 1e-7), b)
@@ -327,7 +327,7 @@ def test_fortran_order_rhs_matches_column_stack(junction_rows, rows):
         mixed = {e.id: int(rng.integers(3, 14)) for e in problem.network.edges}
         for nodes in (3, 21, mixed):
             grid = Grid(problem.network, nodes)
-            system = assemble(problem, grid, probe_samples=0)
+            system = assemble(problem, grid, certify=False)
             u = rng.uniform(-2.0, 2.0, grid.total_nodes)
             b = rng.uniform(-1.0, 1.0, grid.total_nodes)
             jac = _fd_jacobian(system, u, 1e-7)
